@@ -9,12 +9,14 @@ partial-derivative symbols on the abstract components f0..f3 with sorted
 (commuting) multi-indices.
 
 Two expressions are equal exactly when their maps coincide, which is what
-every identity check in the package reduces to.
+every identity check in the package reduces to.  So no map stores a zero
+coefficient: `_accumulate` keeps maps clean, and `CanonicalExpr._of` wraps
+a map unchecked, only for maps already reduced that way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .coefficients import CRat, POLY_ONE, Poly, as_poly, render_poly
@@ -48,6 +50,17 @@ class Monomial:
     trig: tuple = ()  # ((var, m, e), ...) sorted, e in {0,1}, (m,e) != (0,0)
     ea: tuple = ()  # ((var, scale_poly, p), ...) sorted, p != 0
     dsyms: tuple = ()  # ((k, midx), ...) sorted multiset
+    _hash: int = field(default=0, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # monomials are dict keys in every hot loop: hash once, not per probe
+        object.__setattr__(self, "_hash", hash((self.powers, self.trig, self.ea, self.dsyms)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):  # string hashes differ between processes: rehash on load
+        return Monomial, (self.powers, self.trig, self.ea, self.dsyms)
 
     def sort_key(self):
         return (
@@ -114,23 +127,37 @@ def _mul_monomials(a: Monomial, b: Monomial):
         assert e == 2
         new = []
         for tmap, sign in expansions:
-            low = dict(tmap)
-            low[v] = (m, 0)
-            high = dict(tmap)
-            high[v] = (m + 2, 0)
-            new.append((low, sign))
-            new.append((high, -sign))
+            new.append(({**tmap, v: (m, 0)}, sign))
+            new.append(({**tmap, v: (m + 2, 0)}, -sign))
         expansions = new
 
-    out = []
-    for tmap, sign in expansions:
-        out.append(
-            (
-                Monomial(_sorted_powers(powers), _sorted_trig(tmap), _sorted_ea(ea), dsyms),
-                sign,
-            )
-        )
-    return out
+    powers, ea = _sorted_powers(powers), _sorted_ea(ea)
+    return [(Monomial(powers, _sorted_trig(tmap), ea, dsyms), sign) for tmap, sign in expansions]
+
+
+def _accumulate(acc: dict, items) -> dict:
+    """Add (monomial, Poly) pairs into the clean map acc in place: zero
+    coefficients are skipped and cancelled entries deleted."""
+    for mono, coeff in items:
+        if coeff:
+            prev = acc.get(mono)
+            if prev is None:
+                acc[mono] = coeff
+            else:
+                coeff = prev + coeff
+                if coeff:
+                    acc[mono] = coeff
+                else:
+                    del acc[mono]
+    return acc
+
+
+def _products(a: dict, b: dict):
+    for m1, p1 in a.items():
+        for m2, p2 in b.items():
+            coeff = p1 * p2
+            for mono, sign in _mul_monomials(m1, m2):
+                yield mono, coeff if sign > 0 else -coeff
 
 
 class CanonicalExpr:
@@ -139,18 +166,15 @@ class CanonicalExpr:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        cleaned = {}
-        if terms:
-            for mono, coeff in terms.items() if isinstance(terms, dict) else terms:
-                coeff = as_poly(coeff)
-                if coeff:
-                    acc = cleaned.get(mono)
-                    coeff = coeff if acc is None else acc + coeff
-                    if coeff:
-                        cleaned[mono] = coeff
-                    elif mono in cleaned:
-                        del cleaned[mono]
-        self._terms = cleaned
+        items = terms.items() if isinstance(terms, dict) else terms or ()
+        self._terms = _accumulate({}, ((m, as_poly(c)) for m, c in items))
+
+    @staticmethod
+    def _of(terms: dict) -> CanonicalExpr:
+        """Wrap a map that is already clean, without copying or checking it."""
+        self = object.__new__(CanonicalExpr)
+        self._terms = terms
+        return self
 
     # -- constructors -----------------------------------------------------
 
@@ -228,11 +252,7 @@ class CanonicalExpr:
 
     def __add__(self, other):
         other = as_canonical_scalar(other)
-        acc = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            prev = acc.get(mono)
-            acc[mono] = coeff if prev is None else prev + coeff
-        return CanonicalExpr(acc)
+        return CanonicalExpr._of(_accumulate(dict(self._terms), other._terms.items()))
 
     __radd__ = __add__
 
@@ -243,19 +263,17 @@ class CanonicalExpr:
         return as_canonical_scalar(other) - self
 
     def __neg__(self):
-        return CanonicalExpr({m: -p for m, p in self._terms.items()})
+        return CanonicalExpr._of({m: -p for m, p in self._terms.items()})
 
     def __mul__(self, other):
-        other = as_canonical_scalar(other)
-        acc = {}
-        for m1, p1 in self._terms.items():
-            for m2, p2 in other._terms.items():
-                coeff = p1 * p2
-                for mono, sign in _mul_monomials(m1, m2):
-                    add = coeff if sign == 1 else -coeff
-                    prev = acc.get(mono)
-                    acc[mono] = add if prev is None else prev + add
-        return CanonicalExpr(acc)
+        a, b = self._terms, as_canonical_scalar(other)._terms
+        if len(a) == 1 and MONOMIAL_ONE in a:
+            a, b = b, a
+        if len(b) == 1 and MONOMIAL_ONE in b:
+            # constant factor: a product of nonzero polynomials is nonzero
+            c = b[MONOMIAL_ONE]
+            return CanonicalExpr._of({m: p * c for m, p in a.items()})
+        return CanonicalExpr._of(_accumulate({}, _products(a, b)))
 
     __rmul__ = __mul__
 
@@ -333,10 +351,8 @@ def normalize(e) -> CanonicalExpr:
         return CanonicalExpr.ea_power(e.var, scale.constant_coefficient())
     if isinstance(e, CompSym):
         return CanonicalExpr.component(e.k, e.midx)
-    if isinstance(e, Add):
-        return normalize(e.left) + normalize(e.right)
-    if isinstance(e, Sub):
-        return normalize(e.left) - normalize(e.right)
+    if isinstance(e, (Add, Sub)):
+        return CanonicalExpr._of(_fold_sum(e, False, {}))
     if isinstance(e, Mul):
         return normalize(e.left) * normalize(e.right)
     if isinstance(e, Div):
@@ -346,6 +362,15 @@ def normalize(e) -> CanonicalExpr:
     if isinstance(e, Neg):
         return -normalize(e.operand)
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _fold_sum(e, negate: bool, acc: dict) -> dict:
+    """Accumulate a +/- chain into acc, normalizing each summand once."""
+    if isinstance(e, (Add, Sub)):
+        _fold_sum(e.left, negate, acc)
+        return _fold_sum(e.right, negate != isinstance(e, Sub), acc)
+    terms = normalize(e)._terms
+    return _accumulate(acc, ((m, -p) for m, p in terms.items()) if negate else terms.items())
 
 
 def equal(a, b) -> bool:

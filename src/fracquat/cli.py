@@ -12,6 +12,7 @@ line; text output is plain ASCII rendering of canonical forms.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 
@@ -68,6 +69,8 @@ def load_field_spec(path: str):
     for key in ("alpha", "frame"):
         if key not in doc:
             raise SpecError(f"field spec is missing the {key!r} key")
+    if isinstance(doc["alpha"], bool):
+        raise SpecError("'alpha' must be a number, not a boolean")
     alpha = validate_alpha(doc["alpha"])
     frame = frame_by_name(doc["frame"])
     components = doc.get("components", {})
@@ -91,6 +94,8 @@ def _parse_point(raw: str, frame) -> dict:
         if name not in frame.variables:
             raise SpecError(f"variable {name!r} is not in frame {frame.name}")
         point[name] = float(value)
+        if not cmath.isfinite(point[name]):
+            raise SpecError(f"point value {item.strip()!r} is not finite")
     return point
 
 
@@ -98,9 +103,12 @@ def _parse_complex(raw: str) -> complex:
     raw = raw.strip()
     for candidate in (raw, raw.replace("i", "j")):
         try:
-            return complex(candidate)
+            value = complex(candidate)
         except ValueError:
             continue
+        if cmath.isfinite(value):
+            return value
+        raise SpecError(f"complex number {raw!r} is not finite")
     raise SpecError(f"cannot parse complex number {raw!r}")
 
 

@@ -35,13 +35,21 @@ class CRat:
     def __setattr__(self, name, value):
         raise AttributeError("CRat is immutable")
 
+    @staticmethod
+    def _of(re: Fraction, im: Fraction) -> CRat:
+        """Wrap parts that are already Fractions, skipping conversion."""
+        self = object.__new__(CRat)
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+        return self
+
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other):
         other = _crat_or_none(other)
         if other is None:
             return NotImplemented
-        return CRat(self.re + other.re, self.im + other.im)
+        return CRat._of(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
@@ -49,7 +57,7 @@ class CRat:
         other = _crat_or_none(other)
         if other is None:
             return NotImplemented
-        return CRat(self.re - other.re, self.im - other.im)
+        return CRat._of(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         other = _crat_or_none(other)
@@ -61,7 +69,7 @@ class CRat:
         other = _crat_or_none(other)
         if other is None:
             return NotImplemented
-        return CRat(
+        return CRat._of(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
@@ -73,7 +81,7 @@ class CRat:
         d = other.re * other.re + other.im * other.im
         if d == 0:
             raise ZeroDivisionError("division by zero CRat")
-        return CRat(
+        return CRat._of(
             (self.re * other.re + self.im * other.im) / d,
             (self.im * other.re - self.re * other.im) / d,
         )
@@ -82,7 +90,7 @@ class CRat:
         return as_crat(other) / self
 
     def __neg__(self):
-        return CRat(-self.re, -self.im)
+        return CRat._of(-self.re, -self.im)
 
     # -- structure ------------------------------------------------------
 
@@ -176,31 +184,31 @@ class Poly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        if isinstance(terms, dict):
-            items = terms.items()
-        else:
-            items = terms
         cleaned = {}
-        for p, c in items:
+        for p, c in terms.items() if isinstance(terms, dict) else terms:
             c = as_crat(c)
             if c:
                 cleaned[p] = cleaned.get(p, CRAT_ZERO) + c
-        object.__setattr__(
-            self,
-            "terms",
-            tuple(sorted(((p, c) for p, c in cleaned.items() if c), key=lambda t: t[0])),
-        )
+        object.__setattr__(self, "terms", tuple(sorted(t for t in cleaned.items() if t[1])))
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
     @staticmethod
+    def _of(terms: tuple) -> Poly:
+        """Wrap terms already sorted by power with no zero coefficient."""
+        self = object.__new__(Poly)
+        object.__setattr__(self, "terms", terms)
+        return self
+
+    @staticmethod
     def const(c) -> Poly:
-        return Poly(((0, as_crat(c)),))
+        c = as_crat(c)
+        return Poly._of(((0, c),) if c else ())
 
     @staticmethod
     def lam(power: int = 1) -> Poly:
-        return Poly(((power, CRAT_ONE),))
+        return Poly._of(((power, CRAT_ONE),))
 
     # -- ring operations ------------------------------------------------
 
@@ -208,10 +216,15 @@ class Poly:
         other = _poly_or_none(other)
         if other is None:
             return NotImplemented
-        acc = dict(self.terms)
-        for p, c in other.terms:
-            acc[p] = acc.get(p, CRAT_ZERO) + c
-        return Poly(acc)
+        a, b = self.terms, other.terms
+        if len(a) == 1 == len(b) and a[0][0] == b[0][0]:
+            c = a[0][1] + b[0][1]
+            return Poly._of(((a[0][0], c),) if c else ())
+        acc = dict(a)
+        for p, c in b:
+            prev = acc.get(p)
+            acc[p] = c if prev is None else prev + c
+        return Poly._of(tuple(sorted(t for t in acc.items() if t[1])))
 
     __radd__ = __add__
 
@@ -228,18 +241,25 @@ class Poly:
         return other - self
 
     def __neg__(self):
-        return Poly(tuple((p, -c) for p, c in self.terms))
+        return Poly._of(tuple((p, -c) for p, c in self.terms))
 
     def __mul__(self, other):
         other = _poly_or_none(other)
         if other is None:
             return NotImplemented
+        a, b = self.terms, other.terms
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) == 1:
+            # a product of nonzero Gaussian rationals is nonzero
+            (p1, c1), = a
+            return Poly._of(tuple((p1 + p2, c1 * c2) for p2, c2 in b))
         acc = {}
-        for p1, c1 in self.terms:
-            for p2, c2 in other.terms:
+        for p1, c1 in a:
+            for p2, c2 in b:
                 p = p1 + p2
                 acc[p] = acc.get(p, CRAT_ZERO) + c1 * c2
-        return Poly(acc)
+        return Poly._of(tuple(sorted(t for t in acc.items() if t[1])))
 
     __rmul__ = __mul__
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 from dataclasses import replace
 
-from .canonical import CanonicalExpr, Monomial, as_canonical_scalar
+from .canonical import CanonicalExpr, Monomial, _accumulate, as_canonical_scalar
 from .coefficients import Poly
 from .expr import ExpressionError, VARIABLES, sort_vars, var_order
 
@@ -56,51 +56,43 @@ def _with_trig(mono: Monomial, var: str, m: int, e: int) -> Monomial:
     return replace(mono, trig=trig)
 
 
-def _diff_monomial(mono: Monomial, var: str) -> CanonicalExpr:
-    """Leibniz rule across the factor groups of one monomial."""
-    parts = CanonicalExpr.zero()
-
+def _diff_monomial(mono: Monomial, var: str):
+    """Leibniz rule across the factor groups of one monomial, as
+    (monomial, int or Poly factor) pairs; a factor may be zero (-(m+1) at m = -1)."""
     for v, n in mono.powers:
         if v == var:
-            parts = parts + n * CanonicalExpr({_with_power(mono, var, n - 1): Poly.const(1)})
+            yield _with_power(mono, var, n - 1), n
 
     for v, m, e in mono.trig:
         if v != var:
             continue
         if e == 0:
             # (sin^m)' = m sin^(m-1) cos
-            parts = parts + m * CanonicalExpr({_with_trig(mono, var, m - 1, 1): Poly.const(1)})
+            yield _with_trig(mono, var, m - 1, 1), m
         else:
             # (sin^m cos)' = m sin^(m-1) cos^2 - sin^(m+1)
             #              = m sin^(m-1) - (m+1) sin^(m+1)   after cos^2 -> 1-sin^2
             if m:
-                parts = parts + m * CanonicalExpr(
-                    {_with_trig(mono, var, m - 1, 0): Poly.const(1)}
-                )
-            parts = parts - (m + 1) * CanonicalExpr(
-                {_with_trig(mono, var, m + 1, 0): Poly.const(1)}
-            )
+                yield _with_trig(mono, var, m - 1, 0), m
+            yield _with_trig(mono, var, m + 1, 0), -(m + 1)
 
     for v, scale, p in mono.ea:
         if v == var:
-            parts = parts + (p * scale) * CanonicalExpr({mono: Poly.const(1)})
+            yield mono, p * scale
 
     for i, (k, midx) in enumerate(mono.dsyms):
         bumped = (k, sort_vars(midx + (var,)))
         dsyms = tuple(sorted(mono.dsyms[:i] + (bumped,) + mono.dsyms[i + 1 :]))
-        parts = parts + CanonicalExpr({replace(mono, dsyms=dsyms): Poly.const(1)})
-
-    return parts
+        yield replace(mono, dsyms=dsyms), 1
 
 
 def d_alpha(e, var: str) -> CanonicalExpr:
     """Derivation-mode local fractional partial derivative."""
     _check_var(var)
-    ce = as_canonical_scalar(e)
-    out = CanonicalExpr.zero()
-    for mono, coeff in ce.terms.items():
-        out = out + coeff * _diff_monomial(mono, var)
-    return out
+    acc = {}
+    for mono, coeff in as_canonical_scalar(e).terms.items():
+        _accumulate(acc, ((m, coeff * f) for m, f in _diff_monomial(mono, var)))
+    return CanonicalExpr._of(acc)
 
 
 def nth_d_alpha(e, var: str, order: int) -> CanonicalExpr:
@@ -152,12 +144,7 @@ def d_alpha_gamma(e, var: str) -> CanonicalExpr:
     """Gamma-normalized derivative: index shift J_n -> J_(n-1) on the
     normalized monomials of var, with J_0 -> 0."""
     coeffs = jpoly_coefficients(e, var)
-    out = CanonicalExpr.zero()
-    for n, c in enumerate(coeffs):
-        if n == 0 or c.is_zero():
-            continue
-        out = out + c * CanonicalExpr.fractal_power(var, n - 1)
-    return out
+    return CanonicalExpr((_with_power(Monomial(), var, n - 1), c) for n, c in enumerate(coeffs) if n)
 
 
 def differentiate(e, var: str, mode: DerivativeMode = DerivativeMode.DERIVATION) -> CanonicalExpr:

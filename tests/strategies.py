@@ -3,7 +3,9 @@
 import hypothesis.strategies as st
 
 from fracquat.coefficients import CRat
-from fracquat.expr import Add, CompSym, EaGen, FracPow, LamSym, Mul, Neg, Num, Pow, Sub, TrigGen
+from fracquat.expr import (
+    Add, CompSym, Div, EaGen, FracPow, LamSym, Mul, Neg, Num, Pow, Sub, TrigGen,
+)
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 crats = st.builds(CRat, rationals, rationals)
@@ -23,12 +25,23 @@ def atoms(variables):
     )
 
 
+def unit_atoms(variables):
+    """Divisors that normalize to unit monomials, so that quotients give
+    negative fractal and sina exponents."""
+    variables = st.sampled_from(tuple(variables))
+    return st.one_of(
+        st.builds(FracPow, variables, st.integers(-2, 2)),
+        st.builds(TrigGen, variables, st.just("sin")),
+    )
+
+
 def exprs(variables=("r", "theta", "z"), max_leaves=10):
     def extend(children):
         return st.one_of(
             st.builds(Add, children, children),
             st.builds(Sub, children, children),
             st.builds(Mul, children, children),
+            st.builds(Div, children, unit_atoms(variables)),
             st.builds(Neg, children),
             st.builds(Pow, children, st.integers(0, 2)),
         )

@@ -1,8 +1,11 @@
 """Canonical-form invariants: unique normal form, exact equality,
 Pythagorean reduction, division, rendering round-trips, numeric tie-in."""
 
+import dataclasses
+import pickle
 import random
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -14,13 +17,15 @@ from fracquat import (
     SingularDivisionError,
     UnboundSymbolError,
     canon,
+    d_alpha,
     equal,
     eval_canonical,
     normalize,
     parse,
     render_canonical,
 )
-from fracquat.canonical import dsym_name
+from fracquat.canonical import MONOMIAL_ONE, Monomial, _mul_monomials, dsym_name
+from fracquat.coefficients import Poly
 
 from strategies import exprs
 
@@ -193,6 +198,58 @@ def test_equal_is_congruence_for_sum_and_product(a, b):
 def test_product_distributes_over_sum(a, b, c):
     ca, cb, cc = normalize(a), normalize(b), normalize(c)
     assert equal(ca * (cb + cc), ca * cb + ca * cc)
+
+
+def assert_clean(x):
+    """x holds only nonzero Poly coefficients, so rebuilding it through the
+    cleaning constructor changes nothing."""
+    assert all(isinstance(p, Poly) and p for p in x.terms.values())
+    assert x == CanonicalExpr(dict(x.terms))
+
+
+def assert_rehashes(mono):
+    """A monomial equals, and hashes like, copies built the other ways."""
+    fields = (mono.powers, mono.trig, mono.ea, mono.dsyms)
+    for copy in (Monomial(*fields), dataclasses.replace(mono)):
+        assert copy == mono and hash(copy) == hash(mono)
+
+
+@settings(max_examples=60, deadline=None)
+@given(exprs(), exprs(), st.sampled_from(("r", "theta", "z")))
+def test_results_are_clean_maps(a, b, var):
+    ca, cb = normalize(a), normalize(b)
+    product = ca * cb
+    for x in (ca, cb, ca + cb, ca - cb, -ca, product, d_alpha(ca, var)):
+        assert_clean(x)
+    for mono in product.terms:
+        assert_rehashes(mono)
+
+
+def test_monomial_hash_agrees_across_constructions():
+    sin = Monomial(trig=(("theta", 1, 0),))
+    cos = Monomial(trig=(("theta", 0, 1),))
+    ea = Monomial(ea=(("z", Poly.const(2), 1),))
+    built = Monomial(powers=(("r", 1),), trig=(("theta", 1, 0),))
+    replaced = dataclasses.replace(sin, powers=(("r", 1),))
+    (product, sign), = _mul_monomials(Monomial(powers=(("r", 1),)), sin)
+    assert built == replaced == product and sign == 1
+    assert hash(built) == hash(replaced) == hash(product)
+    # cos^2 splits into 1 - sin^2; both parts are ordinary dict keys
+    (one, s1), (sin2, s2) = _mul_monomials(cos, cos)
+    assert (s1, s2) == (1, -1)
+    assert hash(one) == hash(MONOMIAL_ONE) and one == MONOMIAL_ONE
+    assert {Monomial(trig=(("theta", 2, 0),)): 1}[sin2] == 1
+    # Ea scales are separately built but equal polynomials
+    (ea2, _), = _mul_monomials(ea, ea)
+    assert ea2 == Monomial(ea=(("z", Poly.const(2), 2),))
+    assert hash(ea2) == hash(Monomial(ea=(("z", Poly.const(2), 2),)))
+    for mono in (built, replaced, product, one, sin2, ea2):
+        assert_rehashes(mono)
+    # string hashes differ between processes, so a pickle must not carry the
+    # cached hash (Ea scales hold CRat, which does not pickle at all)
+    for mono in (built, product, one, sin2):
+        data = pickle.dumps(mono)
+        assert b"_hash" not in data and pickle.loads(data) == mono
 
 
 def test_linear_independence_by_random_evaluation():

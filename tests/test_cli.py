@@ -234,3 +234,30 @@ class TestSeries:
     def test_bad_alpha(self, capsys):
         code, _, err = run(capsys, ["series", "Ea", "--alpha", "2", "--u", "1"])
         assert code == 2
+
+
+class TestInputValidation:
+    """Non-finite numbers and boolean alphas are usage errors (exit 2)
+    with a one-line message, not values passed on to the library."""
+
+    def assert_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_point_value(self, tmp_path, capsys, value):
+        spec = write_spec(tmp_path, CYL_SPEC)
+        self.assert_usage_error(capsys, ["eval", spec, "--at", f"r={value}"])
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1+nanj"])
+    def test_non_finite_lam(self, tmp_path, capsys, value):
+        spec = write_spec(tmp_path, CYL_SPEC)
+        self.assert_usage_error(capsys, ["eval", spec, "--at", "r=2", "--lam", value])
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_boolean_alpha(self, tmp_path, capsys, value):
+        spec = write_spec(tmp_path, dict(CYL_SPEC, alpha=value))
+        self.assert_usage_error(capsys, ["apply", spec, "-o", "mt"])
+        self.assert_usage_error(capsys, ["eval", spec, "--at", "r=2"])

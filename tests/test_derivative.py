@@ -17,6 +17,7 @@ from fracquat import (
     ml_exp_jseries,
     nth_d_alpha,
     normalize,
+    render_canonical,
     series_shift_derivative,
     sin_alpha_jseries,
     cos_alpha_jseries,
@@ -63,6 +64,16 @@ class TestDerivationRules:
         # (sin^-1)' = -sin^-2 cos
         out = d_alpha(canon("sina(theta)^-1", SPHERICAL), "theta")
         assert out == canon("-sina(theta)^-2*cosa(theta)", SPHERICAL)
+
+    def test_zero_leibniz_factor_is_not_stored(self):
+        # (sina^m cosa)' = m sina^(m-1) - (m+1) sina^(m+1): at m = -1 the
+        # second term has factor zero and must leave no entry in the map
+        out = d_alpha(canon("cosa(theta)/sina(theta)", CYL), "theta")
+        assert out == canon("-sina(theta)^-2", CYL)
+        assert len(out.terms) == 1 and all(out.terms.values())
+        text = render_canonical(out)
+        assert text == "-sina(theta)^-2"
+        assert render_canonical(canon(text, CYL)) == text
 
 
 class TestNthDerivative:
