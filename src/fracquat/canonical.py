@@ -477,10 +477,18 @@ def eval_canonical(
     point maps variables to nonnegative reals (positive where negative
     fractal powers occur); bindings maps rendered component symbols such
     as "f1" or "d(f1,r)" to complex constants or callables of the point.
+    Each distinct sina, cosa and Ea generator is summed once per call.
     """
     ce = as_canonical_scalar(ce)
     alpha = _series.validate_alpha(alpha)
     bindings = bindings or {}
+    memo = {}
+
+    def series(name, u):  # pure in (alpha, u, tol); looked up late so wrappers apply
+        if (name, u) not in memo:
+            memo[name, u] = getattr(_series, name)(alpha, u, tol)
+        return memo[name, u]
+
     total = 0j
     for mono, poly in ce.terms.items():
         value = _coeff_value(poly, lam)
@@ -492,15 +500,15 @@ def eval_canonical(
         for v, m, e in mono.trig:
             u = _fractal_arg(v, point, alpha)
             if m:
-                sv = _series.sin_alpha(alpha, u, tol)
+                sv = series("sin_alpha", u)
                 if sv == 0 and m < 0:
                     raise EvaluationDomainError(f"sina({v}) vanishes at {v} = {point[v]}")
                 value *= sv**m
             if e:
-                value *= _series.cos_alpha(alpha, u, tol)
+                value *= series("cos_alpha", u)
         for v, s, p in mono.ea:
             u = _coeff_value(s, lam) * _fractal_arg(v, point, alpha)
-            ev = _series.ml_exp(alpha, u, tol)
+            ev = series("ml_exp", u)
             if ev == 0 and p < 0:
                 raise EvaluationDomainError(f"Ea factor vanishes at {v} = {point[v]}")
             value *= ev**p

@@ -35,6 +35,9 @@ class CRat:
     def __setattr__(self, name, value):
         raise AttributeError("CRat is immutable")
 
+    def __reduce__(self):  # the default slot restore would hit __setattr__
+        return CRat._of, (self.re, self.im)
+
     @staticmethod
     def _of(re: Fraction, im: Fraction) -> CRat:
         """Wrap parts that are already Fractions, skipping conversion."""
@@ -193,6 +196,9 @@ class Poly:
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    def __reduce__(self):  # the default slot restore would hit __setattr__
+        return Poly._of, (self.terms,)
 
     @staticmethod
     def _of(terms: tuple) -> Poly:

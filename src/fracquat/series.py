@@ -52,89 +52,82 @@ def gamma_one_plus(alpha: float, k: int) -> float:
         raise GammaRangeError(f"Gamma(1 + {k}*{alpha}) overflows double precision") from exc
 
 
-def _term(u: complex, power: int, alpha: float, sign: int = 1) -> complex:
-    # evaluate sign * u^power / Gamma(1+power*alpha) in log space to avoid
-    # intermediate overflow of u^power for moderate |u|
-    if u == 0:
-        return complex(sign) if power == 0 else 0j
-    log_mag = power * math.log(abs(u)) - math.lgamma(1.0 + power * alpha)
+def _power_term(log_u: float, phase_u: float, power: int, alpha: float) -> complex:
+    # u^power / Gamma(1+power*alpha) from log|u| and phase(u), in log space
+    # to avoid intermediate overflow of u^power for moderate |u|
+    log_mag = power * log_u - math.lgamma(1.0 + power * alpha)
     if log_mag < -745.0:  # below double underflow
         return 0j
     if log_mag > 709.0:  # above double overflow: magnitude is all that matters
         return complex(math.inf)
-    return sign * cmath.exp(complex(log_mag, power * cmath.phase(u)))
+    return cmath.exp(complex(log_mag, power * phase_u))
 
 
-def _sum_series(alpha, u, tol, powers, signs, label):
+# kind: (label, first power, power step, alternating signs)
+_SERIES = {
+    "Ea": ("ml_exp", 0, 1, False),
+    "sina": ("sin_alpha", 1, 2, True),
+    "cosa": ("cos_alpha", 0, 2, True),
+}
+
+
+def _sum_series(alpha, u, tol, label, power, step, alternating):
     """Adaptive summation; hard cap MAX_SERIES_TERMS.
 
     Stops once the terms are decreasing and the geometric tail bound
     next/(1-rho), with rho the observed term ratio, falls below tol (the
     Gamma denominators make the ratios eventually decreasing, so the
-    bound dominates the true tail).  Returns (value, terms summed).
+    bound dominates the true tail).  The look-ahead term becomes the next
+    term, so each is computed once.  Returns (value, terms summed).
     """
+    log_u, phase_u = math.log(abs(u)), cmath.phase(u)
     total = 0j
-    prev_mag = math.inf
-    for i, power in enumerate(powers):
-        term = _term(u, power, alpha, signs(i))
-        total += term
-        mag = abs(term)
-        next_power = powers[i + 1] if i + 1 < len(powers) else None
-        if next_power is None:
-            break
-        next_mag = abs(_term(u, next_power, alpha))
+    term = _power_term(log_u, phase_u, power, alpha)
+    mag, prev_mag = abs(term), math.inf
+    for i in range(MAX_SERIES_TERMS - 1):
+        total = total - term if alternating and i % 2 else total + term
+        power += step
+        term = _power_term(log_u, phase_u, power, alpha)
+        next_mag = abs(term)
         if next_mag < min(mag, prev_mag):
             if next_mag == 0.0:
                 return total, i + 1
             rho = next_mag / mag
             if next_mag / (1.0 - rho) < tol:
                 return total, i + 1
-        prev_mag = mag
+        prev_mag, mag = mag, next_mag
     raise SeriesConvergenceError(
         f"{label} did not converge to tol={tol} within {MAX_SERIES_TERMS} terms "
-        f"(last term magnitude {abs(term):.3e})",
-        abs(term),
+        f"(last term magnitude {mag:.3e})",
+        mag,
     )
-
-
-def _evaluate(kind: str, alpha: float, u: complex, tol: float):
-    alpha = validate_alpha(alpha)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    u = complex(u)
-    if kind == "Ea":
-        if u == 0:
-            return 1 + 0j, 1
-        return _sum_series(alpha, u, tol, range(MAX_SERIES_TERMS), lambda i: 1, "ml_exp")
-    if kind == "sina":
-        if u == 0:
-            return 0j, 1
-        powers = [2 * k + 1 for k in range(MAX_SERIES_TERMS)]
-        return _sum_series(alpha, u, tol, powers, lambda i: (-1) ** i, "sin_alpha")
-    if kind == "cosa":
-        if u == 0:
-            return 1 + 0j, 1
-        powers = [2 * k for k in range(MAX_SERIES_TERMS)]
-        return _sum_series(alpha, u, tol, powers, lambda i: (-1) ** i, "cos_alpha")
-    raise ValueError(f"unknown series kind {kind!r}")
 
 
 def evaluate_series(kind: str, alpha: float, u: complex, tol: float = 1e-12):
     """(value, terms_summed) for kind in {"Ea", "sina", "cosa"}."""
-    return _evaluate(kind, alpha, u, tol)
+    alpha = validate_alpha(alpha)
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    u = complex(u)
+    spec = _SERIES.get(kind)
+    if spec is None:
+        raise ValueError(f"unknown series kind {kind!r}")
+    if u == 0:  # only a u^0 term survives
+        return (1 + 0j if spec[1] == 0 else 0j), 1
+    return _sum_series(alpha, u, tol, *spec)
 
 
 def ml_exp(alpha: float, u: complex, tol: float = 1e-12) -> complex:
     """Mittag-Leffler style exponential sum_k u^k / Gamma(1+k*alpha)."""
-    return _evaluate("Ea", alpha, u, tol)[0]
+    return evaluate_series("Ea", alpha, u, tol)[0]
 
 
 def sin_alpha(alpha: float, u: complex, tol: float = 1e-12) -> complex:
-    return _evaluate("sina", alpha, u, tol)[0]
+    return evaluate_series("sina", alpha, u, tol)[0]
 
 
 def cos_alpha(alpha: float, u: complex, tol: float = 1e-12) -> complex:
-    return _evaluate("cosa", alpha, u, tol)[0]
+    return evaluate_series("cosa", alpha, u, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -162,19 +155,16 @@ class JSeries:
 
     def shift_derivative(self) -> JSeries:
         """Index-shift derivative on the J-basis: J_k -> J_(k-1), J_0 -> 0."""
-        if len(self.coeffs) == 1:
-            return JSeries(self.alpha, (0j,))
-        return JSeries(self.alpha, self.coeffs[1:])
+        return JSeries(self.alpha, self.coeffs[1:] or (0j,))
 
     def evaluate(self, x: float) -> complex:
         if x < 0:
             raise ValueError("JSeries arguments live on the fractal half line x >= 0")
-        total = 0j
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            total += c * _term(complex(x**self.alpha), k, self.alpha)
-        return total
+        if x == 0:
+            return self.coeffs[0] + 0j  # J_0(0) = 1, every other J_k(0) = 0
+        log_u = math.log(x**self.alpha)
+        terms = (c * _power_term(log_u, 0.0, k, self.alpha) for k, c in enumerate(self.coeffs) if c)
+        return sum(terms, 0j)
 
 
 def series_shift_derivative(s: JSeries) -> JSeries:
@@ -186,18 +176,11 @@ def ml_exp_jseries(alpha: float, order: int) -> JSeries:
 
 
 def sin_alpha_jseries(alpha: float, order: int) -> JSeries:
-    coeffs = [0] * (order + 1)
-    for k in range(order + 1):
-        if k % 2 == 1:
-            coeffs[k] = (-1) ** ((k - 1) // 2)
-    return JSeries(alpha, tuple(coeffs))
+    return JSeries(alpha, tuple((-1) ** (k // 2) if k % 2 else 0 for k in range(order + 1)))
 
 
 def cos_alpha_jseries(alpha: float, order: int) -> JSeries:
-    coeffs = [0] * (order + 1)
-    for k in range(0, order + 1, 2):
-        coeffs[k] = (-1) ** (k // 2)
-    return JSeries(alpha, tuple(coeffs))
+    return JSeries(alpha, tuple(0 if k % 2 else (-1) ** (k // 2) for k in range(order + 1)))
 
 
 @dataclass(frozen=True)

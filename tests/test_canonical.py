@@ -1,6 +1,7 @@
 """Canonical-form invariants: unique normal form, exact equality,
 Pythagorean reduction, division, rendering round-trips, numeric tie-in."""
 
+import copy
 import dataclasses
 import pickle
 import random
@@ -24,8 +25,9 @@ from fracquat import (
     parse,
     render_canonical,
 )
+from fracquat import cos_alpha, ml_exp, series, sin_alpha
 from fracquat.canonical import MONOMIAL_ONE, Monomial, _mul_monomials, dsym_name
-from fracquat.coefficients import Poly
+from fracquat.coefficients import CRat, Poly
 
 from strategies import exprs
 
@@ -246,10 +248,66 @@ def test_monomial_hash_agrees_across_constructions():
     for mono in (built, replaced, product, one, sin2, ea2):
         assert_rehashes(mono)
     # string hashes differ between processes, so a pickle must not carry the
-    # cached hash (Ea scales hold CRat, which does not pickle at all)
-    for mono in (built, product, one, sin2):
+    # cached hash
+    for mono in (built, product, one, sin2, ea2):
         data = pickle.dumps(mono)
         assert b"_hash" not in data and pickle.loads(data) == mono
+
+
+def test_canonical_values_pickle_and_deepcopy():
+    ce = canon(
+        "(1/2 + 3i)*P(r,1)*f1 + lam^2*sina(theta) - (2 - 1i)*lam*Ea(1/2 - 1i*lam, z)*cosa(theta)",
+        CYL,
+    )
+    assert any(not poly.is_constant() for poly in ce.terms.values())
+    for copied in (pickle.loads(pickle.dumps(ce)), copy.deepcopy(ce)):
+        assert copied == ce
+        assert [hash(m) for m in copied.terms] == [hash(m) for m in ce.terms]
+        assert render_canonical(copied) == render_canonical(ce)
+    for value in (CRat(1, 2), Poly.lam(2)):
+        assert pickle.loads(pickle.dumps(value)) == value == copy.deepcopy(value)
+
+
+class TestEvalMemo:
+    FIELD = "sina(r)*cosa(r) + 2*sina(r)^2*P(r,1) + Ea(1,r)*sina(r) + Ea(1,r)"
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        for direct in (sin_alpha, cos_alpha, ml_exp):
+
+            def counted(alpha, u, tol=1e-12, direct=direct):
+                calls.append((direct.__name__, alpha, u))
+                return direct(alpha, u, tol)
+
+            monkeypatch.setattr(series, direct.__name__, counted)
+        return calls
+
+    @staticmethod
+    def expected(alpha, r):
+        u = r**alpha
+        s, c, e = sin_alpha(alpha, u), cos_alpha(alpha, u), ml_exp(alpha, u)
+        return s * c + 2 * s**2 * u + e * s + e
+
+    def test_each_generator_summed_once_per_call(self, calls):
+        value = eval_canonical(canon(self.FIELD, CYL), 0.5, {"r": 1.3})
+        u = 1.3**0.5
+        assert sorted(calls) == [("cos_alpha", 0.5, u), ("ml_exp", 0.5, u), ("sin_alpha", 0.5, u)]
+        assert value == pytest.approx(self.expected(0.5, 1.3), rel=1e-14)
+
+    def test_calls_share_no_values(self, calls):
+        # r = 1 gives u = 1 at every alpha; the last point repeats
+        ce = canon(self.FIELD, CYL)
+        for alpha, r in ((0.5, 1.0), (0.75, 1.0), (0.75, 1.7), (0.75, 1.7)):
+            calls.clear()
+            value = eval_canonical(ce, alpha, {"r": r})
+            assert value == pytest.approx(self.expected(alpha, r), rel=1e-14)
+            assert len(calls) == 3 and {a for _, a, _ in calls} == {alpha}
+
+    def test_vanishing_sina_with_negative_exponent(self, calls):
+        with pytest.raises(EvaluationDomainError, match="vanishes"):
+            eval_canonical(canon("sina(r) + sina(r)^-1", CYL), 0.5, {"r": 0.0})
+        assert [name for name, _, _ in calls] == ["sin_alpha"]
 
 
 def test_linear_independence_by_random_evaluation():
