@@ -480,7 +480,7 @@ def eval_canonical(
     Each distinct sina, cosa and Ea generator is summed once per call.
     """
     ce = as_canonical_scalar(ce)
-    alpha = _series.validate_alpha(alpha)
+    alpha, tol = _series.validate_alpha(alpha), _series.validate_tol(tol)
     bindings = bindings or {}
     memo = {}
 

@@ -1,69 +1,78 @@
 """Cantor-type coordinate frames and quaternion-valued fields.
 
-Frame vectors (cylindrical shown; spherical analogous) are the fractal
-trig combinations of the quaternionic units:
+A frame is fixed by its variables and its Lame coefficients h_i, the
+scale factors of the paper's operator D f = sum_i e_i h_i^-1 d_i f:
 
-    e_r     = cosa(theta) i1 + sina(theta) i2
-    e_theta = -sina(theta) i1 + cosa(theta) i2
-    e_z     = i3
+    cartesian    (x, y, z)          h = (1, 1, 1)
+    cylindrical  (r, theta, z)      h = (1, r^alpha, 1)
+    spherical    (r, theta, psi)    h = (1, r^alpha, r^alpha sina(theta))
 
-They are orthonormal once cos^2 -> 1 - sin^2 is applied, and satisfy
-e_r * e_theta = e_z (resp. e_psi) under the quaternion product.
+Everything frame-specific in grad, div and curl follows from h; the
+connection coefficients those formulas need are derived once per frame.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as _field
 
 from .canonical import CanonicalExpr, as_canonical_scalar
-from .quaternion import ComplexQuaternion
+from .derivative import d_alpha
 
-_ZERO = CanonicalExpr.zero()
-_ONE = CanonicalExpr.one()
+
+def _ratio(num: CanonicalExpr, *inverses):
+    """num times the inverses (None stands for 1), or None when num is 0."""
+    if num.is_zero():
+        return None
+    for inv in inverses:
+        num = num if inv is None else num * inv
+    return num
 
 
 @dataclass(frozen=True)
 class Frame:
+    """Variables and Lame coefficients h_1..h_3 (unit monomials).
+
+    Derived once, with None standing for a factor that is 1 or a term
+    that is 0, so the operators never multiply by either:
+    inv_lame[i] = 1/h_i, div_connection[i] = D_i(H/h_i)/H with H = h_1 h_2 h_3,
+    curl_connection[j][k] = D_j h_k / (h_j h_k)."""
+
     name: str
     variables: tuple
+    lame: tuple
+    inv_lame: tuple = _field(init=False, repr=False, compare=False)
+    div_connection: tuple = _field(init=False, repr=False, compare=False)
+    curl_connection: tuple = _field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
-
-    def frame_vectors(self) -> tuple:
-        """The three frame vectors as pure quaternions with canonical
-        expression coefficients."""
-        sin = CanonicalExpr.trig
-        if self.name == "cartesian":
-            return (
-                ComplexQuaternion(_ZERO, _ONE, _ZERO, _ZERO),
-                ComplexQuaternion(_ZERO, _ZERO, _ONE, _ZERO),
-                ComplexQuaternion(_ZERO, _ZERO, _ZERO, _ONE),
-            )
-        if self.name == "cylindrical":
-            st, ct = sin("theta", "sin"), sin("theta", "cos")
-            return (
-                ComplexQuaternion(_ZERO, ct, st, _ZERO),
-                ComplexQuaternion(_ZERO, -st, ct, _ZERO),
-                ComplexQuaternion(_ZERO, _ZERO, _ZERO, _ONE),
-            )
-        if self.name == "spherical":
-            st, ct = sin("theta", "sin"), sin("theta", "cos")
-            sp, cp = sin("psi", "sin"), sin("psi", "cos")
-            return (
-                ComplexQuaternion(_ZERO, st * cp, st * sp, ct),
-                ComplexQuaternion(_ZERO, ct * cp, ct * sp, -st),
-                ComplexQuaternion(_ZERO, -sp, cp, _ZERO),
-            )
-        raise ValueError(f"unknown frame {self.name!r}")
+        h = tuple(as_canonical_scalar(c) for c in self.lame)
+        one = CanonicalExpr.one()
+        inv = tuple(None if c == one else c.inverse() for c in h)
+        derived = {
+            "variables": tuple(self.variables),
+            "lame": h,
+            "inv_lame": inv,
+            "div_connection": tuple(
+                _ratio(d_alpha(h[j] * h[k], v), *inv)
+                for v, j, k in zip(self.variables, (1, 2, 0), (2, 0, 1))
+            ),
+            "curl_connection": tuple(
+                tuple(_ratio(d_alpha(hk, v), ij, ik) for hk, ik in zip(h, inv))
+                for v, ij in zip(self.variables, inv)
+            ),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def __str__(self):
         return self.name
 
 
-CARTESIAN = Frame("cartesian", ("x", "y", "z"))
-CYLINDRICAL = Frame("cylindrical", ("r", "theta", "z"))
-SPHERICAL = Frame("spherical", ("r", "theta", "psi"))
+_R = CanonicalExpr.fractal_power("r", 1)
+_R_SIN = _R * CanonicalExpr.trig("theta", "sin")
+CARTESIAN = Frame("cartesian", ("x", "y", "z"), (1, 1, 1))
+CYLINDRICAL = Frame("cylindrical", ("r", "theta", "z"), (1, _R, 1))
+SPHERICAL = Frame("spherical", ("r", "theta", "psi"), (1, _R, _R_SIN))
 
 FRAMES = {f.name: f for f in (CARTESIAN, CYLINDRICAL, SPHERICAL)}
 

@@ -4,28 +4,32 @@ The first-order operator (left action) is
 
     D[f] = -div(fvec) + grad(f0) + curl(fvec),
 
-its right action flips the curl sign (the unique choice that makes the
+built from the Lame-coefficient grad, div and curl of `vectorops`; its
+right action flips the curl sign (the unique choice that makes the
 Bitsadze factorization close in the curvilinear frames; the Cartesian
 right action reduces to multiplying the units from the right).  The
-second-order operators are encoded as expanded per-frame component
-formulas rather than compositions, so verifying
+second-order operators are not compositions: each frame has a table of
+hand-expanded rows (coefficient, component, derivative variables), which
+one interpreter sums.  The rows are transcribed, never derived from the
+Lame coefficients, so verifying
 
     D(D f)        = -(scalar Laplacian + vector Laplacian)
     D(D^r f)      = -(scalar Laplacian + Bitsadze vector part)
     -(D-lam)(D+lam) f = Laplacian f + lam^2 f
+    div(grad f0)  = delta0 f0
 
-is a genuine mechanical check of the expanded formulas against the
-compositional definitions, with all four residuals required to
-normalize to zero.
+checks two independent sources against each other, with all four
+residuals required to normalize to zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canonical import CanonicalExpr, as_canonical_scalar, render_canonical
+from .canonical import CanonicalExpr, _accumulate, as_canonical_scalar, render_canonical
 from .coefficients import Poly, as_poly
 from .derivative import DerivativeMode, d_alpha
+from .expr import sort_vars
 from .frames import (
     Frame,
     QuaternionField,
@@ -36,11 +40,14 @@ from .frames import (
 )
 from .vectorops import curl_alpha, div_alpha, grad_alpha
 
-_INV_R = CanonicalExpr.fractal_power("r", -1)
-_INV_R2 = CanonicalExpr.fractal_power("r", -2)
-_INV_SIN = CanonicalExpr.trig("theta", "sin").inverse()
-_INV_SIN2 = _INV_SIN * _INV_SIN
-_COS = CanonicalExpr.trig("theta", "cos")
+# coefficient monomials: R<n> = P(r,-n), S<n> = sina(theta)^-n, C = cosa(theta)
+_R1 = CanonicalExpr.fractal_power("r", -1)
+_R2 = CanonicalExpr.fractal_power("r", -2)
+_S1 = CanonicalExpr.trig("theta", "sin").inverse()
+_CS1 = CanonicalExpr.trig("theta", "cos") * _S1
+_R1S1, _R1CS1 = _R1 * _S1, _R1 * _CS1
+_R2S1, _R2CS1 = _R2 * _S1, _R2 * _CS1
+_R2S2, _R2CS2 = _R2S1 * _S1, _R2CS1 * _S1
 
 FORMAL = "formal"
 
@@ -67,150 +74,137 @@ def mt_apply(f: QuaternionField, side: str = "left") -> QuaternionField:
     )
 
 
+# Hand-expanded second-order operators, per frame.  A row is (coefficient,
+# component, derivative variables).  "delta0" rows act on one scalar and
+# carry no component; the vector Laplacian grad(div) - curl(curl) is delta0
+# of each component plus the coupling rows listed here; the Bitsadze rows
+# grad(div) + curl(curl) are complete.
+_HAND_ROWS = {
+    "cartesian": {
+        "delta0": ((1, "x x"), (1, "y y"), (1, "z z")),
+        "laplacian": ((), (), ()),
+        "bitsadze": (  # 2 d_i d_j f_j - delta0 f_i
+            ((1, 1, "x x"), (2, 2, "x y"), (2, 3, "x z"), (-1, 1, "y y"), (-1, 1, "z z")),
+            ((2, 1, "x y"), (1, 2, "y y"), (2, 3, "y z"), (-1, 2, "x x"), (-1, 2, "z z")),
+            ((2, 1, "x z"), (2, 2, "y z"), (1, 3, "z z"), (-1, 3, "x x"), (-1, 3, "y y")),
+        ),
+    },
+    "cylindrical": {
+        "delta0": ((1, "r r"), (_R2, "theta theta"), (_R1, "r"), (1, "z z")),
+        "laplacian": (
+            ((-_R2, 1, ""), (-2 * _R2, 2, "theta")),
+            ((-_R2, 2, ""), (2 * _R2, 1, "theta")),
+            (),
+        ),
+        "bitsadze": (
+            ((1, 1, "r r"), (2 * _R1, 2, "r theta"), (_R1, 1, "r"), (-_R2, 1, ""),
+             (2, 3, "r z"), (-_R2, 1, "theta theta"), (-1, 1, "z z")),
+            ((2 * _R1, 1, "r theta"), (_R2, 2, "theta theta"), (2 * _R1, 3, "theta z"),
+             (-1, 2, "z z"), (-1, 2, "r r"), (-_R1, 2, "r"), (_R2, 2, "")),
+            ((2, 1, "r z"), (2 * _R1, 2, "theta z"), (2 * _R1, 1, "z"), (1, 3, "z z"),
+             (-1, 3, "r r"), (-_R2, 3, "theta theta"), (-_R1, 3, "r")),
+        ),
+    },
+    "spherical": {
+        "delta0": ((1, "r r"), (2 * _R1, "r"), (_R2, "theta theta"), (_R2CS1, "theta"),
+                   (_R2S2, "psi psi")),
+        "laplacian": (
+            ((-2 * _R2, 1, ""), (-2 * _R2, 2, "theta"), (-2 * _R2CS1, 2, ""),
+             (-2 * _R2S1, 3, "psi")),
+            ((-_R2S2, 2, ""), (2 * _R2, 1, "theta"), (-2 * _R2CS2, 3, "psi")),
+            ((-_R2S2, 3, ""), (2 * _R2S1, 1, "psi"), (2 * _R2CS2, 2, "psi")),
+        ),
+        "bitsadze": (
+            ((1, 1, "r r"), (2 * _R1, 1, "r"), (-2 * _R2, 1, ""), (-_R2, 1, "theta theta"),
+             (-_R2CS1, 1, "theta"), (-_R2S2, 1, "psi psi"), (2 * _R1, 2, "r theta"),
+             (2 * _R1CS1, 2, "r"), (2 * _R1S1, 3, "r psi")),
+            ((-1, 2, "r r"), (-2 * _R1, 2, "r"), (-_R2S2, 2, ""), (_R2, 2, "theta theta"),
+             (_R2CS1, 2, "theta"), (-_R2S2, 2, "psi psi"), (2 * _R2, 1, "theta"),
+             (2 * _R1, 1, "r theta"), (2 * _R2S1, 3, "theta psi")),
+            ((-1, 3, "r r"), (-2 * _R1, 3, "r"), (_R2S2, 3, ""), (-_R2, 3, "theta theta"),
+             (-_R2CS1, 3, "theta"), (_R2S2, 3, "psi psi"), (2 * _R2S1, 1, "psi"),
+             (2 * _R1S1, 1, "r psi"), (2 * _R2S1, 2, "theta psi")),
+        ),
+    },
+}
+
+
+def _rows(delta0, laplacian, bitsadze) -> dict:
+    """The hand rows in the interpreter's form: a coefficient of 1 or -1 as an
+    int, any other as a CanonicalExpr; the derivative variables as a sorted
+    tuple; and the vector Laplacian rows with delta0 of their component."""
+
+    def norm(rows):
+        return tuple(
+            (CanonicalExpr.const(c) if isinstance(c, int) and c not in (1, -1) else c,
+             k, sort_vars(v.split()))
+            for c, k, v in rows
+        )
+
+    return {
+        "delta0": norm((c, 0, v) for c, v in delta0),
+        "laplacian": tuple(
+            norm([(c, k, v) for c, v in delta0] + list(rows)) for k, rows in enumerate(laplacian, 1)
+        ),
+        "bitsadze": tuple(norm(rows) for rows in bitsadze),
+    }
+
+
+_TERMS = {name: _rows(**rows) for name, rows in _HAND_ROWS.items()}
+
+
+def _terms(frame: Frame) -> dict:
+    try:
+        return _TERMS[frame.name]
+    except KeyError:
+        raise ValueError(f"unknown frame {frame.name!r}") from None
+
+
+def _combine(rows, comps, partials: dict) -> CanonicalExpr:
+    """Sum of coefficient * d(comps[k], vars) over the rows; partials holds
+    each (k, vars) derivative computed so far in this call."""
+
+    def partial(k, vs):
+        if (k, vs) not in partials:
+            partials[k, vs] = d_alpha(partial(k, vs[:-1]), vs[-1]) if vs else comps[k]
+        return partials[k, vs]
+
+    acc = {}
+    for coeff, k, vs in rows:
+        term = partial(k, vs)
+        if not isinstance(coeff, int):
+            _accumulate(acc, (coeff * term).terms.items())
+        elif coeff > 0:
+            _accumulate(acc, term.terms.items())
+        else:
+            _accumulate(acc, ((m, -p) for m, p in term.terms.items()))
+    return CanonicalExpr._of(acc)
+
+
 def delta0(f0, frame: Frame) -> CanonicalExpr:
-    """Scalar Laplacian, expanded per frame."""
-    f0 = as_canonical_scalar(f0)
-
-    def d(g, v):
-        return d_alpha(g, v)
-
-    def d2(g, v, w=None):
-        return d_alpha(d_alpha(g, v), w or v)
-
-    if frame.name == "cartesian":
-        return d2(f0, "x") + d2(f0, "y") + d2(f0, "z")
-    if frame.name == "cylindrical":
-        return d2(f0, "r") + _INV_R2 * d2(f0, "theta") + _INV_R * d(f0, "r") + d2(f0, "z")
-    if frame.name == "spherical":
-        return (
-            d2(f0, "r")
-            + 2 * _INV_R * d(f0, "r")
-            + _INV_R2 * d2(f0, "theta")
-            + _INV_R2 * _COS * _INV_SIN * d(f0, "theta")
-            + _INV_R2 * _INV_SIN2 * d2(f0, "psi")
-        )
-    raise ValueError(f"unknown frame {frame.name!r}")
+    """Scalar Laplacian, from the frame's hand rows."""
+    return _combine(_terms(frame)["delta0"], (as_canonical_scalar(f0),), {})
 
 
-def _vector_laplacian(f: QuaternionField) -> tuple:
-    """Expanded components of grad(div) - curl(curl) for the frame."""
-    frame = f.frame
-    f1, f2, f3 = f.vector_components
-
-    def d(g, v):
-        return d_alpha(g, v)
-
-    if frame.name == "cartesian":
-        # the Laplacian acts separately on every coordinate function
-        return tuple(delta0(g, frame) for g in (f1, f2, f3))
-    if frame.name == "cylindrical":
-        return (
-            delta0(f1, frame) - _INV_R2 * f1 - 2 * _INV_R2 * d(f2, "theta"),
-            delta0(f2, frame) - _INV_R2 * f2 + 2 * _INV_R2 * d(f1, "theta"),
-            delta0(f3, frame),
-        )
-    if frame.name == "spherical":
-        return (
-            delta0(f1, frame)
-            - 2 * _INV_R2 * f1
-            - 2 * _INV_R2 * d(f2, "theta")
-            - 2 * _INV_R2 * _COS * _INV_SIN * f2
-            - 2 * _INV_R2 * _INV_SIN * d(f3, "psi"),
-            delta0(f2, frame)
-            - _INV_R2 * _INV_SIN2 * f2
-            + 2 * _INV_R2 * d(f1, "theta")
-            - 2 * _INV_R2 * _COS * _INV_SIN2 * d(f3, "psi"),
-            delta0(f3, frame)
-            - _INV_R2 * _INV_SIN2 * f3
-            + 2 * _INV_R2 * _INV_SIN * d(f1, "psi")
-            + 2 * _INV_R2 * _COS * _INV_SIN2 * d(f2, "psi"),
-        )
-    raise ValueError(f"unknown frame {frame.name!r}")
+def _second_order(f: QuaternionField, vector_rows: str) -> QuaternionField:
+    partials = {}
+    return QuaternionField(
+        f.frame,
+        delta0(f.f0, f.frame),
+        *(_combine(rows, f.components, partials) for rows in _terms(f.frame)[vector_rows]),
+    )
 
 
 def laplacian(f: QuaternionField) -> QuaternionField:
-    """Quaternionic Laplacian: scalar Laplacian on f0 plus the expanded
-    vector Laplacian on the vector part."""
-    return QuaternionField(f.frame, delta0(f.f0, f.frame), *_vector_laplacian(f))
-
-
-def _bitsadze_vector(f: QuaternionField) -> tuple:
-    """Expanded components of grad(div) + curl(curl) for the frame."""
-    frame = f.frame
-    f1, f2, f3 = f.vector_components
-
-    def d(g, v):
-        return d_alpha(g, v)
-
-    def d2(g, v, w=None):
-        return d_alpha(d_alpha(g, v), w or v)
-
-    if frame.name == "cartesian":
-        # no expanded form carried for this frame: compose the operators
-        gd = grad_alpha(div_alpha(f), frame)
-        cc = curl_alpha(curl_alpha(f))
-        return (gd.f1 + cc.f1, gd.f2 + cc.f2, gd.f3 + cc.f3)
-    if frame.name == "cylindrical":
-        return (
-            d2(f1, "r")
-            + 2 * _INV_R * d2(f2, "r", "theta")
-            + _INV_R * d(f1, "r")
-            - _INV_R2 * f1
-            + 2 * d2(f3, "r", "z")
-            - _INV_R2 * d2(f1, "theta")
-            - d2(f1, "z"),
-            2 * _INV_R * d2(f1, "r", "theta")
-            + _INV_R2 * d2(f2, "theta")
-            + 2 * _INV_R * d2(f3, "theta", "z")
-            - d2(f2, "z")
-            - d2(f2, "r")
-            - _INV_R * d(f2, "r")
-            + _INV_R2 * f2,
-            2 * d2(f1, "r", "z")
-            + 2 * _INV_R * d2(f2, "theta", "z")
-            + 2 * _INV_R * d(f1, "z")
-            + d2(f3, "z")
-            - d2(f3, "r")
-            - _INV_R2 * d2(f3, "theta")
-            - _INV_R * d(f3, "r"),
-        )
-    if frame.name == "spherical":
-        return (
-            d2(f1, "r")
-            + 2 * _INV_R * d(f1, "r")
-            - 2 * _INV_R2 * f1
-            - _INV_R2 * d2(f1, "theta")
-            - _INV_R2 * _COS * _INV_SIN * d(f1, "theta")
-            - _INV_R2 * _INV_SIN2 * d2(f1, "psi")
-            + 2 * _INV_R * d2(f2, "r", "theta")
-            + 2 * _INV_R * _COS * _INV_SIN * d(f2, "r")
-            + 2 * _INV_R * _INV_SIN * d2(f3, "r", "psi"),
-            -d2(f2, "r")
-            - 2 * _INV_R * d(f2, "r")
-            - _INV_R2 * _INV_SIN2 * f2
-            + _INV_R2 * d2(f2, "theta")
-            + _INV_R2 * _COS * _INV_SIN * d(f2, "theta")
-            - _INV_R2 * _INV_SIN2 * d2(f2, "psi")
-            + 2 * _INV_R2 * d(f1, "theta")
-            + 2 * _INV_R * d2(f1, "r", "theta")
-            + 2 * _INV_R2 * _INV_SIN * d2(f3, "theta", "psi"),
-            -d2(f3, "r")
-            - 2 * _INV_R * d(f3, "r")
-            + _INV_R2 * _INV_SIN2 * f3
-            - _INV_R2 * d2(f3, "theta")
-            - _INV_R2 * _COS * _INV_SIN * d(f3, "theta")
-            + _INV_R2 * _INV_SIN2 * d2(f3, "psi")
-            + 2 * _INV_R2 * _INV_SIN * d(f1, "psi")
-            + 2 * _INV_R * _INV_SIN * d2(f1, "r", "psi")
-            + 2 * _INV_R2 * _INV_SIN * d2(f2, "theta", "psi"),
-        )
-    raise ValueError(f"unknown frame {frame.name!r}")
+    """Quaternionic Laplacian: delta0 on f0 plus the vector Laplacian
+    grad(div) - curl(curl) on the vector part."""
+    return _second_order(f, "laplacian")
 
 
 def bitsadze(f: QuaternionField) -> QuaternionField:
-    """Bitsadze operator: scalar Laplacian on f0 plus grad(div)+curl(curl)
-    on the vector part, in expanded per-frame form."""
-    return QuaternionField(f.frame, delta0(f.f0, f.frame), *_bitsadze_vector(f))
+    """Bitsadze operator: delta0 on f0 plus grad(div) + curl(curl) on the
+    vector part."""
+    return _second_order(f, "bitsadze")
 
 
 def perturbed_mt(f: QuaternionField, lam=FORMAL, sign: int = 1) -> QuaternionField:

@@ -41,6 +41,12 @@ def validate_alpha(alpha: float) -> float:
     return alpha
 
 
+def validate_tol(tol: float) -> float:
+    if not 0.0 < tol < math.inf:  # also false for nan
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    return tol
+
+
 def gamma_one_plus(alpha: float, k: int) -> float:
     """Gamma(1 + k*alpha) in double precision (Lanczos-backed libm gamma)."""
     alpha = validate_alpha(alpha)
@@ -105,9 +111,7 @@ def _sum_series(alpha, u, tol, label, power, step, alternating):
 
 def evaluate_series(kind: str, alpha: float, u: complex, tol: float = 1e-12):
     """(value, terms_summed) for kind in {"Ea", "sina", "cosa"}."""
-    alpha = validate_alpha(alpha)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    alpha, tol = validate_alpha(alpha), validate_tol(tol)
     u = complex(u)
     spec = _SERIES.get(kind)
     if spec is None:

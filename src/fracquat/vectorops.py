@@ -1,10 +1,16 @@
-"""Local fractional gradient, divergence and curl per coordinate frame.
+"""Local fractional gradient, divergence and curl in any frame.
 
-Each operator is encoded directly as its expanded per-frame component
-formulas (not derived by differentiating frame vectors); the derivative
-engine then proves curl(grad) = 0, div(curl) = 0 and the Laplacian and
-Bitsadze factorizations on top of them, which guards against
-transcription slips.
+One generic formula per operator, driven by the frame's Lame
+coefficients h_i (H = h_1 h_2 h_3, (i, j, k) cyclic):
+
+    grad_i = D_i f / h_i
+    div    = sum_i D_i(H/h_i v_i) / H
+    curl_i = (D_j(h_k v_k) - D_k(h_j v_j)) / (h_j h_k)
+
+expanded by the product rule into derivative terms scaled by 1/h and
+undifferentiated terms scaled by the connection coefficients the frame
+derives once.  The second-order operators in `quatops` stay hand
+transcribed, so the identity checks compare two independent sources.
 """
 
 from __future__ import annotations
@@ -13,74 +19,43 @@ from .canonical import CanonicalExpr, as_canonical_scalar
 from .derivative import d_alpha
 from .frames import Frame, QuaternionField, vector_field
 
-_INV_R = CanonicalExpr.fractal_power("r", -1)
-_INV_SIN = CanonicalExpr.trig("theta", "sin").inverse()
-_COS = CanonicalExpr.trig("theta", "cos")
+_CYCLIC = ((1, 2), (2, 0), (0, 1))  # (j, k) for curl component i = 0, 1, 2
+
+
+def _scaled(factor, expr) -> CanonicalExpr:
+    """factor * expr, where a factor of None stands for 1."""
+    return expr if factor is None else factor * expr
 
 
 def grad_alpha(f0, frame: Frame) -> QuaternionField:
     """Gradient of a scalar, as a pure vector field."""
     f0 = as_canonical_scalar(f0)
-    v1, v2, v3 = frame.variables
-    if frame.name == "cartesian":
-        return vector_field(frame, d_alpha(f0, v1), d_alpha(f0, v2), d_alpha(f0, v3))
-    if frame.name == "cylindrical":
-        return vector_field(
-            frame, d_alpha(f0, "r"), _INV_R * d_alpha(f0, "theta"), d_alpha(f0, "z")
-        )
-    if frame.name == "spherical":
-        return vector_field(
-            frame,
-            d_alpha(f0, "r"),
-            _INV_R * d_alpha(f0, "theta"),
-            _INV_R * _INV_SIN * d_alpha(f0, "psi"),
-        )
-    raise ValueError(f"unknown frame {frame.name!r}")
+    return vector_field(
+        frame, *(_scaled(ih, d_alpha(f0, v)) for v, ih in zip(frame.variables, frame.inv_lame))
+    )
 
 
 def div_alpha(v: QuaternionField) -> CanonicalExpr:
     """Divergence of the vector part."""
     frame = v.frame
-    f1, f2, f3 = v.vector_components
-    if frame.name == "cartesian":
-        return d_alpha(f1, "x") + d_alpha(f2, "y") + d_alpha(f3, "z")
-    if frame.name == "cylindrical":
-        return d_alpha(f1, "r") + _INV_R * d_alpha(f2, "theta") + _INV_R * f1 + d_alpha(f3, "z")
-    if frame.name == "spherical":
-        return (
-            d_alpha(f1, "r")
-            + 2 * _INV_R * f1
-            + _INV_R * d_alpha(f2, "theta")
-            + _INV_R * _INV_SIN * (d_alpha(f3, "psi") + _COS * f2)
-        )
-    raise ValueError(f"unknown frame {frame.name!r}")
+    out = CanonicalExpr.zero()
+    for var, ih, conn, vi in zip(
+        frame.variables, frame.inv_lame, frame.div_connection, v.vector_components
+    ):
+        out = out + _scaled(ih, d_alpha(vi, var))
+        if conn is not None:
+            out = out + conn * vi
+    return out
 
 
 def curl_alpha(v: QuaternionField) -> QuaternionField:
     """Curl of the vector part, as a pure vector field."""
     frame = v.frame
-    f1, f2, f3 = v.vector_components
-    if frame.name == "cartesian":
-        return vector_field(
-            frame,
-            d_alpha(f3, "y") - d_alpha(f2, "z"),
-            d_alpha(f1, "z") - d_alpha(f3, "x"),
-            d_alpha(f2, "x") - d_alpha(f1, "y"),
-        )
-    if frame.name == "cylindrical":
-        return vector_field(
-            frame,
-            _INV_R * d_alpha(f3, "theta") - d_alpha(f2, "z"),
-            d_alpha(f1, "z") - d_alpha(f3, "r"),
-            d_alpha(f2, "r") - _INV_R * d_alpha(f1, "theta") + _INV_R * f2,
-        )
-    if frame.name == "spherical":
-        return vector_field(
-            frame,
-            _INV_R * d_alpha(f3, "theta")
-            - _INV_R * _INV_SIN * d_alpha(f2, "psi")
-            + _INV_R * _INV_SIN * _COS * f3,
-            _INV_R * _INV_SIN * d_alpha(f1, "psi") - d_alpha(f3, "r") - _INV_R * f3,
-            d_alpha(f2, "r") - _INV_R * d_alpha(f1, "theta") + _INV_R * f2,
-        )
-    raise ValueError(f"unknown frame {frame.name!r}")
+    comps = v.vector_components
+
+    def part(j, k):  # D_j(h_k v_k) / (h_j h_k)
+        out = _scaled(frame.inv_lame[j], d_alpha(comps[k], frame.variables[j]))
+        conn = frame.curl_connection[j][k]
+        return out if conn is None else out + conn * comps[k]
+
+    return vector_field(frame, *(part(j, k) - part(k, j) for j, k in _CYCLIC))

@@ -256,6 +256,13 @@ class TestInputValidation:
         spec = write_spec(tmp_path, CYL_SPEC)
         self.assert_usage_error(capsys, ["eval", spec, "--at", "r=2", "--lam", value])
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+    def test_non_finite_tol(self, tmp_path, capsys, value):
+        spec = write_spec(tmp_path, CYL_SPEC)
+        self.assert_usage_error(capsys, ["eval", spec, "--at", "r=2", f"--tol={value}"])
+        series = ["series", "Ea", "--alpha", "0.5", "--u", "1", f"--tol={value}"]
+        self.assert_usage_error(capsys, series)
+
     @pytest.mark.parametrize("value", [True, False])
     def test_boolean_alpha(self, tmp_path, capsys, value):
         spec = write_spec(tmp_path, dict(CYL_SPEC, alpha=value))

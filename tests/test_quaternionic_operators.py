@@ -10,6 +10,7 @@ from fracquat import (
     SPHERICAL,
     CanonicalExpr,
     ComplexQuaternion,
+    Frame,
     IDENTITY_NAMES,
     VERIFICATION_MATRIX,
     bitsadze,
@@ -17,6 +18,7 @@ from fracquat import (
     curl_alpha,
     d_alpha,
     delta0,
+    dot,
     equal,
     grad_alpha,
     helmholtz_component_system,
@@ -34,6 +36,73 @@ from fracquat.frames import abstract_field
 from fracquat.quatops import FORMAL
 
 CYL, SPH = CYLINDRICAL, SPHERICAL
+FRAMES = (CARTESIAN, CYLINDRICAL, SPHERICAL)
+
+
+# -- the paper's operator from the frame vectors -------------------------------
+#
+# The frame vectors on the quaternionic units i1, i2, i3 and the inverse Lame
+# coefficients, transcribed here independently of fracquat's frame table.
+
+FRAME_VECTORS = {
+    "cartesian": (("1", "0", "0"), ("0", "1", "0"), ("0", "0", "1")),
+    "cylindrical": (
+        ("cosa(theta)", "sina(theta)", "0"),
+        ("-sina(theta)", "cosa(theta)", "0"),
+        ("0", "0", "1"),
+    ),
+    "spherical": (
+        ("sina(theta)*cosa(psi)", "sina(theta)*sina(psi)", "cosa(theta)"),
+        ("cosa(theta)*cosa(psi)", "cosa(theta)*sina(psi)", "-sina(theta)"),
+        ("-sina(psi)", "cosa(psi)", "0"),
+    ),
+}
+INV_LAME = {
+    "cartesian": ("1", "1", "1"),
+    "cylindrical": ("1", "P(r,-1)", "1"),
+    "spherical": ("1", "P(r,-1)", "P(r,-1)*sina(theta)^-1"),
+}
+
+
+def frame_vectors(frame):
+    zero = CanonicalExpr.zero()
+    return tuple(
+        ComplexQuaternion(zero, *(canon(t, frame) for t in row))
+        for row in FRAME_VECTORS[frame.name]
+    )
+
+
+def paper_operator(f, side):
+    """Components of D f in the frame, from quaternion products on the units."""
+    frame, vectors = f.frame, frame_vectors(f.frame)
+    zero = CanonicalExpr.zero()
+    q = ComplexQuaternion(f.f0, zero, zero, zero)
+    for fk, ek in zip(f.vector_components, vectors):
+        q = q + ek.scale(fk)
+    out = ComplexQuaternion(zero, zero, zero, zero)
+    for var, ek, inv_h in zip(frame.variables, vectors, INV_LAME[frame.name]):
+        partial = ComplexQuaternion(*(d_alpha(c, var) for c in q.components))
+        partial = partial.scale(canon(inv_h, frame))
+        out = out + (qmul(ek, partial) if side == "left" else qmul(partial, ek))
+    return (out.q0, *(dot(ek, out) for ek in vectors))
+
+
+class TestFrameVectors:
+    @pytest.mark.parametrize("frame", FRAMES, ids=lambda f: f.name)
+    def test_orthonormal(self, frame):
+        vectors = frame_vectors(frame)
+        for i, ei in enumerate(vectors):
+            for j, ej in enumerate(vectors):
+                expected = CanonicalExpr.one() if i == j else CanonicalExpr.zero()
+                assert dot(ei, ej) == expected
+
+    def test_cylindrical_product_relation(self):
+        e_r, e_theta, e_z = frame_vectors(CYLINDRICAL)
+        assert qmul(e_r, e_theta) == e_z
+
+    def test_spherical_product_relation(self):
+        e_r, e_theta, e_psi = frame_vectors(SPHERICAL)
+        assert qmul(e_r, e_theta) == e_psi
 
 
 def assert_components(field, texts):
@@ -98,31 +167,15 @@ class TestMoisilTeodorescu:
         with pytest.raises(ValueError):
             mt_apply(abstract_field(CYL), "middle")
 
-    def test_cartesian_matches_unit_composition(self):
-        """In the Cartesian frame the operator is literally
-        sum_j i_j (d f / d x_j) acting by quaternion product from the left,
-        and the mirrored product for the right action."""
-        f = abstract_field(CARTESIAN)
-        zero, one = CanonicalExpr.zero(), CanonicalExpr.one()
-        units = (
-            ComplexQuaternion(zero, one, zero, zero),
-            ComplexQuaternion(zero, zero, one, zero),
-            ComplexQuaternion(zero, zero, zero, one),
-        )
-        partials = [
-            ComplexQuaternion(*(d_alpha(c, var) for c in f.components))
-            for var in ("x", "y", "z")
-        ]
-        left = mt_apply(f, "left")
-        right = mt_apply(f, "right")
-        left_ref = qmul(units[0], partials[0]) + qmul(units[1], partials[1]) + qmul(
-            units[2], partials[2]
-        )
-        right_ref = qmul(partials[0], units[0]) + qmul(partials[1], units[1]) + qmul(
-            partials[2], units[2]
-        )
-        assert left.components == left_ref.components
-        assert right.components == right_ref.components
+    @pytest.mark.parametrize("side", ("left", "right"))
+    @pytest.mark.parametrize("frame", FRAMES, ids=lambda f: f.name)
+    def test_matches_quaternionic_definition(self, frame, side):
+        """The operator is the paper's D f = sum_i e_i h_i^-1 d_i f (left) or
+        sum_i (h_i^-1 d_i f) e_i (right), spelled out on the Cartesian units:
+        the frame vectors are differentiated too, and the result is
+        projected back onto them."""
+        f = abstract_field(frame)
+        assert paper_operator(f, side) == mt_apply(f, side).components
 
 
 # -- second-order operator component fixtures --------------------------------
@@ -308,6 +361,15 @@ class TestVerifyIdentity:
     def test_every_identity_every_frame(self, name, frame):
         report = verify_identity(name, frame)
         assert report.passed, report.to_dict()
+
+    def test_wrong_lame_coefficient_fails(self):
+        # negative control: a spherical frame with h_3 = r^alpha (sina(theta)
+        # dropped) feeds grad/div/curl while the hand rows stay spherical, so
+        # residuals that compare the two must not vanish
+        bad = Frame("spherical", SPH.variables, (1, canon("P(r,1)", SPH), canon("P(r,1)", SPH)))
+        for name in ("div_grad_delta0", "mt_squared"):
+            assert not verify_identity(name, bad).passed, name
+            assert verify_identity(name, SPH).passed, name
 
     def test_unknown_identity(self):
         with pytest.raises(ValueError):

@@ -11,11 +11,14 @@ import mpmath
 import pytest
 
 from fracquat import (
+    CYLINDRICAL,
     GammaRangeError,
     JSeries,
     SeriesConvergenceError,
+    canon,
     cos_alpha,
     cos_alpha_jseries,
+    eval_canonical,
     gamma_one_plus,
     limit_definition_derivative_at_zero,
     ml_exp,
@@ -226,6 +229,20 @@ class TestMlExp:
     def test_tol_validation(self):
         with pytest.raises(ValueError):
             ml_exp(0.5, 1.0, 0.0)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -math.inf, -1e-12])
+    @pytest.mark.parametrize("kind", ["Ea", "sina", "cosa"])
+    def test_tol_must_be_positive_and_finite(self, kind, tol):
+        # an infinite tol used to stop after a few terms: Ea(1/2, 1) gave 3.128
+        # for the true 5.009; a nan tol never stopped before term underflow
+        with pytest.raises(ValueError, match="tol"):
+            evaluate_series(kind, 0.5, 1.0, tol)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_eval_rejects_non_finite_tol(self, tol):
+        # a field without series generators rejects it too
+        with pytest.raises(ValueError, match="tol"):
+            eval_canonical(canon("P(r,1)", CYLINDRICAL), 0.5, {"r": 2.0}, tol=tol)
 
 
 class TestTrig:

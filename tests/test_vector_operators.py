@@ -1,4 +1,4 @@
-"""Frame relations and the per-frame gradient/divergence/curl, including a
+"""The Lame-coefficient gradient/divergence/curl in each frame, including a
 finite-difference oracle at alpha=1 where every generator is classical."""
 
 import math
@@ -14,11 +14,9 @@ from fracquat import (
     curl_alpha,
     delta0,
     div_alpha,
-    dot,
     equal,
     eval_canonical,
     grad_alpha,
-    qmul,
     vector_field,
     zero_field,
 )
@@ -27,22 +25,26 @@ from fracquat.frames import abstract_scalar_field, abstract_vector_field
 FRAMES = (CARTESIAN, CYLINDRICAL, SPHERICAL)
 
 
-class TestFrameVectors:
-    @pytest.mark.parametrize("frame", FRAMES, ids=lambda f: f.name)
-    def test_orthonormal(self, frame):
-        vectors = frame.frame_vectors()
-        for i, ei in enumerate(vectors):
-            for j, ej in enumerate(vectors):
-                expected = CanonicalExpr.one() if i == j else CanonicalExpr.zero()
-                assert dot(ei, ej) == expected
+class TestLameTable:
+    def test_spherical_connection_coefficients(self):
+        def c(text):
+            return canon(text, SPHERICAL)
 
-    def test_cylindrical_product_relation(self):
-        e_r, e_theta, e_z = CYLINDRICAL.frame_vectors()
-        assert qmul(e_r, e_theta) == e_z
+        assert SPHERICAL.inv_lame == (None, c("P(r,-1)"), c("P(r,-1)*sina(theta)^-1"))
+        assert SPHERICAL.div_connection == (
+            c("2*P(r,-1)"), c("P(r,-1)*cosa(theta)*sina(theta)^-1"), None
+        )
+        r_sin = c("P(r,-1)*cosa(theta)*sina(theta)^-1")
+        assert SPHERICAL.curl_connection == (
+            (None, c("P(r,-1)"), c("P(r,-1)")),
+            (None, None, r_sin),
+            (None, None, None),
+        )
 
-    def test_spherical_product_relation(self):
-        e_r, e_theta, e_psi = SPHERICAL.frame_vectors()
-        assert qmul(e_r, e_theta) == e_psi
+    def test_cartesian_has_no_factors(self):
+        assert CARTESIAN.inv_lame == (None, None, None)
+        assert CARTESIAN.div_connection == (None, None, None)
+        assert all(c is None for row in CARTESIAN.curl_connection for c in row)
 
 
 class TestGradient:
