@@ -9,7 +9,7 @@ canonical-form equalities.  A numeric layer evaluates the fractal
 exponential and trigonometric series.
 """
 
-from .coefficients import CRat, Poly
+from .coefficients import CRat
 from .expr import (
     EvaluationDomainError,
     ExpressionError,

@@ -1,12 +1,14 @@
 """Canonical normal form for DSL expressions.
 
 A canonical expression is a finite map from monomials to coefficients.
-Coefficients are lam-polynomials over exact complex rationals; a monomial
-carries, per variable, a fractal exponent n (var^(n*alpha)), a trig
-signature sin^m * cos^e with e in {0,1} (cos^2 is rewritten to 1-sin^2),
-integer powers of Ea generators keyed by their scale, and a multiset of
-partial-derivative symbols on the abstract components f0..f3 with sorted
-(commuting) multi-indices.
+Coefficients are exact complex rationals (CRat); a monomial carries, per
+variable, a fractal exponent n (var^(n*alpha)), a trig signature
+sin^m * cos^e with e in {0,1} (cos^2 is rewritten to 1-sin^2), integer
+powers of Ea generators keyed by their scale (a lam-polynomial), a
+multiset of partial-derivative symbols on the abstract components f0..f3
+with sorted (commuting) multi-indices, and a power of the formal
+parameter lam.  Rendering groups the monomials that differ only in their
+lam power under one lam-polynomial coefficient.
 
 Two expressions are equal exactly when their maps coincide, which is what
 every identity check in the package reduces to.  So no map stores a zero
@@ -18,8 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 
-from .coefficients import CRat, POLY_ONE, Poly, as_poly, render_poly
+from .coefficients import CRAT_ONE, CRAT_ZERO, CRat, as_crat, render_poly
 from .expr import (
     Add,
     CompSym,
@@ -48,33 +51,53 @@ from . import series as _series
 class Monomial:
     powers: tuple = ()  # ((var, n), ...) sorted, n != 0
     trig: tuple = ()  # ((var, m, e), ...) sorted, e in {0,1}, (m,e) != (0,0)
-    ea: tuple = ()  # ((var, scale_poly, p), ...) sorted, p != 0
+    ea: tuple = ()  # ((var, scale, p), ...) sorted, p != 0, scale as _scale
     dsyms: tuple = ()  # ((k, midx), ...) sorted multiset
+    lam: int = 0  # power of lam, >= 0
     _hash: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # monomials are dict keys in every hot loop: hash once, not per probe
-        object.__setattr__(self, "_hash", hash((self.powers, self.trig, self.ea, self.dsyms)))
+        object.__setattr__(
+            self, "_hash", hash((self.powers, self.trig, self.ea, self.dsyms, self.lam))
+        )
 
     def __hash__(self):
         return self._hash
 
     def __reduce__(self):  # string hashes differ between processes: rehash on load
-        return Monomial, (self.powers, self.trig, self.ea, self.dsyms)
+        return Monomial, (self.powers, self.trig, self.ea, self.dsyms, self.lam)
 
     def sort_key(self):
+        # lam last: monomials that differ only in their lam power sort together
         return (
             tuple((k, tuple(var_order(v) for v in midx)) for k, midx in self.dsyms),
             tuple((var_order(v), n) for v, n in self.powers),
             tuple((var_order(v), m, e) for v, m, e in self.trig),
-            tuple((var_order(v), scale.sort_key(), p) for v, scale, p in self.ea),
+            tuple((var_order(v), _scale_key(scale), p) for v, scale, p in self.ea),
+            self.lam,
         )
 
-    def is_one(self) -> bool:
+    def is_lam_power(self) -> bool:
         return not (self.powers or self.trig or self.ea or self.dsyms)
+
+    def is_one(self) -> bool:
+        return self.is_lam_power() and not self.lam
 
 
 MONOMIAL_ONE = Monomial()
+
+
+def _scale(ce) -> tuple:
+    """An Ea scale: the lam-polynomial ce as (lam power, CRat) pairs in
+    ascending power; ce may hold no generator other than lam."""
+    if not all(m.is_lam_power() for m in ce.terms):
+        raise ExpressionError("Ea scale must normalize to a scalar coefficient")
+    return tuple(sorted(((m.lam, c) for m, c in ce.terms.items()), key=lambda t: t[0]))
+
+
+def _scale_key(scale) -> tuple:
+    return tuple((k, c.sort_key()) for k, c in scale)
 
 
 def _sorted_powers(d):
@@ -91,7 +114,7 @@ def _sorted_ea(d):
     return tuple(
         sorted(
             ((v, s, p) for (v, s), p in d.items() if p),
-            key=lambda t: (var_order(t[0]), t[1].sort_key()),
+            key=lambda t: (var_order(t[0]), _scale_key(t[1])),
         )
     )
 
@@ -131,12 +154,14 @@ def _mul_monomials(a: Monomial, b: Monomial):
             new.append(({**tmap, v: (m + 2, 0)}, -sign))
         expansions = new
 
-    powers, ea = _sorted_powers(powers), _sorted_ea(ea)
-    return [(Monomial(powers, _sorted_trig(tmap), ea, dsyms), sign) for tmap, sign in expansions]
+    powers, ea, lam = _sorted_powers(powers), _sorted_ea(ea), a.lam + b.lam
+    return [
+        (Monomial(powers, _sorted_trig(tmap), ea, dsyms, lam), sign) for tmap, sign in expansions
+    ]
 
 
 def _accumulate(acc: dict, items) -> dict:
-    """Add (monomial, Poly) pairs into the clean map acc in place: zero
+    """Add (monomial, CRat) pairs into the clean map acc in place: zero
     coefficients are skipped and cancelled entries deleted."""
     for mono, coeff in items:
         if coeff:
@@ -167,7 +192,7 @@ class CanonicalExpr:
 
     def __init__(self, terms=None):
         items = terms.items() if isinstance(terms, dict) else terms or ()
-        self._terms = _accumulate({}, ((m, as_poly(c)) for m, c in items))
+        self._terms = _accumulate({}, ((m, as_crat(c)) for m, c in items))
 
     @staticmethod
     def _of(terms: dict) -> CanonicalExpr:
@@ -184,41 +209,37 @@ class CanonicalExpr:
 
     @staticmethod
     def one() -> CanonicalExpr:
-        return CanonicalExpr({MONOMIAL_ONE: POLY_ONE})
+        return CanonicalExpr({MONOMIAL_ONE: CRAT_ONE})
 
     @staticmethod
     def const(c) -> CanonicalExpr:
-        return CanonicalExpr({MONOMIAL_ONE: as_poly(c)})
-
-    @staticmethod
-    def from_poly(poly: Poly) -> CanonicalExpr:
-        return CanonicalExpr({MONOMIAL_ONE: poly})
+        return CanonicalExpr({MONOMIAL_ONE: c})
 
     @staticmethod
     def lam() -> CanonicalExpr:
-        return CanonicalExpr.from_poly(Poly.lam())
+        return CanonicalExpr({Monomial(lam=1): CRAT_ONE})
 
     @staticmethod
     def fractal_power(var: str, n: int) -> CanonicalExpr:
         if n == 0:
             return CanonicalExpr.one()
-        return CanonicalExpr({Monomial(powers=((var, n),)): POLY_ONE})
+        return CanonicalExpr({Monomial(powers=((var, n),)): CRAT_ONE})
 
     @staticmethod
     def trig(var: str, kind: str) -> CanonicalExpr:
         sig = (var, 1, 0) if kind == "sin" else (var, 0, 1)
-        return CanonicalExpr({Monomial(trig=(sig,)): POLY_ONE})
+        return CanonicalExpr({Monomial(trig=(sig,)): CRAT_ONE})
 
     @staticmethod
-    def ea_power(var: str, scale: Poly, p: int = 1) -> CanonicalExpr:
-        if scale.is_zero() or p == 0:
+    def ea_power(var: str, scale: tuple, p: int = 1) -> CanonicalExpr:
+        if not scale or p == 0:
             return CanonicalExpr.one()  # E_alpha(0) = 1
-        return CanonicalExpr({Monomial(ea=((var, scale, p),)): POLY_ONE})
+        return CanonicalExpr({Monomial(ea=((var, scale, p),)): CRAT_ONE})
 
     @staticmethod
     def component(k: int, midx=()) -> CanonicalExpr:
         midx = tuple(sorted(midx, key=var_order))
-        return CanonicalExpr({Monomial(dsyms=((k, midx),)): POLY_ONE})
+        return CanonicalExpr({Monomial(dsyms=((k, midx),)): CRAT_ONE})
 
     # -- structure --------------------------------------------------------
 
@@ -229,13 +250,13 @@ class CanonicalExpr:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def constant_coefficient(self) -> Poly:
-        return self._terms.get(MONOMIAL_ONE, Poly())
+    def constant_coefficient(self) -> CRat:
+        return self._terms.get(MONOMIAL_ONE, CRAT_ZERO)
 
     def __eq__(self, other):
         if isinstance(other, CanonicalExpr):
             return self._terms == other._terms
-        if isinstance(other, (int, CRat, Poly)):
+        if isinstance(other, (int, CRat)):
             return self._terms == CanonicalExpr.const(other)._terms
         return NotImplemented
 
@@ -270,7 +291,7 @@ class CanonicalExpr:
         if len(a) == 1 and MONOMIAL_ONE in a:
             a, b = b, a
         if len(b) == 1 and MONOMIAL_ONE in b:
-            # constant factor: a product of nonzero polynomials is nonzero
+            # constant factor: a product of nonzero Gaussian rationals is nonzero
             c = b[MONOMIAL_ONE]
             return CanonicalExpr._of({m: p * c for m, p in a.items()})
         return CanonicalExpr._of(_accumulate({}, _products(a, b)))
@@ -294,8 +315,8 @@ class CanonicalExpr:
         return as_canonical_scalar(other) * self.inverse()
 
     def inverse(self) -> CanonicalExpr:
-        """Inverse of a unit monomial: constant coefficient, no cos factor,
-        no component symbols.  Everything the coordinate formulas divide by
+        """Inverse of a unit monomial: no lam, no cos factor, no component
+        symbols.  Everything the coordinate formulas divide by
         (r^alpha powers, sin_alpha powers, Ea factors, numbers) is a unit."""
         if self.is_zero():
             raise SingularDivisionError("division by an expression that normalizes to zero")
@@ -308,21 +329,19 @@ class CanonicalExpr:
             raise NonInvertibleDivisionError("cannot divide by abstract component symbols")
         if any(e for _, _, e in mono.trig):
             raise NonInvertibleDivisionError("cannot divide by cosa factors")
-        if not coeff.is_constant():
-            raise NonInvertibleDivisionError("cannot divide by a lam-dependent coefficient")
+        if mono.lam:
+            raise NonInvertibleDivisionError("cannot divide by lam factors")
         inv_mono = Monomial(
             powers=tuple((v, -n) for v, n in mono.powers),
             trig=tuple((v, -m, 0) for v, m, _ in mono.trig),
             ea=tuple((v, s, -p) for v, s, p in mono.ea),
         )
-        return CanonicalExpr({inv_mono: coeff.inverse()})
+        return CanonicalExpr({inv_mono: CRAT_ONE / coeff})
 
 
 def as_canonical_scalar(x) -> CanonicalExpr:
     if isinstance(x, CanonicalExpr):
         return x
-    if isinstance(x, Poly):
-        return CanonicalExpr.from_poly(x)
     if isinstance(x, (int, Fraction, CRat)):
         return CanonicalExpr.const(x)
     if isinstance(x, Expr):
@@ -344,11 +363,7 @@ def normalize(e) -> CanonicalExpr:
     if isinstance(e, TrigGen):
         return CanonicalExpr.trig(e.var, e.kind)
     if isinstance(e, EaGen):
-        scale = normalize(e.scale)
-        extra = {m for m in scale.terms if not m.is_one()}
-        if extra:
-            raise ExpressionError("Ea scale must normalize to a scalar coefficient")
-        return CanonicalExpr.ea_power(e.var, scale.constant_coefficient())
+        return CanonicalExpr.ea_power(e.var, _scale(normalize(e.scale)))
     if isinstance(e, CompSym):
         return CanonicalExpr.component(e.k, e.midx)
     if isinstance(e, (Add, Sub)):
@@ -410,11 +425,20 @@ def _render_monomial(mono: Monomial) -> str:
     return "*".join(pieces)
 
 
-def _split_sign(poly: Poly):
-    if len(poly.terms) == 1:
-        c = poly.terms[0][1]
+def _lam_groups(ce: CanonicalExpr):
+    """(monomial, lam-polynomial) per lam-free part of the monomials, in
+    rendering order; the polynomial is (lam power, CRat) pairs."""
+    ordered = sorted(ce.terms, key=Monomial.sort_key)
+    for _, group in groupby(ordered, key=lambda m: (m.powers, m.trig, m.ea, m.dsyms)):
+        group = list(group)
+        yield group[0], tuple((m.lam, ce.terms[m]) for m in group)
+
+
+def _split_sign(poly: tuple):
+    if len(poly) == 1:
+        p, c = poly[0]
         if c.re < 0 or (c.re == 0 and c.im < 0):
-            return -1, -poly
+            return -1, ((p, -c),)
     return 1, poly
 
 
@@ -424,15 +448,14 @@ def render_canonical(ce: CanonicalExpr) -> str:
     if ce.is_zero():
         return "0"
     rendered = []
-    for mono in sorted(ce.terms, key=Monomial.sort_key):
-        poly = ce.terms[mono]
+    for mono, poly in _lam_groups(ce):
         sign, poly = _split_sign(poly)
         body = _render_monomial(mono)
         if not body:
             coeff = render_poly(poly)
-        elif poly == POLY_ONE:
+        elif poly == ((0, CRAT_ONE),):
             coeff = ""
-        elif len(poly.terms) > 1:
+        elif len(poly) > 1:
             coeff = f"({render_poly(poly)})*"
         else:
             coeff = f"{render_poly(poly)}*"
@@ -447,12 +470,14 @@ def render_canonical(ce: CanonicalExpr) -> str:
 # -- numeric evaluation ------------------------------------------------------
 
 
-def _coeff_value(poly: Poly, lam) -> complex:
-    if poly.is_constant():
-        return poly.constant_value().to_complex()
+def _coeff_value(poly: tuple, lam) -> complex:
+    """Value of a lam-polynomial given as (lam power, CRat) pairs."""
+    if len(poly) == 1 and not poly[0][0]:
+        return poly[0][1].to_complex()
     if lam is None:
         raise UnboundSymbolError("expression contains lam but no lam value was given")
-    return poly.eval(complex(lam))
+    lam = complex(lam)
+    return sum((c.to_complex() * lam**p for p, c in poly), 0j)
 
 
 def _fractal_arg(var: str, point: dict, alpha: float) -> float:
@@ -490,8 +515,8 @@ def eval_canonical(
         return memo[name, u]
 
     total = 0j
-    for mono, poly in ce.terms.items():
-        value = _coeff_value(poly, lam)
+    for mono, coeff in ce.terms.items():
+        value = _coeff_value(((mono.lam, coeff),), lam)
         for v, n in mono.powers:
             xa = _fractal_arg(v, point, alpha)
             if xa == 0 and n < 0:

@@ -18,7 +18,7 @@ import sys
 
 from .canonical import canon, eval_canonical, render_canonical
 from .derivative import DerivativeMode, differentiate
-from .expr import ExpressionError
+from .expr import COMPONENT_NAMES, ExpressionError
 from .frames import FRAMES, QuaternionField, frame_by_name
 from .quatops import (
     FORMAL,
@@ -32,8 +32,6 @@ from .quatops import (
 )
 from .series import SeriesConvergenceError, evaluate_series, validate_alpha
 
-COMPONENT_KEYS = ("f0", "f1", "f2", "f3")
-
 _OPERATORS = {
     "mt": lambda f, lam: mt_apply(f, "left"),
     "mt-right": lambda f, lam: mt_apply(f, "right"),
@@ -41,6 +39,10 @@ _OPERATORS = {
     "bitsadze": lambda f, lam: bitsadze(f),
     "helmholtz": lambda f, lam: helmholtz_residual(f, lam),
 }
+
+# numeric options: argparse reads a following "-1+2i", "-1e-3", "-inf" or
+# "-2i" as an option name unless it is attached as "--u=-1+2i"
+_NUMBER_OPTIONS = ("--alpha", "--u", "--lam", "--tol")
 
 
 class SpecError(ValueError):
@@ -51,11 +53,9 @@ def _parse_lambda(raw):
     if raw is None or raw == FORMAL:
         return FORMAL
     ce = canon(str(raw), ())
-    nonconstant = [m for m in ce.terms if not m.is_one()]
-    coeff = ce.constant_coefficient()
-    if nonconstant or not coeff.is_constant():
+    if not all(m.is_one() for m in ce.terms):
         raise SpecError(f"lambda must be a complex constant or 'formal', got {raw!r}")
-    return coeff.constant_value()
+    return ce.constant_coefficient()
 
 
 def load_field_spec(path: str):
@@ -76,10 +76,10 @@ def load_field_spec(path: str):
     components = doc.get("components", {})
     if not isinstance(components, dict):
         raise SpecError("'components' must be an object with keys f0..f3")
-    unknown = set(components) - set(COMPONENT_KEYS)
+    unknown = set(components) - set(COMPONENT_NAMES)
     if unknown:
         raise SpecError(f"unknown component keys {sorted(unknown)}; expected f0..f3")
-    parsed = [canon(str(components.get(key, "0")), frame) for key in COMPONENT_KEYS]
+    parsed = [canon(str(components.get(key, "0")), frame) for key in COMPONENT_NAMES]
     lam = _parse_lambda(doc.get("lambda"))
     return alpha, QuaternionField(frame, *parsed), lam
 
@@ -117,11 +117,11 @@ def _emit_field(out: QuaternionField, args, extra: dict):
         doc = dict(extra)
         doc["frame"] = out.frame.name
         doc["components"] = {
-            key: render_canonical(c) for key, c in zip(COMPONENT_KEYS, out.components)
+            key: render_canonical(c) for key, c in zip(COMPONENT_NAMES, out.components)
         }
         print(json.dumps(doc))
     else:
-        for key, c in zip(COMPONENT_KEYS, out.components):
+        for key, c in zip(COMPONENT_NAMES, out.components):
             print(f"{key} = {render_canonical(c)}")
 
 
@@ -187,13 +187,13 @@ def cmd_eval(args) -> int:
                     "point": point,
                     "components": {
                         key: {"re": v.real, "im": v.imag}
-                        for key, v in zip(COMPONENT_KEYS, values)
+                        for key, v in zip(COMPONENT_NAMES, values)
                     },
                 }
             )
         )
     else:
-        for key, v in zip(COMPONENT_KEYS, values):
+        for key, v in zip(COMPONENT_NAMES, values):
             print(f"{key} = {v}")
     return 0
 
@@ -288,8 +288,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_numbers(argv) -> list:
+    """Rewrite "--u -1+2i" as "--u=-1+2i" for the numeric options."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _NUMBER_OPTIONS and arg.startswith("-"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_attach_numbers(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (ExpressionError, SpecError, ValueError, OSError, json.JSONDecodeError) as exc:

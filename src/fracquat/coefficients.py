@@ -1,8 +1,8 @@
 """Exact scalar arithmetic for the symbolic layer.
 
-Coefficients of canonical expressions are polynomials in the formal
-parameter ``lam`` over the Gaussian rationals, so every identity check
-reduces to exact integer arithmetic.
+Coefficients of canonical expressions are Gaussian rationals (the formal
+parameter ``lam`` is a generator of the monomials), so every identity
+check reduces to exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -128,7 +128,6 @@ class CRat:
 
 CRAT_ZERO = CRat(0)
 CRAT_ONE = CRat(1)
-CRAT_I = CRat(0, 1)
 
 
 def _crat_or_none(x):
@@ -177,171 +176,11 @@ def render_crat(c: CRat) -> str:
     return f"({_render_frac(c.re)}{sign}{_render_imag(abs(c.im))})"
 
 
-class Poly:
-    """Polynomial in the formal parameter lam with CRat coefficients.
-
-    Stored as a tuple of (power, coefficient) pairs, ascending in power,
-    with no zero coefficients; two equal polynomials are identical tuples.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=()):
-        cleaned = {}
-        for p, c in terms.items() if isinstance(terms, dict) else terms:
-            c = as_crat(c)
-            if c:
-                cleaned[p] = cleaned.get(p, CRAT_ZERO) + c
-        object.__setattr__(self, "terms", tuple(sorted(t for t in cleaned.items() if t[1])))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
-
-    def __reduce__(self):  # the default slot restore would hit __setattr__
-        return Poly._of, (self.terms,)
-
-    @staticmethod
-    def _of(terms: tuple) -> Poly:
-        """Wrap terms already sorted by power with no zero coefficient."""
-        self = object.__new__(Poly)
-        object.__setattr__(self, "terms", terms)
-        return self
-
-    @staticmethod
-    def const(c) -> Poly:
-        c = as_crat(c)
-        return Poly._of(((0, c),) if c else ())
-
-    @staticmethod
-    def lam(power: int = 1) -> Poly:
-        return Poly._of(((power, CRAT_ONE),))
-
-    # -- ring operations ------------------------------------------------
-
-    def __add__(self, other):
-        other = _poly_or_none(other)
-        if other is None:
-            return NotImplemented
-        a, b = self.terms, other.terms
-        if len(a) == 1 == len(b) and a[0][0] == b[0][0]:
-            c = a[0][1] + b[0][1]
-            return Poly._of(((a[0][0], c),) if c else ())
-        acc = dict(a)
-        for p, c in b:
-            prev = acc.get(p)
-            acc[p] = c if prev is None else prev + c
-        return Poly._of(tuple(sorted(t for t in acc.items() if t[1])))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _poly_or_none(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _poly_or_none(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self):
-        return Poly._of(tuple((p, -c) for p, c in self.terms))
-
-    def __mul__(self, other):
-        other = _poly_or_none(other)
-        if other is None:
-            return NotImplemented
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        if len(a) == 1:
-            # a product of nonzero Gaussian rationals is nonzero
-            (p1, c1), = a
-            return Poly._of(tuple((p1 + p2, c1 * c2) for p2, c2 in b))
-        acc = {}
-        for p1, c1 in a:
-            for p2, c2 in b:
-                p = p1 + p2
-                acc[p] = acc.get(p, CRAT_ZERO) + c1 * c2
-        return Poly._of(tuple(sorted(t for t in acc.items() if t[1])))
-
-    __rmul__ = __mul__
-
-    # -- structure ------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and self.terms[0][0] == 0)
-
-    def constant_value(self) -> CRat:
-        if not self.terms:
-            return CRAT_ZERO
-        if not self.is_constant():
-            raise ValueError(f"{self} is not a constant polynomial")
-        return self.terms[0][1]
-
-    def degree(self) -> int:
-        return self.terms[-1][0] if self.terms else 0
-
-    def inverse(self) -> Poly:
-        c = self.constant_value()  # raises for genuine lam dependence
-        if not c:
-            raise ZeroDivisionError("inverse of zero polynomial")
-        return Poly.const(CRAT_ONE / c)
-
-    def eval(self, lam_value: complex) -> complex:
-        return sum((c.to_complex() * lam_value**p for p, c in self.terms), 0j)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, CRat)):
-            other = as_poly(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(self.terms)
-
-    def sort_key(self):
-        return tuple((p, c.sort_key()) for p, c in self.terms)
-
-    def __repr__(self):
-        return f"Poly({self.terms!r})"
-
-    def __str__(self):
-        return render_poly(self)
-
-
-POLY_ZERO = Poly()
-POLY_ONE = Poly.const(1)
-
-
-def _poly_or_none(x):
-    if isinstance(x, Poly):
-        return x
-    c = _crat_or_none(x)
-    return None if c is None else Poly.const(c)
-
-
-def as_poly(x) -> Poly:
-    if isinstance(x, Poly):
-        return x
-    return Poly.const(as_crat(x))
-
-
-def render_poly(poly: Poly) -> str:
-    """DSL rendering, highest lam power first: e.g. ``lam^2 - 1``."""
-    if not poly.terms:
-        return "0"
+def render_poly(terms) -> str:
+    """DSL rendering of a lam-polynomial given as (power, CRat) pairs in
+    ascending power, highest power first: e.g. ``lam^2 - 1``."""
     pieces = []
-    for p, c in reversed(poly.terms):
+    for p, c in reversed(terms):
         if p == 0:
             body = render_crat(c)
         else:

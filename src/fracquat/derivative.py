@@ -23,7 +23,6 @@ import enum
 from dataclasses import replace
 
 from .canonical import CanonicalExpr, Monomial, _accumulate, as_canonical_scalar
-from .coefficients import Poly
 from .expr import ExpressionError, VARIABLES, sort_vars, var_order
 
 
@@ -58,7 +57,7 @@ def _with_trig(mono: Monomial, var: str, m: int, e: int) -> Monomial:
 
 def _diff_monomial(mono: Monomial, var: str):
     """Leibniz rule across the factor groups of one monomial, as
-    (monomial, int or Poly factor) pairs; a factor may be zero (-(m+1) at m = -1)."""
+    (monomial, int or CRat factor) pairs; a factor may be zero (-(m+1) at m = -1)."""
     for v, n in mono.powers:
         if v == var:
             yield _with_power(mono, var, n - 1), n
@@ -78,7 +77,9 @@ def _diff_monomial(mono: Monomial, var: str):
 
     for v, scale, p in mono.ea:
         if v == var:
-            yield mono, p * scale
+            # D[Ea(s, v)^p] = p*s*Ea(s, v)^p, one term per lam power of s
+            for k, c in scale:
+                yield replace(mono, lam=mono.lam + k), p * c
 
     for i, (k, midx) in enumerate(mono.dsyms):
         bumped = (k, sort_vars(midx + (var,)))
@@ -105,7 +106,8 @@ def nth_d_alpha(e, var: str, order: int) -> CanonicalExpr:
 
 
 def jpoly_coefficients(e, var: str) -> list:
-    """Coefficients [c_0, ..., c_N] of a pure J-basis polynomial in var.
+    """Coefficients [c_0, ..., c_N] of a pure J-basis polynomial in var,
+    each a CanonicalExpr in lam alone.
 
     Raises ModeViolationError when the normalized input contains anything
     other than nonnegative powers of the single variable: products or
@@ -121,22 +123,19 @@ def jpoly_coefficients(e, var: str) -> list:
                 "gamma mode handles only linear combinations over the J-basis; "
                 f"got generator product {mono}"
             )
-        if not mono.powers:
-            coeffs[0] = coeff
-            continue
-        if len(mono.powers) > 1 or mono.powers[0][0] != var:
-            raise ModeViolationError(
-                f"gamma mode input must be a polynomial in {var!r} alone"
-            )
-        n = mono.powers[0][1]
-        if n < 0:
-            raise ModeViolationError("gamma mode input has a negative power (a quotient)")
-        coeffs[n] = coeff
-    if not coeffs:
-        return [Poly()]
-    out = [Poly() for _ in range(max(coeffs) + 1)]
+        n = 0
+        if mono.powers:
+            if len(mono.powers) > 1 or mono.powers[0][0] != var:
+                raise ModeViolationError(
+                    f"gamma mode input must be a polynomial in {var!r} alone"
+                )
+            n = mono.powers[0][1]
+            if n < 0:
+                raise ModeViolationError("gamma mode input has a negative power (a quotient)")
+        coeffs.setdefault(n, {})[Monomial(lam=mono.lam)] = coeff
+    out = [CanonicalExpr.zero() for _ in range(max(coeffs, default=0) + 1)]
     for n, c in coeffs.items():
-        out[n] = c
+        out[n] = CanonicalExpr._of(c)
     return out
 
 
@@ -144,7 +143,9 @@ def d_alpha_gamma(e, var: str) -> CanonicalExpr:
     """Gamma-normalized derivative: index shift J_n -> J_(n-1) on the
     normalized monomials of var, with J_0 -> 0."""
     coeffs = jpoly_coefficients(e, var)
-    return CanonicalExpr((_with_power(Monomial(), var, n - 1), c) for n, c in enumerate(coeffs) if n)
+    return CanonicalExpr._of(
+        {_with_power(m, var, n): c for n, ce in enumerate(coeffs[1:]) for m, c in ce.terms.items()}
+    )
 
 
 def differentiate(e, var: str, mode: DerivativeMode = DerivativeMode.DERIVATION) -> CanonicalExpr:

@@ -108,9 +108,6 @@ class QuaternionField:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
 
-    def is_pure_vector(self) -> bool:
-        return self.f0.is_zero()
-
     def map(self, fn) -> QuaternionField:
         return QuaternionField(self.frame, *(fn(c) for c in self.components))
 

@@ -25,6 +25,7 @@ from fractions import Fraction
 
 from .coefficients import CRat
 from .expr import (
+    COMPONENT_NAMES,
     Add,
     CompSym,
     Div,
@@ -191,7 +192,7 @@ class _Parser:
         name = tok.value
         if name == "lam":
             return LamSym()
-        if name in ("f0", "f1", "f2", "f3"):
+        if name in COMPONENT_NAMES:
             return CompSym(int(name[1]))
         if name == "P":
             self.expect("(")
@@ -219,7 +220,7 @@ class _Parser:
     def parse_derivative(self, pos: int) -> Expr:
         self.expect("(")
         inner = self.peek()
-        if inner.kind != "ident" or inner.value not in ("f0", "f1", "f2", "f3", "d"):
+        if inner.kind != "ident" or inner.value not in COMPONENT_NAMES + ("d",):
             raise ParseError("d(...) applies only to component symbols f0..f3", inner.pos)
         target = self.parse_ident_atom()
         if not isinstance(target, CompSym):

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .canonical import CanonicalExpr, _accumulate, as_canonical_scalar, render_canonical
-from .coefficients import Poly, as_poly
 from .derivative import DerivativeMode, d_alpha
 from .expr import sort_vars
 from .frames import (
@@ -52,12 +51,10 @@ _R2S2, _R2CS2 = _R2S1 * _S1, _R2CS1 * _S1
 FORMAL = "formal"
 
 
-def _lam_poly(lam) -> Poly:
+def _lam(lam) -> CanonicalExpr:
     if lam is None or lam == FORMAL:
-        return Poly.lam()
-    if isinstance(lam, Poly):
-        return lam
-    return as_poly(lam)
+        return CanonicalExpr.lam()
+    return CanonicalExpr.const(lam)
 
 
 def mt_apply(f: QuaternionField, side: str = "left") -> QuaternionField:
@@ -209,15 +206,15 @@ def bitsadze(f: QuaternionField) -> QuaternionField:
 
 def perturbed_mt(f: QuaternionField, lam=FORMAL, sign: int = 1) -> QuaternionField:
     """(D + sign*lam) f with lam acting as a commuting scalar."""
-    lam_poly = _lam_poly(lam)
-    shift = f.scale(lam_poly if sign > 0 else -lam_poly)
+    lam = _lam(lam)
+    shift = f.scale(lam if sign > 0 else -lam)
     return mt_apply(f) + shift
 
 
 def helmholtz_residual(f: QuaternionField, lam=FORMAL) -> QuaternionField:
     """Laplacian f + lam^2 f, componentwise."""
-    lam_poly = _lam_poly(lam)
-    return laplacian(f) + f.scale(lam_poly * lam_poly)
+    lam = _lam(lam)
+    return laplacian(f) + f.scale(lam * lam)
 
 
 def helmholtz_component_system(frame, lam=FORMAL) -> tuple:

@@ -84,14 +84,20 @@ def _sum_series(alpha, u, tol, label, power, step, alternating):
     next/(1-rho), with rho the observed term ratio, falls below tol (the
     Gamma denominators make the ratios eventually decreasing, so the
     bound dominates the true tail).  The look-ahead term becomes the next
-    term, so each is computed once.  Returns (value, terms summed).
+    term, so each is computed once.  A real u gets real terms: phase 0,
+    and for a negative u the sign comes from the parity of the power
+    (phase pi would leave sin(k*pi) rounding in the imaginary part).
+    Returns (value, terms summed).
     """
-    log_u, phase_u = math.log(abs(u)), cmath.phase(u)
+    real = u.imag == 0
+    negative = real and u.real < 0
+    log_u, phase_u = math.log(abs(u)), 0.0 if real else cmath.phase(u)
     total = 0j
     term = _power_term(log_u, phase_u, power, alpha)
     mag, prev_mag = abs(term), math.inf
     for i in range(MAX_SERIES_TERMS - 1):
-        total = total - term if alternating and i % 2 else total + term
+        flip = (alternating and i % 2 == 1) != (negative and power % 2 == 1)
+        total = total - term if flip else total + term
         power += step
         term = _power_term(log_u, phase_u, power, alpha)
         next_mag = abs(term)

@@ -21,6 +21,10 @@ def atoms(variables):
         st.builds(TrigGen, variables, st.sampled_from(("sin", "cos"))),
         st.builds(lambda c, v: EaGen(Num(c), v), nonzero_crats, variables),
         st.builds(lambda c, v: EaGen(Mul(Num(c), LamSym()), v), nonzero_crats, variables),
+        st.builds(
+            lambda c0, c1, v: EaGen(Add(Num(c0), Mul(Num(c1), LamSym())), v),
+            nonzero_crats, nonzero_crats, variables,
+        ),
         st.builds(CompSym, st.integers(0, 3)),
     )
 

@@ -13,21 +13,25 @@ from hypothesis import given, settings
 from fracquat import (
     CanonicalExpr,
     CYLINDRICAL,
+    FRAMES,
     EvaluationDomainError,
     NonInvertibleDivisionError,
+    QuaternionField,
     SingularDivisionError,
     UnboundSymbolError,
+    abstract_field,
     canon,
     d_alpha,
     equal,
     eval_canonical,
+    helmholtz_residual,
     normalize,
     parse,
     render_canonical,
 )
 from fracquat import cos_alpha, ml_exp, series, sin_alpha
 from fracquat.canonical import MONOMIAL_ONE, Monomial, _mul_monomials, dsym_name
-from fracquat.coefficients import CRat, Poly
+from fracquat.coefficients import CRat
 
 from strategies import exprs
 
@@ -203,15 +207,15 @@ def test_product_distributes_over_sum(a, b, c):
 
 
 def assert_clean(x):
-    """x holds only nonzero Poly coefficients, so rebuilding it through the
+    """x holds only nonzero CRat coefficients, so rebuilding it through the
     cleaning constructor changes nothing."""
-    assert all(isinstance(p, Poly) and p for p in x.terms.values())
+    assert all(isinstance(c, CRat) and c for c in x.terms.values())
     assert x == CanonicalExpr(dict(x.terms))
 
 
 def assert_rehashes(mono):
     """A monomial equals, and hashes like, copies built the other ways."""
-    fields = (mono.powers, mono.trig, mono.ea, mono.dsyms)
+    fields = (mono.powers, mono.trig, mono.ea, mono.dsyms, mono.lam)
     for copy in (Monomial(*fields), dataclasses.replace(mono)):
         assert copy == mono and hash(copy) == hash(mono)
 
@@ -230,7 +234,7 @@ def test_results_are_clean_maps(a, b, var):
 def test_monomial_hash_agrees_across_constructions():
     sin = Monomial(trig=(("theta", 1, 0),))
     cos = Monomial(trig=(("theta", 0, 1),))
-    ea = Monomial(ea=(("z", Poly.const(2), 1),))
+    ea = Monomial(ea=(("z", ((0, CRat(2)),), 1),), lam=1)
     built = Monomial(powers=(("r", 1),), trig=(("theta", 1, 0),))
     replaced = dataclasses.replace(sin, powers=(("r", 1),))
     (product, sign), = _mul_monomials(Monomial(powers=(("r", 1),)), sin)
@@ -241,10 +245,10 @@ def test_monomial_hash_agrees_across_constructions():
     assert (s1, s2) == (1, -1)
     assert hash(one) == hash(MONOMIAL_ONE) and one == MONOMIAL_ONE
     assert {Monomial(trig=(("theta", 2, 0),)): 1}[sin2] == 1
-    # Ea scales are separately built but equal polynomials
+    # Ea scales are separately built but equal polynomials; lam powers add
     (ea2, _), = _mul_monomials(ea, ea)
-    assert ea2 == Monomial(ea=(("z", Poly.const(2), 2),))
-    assert hash(ea2) == hash(Monomial(ea=(("z", Poly.const(2), 2),)))
+    assert ea2 == Monomial(ea=(("z", ((0, CRat(2)),), 2),), lam=2)
+    assert hash(ea2) == hash(Monomial(ea=(("z", ((0, CRat(2)),), 2),), lam=2))
     for mono in (built, replaced, product, one, sin2, ea2):
         assert_rehashes(mono)
     # string hashes differ between processes, so a pickle must not carry the
@@ -259,13 +263,13 @@ def test_canonical_values_pickle_and_deepcopy():
         "(1/2 + 3i)*P(r,1)*f1 + lam^2*sina(theta) - (2 - 1i)*lam*Ea(1/2 - 1i*lam, z)*cosa(theta)",
         CYL,
     )
-    assert any(not poly.is_constant() for poly in ce.terms.values())
+    assert any(mono.lam for mono in ce.terms)
     for copied in (pickle.loads(pickle.dumps(ce)), copy.deepcopy(ce)):
         assert copied == ce
         assert [hash(m) for m in copied.terms] == [hash(m) for m in ce.terms]
         assert render_canonical(copied) == render_canonical(ce)
-    for value in (CRat(1, 2), Poly.lam(2)):
-        assert pickle.loads(pickle.dumps(value)) == value == copy.deepcopy(value)
+    value = CRat(1, 2)
+    assert pickle.loads(pickle.dumps(value)) == value == copy.deepcopy(value)
 
 
 class TestEvalMemo:
@@ -349,3 +353,85 @@ def test_render_deterministic():
     a = render_canonical(canon("f1 + P(r,1) + sina(theta)", CYL))
     b = render_canonical(canon("sina(theta) + f1 + P(r,1)", CYL))
     assert a == b
+
+
+# render_canonical output recorded while coefficients were lam-polynomials;
+# grouping the lam powers of one monomial must reproduce it byte for byte
+RENDER_GOLDEN = {
+    "cartesian": (
+        "lam^2*f0 + d(f0,x,x) + d(f0,y,y) + d(f0,z,z)",
+        "lam^2*f1 + d(f1,x,x) + d(f1,y,y) + d(f1,z,z)",
+        "lam^2*f2 + d(f2,x,x) + d(f2,y,y) + d(f2,z,z)",
+        "lam^2*f3 + d(f3,x,x) + d(f3,y,y) + d(f3,z,z)",
+    ),
+    "cylindrical": (
+        "lam^2*f0 + d(f0,z,z) + P(r,-1)*d(f0,r) + d(f0,r,r) + P(r,-2)*d(f0,theta,theta)",
+        "lam^2*f1 - P(r,-2)*f1 + d(f1,z,z) + P(r,-1)*d(f1,r) + d(f1,r,r)"
+        " + P(r,-2)*d(f1,theta,theta) - 2*P(r,-2)*d(f2,theta)",
+        "2*P(r,-2)*d(f1,theta) + lam^2*f2 - P(r,-2)*f2 + d(f2,z,z) + P(r,-1)*d(f2,r)"
+        " + d(f2,r,r) + P(r,-2)*d(f2,theta,theta)",
+        "lam^2*f3 + d(f3,z,z) + P(r,-1)*d(f3,r) + d(f3,r,r) + P(r,-2)*d(f3,theta,theta)",
+    ),
+    "spherical": (
+        "lam^2*f0 + 2*P(r,-1)*d(f0,r) + d(f0,r,r)"
+        " + P(r,-2)*sina(theta)^-1*cosa(theta)*d(f0,theta) + P(r,-2)*d(f0,theta,theta)"
+        " + P(r,-2)*sina(theta)^-2*d(f0,psi,psi)",
+        "lam^2*f1 - 2*P(r,-2)*f1 + 2*P(r,-1)*d(f1,r) + d(f1,r,r)"
+        " + P(r,-2)*sina(theta)^-1*cosa(theta)*d(f1,theta) + P(r,-2)*d(f1,theta,theta)"
+        " + P(r,-2)*sina(theta)^-2*d(f1,psi,psi)"
+        " - 2*P(r,-2)*sina(theta)^-1*cosa(theta)*f2 - 2*P(r,-2)*d(f2,theta)"
+        " - 2*P(r,-2)*sina(theta)^-1*d(f3,psi)",
+        "2*P(r,-2)*d(f1,theta) + lam^2*f2 - P(r,-2)*sina(theta)^-2*f2 + 2*P(r,-1)*d(f2,r)"
+        " + d(f2,r,r) + P(r,-2)*sina(theta)^-1*cosa(theta)*d(f2,theta)"
+        " + P(r,-2)*d(f2,theta,theta) + P(r,-2)*sina(theta)^-2*d(f2,psi,psi)"
+        " - 2*P(r,-2)*sina(theta)^-2*cosa(theta)*d(f3,psi)",
+        "2*P(r,-2)*sina(theta)^-1*d(f1,psi)"
+        " + 2*P(r,-2)*sina(theta)^-2*cosa(theta)*d(f2,psi) + lam^2*f3"
+        " - P(r,-2)*sina(theta)^-2*f3 + 2*P(r,-1)*d(f3,r) + d(f3,r,r)"
+        " + P(r,-2)*sina(theta)^-1*cosa(theta)*d(f3,theta) + P(r,-2)*d(f3,theta,theta)"
+        " + P(r,-2)*sina(theta)^-2*d(f3,psi,psi)",
+    ),
+    "mixed": (
+        "4*lam + (lam^3 + lam^2)*P(z,1) - lam^2*P(r,1)*sina(theta) + lam^3*P(r,2)",
+        "-2*cosa(theta) - 6*lam*P(r,-2)*sina(theta) + (1i*lam^2 + (-1/4 - 2i)*lam"
+        " + 1/2)*P(r,1)*Ea(-1i*lam + 1/2, z) - lam^2*P(r,-2)*d(f2,theta)",
+        "-3*lam^3*cosa(theta) + 2*sina(theta) + 6*lam*P(r,-2)*cosa(theta)"
+        " + lam^2*P(r,2)*sina(theta) + 1/2*lam^4*f2 - 1/2*lam^2*P(r,-2)*f2"
+        " + 1/2*lam^2*d(f2,z,z) + 1/2*lam^2*P(r,-1)*d(f2,r) + 1/2*lam^2*d(f2,r,r)"
+        " + 1/2*lam^2*P(r,-2)*d(f2,theta,theta)",
+        "-(2 + 4i)*lam^2*Ea(lam, r) - (1 + 2i)*lam*P(r,-1)*Ea(lam, r) + lam^4*d(f1,z)"
+        " + lam^2*d(f1,z,z,z) + lam^2*P(r,-1)*d(f1,z,r) + lam^2*d(f1,z,r,r)"
+        " + lam^2*P(r,-2)*d(f1,z,theta,theta) + P(r,-1)*f3 + lam^2*P(r,1)*f3"
+        " + P(r,1)*d(f3,z,z) + 3*d(f3,r) + P(r,1)*d(f3,r,r) + P(r,-1)*d(f3,theta,theta)",
+    ),
+    "d_alpha": "2*P(z,1)*Ea(-1i*lam + 1/2, z) + (-1i*lam + 1/2)*P(z,2)*Ea(-1i*lam + 1/2, z)",
+    "canon": "-lam^2*Ea(lam^2 - 3, r) + (lam^3 + 3*lam^2 + 3*lam + 1)*sina(theta)",
+}
+
+
+MIXED_FIELD = (
+    "(1 + lam)*P(z,1) + lam*P(r,2) - sina(theta)*P(r,1)",
+    "(2 - lam)*Ea(1/2 - 1i*lam, z)*P(r,1)",
+    "P(r,2)*sina(theta) - 3*lam*cosa(theta) + 1/2*lam^2*f2",
+    "f3*P(r,1) + lam^2*d(f1,z) - (1 + 2i)*Ea(lam, r)",
+)
+
+
+class TestRenderGolden:
+    @pytest.mark.parametrize("name", ("cartesian", "cylindrical", "spherical"))
+    def test_helmholtz_of_abstract_field(self, name):
+        out = helmholtz_residual(abstract_field(FRAMES[name]))
+        assert tuple(render_canonical(c) for c in out.components) == RENDER_GOLDEN[name]
+
+    def test_helmholtz_mixes_lam_and_plain_coefficients(self):
+        f = QuaternionField(CYL, *(canon(text, CYL) for text in MIXED_FIELD))
+        out = helmholtz_residual(f)
+        assert tuple(render_canonical(c) for c in out.components) == RENDER_GOLDEN["mixed"]
+
+    def test_d_alpha_of_lam_scaled_ea(self):
+        out = d_alpha(canon("Ea(1/2 - 1i*lam, z)*P(z,2)", CYL), "z")
+        assert render_canonical(out) == RENDER_GOLDEN["d_alpha"]
+
+    def test_lam_polynomial_coefficients(self):
+        ce = canon("(lam+1)^3*sina(theta) - lam^2*Ea(lam^2 - 3, r)")
+        assert render_canonical(ce) == RENDER_GOLDEN["canon"]

@@ -235,6 +235,18 @@ class TestSeries:
         code, _, err = run(capsys, ["series", "Ea", "--alpha", "2", "--u", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize("u", ["-1+2i", "-1e-3", "-2i", "-1"])
+    def test_value_starting_with_minus(self, capsys, u):
+        attached = run(capsys, ["series", "Ea", "--alpha", "0.5", f"--u={u}"])
+        assert run(capsys, ["series", "Ea", "--alpha", "0.5", "--u", u]) == attached
+        assert attached[0] == 0 and attached[1].startswith(f"Ea(alpha=0.5, u={u}) = ")
+
+    def test_real_argument_prints_real_value(self, capsys):
+        code, out, _ = run(capsys, ["series", "Ea", "--alpha", "1", "--u", "-1"])
+        assert code == 0 and out.startswith("Ea(alpha=1.0, u=-1) = ")
+        value = out.split(" = ")[1].split(" (")[0]
+        assert abs(float(value) - math.exp(-1)) < 1e-12
+
 
 class TestInputValidation:
     """Non-finite numbers and boolean alphas are usage errors (exit 2)
@@ -262,6 +274,13 @@ class TestInputValidation:
         self.assert_usage_error(capsys, ["eval", spec, "--at", "r=2", f"--tol={value}"])
         series = ["series", "Ea", "--alpha", "0.5", "--u", "1", f"--tol={value}"]
         self.assert_usage_error(capsys, series)
+
+    def test_separate_negative_values(self, tmp_path, capsys):
+        argv = ["series", "Ea", "--alpha", "0.5", "--u", "1", "--tol", "-inf"]
+        assert run(capsys, argv) == (2, "", "error: tol must be positive and finite, got -inf\n")
+        self.assert_usage_error(capsys, ["series", "Ea", "--alpha", "-0.5", "--u", "1"])
+        spec = write_spec(tmp_path, CYL_SPEC)
+        self.assert_usage_error(capsys, ["eval", spec, "--at", "r=2", "--lam", "-inf"])
 
     @pytest.mark.parametrize("value", [True, False])
     def test_boolean_alpha(self, tmp_path, capsys, value):

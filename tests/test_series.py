@@ -47,95 +47,96 @@ def brute_cos(alpha, u, terms=60):
 
 # (value.real.hex(), value.imag.hex(), terms) of evaluate_series at the
 # default tol, recorded from the two-pass summation that preceded the single
-# kernel; u covers both bench bands, every direction, 0 and the underflow cut-off
+# kernel; u covers both bench bands, every direction, 0 and the underflow cut-off.
+# A negative real u has real terms, so its imaginary part is exactly 0
 GOLDEN = {
     ("Ea", 0.5, 0j): ("0x1.0000000000000p+0", "0x0.0p+0", 1),
     ("Ea", 0.5, (1.3+0j)): ("0x1.4f66f68f899e4p+3", "0x0.0p+0", 37),
-    ("Ea", 0.5, (-1.3+0j)): ("0x1.6e39e13d86037p-2", "0x1.daf80cbc6e923p-53", 37),
+    ("Ea", 0.5, (-1.3+0j)): ("0x1.6e39e13d86037p-2", "0x0.0p+0", 37),
     ("Ea", 0.5, 1.3j): ("0x1.79e55f48314e5p-3", "0x1.1745f7cb1de07p-1", 37),
     ("Ea", 0.5, (0.78+1.04j)): ("-0x1.86cce54b5b47fp-2", "0x1.815968932f586p+0", 37),
     ("Ea", 0.5, (6+0j)): ("0x1.ea215a1d20d4cp+52", "0x0.0p+0", 242),
-    ("Ea", 0.5, (-6+0j)): ("0x1.4aa813416392dp+1", "-0x1.58571e914f3f1p+3", 242),
+    ("Ea", 0.5, (-6+0j)): ("0x1.4aa813416392dp+1", "0x0.0p+0", 242),
     ("Ea", 0.5, 6j): ("0x1.3f161ea20f7fap+3", "0x1.550ae4ebce882p+2", 242),
     ("Ea", 0.5, (3.6+4.8j)): ("-0x1.88f5c256eed84p+3", "0x1.518ea44bcbe99p+3", 242),
     ("Ea", 0.5, (1e-300+0j)): ("0x1.0000000000000p+0", "0x0.0p+0", 1),
     ("Ea", 0.75, 0j): ("0x1.0000000000000p+0", "0x0.0p+0", 1),
     ("Ea", 0.75, (1.3+0j)): ("0x1.58f1ef31c4c01p+2", "0x0.0p+0", 23),
-    ("Ea", 0.75, (-1.3+0j)): ("0x1.419bd7ab1b0efp-2", "0x1.4f6ce6ad2a63ap-55", 23),
+    ("Ea", 0.75, (-1.3+0j)): ("0x1.419bd7ab1b0efp-2", "0x0.0p+0", 23),
     ("Ea", 0.75, 1.3j): ("0x1.f768890bd25a3p-4", "0x1.7dd99dee1faedp-1", 23),
     ("Ea", 0.75, (0.78+1.04j)): ("0x1.7d3b07d77b5ddp-2", "0x1.1160572c69e5cp+1", 23),
     ("Ea", 0.75, (6+0j)): ("0x1.1af01e008318dp+16", "0x0.0p+0", 66),
-    ("Ea", 0.75, (-6+0j)): ("0x1.c0ab157848d32p-5", "-0x1.5a8547806f37ap-40", 66),
+    ("Ea", 0.75, (-6+0j)): ("0x1.c0ab157848d32p-5", "0x0.0p+0", 66),
     ("Ea", 0.75, 6j): ("-0x1.b9d55113e0f97p-7", "0x1.6d51a1d5e8987p-5", 66),
     ("Ea", 0.75, (3.6+4.8j)): ("-0x1.eac77fe6bf520p+4", "-0x1.24bab4dbd92bbp+5", 66),
     ("Ea", 0.75, (1e-300+0j)): ("0x1.0000000000000p+0", "0x0.0p+0", 1),
     ("Ea", 1.0, 0j): ("0x1.0000000000000p+0", "0x0.0p+0", 1),
     ("Ea", 1.0, (1.3+0j)): ("0x1.d5ab83615f664p+1", "0x0.0p+0", 17),
-    ("Ea", 1.0, (-1.3+0j)): ("0x1.17129308cf27ep-2", "0x1.903327f9fde18p-55", 17),
+    ("Ea", 1.0, (-1.3+0j)): ("0x1.17129308cf27ep-2", "0x0.0p+0", 17),
     ("Ea", 1.0, 1.3j): ("0x1.11eb3682a4d96p-2", "0x1.ed577f9c515c9p-1", 17),
     ("Ea", 1.0, (0.78+1.04j)): ("0x1.1ab3c3168058fp+0", "0x1.e19d97639fd6fp+0", 17),
     ("Ea", 1.0, (6+0j)): ("0x1.936dc5690c08dp+8", "0x0.0p+0", 35),
-    ("Ea", 1.0, (-6+0j)): ("0x1.44e51f11d256ap-9", "0x1.d3baa24df061cp-46", 35),
+    ("Ea", 1.0, (-6+0j)): ("0x1.44e51f11d256ap-9", "0x0.0p+0", 35),
     ("Ea", 1.0, 6j): ("0x1.eb9b7097824f7p-1", "-0x1.1e1f18ab0985fp-2", 35),
     ("Ea", 1.0, (3.6+4.8j)): ("0x1.99e53d1a81990p+1", "-0x1.23a9b598a5e47p+5", 35),
     ("Ea", 1.0, (1e-300+0j)): ("0x1.0000000000000p+0", "0x0.0p+0", 1),
     ("sina", 0.5, 0j): ("0x0.0p+0", "0x0.0p+0", 1),
     ("sina", 0.5, (1.3+0j)): ("0x1.1745f7cb1de06p-1", "0x0.0p+0", 18),
-    ("sina", 0.5, (-1.3+0j)): ("-0x1.1745f7cb1de06p-1", "-0x1.890384cbe1379p-52", 18),
+    ("sina", 0.5, (-1.3+0j)): ("-0x1.1745f7cb1de06p-1", "0x0.0p+0", 18),
     ("sina", 0.5, 1.3j): ("0x1.60fc54934f577p-50", "0x1.43f527859d6e3p+2", 18),
     ("sina", 0.5, (0.78+1.04j)): ("0x1.c69d327640489p+0", "-0x1.b0ef425c6bc94p-2", 18),
     ("sina", 0.5, (6+0j)): ("0x1.1a5b498101488p+2", "0x0.0p+0", 120),
-    ("sina", 0.5, (-6+0j)): ("-0x1.1a5b498101488p+2", "0x1.fc63aca112294p+3", 120),
+    ("sina", 0.5, (-6+0j)): ("-0x1.1a5b498101488p+2", "0x0.0p+0", 120),
     ("sina", 0.5, 6j): ("0x1.175133c009106p+4", "0x1.ea215a1d20d51p+51", 120),
     ("sina", 0.5, (3.6+4.8j)): ("-0x1.1ba33daaf9b90p+6", "-0x1.74d570a622525p+14", 120),
     ("sina", 0.5, (1e-300+0j)): ("0x1.82e6d98711db5p-997", "0x0.0p+0", 1),
     ("sina", 0.75, 0j): ("0x0.0p+0", "0x0.0p+0", 1),
     ("sina", 0.75, (1.3+0j)): ("0x1.7dd99dee1faedp-1", "0x0.0p+0", 11),
-    ("sina", 0.75, (-1.3+0j)): ("-0x1.7dd99dee1faedp-1", "-0x1.2f8b04f1839b6p-55", 11),
+    ("sina", 0.75, (-1.3+0j)): ("-0x1.7dd99dee1faedp-1", "0x0.0p+0", 11),
     ("sina", 0.75, 1.3j): ("0x1.7d17ad8bf03cfp-52", "0x1.44d831b7130f0p+1", 11),
     ("sina", 0.75, (0.78+1.04j)): ("0x1.9a8db6dd085c3p+0", "0x1.33d5d2b38cd2bp-1", 11),
     ("sina", 0.75, (6+0j)): ("0x1.6d51a1d55510dp-5", "0x0.0p+0", 33),
-    ("sina", 0.75, (-6+0j)): ("-0x1.6d51a1d55510dp-5", "-0x1.e1f760b1185b9p-34", 33),
+    ("sina", 0.75, (-6+0j)): ("-0x1.6d51a1d55510dp-5", "0x0.0p+0", 33),
     ("sina", 0.75, 6j): ("0x1.3d7fccd21c80bp-35", "0x1.1af00ffb2a6cfp+15", 33),
     ("sina", 0.75, (3.6+4.8j)): ("0x1.804c25db38738p+9", "-0x1.3fdc209e807cep+8", 33),
     ("sina", 0.75, (1e-300+0j)): ("0x1.75142cecec226p-997", "0x0.0p+0", 1),
     ("sina", 1.0, 0j): ("0x0.0p+0", "0x0.0p+0", 1),
     ("sina", 1.0, (1.3+0j)): ("0x1.ed577f9c515c9p-1", "0x0.0p+0", 8),
-    ("sina", 1.0, (-1.3+0j)): ("-0x1.ed577f9c515c9p-1", "0x1.88c7ae65e85c2p-55", 8),
+    ("sina", 1.0, (-1.3+0j)): ("-0x1.ed577f9c515c9p-1", "0x0.0p+0", 8),
     ("sina", 1.0, 1.3j): ("0x1.69c343f2b4123p-53", "0x1.b2c9310045816p+0", 8),
     ("sina", 1.0, (0.78+1.04j)): ("0x1.1e80dc37ed919p+0", "0x1.c292d4aa20d99p-1", 8),
     ("sina", 1.0, (6+0j)): ("-0x1.1e1f18ab097dbp-2", "0x0.0p+0", 17),
-    ("sina", 1.0, (-6+0j)): ("0x1.1e1f18ab097dbp-2", "-0x1.6ccf2266148cdp-45", 17),
+    ("sina", 1.0, (-6+0j)): ("0x1.1e1f18ab097dbp-2", "0x0.0p+0", 17),
     ("sina", 1.0, 6j): ("0x1.8838c21753525p-44", "0x1.936d22f67c7fdp+7", 17),
     ("sina", 1.0, (3.6+4.8j)): ("-0x1.ae322589341a6p+4", "-0x1.b3d51aa747427p+5", 17),
     ("sina", 1.0, (1e-300+0j)): ("0x1.56e1fc2f8f3e8p-997", "0x0.0p+0", 1),
     ("cosa", 0.5, 0j): ("0x1.0000000000000p+0", "0x0.0p+0", 1),
     ("cosa", 0.5, (1.3+0j)): ("0x1.79e55f48314efp-3", "0x0.0p+0", 19),
-    ("cosa", 0.5, (-1.3+0j)): ("0x1.79e55f48314efp-3", "0x1.607dd62535ddep-54", 19),
+    ("cosa", 0.5, (-1.3+0j)): ("0x1.79e55f48314efp-3", "0x0.0p+0", 19),
     ("cosa", 0.5, 1.3j): ("0x1.5ad8c59975ce7p+2", "-0x1.434cd3c7886e3p-50", 19),
     ("cosa", 0.5, (0.78+1.04j)): ("-0x1.531f3a6d7bfafp-4", "-0x1.9a5d44f707a6ep+0", 19),
     ("cosa", 0.5, (6+0j)): ("0x1.04e25707ece80p+1", "0x0.0p+0", 121),
-    ("cosa", 0.5, (-6+0j)): ("0x1.04e25707ece80p+1", "0x1.c7d2a98e31a8dp+0", 121),
+    ("cosa", 0.5, (-6+0j)): ("0x1.04e25707ece80p+1", "0x0.0p+0", 121),
     ("cosa", 0.5, 6j): ("0x1.ea215a1d20d52p+51", "-0x1.6d66fb645ce04p+4", 121),
     ("cosa", 0.5, (3.6+4.8j)): ("-0x1.74e18150c2ffbp+14", "0x1.bfa00181ffef0p+5", 121),
     ("cosa", 0.5, (1e-300+0j)): ("0x1.0000000000000p+0", "0x0.0p+0", 1),
     ("cosa", 0.75, 0j): ("0x1.0000000000000p+0", "0x0.0p+0", 1),
     ("cosa", 0.75, (1.3+0j)): ("0x1.f768890bd25acp-4", "0x0.0p+0", 12),
-    ("cosa", 0.75, (-1.3+0j)): ("0x1.f768890bd25acp-4", "0x1.398802345bd90p-53", 12),
+    ("cosa", 0.75, (-1.3+0j)): ("0x1.f768890bd25acp-4", "0x0.0p+0", 12),
     ("cosa", 0.75, 1.3j): ("0x1.6d0bacac7670ep+1", "-0x1.6820df211d96cp-52", 12),
     ("cosa", 0.75, (0.78+1.04j)): ("0x1.c82ed1699378cp-1", "-0x1.67d16120282c2p+0", 12),
     ("cosa", 0.75, (6+0j)): ("-0x1.b9d550f5b42efp-7", "0x0.0p+0", 33),
-    ("cosa", 0.75, (-6+0j)): ("-0x1.b9d550f5b42efp-7", "0x1.3ad27996dbf14p-37", 33),
+    ("cosa", 0.75, (-6+0j)): ("-0x1.b9d550f5b42efp-7", "0x0.0p+0", 33),
     ("cosa", 0.75, 6j): ("0x1.1af02c05dbc4ap+15", "-0x1.42e9e1f01e3d6p-35", 33),
     ("cosa", 0.75, (3.6+4.8j)): ("-0x1.3fd233af9fd4bp+8", "-0x1.804780bfac562p+9", 33),
     ("cosa", 0.75, (1e-300+0j)): ("0x1.0000000000000p+0", "0x0.0p+0", 1),
     ("cosa", 1.0, 0j): ("0x1.0000000000000p+0", "0x0.0p+0", 1),
     ("cosa", 1.0, (1.3+0j)): ("0x1.11eb3682a4d97p-2", "0x0.0p+0", 9),
-    ("cosa", 1.0, (-1.3+0j)): ("0x1.11eb3682a4d97p-2", "0x1.61b8cafe8b16bp-53", 9),
+    ("cosa", 1.0, (-1.3+0j)): ("0x1.11eb3682a4d97p-2", "0x0.0p+0", 9),
     ("cosa", 1.0, 1.3j): ("0x1.f88dd5c2794b6p+0", "-0x1.37bcdef37455fp-53", 9),
     ("cosa", 1.0, (0.78+1.04j)): ("0x1.219d055635152p+0", "-0x1.bdbc2edb3dbe9p-1", 9),
     ("cosa", 1.0, (6+0j)): ("0x1.eb9b7097825ebp-1", "0x0.0p+0", 18),
-    ("cosa", 1.0, (-6+0j)): ("0x1.eb9b7097825ebp-1", "-0x1.d780f0d9d4d1dp-53", 18),
+    ("cosa", 1.0, (-6+0j)): ("0x1.eb9b7097825ebp-1", "0x0.0p+0", 18),
     ("cosa", 1.0, 6j): ("0x1.936e67db9b91ap+7", "-0x1.4dc16dcd9545fp-44", 18),
     ("cosa", 1.0, (3.6+4.8j)): ("-0x1.b3e437f2da358p+5", "0x1.ae233acc8df60p+4", 18),
     ("cosa", 1.0, (1e-300+0j)): ("0x1.0000000000000p+0", "0x0.0p+0", 1),
@@ -149,6 +150,20 @@ class TestKernelGolden:
             value, terms = evaluate_series(*key)
             got[key] = (value.real.hex(), value.imag.hex(), terms)
         assert got == GOLDEN
+
+    @pytest.mark.parametrize("kind", ("Ea", "sina", "cosa"))
+    def test_real_argument_gives_real_value(self, kind):
+        # with phase(u) = pi, sin(k*pi) rounding made Ea(1, -30) 9.6e-3 + 5.5e-4i
+        summed = 0
+        for alpha in (0.1, 0.3, 0.5, 0.75, 1.0):
+            for u in (-30.0, -6.0, -1.3, -0.2, -1e-300, 0.0, 0.7, 2.5, 12.0, 30.0):
+                try:
+                    value, _ = evaluate_series(kind, alpha, complex(u, 0.0))
+                except SeriesConvergenceError:
+                    continue
+                assert value.imag == 0.0, (alpha, u)
+                summed += 1
+        assert summed >= 30
 
     def test_non_convergence_message(self):
         with pytest.raises(SeriesConvergenceError) as err:
