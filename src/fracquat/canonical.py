@@ -437,7 +437,7 @@ def _lam_groups(ce: CanonicalExpr):
 def _split_sign(poly: tuple):
     if len(poly) == 1:
         p, c = poly[0]
-        if c.re < 0 or (c.re == 0 and c.im < 0):
+        if c.a < 0 or (c.a == 0 and c.b < 0):
             return -1, ((p, -c),)
     return 1, poly
 

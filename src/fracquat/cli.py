@@ -112,17 +112,15 @@ def _parse_complex(raw: str) -> complex:
     raise SpecError(f"cannot parse complex number {raw!r}")
 
 
+def _emit(args, doc: dict, text: str):
+    """One JSON document with --format structured, else the text."""
+    print(json.dumps(doc) if args.format == "structured" else text)
+
+
 def _emit_field(out: QuaternionField, args, extra: dict):
-    if args.format == "structured":
-        doc = dict(extra)
-        doc["frame"] = out.frame.name
-        doc["components"] = {
-            key: render_canonical(c) for key, c in zip(COMPONENT_NAMES, out.components)
-        }
-        print(json.dumps(doc))
-    else:
-        for key, c in zip(COMPONENT_NAMES, out.components):
-            print(f"{key} = {render_canonical(c)}")
+    rendered = {key: render_canonical(c) for key, c in zip(COMPONENT_NAMES, out.components)}
+    text = "\n".join(f"{key} = {c}" for key, c in rendered.items())
+    _emit(args, {**extra, "frame": out.frame.name, "components": rendered}, text)
 
 
 def cmd_apply(args) -> int:
@@ -155,14 +153,8 @@ def cmd_diff(args) -> int:
     frame = frame_by_name(args.frame)
     out = differentiate(canon(args.expr, frame), args.var, DerivativeMode(args.mode))
     rendered = render_canonical(out)
-    if args.format == "structured":
-        print(
-            json.dumps(
-                {"input": args.expr, "var": args.var, "mode": args.mode, "derivative": rendered}
-            )
-        )
-    else:
-        print(rendered)
+    doc = {"input": args.expr, "var": args.var, "mode": args.mode, "derivative": rendered}
+    _emit(args, doc, rendered)
     return 0
 
 
@@ -175,26 +167,13 @@ def cmd_eval(args) -> int:
     else:
         lam_value = None if lam == FORMAL else lam.to_complex()
     point = _parse_point(args.at, f.frame)
-    values = [
-        eval_canonical(c, alpha, point, lam=lam_value, tol=args.tol) for c in f.components
-    ]
-    if args.format == "structured":
-        print(
-            json.dumps(
-                {
-                    "frame": f.frame.name,
-                    "alpha": alpha,
-                    "point": point,
-                    "components": {
-                        key: {"re": v.real, "im": v.imag}
-                        for key, v in zip(COMPONENT_NAMES, values)
-                    },
-                }
-            )
-        )
-    else:
-        for key, v in zip(COMPONENT_NAMES, values):
-            print(f"{key} = {v}")
+    values = {
+        key: eval_canonical(c, alpha, point, lam=lam_value, tol=args.tol)
+        for key, c in zip(COMPONENT_NAMES, f.components)
+    }
+    components = {key: {"re": v.real, "im": v.imag} for key, v in values.items()}
+    doc = {"frame": f.frame.name, "alpha": alpha, "point": point, "components": components}
+    _emit(args, doc, "\n".join(f"{key} = {v}" for key, v in values.items()))
     return 0
 
 
@@ -205,21 +184,15 @@ def cmd_series(args) -> int:
     except SeriesConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.format == "structured":
-        print(
-            json.dumps(
-                {
-                    "function": args.function,
-                    "alpha": args.alpha,
-                    "u": {"re": u.real, "im": u.imag},
-                    "value": {"re": value.real, "im": value.imag},
-                    "terms": terms,
-                }
-            )
-        )
-    else:
-        shown = value.real if value.imag == 0 else value
-        print(f"{args.function}(alpha={args.alpha}, u={args.u}) = {shown} ({terms} terms)")
+    doc = {
+        "function": args.function,
+        "alpha": args.alpha,
+        "u": {"re": u.real, "im": u.imag},
+        "value": {"re": value.real, "im": value.imag},
+        "terms": terms,
+    }
+    shown = value.real if value.imag == 0 else value
+    _emit(args, doc, f"{args.function}(alpha={args.alpha}, u={args.u}) = {shown} ({terms} terms)")
     return 0
 
 
@@ -288,19 +261,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _attach_numbers(argv) -> list:
-    """Rewrite "--u -1+2i" as "--u=-1+2i" for the numeric options."""
-    out = []
-    for arg in argv:
-        if out and out[-1] in _NUMBER_OPTIONS and arg.startswith("-"):
+def _shield_values(argv) -> list:
+    """Attach a value that starts with "-" to the numeric option before it, or
+    to an abbreviation that argparse resolves ("--to -inf" -> "--to=-inf"), and
+    move any other word that starts with one "-" and is not -h or -o, such as
+    the expression "-sina(theta)", behind a "--" as a positional."""
+    cut = argv.index("--") if "--" in argv else len(argv)
+    out, moved = [], []
+    for arg in argv[:cut]:
+        prev = out[-1] if out else ""
+        if arg[:1] == "-" and len(prev) > 2 and any(o.startswith(prev) for o in _NUMBER_OPTIONS):
             out[-1] += "=" + arg
+        elif arg[:1] == "-" and arg[:2] not in ("--", "-h", "-o"):
+            moved.append(arg)
         else:
             out.append(arg)
-    return out
+    return out + ["--", *moved, *argv[cut + 1 :]] if moved or cut < len(argv) else out
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(_attach_numbers(sys.argv[1:] if argv is None else argv))
+    args = build_parser().parse_args(_shield_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (ExpressionError, SpecError, ValueError, OSError, json.JSONDecodeError) as exc:

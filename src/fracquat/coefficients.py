@@ -2,122 +2,115 @@
 
 Coefficients of canonical expressions are Gaussian rationals (the formal
 parameter ``lam`` is a generator of the monomials), so every identity
-check reduces to exact integer arithmetic.
+check reduces to exact integer arithmetic.  A CRat stores the value
+(a + b i)/d as three ints with one common denominator, d > 0 and
+gcd(a, b, d) == 1, so each value has exactly one stored form.  The gcd
+is taken only when d != 1: the identity checks meet integer coefficients
+almost only, and an integer product then costs four multiplications.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
+    if isinstance(x, (Fraction, int, str)):
         return Fraction(x)
     if isinstance(x, float):
         # use the shortest decimal repr so 0.1 means 1/10, not the binary float
         return Fraction(str(x))
-    if isinstance(x, str):
-        return Fraction(x)
     raise TypeError(f"cannot convert {x!r} to an exact rational")
 
 
 class CRat:
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number (a + b i)/d with exact rational real and imaginary parts."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
+    def __new__(cls, re=0, im=0):
+        re, im = _frac(re), _frac(im)
+        d = lcm(re.denominator, im.denominator)
+        return _of(re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d)
 
     def __setattr__(self, name, value):
         raise AttributeError("CRat is immutable")
 
     def __reduce__(self):  # the default slot restore would hit __setattr__
-        return CRat._of, (self.re, self.im)
+        return _of, (self.a, self.b, self.d)
 
-    @staticmethod
-    def _of(re: Fraction, im: Fraction) -> CRat:
-        """Wrap parts that are already Fractions, skipping conversion."""
-        self = object.__new__(CRat)
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-        return self
+    # the parts as Fractions, for callers off the hot paths
+    re = property(lambda self: Fraction(self.a, self.d))
+    im = property(lambda self: Fraction(self.b, self.d))
 
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other):
-        other = _crat_or_none(other)
-        if other is None:
+        if type(other) is not CRat and (other := as_crat(other, exact=True)) is None:
             return NotImplemented
-        return CRat._of(self.re + other.re, self.im + other.im)
+        d, f = self.d, other.d
+        if d == f:
+            return _of(self.a + other.a, self.b + other.b, d)
+        return _of(self.a * f + other.a * d, self.b * f + other.b * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _crat_or_none(other)
-        if other is None:
-            return NotImplemented
-        return CRat._of(self.re - other.re, self.im - other.im)
+        return self + -other
 
     def __rsub__(self, other):
-        other = _crat_or_none(other)
-        if other is None:
-            return NotImplemented
-        return other - self
+        return -self + other
 
     def __mul__(self, other):
-        other = _crat_or_none(other)
-        if other is None:
+        if type(other) is int:  # the Leibniz factors of d_alpha
+            return _of(self.a * other, self.b * other, self.d)
+        if type(other) is not CRat and (other := as_crat(other, exact=True)) is None:
             return NotImplemented
-        return CRat._of(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, e = self.a, self.b, other.a, other.b
+        return _of(a * c - b * e, a * e + b * c, self.d * other.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = as_crat(other)
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
+        a, b, c, e = self.a, self.b, other.a, other.b
+        n = c * c + e * e
+        if n == 0:
             raise ZeroDivisionError("division by zero CRat")
-        return CRat._of(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
+        return _of((a * c + b * e) * other.d, (b * c - a * e) * other.d, self.d * n)
 
     def __rtruediv__(self, other):
         return as_crat(other) / self
 
     def __neg__(self):
-        return CRat._of(-self.re, -self.im)
+        return _of(-self.a, -self.b, self.d)
 
     # -- structure ------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CRat(other)
-        if not isinstance(other, CRat):
+        if type(other) is not CRat and (other := as_crat(other, exact=True)) is None:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        if self.b:
+            return hash((self.a, self.b, self.d))
+        # a real value hashes like the int or Fraction it equals
+        return hash(self.a) if self.d == 1 else hash(Fraction(self.a, self.d))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self.a or self.b)
 
     def is_zero(self) -> bool:
         return not self
 
-    def sort_key(self):
-        return (self.re, self.im)
+    def sort_key(self):  # the (re, im) order
+        return (self.a, self.b) if self.d == 1 else (self.re, self.im)
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        # int true division rounds correctly, as float(Fraction) does
+        return complex(self.a / self.d, self.b / self.d)
 
     def __repr__(self):
         return f"CRat({self.re}, {self.im})"
@@ -126,54 +119,64 @@ class CRat:
         return render_crat(self)
 
 
+_new = object.__new__
+_set_a, _set_b, _set_d = (getattr(CRat, name).__set__ for name in CRat.__slots__)
+
+
+def _of(a: int, b: int, d: int) -> CRat:
+    """(a + b i)/d from ints with d > 0, brought to the stored form."""
+    if d != 1 and (g := gcd(a, b, d)) != 1:
+        a, b, d = a // g, b // g, d // g
+    self = _new(CRat)
+    _set_a(self, a)
+    _set_b(self, b)
+    _set_d(self, d)
+    return self
+
+
 CRAT_ZERO = CRat(0)
 CRAT_ONE = CRat(1)
 
 
-def _crat_or_none(x):
+def as_crat(x, exact: bool = False):
+    """x as a CRat.  Floats and complex numbers convert through their
+    shortest decimal repr; with exact=True they, like every other type
+    but int and Fraction, give None (the ring operations' NotImplemented)."""
     if isinstance(x, CRat):
         return x
     if isinstance(x, (int, Fraction)):
         return CRat(x)
-    return None
-
-
-def as_crat(x) -> CRat:
-    if isinstance(x, CRat):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return CRat(x)
+    if exact:
+        return None
     if isinstance(x, complex):
-        return CRat(_frac(x.real), _frac(x.imag))
+        return CRat(x.real, x.imag)
     if isinstance(x, float):
-        return CRat(_frac(x))
+        return CRat(x)
     raise TypeError(f"cannot coerce {x!r} to CRat")
 
 
-def _render_frac(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def _render_frac(n: int, d: int) -> str:
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
-def _render_imag(q: Fraction) -> str:
+def _render_imag(n: int, d: int) -> str:
     # "2i" is a single literal token; fractional multiples need explicit "*1i"
     # so that e.g. 1/2*1i reparses as (1/2)*i rather than 1/(2i).
-    if q == 1:
-        return "1i"
-    if q == -1:
-        return "-1i"
-    if q.denominator == 1:
-        return f"{q.numerator}i"
-    return f"{_render_frac(q)}*1i"
+    q = _render_frac(n, d)
+    return f"{q}*1i" if "/" in q else f"{q}i"
 
 
 def render_crat(c: CRat) -> str:
-    """Render in the DSL number syntax; both-part values get parentheses."""
-    if c.im == 0:
-        return _render_frac(c.re)
-    if c.re == 0:
-        return _render_imag(c.im)
-    sign = " - " if c.im < 0 else " + "
-    return f"({_render_frac(c.re)}{sign}{_render_imag(abs(c.im))})"
+    """Render in the DSL number syntax; both-part values get parentheses.
+    Each part is reduced on its own: (1 + 2i)/2 renders as (1/2 + 1i)."""
+    a, b, d = c.a, c.b, c.d
+    if b == 0:
+        return _render_frac(a, d)
+    if a == 0:
+        return _render_imag(b, d)
+    sign = " - " if b < 0 else " + "
+    return f"({_render_frac(a, d)}{sign}{_render_imag(abs(b), d)})"
 
 
 def render_poly(terms) -> str:

@@ -2,12 +2,14 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from fracquat import CYLINDRICAL, canon
 from fracquat.cli import main
 
+DATA = Path(__file__).parent / "data"
 CYL_SPEC = {"alpha": 0.5, "frame": "cylindrical", "components": {"f0": "P(r,1)"}}
 ABSTRACT_SPEC = {
     "alpha": 0.5,
@@ -122,6 +124,12 @@ class TestVerify:
         assert all(d["pass"] for d in docs)
         assert all(d["residuals"] == ["0", "0", "0", "0"] for d in docs)
 
+    def test_structured_output_matches_recorded_file(self, capsys):
+        # recorded while CRat held two Fractions; the coefficient layout must not show
+        code, out, _ = run(capsys, ["verify", "--format", "structured"])
+        assert code == 0
+        assert out == (DATA / "verify_structured.jsonl").read_text(encoding="utf-8")
+
     def test_unknown_identity_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "nonsense", "--frame", "cylindrical"])
@@ -154,6 +162,26 @@ class TestDiff:
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, ["diff", "P(r,", "--var", "r", "--frame", "cylindrical"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["diff", "-sina(theta)", "--var", "theta", "--frame", "cylindrical"],
+            ["diff", "--var", "theta", "-sina(theta)", "--frame", "cylindrical"],
+            ["diff", "--var", "theta", "--frame", "cylindrical", "-sina(theta)"],
+            ["diff", "--var", "theta", "--frame", "cylindrical", "--", "-sina(theta)"],
+        ],
+    )
+    def test_expression_starting_with_minus(self, capsys, argv):
+        assert run(capsys, argv) == (0, "-cosa(theta)\n", "")
+
+    def test_short_negative_expressions(self, capsys):
+        argv = ["diff", "-f1", "--var", "r", "--frame", "cylindrical"]
+        assert run(capsys, argv) == (0, "-d(f1,r)\n", "")
+        argv = ["diff", "-lam*P(r,2)", "--var", "r", "--frame", "cylindrical"]
+        code, out, _ = run(capsys, argv + ["--format", "structured"])
+        assert code == 0 and json.loads(out)["derivative"] == "-2*lam*P(r,1)"
+        assert json.loads(out)["input"] == "-lam*P(r,2)"
 
 
 class TestEval:
@@ -281,6 +309,14 @@ class TestInputValidation:
         self.assert_usage_error(capsys, ["series", "Ea", "--alpha", "-0.5", "--u", "1"])
         spec = write_spec(tmp_path, CYL_SPEC)
         self.assert_usage_error(capsys, ["eval", spec, "--at", "r=2", "--lam", "-inf"])
+
+    @pytest.mark.parametrize("option", ["--to", "--t"])
+    def test_abbreviated_number_option(self, capsys, option):
+        # an abbreviation takes a negative value as its full name does
+        argv = ["series", "Ea", "--alpha", "0.5", "--u", "1", option, "-inf"]
+        assert run(capsys, argv) == (2, "", "error: tol must be positive and finite, got -inf\n")
+        argv = ["series", "Ea", "--al", "-0.5", "--u", "1"]
+        assert run(capsys, argv) == (2, "", "error: alpha must lie in (0, 1], got -0.5\n")
 
     @pytest.mark.parametrize("value", [True, False])
     def test_boolean_alpha(self, tmp_path, capsys, value):
