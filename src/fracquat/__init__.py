@@ -1,7 +1,7 @@
 """Exact symbolic engine for local fractional vector calculus on
 Cantor-type coordinate systems, over complex quaternions.
 
-The package parses a small expression DSL, normalizes to a unique
+The package parses a small expression DSL straight into a unique
 canonical form with exact rational coefficients, differentiates
 symbolically, and mechanically verifies the operator identities of the
 calculus (Laplacian, Bitsadze and Helmholtz factorizations) as exact
@@ -23,10 +23,8 @@ from .parser import parse
 from .canonical import (
     CanonicalExpr,
     Monomial,
-    canon,
     equal,
     eval_canonical,
-    normalize,
     render_canonical,
 )
 from .derivative import (
@@ -82,6 +80,8 @@ from .quatops import (
     verify_all,
     verify_identity,
 )
+
+canon = parse  # the canonical form of DSL text: the same function as parse
 
 __version__ = "0.1.0"
 

@@ -24,23 +24,10 @@ from itertools import groupby
 
 from .coefficients import CRAT_ONE, CRAT_ZERO, CRat, as_crat, render_poly
 from .expr import (
-    Add,
-    CompSym,
-    Div,
-    EaGen,
     EvaluationDomainError,
-    Expr,
     ExpressionError,
-    FracPow,
-    LamSym,
-    Mul,
-    Neg,
     NonInvertibleDivisionError,
-    Num,
-    Pow,
     SingularDivisionError,
-    Sub,
-    TrigGen,
     UnboundSymbolError,
     var_order,
 )
@@ -344,60 +331,12 @@ def as_canonical_scalar(x) -> CanonicalExpr:
         return x
     if isinstance(x, (int, Fraction, CRat)):
         return CanonicalExpr.const(x)
-    if isinstance(x, Expr):
-        return normalize(x)
     raise TypeError(f"cannot interpret {x!r} as a canonical expression")
-
-
-def normalize(e) -> CanonicalExpr:
-    """Unique normal form; idempotent, and total on the grammar except for
-    division by non-unit expressions."""
-    if isinstance(e, CanonicalExpr):
-        return e
-    if isinstance(e, Num):
-        return CanonicalExpr.const(e.value)
-    if isinstance(e, LamSym):
-        return CanonicalExpr.lam()
-    if isinstance(e, FracPow):
-        return CanonicalExpr.fractal_power(e.var, e.n)
-    if isinstance(e, TrigGen):
-        return CanonicalExpr.trig(e.var, e.kind)
-    if isinstance(e, EaGen):
-        return CanonicalExpr.ea_power(e.var, _scale(normalize(e.scale)))
-    if isinstance(e, CompSym):
-        return CanonicalExpr.component(e.k, e.midx)
-    if isinstance(e, (Add, Sub)):
-        return CanonicalExpr._of(_fold_sum(e, False, {}))
-    if isinstance(e, Mul):
-        return normalize(e.left) * normalize(e.right)
-    if isinstance(e, Div):
-        return normalize(e.num) / normalize(e.den)
-    if isinstance(e, Pow):
-        return normalize(e.base) ** e.exponent
-    if isinstance(e, Neg):
-        return -normalize(e.operand)
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def _fold_sum(e, negate: bool, acc: dict) -> dict:
-    """Accumulate a +/- chain into acc, normalizing each summand once."""
-    if isinstance(e, (Add, Sub)):
-        _fold_sum(e.left, negate, acc)
-        return _fold_sum(e.right, negate != isinstance(e, Sub), acc)
-    terms = normalize(e)._terms
-    return _accumulate(acc, ((m, -p) for m, p in terms.items()) if negate else terms.items())
 
 
 def equal(a, b) -> bool:
     """Exact equality of canonical forms."""
     return (as_canonical_scalar(a) - as_canonical_scalar(b)).is_zero()
-
-
-def canon(text: str, frame=None) -> CanonicalExpr:
-    """Parse and normalize in one step (test and fixture convenience)."""
-    from .parser import parse
-
-    return normalize(parse(text, frame))
 
 
 # -- rendering --------------------------------------------------------------
@@ -443,8 +382,8 @@ def _split_sign(poly: tuple):
 
 
 def render_canonical(ce: CanonicalExpr) -> str:
-    """Deterministic DSL rendering; re-parsing and normalizing the output
-    reproduces the same canonical map."""
+    """Deterministic DSL rendering; parsing the output reproduces the same
+    canonical map."""
     if ce.is_zero():
         return "0"
     rendered = []

@@ -16,10 +16,11 @@ import cmath
 import json
 import sys
 
-from .canonical import canon, eval_canonical, render_canonical
+from .canonical import eval_canonical, render_canonical
 from .derivative import DerivativeMode, differentiate
 from .expr import COMPONENT_NAMES, ExpressionError
 from .frames import FRAMES, QuaternionField, frame_by_name
+from .parser import parse
 from .quatops import (
     FORMAL,
     IDENTITY_NAMES,
@@ -52,7 +53,7 @@ class SpecError(ValueError):
 def _parse_lambda(raw):
     if raw is None or raw == FORMAL:
         return FORMAL
-    ce = canon(str(raw), ())
+    ce = parse(str(raw), ())
     if not all(m.is_one() for m in ce.terms):
         raise SpecError(f"lambda must be a complex constant or 'formal', got {raw!r}")
     return ce.constant_coefficient()
@@ -79,7 +80,7 @@ def load_field_spec(path: str):
     unknown = set(components) - set(COMPONENT_NAMES)
     if unknown:
         raise SpecError(f"unknown component keys {sorted(unknown)}; expected f0..f3")
-    parsed = [canon(str(components.get(key, "0")), frame) for key in COMPONENT_NAMES]
+    parsed = [parse(str(components.get(key, "0")), frame) for key in COMPONENT_NAMES]
     lam = _parse_lambda(doc.get("lambda"))
     return alpha, QuaternionField(frame, *parsed), lam
 
@@ -151,7 +152,7 @@ def cmd_verify(args) -> int:
 
 def cmd_diff(args) -> int:
     frame = frame_by_name(args.frame)
-    out = differentiate(canon(args.expr, frame), args.var, DerivativeMode(args.mode))
+    out = differentiate(parse(args.expr, frame), args.var, DerivativeMode(args.mode))
     rendered = render_canonical(out)
     doc = {"input": args.expr, "var": args.var, "mode": args.mode, "derivative": rendered}
     _emit(args, doc, rendered)
@@ -196,8 +197,14 @@ def cmd_series(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is one line on stderr, like every other error."""
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="fracquat",
         description="local fractional vector calculus over complex quaternions",
     )
@@ -280,7 +287,13 @@ def _shield_values(argv) -> list:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(_shield_values(sys.argv[1:] if argv is None else argv))
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser()
+    args, extra = parser.parse_known_args(_shield_values(argv))
+    if extra:
+        if "--" not in argv:  # then _shield_values put it there
+            extra = [arg for arg in extra if arg != "--"]
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except (ExpressionError, SpecError, ValueError, OSError, json.JSONDecodeError) as exc:

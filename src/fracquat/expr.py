@@ -1,15 +1,13 @@
-"""Abstract syntax for the expression DSL.
+"""Names and errors shared by the expression layers.
 
-Generators mirror what the coordinate formulas need: fractal monomials
-P(var, n) = var^(n*alpha), the fractal trig pair sina/cosa of var^alpha,
-the scaled exponential Ea(c, var) = E_alpha(c * var^alpha), the formal
-parameter lam, and the abstract field components f0..f3 (optionally
-carrying a partial-derivative multi-index via d(...)).
+The DSL's generators mirror what the coordinate formulas need: fractal
+monomials P(var, n) = var^(n*alpha), the fractal trig pair sina/cosa of
+var^alpha, the scaled exponential Ea(c, var) = E_alpha(c * var^alpha), the
+formal parameter lam, and the abstract field components f0..f3
+(optionally carrying a partial-derivative multi-index via d(...)).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 VARIABLES = ("x", "y", "z", "r", "theta", "psi")
 _VAR_INDEX = {v: i for i, v in enumerate(VARIABLES)}
@@ -48,81 +46,3 @@ def var_order(name: str) -> int:
 
 def sort_vars(names) -> tuple:
     return tuple(sorted(names, key=var_order))
-
-
-class Expr:
-    """Marker base for AST nodes; all nodes are frozen dataclasses."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Num(Expr):
-    value: object  # CRat
-
-
-@dataclass(frozen=True)
-class LamSym(Expr):
-    pass
-
-
-@dataclass(frozen=True)
-class FracPow(Expr):
-    var: str
-    n: int
-
-
-@dataclass(frozen=True)
-class TrigGen(Expr):
-    var: str
-    kind: str  # "sin" | "cos"
-
-
-@dataclass(frozen=True)
-class EaGen(Expr):
-    scale: Expr  # must normalize to a coefficient (lam polynomial)
-    var: str
-
-
-@dataclass(frozen=True)
-class CompSym(Expr):
-    k: int
-    midx: tuple = field(default=())  # sorted tuple of variable names
-
-    def __post_init__(self):
-        object.__setattr__(self, "midx", sort_vars(self.midx))
-
-
-@dataclass(frozen=True)
-class Add(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Div(Expr):
-    num: Expr
-    den: Expr
-
-
-@dataclass(frozen=True)
-class Pow(Expr):
-    base: Expr
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Neg(Expr):
-    operand: Expr

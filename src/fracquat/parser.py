@@ -17,33 +17,32 @@ Numbers are decimal (exact rationals) with an optional 'i' suffix for
 imaginary literals, so the complex form a+bi parses through the ordinary
 sum grammar.  d(...) attaches partial-derivative indices to component
 symbols and exists so rendered canonical forms re-parse.
+
+The parser builds the canonical form as it reads: every production
+returns a CanonicalExpr, and a sum adds its terms into one map.  Sums and
+products are loops, so only nesting recurses; the input limits below keep
+both the work and the recursion bounded, and going past one raises
+ParseError.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
+from .canonical import CanonicalExpr, _accumulate, _scale
 from .coefficients import CRat
-from .expr import (
-    COMPONENT_NAMES,
-    Add,
-    CompSym,
-    Div,
-    EaGen,
-    Expr,
-    FracPow,
-    LamSym,
-    Mul,
-    Neg,
-    Num,
-    ParseError,
-    Pow,
-    Sub,
-    TrigGen,
-    VARIABLES,
-)
+from .expr import COMPONENT_NAMES, ParseError, VARIABLES
+
+MAX_TERMS = 1000  # terms in one sum
+MAX_FACTORS = 1000  # factors in one product
+MAX_DEPTH = 200  # nesting levels, counted across '(', 'Ea(' and 'd('
 
 _SYMBOLS = "+-*/^(),"
+# a token is a number with an optional imaginary suffix, a word, or any
+# other character that is not whitespace.  \s, \w and \d match what
+# str.isspace, str.isalnum (or "_") and str.isdecimal accept
+_TOKEN = re.compile(r"(\d+(?:\.\d*)?i?|\w+|\S)")
 
 
 class _Token:
@@ -60,40 +59,25 @@ class _Token:
 
 def tokenize(text: str) -> list:
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and text[i].isdigit():
-                i += 1
-            if i < n and text[i] == ".":
-                i += 1
-                if i >= n or not text[i].isdigit():
-                    raise ParseError("malformed number", start)
-                while i < n and text[i].isdigit():
-                    i += 1
-            imag = i < n and text[i] == "i"
-            if imag:
-                i += 1
-            digits = text[start : i - 1] if imag else text[start:i]
-            tokens.append(_Token("num", (Fraction(digits), imag), start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(_Token("ident", text[start:i], start))
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", None, n))
+    parts = _TOKEN.split(text)  # whitespace, token, whitespace, ..., whitespace
+    pos = len(parts[0])
+    for k in range(1, len(parts), 2):
+        word = parts[k]
+        if word in _SYMBOLS:
+            tokens.append(_Token(word, word, pos))
+        elif word[0].isalpha() or word[0] == "_":
+            tokens.append(_Token("ident", word, pos))
+        elif word[0].isdecimal():
+            imag = word[-1] == "i"
+            digits = word[:-1] if imag else word
+            if digits[-1] == ".":
+                raise ParseError("malformed number", pos)
+            value = Fraction(digits) if "." in digits else Fraction(int(digits))
+            tokens.append(_Token("num", (value, imag), pos))
+        else:
+            raise ParseError(f"unexpected character {word[0]!r}", pos)
+        pos += len(word) + len(parts[k + 1])
+    tokens.append(_Token("end", None, len(text)))
     return tokens
 
 
@@ -102,6 +86,7 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.variables = tuple(variables)
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -117,36 +102,51 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok.value!r}", tok.pos)
         return self.advance()
 
+    def descend(self, tok: _Token):
+        """Enter the nesting level that tok opens; the caller leaves it
+        with `self.depth -= 1`."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"nesting is deeper than {MAX_DEPTH} levels", tok.pos)
+
     # -- grammar productions ---------------------------------------------
+    # a nesting level costs three frames: parse_sum, parse_term, parse_atom
 
-    def parse_expr(self) -> Expr:
-        negate = False
-        if self.peek().kind == "-":
-            self.advance()
-            negate = True
-        node = self.parse_term()
+    def parse_sum(self) -> CanonicalExpr:
+        acc = {}
+        negate = self.peek().kind == "-"
         if negate:
-            node = Neg(node)
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            rhs = self.parse_term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
-
-    def parse_term(self) -> Expr:
-        node = self.parse_factor()
-        while self.peek().kind in ("*", "/"):
-            op = self.advance().kind
-            rhs = self.parse_factor()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
-        return node
-
-    def parse_factor(self) -> Expr:
-        node = self.parse_atom()
-        if self.peek().kind == "^":
             self.advance()
-            return Pow(node, self.parse_integer())
-        return node
+        terms = 1
+        while True:
+            items = self.parse_term().terms.items()
+            _accumulate(acc, ((m, -p) for m, p in items) if negate else items)
+            op = self.peek()
+            if op.kind not in ("+", "-"):
+                return CanonicalExpr._of(acc)
+            if terms == MAX_TERMS:
+                raise ParseError(f"a sum has more than {MAX_TERMS} terms", op.pos)
+            terms += 1
+            negate = self.advance().kind == "-"
+
+    def parse_term(self) -> CanonicalExpr:
+        node, op, factors = None, None, 1
+        while True:
+            factor = self.parse_atom()
+            if self.peek().kind == "^":
+                self.advance()
+                factor = factor ** self.parse_integer()
+            if op is None:
+                node = factor
+            else:
+                node = node * factor if op.kind == "*" else node / factor
+            op = self.peek()
+            if op.kind not in ("*", "/"):
+                return node
+            if factors == MAX_FACTORS:
+                raise ParseError(f"a product has more than {MAX_FACTORS} factors", op.pos)
+            factors += 1
+            self.advance()
 
     def parse_integer(self) -> int:
         sign = 1
@@ -172,71 +172,72 @@ class _Parser:
             )
         return tok.value
 
-    def parse_atom(self) -> Expr:
-        tok = self.peek()
+    def parse_atom(self) -> CanonicalExpr:
+        tok = self.advance()
         if tok.kind == "num":
-            self.advance()
             value, imag = tok.value
-            return Num(CRat(0, value) if imag else CRat(value))
+            return CanonicalExpr.const(CRat(0, value) if imag else CRat(value))
         if tok.kind == "(":
-            self.advance()
-            node = self.parse_expr()
+            self.descend(tok)
+            node = self.parse_sum()
+            self.depth -= 1
             self.expect(")")
             return node
-        if tok.kind == "ident":
-            return self.parse_ident_atom()
-        raise ParseError(f"unexpected token {tok.value!r}", tok.pos)
-
-    def parse_ident_atom(self) -> Expr:
-        tok = self.advance()
+        if tok.kind != "ident":
+            raise ParseError(f"unexpected token {tok.value!r}", tok.pos)
         name = tok.value
         if name == "lam":
-            return LamSym()
-        if name in COMPONENT_NAMES:
-            return CompSym(int(name[1]))
+            return CanonicalExpr.lam()
+        if name in COMPONENT_NAMES or name == "d":
+            return CanonicalExpr.component(*self.parse_component(tok))
         if name == "P":
             self.expect("(")
             var = self.parse_variable()
             self.expect(",")
             n = self.parse_integer()
             self.expect(")")
-            return FracPow(var, n)
+            return CanonicalExpr.fractal_power(var, n)
         if name in ("sina", "cosa"):
             self.expect("(")
             var = self.parse_variable()
             self.expect(")")
-            return TrigGen(var, "sin" if name == "sina" else "cos")
+            return CanonicalExpr.trig(var, "sin" if name == "sina" else "cos")
         if name == "Ea":
             self.expect("(")
-            scale = self.parse_expr()
+            self.descend(tok)
+            scale = self.parse_sum()
+            self.depth -= 1
             self.expect(",")
             var = self.parse_variable()
             self.expect(")")
-            return EaGen(scale, var)
-        if name == "d":
-            return self.parse_derivative(tok.pos)
+            return CanonicalExpr.ea_power(var, _scale(scale))
         raise ParseError(f"unknown identifier {name!r}", tok.pos)
 
-    def parse_derivative(self, pos: int) -> Expr:
+    def parse_component(self, tok: _Token) -> tuple:
+        """The component symbol that tok (f0..f3 or d) starts, as
+        (k, differentiation variables)."""
+        if tok.value != "d":
+            return int(tok.value[1]), ()
         self.expect("(")
-        inner = self.peek()
+        inner = self.advance()
         if inner.kind != "ident" or inner.value not in COMPONENT_NAMES + ("d",):
             raise ParseError("d(...) applies only to component symbols f0..f3", inner.pos)
-        target = self.parse_ident_atom()
-        if not isinstance(target, CompSym):
-            raise ParseError("d(...) applies only to component symbols f0..f3", inner.pos)
+        self.descend(tok)
+        k, midx = self.parse_component(inner)
+        self.depth -= 1
         variables = []
         while self.peek().kind == ",":
             self.advance()
             variables.append(self.parse_variable())
         self.expect(")")
         if not variables:
-            raise ParseError("d(...) needs at least one differentiation variable", pos)
-        return CompSym(target.k, target.midx + tuple(variables))
+            raise ParseError("d(...) needs at least one differentiation variable", tok.pos)
+        return k, midx + tuple(variables)
 
 
-def parse(text: str, frame=None) -> Expr:
-    """Parse DSL text with identifiers resolved against the frame's variables.
+def parse(text: str, frame=None) -> CanonicalExpr:
+    """The canonical form of DSL text, with identifiers resolved against
+    the frame's variables.
 
     frame may be anything with a .variables attribute, an iterable of
     variable names, or None to allow every known variable.
@@ -250,8 +251,8 @@ def parse(text: str, frame=None) -> Expr:
     if not text or not text.strip():
         raise ParseError("empty input", 0)
     parser = _Parser(tokenize(text), variables)
-    node = parser.parse_expr()
+    ce = parser.parse_sum()
     trailing = parser.peek()
     if trailing.kind != "end":
         raise ParseError(f"unexpected trailing input {trailing.value!r}", trailing.pos)
-    return node
+    return ce

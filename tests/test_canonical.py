@@ -25,12 +25,17 @@ from fracquat import (
     equal,
     eval_canonical,
     helmholtz_residual,
-    normalize,
     parse,
     render_canonical,
 )
 from fracquat import cos_alpha, ml_exp, series, sin_alpha
-from fracquat.canonical import MONOMIAL_ONE, Monomial, _mul_monomials, dsym_name
+from fracquat.canonical import (
+    MONOMIAL_ONE,
+    Monomial,
+    _mul_monomials,
+    as_canonical_scalar,
+    dsym_name,
+)
 from fracquat.coefficients import CRat
 
 from strategies import exprs
@@ -70,9 +75,9 @@ class TestNormalize:
         mono = next(iter(ce.terms))
         assert mono.ea[0][2] == 2
 
-    def test_normalize_is_idempotent_on_canonical(self):
+    def test_canonical_operand_is_used_as_is(self):
         ce = canon("P(r,1)*f1 + sina(theta)", CYL)
-        assert normalize(ce) is ce
+        assert as_canonical_scalar(ce) is ce
 
     def test_ea_scale_must_be_scalar(self):
         from fracquat import ExpressionError
@@ -184,7 +189,7 @@ class TestEvalNumeric:
 @settings(max_examples=60, deadline=None)
 @given(exprs())
 def test_render_roundtrip(e):
-    ce = normalize(e)
+    ce = canon(e, CYL)
     again = canon(render_canonical(ce), CYL)
     assert again == ce
 
@@ -192,7 +197,7 @@ def test_render_roundtrip(e):
 @settings(max_examples=60, deadline=None)
 @given(exprs(), exprs())
 def test_equal_is_congruence_for_sum_and_product(a, b):
-    ca, cb = normalize(a), normalize(b)
+    ca, cb = canon(a, CYL), canon(b, CYL)
     assert equal(ca + cb, cb + ca)
     assert equal(ca * cb, cb * ca)
     # adding equal things preserves equality
@@ -202,7 +207,7 @@ def test_equal_is_congruence_for_sum_and_product(a, b):
 @settings(max_examples=40, deadline=None)
 @given(exprs(), exprs(), exprs())
 def test_product_distributes_over_sum(a, b, c):
-    ca, cb, cc = normalize(a), normalize(b), normalize(c)
+    ca, cb, cc = canon(a, CYL), canon(b, CYL), canon(c, CYL)
     assert equal(ca * (cb + cc), ca * cb + ca * cc)
 
 
@@ -223,7 +228,7 @@ def assert_rehashes(mono):
 @settings(max_examples=60, deadline=None)
 @given(exprs(), exprs(), st.sampled_from(("r", "theta", "z")))
 def test_results_are_clean_maps(a, b, var):
-    ca, cb = normalize(a), normalize(b)
+    ca, cb = canon(a, CYL), canon(b, CYL)
     product = ca * cb
     for x in (ca, cb, ca + cb, ca - cb, -ca, product, d_alpha(ca, var)):
         assert_clean(x)

@@ -1,13 +1,19 @@
 """CLI contract: subcommands, exit codes, output formats, round-trips."""
 
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from fracquat import CYLINDRICAL, canon
 from fracquat.cli import main
+
+from strategies import exprs
 
 DATA = Path(__file__).parent / "data"
 CYL_SPEC = {"alpha": 0.5, "frame": "cylindrical", "components": {"f0": "P(r,1)"}}
@@ -323,3 +329,55 @@ class TestInputValidation:
         spec = write_spec(tmp_path, dict(CYL_SPEC, alpha=value))
         self.assert_usage_error(capsys, ["apply", spec, "-o", "mt"])
         self.assert_usage_error(capsys, ["eval", spec, "--at", "r=2"])
+
+    @pytest.mark.parametrize("value", ["1", "-inf"])
+    def test_unrecognized_argument_is_one_line(self, capsys, value):
+        # "-inf" is moved behind a "--", which the message does not show
+        with pytest.raises(SystemExit) as exc:
+            main(["series", "Ea", "--alpha", "0.5", "--u", "1", "--bogus", value])
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", f"error: unrecognized arguments: --bogus {value}\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [" + ".join(["f1"] * 1001), "(" * 201 + "f1" + ")" * 201, "d(" * 1000 + "f1" + ",r)" * 1000],
+        ids=["1001 terms", "201 parentheses", "1000 d(...)"],
+    )
+    def test_input_past_a_parser_limit(self, capsys, text):
+        self.assert_usage_error(capsys, ["diff", text, "--var", "r", "--frame", "cylindrical"])
+
+
+_JUNK = st.text(alphabet="()+-*/^,.i $_dfPEa0123456789\u00b2\u00a0\u03bb", min_size=1, max_size=4)
+
+
+@st.composite
+def mangled_texts(draw):
+    """DSL text as drawn, cut short, or with junk put in at a random place."""
+    text = draw(exprs())
+    cut = draw(st.integers(0, len(text)))
+    how = draw(st.sampled_from(("keep", "truncate", "insert")))
+    if how == "truncate":
+        return text[:cut]
+    if how == "insert":
+        return text[:cut] + draw(_JUNK) + text[cut:]
+    return text
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    mangled_texts(),
+    st.sampled_from(("r", "theta", "z", "x")),
+    st.sampled_from(("derivation", "gamma")),
+)
+def test_any_text_ends_in_an_exit_status_and_one_line(text, var, mode):
+    """The CLI contract: exit 0, 1 or 2 and at most one line on stderr.  An
+    exception escaping main, which the console script would print as a
+    traceback, fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(["diff", text, "--var", var, "--frame", "cylindrical", "--mode", mode])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert len(err.getvalue().splitlines()) <= (0 if code == 0 else 1)

@@ -1,59 +1,52 @@
 import pytest
 
-from fracquat import CYLINDRICAL, ParseError, parse
-from fracquat.expr import (
-    Add,
-    CompSym,
-    EaGen,
-    FracPow,
-    LamSym,
-    Mul,
-    Num,
-    Pow,
-    TrigGen,
-)
+import fracquat
+from fracquat import CYLINDRICAL, CanonicalExpr, NonInvertibleDivisionError, ParseError, parse
 from fracquat.coefficients import CRat
+from fracquat.parser import MAX_DEPTH, MAX_FACTORS, MAX_TERMS
+
+C = CanonicalExpr
 
 
 def test_fractal_monomial():
-    assert parse("P(r,-2)", CYLINDRICAL) == FracPow("r", -2)
+    assert parse("P(r,-2)", CYLINDRICAL) == C.fractal_power("r", -2)
 
 
 def test_sum_of_product_and_component():
-    node = parse("sina(theta)*P(r,1) + f1", CYLINDRICAL)
-    assert node == Add(Mul(TrigGen("theta", "sin"), FracPow("r", 1)), CompSym(1))
+    ce = parse("sina(theta)*P(r,1) + f1", CYLINDRICAL)
+    assert ce == C.trig("theta", "sin") * C.fractal_power("r", 1) + C.component(1)
 
 
 def test_squared_generators():
-    node = parse("cosa(theta)^2 + sina(theta)^2", CYLINDRICAL)
-    assert node == Add(Pow(TrigGen("theta", "cos"), 2), Pow(TrigGen("theta", "sin"), 2))
+    ce = parse("cosa(theta)^2 + sina(theta)^2", CYLINDRICAL)
+    assert ce == C.trig("theta", "cos") ** 2 + C.trig("theta", "sin") ** 2 == C.one()
 
 
 def test_lam_and_numbers():
-    assert parse("lam", CYLINDRICAL) == LamSym()
-    assert parse("42", CYLINDRICAL) == Num(CRat(42))
-    assert parse("2.5", CYLINDRICAL) == Num(CRat("5/2"))
+    assert parse("lam", CYLINDRICAL) == C.lam()
+    assert parse("42", CYLINDRICAL) == C.const(CRat(42))
+    assert parse("2.5", CYLINDRICAL) == C.const(CRat("5/2"))
 
 
 def test_imaginary_literals():
-    assert parse("2i", CYLINDRICAL) == Num(CRat(0, 2))
-    assert parse("1i", CYLINDRICAL) == Num(CRat(0, 1))
+    assert parse("2i", CYLINDRICAL) == C.const(CRat(0, 2))
+    assert parse("1i", CYLINDRICAL) == C.const(CRat(0, 1))
     # a+bi goes through the ordinary sum grammar
-    node = parse("1+2i", CYLINDRICAL)
-    assert node == Add(Num(CRat(1)), Num(CRat(0, 2)))
+    ce = parse("1+2i", CYLINDRICAL)
+    assert ce == C.const(CRat(1)) + C.const(CRat(0, 2)) == C.const(CRat(1, 2))
 
 
 def test_ea_with_expression_scale():
-    node = parse("Ea(1i*lam, z)", CYLINDRICAL)
-    assert isinstance(node, EaGen) and node.var == "z"
+    ce = parse("Ea(1i*lam, z)", CYLINDRICAL)
+    assert ce == C.ea_power("z", ((1, CRat(0, 1)),))
 
 
 def test_derivative_symbols():
     single = parse("d(f1,r)", CYLINDRICAL)
-    assert single == CompSym(1, ("r",))
+    assert single == C.component(1, ("r",))
     multi = parse("d(f1,theta,r)", CYLINDRICAL)
     nested = parse("d(d(f1,r),theta)", CYLINDRICAL)
-    assert multi == nested == CompSym(1, ("r", "theta"))
+    assert multi == nested == C.component(1, ("r", "theta"))
 
 
 def test_derivative_errors():
@@ -103,11 +96,12 @@ def test_non_integer_exponent():
 
 
 def test_negative_exponent():
-    assert parse("sina(theta)^-2", CYLINDRICAL) == Pow(TrigGen("theta", "sin"), -2)
+    assert parse("sina(theta)^-2", CYLINDRICAL) == C.trig("theta", "sin") ** -2
 
 
 def test_leading_minus():
-    parse("-sina(theta) + f1", CYLINDRICAL)
+    ce = parse("-sina(theta) + f1", CYLINDRICAL)
+    assert ce == -C.trig("theta", "sin") + C.component(1)
 
 
 def test_trailing_input():
@@ -127,3 +121,74 @@ def test_malformed_number():
 
 def test_default_frame_allows_all_variables():
     parse("P(x,1) + P(psi,2)")
+
+
+def test_canon_is_parse():
+    assert fracquat.canon is parse
+
+
+def test_non_decimal_digit_is_a_parse_error():
+    for text in ("²", "1²", "P(r,²)"):
+        with pytest.raises(ParseError) as err:
+            parse(text, CYLINDRICAL)
+        assert "unexpected character '²'" in str(err.value)
+
+
+def test_errors_come_in_reading_order():
+    # the division fails before the stray ")" is read
+    with pytest.raises(NonInvertibleDivisionError):
+        parse("1/(f1+f2))", CYLINDRICAL)
+    with pytest.raises(ParseError):
+        parse(")1/(f1+f2)", CYLINDRICAL)
+
+
+def _ea_nest(n):
+    """n nested Ea scales, each equal to 1: Ea(Ea(...Ea(0, z)... - 1, z) - 1, z)."""
+    text = "Ea(0, z)"
+    for _ in range(n - 1):
+        text = f"Ea({text} - 1, z)"
+    return text
+
+
+LIMITS = {
+    "sum terms": (MAX_TERMS, lambda n: " + ".join(["P(r,1)"] * n)),
+    "product factors": (MAX_FACTORS, lambda n: "*".join(["sina(theta)"] * n)),
+    "parentheses": (MAX_DEPTH, lambda n: "(" * n + "f1" + ")" * n),
+    "Ea scales": (MAX_DEPTH, _ea_nest),
+    "d(...)": (MAX_DEPTH, lambda n: "d(" * n + "f1" + ",r)" * n),
+    "mixed nesting": (MAX_DEPTH, lambda n: "(" * (n // 2) + _ea_nest(n - n // 2) + ")" * (n // 2)),
+}
+
+
+@pytest.mark.parametrize("limit", sorted(LIMITS))
+def test_limit_is_exact(limit):
+    n, make = LIMITS[limit]
+    parse(make(n), CYLINDRICAL)
+    with pytest.raises(ParseError):
+        parse(make(n + 1), CYLINDRICAL)
+
+
+def _at_stack_depth(frames, fn):
+    return fn() if frames == 0 else _at_stack_depth(frames - 1, fn)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        " + ".join(["f1"] * 3000),
+        "*".join(["f1"] * 3000),
+        "(" * 1200 + "f1" + ")" * 1200,
+        "d(" * 1000 + "f1" + ",r)" * 1000,
+        _ea_nest(1000),
+    ],
+    ids=["3000 terms", "3000 factors", "1200 parentheses", "1000 d(...)", "1000 Ea scales"],
+)
+def test_oversized_input_is_a_parse_error_at_any_stack_depth(text):
+    for frames in (0, 100):
+        with pytest.raises(ParseError):
+            _at_stack_depth(frames, lambda: parse(text, CYLINDRICAL))
+
+
+def test_deepest_accepted_nesting_fits_the_stack():
+    for make in (LIMITS["mixed nesting"][1], LIMITS["Ea scales"][1]):
+        _at_stack_depth(100, lambda: parse(make(MAX_DEPTH), CYLINDRICAL))
