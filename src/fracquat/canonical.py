@@ -18,9 +18,9 @@ a map unchecked, only for maps already reduced that way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
+from typing import NamedTuple
 
 from .coefficients import CRAT_ONE, CRAT_ZERO, CRat, as_crat, render_poly
 from .expr import (
@@ -34,26 +34,14 @@ from .expr import (
 from . import series as _series
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(NamedTuple):
+    """A product of generators; equality, hashing and pickling are the tuple's."""
+
     powers: tuple = ()  # ((var, n), ...) sorted, n != 0
     trig: tuple = ()  # ((var, m, e), ...) sorted, e in {0,1}, (m,e) != (0,0)
     ea: tuple = ()  # ((var, scale, p), ...) sorted, p != 0, scale as _scale
     dsyms: tuple = ()  # ((k, midx), ...) sorted multiset
     lam: int = 0  # power of lam, >= 0
-    _hash: int = field(default=0, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # monomials are dict keys in every hot loop: hash once, not per probe
-        object.__setattr__(
-            self, "_hash", hash((self.powers, self.trig, self.ea, self.dsyms, self.lam))
-        )
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):  # string hashes differ between processes: rehash on load
-        return Monomial, (self.powers, self.trig, self.ea, self.dsyms, self.lam)
 
     def sort_key(self):
         # lam last: monomials that differ only in their lam power sort together
@@ -183,7 +171,10 @@ class CanonicalExpr:
 
     @staticmethod
     def _of(terms: dict) -> CanonicalExpr:
-        """Wrap a map that is already clean, without copying or checking it."""
+        """Wrap a map that is already clean, without copying or checking it.
+        No code mutates the map of an existing expression, so expressions
+        may share one: a product with the constant 1 and a sum with 0
+        return the other operand's map."""
         self = object.__new__(CanonicalExpr)
         self._terms = terms
         return self
@@ -259,8 +250,10 @@ class CanonicalExpr:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        other = as_canonical_scalar(other)
-        return CanonicalExpr._of(_accumulate(dict(self._terms), other._terms.items()))
+        a, b = self._terms, as_canonical_scalar(other)._terms
+        if not a or not b:  # a sum with 0 shares the other operand's map
+            return CanonicalExpr._of(a or b)
+        return CanonicalExpr._of(_accumulate(dict(a), b.items()))
 
     __radd__ = __add__
 
@@ -280,7 +273,7 @@ class CanonicalExpr:
         if len(b) == 1 and MONOMIAL_ONE in b:
             # constant factor: a product of nonzero Gaussian rationals is nonzero
             c = b[MONOMIAL_ONE]
-            return CanonicalExpr._of({m: p * c for m, p in a.items()})
+            return CanonicalExpr._of(a if c == CRAT_ONE else {m: p * c for m, p in a.items()})
         return CanonicalExpr._of(_accumulate({}, _products(a, b)))
 
     __rmul__ = __mul__
@@ -290,9 +283,13 @@ class CanonicalExpr:
             raise TypeError("powers of expressions must be integers")
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        out = CanonicalExpr.one()
-        for _ in range(exponent):
-            out = out * self
+        out, square = CanonicalExpr.one(), self  # square and multiply
+        while exponent:
+            if exponent & 1:
+                out = out * square
+            exponent >>= 1
+            if exponent:
+                square = square * square
         return out
 
     def __truediv__(self, other):
@@ -350,9 +347,9 @@ def dsym_name(k: int, midx) -> str:
 
 def _render_monomial(mono: Monomial) -> str:
     pieces = []
-    for v, n in sorted(mono.powers, key=lambda t: var_order(t[0])):
+    for v, n in mono.powers:
         pieces.append(f"P({v},{n})")
-    for v, m, e in sorted(mono.trig, key=lambda t: var_order(t[0])):
+    for v, m, e in mono.trig:
         if m:
             pieces.append(f"sina({v})" + (f"^{m}" if m != 1 else ""))
         if e:

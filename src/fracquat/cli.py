@@ -24,12 +24,11 @@ from .parser import parse
 from .quatops import (
     FORMAL,
     IDENTITY_NAMES,
-    VERIFICATION_MATRIX,
     bitsadze,
     helmholtz_residual,
     laplacian,
     mt_apply,
-    verify_identity,
+    verify_all,
 )
 from .series import SeriesConvergenceError, evaluate_series, validate_alpha
 
@@ -132,21 +131,19 @@ def cmd_apply(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = IDENTITY_NAMES if args.identity == "all" else (args.identity,)
+    names = None if args.identity == "all" else (args.identity,)
+    frames = None if args.frame == "all" else (args.frame,)
     all_pass = True
-    for name in names:
-        frames = VERIFICATION_MATRIX[name] if args.frame == "all" else (args.frame,)
-        for frame_name in frames:
-            report = verify_identity(name, frame_name)
-            all_pass = all_pass and report.passed
-            if args.format == "structured":
-                print(json.dumps(report.to_dict()))
-            else:
-                status = "PASS" if report.passed else "FAIL"
-                line = f"{status} {report.identity} {report.frame} (mode={report.mode.value})"
-                if not report.passed:
-                    line += " residuals: " + "; ".join(report.residual_strings())
-                print(line)
+    for report in verify_all(names, frames):
+        all_pass = all_pass and report.passed
+        if args.format == "structured":
+            print(json.dumps(report.to_dict()))
+        else:
+            status = "PASS" if report.passed else "FAIL"
+            line = f"{status} {report.identity} {report.frame} (mode={report.mode.value})"
+            if not report.passed:
+                line += " residuals: " + "; ".join(report.residual_strings())
+            print(line)
     return 0 if all_pass else 1
 
 

@@ -20,7 +20,6 @@ Gamma-normalized power shift give different answers for the derivative of
 from __future__ import annotations
 
 import enum
-from dataclasses import replace
 
 from .canonical import CanonicalExpr, Monomial, _accumulate, as_canonical_scalar
 from .expr import ExpressionError, VARIABLES, sort_vars, var_order
@@ -45,14 +44,14 @@ def _with_power(mono: Monomial, var: str, n: int) -> Monomial:
     powers = tuple(t for t in mono.powers if t[0] != var)
     if n:
         powers = tuple(sorted(powers + ((var, n),), key=lambda t: var_order(t[0])))
-    return replace(mono, powers=powers)
+    return Monomial(powers, mono.trig, mono.ea, mono.dsyms, mono.lam)
 
 
 def _with_trig(mono: Monomial, var: str, m: int, e: int) -> Monomial:
     trig = tuple(t for t in mono.trig if t[0] != var)
     if m or e:
         trig = tuple(sorted(trig + ((var, m, e),), key=lambda t: var_order(t[0])))
-    return replace(mono, trig=trig)
+    return Monomial(mono.powers, trig, mono.ea, mono.dsyms, mono.lam)
 
 
 def _diff_monomial(mono: Monomial, var: str):
@@ -79,12 +78,12 @@ def _diff_monomial(mono: Monomial, var: str):
         if v == var:
             # D[Ea(s, v)^p] = p*s*Ea(s, v)^p, one term per lam power of s
             for k, c in scale:
-                yield replace(mono, lam=mono.lam + k), p * c
+                yield Monomial(mono.powers, mono.trig, mono.ea, mono.dsyms, mono.lam + k), p * c
 
     for i, (k, midx) in enumerate(mono.dsyms):
         bumped = (k, sort_vars(midx + (var,)))
         dsyms = tuple(sorted(mono.dsyms[:i] + (bumped,) + mono.dsyms[i + 1 :]))
-        yield replace(mono, dsyms=dsyms), 1
+        yield Monomial(mono.powers, mono.trig, mono.ea, dsyms, mono.lam), 1
 
 
 def d_alpha(e, var: str) -> CanonicalExpr:

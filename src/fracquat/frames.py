@@ -19,22 +19,12 @@ from .canonical import CanonicalExpr, as_canonical_scalar
 from .derivative import d_alpha
 
 
-def _ratio(num: CanonicalExpr, *inverses):
-    """num times the inverses (None stands for 1), or None when num is 0."""
-    if num.is_zero():
-        return None
-    for inv in inverses:
-        num = num if inv is None else num * inv
-    return num
-
-
 @dataclass(frozen=True)
 class Frame:
     """Variables and Lame coefficients h_1..h_3 (unit monomials).
 
-    Derived once, with None standing for a factor that is 1 or a term
-    that is 0, so the operators never multiply by either:
-    inv_lame[i] = 1/h_i, div_connection[i] = D_i(H/h_i)/H with H = h_1 h_2 h_3,
+    Derived once, as canonical expressions: inv_lame[i] = 1/h_i,
+    div_connection[i] = D_i(H/h_i)/H with H = h_1 h_2 h_3, and
     curl_connection[j][k] = D_j h_k / (h_j h_k)."""
 
     name: str
@@ -46,18 +36,17 @@ class Frame:
 
     def __post_init__(self):
         h = tuple(as_canonical_scalar(c) for c in self.lame)
-        one = CanonicalExpr.one()
-        inv = tuple(None if c == one else c.inverse() for c in h)
+        inv = tuple(c.inverse() for c in h)
         derived = {
             "variables": tuple(self.variables),
             "lame": h,
             "inv_lame": inv,
             "div_connection": tuple(
-                _ratio(d_alpha(h[j] * h[k], v), *inv)
+                d_alpha(h[j] * h[k], v) * inv[0] * inv[1] * inv[2]
                 for v, j, k in zip(self.variables, (1, 2, 0), (2, 0, 1))
             ),
             "curl_connection": tuple(
-                tuple(_ratio(d_alpha(hk, v), ij, ik) for hk, ik in zip(h, inv))
+                tuple(d_alpha(hk, v) * ij * ik for hk, ik in zip(h, inv))
                 for v, ij in zip(self.variables, inv)
             ),
         }

@@ -127,16 +127,12 @@ _HAND_ROWS = {
 
 
 def _rows(delta0, laplacian, bitsadze) -> dict:
-    """The hand rows in the interpreter's form: a coefficient of 1 or -1 as an
-    int, any other as a CanonicalExpr; the derivative variables as a sorted
-    tuple; and the vector Laplacian rows with delta0 of their component."""
+    """The hand rows in the interpreter's form: every coefficient a
+    CanonicalExpr, the derivative variables a sorted tuple, and the vector
+    Laplacian rows with delta0 of their component."""
 
     def norm(rows):
-        return tuple(
-            (CanonicalExpr.const(c) if isinstance(c, int) and c not in (1, -1) else c,
-             k, sort_vars(v.split()))
-            for c, k, v in rows
-        )
+        return tuple((as_canonical_scalar(c), k, sort_vars(v.split())) for c, k, v in rows)
 
     return {
         "delta0": norm((c, 0, v) for c, v in delta0),
@@ -168,13 +164,7 @@ def _combine(rows, comps, partials: dict) -> CanonicalExpr:
 
     acc = {}
     for coeff, k, vs in rows:
-        term = partial(k, vs)
-        if not isinstance(coeff, int):
-            _accumulate(acc, (coeff * term).terms.items())
-        elif coeff > 0:
-            _accumulate(acc, term.terms.items())
-        else:
-            _accumulate(acc, ((m, -p) for m, p in term.terms.items()))
+        _accumulate(acc, (coeff * partial(k, vs)).terms.items())
     return CanonicalExpr._of(acc)
 
 
@@ -320,9 +310,8 @@ def verify_identity(name: str, frame) -> IdentityReport:
 
 
 def verify_all(names=None, frames=None):
-    """Reports for the verification matrix, optionally filtered."""
-    reports = []
+    """Reports for the verification matrix, optionally filtered, each
+    yielded as soon as it is computed."""
     for name in names or IDENTITY_NAMES:
         for frame_name in frames or VERIFICATION_MATRIX[name]:
-            reports.append(verify_identity(name, frame_name))
-    return reports
+            yield verify_identity(name, frame_name)

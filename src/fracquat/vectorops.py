@@ -22,16 +22,11 @@ from .frames import Frame, QuaternionField, vector_field
 _CYCLIC = ((1, 2), (2, 0), (0, 1))  # (j, k) for curl component i = 0, 1, 2
 
 
-def _scaled(factor, expr) -> CanonicalExpr:
-    """factor * expr, where a factor of None stands for 1."""
-    return expr if factor is None else factor * expr
-
-
 def grad_alpha(f0, frame: Frame) -> QuaternionField:
     """Gradient of a scalar, as a pure vector field."""
     f0 = as_canonical_scalar(f0)
     return vector_field(
-        frame, *(_scaled(ih, d_alpha(f0, v)) for v, ih in zip(frame.variables, frame.inv_lame))
+        frame, *(ih * d_alpha(f0, v) for v, ih in zip(frame.variables, frame.inv_lame))
     )
 
 
@@ -42,20 +37,16 @@ def div_alpha(v: QuaternionField) -> CanonicalExpr:
     for var, ih, conn, vi in zip(
         frame.variables, frame.inv_lame, frame.div_connection, v.vector_components
     ):
-        out = out + _scaled(ih, d_alpha(vi, var))
-        if conn is not None:
-            out = out + conn * vi
+        out = out + ih * d_alpha(vi, var) + conn * vi
     return out
 
 
 def curl_alpha(v: QuaternionField) -> QuaternionField:
     """Curl of the vector part, as a pure vector field."""
-    frame = v.frame
-    comps = v.vector_components
+    frame, comps = v.frame, v.vector_components
 
     def part(j, k):  # D_j(h_k v_k) / (h_j h_k)
-        out = _scaled(frame.inv_lame[j], d_alpha(comps[k], frame.variables[j]))
-        conn = frame.curl_connection[j][k]
-        return out if conn is None else out + conn * comps[k]
+        d = d_alpha(comps[k], frame.variables[j])
+        return frame.inv_lame[j] * d + frame.curl_connection[j][k] * comps[k]
 
     return vector_field(frame, *(part(j, k) - part(k, j) for j, k in _CYCLIC))

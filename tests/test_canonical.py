@@ -2,9 +2,10 @@
 Pythagorean reduction, division, rendering round-trips, numeric tie-in."""
 
 import copy
-import dataclasses
 import pickle
 import random
+from functools import reduce
+from operator import mul
 
 import hypothesis.strategies as st
 import pytest
@@ -141,6 +142,37 @@ class TestDivision:
             canon("(1 + sina(theta))^-1", CYL)
 
 
+class TestPower:
+    def test_large_exponent_on_one_generator(self, monkeypatch):
+        n, products = 100000000, []
+        product = CanonicalExpr.__mul__
+
+        def counted(a, b):  # fail fast, not after n products
+            products.append(1)
+            assert len(products) <= 2 * n.bit_length(), "the power is multiplied out"
+            return product(a, b)
+
+        monkeypatch.setattr(CanonicalExpr, "__mul__", counted)
+        assert canon(f"P(r,1)^{n}", CYL) == CanonicalExpr.fractal_power("r", n)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["sina(theta)*cosa(theta)", "sina(theta)^-1", "2*cosa(theta)*f1", "1 + cosa(theta)"],
+    )
+    def test_power_is_the_repeated_product(self, text):
+        # the one-monomial bases square through the cos^2 rewrite
+        base = canon(text, CYL)
+        for n in range(1, 8):
+            assert base**n == reduce(mul, [base] * n)
+            assert canon(f"({text})^{n}", CYL) == base**n
+
+    def test_negative_power_is_the_repeated_inverse(self):
+        sin = canon("sina(theta)", CYL)
+        for n in range(1, 8):
+            assert canon(f"sina(theta)^-{n}", CYL) == reduce(mul, [sin.inverse()] * n)
+            assert sin**-n * sin**n == CanonicalExpr.one()
+
+
 class TestEvalNumeric:
     def test_fractal_power(self):
         assert abs(eval_canonical(canon("P(r,2)", CYL), 0.5, {"r": 2.0}) - 2.0) < 1e-14
@@ -211,6 +243,28 @@ def test_product_distributes_over_sum(a, b, c):
     assert equal(ca * (cb + cc), ca * cb + ca * cc)
 
 
+@settings(max_examples=60, deadline=None)
+@given(exprs(), st.sampled_from(("r", "theta", "z")))
+def test_product_with_one_or_zero(e, var):
+    ce = canon(e, CYL)
+    before = list(ce.terms.items())
+    one, zero = CanonicalExpr.one(), CanonicalExpr.zero()
+    for same in (ce * 1, 1 * ce, ce * one, one * ce, ce + 0, 0 + ce, ce + zero, zero + ce):
+        # the result may share ce's map: no later operation may mutate it
+        derived = (same + ce, same - ce, -same, same * ce, d_alpha(same, var))
+        assert same == ce and derived[1].is_zero()
+        assert list(ce.terms.items()) == before
+    assert (ce * 0).is_zero() and (0 * ce).is_zero()
+    assert list(ce.terms.items()) == before
+
+
+def test_product_with_one_and_sum_with_zero_share_the_map():
+    ce = canon("P(r,1)*f1 - 2*lam*sina(theta)", CYL)
+    one, zero = CanonicalExpr.one(), CanonicalExpr.zero()
+    for same in (ce * 1, 1 * ce, ce * one, one * ce, ce + 0, 0 + ce, ce + zero, zero + ce):
+        assert same.terms is ce.terms
+
+
 def assert_clean(x):
     """x holds only nonzero CRat coefficients, so rebuilding it through the
     cleaning constructor changes nothing."""
@@ -221,7 +275,7 @@ def assert_clean(x):
 def assert_rehashes(mono):
     """A monomial equals, and hashes like, copies built the other ways."""
     fields = (mono.powers, mono.trig, mono.ea, mono.dsyms, mono.lam)
-    for copy in (Monomial(*fields), dataclasses.replace(mono)):
+    for copy in (Monomial(*fields), mono._replace()):
         assert copy == mono and hash(copy) == hash(mono)
 
 
@@ -241,7 +295,7 @@ def test_monomial_hash_agrees_across_constructions():
     cos = Monomial(trig=(("theta", 0, 1),))
     ea = Monomial(ea=(("z", ((0, CRat(2)),), 1),), lam=1)
     built = Monomial(powers=(("r", 1),), trig=(("theta", 1, 0),))
-    replaced = dataclasses.replace(sin, powers=(("r", 1),))
+    replaced = sin._replace(powers=(("r", 1),))
     (product, sign), = _mul_monomials(Monomial(powers=(("r", 1),)), sin)
     assert built == replaced == product and sign == 1
     assert hash(built) == hash(replaced) == hash(product)

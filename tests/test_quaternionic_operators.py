@@ -383,7 +383,7 @@ class TestVerifyIdentity:
         assert sum(len(frames) for frames in VERIFICATION_MATRIX.values()) == 14
 
     def test_verify_all(self):
-        reports = verify_all()
+        reports = list(verify_all())
         assert len(reports) == 14
         assert all(r.passed for r in reports)
 

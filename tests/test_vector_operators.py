@@ -30,21 +30,24 @@ class TestLameTable:
         def c(text):
             return canon(text, SPHERICAL)
 
-        assert SPHERICAL.inv_lame == (None, c("P(r,-1)"), c("P(r,-1)*sina(theta)^-1"))
+        assert SPHERICAL.inv_lame == (1, c("P(r,-1)"), c("P(r,-1)*sina(theta)^-1"))
         assert SPHERICAL.div_connection == (
-            c("2*P(r,-1)"), c("P(r,-1)*cosa(theta)*sina(theta)^-1"), None
+            c("2*P(r,-1)"), c("P(r,-1)*cosa(theta)*sina(theta)^-1"), 0
         )
         r_sin = c("P(r,-1)*cosa(theta)*sina(theta)^-1")
         assert SPHERICAL.curl_connection == (
-            (None, c("P(r,-1)"), c("P(r,-1)")),
-            (None, None, r_sin),
-            (None, None, None),
+            (0, c("P(r,-1)"), c("P(r,-1)")),
+            (0, 0, r_sin),
+            (0, 0, 0),
         )
 
     def test_cartesian_has_no_factors(self):
-        assert CARTESIAN.inv_lame == (None, None, None)
-        assert CARTESIAN.div_connection == (None, None, None)
-        assert all(c is None for row in CARTESIAN.curl_connection for c in row)
+        assert CARTESIAN.inv_lame == (1, 1, 1)
+        assert CARTESIAN.div_connection == (0, 0, 0)
+        assert all(c == 0 for row in CARTESIAN.curl_connection for c in row)
+        frame = CARTESIAN
+        derived = frame.inv_lame + frame.div_connection + sum(frame.curl_connection, ())
+        assert all(isinstance(c, CanonicalExpr) for c in derived)
 
 
 class TestGradient:
