@@ -16,6 +16,7 @@ from .expr import (
     NonInvertibleDivisionError,
     ParseError,
     SingularDivisionError,
+    TermBudgetError,
     UnboundSymbolError,
     VARIABLES,
 )

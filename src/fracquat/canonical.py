@@ -28,30 +28,26 @@ from .expr import (
     ExpressionError,
     NonInvertibleDivisionError,
     SingularDivisionError,
+    TermBudgetError,
     UnboundSymbolError,
-    var_order,
+    VARIABLES,
+    var_index,
 )
 from . import series as _series
 
 
 class Monomial(NamedTuple):
-    """A product of generators; equality, hashing and pickling are the tuple's."""
+    """A product of generators.  Every variable is stored as its index in
+    expr.VARIABLES and every group is kept sorted, so the field order is the
+    rendering order: plain tuple order sorts the terms of a rendered sum,
+    with lam last so that monomials differing only in their lam power sort
+    together.  Equality, hashing and pickling are the tuple's."""
 
+    dsyms: tuple = ()  # ((k, midx), ...) sorted multiset, midx a sorted tuple of indices
     powers: tuple = ()  # ((var, n), ...) sorted, n != 0
     trig: tuple = ()  # ((var, m, e), ...) sorted, e in {0,1}, (m,e) != (0,0)
     ea: tuple = ()  # ((var, scale, p), ...) sorted, p != 0, scale as _scale
-    dsyms: tuple = ()  # ((k, midx), ...) sorted multiset
     lam: int = 0  # power of lam, >= 0
-
-    def sort_key(self):
-        # lam last: monomials that differ only in their lam power sort together
-        return (
-            tuple((k, tuple(var_order(v) for v in midx)) for k, midx in self.dsyms),
-            tuple((var_order(v), n) for v, n in self.powers),
-            tuple((var_order(v), m, e) for v, m, e in self.trig),
-            tuple((var_order(v), _scale_key(scale), p) for v, scale, p in self.ea),
-            self.lam,
-        )
 
     def is_lam_power(self) -> bool:
         return not (self.powers or self.trig or self.ea or self.dsyms)
@@ -61,6 +57,7 @@ class Monomial(NamedTuple):
 
 
 MONOMIAL_ONE = Monomial()
+MAX_TERM_PAIRS = 10**6  # term pairs one product may form
 
 
 def _scale(ce) -> tuple:
@@ -68,45 +65,22 @@ def _scale(ce) -> tuple:
     ascending power; ce may hold no generator other than lam."""
     if not all(m.is_lam_power() for m in ce.terms):
         raise ExpressionError("Ea scale must normalize to a scalar coefficient")
-    return tuple(sorted(((m.lam, c) for m, c in ce.terms.items()), key=lambda t: t[0]))
+    return tuple(sorted((m.lam, c) for m, c in ce.terms.items()))
 
 
-def _scale_key(scale) -> tuple:
-    return tuple((k, c.sort_key()) for k, c in scale)
-
-
-def _sorted_powers(d):
-    return tuple(sorted(((v, n) for v, n in d.items() if n), key=lambda t: var_order(t[0])))
-
-
-def _sorted_trig(d):
-    return tuple(
-        sorted(((v, m, e) for v, (m, e) in d.items() if m or e), key=lambda t: var_order(t[0]))
-    )
-
-
-def _sorted_ea(d):
-    return tuple(
-        sorted(
-            ((v, s, p) for (v, s), p in d.items() if p),
-            key=lambda t: (var_order(t[0]), _scale_key(t[1])),
-        )
-    )
+def _add_exponents(a: tuple, b: tuple) -> tuple:
+    """Sorted product of two sorted (generator..., exponent) groups; zero exponents drop out."""
+    if not a or not b:
+        return a or b
+    acc = {t[:-1]: t[-1] for t in a}
+    for t in b:
+        acc[t[:-1]] = acc.get(t[:-1], 0) + t[-1]
+    return tuple(sorted(g + (p,) for g, p in acc.items() if p))
 
 
 def _mul_monomials(a: Monomial, b: Monomial):
     """Product of two monomials as [(monomial, +/-1 coefficient)] pairs;
     the Pythagorean rewrite of cos^2 may split the product in two."""
-    powers = {v: n for v, n in a.powers}
-    for v, n in b.powers:
-        powers[v] = powers.get(v, 0) + n
-
-    ea = {(v, s): p for v, s, p in a.ea}
-    for v, s, p in b.ea:
-        ea[(v, s)] = ea.get((v, s), 0) + p
-
-    dsyms = tuple(sorted(a.dsyms + b.dsyms))
-
     trig = {v: [m, e] for v, m, e in a.trig}
     for v, m, e in b.trig:
         if v in trig:
@@ -129,10 +103,13 @@ def _mul_monomials(a: Monomial, b: Monomial):
             new.append(({**tmap, v: (m + 2, 0)}, -sign))
         expansions = new
 
-    powers, ea, lam = _sorted_powers(powers), _sorted_ea(ea), a.lam + b.lam
-    return [
-        (Monomial(powers, _sorted_trig(tmap), ea, dsyms, lam), sign) for tmap, sign in expansions
-    ]
+    dsyms, lam = tuple(sorted(a.dsyms + b.dsyms)), a.lam + b.lam
+    powers, ea = _add_exponents(a.powers, b.powers), _add_exponents(a.ea, b.ea)
+    out = []
+    for tmap, sign in expansions:
+        trig = tuple(sorted((v, m, e) for v, (m, e) in tmap.items() if m or e))
+        out.append((Monomial(dsyms, powers, trig, ea, lam), sign))
+    return out
 
 
 def _accumulate(acc: dict, items) -> dict:
@@ -179,7 +156,7 @@ class CanonicalExpr:
         self._terms = terms
         return self
 
-    # -- constructors -----------------------------------------------------
+    # -- constructors: variables by name -----------------------------------
 
     @staticmethod
     def zero() -> CanonicalExpr:
@@ -201,22 +178,23 @@ class CanonicalExpr:
     def fractal_power(var: str, n: int) -> CanonicalExpr:
         if n == 0:
             return CanonicalExpr.one()
-        return CanonicalExpr({Monomial(powers=((var, n),)): CRAT_ONE})
+        return CanonicalExpr({Monomial(powers=((var_index(var), n),)): CRAT_ONE})
 
     @staticmethod
     def trig(var: str, kind: str) -> CanonicalExpr:
-        sig = (var, 1, 0) if kind == "sin" else (var, 0, 1)
+        v = var_index(var)
+        sig = (v, 1, 0) if kind == "sin" else (v, 0, 1)
         return CanonicalExpr({Monomial(trig=(sig,)): CRAT_ONE})
 
     @staticmethod
     def ea_power(var: str, scale: tuple, p: int = 1) -> CanonicalExpr:
         if not scale or p == 0:
             return CanonicalExpr.one()  # E_alpha(0) = 1
-        return CanonicalExpr({Monomial(ea=((var, scale, p),)): CRAT_ONE})
+        return CanonicalExpr({Monomial(ea=((var_index(var), scale, p),)): CRAT_ONE})
 
     @staticmethod
     def component(k: int, midx=()) -> CanonicalExpr:
-        midx = tuple(sorted(midx, key=var_order))
+        midx = tuple(sorted(map(var_index, midx)))
         return CanonicalExpr({Monomial(dsyms=((k, midx),)): CRAT_ONE})
 
     # -- structure --------------------------------------------------------
@@ -274,6 +252,10 @@ class CanonicalExpr:
             # constant factor: a product of nonzero Gaussian rationals is nonzero
             c = b[MONOMIAL_ONE]
             return CanonicalExpr._of(a if c == CRAT_ONE else {m: p * c for m, p in a.items()})
+        if len(a) * len(b) > MAX_TERM_PAIRS:
+            raise TermBudgetError(
+                f"a product of {len(a)} by {len(b)} terms exceeds {MAX_TERM_PAIRS} term pairs"
+            )
         return CanonicalExpr._of(_accumulate({}, _products(a, b)))
 
     __rmul__ = __mul__
@@ -340,22 +322,23 @@ def equal(a, b) -> bool:
 
 
 def dsym_name(k: int, midx) -> str:
+    """The DSL name of component k differentiated by the variable indices midx."""
     if not midx:
         return f"f{k}"
-    return f"d(f{k},{','.join(midx)})"
+    return f"d(f{k},{','.join(VARIABLES[v] for v in midx)})"
 
 
 def _render_monomial(mono: Monomial) -> str:
     pieces = []
     for v, n in mono.powers:
-        pieces.append(f"P({v},{n})")
+        pieces.append(f"P({VARIABLES[v]},{n})")
     for v, m, e in mono.trig:
         if m:
-            pieces.append(f"sina({v})" + (f"^{m}" if m != 1 else ""))
+            pieces.append(f"sina({VARIABLES[v]})" + (f"^{m}" if m != 1 else ""))
         if e:
-            pieces.append(f"cosa({v})")
+            pieces.append(f"cosa({VARIABLES[v]})")
     for v, s, p in mono.ea:
-        pieces.append(f"Ea({render_poly(s)}, {v})" + (f"^{p}" if p != 1 else ""))
+        pieces.append(f"Ea({render_poly(s)}, {VARIABLES[v]})" + (f"^{p}" if p != 1 else ""))
     for k, midx in mono.dsyms:
         pieces.append(dsym_name(k, midx))
     return "*".join(pieces)
@@ -364,8 +347,7 @@ def _render_monomial(mono: Monomial) -> str:
 def _lam_groups(ce: CanonicalExpr):
     """(monomial, lam-polynomial) per lam-free part of the monomials, in
     rendering order; the polynomial is (lam power, CRat) pairs."""
-    ordered = sorted(ce.terms, key=Monomial.sort_key)
-    for _, group in groupby(ordered, key=lambda m: (m.powers, m.trig, m.ea, m.dsyms)):
+    for _, group in groupby(sorted(ce.terms), key=lambda m: m[:4]):
         group = list(group)
         yield group[0], tuple((m.lam, ce.terms[m]) for m in group)
 
@@ -453,12 +435,14 @@ def eval_canonical(
     total = 0j
     for mono, coeff in ce.terms.items():
         value = _coeff_value(((mono.lam, coeff),), lam)
-        for v, n in mono.powers:
+        for i, n in mono.powers:
+            v = VARIABLES[i]
             xa = _fractal_arg(v, point, alpha)
             if xa == 0 and n < 0:
                 raise EvaluationDomainError(f"{v} = 0 with negative fractal exponent {n}")
             value *= xa**n
-        for v, m, e in mono.trig:
+        for i, m, e in mono.trig:
+            v = VARIABLES[i]
             u = _fractal_arg(v, point, alpha)
             if m:
                 sv = series("sin_alpha", u)
@@ -467,7 +451,8 @@ def eval_canonical(
                 value *= sv**m
             if e:
                 value *= series("cos_alpha", u)
-        for v, s, p in mono.ea:
+        for i, s, p in mono.ea:
+            v = VARIABLES[i]
             u = _coeff_value(s, lam) * _fractal_arg(v, point, alpha)
             ev = series("ml_exp", u)
             if ev == 0 and p < 0:

@@ -149,6 +149,8 @@ def cmd_verify(args) -> int:
 
 def cmd_diff(args) -> int:
     frame = frame_by_name(args.frame)
+    if args.var not in frame.variables:
+        raise SpecError(f"variable {args.var!r} is not in frame {frame.name}")
     out = differentiate(parse(args.expr, frame), args.var, DerivativeMode(args.mode))
     rendered = render_canonical(out)
     doc = {"input": args.expr, "var": args.var, "mode": args.mode, "derivative": rendered}

@@ -93,6 +93,10 @@ class CRat:
             return NotImplemented
         return self.a == other.a and self.b == other.b and self.d == other.d
 
+    def __lt__(self, other):  # the (re, im) order, which sorts Ea scales
+        x, y = self.a * other.d, other.a * self.d
+        return x < y or (x == y and self.b * other.d < other.b * self.d)
+
     def __hash__(self):
         if self.b:
             return hash((self.a, self.b, self.d))
@@ -104,9 +108,6 @@ class CRat:
 
     def is_zero(self) -> bool:
         return not self
-
-    def sort_key(self):  # the (re, im) order
-        return (self.a, self.b) if self.d == 1 else (self.re, self.im)
 
     def to_complex(self) -> complex:
         # int true division rounds correctly, as float(Fraction) does

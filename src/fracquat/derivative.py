@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 
 from .canonical import CanonicalExpr, Monomial, _accumulate, as_canonical_scalar
-from .expr import ExpressionError, VARIABLES, sort_vars, var_order
+from .expr import ExpressionError, var_index
 
 
 class ModeViolationError(ExpressionError):
@@ -34,29 +34,24 @@ class DerivativeMode(str, enum.Enum):
     GAMMA = "gamma"
 
 
-def _check_var(var: str) -> str:
-    if var not in VARIABLES:
-        raise ValueError(f"unknown variable {var!r}")
-    return var
-
-
-def _with_power(mono: Monomial, var: str, n: int) -> Monomial:
+def _with_power(mono: Monomial, var: int, n: int) -> Monomial:
     powers = tuple(t for t in mono.powers if t[0] != var)
     if n:
-        powers = tuple(sorted(powers + ((var, n),), key=lambda t: var_order(t[0])))
-    return Monomial(powers, mono.trig, mono.ea, mono.dsyms, mono.lam)
+        powers = tuple(sorted(powers + ((var, n),)))
+    return Monomial(mono.dsyms, powers, mono.trig, mono.ea, mono.lam)
 
 
-def _with_trig(mono: Monomial, var: str, m: int, e: int) -> Monomial:
+def _with_trig(mono: Monomial, var: int, m: int, e: int) -> Monomial:
     trig = tuple(t for t in mono.trig if t[0] != var)
     if m or e:
-        trig = tuple(sorted(trig + ((var, m, e),), key=lambda t: var_order(t[0])))
-    return Monomial(mono.powers, trig, mono.ea, mono.dsyms, mono.lam)
+        trig = tuple(sorted(trig + ((var, m, e),)))
+    return Monomial(mono.dsyms, mono.powers, trig, mono.ea, mono.lam)
 
 
-def _diff_monomial(mono: Monomial, var: str):
-    """Leibniz rule across the factor groups of one monomial, as
-    (monomial, int or CRat factor) pairs; a factor may be zero (-(m+1) at m = -1)."""
+def _diff_monomial(mono: Monomial, var: int):
+    """Leibniz rule across the factor groups of one monomial, in the
+    variable with index var, as (monomial, int or CRat factor) pairs; a
+    factor may be zero (-(m+1) at m = -1)."""
     for v, n in mono.powers:
         if v == var:
             yield _with_power(mono, var, n - 1), n
@@ -78,17 +73,17 @@ def _diff_monomial(mono: Monomial, var: str):
         if v == var:
             # D[Ea(s, v)^p] = p*s*Ea(s, v)^p, one term per lam power of s
             for k, c in scale:
-                yield Monomial(mono.powers, mono.trig, mono.ea, mono.dsyms, mono.lam + k), p * c
+                yield Monomial(mono.dsyms, mono.powers, mono.trig, mono.ea, mono.lam + k), p * c
 
     for i, (k, midx) in enumerate(mono.dsyms):
-        bumped = (k, sort_vars(midx + (var,)))
+        bumped = (k, tuple(sorted(midx + (var,))))
         dsyms = tuple(sorted(mono.dsyms[:i] + (bumped,) + mono.dsyms[i + 1 :]))
-        yield Monomial(mono.powers, mono.trig, mono.ea, dsyms, mono.lam), 1
+        yield Monomial(dsyms, mono.powers, mono.trig, mono.ea, mono.lam), 1
 
 
 def d_alpha(e, var: str) -> CanonicalExpr:
     """Derivation-mode local fractional partial derivative."""
-    _check_var(var)
+    var = var_index(var)
     acc = {}
     for mono, coeff in as_canonical_scalar(e).terms.items():
         _accumulate(acc, ((m, coeff * f) for m, f in _diff_monomial(mono, var)))
@@ -113,18 +108,18 @@ def jpoly_coefficients(e, var: str) -> list:
     quotients of generators, trig or Ea factors, component symbols, other
     variables.
     """
-    _check_var(var)
+    v = var_index(var)
     ce = as_canonical_scalar(e)
     coeffs = {}
     for mono, coeff in ce.terms.items():
         if mono.trig or mono.ea or mono.dsyms:
             raise ModeViolationError(
                 "gamma mode handles only linear combinations over the J-basis; "
-                f"got generator product {mono}"
+                f"got generator product {CanonicalExpr({mono: 1})}"
             )
         n = 0
         if mono.powers:
-            if len(mono.powers) > 1 or mono.powers[0][0] != var:
+            if len(mono.powers) > 1 or mono.powers[0][0] != v:
                 raise ModeViolationError(
                     f"gamma mode input must be a polynomial in {var!r} alone"
                 )
@@ -141,9 +136,9 @@ def jpoly_coefficients(e, var: str) -> list:
 def d_alpha_gamma(e, var: str) -> CanonicalExpr:
     """Gamma-normalized derivative: index shift J_n -> J_(n-1) on the
     normalized monomials of var, with J_0 -> 0."""
-    coeffs = jpoly_coefficients(e, var)
+    coeffs, v = jpoly_coefficients(e, var), var_index(var)
     return CanonicalExpr._of(
-        {_with_power(m, var, n): c for n, ce in enumerate(coeffs[1:]) for m, c in ce.terms.items()}
+        {_with_power(m, v, n): c for n, ce in enumerate(coeffs[1:]) for m, c in ce.terms.items()}
     )
 
 

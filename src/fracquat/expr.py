@@ -32,6 +32,10 @@ class NonInvertibleDivisionError(ExpressionError):
     """Division by a canonical form that is not a single unit monomial."""
 
 
+class TermBudgetError(ExpressionError):
+    """A product of canonical forms would pair up more terms than allowed."""
+
+
 class UnboundSymbolError(ExpressionError):
     """Numeric evaluation hit a variable or component without a binding."""
 
@@ -40,9 +44,9 @@ class EvaluationDomainError(ExpressionError):
     """Numeric evaluation outside the valid fractal domain (e.g. r <= 0)."""
 
 
-def var_order(name: str) -> int:
-    return _VAR_INDEX[name]
-
-
-def sort_vars(names) -> tuple:
-    return tuple(sorted(names, key=var_order))
+def var_index(name: str) -> int:
+    """The index of a variable in VARIABLES, which is how monomials store it."""
+    try:
+        return _VAR_INDEX[name]
+    except KeyError:
+        raise ValueError(f"unknown variable {name!r}") from None

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 from .canonical import CanonicalExpr, _accumulate, as_canonical_scalar, render_canonical
 from .derivative import DerivativeMode, d_alpha
-from .expr import sort_vars
 from .frames import (
     Frame,
     QuaternionField,
@@ -128,11 +127,13 @@ _HAND_ROWS = {
 
 def _rows(delta0, laplacian, bitsadze) -> dict:
     """The hand rows in the interpreter's form: every coefficient a
-    CanonicalExpr, the derivative variables a sorted tuple, and the vector
-    Laplacian rows with delta0 of their component."""
+    CanonicalExpr, the derivative variables a tuple in the order the table
+    writes them (mixed partials commute, so each pair is written in one
+    order only), and the vector Laplacian rows with delta0 of their
+    component."""
 
     def norm(rows):
-        return tuple((as_canonical_scalar(c), k, sort_vars(v.split())) for c, k, v in rows)
+        return tuple((as_canonical_scalar(c), k, tuple(v.split())) for c, k, v in rows)
 
     return {
         "delta0": norm((c, 0, v) for c, v in delta0),

@@ -18,7 +18,9 @@ from fracquat import (
     EvaluationDomainError,
     NonInvertibleDivisionError,
     QuaternionField,
+    SPHERICAL,
     SingularDivisionError,
+    TermBudgetError,
     UnboundSymbolError,
     abstract_field,
     canon,
@@ -29,7 +31,7 @@ from fracquat import (
     parse,
     render_canonical,
 )
-from fracquat import cos_alpha, ml_exp, series, sin_alpha
+from fracquat import canonical, cos_alpha, ml_exp, series, sin_alpha
 from fracquat.canonical import (
     MONOMIAL_ONE,
     Monomial,
@@ -38,10 +40,12 @@ from fracquat.canonical import (
     dsym_name,
 )
 from fracquat.coefficients import CRat
+from fracquat.expr import var_index
 
 from strategies import exprs
 
 CYL = CYLINDRICAL
+R, THETA, Z = map(var_index, ("r", "theta", "z"))
 
 
 class TestNormalize:
@@ -166,6 +170,38 @@ class TestPower:
             assert base**n == reduce(mul, [base] * n)
             assert canon(f"({text})^{n}", CYL) == base**n
 
+    def test_power_of_a_sum_stops_at_the_term_budget(self, monkeypatch):
+        # (P(r,1) + 1)^(2^k) has 2^k + 1 terms: with a budget of 100 term
+        # pairs, squaring up to the 16th power forms 4 + 9 + 25 + 81 pairs,
+        # and the next square (17 * 17 = 289 pairs) is refused before it
+        # forms any
+        monkeypatch.setattr(canonical, "MAX_TERM_PAIRS", 100)
+        n, products, pairs = 1000000, [], []
+        product, mul_monomials = CanonicalExpr.__mul__, canonical._mul_monomials
+
+        def counted(a, b):  # fail fast, not after n products
+            products.append(1)
+            assert len(products) <= 2 * n.bit_length(), "the power is multiplied out"
+            return product(a, b)
+
+        def counted_pair(a, b):
+            pairs.append(1)
+            return mul_monomials(a, b)
+
+        monkeypatch.setattr(CanonicalExpr, "__mul__", counted)
+        monkeypatch.setattr(canonical, "_mul_monomials", counted_pair)
+        with pytest.raises(TermBudgetError, match="17 by 17 terms exceeds 100 term pairs"):
+            canon(f"(P(r,1) + 1)^{n}", CYL)
+        assert len(pairs) == 4 + 9 + 25 + 81
+
+    def test_term_budget_is_exact(self, monkeypatch):
+        monkeypatch.setattr(canonical, "MAX_TERM_PAIRS", 12)
+        a = canon("1 + f1 + f2", CYL)
+        b = canon("P(r,1) + P(r,2) + P(r,3) + P(r,4)", CYL)
+        assert len((a * b).terms) == 12  # 3 * 4 pairs: at the budget
+        with pytest.raises(TermBudgetError):
+            a * (b + canon("P(z,1)", CYL))  # 3 * 5 pairs
+
     def test_negative_power_is_the_repeated_inverse(self):
         sin = canon("sina(theta)", CYL)
         for n in range(1, 8):
@@ -274,7 +310,7 @@ def assert_clean(x):
 
 def assert_rehashes(mono):
     """A monomial equals, and hashes like, copies built the other ways."""
-    fields = (mono.powers, mono.trig, mono.ea, mono.dsyms, mono.lam)
+    fields = (mono.dsyms, mono.powers, mono.trig, mono.ea, mono.lam)
     for copy in (Monomial(*fields), mono._replace()):
         assert copy == mono and hash(copy) == hash(mono)
 
@@ -286,28 +322,33 @@ def test_results_are_clean_maps(a, b, var):
     product = ca * cb
     for x in (ca, cb, ca + cb, ca - cb, -ca, product, d_alpha(ca, var)):
         assert_clean(x)
+        for mono in x.terms:
+            # every group and multi-index is stored sorted, so plain tuple
+            # order is the rendering order
+            for group in (*mono[:4], *(midx for _, midx in mono.dsyms)):
+                assert list(group) == sorted(group)
     for mono in product.terms:
         assert_rehashes(mono)
 
 
 def test_monomial_hash_agrees_across_constructions():
-    sin = Monomial(trig=(("theta", 1, 0),))
-    cos = Monomial(trig=(("theta", 0, 1),))
-    ea = Monomial(ea=(("z", ((0, CRat(2)),), 1),), lam=1)
-    built = Monomial(powers=(("r", 1),), trig=(("theta", 1, 0),))
-    replaced = sin._replace(powers=(("r", 1),))
-    (product, sign), = _mul_monomials(Monomial(powers=(("r", 1),)), sin)
+    sin = Monomial(trig=((THETA, 1, 0),))
+    cos = Monomial(trig=((THETA, 0, 1),))
+    ea = Monomial(ea=((Z, ((0, CRat(2)),), 1),), lam=1)
+    built = Monomial(powers=((R, 1),), trig=((THETA, 1, 0),))
+    replaced = sin._replace(powers=((R, 1),))
+    (product, sign), = _mul_monomials(Monomial(powers=((R, 1),)), sin)
     assert built == replaced == product and sign == 1
     assert hash(built) == hash(replaced) == hash(product)
     # cos^2 splits into 1 - sin^2; both parts are ordinary dict keys
     (one, s1), (sin2, s2) = _mul_monomials(cos, cos)
     assert (s1, s2) == (1, -1)
     assert hash(one) == hash(MONOMIAL_ONE) and one == MONOMIAL_ONE
-    assert {Monomial(trig=(("theta", 2, 0),)): 1}[sin2] == 1
+    assert {Monomial(trig=((THETA, 2, 0),)): 1}[sin2] == 1
     # Ea scales are separately built but equal polynomials; lam powers add
     (ea2, _), = _mul_monomials(ea, ea)
-    assert ea2 == Monomial(ea=(("z", ((0, CRat(2)),), 2),), lam=2)
-    assert hash(ea2) == hash(Monomial(ea=(("z", ((0, CRat(2)),), 2),), lam=2))
+    assert ea2 == Monomial(ea=((Z, ((0, CRat(2)),), 2),), lam=2)
+    assert hash(ea2) == hash(Monomial(ea=((Z, ((0, CRat(2)),), 2),), lam=2))
     for mono in (built, replaced, product, one, sin2, ea2):
         assert_rehashes(mono)
     # string hashes differ between processes, so a pickle must not carry the
@@ -412,6 +453,14 @@ def test_render_deterministic():
     a = render_canonical(canon("f1 + P(r,1) + sina(theta)", CYL))
     b = render_canonical(canon("sina(theta) + f1 + P(r,1)", CYL))
     assert a == b
+
+
+def test_derivative_symbols_render_in_frame_order():
+    # like every other group, derivative symbols follow the variable order
+    # of VARIABLES (r before psi), not the alphabetical order of their names
+    ce = canon("d(f1,psi)*d(f1,r)", SPHERICAL)
+    assert render_canonical(ce) == "d(f1,r)*d(f1,psi)"
+    assert canon(render_canonical(ce), SPHERICAL) == ce
 
 
 # render_canonical output recorded while coefficients were lam-polynomials;

@@ -165,6 +165,15 @@ class TestDiff:
         )
         assert code == 2
 
+    def test_gamma_mode_violation_renders_the_product(self, capsys):
+        argv = ["diff", "lam*sina(theta)*P(r,1)", "--var", "r", "--frame", "cylindrical"]
+        assert run(capsys, argv + ["--mode", "gamma"]) == (
+            2,
+            "",
+            "error: gamma mode handles only linear combinations over the J-basis; "
+            "got generator product lam*P(r,1)*sina(theta)\n",
+        )
+
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, ["diff", "P(r,", "--var", "r", "--frame", "cylindrical"])
         assert code == 2
@@ -337,6 +346,18 @@ class TestInputValidation:
             main(["series", "Ea", "--alpha", "0.5", "--u", "1", "--bogus", value])
         assert exc.value.code == 2
         assert capsys.readouterr() == ("", f"error: unrecognized arguments: --bogus {value}\n")
+
+    def test_variable_outside_the_frame(self, capsys):
+        # the parser rejects theta in the expression; --var is held to the same frame
+        argv = ["diff", "P(x,1)", "--var", "theta", "--frame", "cartesian"]
+        assert run(capsys, argv) == (2, "", "error: variable 'theta' is not in frame cartesian\n")
+
+    def test_product_past_the_term_budget(self, capsys):
+        # 1000 by 1001 terms is past the 10^6 term pairs one product may form
+        a = " + ".join(f"P(r,{n})" for n in range(1, 1001))
+        b = " + ".join(f"P(z,{n})" for n in range(1, 1001))
+        argv = ["diff", f"({a})*(({b}) + f1)", "--var", "r", "--frame", "cylindrical"]
+        self.assert_usage_error(capsys, argv)
 
     @pytest.mark.parametrize(
         "text",
