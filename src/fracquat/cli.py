@@ -179,11 +179,7 @@ def cmd_eval(args) -> int:
 
 def cmd_series(args) -> int:
     u = _parse_complex(args.u)
-    try:
-        value, terms = evaluate_series(args.function, args.alpha, u, args.tol)
-    except SeriesConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    value, terms = evaluate_series(args.function, args.alpha, u, args.tol)
     doc = {
         "function": args.function,
         "alpha": args.alpha,
@@ -295,6 +291,9 @@ def main(argv=None) -> int:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
+    except SeriesConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ExpressionError, SpecError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

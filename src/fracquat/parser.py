@@ -72,7 +72,10 @@ def tokenize(text: str) -> list:
             digits = word[:-1] if imag else word
             if digits[-1] == ".":
                 raise ParseError("malformed number", pos)
-            value = Fraction(digits) if "." in digits else Fraction(int(digits))
+            try:
+                value = Fraction(digits) if "." in digits else Fraction(int(digits))
+            except ValueError:  # past the interpreter's int digit limit
+                raise ParseError("number has too many digits", pos) from None
             tokens.append(_Token("num", (value, imag), pos))
         else:
             raise ParseError(f"unexpected character {word[0]!r}", pos)

@@ -76,37 +76,50 @@ _SERIES = {
     "cosa": ("cos_alpha", 0, 2, True),
 }
 
+# a term above e^709 counts as overflowed: |u|^k / Gamma(1+k*alpha) is
+# unimodal in k and can pass e^709 only before a peak at k > 709, so such
+# a sum cannot settle within MAX_SERIES_TERMS
+_MAX_TERM = math.exp(709.0)
+
 
 def _sum_series(alpha, u, tol, label, power, step, alternating):
-    """Adaptive summation; hard cap MAX_SERIES_TERMS.
+    """Adaptive summation by term recurrence; hard cap MAX_SERIES_TERMS.
 
-    Stops once the terms are decreasing and the geometric tail bound
-    next/(1-rho), with rho the observed term ratio, falls below tol (the
-    Gamma denominators make the ratios eventually decreasing, so the
-    bound dominates the true tail).  The look-ahead term becomes the next
-    term, so each is computed once.  A real u gets real terms: phase 0,
-    and for a negative u the sign comes from the parity of the power
-    (phase pi would leave sin(k*pi) rounding in the imaginary part).
+    Each term comes from the one before: t_next = t * (z * exp(lg -
+    lg_next)), with z = u**step, negated when the signs alternate, and
+    lg = lgamma(1 + power*alpha) carried over, so a term costs one
+    lgamma, one real exp and one multiply.  A real u is summed in float
+    arithmetic, so its value is exactly real.  Stops once the terms are
+    decreasing and the geometric tail bound next/(1-rho), with rho the
+    observed term ratio, falls below tol (the Gamma denominators make the
+    ratios eventually decreasing, so the bound dominates the true tail).
+    An overflowed term ends the sum with last term magnitude inf.
     Returns (value, terms summed).
     """
-    real = u.imag == 0
-    negative = real and u.real < 0
-    log_u, phase_u = math.log(abs(u)), 0.0 if real else cmath.phase(u)
-    total = 0j
-    term = _power_term(log_u, phase_u, power, alpha)
+    if u.imag == 0:
+        u = u.real
+    z = -(u**step) if alternating else u**step
+    lgamma, exp = math.lgamma, math.exp
+    lg = lgamma(1.0 + power * alpha)
+    term = u**power / math.gamma(1.0 + power * alpha)
+    total = 0.0
     mag, prev_mag = abs(term), math.inf
     for i in range(MAX_SERIES_TERMS - 1):
-        flip = (alternating and i % 2 == 1) != (negative and power % 2 == 1)
-        total = total - term if flip else total + term
+        total += term
         power += step
-        term = _power_term(log_u, phase_u, power, alpha)
+        lg_next = lgamma(1.0 + power * alpha)
+        term *= z * exp(lg - lg_next)
+        lg = lg_next
         next_mag = abs(term)
-        if next_mag < min(mag, prev_mag):
+        if next_mag < mag and next_mag < prev_mag:
             if next_mag == 0.0:
-                return total, i + 1
+                return complex(total), i + 1
             rho = next_mag / mag
             if next_mag / (1.0 - rho) < tol:
-                return total, i + 1
+                return complex(total), i + 1
+        elif not next_mag <= _MAX_TERM:  # also true for nan, from inf * complex
+            mag = math.inf
+            break
         prev_mag, mag = mag, next_mag
     raise SeriesConvergenceError(
         f"{label} did not converge to tol={tol} within {MAX_SERIES_TERMS} terms "
@@ -119,6 +132,8 @@ def evaluate_series(kind: str, alpha: float, u: complex, tol: float = 1e-12):
     """(value, terms_summed) for kind in {"Ea", "sina", "cosa"}."""
     alpha, tol = validate_alpha(alpha), validate_tol(tol)
     u = complex(u)
+    if not cmath.isfinite(u):
+        raise ValueError(f"u must be finite, got {u}")
     spec = _SERIES.get(kind)
     if spec is None:
         raise ValueError(f"unknown series kind {kind!r}")

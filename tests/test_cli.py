@@ -239,6 +239,15 @@ class TestEval:
         code, _, err = run(capsys, ["eval", spec, "--at", "x=2"])
         assert code == 2
 
+    def test_non_convergence_exit_code(self, tmp_path, capsys):
+        # Ea(20, r) at r = 1 sums E_(1/2)(20), which does not settle in 500 terms;
+        # this used to end in a SeriesConvergenceError traceback
+        doc = {"alpha": 0.5, "frame": "cylindrical", "components": {"f0": "Ea(20, r)"}}
+        spec = write_spec(tmp_path, doc)
+        code, out, err = run(capsys, ["eval", spec, "--at", "r=1,theta=0.5,z=1"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ml_exp did not converge") and err.count("\n") == 1
+
 
 class TestSeries:
     def test_exponential(self, capsys):

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 import fracquat
@@ -117,6 +119,18 @@ def test_unbalanced_parens():
 def test_malformed_number():
     with pytest.raises(ParseError):
         parse("1.", CYLINDRICAL)
+
+
+def test_over_long_literal_is_a_parse_error():
+    # int() refuses more than sys.get_int_max_str_digits() digits with a bare ValueError
+    n = sys.get_int_max_str_digits()
+    assert parse("1" * n) == C.const(CRat(int("1" * n)))
+    long = "1" * (n + 1)
+    for text, position in ((long, 0), ("P(r," + long + ")", 4), ("1." + long, 0)):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.position == position
+        assert str(err.value) == f"number has too many digits (at position {position})"
 
 
 def test_default_frame_allows_all_variables():
