@@ -58,15 +58,15 @@ def gamma_one_plus(alpha: float, k: int) -> float:
         raise GammaRangeError(f"Gamma(1 + {k}*{alpha}) overflows double precision") from exc
 
 
-def _power_term(log_u: float, phase_u: float, power: int, alpha: float) -> complex:
-    # u^power / Gamma(1+power*alpha) from log|u| and phase(u), in log space
-    # to avoid intermediate overflow of u^power for moderate |u|
+def _power_term(log_u: float, power: int, alpha: float) -> float:
+    # u^power / Gamma(1+power*alpha) for a real u > 0 from log(u), in log
+    # space to avoid intermediate overflow of u^power for moderate u
     log_mag = power * log_u - math.lgamma(1.0 + power * alpha)
     if log_mag < -745.0:  # below double underflow
-        return 0j
-    if log_mag > 709.0:  # above double overflow: magnitude is all that matters
-        return complex(math.inf)
-    return cmath.exp(complex(log_mag, power * phase_u))
+        return 0.0
+    if log_mag > 709.0:  # above double overflow
+        return math.inf
+    return math.exp(log_mag)
 
 
 # kind: (label, first power, power step, alternating signs)
@@ -86,7 +86,7 @@ def _sum_series(alpha, u, tol, label, power, step, alternating):
     """Adaptive summation by term recurrence; hard cap MAX_SERIES_TERMS.
 
     Each term comes from the one before: t_next = t * (z * exp(lg -
-    lg_next)), with z = u**step, negated when the signs alternate, and
+    lg_next)), with z = u^step, negated when the signs alternate, and
     lg = lgamma(1 + power*alpha) carried over, so a term costs one
     lgamma, one real exp and one multiply.  A real u is summed in float
     arithmetic, so its value is exactly real.  Stops once the terms are
@@ -98,7 +98,11 @@ def _sum_series(alpha, u, tol, label, power, step, alternating):
     """
     if u.imag == 0:
         u = u.real
-    z = -(u**step) if alternating else u**step
+    # u * u rather than u**2: a product past the double range is inf,
+    # where ** raises OverflowError
+    z = u * u if step == 2 else u
+    if alternating:
+        z = -z
     lgamma, exp = math.lgamma, math.exp
     lg = lgamma(1.0 + power * alpha)
     term = u**power / math.gamma(1.0 + power * alpha)
@@ -188,7 +192,7 @@ class JSeries:
         if x == 0:
             return self.coeffs[0] + 0j  # J_0(0) = 1, every other J_k(0) = 0
         log_u = math.log(x**self.alpha)
-        terms = (c * _power_term(log_u, 0.0, k, self.alpha) for k, c in enumerate(self.coeffs) if c)
+        terms = (c * _power_term(log_u, k, self.alpha) for k, c in enumerate(self.coeffs) if c)
         return sum(terms, 0j)
 
 

@@ -122,15 +122,21 @@ def test_malformed_number():
 
 
 def test_over_long_literal_is_a_parse_error():
-    # int() refuses more than sys.get_int_max_str_digits() digits with a bare ValueError
-    n = sys.get_int_max_str_digits()
-    assert parse("1" * n) == C.const(CRat(int("1" * n)))
-    long = "1" * (n + 1)
-    for text, position in ((long, 0), ("P(r," + long + ")", 4), ("1." + long, 0)):
-        with pytest.raises(ParseError) as err:
-            parse(text)
-        assert err.value.position == position
-        assert str(err.value) == f"number has too many digits (at position {position})"
+    # int() refuses more than sys.get_int_max_str_digits() digits with a bare
+    # ValueError; a limit of 0 means none, so the test sets the default then
+    old_limit = sys.get_int_max_str_digits()
+    n = old_limit or sys.int_info.default_max_str_digits
+    sys.set_int_max_str_digits(n)
+    try:
+        assert parse("1" * n) == C.const(CRat(int("1" * n)))
+        long = "1" * (n + 1)
+        for text, position in ((long, 0), ("P(r," + long + ")", 4), ("1." + long, 0)):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert err.value.position == position
+            assert str(err.value) == f"number has too many digits (at position {position})"
+    finally:
+        sys.set_int_max_str_digits(old_limit)
 
 
 def test_default_frame_allows_all_variables():
