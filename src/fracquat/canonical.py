@@ -427,9 +427,15 @@ def eval_canonical(
     bindings = bindings or {}
     memo = {}
 
-    def series(name, u):  # pure in (alpha, u, tol); looked up late so wrappers apply
+    def series(name, u, v, scale=None):  # pure in (alpha, u, tol); looked up late so wrappers apply
         if (name, u) not in memo:
-            memo[name, u] = getattr(_series, name)(alpha, u, tol)
+            try:
+                memo[name, u] = getattr(_series, name)(alpha, u, tol)
+            except _series.SeriesConvergenceError as exc:
+                # name the generator: Ea(scale, v), or sina(v) / cosa(v) for sin_alpha / cos_alpha
+                gen = f"Ea({render_poly(scale)}, {v})" if scale else f"{name[:3]}a({v})"
+                where = f"{exc} for {gen} at u = {u.real if u.imag == 0 else u}"
+                raise _series.SeriesConvergenceError(where, exc.last_term_magnitude) from None
         return memo[name, u]
 
     total = 0j
@@ -445,16 +451,16 @@ def eval_canonical(
             v = VARIABLES[i]
             u = _fractal_arg(v, point, alpha)
             if m:
-                sv = series("sin_alpha", u)
+                sv = series("sin_alpha", u, v)
                 if sv == 0 and m < 0:
                     raise EvaluationDomainError(f"sina({v}) vanishes at {v} = {point[v]}")
                 value *= sv**m
             if e:
-                value *= series("cos_alpha", u)
+                value *= series("cos_alpha", u, v)
         for i, s, p in mono.ea:
             v = VARIABLES[i]
             u = _coeff_value(s, lam) * _fractal_arg(v, point, alpha)
-            ev = series("ml_exp", u)
+            ev = series("ml_exp", u, v, s)
             if ev == 0 and p < 0:
                 raise EvaluationDomainError(f"Ea factor vanishes at {v} = {point[v]}")
             value *= ev**p

@@ -167,10 +167,13 @@ def cmd_eval(args) -> int:
     else:
         lam_value = None if lam == FORMAL else lam.to_complex()
     point = _parse_point(args.at, f.frame)
-    values = {
-        key: eval_canonical(c, alpha, point, lam=lam_value, tol=args.tol)
-        for key, c in zip(COMPONENT_NAMES, f.components)
-    }
+    values = {}
+    for key, c in zip(COMPONENT_NAMES, f.components):
+        try:
+            values[key] = eval_canonical(c, alpha, point, lam=lam_value, tol=args.tol)
+        except SeriesConvergenceError as exc:
+            message = f"{exc} in component {key}"
+            raise SeriesConvergenceError(message, exc.last_term_magnitude) from None
     components = {key: {"re": v.real, "im": v.imag} for key, v in values.items()}
     doc = {"frame": f.frame.name, "alpha": alpha, "point": point, "components": components}
     _emit(args, doc, "\n".join(f"{key} = {v}" for key, v in values.items()))

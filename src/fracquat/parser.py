@@ -18,223 +18,322 @@ imaginary literals, so the complex form a+bi parses through the ordinary
 sum grammar.  d(...) attaches partial-derivative indices to component
 symbols and exists so rendered canonical forms re-parse.
 
-The parser builds the canonical form as it reads: every production
-returns a CanonicalExpr, and a sum adds its terms into one map.  Sums and
-products are loops, so only nesting recurses; the input limits below keep
-both the work and the recursion bounded, and going past one raises
-ParseError.
+The parser builds the canonical form as it reads.  A term is read into
+one record, the exponent of each generator and one coefficient, and its
+monomial is formed once, at the end of the term.  Only a factor in
+parentheses, a power of a number or of cosa, and a cos power past 1 take
+ring products.  A sum adds its terms into one map.  Sums and products
+are loops, so only nesting recurses; the input limits below keep both
+the work and the recursion bounded, and going past one raises ParseError.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
+import sys
+from math import gcd, log2
 
-from .canonical import CanonicalExpr, _accumulate, _scale
-from .coefficients import CRat
+from .canonical import MONOMIAL_ONE, CanonicalExpr, Monomial, _accumulate, _scale
+from .coefficients import _of
 from .expr import COMPONENT_NAMES, ParseError, VARIABLES
 
 MAX_TERMS = 1000  # terms in one sum
 MAX_FACTORS = 1000  # factors in one product
 MAX_DEPTH = 200  # nesting levels, counted across '(', 'Ea(' and 'd('
 
-_SYMBOLS = "+-*/^(),"
+_SYMBOLS = frozenset("+-*/^(),")
 # a token is a number with an optional imaginary suffix, a word, or any
 # other character that is not whitespace.  \s, \w and \d match what
 # str.isspace, str.isalnum (or "_") and str.isdecimal accept
-_TOKEN = re.compile(r"(\d+(?:\.\d*)?i?|\w+|\S)")
+_TOKEN = re.compile(r"\d+(?:\.\d*)?i?|\w+|\S")
+_VAR_INDEX = {v: i for i, v in enumerate(VARIABLES)}
+# a record maps generators to exponents; its keys are ("d", (k, midx)),
+# ("P", v), ("sina", v), ("cosa", v), ("Ea", v, scale) and ("lam",)
+_NOT_UNITS = ("d", "cosa", "lam")  # generators that CanonicalExpr.inverse refuses
+_ONE = (1, 0, 1)  # the coefficient (a, b, d) of an atom that is not a number
 
 
-class _Token:
-    __slots__ = ("kind", "value", "pos")
+def _number(tok: str) -> tuple:
+    """A number token's value (a + b i)/d as (a, b, d).  int reads each side
+    of the point on its own, as Fraction does, and raises ValueError past
+    the interpreter's int digit limit."""
+    imag = tok[-1] == "i"
+    digits, _, decimals = (tok[:-1] if imag else tok).partition(".")
+    d = 10 ** len(decimals)
+    n = int(digits) * d + int(decimals) if decimals else int(digits)
+    return (0, n, d) if imag else (n, 0, d)
 
-    def __init__(self, kind, value, pos):
-        self.kind = kind  # "num" | "ident" | one of _SYMBOLS | "end"
-        self.value = value
-        self.pos = pos
 
-    def __repr__(self):
-        return f"_Token({self.kind!r}, {self.value!r}, {self.pos})"
+def _lex_error(tok: str):
+    """What is wrong with a token, or None."""
+    if tok[0].isdecimal():
+        if tok.rstrip("i")[-1] == ".":
+            return "malformed number"
+        try:
+            _number(tok)
+        except ValueError:
+            return "number has too many digits"
+    elif tok not in _SYMBOLS and not (tok[0].isalpha() or tok[0] == "_"):
+        return f"unexpected character {tok[0]!r}"
+    return None
 
 
 def tokenize(text: str) -> list:
-    tokens = []
-    parts = _TOKEN.split(text)  # whitespace, token, whitespace, ..., whitespace
-    pos = len(parts[0])
-    for k in range(1, len(parts), 2):
-        word = parts[k]
-        if word in _SYMBOLS:
-            tokens.append(_Token(word, word, pos))
-        elif word[0].isalpha() or word[0] == "_":
-            tokens.append(_Token("ident", word, pos))
-        elif word[0].isdecimal():
-            imag = word[-1] == "i"
-            digits = word[:-1] if imag else word
-            if digits[-1] == ".":
-                raise ParseError("malformed number", pos)
-            try:
-                value = Fraction(digits) if "." in digits else Fraction(int(digits))
-            except ValueError:  # past the interpreter's int digit limit
-                raise ParseError("number has too many digits", pos) from None
-            tokens.append(_Token("num", (value, imag), pos))
-        else:
-            raise ParseError(f"unexpected character {word[0]!r}", pos)
-        pos += len(word) + len(parts[k + 1])
-    tokens.append(_Token("end", None, len(text)))
+    """The tokens of text as strings, then None for the end.  Each distinct
+    token is checked once; a text with a bad one is scanned again, so the
+    first in reading order is reported.  Tokens carry no position: only
+    an error needs one, and _Parser.error finds it again."""
+    tokens = _TOKEN.findall(text)
+    if any(map(_lex_error, set(tokens))):
+        for m in _TOKEN.finditer(text):
+            if message := _lex_error(m.group()):
+                raise ParseError(message, m.start())
+    tokens.append(None)
     return tokens
 
 
+def _shown(tok) -> str:
+    """A token as error messages show it: a number as (Fraction, imaginary)."""
+    if tok is None or not tok[0].isdecimal():
+        return repr(tok)
+    a, b, d = _number(tok)
+    g = gcd(a + b, d)
+    return f"(Fraction({(a + b) // g}, {d // g}), {tok[-1] == 'i'})"
+
+
+def _terms(gens: dict, a: int, b: int, d: int) -> dict:
+    """The clean map of the record (gens, (a + b i)/d): one term, or more
+    where a cos power past 1 is rewritten to (1 - sin^2)^j in the ring."""
+    coeff = _of(a, b, d)
+    if not coeff or not gens:
+        return {MONOMIAL_ONE: coeff} if coeff else {}
+    dsyms, powers, trig, ea, lam = [], [], {}, [], 0
+    for key, p in gens.items():
+        tag = key[0]
+        if not p:
+            continue
+        if tag == "P":
+            powers.append((key[1], p))
+        elif tag == "Ea":
+            ea.append((key[1], key[2], p))
+        elif tag == "d":
+            dsyms += [key[1]] * p
+        elif tag == "lam":
+            lam = p
+        else:
+            trig.setdefault(key[1], [0, 0])[tag == "cosa"] = p
+    mono = Monomial(
+        tuple(sorted(dsyms)),
+        tuple(sorted(powers)),
+        tuple(sorted((v, m, c & 1) for v, (m, c) in trig.items() if m or c & 1)),
+        tuple(sorted(ea)),
+        lam,
+    )
+    out = CanonicalExpr._of({mono: coeff})
+    for v, (_, c) in trig.items():
+        if c > 1:  # cos^2j, which the ring rewrites to (1 - sin^2)^j
+            out = out * CanonicalExpr.trig(VARIABLES[v], "cos") ** (c & ~1)
+    return out.terms
+
+
 class _Parser:
-    def __init__(self, tokens, variables):
-        self.tokens = tokens
+    def __init__(self, text, variables):
+        self.text = text
+        self.tokens = tokenize(text)
         self.i = 0
         self.variables = tuple(variables)
         self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
+    def error(self, message: str, index: int) -> ParseError:
+        """A ParseError at the token with this index (the end has the last)."""
+        starts = [m.start() for m in _TOKEN.finditer(self.text)] + [len(self.text)]
+        return ParseError(message, starts[index])
 
-    def advance(self) -> _Token:
+    def expect(self, symbol: str):
         tok = self.tokens[self.i]
+        if tok != symbol:
+            raise self.error(f"expected {symbol!r}, found {_shown(tok)}", self.i)
         self.i += 1
-        return tok
 
-    def expect(self, kind) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.value!r}", tok.pos)
-        return self.advance()
-
-    def descend(self, tok: _Token):
-        """Enter the nesting level that tok opens; the caller leaves it
-        with `self.depth -= 1`."""
+    def descend(self, index: int):
+        """Enter the nesting level that the token at index opens; the
+        caller leaves it with `self.depth -= 1`."""
         self.depth += 1
         if self.depth > MAX_DEPTH:
-            raise ParseError(f"nesting is deeper than {MAX_DEPTH} levels", tok.pos)
+            raise self.error(f"nesting is deeper than {MAX_DEPTH} levels", index)
 
     # -- grammar productions ---------------------------------------------
     # a nesting level costs three frames: parse_sum, parse_term, parse_atom
 
     def parse_sum(self) -> CanonicalExpr:
         acc = {}
-        negate = self.peek().kind == "-"
-        if negate:
-            self.advance()
+        sign = 1
+        if self.tokens[self.i] == "-":
+            self.i += 1
+            sign = -1
         terms = 1
         while True:
-            items = self.parse_term().terms.items()
-            _accumulate(acc, ((m, -p) for m, p in items) if negate else items)
-            op = self.peek()
-            if op.kind not in ("+", "-"):
+            _accumulate(acc, self.parse_term(sign).items())
+            op = self.tokens[self.i]
+            if op != "+" and op != "-":
                 return CanonicalExpr._of(acc)
             if terms == MAX_TERMS:
-                raise ParseError(f"a sum has more than {MAX_TERMS} terms", op.pos)
+                raise self.error(f"a sum has more than {MAX_TERMS} terms", self.i)
             terms += 1
-            negate = self.advance().kind == "-"
+            self.i += 1
+            sign = -1 if op == "-" else 1
 
-    def parse_term(self) -> CanonicalExpr:
-        node, op, factors = None, None, 1
+    def parse_term(self, sign: int) -> dict:
+        """The clean map of sign times one product.  Atoms go into the record
+        (gens, (a + b i)/d).  A factor in parentheses, a power of a number or
+        of cosa, and a division or negative power that the ring refuses are
+        formed in the ring, which raises its own errors; the product read so
+        far is multiplied by such a factor there, and the record starts afresh."""
+        gens, (a, b, d), ring, divide, factors = {}, (sign, 0, 1), None, False, 1
         while True:
-            factor = self.parse_atom()
-            if self.peek().kind == "^":
-                self.advance()
-                factor = factor ** self.parse_integer()
-            if op is None:
-                node = factor
+            atom = self.parse_atom()
+            k, caret = 1, self.i
+            if self.tokens[caret] == "^":
+                self.i += 1
+                k = self.parse_integer()
+            if type(atom) is not CanonicalExpr:
+                key, n, base = atom
+                unit = key[0] not in _NOT_UNITS if key else base[0] or base[1]
+                if k != 1 and (not key or key[0] == "cosa") or not unit and (k < 0 or divide and k):
+                    atom = CanonicalExpr._of(_terms({key: n} if key else {}, *base))
+            if type(atom) is CanonicalExpr:  # what CanonicalExpr.__pow__ does, with a check
+                if k < 0:
+                    atom, k = atom.inverse(), -k
+                if k != 1:
+                    if len(atom.terms) == 1:
+                        self.check_power(*atom.terms.values(), k, caret)
+                    atom = atom**k
+                if divide:
+                    atom = atom.inverse()
+                product = CanonicalExpr._of(_terms(gens, a, b, d))
+                ring = product * atom if ring is None else ring * product * atom
+                gens, (a, b, d) = {}, _ONE
             else:
-                node = node * factor if op.kind == "*" else node / factor
-            op = self.peek()
-            if op.kind not in ("*", "/"):
-                return node
+                if key:
+                    gens[key] = gens.get(key, 0) + (-n * k if divide else n * k)
+                if base is not _ONE:  # a number, k == 1
+                    x, y, z = base
+                    if divide:
+                        x, y, z = x * z, -y * z, x * x + y * y
+                    a, b, d = a * x - b * y, a * y + b * x, d * z
+            op = self.tokens[self.i]
+            if op != "*" and op != "/":
+                out = _terms(gens, a, b, d)
+                return out if ring is None else (ring * CanonicalExpr._of(out)).terms
             if factors == MAX_FACTORS:
-                raise ParseError(f"a product has more than {MAX_FACTORS} factors", op.pos)
+                raise self.error(f"a product has more than {MAX_FACTORS} factors", self.i)
             factors += 1
-            self.advance()
+            self.i += 1
+            divide = op == "/"
+
+    def check_power(self, c, k: int, caret: int):
+        """Refuse c^k (k >= 0), at its '^', if a part of its coefficient could
+        pass the int-to-str digit limit (its default where that is off) in
+        bits, so that render can print every power that parses."""
+        digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        limit = int(digits * log2(10))
+        # a part of (a + b i)^k / d^k is at most |a + b i|^k or d^k
+        if k * max(log2(c.a * c.a + c.b * c.b) / 2, log2(c.d)) > limit:
+            raise self.error(f"a power's coefficient would pass {limit} bits", caret)
 
     def parse_integer(self) -> int:
         sign = 1
-        if self.peek().kind == "-":
-            self.advance()
+        if self.tokens[self.i] == "-":
+            self.i += 1
             sign = -1
-        tok = self.peek()
-        if tok.kind != "num":
-            raise ParseError(f"expected an integer, found {tok.value!r}", tok.pos)
-        value, imag = tok.value
-        if imag or value.denominator != 1:
-            raise ParseError("exponent is not an integer", tok.pos)
-        self.advance()
-        return sign * value.numerator
+        tok = self.tokens[self.i]
+        if tok is None or not tok[0].isdecimal():
+            raise self.error(f"expected an integer, found {_shown(tok)}", self.i)
+        n, _, d = _number(tok)
+        if tok[-1] == "i" or n % d:
+            raise self.error("exponent is not an integer", self.i)
+        self.i += 1
+        return sign * (n // d)
 
-    def parse_variable(self) -> str:
-        tok = self.expect("ident")
-        if tok.value not in VARIABLES:
-            raise ParseError(f"unknown variable {tok.value!r}", tok.pos)
-        if tok.value not in self.variables:
-            raise ParseError(
-                f"variable {tok.value!r} is not in the active frame {self.variables}", tok.pos
+    def parse_variable(self) -> int:
+        """A variable of the active frame, as its index in VARIABLES."""
+        name = self.tokens[self.i]
+        if name is None or not (name[0].isalpha() or name[0] == "_"):
+            raise self.error(f"expected 'ident', found {_shown(name)}", self.i)
+        if name not in _VAR_INDEX:
+            raise self.error(f"unknown variable {name!r}", self.i)
+        if name not in self.variables:
+            raise self.error(
+                f"variable {name!r} is not in the active frame {self.variables}", self.i
             )
-        return tok.value
+        self.i += 1
+        return _VAR_INDEX[name]
 
-    def parse_atom(self) -> CanonicalExpr:
-        tok = self.advance()
-        if tok.kind == "num":
-            value, imag = tok.value
-            return CanonicalExpr.const(CRat(0, value) if imag else CRat(value))
-        if tok.kind == "(":
-            self.descend(tok)
+    def parse_atom(self):
+        """The next atom: a parenthesised sum as its CanonicalExpr, anything
+        else as (record key or None, exponent, coefficient (a, b, d))."""
+        i = self.i
+        tok = self.tokens[i]
+        self.i = i + 1
+        if tok == "(":
+            self.descend(i)
             node = self.parse_sum()
             self.depth -= 1
             self.expect(")")
             return node
-        if tok.kind != "ident":
-            raise ParseError(f"unexpected token {tok.value!r}", tok.pos)
-        name = tok.value
-        if name == "lam":
-            return CanonicalExpr.lam()
-        if name in COMPONENT_NAMES or name == "d":
-            return CanonicalExpr.component(*self.parse_component(tok))
-        if name == "P":
+        if tok is None or tok in _SYMBOLS:
+            raise self.error(f"unexpected token {_shown(tok)}", i)
+        if tok[0].isdecimal():
+            return None, 0, _number(tok)
+        if tok == "lam":
+            return ("lam",), 1, _ONE
+        if tok in COMPONENT_NAMES or tok == "d":
+            k, midx = self.parse_component(i)
+            return ("d", (k, tuple(sorted(midx)))), 1, _ONE
+        if tok == "P":
             self.expect("(")
             var = self.parse_variable()
             self.expect(",")
             n = self.parse_integer()
             self.expect(")")
-            return CanonicalExpr.fractal_power(var, n)
-        if name in ("sina", "cosa"):
+            return ("P", var), n, _ONE
+        if tok == "sina" or tok == "cosa":
             self.expect("(")
             var = self.parse_variable()
             self.expect(")")
-            return CanonicalExpr.trig(var, "sin" if name == "sina" else "cos")
-        if name == "Ea":
+            return (tok, var), 1, _ONE
+        if tok == "Ea":
             self.expect("(")
-            self.descend(tok)
+            self.descend(i)
             scale = self.parse_sum()
             self.depth -= 1
             self.expect(",")
             var = self.parse_variable()
             self.expect(")")
-            return CanonicalExpr.ea_power(var, _scale(scale))
-        raise ParseError(f"unknown identifier {name!r}", tok.pos)
+            scale = _scale(scale)
+            return ("Ea", var, scale), 1 if scale else 0, _ONE  # E_alpha(0) = 1
+        raise self.error(f"unknown identifier {tok!r}", i)
 
-    def parse_component(self, tok: _Token) -> tuple:
-        """The component symbol that tok (f0..f3 or d) starts, as
-        (k, differentiation variables)."""
-        if tok.value != "d":
-            return int(tok.value[1]), ()
+    def parse_component(self, index: int) -> tuple:
+        """The component symbol that the token at index (f0..f3 or d)
+        starts, as (k, differentiation variable indices)."""
+        if self.tokens[index] != "d":
+            return int(self.tokens[index][1]), ()
         self.expect("(")
-        inner = self.advance()
-        if inner.kind != "ident" or inner.value not in COMPONENT_NAMES + ("d",):
-            raise ParseError("d(...) applies only to component symbols f0..f3", inner.pos)
-        self.descend(tok)
+        inner = self.i
+        if self.tokens[inner] not in COMPONENT_NAMES + ("d",):
+            raise self.error("d(...) applies only to component symbols f0..f3", inner)
+        self.i += 1
+        self.descend(index)
         k, midx = self.parse_component(inner)
         self.depth -= 1
         variables = []
-        while self.peek().kind == ",":
-            self.advance()
+        while self.tokens[self.i] == ",":
+            self.i += 1
             variables.append(self.parse_variable())
         self.expect(")")
         if not variables:
-            raise ParseError("d(...) needs at least one differentiation variable", tok.pos)
+            raise self.error("d(...) needs at least one differentiation variable", index)
         return k, midx + tuple(variables)
 
 
@@ -253,9 +352,9 @@ def parse(text: str, frame=None) -> CanonicalExpr:
         variables = tuple(frame)
     if not text or not text.strip():
         raise ParseError("empty input", 0)
-    parser = _Parser(tokenize(text), variables)
+    parser = _Parser(text, variables)
     ce = parser.parse_sum()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        raise ParseError(f"unexpected trailing input {trailing.value!r}", trailing.pos)
+    trailing = parser.tokens[parser.i]
+    if trailing is not None:
+        raise parser.error(f"unexpected trailing input {_shown(trailing)}", parser.i)
     return ce

@@ -248,6 +248,15 @@ class TestEval:
         assert (code, out) == (1, "")
         assert err.startswith("error: ml_exp did not converge") and err.count("\n") == 1
 
+    def test_non_convergence_names_component_generator_and_argument(self, tmp_path, capsys):
+        components = {"f1": "P(r,1)", "f2": "sina(r)*Ea(20, r)"}
+        doc = {"alpha": 0.5, "frame": "cylindrical", "components": components}
+        spec = write_spec(tmp_path, doc)
+        code, out, err = run(capsys, ["eval", spec, "--at", "r=1,theta=0.5,z=1"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ml_exp did not converge") and err.count("\n") == 1
+        assert err.endswith(") for Ea(20, r) at u = 20.0 in component f2\n")
+
 
 class TestSeries:
     def test_exponential(self, capsys):
@@ -367,6 +376,16 @@ class TestInputValidation:
         b = " + ".join(f"P(z,{n})" for n in range(1, 1001))
         argv = ["diff", f"({a})*(({b}) + f1)", "--var", "r", "--frame", "cylindrical"]
         self.assert_usage_error(capsys, argv)
+
+    @pytest.mark.parametrize(
+        "text, position", [("2^100000000*P(r,1)", 1), ("(2*P(r,1))^100000000", 10)]
+    )
+    def test_power_coefficient_past_the_limit(self, capsys, text, position):
+        argv = ["diff", text, "--var", "r", "--frame", "cylindrical"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: a power's coefficient would pass ")
+        assert err.endswith(f" bits (at position {position})\n") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "text",

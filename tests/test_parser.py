@@ -1,11 +1,22 @@
+import math
 import sys
+from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import fracquat
 from fracquat import CYLINDRICAL, CanonicalExpr, NonInvertibleDivisionError, ParseError, parse
+from fracquat.canonical import render_canonical
+from fracquat.cli import _OPERATORS
 from fracquat.coefficients import CRat
+from fracquat.expr import COMPONENT_NAMES, ExpressionError
+from fracquat.frames import FRAMES, QuaternionField
 from fracquat.parser import MAX_DEPTH, MAX_FACTORS, MAX_TERMS
+from fracquat.quatops import FORMAL
+
+from strategies import exprs
 
 C = CanonicalExpr
 
@@ -212,3 +223,248 @@ def test_oversized_input_is_a_parse_error_at_any_stack_depth(text):
 def test_deepest_accepted_nesting_fits_the_stack():
     for make in (LIMITS["mixed nesting"][1], LIMITS["Ea scales"][1]):
         _at_stack_depth(100, lambda: parse(make(MAX_DEPTH), CYLINDRICAL))
+
+
+# (text, message, position) of malformed inputs, recorded from the parser
+# that built every factor as a CanonicalExpr and tokenized into objects
+MALFORMED = [
+    ("P(r,1) $", "unexpected character '$'", 7),
+    ("1.", "malformed number", 0),
+    ("2.i", "malformed number", 0),
+    ("f1 f2", "unexpected trailing input 'f2'", 3),
+    ("(f1 + f2", "expected ')', found None", 8),
+    ("foo(r)", "unknown identifier 'foo'", 0),
+    ("P(w,1)", "unknown variable 'w'", 2),
+    ("P(x,1)", "variable 'x' is not in the active frame ('r', 'theta', 'z')", 2),
+    ("P(2,1)", "expected 'ident', found (Fraction(2, 1), False)", 2),
+    ("P(r,2.5)", "exponent is not an integer", 4),
+    ("P(r,1i)", "exponent is not an integer", 4),
+    ("P(r,)", "expected an integer, found ')'", 4),
+    ("P(r,1", "expected ')', found None", 5),
+    ("P r", "expected '(', found 'r'", 2),
+    ("f1^1.5", "exponent is not an integer", 3),
+    ("f1^f2", "expected an integer, found 'f2'", 3),
+    ("f1^", "expected an integer, found None", 3),
+    ("f1^2.5i", "exponent is not an integer", 3),
+    ("sina(1)", "expected 'ident', found (Fraction(1, 1), False)", 5),
+    ("cosa(theta", "expected ')', found None", 10),
+    ("Ea(1, )", "expected 'ident', found ')'", 6),
+    ("Ea(1 z)", "expected ',', found 'z'", 5),
+    ("d(f1)", "d(...) needs at least one differentiation variable", 0),
+    ("d(P(r,1),r)", "d(...) applies only to component symbols f0..f3", 2),
+    ("d(2,r)", "d(...) applies only to component symbols f0..f3", 2),
+    ("d(f1,r", "expected ')', found None", 6),
+    ("d(f1,w)", "unknown variable 'w'", 5),
+    ("*f1", "unexpected token '*'", 0),
+    ("f1*", "unexpected token None", 3),
+    ("f1 + ", "unexpected token None", 5),
+    ("-", "unexpected token None", 1),
+    ("--f1", "unexpected token '-'", 1),
+    ("f1 ++ f2", "unexpected token '+'", 4),
+    (")", "unexpected token ')'", 0),
+    ("1)", "unexpected trailing input ')'", 1),
+    ("f1 3", "unexpected trailing input (Fraction(3, 1), False)", 3),
+    ("f1 (2)", "unexpected trailing input '('", 3),
+    ("f1 2.5i", "unexpected trailing input (Fraction(5, 2), True)", 3),
+    ("1²", "unexpected character '²'", 1),
+    ("P(r,²)", "unexpected character '²'", 4),
+    ("()", "unexpected token ')'", 1),
+    ("lam(", "unexpected trailing input '('", 3),
+    ("f1,f2", "unexpected trailing input ','", 2),
+    ("Ea(1,z)^", "expected an integer, found None", 8),
+    ("3^--1", "expected an integer, found '-'", 3),
+    ("P(r,-)", "expected an integer, found ')'", 5),
+    ("f1^(2)", "expected an integer, found '('", 3),
+    ("3.5.5", "unexpected character '.'", 3),
+    ("1..2", "malformed number", 0),
+    ("_a", "unknown identifier '_a'", 0),
+    ("sin(r)", "unknown identifier 'sin'", 0),
+    ("f1 $ 1.", "unexpected character '$'", 3),
+    ("P(x,1) + 1.", "malformed number", 9),
+]
+
+
+@pytest.mark.parametrize("text, message, position", MALFORMED)
+def test_malformed_input_message_and_position(text, message, position):
+    with pytest.raises(ParseError) as err:
+        parse(text, CYLINDRICAL)
+    assert (str(err.value), err.value.position) == (f"{message} (at position {position})", position)
+
+
+# -- the term reader against the ring ------------------------------------------
+
+_CYL = ("r", "theta", "z")
+_SCALES = {  # Ea scale text -> the scale as (lam power, CRat) pairs
+    "1": ((0, CRat(1)),),
+    "lam": ((1, CRat(1)),),
+    "2 - 1i*lam": ((0, CRat(2)), (1, CRat(0, -1))),
+    "lam^2/2": ((2, CRat("1/2")),),
+    "0": (),
+}
+_SUMS = {  # parenthesised text -> the same value from the constructors
+    "(P(r,1) + f1)": C.fractal_power("r", 1) + C.component(1),
+    "(2*P(r,1))": C.const(CRat(2)) * C.fractal_power("r", 1),
+    "(-3*sina(theta))": C.const(CRat(-3)) * C.trig("theta", "sin"),
+    "(cosa(r)*f2)": C.trig("r", "cos") * C.component(2),
+    "(1 + 2i)": C.const(CRat(1, 2)),
+    "(1 - 1)": C.zero(),
+    "(lam*P(z,-1))": C.lam() * C.fractal_power("z", -1),
+    "(cosa(r) - sina(r))": C.trig("r", "cos") - C.trig("r", "sin"),
+}
+_var = st.sampled_from(_CYL)
+_ring_atoms = st.one_of(
+    st.integers(0, 12).map(lambda n: (str(n), C.const(CRat(n)))),
+    st.tuples(st.integers(0, 9), st.integers(0, 99)).map(
+        lambda p: (f"{p[0]}.{p[1]}", C.const(CRat(Fraction(f"{p[0]}.{p[1]}"))))
+    ),
+    st.integers(0, 5).map(lambda n: (f"{n}i", C.const(CRat(0, n)))),
+    st.just(("lam", C.lam())),
+    st.tuples(_var, st.integers(-3, 3)).map(
+        lambda p: (f"P({p[0]},{p[1]})", C.fractal_power(*p))
+    ),
+    st.tuples(st.sampled_from(("sin", "cos")), _var).map(
+        lambda p: (f"{p[0]}a({p[1]})", C.trig(p[1], p[0]))
+    ),
+    st.tuples(st.sampled_from(sorted(_SCALES)), _var).map(
+        lambda p: (f"Ea({p[0]}, {p[1]})", C.ea_power(p[1], _SCALES[p[0]]))
+    ),
+    st.tuples(st.integers(0, 3), st.lists(_var, max_size=2)).map(
+        lambda p: (
+            f"d(f{p[0]},{','.join(p[1])})" if p[1] else f"f{p[0]}",
+            C.component(p[0], p[1]),
+        )
+    ),
+    st.sampled_from(sorted(_SUMS.items())),
+)
+_factors = st.tuples(_ring_atoms, st.one_of(st.none(), st.integers(-3, 3)))
+
+
+def _product(draws):
+    """(text, value or ExpressionError) of a product of (op, atom, exponent)
+    draws, the value formed with the ring's *, / and **; the first op is
+    not written."""
+    text, value, error = "", None, None
+    for i, (op, (atom, ring), k) in enumerate(draws):
+        text += (op if i else "") + atom + ("" if k is None else f"^{k}")
+        if error is None:
+            try:
+                factor = ring if k is None else ring**k
+                value = factor if value is None else value * factor if op == "*" else value / factor
+            except ExpressionError as exc:
+                error = exc
+    return text, error or value
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from("*/"), _factors), min_size=1, max_size=5),
+    st.lists(_factors, min_size=1, max_size=4),
+    st.booleans(),
+)
+def test_term_reader_matches_the_ring(first, second, negate):
+    """parse of a product of atoms (and of a difference of two such
+    products) equals what the ring's constructors and operators form, and
+    fails with the ring's error class and message where the ring fails."""
+    left_text, left = _product([(op, atom, k) for op, (atom, k) in first])
+    right_text, right = _product([("*", atom, k) for atom, k in second])
+    text = ("-" if negate else "") + left_text + " - " + right_text
+    expected = left if isinstance(left, Exception) else right
+    if not isinstance(expected, Exception):
+        expected = (-left if negate else left) - right
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as err:
+            parse(text, CYLINDRICAL)
+        assert str(err.value) == str(expected)
+    else:
+        assert parse(text, CYLINDRICAL) == expected
+
+
+@pytest.mark.parametrize(
+    "text, ring",
+    [
+        ("0^0", C.one()),
+        ("0^0*f1/0^0", C.component(1)),
+        ("cosa(r)^3*sina(r)^-2", C.trig("r", "cos") ** 3 / C.trig("r", "sin") ** 2),
+        ("cosa(r)*cosa(r)*sina(r)^-1", C.trig("r", "cos") ** 2 / C.trig("r", "sin")),
+        ("Ea(lam, z)^2/Ea(lam, z)^3", C.ea_power("z", ((1, CRat(1)),), -1)),
+        ("(P(r,1) + 1)*(P(r,1) - 1)/P(r,2)", C.one() - C.fractal_power("r", -2)),
+        ("2/(1 + 2i)^2", C.const(CRat(2) / CRat(-3, 4))),
+        ("(2*P(r,1))^-2", C.const(CRat("1/4")) * C.fractal_power("r", -2)),
+    ],
+)
+def test_term_reader_cases(text, ring):
+    assert parse(text, CYLINDRICAL) == ring
+
+
+# -- the coefficient a power forms ----------------------------------------------
+
+
+def _bit_limit():
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    return int(digits * math.log2(10))
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("2^100000000*P(r,1)", 1),
+        ("(2*P(r,1))^100000000", 10),
+        ("(1/2)^-100000000", 5),
+        ("P(r,1)/3^100000000", 8),
+        ("(1 + 1i)^100000000", 8),
+    ],
+)
+def test_power_coefficient_past_the_limit_is_a_parse_error(text, position):
+    limit = _bit_limit()
+    with pytest.raises(ParseError) as err:
+        parse(text, CYLINDRICAL)
+    assert err.value.position == position
+    message = f"a power's coefficient would pass {limit} bits"
+    assert str(err.value) == f"{message} (at position {position})"
+
+
+def test_power_coefficient_limit_is_exact_and_renderable():
+    limit = _bit_limit()
+    assert render_canonical(parse(f"2^{limit}")) == str(2**limit)
+    assert parse(f"(1 + 1i)^{2 * limit}") == C.const(CRat(0, 2)) ** limit
+    for text in (f"2^{limit + 1}", f"(1 + 1i)^{2 * limit + 1}", f"(1/2)^{limit + 1}"):
+        with pytest.raises(ParseError):
+            parse(text)
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("1^100000000", C.one()),
+        ("(-1)^100000001", C.const(CRat(-1))),
+        ("1i^100000002", C.const(CRat(-1))),
+        ("(-1i)^-100000001", C.const(CRat(0, 1))),
+        ("1.0^100000000", C.one()),
+        ("0^100000000", C.zero()),
+        ("P(r,1)^100000000", C.fractal_power("r", 100000000)),
+    ],
+)
+def test_unit_powers_are_not_limited(text, value):
+    assert parse(text, CYLINDRICAL) == value
+
+
+def test_non_invertible_base_fails_before_the_limit():
+    with pytest.raises(NonInvertibleDivisionError) as err:
+        parse("(2*lam)^-100000000", CYLINDRICAL)
+    assert str(err.value) == "cannot divide by lam factors"
+
+
+# -- render -> parse round trip of operator output -------------------------------
+
+
+@pytest.mark.parametrize("frame", sorted(FRAMES))
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_apply_output_parses_back(frame, data):
+    frame = FRAMES[frame]
+    texts = [data.draw(exprs(frame.variables, max_leaves=4)) for _ in COMPONENT_NAMES]
+    field = QuaternionField(frame, *(parse(t, frame) for t in texts))
+    for name, operator in sorted(_OPERATORS.items()):
+        for component in operator(field, FORMAL).components:
+            if len(component.terms) <= MAX_TERMS:
+                assert parse(render_canonical(component), frame) == component, name
