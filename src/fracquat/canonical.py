@@ -18,9 +18,9 @@ a map unchecked, only for maps already reduced that way.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections import namedtuple
 from itertools import groupby
-from typing import NamedTuple
+from numbers import Rational
 
 from .coefficients import CRAT_ONE, CRAT_ZERO, CRat, as_crat, render_poly
 from .expr import (
@@ -36,18 +36,18 @@ from .expr import (
 from . import series as _series
 
 
-class Monomial(NamedTuple):
+class Monomial(namedtuple("Monomial", "dsyms powers trig ea lam", defaults=((),) * 4 + (0,))):
     """A product of generators.  Every variable is stored as its index in
     expr.VARIABLES and every group is kept sorted, so the field order is the
     rendering order: plain tuple order sorts the terms of a rendered sum,
     with lam last so that monomials differing only in their lam power sort
-    together.  Equality, hashing and pickling are the tuple's."""
+    together.  Equality, hashing and pickling are the tuple's.  The fields:
+    dsyms ((k, midx), ...), a multiset, midx a sorted tuple of indices;
+    powers ((var, n), ...), n != 0; trig ((var, m, e), ...), e in {0,1},
+    (m,e) != (0,0); ea ((var, scale, p), ...), p != 0, scale as _scale;
+    lam, the power of lam, >= 0."""
 
-    dsyms: tuple = ()  # ((k, midx), ...) sorted multiset, midx a sorted tuple of indices
-    powers: tuple = ()  # ((var, n), ...) sorted, n != 0
-    trig: tuple = ()  # ((var, m, e), ...) sorted, e in {0,1}, (m,e) != (0,0)
-    ea: tuple = ()  # ((var, scale, p), ...) sorted, p != 0, scale as _scale
-    lam: int = 0  # power of lam, >= 0
+    __slots__ = ()
 
     def is_lam_power(self) -> bool:
         return not (self.powers or self.trig or self.ea or self.dsyms)
@@ -308,7 +308,7 @@ class CanonicalExpr:
 def as_canonical_scalar(x) -> CanonicalExpr:
     if isinstance(x, CanonicalExpr):
         return x
-    if isinstance(x, (int, Fraction, CRat)):
+    if isinstance(x, (CRat, Rational)):
         return CanonicalExpr.const(x)
     raise TypeError(f"cannot interpret {x!r} as a canonical expression")
 

@@ -11,12 +11,14 @@ almost only, and an integer product then costs four multiplications.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from math import gcd, lcm
+from numbers import Rational
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, (Fraction, int, str)):
+def _frac(x):
+    from fractions import Fraction  # imported only where a Fraction is needed
+    if isinstance(x, (Rational, str)):
         return Fraction(x)
     if isinstance(x, float):
         # use the shortest decimal repr so 0.1 means 1/10, not the binary float
@@ -30,6 +32,8 @@ class CRat:
     __slots__ = ("a", "b", "d")
 
     def __new__(cls, re=0, im=0):
+        if type(re) is int and type(im) is int:
+            return _of(re, im, 1)
         re, im = _frac(re), _frac(im)
         d = lcm(re.denominator, im.denominator)
         return _of(re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d)
@@ -41,8 +45,8 @@ class CRat:
         return _of, (self.a, self.b, self.d)
 
     # the parts as Fractions, for callers off the hot paths
-    re = property(lambda self: Fraction(self.a, self.d))
-    im = property(lambda self: Fraction(self.b, self.d))
+    re = property(lambda self: _frac(self.a) / self.d)
+    im = property(lambda self: _frac(self.b) / self.d)
 
     # -- ring operations ------------------------------------------------
 
@@ -100,8 +104,10 @@ class CRat:
     def __hash__(self):
         if self.b:
             return hash((self.a, self.b, self.d))
-        # a real value hashes like the int or Fraction it equals
-        return hash(self.a) if self.d == 1 else hash(Fraction(self.a, self.d))
+        if self.d == 1:  # a real value hashes like the int or Fraction it equals
+            return hash(self.a)  # Fraction's is a/d modulo m, or +-inf if d has no inverse
+        m, inf = sys.hash_info.modulus, sys.hash_info.inf
+        return hash(self.a * pow(self.d, -1, m)) if self.d % m else inf if self.a > 0 else -inf
 
     def __bool__(self):
         return bool(self.a or self.b)
@@ -142,10 +148,10 @@ CRAT_ONE = CRat(1)
 def as_crat(x, exact: bool = False):
     """x as a CRat.  Floats and complex numbers convert through their
     shortest decimal repr; with exact=True they, like every other type
-    but int and Fraction, give None (the ring operations' NotImplemented)."""
+    but the rationals, give None (the ring operations' NotImplemented)."""
     if isinstance(x, CRat):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, Rational):
         return CRat(x)
     if exact:
         return None

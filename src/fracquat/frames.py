@@ -13,45 +13,66 @@ connection coefficients those formulas need are derived once per frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as _field
+from operator import add, sub
 
 from .canonical import CanonicalExpr, as_canonical_scalar
 from .derivative import d_alpha
 
 
-@dataclass(frozen=True)
-class Frame:
+class _Record:
+    """A frozen record: slots set once, in order; ==, hash, repr and pickle go by __reduce__."""
+
+    __slots__ = _fields = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} arguments")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # the default slot restore would hit __setattr__
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self):
+        return hash(self.__reduce__())
+
+    def __repr__(self):
+        fields = map("{}={!r}".format, self._fields, self.__reduce__()[1])
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+
+class Frame(_Record):
     """Variables and Lame coefficients h_1..h_3 (unit monomials).
 
     Derived once, as canonical expressions: inv_lame[i] = 1/h_i,
     div_connection[i] = D_i(H/h_i)/H with H = h_1 h_2 h_3, and
     curl_connection[j][k] = D_j h_k / (h_j h_k)."""
 
-    name: str
-    variables: tuple
-    lame: tuple
-    inv_lame: tuple = _field(init=False, repr=False, compare=False)
-    div_connection: tuple = _field(init=False, repr=False, compare=False)
-    curl_connection: tuple = _field(init=False, repr=False, compare=False)
+    __slots__ = ("name", "variables", "lame", "inv_lame", "div_connection", "curl_connection")
+    _fields = __slots__[:3]
 
-    def __post_init__(self):
-        h = tuple(as_canonical_scalar(c) for c in self.lame)
+    def __init__(self, name: str, variables, lame):
+        h = tuple(as_canonical_scalar(c) for c in lame)
         inv = tuple(c.inverse() for c in h)
-        derived = {
-            "variables": tuple(self.variables),
-            "lame": h,
-            "inv_lame": inv,
-            "div_connection": tuple(
-                d_alpha(h[j] * h[k], v) * inv[0] * inv[1] * inv[2]
-                for v, j, k in zip(self.variables, (1, 2, 0), (2, 0, 1))
-            ),
-            "curl_connection": tuple(
-                tuple(d_alpha(hk, v) * ij * ik for hk, ik in zip(h, inv))
-                for v, ij in zip(self.variables, inv)
-            ),
-        }
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+        div = tuple(
+            d_alpha(h[j] * h[k], v) * inv[0] * inv[1] * inv[2]
+            for v, j, k in zip(variables, (1, 2, 0), (2, 0, 1))
+        )
+        curl = tuple(
+            tuple(d_alpha(hk, v) * ij * ik for hk, ik in zip(h, inv))
+            for v, ij in zip(variables, inv)
+        )
+        super().__init__(name, tuple(variables), h, inv, div, curl)
 
     def __str__(self):
         return self.name
@@ -70,21 +91,14 @@ def frame_by_name(name: str) -> Frame:
     try:
         return FRAMES[name]
     except KeyError:
-        raise ValueError(
-            f"unknown frame {name!r}; expected one of {sorted(FRAMES)}"
-        ) from None
+        raise ValueError(f"unknown frame {name!r}; expected one of {sorted(FRAMES)}") from None
 
 
-@dataclass(frozen=True)
-class QuaternionField:
+class QuaternionField(_Record):
     """A frame plus four component expressions in the frame's local basis:
     f = f0 + f1 e_1 + f2 e_2 + f3 e_3."""
 
-    frame: Frame
-    f0: CanonicalExpr
-    f1: CanonicalExpr
-    f2: CanonicalExpr
-    f3: CanonicalExpr
+    __slots__ = _fields = ("frame", "f0", "f1", "f2", "f3")
 
     @property
     def components(self) -> tuple:
@@ -103,16 +117,12 @@ class QuaternionField:
     def __add__(self, other):
         if other.frame != self.frame:
             raise ValueError("cannot add fields in different frames")
-        return QuaternionField(
-            self.frame, *(a + b for a, b in zip(self.components, other.components))
-        )
+        return QuaternionField(self.frame, *map(add, self.components, other.components))
 
     def __sub__(self, other):
         if other.frame != self.frame:
             raise ValueError("cannot subtract fields in different frames")
-        return QuaternionField(
-            self.frame, *(a - b for a, b in zip(self.components, other.components))
-        )
+        return QuaternionField(self.frame, *map(sub, self.components, other.components))
 
     def __neg__(self):
         return self.map(lambda c: -c)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import re
 import sys
-from math import gcd, log2
+from math import log2
 
 from .canonical import MONOMIAL_ONE, CanonicalExpr, Monomial, _accumulate, _scale
 from .coefficients import _of
@@ -96,15 +96,13 @@ def _shown(tok) -> str:
     """A token as error messages show it: a number as (Fraction, imaginary)."""
     if tok is None or not tok[0].isdecimal():
         return repr(tok)
-    a, b, d = _number(tok)
-    g = gcd(a + b, d)
-    return f"(Fraction({(a + b) // g}, {d // g}), {tok[-1] == 'i'})"
+    c = _of(*_number(tok))
+    return f"(Fraction({c.a + c.b}, {c.d}), {tok[-1] == 'i'})"
 
 
-def _terms(gens: dict, a: int, b: int, d: int) -> dict:
-    """The clean map of the record (gens, (a + b i)/d): one term, or more
-    where a cos power past 1 is rewritten to (1 - sin^2)^j in the ring."""
-    coeff = _of(a, b, d)
+def _terms(gens: dict, coeff) -> dict:
+    """The clean map of the record (gens, coeff): one term, or more where a
+    cos power past 1 is rewritten to (1 - sin^2)^j in the ring."""
     if not coeff or not gens:
         return {MONOMIAL_ONE: coeff} if coeff else {}
     dsyms, powers, trig, ea, lam = [], [], {}, [], 0
@@ -143,6 +141,8 @@ class _Parser:
         self.i = 0
         self.variables = tuple(variables)
         self.depth = 0
+        self.digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        self.bits = int(self.digits * log2(10))  # 2^bits < 10^digits, which render can print
 
     def error(self, message: str, index: int) -> ParseError:
         """A ParseError at the token with this index (the end has the last)."""
@@ -189,8 +189,9 @@ class _Parser:
         of cosa, and a division or negative power that the ring refuses are
         formed in the ring, which raises its own errors; the product read so
         far is multiplied by such a factor there, and the record starts afresh."""
-        gens, (a, b, d), ring, divide, factors = {}, (sign, 0, 1), None, False, 1
+        gens, (a, b, d), ring, ring_bits, divide, factors = {}, (sign, 0, 1), None, 0, False, 1
         while True:
+            at = self.i
             atom = self.parse_atom()
             k, caret = 1, self.i
             if self.tokens[caret] == "^":
@@ -199,19 +200,22 @@ class _Parser:
             if type(atom) is not CanonicalExpr:
                 key, n, base = atom
                 unit = key[0] not in _NOT_UNITS if key else base[0] or base[1]
-                if k != 1 and (not key or key[0] == "cosa") or not unit and (k < 0 or divide and k):
-                    atom = CanonicalExpr._of(_terms({key: n} if key else {}, *base))
+                if k != 1 and (not key or key[0] == "cosa") or not unit and (
+                    k < 0 or k > MAX_FACTORS or divide and k
+                ):
+                    atom = CanonicalExpr._of(_terms({key: n} if key else {}, _of(*base)))
             if type(atom) is CanonicalExpr:  # what CanonicalExpr.__pow__ does, with a check
                 if k < 0:
                     atom, k = atom.inverse(), -k
                 if k != 1:
                     if len(atom.terms) == 1:
-                        self.check_power(*atom.terms.values(), k, caret)
+                        self.check_power(*atom.terms.items(), k, caret)
                     atom = atom**k
                 if divide:
                     atom = atom.inverse()
-                product = CanonicalExpr._of(_terms(gens, a, b, d))
+                product = CanonicalExpr._of(_terms(gens, _of(a, b, d)))
                 ring = product * atom if ring is None else ring * product * atom
+                ring_bits = self.check_bits(ring.terms.values(), at)
                 gens, (a, b, d) = {}, _ONE
             else:
                 if key:
@@ -221,25 +225,39 @@ class _Parser:
                     if divide:
                         x, y, z = x * z, -y * z, x * x + y * y
                     a, b, d = a * x - b * y, a * y + b * x, d * z
+                    if ring_bits + max(abs(a), abs(b), d).bit_length() >= self.bits:
+                        c = _of(a, b, d)  # reduced, as the product so far may pass the limit
+                        a, b, d = c.a, c.b, c.d
+                        self.check_bits([c * r for r in ring.terms.values()] if ring else [c], at)
             op = self.tokens[self.i]
             if op != "*" and op != "/":
-                out = _terms(gens, a, b, d)
-                return out if ring is None else (ring * CanonicalExpr._of(out)).terms
+                out = _terms(gens, _of(a, b, d))
+                if ring is not None or len(out) > 1:  # a ring product or a cos rewrite may grow it
+                    out = out if ring is None else (ring * CanonicalExpr._of(out)).terms
+                    self.check_bits(out.values(), at)
+                return out
             if factors == MAX_FACTORS:
                 raise self.error(f"a product has more than {MAX_FACTORS} factors", self.i)
             factors += 1
             self.i += 1
             divide = op == "/"
 
-    def check_power(self, c, k: int, caret: int):
-        """Refuse c^k (k >= 0), at its '^', if a part of its coefficient could
-        pass the int-to-str digit limit (its default where that is off) in
-        bits, so that render can print every power that parses."""
-        digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-        limit = int(digits * log2(10))
+    def check_power(self, term, k: int, caret: int):
+        """Refuse term^k (k >= 0), at its '^', if a part of its coefficient could pass
+        2^bits, or if term holds component symbols and k is past MAX_FACTORS."""
+        mono, c = term
         # a part of (a + b i)^k / d^k is at most |a + b i|^k or d^k
-        if k * max(log2(c.a * c.a + c.b * c.b) / 2, log2(c.d)) > limit:
-            raise self.error(f"a power's coefficient would pass {limit} bits", caret)
+        if k * max(log2(c.a * c.a + c.b * c.b) / 2, log2(c.d)) > self.bits:
+            raise self.error(f"a power's coefficient would pass {self.bits} bits", caret)
+        if mono.dsyms and k > MAX_FACTORS:
+            raise self.error(f"a power of component symbols is past {MAX_FACTORS}", caret)
+
+    def check_bits(self, coeffs, index: int) -> int:
+        """The bit length of the largest coefficient part; from 10^digits on, a ParseError."""
+        top = max((max(abs(c.a), abs(c.b), c.d) for c in coeffs), default=0)
+        if top.bit_length() > self.bits and top >= 10**self.digits:
+            raise self.error(f"a term's coefficient would pass {self.digits} digits", index)
+        return top.bit_length()
 
     def parse_integer(self) -> int:
         sign = 1

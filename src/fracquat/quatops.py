@@ -24,13 +24,12 @@ residuals required to normalize to zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .canonical import CanonicalExpr, _accumulate, as_canonical_scalar, render_canonical
 from .derivative import DerivativeMode, d_alpha
 from .frames import (
     Frame,
     QuaternionField,
+    _Record,
     abstract_field,
     abstract_scalar_field,
     abstract_vector_field,
@@ -216,12 +215,8 @@ def helmholtz_component_system(frame, lam=FORMAL) -> tuple:
     return helmholtz_residual(abstract_field(frame), lam).components
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    identity: str
-    frame: str
-    mode: DerivativeMode
-    residuals: tuple  # four CanonicalExpr values (scalar + three vector)
+class IdentityReport(_Record):
+    __slots__ = _fields = ("identity", "frame", "mode", "residuals")  # four residual maps
 
     @property
     def passed(self) -> bool:

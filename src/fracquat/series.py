@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 MAX_SERIES_TERMS = 500
 
@@ -159,21 +159,19 @@ def cos_alpha(alpha: float, u: complex, tol: float = 1e-12) -> complex:
     return evaluate_series("cosa", alpha, u, tol)[0]
 
 
-@dataclass(frozen=True)
-class JSeries:
+class JSeries(namedtuple("JSeries", "alpha coeffs")):
     """Truncated series over the Gamma-normalized basis J_k(x) = x^(k*alpha)/Gamma(1+k*alpha).
 
     coeffs[k] multiplies J_k; the truncation order is len(coeffs)-1.
     """
 
-    alpha: float
-    coeffs: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        validate_alpha(self.alpha)
-        if len(self.coeffs) == 0:
+    def __new__(cls, alpha: float, coeffs):
+        validate_alpha(alpha)
+        if len(coeffs) == 0:
             raise ValueError("JSeries needs at least the k=0 coefficient")
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
+        return super().__new__(cls, alpha, tuple(complex(c) for c in coeffs))
 
     @property
     def truncation_order(self) -> int:
@@ -212,13 +210,10 @@ def cos_alpha_jseries(alpha: float, order: int) -> JSeries:
     return JSeries(alpha, tuple(0 if k % 2 else (-1) ** (k // 2) for k in range(order + 1)))
 
 
-@dataclass(frozen=True)
-class LimitReport:
+class LimitReport(namedtuple("LimitReport", "estimate quotients converged")):
     """Result of the limit-quotient fractional derivative at x0 = 0."""
 
-    estimate: complex
-    quotients: tuple
-    converged: bool
+    __slots__ = ()
 
 
 def limit_definition_derivative_at_zero(f, alpha: float, steps) -> LimitReport:

@@ -3,6 +3,9 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -10,8 +13,10 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import fracquat
 from fracquat import CYLINDRICAL, canon
 from fracquat.cli import main
+from fracquat.parser import MAX_FACTORS
 
 from strategies import exprs
 
@@ -387,6 +392,20 @@ class TestInputValidation:
         assert err.startswith("error: a power's coefficient would pass ")
         assert err.endswith(f" bits (at position {position})\n") and err.count("\n") == 1
 
+    def test_term_coefficient_past_the_limit(self, capsys):
+        # each power is within the power bound; the product of the two is not
+        digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        power = f"2^{int(digits * math.log2(10))}"
+        argv = ["diff", f"{power}*{power}*P(r,1)", "--var", "r", "--frame", "cylindrical"]
+        message = f"a term's coefficient would pass {digits} digits"
+        position = len(power) + 1
+        assert run(capsys, argv) == (2, "", f"error: {message} (at position {position})\n")
+
+    def test_component_power_past_max_factors(self, capsys):
+        argv = ["diff", "f1^100000000", "--var", "r", "--frame", "cylindrical"]
+        message = f"a power of component symbols is past {MAX_FACTORS}"
+        assert run(capsys, argv) == (2, "", f"error: {message} (at position 2)\n")
+
     @pytest.mark.parametrize(
         "text",
         [" + ".join(["f1"] * 1001), "(" * 201 + "f1" + ")" * 201, "d(" * 1000 + "f1" + ",r)" * 1000],
@@ -430,3 +449,15 @@ def test_any_text_ends_in_an_exit_status_and_one_line(text, var, mode):
             code = exc.code
     assert code in (0, 1, 2)
     assert len(err.getvalue().splitlines()) <= (0 if code == 0 else 1)
+
+
+def test_start_up_leaves_out_the_heavy_stdlib_modules():
+    # -S keeps site from importing anything, so sys.modules holds only what
+    # the interpreter and fracquat.cli load; this reads no clock
+    heavy = ("dataclasses", "inspect", "ast", "typing", "fractions", "decimal")
+    code = f"import sys, fracquat.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(Path(fracquat.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

@@ -5,6 +5,7 @@ rendering, and the float values eval_canonical builds from it."""
 import copy
 import math
 import pickle
+import sys
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -88,6 +89,37 @@ def test_equality_and_hash_agree(x, y):
         assert cx == x[0] and hash(cx) == hash(x[0])
     else:
         assert cx != x[0]
+
+
+MODULUS = sys.hash_info.modulus
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(-(2**200), -1) | st.integers(1, 2**200),
+    st.integers(2, 2**200) | st.sampled_from([MODULUS, MODULUS + 1, 3 * MODULUS, MODULUS**2 + 1]),
+)
+def test_non_integer_reals_hash_like_fractions(n, d):
+    # the Fraction hash formula, computed without a Fraction: negative
+    # numerators, large denominators, and denominators that are a multiple
+    # of the hash modulus (no inverse) or 1 above one (a hash of -1 is -2)
+    value = Fraction(n, d)
+    assert hash(CRat(value)) == hash(value)
+    assert hash(CRat(value.numerator) / value.denominator) == hash(value)
+
+
+def test_hash_edge_denominators():
+    for n, d in [(-1, MODULUS + 1), (1, MODULUS + 1), (-7, MODULUS), (5, 2 * MODULUS), (-3, 2)]:
+        assert hash(CRat(Fraction(n, d))) == hash(Fraction(n, d))
+    assert hash(CRat(Fraction(-1, MODULUS + 1))) == -2
+
+
+@given(ints, ints)
+def test_int_construction_matches_the_fraction_path(a, b):
+    # CRat(int, int) takes a fast path that builds no Fraction
+    fast, slow = CRat(a, b), CRat(Fraction(a), Fraction(b))
+    assert (fast.a, fast.b, fast.d) == (slow.a, slow.b, slow.d) == (a, b, 1)
+    assert type(CRat(True).a) is int and CRat(True) == 1
 
 
 def test_integers_compare_and_hash_like_ints():

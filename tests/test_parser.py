@@ -454,6 +454,88 @@ def test_non_invertible_base_fails_before_the_limit():
     assert str(err.value) == "cannot divide by lam factors"
 
 
+# -- the coefficient a product forms ---------------------------------------------
+
+
+def _digit_limit():
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
+def _term_coefficient_cases():
+    power, digits = f"2^{_bit_limit()}", _digit_limit()
+    cos4 = "*cosa(r)" * 4
+    return [
+        # two powers, each within the power bound: at the second
+        (f"{power}*{power}*P(r,1)", len(power) + 1),
+        # a power formed in the ring, then a number read into the record
+        (f"({power})*2*P(r,1)", len(power) + 3),
+        (f"P(r,1)*{power}/(1/2)", len(power) + 8),
+        # two literals, and one decimal literal whose numerator is too long
+        (f"{'9' * digits}*10", digits + 1),
+        (f"P(r,1) + 1.{'0' * (digits - 1)}1", 9),
+        # cos^4 is rewritten to (1 - sin^2)^2 at the end of the term, which
+        # doubles the coefficient: at the term's last factor
+        (f"{power}{cos4}", len(power) + 1 + 3 * len("cosa(r)*")),
+    ]
+
+
+@pytest.mark.parametrize("text, position", _term_coefficient_cases())
+def test_term_coefficient_past_the_limit_is_a_parse_error(text, position):
+    with pytest.raises(ParseError) as err:
+        parse(text, CYLINDRICAL)
+    message = f"a term's coefficient would pass {_digit_limit()} digits"
+    assert str(err.value) == f"{message} (at position {position})"
+
+
+def test_term_coefficient_within_the_limit_parses_and_renders():
+    limit, digits = _bit_limit(), _digit_limit()
+    half = limit // 2
+    nines = "9" * digits
+    for text, value in [
+        (nines, CRat(int(nines))),
+        (f"2^{half}*2^{limit - half}", CRat(2**limit)),
+        (f"2^{limit}/2*2", CRat(2**limit)),
+        (f"1.{'0' * (digits - 1)}*1.{'0' * (digits - 1)}", CRat(1)),
+        (f"(2^{limit})*P(r,1)", CRat(2**limit)),
+    ]:
+        ce = parse(text, CYLINDRICAL)
+        assert list(ce.terms.values()) == [value], text
+        assert parse(render_canonical(ce), CYLINDRICAL) == ce
+
+
+# -- the power of a component symbol ---------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        (f"f1^{MAX_FACTORS + 1}", 2),
+        ("d(f1,r)^100000000", 7),
+        (f"(2*f1)^{MAX_FACTORS + 1}", 6),
+        ("(f1*f2)^100000000", 7),
+        ("P(r,1)/f1^100000000", 9),
+        ("1 + lam*f3^100000000", 10),
+    ],
+)
+def test_component_power_past_max_factors_is_a_parse_error(text, position):
+    with pytest.raises(ParseError) as err:
+        parse(text, CYLINDRICAL)
+    message = f"a power of component symbols is past {MAX_FACTORS}"
+    assert str(err.value) == f"{message} (at position {position})"
+
+
+def test_component_powers_within_max_factors_are_unchanged():
+    (mono,) = parse(f"f1^{MAX_FACTORS}", CYLINDRICAL).terms
+    assert mono.dsyms == ((1, ()),) * MAX_FACTORS
+    assert parse("(2*f1)^3", CYLINDRICAL) == 8 * C.component(1) ** 3
+    # a negative power is still refused by the inverse
+    with pytest.raises(NonInvertibleDivisionError):
+        parse(f"f1^-{MAX_FACTORS + 1}", CYLINDRICAL)
+    # a coefficient past the power bound is reported first, as before
+    with pytest.raises(ParseError, match="a power's coefficient"):
+        parse("(2*f1)^100000000", CYLINDRICAL)
+
+
 # -- render -> parse round trip of operator output -------------------------------
 
 

@@ -2,6 +2,9 @@
 transcriptions kept local to this file as the oracle), the factorization
 suite, and the Helmholtz component systems."""
 
+import copy
+import pickle
+
 import pytest
 
 from fracquat import (
@@ -32,8 +35,8 @@ from fracquat import (
     verify_identity,
     zero_field,
 )
-from fracquat.frames import abstract_field
-from fracquat.quatops import FORMAL
+from fracquat.frames import QuaternionField, abstract_field
+from fracquat.quatops import FORMAL, IdentityReport
 
 CYL, SPH = CYLINDRICAL, SPHERICAL
 FRAMES = (CARTESIAN, CYLINDRICAL, SPHERICAL)
@@ -351,6 +354,60 @@ class TestHelmholtz:
         lhs = -(perturbed_mt(inner, FORMAL, -1))
         rhs = helmholtz_residual(f, FORMAL)
         assert (lhs - rhs).is_zero()
+
+
+class TestFrozenRecords:
+    """Frame, QuaternionField and IdentityReport are frozen __slots__ records."""
+
+    def records(self):
+        return (CYL, abstract_field(SPH), verify_identity("mt_squared", "spherical"))
+
+    def test_assignment_and_deletion_raise(self):
+        for record, name in zip(self.records(), ("lame", "f1", "residuals")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+            with pytest.raises(AttributeError):
+                record.extra = 1
+
+    def test_frame_equality_and_hash_go_by_name_variables_and_lame(self):
+        rebuilt = Frame("cylindrical", list(CYL.variables), (1, canon("P(r,1)", CYL), 1))
+        assert rebuilt is not CYL and rebuilt == CYL and hash(rebuilt) == hash(CYL)
+        assert rebuilt.div_connection == CYL.div_connection
+        assert rebuilt.curl_connection == CYL.curl_connection
+        renamed = Frame("cylinder", CYL.variables, CYL.lame)
+        assert renamed != CYL and CYL != SPH and CYL != "cylindrical"
+        # fields in equal frames add; fields in different frames do not
+        f = abstract_field(CYL)
+        assert (f + abstract_field(rebuilt)) == f.scale(2)
+        with pytest.raises(ValueError):
+            f + abstract_field(SPH)
+
+    def test_field_equality_and_hash(self):
+        f, g = abstract_field(CYL), abstract_field(CYL)
+        assert f == g and hash(f) == hash(g) and {f: 1}[g] == 1
+        assert f != abstract_field(SPH) and f != -f
+        assert f.components == (f.f0, f.f1, f.f2, f.f3)
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        for record in self.records():
+            for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+                assert type(copied) is type(record)
+                assert copied == record and hash(copied) == hash(record)
+                assert repr(copied) == repr(record)
+        frame = pickle.loads(pickle.dumps(SPH))
+        assert (frame.inv_lame, frame.div_connection) == (SPH.inv_lame, SPH.div_connection)
+        report = copy.deepcopy(verify_identity("curl_grad", "cylindrical"))
+        assert report.passed and report.to_dict() == verify_identity("curl_grad", "cylindrical").to_dict()
+
+    def test_constructor_arity_and_repr(self):
+        with pytest.raises(TypeError):
+            QuaternionField(CYL, 1, 2)
+        with pytest.raises(TypeError):
+            IdentityReport("mt_squared", "cylindrical")
+        assert repr(CYL).startswith("Frame(name='cylindrical', variables=('r', 'theta', 'z'), lame=(")
+        assert str(CYL) == "cylindrical"
 
 
 class TestVerifyIdentity:

@@ -7,7 +7,9 @@ E_(1/2)(1) = e*erfc(-1).
 """
 
 import cmath
+import copy
 import math
+import pickle
 
 import hypothesis.strategies as st
 import mpmath
@@ -382,9 +384,27 @@ class TestJSeries:
         with pytest.raises(ValueError):
             JSeries(0.5, ())
 
+    def test_frozen_and_copyable(self):
+        s = JSeries(0.5, (1, 2.5, 1j))
+        assert s.coeffs == (1 + 0j, 2.5 + 0j, 1j) and s.alpha == 0.5
+        for copied in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+            assert type(copied) is JSeries and copied == s and hash(copied) == hash(s)
+        with pytest.raises(AttributeError):
+            s.coeffs = (0,)
+        with pytest.raises(ValueError):
+            JSeries(0.0, (1,))
+
 
 class TestLimitDefinition:
     STEPS = [10.0**-k for k in range(3, 13)]
+
+    def test_report_fields_by_name(self):
+        report = limit_definition_derivative_at_zero(lambda x: x**0.5, 0.5, self.STEPS)
+        assert type(report).__name__ == "LimitReport"
+        assert (report.estimate, report.quotients, report.converged) == tuple(report)
+        assert pickle.loads(pickle.dumps(report)) == report
+        with pytest.raises(AttributeError):
+            report.converged = False
 
     def test_power_alpha_constant_quotient(self):
         report = limit_definition_derivative_at_zero(lambda x: x**0.5, 0.5, self.STEPS)
