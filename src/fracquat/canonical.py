@@ -12,12 +12,14 @@ lam power under one lam-polynomial coefficient.
 
 Two expressions are equal exactly when their maps coincide, which is what
 every identity check in the package reduces to.  So no map stores a zero
-coefficient: `_accumulate` keeps maps clean, and `CanonicalExpr._of` wraps
-a map unchecked, only for maps already reduced that way.
+coefficient: `_accumulate` and `_add_products` keep maps clean, and
+`CanonicalExpr._of` wraps a map unchecked, only for maps already reduced
+that way.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from itertools import groupby
 from numbers import Rational
@@ -57,6 +59,7 @@ class Monomial(namedtuple("Monomial", "dsyms powers trig ea lam", defaults=((),)
 
 
 MONOMIAL_ONE = Monomial()
+_ONE_MAP = {MONOMIAL_ONE: CRAT_ONE}
 MAX_TERM_PAIRS = 10**6  # term pairs one product may form
 
 
@@ -80,7 +83,14 @@ def _add_exponents(a: tuple, b: tuple) -> tuple:
 
 def _mul_monomials(a: Monomial, b: Monomial):
     """Product of two monomials as [(monomial, +/-1 coefficient)] pairs;
-    the Pythagorean rewrite of cos^2 may split the product in two."""
+    the Pythagorean rewrite of cos^2 may split the product in two.  When
+    at most one side has a trig group, no cos^2 can form, so the product
+    is one monomial and takes the early return."""
+    dsyms = tuple(sorted(a.dsyms + b.dsyms)) if a.dsyms and b.dsyms else a.dsyms or b.dsyms
+    powers, ea, lam = _add_exponents(a.powers, b.powers), _add_exponents(a.ea, b.ea), a.lam + b.lam
+    if not a.trig or not b.trig:
+        return ((Monomial(dsyms, powers, a.trig or b.trig, ea, lam), 1),)
+
     trig = {v: [m, e] for v, m, e in a.trig}
     for v, m, e in b.trig:
         if v in trig:
@@ -103,8 +113,6 @@ def _mul_monomials(a: Monomial, b: Monomial):
             new.append(({**tmap, v: (m + 2, 0)}, -sign))
         expansions = new
 
-    dsyms, lam = tuple(sorted(a.dsyms + b.dsyms)), a.lam + b.lam
-    powers, ea = _add_exponents(a.powers, b.powers), _add_exponents(a.ea, b.ea)
     out = []
     for tmap, sign in expansions:
         trig = tuple(sorted((v, m, e) for v, (m, e) in tmap.items() if m or e))
@@ -129,12 +137,37 @@ def _accumulate(acc: dict, items) -> dict:
     return acc
 
 
-def _products(a: dict, b: dict):
+def _add_products(acc: dict, a: dict, b: dict) -> dict:
+    """Add the product of the clean maps a and b into the map acc in place
+    (acc must be clean and shared by no expression).  The budget charges
+    one per term pair and, when both sides have more than one term, the
+    derivative symbols each pair merges."""
+    if len(a) == 1 and MONOMIAL_ONE in a:
+        a, b = b, a
+    if len(b) == 1 and MONOMIAL_ONE in b:  # constant factor: no pair to form
+        c = b[MONOMIAL_ONE]
+        return _accumulate(acc, a.items() if c == CRAT_ONE else ((m, p * c) for m, p in a.items()))
+    charge = len(a) * len(b)
+    if len(a) > 1 and len(b) > 1:
+        na, nb = sum(1 for m in a if m.dsyms), sum(1 for m in b if m.dsyms)
+        charge += nb * sum(len(m.dsyms) for m in a) + na * sum(len(m.dsyms) for m in b)
+    if charge > MAX_TERM_PAIRS:
+        raise TermBudgetError(
+            f"a product of {len(a)} by {len(b)} terms exceeds {MAX_TERM_PAIRS} term pairs"
+        )
     for m1, p1 in a.items():
         for m2, p2 in b.items():
             coeff = p1 * p2
             for mono, sign in _mul_monomials(m1, m2):
-                yield mono, coeff if sign > 0 else -coeff
+                c = coeff if sign > 0 else -coeff
+                prev = acc.get(mono)
+                if prev is None:
+                    acc[mono] = c
+                elif c := prev + c:
+                    acc[mono] = c
+                else:
+                    del acc[mono]
+    return acc
 
 
 class CanonicalExpr:
@@ -246,17 +279,9 @@ class CanonicalExpr:
 
     def __mul__(self, other):
         a, b = self._terms, as_canonical_scalar(other)._terms
-        if len(a) == 1 and MONOMIAL_ONE in a:
-            a, b = b, a
-        if len(b) == 1 and MONOMIAL_ONE in b:
-            # constant factor: a product of nonzero Gaussian rationals is nonzero
-            c = b[MONOMIAL_ONE]
-            return CanonicalExpr._of(a if c == CRAT_ONE else {m: p * c for m, p in a.items()})
-        if len(a) * len(b) > MAX_TERM_PAIRS:
-            raise TermBudgetError(
-                f"a product of {len(a)} by {len(b)} terms exceeds {MAX_TERM_PAIRS} term pairs"
-            )
-        return CanonicalExpr._of(_accumulate({}, _products(a, b)))
+        if _ONE_MAP in (a, b):  # a product with 1 shares the other operand's map
+            return CanonicalExpr._of(b if a == _ONE_MAP else a)
+        return CanonicalExpr._of(_add_products({}, a, b))
 
     __rmul__ = __mul__
 
@@ -365,24 +390,23 @@ def render_canonical(ce: CanonicalExpr) -> str:
     canonical map."""
     if ce.is_zero():
         return "0"
-    rendered = []
-    for mono, poly in _lam_groups(ce):
-        sign, poly = _split_sign(poly)
-        body = _render_monomial(mono)
-        if not body:
-            coeff = render_poly(poly)
-        elif poly == ((0, CRAT_ONE),):
-            coeff = ""
-        elif len(poly) > 1:
-            coeff = f"({render_poly(poly)})*"
-        else:
-            coeff = f"{render_poly(poly)}*"
-        rendered.append((sign, coeff + body if body else coeff))
-    first_sign, first_body = rendered[0]
-    out = ("-" if first_sign < 0 else "") + first_body
-    for sign, body in rendered[1:]:
-        out += (" - " if sign < 0 else " + ") + body
-    return out
+    out = []
+    try:
+        for mono, poly in _lam_groups(ce):
+            sign, poly = _split_sign(poly)
+            body = _render_monomial(mono)
+            if not body:
+                body = render_poly(poly)
+            elif poly != ((0, CRAT_ONE),):
+                coeff = render_poly(poly)
+                body = f"({coeff})*{body}" if len(poly) > 1 else f"{coeff}*{body}"
+            out += (" - " if sign < 0 else " + ", body)
+    except ValueError:  # str() of an int past sys.get_int_max_str_digits()
+        raise ExpressionError(
+            f"a coefficient passes the int digit limit ({sys.get_int_max_str_digits()} digits)"
+        ) from None
+    out[0] = "-" if out[0] == " - " else ""
+    return "".join(out)
 
 
 # -- numeric evaluation ------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 
-from .canonical import CanonicalExpr, Monomial, _accumulate, as_canonical_scalar
+from .canonical import CanonicalExpr, Monomial, as_canonical_scalar
 from .expr import ExpressionError, var_index
 
 
@@ -86,7 +86,16 @@ def d_alpha(e, var: str) -> CanonicalExpr:
     var = var_index(var)
     acc = {}
     for mono, coeff in as_canonical_scalar(e).terms.items():
-        _accumulate(acc, ((m, coeff * f) for m, f in _diff_monomial(mono, var)))
+        for m, f in _diff_monomial(mono, var):
+            c = coeff if f == 1 else coeff * f
+            prev = acc.get(m)
+            if prev is None:
+                if c:
+                    acc[m] = c
+            elif c := prev + c:
+                acc[m] = c
+            else:
+                del acc[m]
     return CanonicalExpr._of(acc)
 
 

@@ -24,7 +24,7 @@ residuals required to normalize to zero.
 
 from __future__ import annotations
 
-from .canonical import CanonicalExpr, _accumulate, as_canonical_scalar, render_canonical
+from .canonical import CanonicalExpr, _add_products, as_canonical_scalar, render_canonical
 from .derivative import DerivativeMode, d_alpha
 from .frames import (
     Frame,
@@ -159,12 +159,13 @@ def _combine(rows, comps, partials: dict) -> CanonicalExpr:
 
     def partial(k, vs):
         if (k, vs) not in partials:
-            partials[k, vs] = d_alpha(partial(k, vs[:-1]), vs[-1]) if vs else comps[k]
+            d = d_alpha(partial(k, vs[:-1]), vs[-1]) if vs else as_canonical_scalar(comps[k])
+            partials[k, vs] = d
         return partials[k, vs]
 
     acc = {}
     for coeff, k, vs in rows:
-        _accumulate(acc, (coeff * partial(k, vs)).terms.items())
+        _add_products(acc, coeff.terms, partial(k, vs).terms)
     return CanonicalExpr._of(acc)
 
 

@@ -15,7 +15,7 @@ transcribed, so the identity checks compare two independent sources.
 
 from __future__ import annotations
 
-from .canonical import CanonicalExpr, as_canonical_scalar
+from .canonical import CanonicalExpr, _add_products, as_canonical_scalar
 from .derivative import d_alpha
 from .frames import Frame, QuaternionField, vector_field
 
@@ -32,21 +32,26 @@ def grad_alpha(f0, frame: Frame) -> QuaternionField:
 
 def div_alpha(v: QuaternionField) -> CanonicalExpr:
     """Divergence of the vector part."""
-    frame = v.frame
-    out = CanonicalExpr.zero()
+    frame, acc = v.frame, {}
     for var, ih, conn, vi in zip(
         frame.variables, frame.inv_lame, frame.div_connection, v.vector_components
     ):
-        out = out + ih * d_alpha(vi, var) + conn * vi
-    return out
+        vi = as_canonical_scalar(vi)
+        _add_products(acc, ih.terms, d_alpha(vi, var).terms)
+        _add_products(acc, conn.terms, vi.terms)
+    return CanonicalExpr._of(acc)
 
 
 def curl_alpha(v: QuaternionField) -> QuaternionField:
     """Curl of the vector part, as a pure vector field."""
-    frame, comps = v.frame, v.vector_components
+    frame, comps = v.frame, tuple(map(as_canonical_scalar, v.vector_components))
 
-    def part(j, k):  # D_j(h_k v_k) / (h_j h_k)
-        d = d_alpha(comps[k], frame.variables[j])
-        return frame.inv_lame[j] * d + frame.curl_connection[j][k] * comps[k]
+    def component(j, k):  # (D_j(h_k v_k) - D_k(h_j v_j)) / (h_j h_k)
+        acc = {}
+        for a, b, sign in ((j, k, 1), (k, j, -1)):
+            ih, conn = sign * frame.inv_lame[a], sign * frame.curl_connection[a][b]
+            _add_products(acc, ih.terms, d_alpha(comps[b], frame.variables[a]).terms)
+            _add_products(acc, conn.terms, comps[b].terms)
+        return CanonicalExpr._of(acc)
 
-    return vector_field(frame, *(part(j, k) - part(k, j) for j, k in _CYCLIC))
+    return vector_field(frame, *(component(j, k) for j, k in _CYCLIC))

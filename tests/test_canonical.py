@@ -2,8 +2,10 @@
 Pythagorean reduction, division, rendering round-trips, numeric tie-in."""
 
 import copy
+import math
 import pickle
 import random
+import sys
 from functools import reduce
 from operator import mul
 
@@ -16,6 +18,7 @@ from fracquat import (
     CYLINDRICAL,
     FRAMES,
     EvaluationDomainError,
+    ExpressionError,
     NonInvertibleDivisionError,
     QuaternionField,
     SPHERICAL,
@@ -35,6 +38,7 @@ from fracquat import canonical, cos_alpha, ml_exp, series, sin_alpha
 from fracquat.canonical import (
     MONOMIAL_ONE,
     Monomial,
+    _add_products,
     _mul_monomials,
     as_canonical_scalar,
     dsym_name,
@@ -202,6 +206,39 @@ class TestPower:
         with pytest.raises(TermBudgetError):
             a * (b + canon("P(z,1)", CYL))  # 3 * 5 pairs
 
+    @pytest.mark.parametrize(
+        "base, stop",
+        [
+            # no derivative symbols: the charge is the 4 + 9 + 25 + 81 term
+            # pairs of the squares, and the 17 by 17 square is refused
+            ("P(r,1) + 1", 17),
+            # (f1 + 1)^n has n terms holding 1..n symbols; a pair of two such
+            # terms also pays their symbols, so the square of the 4th power
+            # costs 25 + 2 * 4 * (1 + 2 + 3 + 4) = 105 and is refused
+            ("f1 + 1", 5),
+        ],
+    )
+    def test_budget_charges_the_derivative_symbols_each_pair_merges(
+        self, monkeypatch, base, stop
+    ):
+        monkeypatch.setattr(canonical, "MAX_TERM_PAIRS", 100)
+        with pytest.raises(TermBudgetError, match=f"{stop} by {stop} terms exceeds 100 term pairs"):
+            canon(f"({base})^1000000", CYL)
+
+    def test_merged_symbol_charge_is_exact(self, monkeypatch):
+        a = canon("f1 + d(f2,r)*f3", CYL)  # 2 terms with symbols, 3 symbols
+        b = canon("f0 + P(r,1)", CYL)  # 1 term with symbols, 1 symbol
+        # 2 * 2 pairs, plus 3 symbols of a met by 1 term of b and 1 symbol
+        # of b met by 2 terms of a
+        monkeypatch.setattr(canonical, "MAX_TERM_PAIRS", 4 + 3 + 2)
+        assert len((a * b).terms) == 4
+        monkeypatch.setattr(canonical, "MAX_TERM_PAIRS", 4 + 3 + 2 - 1)
+        with pytest.raises(TermBudgetError, match="2 by 2 terms"):
+            a * b
+        # a one-term operand pays only its term pairs
+        one_term = canon("f1^50*d(f2,r)", CYL)
+        assert len((one_term * b).terms) == 2 and len((a * one_term).terms) == 2
+
     def test_negative_power_is_the_repeated_inverse(self):
         sin = canon("sina(theta)", CYL)
         for n in range(1, 8):
@@ -329,6 +366,91 @@ def test_results_are_clean_maps(a, b, var):
                 assert list(group) == sorted(group)
     for mono in product.terms:
         assert_rehashes(mono)
+
+
+def _reference_product(a: Monomial, b: Monomial) -> list:
+    """The product of two monomials written out group by group, with every
+    cos^2 rewritten as 1 - sin^2, as sorted (monomial, sign) pairs."""
+
+    def merged(x, y):
+        acc = {}
+        for t in x + y:
+            acc[t[:-1]] = acc.get(t[:-1], 0) + t[-1]
+        return tuple(sorted(g + (p,) for g, p in acc.items() if p))
+
+    trig = {}
+    for v, m, e in a.trig + b.trig:
+        m0, e0 = trig.get(v, (0, 0))
+        trig[v] = (m0 + m, e0 + e)
+    expansions = [((), 1)]
+    for v, (m, e) in sorted(trig.items()):
+        choices = [((v, m, 0), 1), ((v, m + 2, 0), -1)] if e == 2 else [((v, m, e), 1)]
+        expansions = [(t + (g,), s * c) for t, s in expansions for g, c in choices]
+    rest = {
+        "dsyms": tuple(sorted(a.dsyms + b.dsyms)),
+        "powers": merged(a.powers, b.powers),
+        "ea": merged(a.ea, b.ea),
+        "lam": a.lam + b.lam,
+    }
+    return sorted(
+        (Monomial(trig=tuple(g for g in t if g[1] or g[2]), **rest), s) for t, s in expansions
+    )
+
+
+# a frame and three expressions in its variables
+FRAME_EXPRS = st.sampled_from(tuple(FRAMES.values())).flatmap(
+    lambda frame: st.tuples(st.just(frame), *[exprs(frame.variables, max_leaves=6)] * 3)
+)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ("cosa(theta)*f1", "P(r,1)*d(f1,r)*f2"),  # cos on one side, symbols on both
+        ("sina(theta)*d(f2,theta)", "lam*f2*f0"),  # sin on one side, symbols on both
+        ("cosa(theta)*f1", "cosa(theta)*sina(r)*f1"),  # cos^2 on the general path
+        ("cosa(theta)*cosa(r)", "cosa(theta)*cosa(r)"),  # two cos^2 rewrites
+        ("Ea(2, z)*f3", "Ea(2, z)*Ea(lam, z)*f3"),
+    ],
+)
+def test_mul_monomials_matches_the_reference(a, b):
+    (m1,), (m2,) = canon(a, CYL).terms, canon(b, CYL).terms
+    assert sorted(_mul_monomials(m1, m2)) == _reference_product(m1, m2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(FRAME_EXPRS)
+def test_mul_monomials_early_return_matches_the_reference(drawn):
+    frame, *texts = drawn
+    monos = [m for text in texts for m in canon(text, frame).terms]
+    for m1 in monos:
+        for m2 in monos:
+            assert sorted(_mul_monomials(m1, m2)) == _reference_product(m1, m2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(FRAME_EXPRS)
+def test_add_products_adds_the_product_into_the_map(drawn):
+    frame, *texts = drawn
+    acc, a, b = (canon(text, frame) for text in texts)
+    # (a * b, -a, b) cancels every entry of acc; a * 1 and 1 * b share maps
+    cases = [(acc, a, b), (acc, a, a), (a * b, -a, b), (a * 1, a, 1 * b), (acc, a, 0)]
+    for acc, a, b in cases:
+        a, b = as_canonical_scalar(a), as_canonical_scalar(b)
+        before = [list(x.terms.items()) for x in (acc, a, b)]
+        out = _add_products(dict(acc.terms), a.terms, b.terms)
+        assert out == (acc + a * b).terms
+        assert all(isinstance(c, CRat) and c for c in out.values())
+        assert [list(x.terms.items()) for x in (acc, a, b)] == before
+
+
+def test_render_past_the_int_digit_limit_is_an_expression_error():
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    # the parser lets 2^bits through; the Leibniz factor 2 doubles it past the limit
+    ce = d_alpha(canon(f"2^{int(digits * math.log2(10))}*P(r,2)", CYL), "r")
+    message = rf"^a coefficient passes the int digit limit \({digits} digits\)$"
+    with pytest.raises(ExpressionError, match=message):
+        render_canonical(ce)
 
 
 def test_monomial_hash_agrees_across_constructions():

@@ -401,6 +401,15 @@ class TestInputValidation:
         position = len(power) + 1
         assert run(capsys, argv) == (2, "", f"error: {message} (at position {position})\n")
 
+    def test_output_coefficient_past_the_digit_limit(self, capsys):
+        # the input is within every parser bound; d_alpha's factor 2 takes
+        # the coefficient past the digit limit, and render refuses it
+        digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        text = f"2^{int(digits * math.log2(10))}*P(r,2)"
+        argv = ["diff", text, "--var", "r", "--frame", "cylindrical"]
+        message = f"a coefficient passes the int digit limit ({digits} digits)"
+        assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
     def test_component_power_past_max_factors(self, capsys):
         argv = ["diff", "f1^100000000", "--var", "r", "--frame", "cylindrical"]
         message = f"a power of component symbols is past {MAX_FACTORS}"

@@ -3,24 +3,34 @@ finite-difference oracle at alpha=1 where every generator is classical."""
 
 import math
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from fracquat import (
     CARTESIAN,
     CYLINDRICAL,
     SPHERICAL,
     CanonicalExpr,
+    QuaternionField,
+    bitsadze,
     canon,
     curl_alpha,
+    d_alpha,
     delta0,
     div_alpha,
     equal,
     eval_canonical,
     grad_alpha,
+    laplacian,
     vector_field,
     zero_field,
 )
+from fracquat.coefficients import CRat
 from fracquat.frames import abstract_scalar_field, abstract_vector_field
+from fracquat.quatops import _terms
+
+from strategies import exprs
 
 FRAMES = (CARTESIAN, CYLINDRICAL, SPHERICAL)
 
@@ -260,3 +270,91 @@ def test_div_grad_matches_delta0_form():
     for frame in FRAMES:
         f0 = abstract_scalar_field(frame).f0
         assert equal(div_alpha(grad_alpha(f0, frame)), delta0(f0, frame))
+
+
+# -- the operators against references built from the ring operations ----------
+
+
+def _drawn_fields():
+    """A frame, four expressions in its variables, and for each component
+    the expression it takes as a product with 1 or a sum with 0, so that
+    components share their maps with each other."""
+    return st.sampled_from(FRAMES).flatmap(
+        lambda frame: st.tuples(
+            st.just(frame),
+            st.lists(exprs(frame.variables, max_leaves=5), min_size=4, max_size=4),
+            st.lists(st.integers(0, 3), min_size=4, max_size=4),
+        )
+    )
+
+
+def _reference_div(f):
+    frame, out = f.frame, CanonicalExpr.zero()
+    for var, ih, conn, vi in zip(
+        frame.variables, frame.inv_lame, frame.div_connection, f.vector_components
+    ):
+        out = out + ih * d_alpha(vi, var) + conn * vi
+    return out
+
+
+def _reference_curl(f):
+    frame, comps = f.frame, f.vector_components
+
+    def part(j, k):
+        d = d_alpha(comps[k], frame.variables[j])
+        return frame.inv_lame[j] * d + frame.curl_connection[j][k] * comps[k]
+
+    return tuple(part(j, k) - part(k, j) for j, k in ((1, 2), (2, 0), (0, 1)))
+
+
+def _reference_rows(rows, comps):
+    out = CanonicalExpr.zero()
+    for coeff, k, vs in rows:
+        d = comps[k]
+        for v in vs:
+            d = d_alpha(d, v)
+        out = out + coeff * d
+    return out
+
+
+def _reference_second_order(f, name):
+    rows = _terms(f.frame)
+    return (_reference_rows(rows["delta0"], (f.f0,)),) + tuple(
+        _reference_rows(r, f.components) for r in rows[name]
+    )
+
+
+def _snapshot(f):
+    """Every map an operator reads: the components, the frame's derived
+    coefficients and the hand rows' coefficients."""
+    frame = f.frame
+    coeffs = (*frame.inv_lame, *frame.div_connection, *sum(frame.curl_connection, ()))
+    rows = _terms(frame)
+    hand = [c for r in (rows["delta0"], *rows["laplacian"], *rows["bitsadze"]) for c, _, _ in r]
+    return [list(x.terms.items()) for x in (*f.components, *coeffs, *hand)]
+
+
+def _assert_clean(x):
+    assert all(isinstance(c, CRat) and c for c in x.terms.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(_drawn_fields())
+def test_operators_match_ring_references(drawn):
+    frame, texts, sources = drawn
+    parsed = [canon(t, frame) for t in texts]
+    comps = [parsed[i] * 1 if k % 2 else parsed[i] + 0 for k, i in enumerate(sources)]
+    f = QuaternionField(frame, *comps)
+    before = _snapshot(f)
+    results = {
+        "div": ((div_alpha(f),), (_reference_div(f),)),
+        "curl": (curl_alpha(f).vector_components, _reference_curl(f)),
+        "laplacian": (laplacian(f).components, _reference_second_order(f, "laplacian")),
+        "bitsadze": (bitsadze(f).components, _reference_second_order(f, "bitsadze")),
+    }
+    for name, (got, want) in results.items():
+        assert got == want, name
+        for x in got:
+            _assert_clean(x)
+    # no operator accumulated into a map it shares with an input
+    assert _snapshot(f) == before
