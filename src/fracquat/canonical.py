@@ -444,7 +444,8 @@ def eval_canonical(
     point maps variables to nonnegative reals (positive where negative
     fractal powers occur); bindings maps rendered component symbols such
     as "f1" or "d(f1,r)" to complex constants or callables of the point.
-    Each distinct sina, cosa and Ea generator is summed once per call.
+    Each distinct sina, cosa and Ea generator is summed, and each variable's
+    x^alpha formed, once per call.
     """
     ce = as_canonical_scalar(ce)
     alpha, tol = _series.validate_alpha(alpha), _series.validate_tol(tol)
@@ -462,18 +463,25 @@ def eval_canonical(
                 raise _series.SeriesConvergenceError(where, exc.last_term_magnitude) from None
         return memo[name, u]
 
+    args = {}
+
+    def arg(v):  # v^alpha, once per call; errors surface at the first monomial that needs v
+        if v not in args:
+            args[v] = _fractal_arg(v, point, alpha)
+        return args[v]
+
     total = 0j
     for mono, coeff in ce.terms.items():
         value = _coeff_value(((mono.lam, coeff),), lam)
         for i, n in mono.powers:
             v = VARIABLES[i]
-            xa = _fractal_arg(v, point, alpha)
+            xa = arg(v)
             if xa == 0 and n < 0:
                 raise EvaluationDomainError(f"{v} = 0 with negative fractal exponent {n}")
             value *= xa**n
         for i, m, e in mono.trig:
             v = VARIABLES[i]
-            u = _fractal_arg(v, point, alpha)
+            u = arg(v)
             if m:
                 sv = series("sin_alpha", u, v)
                 if sv == 0 and m < 0:
@@ -483,7 +491,7 @@ def eval_canonical(
                 value *= series("cos_alpha", u, v)
         for i, s, p in mono.ea:
             v = VARIABLES[i]
-            u = _coeff_value(s, lam) * _fractal_arg(v, point, alpha)
+            u = _coeff_value(s, lam) * arg(v)
             ev = series("ml_exp", u, v, s)
             if ev == 0 and p < 0:
                 raise EvaluationDomainError(f"Ea factor vanishes at {v} = {point[v]}")

@@ -210,7 +210,7 @@ class _Parser:
                 if k != 1:
                     if len(atom.terms) == 1:
                         self.check_power(*atom.terms.items(), k, caret)
-                    atom = atom**k
+                    atom = self.power(atom, k, at)
                 if divide:
                     atom = atom.inverse()
                 product = CanonicalExpr._of(_terms(gens, _of(a, b, d)))
@@ -251,6 +251,21 @@ class _Parser:
             raise self.error(f"a power's coefficient would pass {self.bits} bits", caret)
         if mono.dsyms and k > MAX_FACTORS:
             raise self.error(f"a power of component symbols is past {MAX_FACTORS}", caret)
+
+    def power(self, base: CanonicalExpr, k: int, index: int) -> CanonicalExpr:
+        """base^k (k >= 0) by squaring, as CanonicalExpr.__pow__ forms it, with
+        each square and product checked, so that a power of a sum stops at the
+        first that passes the digit limit (check_power bounds one term's)."""
+        out = CanonicalExpr.one()
+        while k:
+            if k & 1:
+                out = out * base
+                self.check_bits(out.terms.values(), index)
+            k >>= 1
+            if k:
+                base = base * base
+                self.check_bits(base.terms.values(), index)
+        return out
 
     def check_bits(self, coeffs, index: int) -> int:
         """The bit length of the largest coefficient part; from 10^digits on, a ParseError."""

@@ -487,6 +487,36 @@ def test_term_coefficient_past_the_limit_is_a_parse_error(text, position):
     assert str(err.value) == f"{message} (at position {position})"
 
 
+@pytest.mark.parametrize("k", [64, 512])
+def test_power_of_a_sum_stops_at_the_first_product_past_the_limit(k, monkeypatch):
+    # the first square of 2^14000*P(r,1) + 1 passes 10^4300; ^512 used to
+    # form every square before its check, about two minutes of big-int work
+    products = []  # of two sums: the squares and products the power forms
+    mul = CanonicalExpr.__mul__
+
+    def counted(a, b):
+        products.append(len(a.terms) > 1 and len(b.terms) > 1)
+        return mul(a, b)
+
+    monkeypatch.setattr(CanonicalExpr, "__mul__", counted)
+    with pytest.raises(ParseError) as err:
+        parse(f"(2^14000*P(r,1) + 1)^{k}", CYLINDRICAL)
+    message = f"a term's coefficient would pass {_digit_limit()} digits"
+    assert str(err.value) == f"{message} (at position 0)"
+    assert sum(products) == 1
+
+
+def test_power_of_a_sum_within_the_limit_is_its_ring_power():
+    r, n = C.fractal_power("r", 1), _bit_limit() // 8
+    for text, base, k in [
+        ("(P(r,1) + 1)^13", r + 1, 13),
+        # its 8th power's top coefficient, 2^(8n), is within the limit
+        (f"(2^{n}*P(r,1) - 1)^8", 2**n * r - 1, 8),
+        ("(sina(r) + 1i)^0", C.one(), 1),
+    ]:
+        assert parse(text, CYLINDRICAL) == base**k, text
+
+
 def test_term_coefficient_within_the_limit_parses_and_renders():
     limit, digits = _bit_limit(), _digit_limit()
     half = limit // 2

@@ -9,7 +9,12 @@ E_(1/2)(1) = e*erfc(-1).
 import cmath
 import copy
 import math
+import os
 import pickle
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import hypothesis.strategies as st
 import mpmath
@@ -33,7 +38,8 @@ from fracquat import (
     sin_alpha,
     sin_alpha_jseries,
 )
-from fracquat.series import evaluate_series
+import fracquat.series as series_module
+from fracquat.series import MAX_SERIES_TERMS, evaluate_series
 
 
 def brute_ml(alpha, u, terms=80):
@@ -52,9 +58,11 @@ def brute_cos(alpha, u, terms=60):
 
 
 # (value.real.hex(), value.imag.hex(), terms) of evaluate_series at the
-# default tol, recorded from the recurrence kernel (each term is the one
-# before times ±u^step * exp(lgamma(1 + p*alpha) - lgamma(1 + (p+step)*alpha)));
-# the term counts are those of the log-space kernel before it.  u covers both
+# default tol, recorded from the per-term recurrence (each term is the one
+# before times ±u^step * exp(lgamma(1 + p*alpha) - lgamma(1 + (p+step)*alpha)),
+# reference_sum below) and kept by the kernel that reads those ratios from
+# a table per (alpha, kind); the term counts are those of the log-space
+# kernel before both.  u covers both
 # bench bands, every direction, 0 and the underflow cut-off.  A real u is
 # summed in float arithmetic, so its imaginary part is exactly 0, and so is
 # that of cosa(u) at an imaginary u, whose u * u is real
@@ -212,6 +220,140 @@ class TestKernelGolden:
         # these used to run 500 terms and report a convergence failure
         with pytest.raises(ValueError, match="u must be finite"):
             function(0.5, u)
+
+
+def reference_sum(kind, alpha, u, tol=1e-12):
+    """evaluate_series by the per-term recurrence that the ratio tables
+    replaced: each term pays its own lgamma and exp."""
+    label, power, step, alternating = {
+        "Ea": ("ml_exp", 0, 1, False),
+        "sina": ("sin_alpha", 1, 2, True),
+        "cosa": ("cos_alpha", 0, 2, True),
+    }[kind]
+    u = complex(u)
+    if u == 0:
+        return (1 + 0j if power == 0 else 0j), 1
+    if u.imag == 0:
+        u = u.real
+    z = u * u if step == 2 else u
+    if alternating:
+        z = -z
+    lg = math.lgamma(1.0 + power * alpha)
+    term = u**power / math.gamma(1.0 + power * alpha)
+    total = 0.0
+    mag, prev_mag = abs(term), math.inf
+    for i in range(MAX_SERIES_TERMS - 1):
+        total += term
+        power += step
+        lg_next = math.lgamma(1.0 + power * alpha)
+        term *= z * math.exp(lg - lg_next)
+        lg = lg_next
+        next_mag = abs(term)
+        if next_mag < mag and next_mag < prev_mag:
+            if next_mag == 0.0:
+                return complex(total), i + 1
+            rho = next_mag / mag
+            if next_mag / (1.0 - rho) < tol:
+                return complex(total), i + 1
+        elif not next_mag <= math.exp(709.0):
+            mag = math.inf
+            break
+        prev_mag, mag = mag, next_mag
+    raise SeriesConvergenceError(
+        f"{label} did not converge to tol={tol} within {MAX_SERIES_TERMS} terms "
+        f"(last term magnitude {mag:.3e})",
+        mag,
+    )
+
+
+def outcome(function, *args):
+    """What a call gives, bit for bit: (value hex pair, terms) or the error."""
+    try:
+        value, terms = function(*args)
+    except SeriesConvergenceError as exc:
+        return "SeriesConvergenceError", str(exc), exc.last_term_magnitude.hex()
+    except OverflowError as exc:  # abs() of a finite complex term past the double range
+        return type(exc).__name__, str(exc)
+    return value.real.hex(), value.imag.hex(), terms
+
+
+class TestRatioTables:
+    KINDS = ("Ea", "sina", "cosa")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(KINDS),
+        st.floats(0.0, 1.0, exclude_min=True),
+        st.builds(cmath.rect, st.floats(0.0, 40.0), st.floats(-math.pi, math.pi))
+        | st.floats(-40.0, 40.0).map(complex),
+        st.floats(1e-300, 1.0),
+    )
+    def test_matches_the_per_term_recurrence(self, kind, alpha, u, tol):
+        # alphas past the table bound come up here too, so tables are dropped
+        # and rebuilt at lengths that differ from call to call
+        assert outcome(evaluate_series, kind, alpha, u, tol) == outcome(
+            reference_sum, kind, alpha, u, tol
+        )
+
+    def test_golden_values_are_the_per_term_recurrence(self):
+        assert {key: outcome(reference_sum, *key) for key in GOLDEN} == GOLDEN
+
+    def test_call_order_does_not_matter(self):
+        # the large call grows a table far past what the small one needs,
+        # and the small call leaves one the large call has to grow
+        calls = [(kind, 0.6180339887, u) for kind in self.KINDS for u in (25 + 3j, 0.7 - 0.2j)]
+        runs = []
+        for order in (calls, calls[::-1]):
+            series_module._TABLES.clear()
+            runs.append({call: outcome(evaluate_series, *call) for call in order})
+        assert runs[0] == runs[1] == {call: outcome(reference_sum, *call) for call in calls}
+
+    def test_table_count_and_length_are_bounded(self):
+        tables = series_module._TABLES
+        for n in range(2 * series_module._MAX_TABLES + 5):
+            alpha = 0.3 + n / 1000
+            for kind in self.KINDS:
+                outcome(evaluate_series, kind, alpha, 20.0)  # 500 terms: the whole table
+                assert len(tables) <= series_module._MAX_TABLES
+        assert all(len(ratios) <= MAX_SERIES_TERMS - 1 for _, ratios, _ in tables.values())
+        assert max(len(ratios) for _, ratios, _ in tables.values()) == MAX_SERIES_TERMS - 1
+
+    def test_threads_at_a_fresh_alpha_agree_with_serial_calls(self):
+        alpha = 0.4142135623
+        calls = [(kind, alpha, u) for kind in self.KINDS for u in (0.3, 1.5j, 6 - 2j, 18.0, -25j)]
+        serial = [outcome(evaluate_series, *call) for call in calls]
+        series_module._TABLES.clear()
+        barrier = threading.Barrier(8)
+        results = [None] * 8
+
+        def work(n):
+            barrier.wait()
+            # each thread takes the calls in its own order, so growths interleave
+            order = calls[n:] + calls[:n]
+            got = {call: outcome(evaluate_series, *call) for call in order}
+            results[n] = [got[call] for call in calls]
+
+        threads = [threading.Thread(target=work, args=(n,)) for n in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside a sum or a growth
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [serial] * 8
+        assert serial == [outcome(reference_sum, *call) for call in calls]
+
+    def test_import_builds_no_table(self):
+        code = "import fracquat, fracquat.cli; print(len(fracquat.series._TABLES))"
+        env = {**os.environ, "PYTHONPATH": str(Path(series_module.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "0\n", "")
 
 
 def mp_series(kind, alpha, u):
