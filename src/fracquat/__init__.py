@@ -11,6 +11,7 @@ exponential and trigonometric series.
 
 from .coefficients import CRat
 from .expr import (
+    CoefficientLimitError,
     EvaluationDomainError,
     ExpressionError,
     NonInvertibleDivisionError,

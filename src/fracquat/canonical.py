@@ -15,16 +15,19 @@ every identity check in the package reduces to.  So no map stores a zero
 coefficient: `_accumulate` and `_add_products` keep maps clean, and
 `CanonicalExpr._of` wraps a map unchecked, only for maps already reduced
 that way.
+
+The ring bounds its own work: CRat refuses a coefficient part of
+coefficients.LIMIT or more as it forms one, so render prints every
+coefficient, and one product may form at most MAX_TERM_PAIRS term pairs.
 """
 
 from __future__ import annotations
 
-import sys
 from collections import namedtuple
 from itertools import groupby
 from numbers import Rational
 
-from .coefficients import CRAT_ONE, CRAT_ZERO, CRat, as_crat, render_poly
+from .coefficients import CRAT_ONE, CRAT_ZERO, DIGITS, CRat, as_crat, render_poly
 from .expr import (
     EvaluationDomainError,
     ExpressionError,
@@ -401,10 +404,8 @@ def render_canonical(ce: CanonicalExpr) -> str:
                 coeff = render_poly(poly)
                 body = f"({coeff})*{body}" if len(poly) > 1 else f"{coeff}*{body}"
             out += (" - " if sign < 0 else " + ", body)
-    except ValueError:  # str() of an int past sys.get_int_max_str_digits()
-        raise ExpressionError(
-            f"a coefficient passes the int digit limit ({sys.get_int_max_str_digits()} digits)"
-        ) from None
+    except ValueError:  # str() of an exponent past the int digit limit
+        raise ExpressionError(f"an exponent passes the int digit limit ({DIGITS} digits)") from None
     out[0] = "-" if out[0] == " - " else ""
     return "".join(out)
 

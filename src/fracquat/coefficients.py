@@ -7,6 +7,10 @@ check reduces to exact integer arithmetic.  A CRat stores the value
 gcd(a, b, d) == 1, so each value has exactly one stored form.  The gcd
 is taken only when d != 1: the identity checks meet integer coefficients
 almost only, and an integer product then costs four multiplications.
+
+Every CRat is formed by `_of`, which bounds it: a part of LIMIT = 10^DIGITS
+(DIGITS, the int-to-str digit limit at import) or more in lowest terms raises
+CoefficientLimitError, so the ring never forms a coefficient str() refuses.
 """
 
 from __future__ import annotations
@@ -14,6 +18,11 @@ from __future__ import annotations
 import sys
 from math import gcd, lcm
 from numbers import Rational
+
+from .expr import CoefficientLimitError
+
+DIGITS = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+LIMIT = 10**DIGITS  # a coefficient part must stay below it
 
 
 def _frac(x):
@@ -131,9 +140,11 @@ _set_a, _set_b, _set_d = (getattr(CRat, name).__set__ for name in CRat.__slots__
 
 
 def _of(a: int, b: int, d: int) -> CRat:
-    """(a + b i)/d from ints with d > 0, brought to the stored form."""
+    """(a + b i)/d from ints with d > 0, brought to the stored form, which is below LIMIT."""
     if d != 1 and (g := gcd(a, b, d)) != 1:
         a, b, d = a // g, b // g, d // g
+    if not (abs(a) < LIMIT > abs(b) and d < LIMIT):
+        raise CoefficientLimitError(f"a coefficient passes the int digit limit ({DIGITS} digits)")
     self = _new(CRat)
     _set_a(self, a)
     _set_b(self, b)

@@ -32,6 +32,10 @@ class NonInvertibleDivisionError(ExpressionError):
     """Division by a canonical form that is not a single unit monomial."""
 
 
+class CoefficientLimitError(ExpressionError):
+    """A coefficient part would reach 10^digits, past what str() of an int prints."""
+
+
 class TermBudgetError(ExpressionError):
     """A product of canonical forms would pair up more terms than allowed."""
 

@@ -24,18 +24,18 @@ monomial is formed once, at the end of the term.  Only a factor in
 parentheses, a power of a number or of cosa, and a cos power past 1 take
 ring products.  A sum adds its terms into one map.  Sums and products
 are loops, so only nesting recurses; the input limits below keep both
-the work and the recursion bounded, and going past one raises ParseError.
+the work and the recursion bounded, and going past one raises ParseError,
+as does a coefficient past the bound that the ring keeps (coefficients.LIMIT).
 """
 
 from __future__ import annotations
 
 import re
-import sys
-from math import log2
+from itertools import islice
 
 from .canonical import MONOMIAL_ONE, CanonicalExpr, Monomial, _accumulate, _scale
-from .coefficients import _of
-from .expr import COMPONENT_NAMES, ParseError, VARIABLES
+from .coefficients import DIGITS, LIMIT, _of
+from .expr import COMPONENT_NAMES, CoefficientLimitError, ParseError, VARIABLES
 
 MAX_TERMS = 1000  # terms in one sum
 MAX_FACTORS = 1000  # factors in one product
@@ -96,7 +96,10 @@ def _shown(tok) -> str:
     """A token as error messages show it: a number as (Fraction, imaginary)."""
     if tok is None or not tok[0].isdecimal():
         return repr(tok)
-    c = _of(*_number(tok))
+    try:
+        c = _of(*_number(tok))
+    except CoefficientLimitError:  # its value could not be printed
+        return repr(tok)
     return f"(Fraction({c.a + c.b}, {c.d}), {tok[-1] == 'i'})"
 
 
@@ -141,13 +144,13 @@ class _Parser:
         self.i = 0
         self.variables = tuple(variables)
         self.depth = 0
-        self.digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-        self.bits = int(self.digits * log2(10))  # 2^bits < 10^digits, which render can print
+        self.where = 0  # the token at which parse reports the ring's coefficient bound
 
     def error(self, message: str, index: int) -> ParseError:
-        """A ParseError at the token with this index (the end has the last)."""
-        starts = [m.start() for m in _TOKEN.finditer(self.text)] + [len(self.text)]
-        return ParseError(message, starts[index])
+        """A ParseError at the token with this index (the end has the last);
+        the text is scanned only up to that token."""
+        m = next(islice(_TOKEN.finditer(self.text), index, None), None)
+        return ParseError(message, len(self.text) if m is None else m.start())
 
     def expect(self, symbol: str):
         tok = self.tokens[self.i]
@@ -188,12 +191,15 @@ class _Parser:
         (gens, (a + b i)/d).  A factor in parentheses, a power of a number or
         of cosa, and a division or negative power that the ring refuses are
         formed in the ring, which raises its own errors; the product read so
-        far is multiplied by such a factor there, and the record starts afresh."""
-        gens, (a, b, d), ring, ring_bits, divide, factors = {}, (sign, 0, 1), None, 0, False, 1
+        far is multiplied by such a factor there, and the record starts afresh.
+        self.where follows the factor being read, or a power's '^'; at the
+        term's end, where the record meets the ring product, it names the
+        record's last number factor."""
+        gens, (a, b, d), ring, divide, factors, mark = {}, (sign, 0, 1), None, False, 1, None
         while True:
             at = self.i
             atom = self.parse_atom()
-            k, caret = 1, self.i
+            k, caret, self.where = 1, self.i, at
             if self.tokens[caret] == "^":
                 self.i += 1
                 k = self.parse_integer()
@@ -204,19 +210,18 @@ class _Parser:
                     k < 0 or k > MAX_FACTORS or divide and k
                 ):
                     atom = CanonicalExpr._of(_terms({key: n} if key else {}, _of(*base)))
-            if type(atom) is CanonicalExpr:  # what CanonicalExpr.__pow__ does, with a check
-                if k < 0:
-                    atom, k = atom.inverse(), -k
+            if type(atom) is CanonicalExpr:
+                if k > MAX_FACTORS and len(atom.terms) == 1 and next(iter(atom.terms)).dsyms:
+                    raise self.error(f"a power of component symbols is past {MAX_FACTORS}", caret)
                 if k != 1:
-                    if len(atom.terms) == 1:
-                        self.check_power(*atom.terms.items(), k, caret)
-                    atom = self.power(atom, k, at)
+                    self.where = caret
+                    atom = atom**k
+                    self.where = at
                 if divide:
                     atom = atom.inverse()
                 product = CanonicalExpr._of(_terms(gens, _of(a, b, d)))
                 ring = product * atom if ring is None else ring * product * atom
-                ring_bits = self.check_bits(ring.terms.values(), at)
-                gens, (a, b, d) = {}, _ONE
+                gens, (a, b, d), mark = {}, _ONE, None
             else:
                 if key:
                     gens[key] = gens.get(key, 0) + (-n * k if divide else n * k)
@@ -225,54 +230,21 @@ class _Parser:
                     if divide:
                         x, y, z = x * z, -y * z, x * x + y * y
                     a, b, d = a * x - b * y, a * y + b * x, d * z
-                    if ring_bits + max(abs(a), abs(b), d).bit_length() >= self.bits:
-                        c = _of(a, b, d)  # reduced, as the product so far may pass the limit
+                    mark = at
+                    if not (abs(a) < LIMIT > abs(b) and d < LIMIT):
+                        c = _of(a, b, d)  # in lowest terms it may be below the bound
                         a, b, d = c.a, c.b, c.d
-                        self.check_bits([c * r for r in ring.terms.values()] if ring else [c], at)
             op = self.tokens[self.i]
             if op != "*" and op != "/":
+                if mark is not None:
+                    self.where = mark
                 out = _terms(gens, _of(a, b, d))
-                if ring is not None or len(out) > 1:  # a ring product or a cos rewrite may grow it
-                    out = out if ring is None else (ring * CanonicalExpr._of(out)).terms
-                    self.check_bits(out.values(), at)
-                return out
+                return out if ring is None else (ring * CanonicalExpr._of(out)).terms
             if factors == MAX_FACTORS:
                 raise self.error(f"a product has more than {MAX_FACTORS} factors", self.i)
             factors += 1
             self.i += 1
             divide = op == "/"
-
-    def check_power(self, term, k: int, caret: int):
-        """Refuse term^k (k >= 0), at its '^', if a part of its coefficient could pass
-        2^bits, or if term holds component symbols and k is past MAX_FACTORS."""
-        mono, c = term
-        # a part of (a + b i)^k / d^k is at most |a + b i|^k or d^k
-        if k * max(log2(c.a * c.a + c.b * c.b) / 2, log2(c.d)) > self.bits:
-            raise self.error(f"a power's coefficient would pass {self.bits} bits", caret)
-        if mono.dsyms and k > MAX_FACTORS:
-            raise self.error(f"a power of component symbols is past {MAX_FACTORS}", caret)
-
-    def power(self, base: CanonicalExpr, k: int, index: int) -> CanonicalExpr:
-        """base^k (k >= 0) by squaring, as CanonicalExpr.__pow__ forms it, with
-        each square and product checked, so that a power of a sum stops at the
-        first that passes the digit limit (check_power bounds one term's)."""
-        out = CanonicalExpr.one()
-        while k:
-            if k & 1:
-                out = out * base
-                self.check_bits(out.terms.values(), index)
-            k >>= 1
-            if k:
-                base = base * base
-                self.check_bits(base.terms.values(), index)
-        return out
-
-    def check_bits(self, coeffs, index: int) -> int:
-        """The bit length of the largest coefficient part; from 10^digits on, a ParseError."""
-        top = max((max(abs(c.a), abs(c.b), c.d) for c in coeffs), default=0)
-        if top.bit_length() > self.bits and top >= 10**self.digits:
-            raise self.error(f"a term's coefficient would pass {self.digits} digits", index)
-        return top.bit_length()
 
     def parse_integer(self) -> int:
         sign = 1
@@ -386,7 +358,11 @@ def parse(text: str, frame=None) -> CanonicalExpr:
     if not text or not text.strip():
         raise ParseError("empty input", 0)
     parser = _Parser(text, variables)
-    ce = parser.parse_sum()
+    try:
+        ce = parser.parse_sum()
+    except CoefficientLimitError:  # a sum, product or power in the ring
+        message = f"a term's coefficient would pass {DIGITS} digits"
+        raise parser.error(message, parser.where) from None
     trailing = parser.tokens[parser.i]
     if trailing is not None:
         raise parser.error(f"unexpected trailing input {_shown(trailing)}", parser.i)

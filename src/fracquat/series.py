@@ -130,8 +130,8 @@ def _sum_series(kind, alpha, u, tol):
     Stops once the terms are decreasing and the geometric tail bound
     next/(1-rho), with rho the observed term ratio, falls below tol (the
     Gamma denominators make the ratios eventually decreasing, so the bound
-    dominates the true tail).  An overflowed term ends the sum with last
-    term magnitude inf.  Returns (value, terms summed).
+    dominates the true tail).  An overflowed term or modulus ends the sum
+    with last term magnitude inf.  Returns (value, terms summed).
     """
     label, power, step, alternating = _SERIES[kind]
     if u.imag == 0:
@@ -145,34 +145,38 @@ def _sum_series(kind, alpha, u, tol):
     gamma0, ratios, _ = table
     term = u**power / gamma0
     total = 0.0
-    mag, prev_mag = abs(term), math.inf
     done = 0
-    while True:
-        for i, ratio in enumerate(ratios[done:], done):
-            total += term
-            term *= z * ratio
-            next_mag = abs(term)
-            if next_mag < mag and next_mag < prev_mag:
-                if next_mag == 0.0:
-                    return complex(total), i + 1
-                rho = next_mag / mag
-                if next_mag / (1.0 - rho) < tol:
-                    return complex(total), i + 1
-            elif not next_mag <= _MAX_TERM:  # also true for nan, from inf * complex
-                mag = math.inf
-                break
-            prev_mag, mag = mag, next_mag
-        else:
-            done = len(ratios)
-            if done < MAX_SERIES_TERMS - 1:
-                table = _grow(kind, alpha, table)
-                ratios = table[1]
-                continue
-        raise SeriesConvergenceError(
-            f"{label} did not converge to tol={tol} within {MAX_SERIES_TERMS} terms "
-            f"(last term magnitude {mag:.3e})",
-            mag,
-        )
+    try:
+        mag, prev_mag = abs(term), math.inf
+        while True:
+            for i, ratio in enumerate(ratios[done:], done):
+                total += term
+                term *= z * ratio
+                next_mag = abs(term)
+                if next_mag < mag and next_mag < prev_mag:
+                    if next_mag == 0.0:
+                        return complex(total), i + 1
+                    rho = next_mag / mag
+                    if next_mag / (1.0 - rho) < tol:
+                        return complex(total), i + 1
+                elif not next_mag <= _MAX_TERM:  # also true for nan, from inf * complex
+                    mag = math.inf
+                    break
+                prev_mag, mag = mag, next_mag
+            else:
+                done = len(ratios)
+                if done < MAX_SERIES_TERMS - 1:
+                    table = _grow(kind, alpha, table)
+                    ratios = table[1]
+                    continue
+            break
+    except OverflowError:  # abs() of a complex term whose parts are finite, its modulus not
+        mag = math.inf
+    raise SeriesConvergenceError(
+        f"{label} did not converge to tol={tol} within {MAX_SERIES_TERMS} terms "
+        f"(last term magnitude {mag:.3e})",
+        mag,
+    )
 
 
 def evaluate_series(kind: str, alpha: float, u: complex, tol: float = 1e-12):

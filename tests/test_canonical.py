@@ -446,9 +446,15 @@ def test_add_products_adds_the_product_into_the_map(drawn):
 
 def test_render_past_the_int_digit_limit_is_an_expression_error():
     digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    # the parser lets 2^bits through; the Leibniz factor 2 doubles it past the limit
-    ce = d_alpha(canon(f"2^{int(digits * math.log2(10))}*P(r,2)", CYL), "r")
+    # the parser lets 2^bits through; the Leibniz factor 2 doubles it past the
+    # limit, and the ring refuses it before render could meet it
     message = rf"^a coefficient passes the int digit limit \({digits} digits\)$"
+    with pytest.raises(ExpressionError, match=message):
+        render_canonical(d_alpha(canon(f"2^{int(digits * math.log2(10))}*P(r,2)", CYL), "r"))
+    # what render can still meet is an exponent past the limit
+    n = int("9" * (digits - 1))
+    ce = CanonicalExpr({Monomial(powers=((R, n * n),)): CRat(1)})
+    message = rf"^an exponent passes the int digit limit \({digits} digits\)$"
     with pytest.raises(ExpressionError, match=message):
         render_canonical(ce)
 

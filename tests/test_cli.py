@@ -388,9 +388,9 @@ class TestInputValidation:
     def test_power_coefficient_past_the_limit(self, capsys, text, position):
         argv = ["diff", text, "--var", "r", "--frame", "cylindrical"]
         code, out, err = run(capsys, argv)
-        assert (code, out) == (2, "")
-        assert err.startswith("error: a power's coefficient would pass ")
-        assert err.endswith(f" bits (at position {position})\n") and err.count("\n") == 1
+        digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        message = f"a term's coefficient would pass {digits} digits"
+        assert (code, out, err) == (2, "", f"error: {message} (at position {position})\n")
 
     def test_term_coefficient_past_the_limit(self, capsys):
         # each power is within the power bound; the product of the two is not
@@ -408,6 +408,24 @@ class TestInputValidation:
         text = f"2^{int(digits * math.log2(10))}*P(r,2)"
         argv = ["diff", text, "--var", "r", "--frame", "cylindrical"]
         message = f"a coefficient passes the int digit limit ({digits} digits)"
+        assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+    def test_exponent_past_the_double_range(self, capsys):
+        # 10^400 is no float; a power is formed in the ring, which bounds its coefficient
+        big = "1" + "0" * 400
+        argv = ["diff", f"lam^{big}", "--var", "r", "--frame", "cylindrical"]
+        assert run(capsys, argv) == (0, "0\n", "")
+        digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        message = f"a term's coefficient would pass {digits} digits"
+        argv = ["diff", f"2^{big}", "--var", "r", "--frame", "cylindrical"]
+        assert run(capsys, argv) == (2, "", f"error: {message} (at position 1)\n")
+
+    def test_output_exponent_past_the_digit_limit(self, capsys):
+        # every coefficient is 1; the exponent of r is a product past the digit limit
+        digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        nines = "9" * (digits - 1)
+        argv = ["diff", f"P(r,{nines})^{nines}*P(z,1)", "--var", "z", "--frame", "cylindrical"]
+        message = f"an exponent passes the int digit limit ({digits} digits)"
         assert run(capsys, argv) == (2, "", f"error: {message}\n")
 
     def test_component_power_past_max_factors(self, capsys):

@@ -12,9 +12,10 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from fracquat import canon, eval_canonical, frame_by_name
+from fracquat import canon, eval_canonical, frame_by_name, parse
 from fracquat.canonical import CanonicalExpr
-from fracquat.coefficients import CRat, render_crat
+from fracquat.coefficients import DIGITS, LIMIT, CRat, _of, render_crat
+from fracquat.expr import CoefficientLimitError
 
 BIG = 2**80
 parts = st.one_of(
@@ -174,6 +175,81 @@ def test_render_reduces_each_part(value, text):
 def test_render_reparses_to_the_same_value(x):
     cx = CRat(*x)
     assert canon(render_crat(cx)) == CanonicalExpr.const(cx)
+
+
+# -- the coefficient bound --------------------------------------------------------
+
+PAST = rf"^a coefficient passes the int digit limit \({DIGITS} digits\)$"
+ROOT = math.isqrt(LIMIT)
+# parts near 0, near the square root of the bound (products cross it) and near the bound
+near = (
+    st.integers(-(2**16), 2**16)
+    | st.integers(ROOT - 2**16, ROOT + 2**16)
+    | st.integers(LIMIT - 2**16, LIMIT - 1)
+    | st.integers(1 - LIMIT, 2**16 - LIMIT)
+)
+near_crats = st.builds(_of, near, near, near.filter(lambda d: d > 0))
+
+
+def past_the_bound(re, im):
+    """Whether the value re + im i has a part of LIMIT or more in lowest terms."""
+    d = math.lcm(re.denominator, im.denominator)
+    return max(abs(re * d), abs(im * d), d) >= LIMIT
+
+
+@settings(max_examples=100, deadline=None)
+@given(near_crats, near_crats, near)
+def test_every_operation_stays_below_the_bound_or_raises(x, y, n):
+    fx, fy = (x.re, x.im), (y.re, y.im)
+    cases = [
+        (lambda: x + y, (fx[0] + fy[0], fx[1] + fy[1])),
+        (lambda: x * y, ref_mul(fx, fy)),
+        (lambda: x * n, ref_mul(fx, (n, 0))),
+    ]
+    if y:
+        cases.append((lambda: x / y, ref_div(fx, fy)))
+    for form, ref in cases:
+        try:
+            c = form()
+        except CoefficientLimitError as exc:
+            assert past_the_bound(*ref)
+            assert str(exc) == f"a coefficient passes the int digit limit ({DIGITS} digits)"
+        else:
+            assert_is(c, ref)
+            assert max(abs(c.a), abs(c.b), c.d) < LIMIT
+
+
+def test_the_bound_is_exact():
+    top = LIMIT - 1
+    assert (CRat(top) * 1).a == top and (CRat(-top) / 1).a == -top
+    assert CRat(top, -top) == _of(top, -top, 1)
+    assert (CRat(1) / top).d == top and CRat(top) / 2 * 2 == top
+    past = (lambda: CRat(top) + 1, lambda: CRat(0, -top) - CRat(0, 1), lambda: CRat(1) / top / 2)
+    for form in past:
+        with pytest.raises(CoefficientLimitError, match=PAST):
+            form()
+    with pytest.raises(CoefficientLimitError, match=PAST):
+        CRat(Fraction(1, LIMIT))
+
+
+def test_canonical_products_and_sums_past_the_bound_raise():
+    big = CanonicalExpr.const(CRat(LIMIT - 1))
+    r = CanonicalExpr.fractal_power("r", 1)
+    for form in (lambda: (big * r) * (big + r), lambda: big * 2, lambda: big + big, lambda: big**2):
+        with pytest.raises(CoefficientLimitError, match=PAST):
+            form()
+
+
+def test_a_power_stops_at_its_first_product_past_the_bound(monkeypatch):
+    # the first square of 2^14000*P(r,1) + 1 has a part 2^28000, and __pow__
+    # forms 512 only by squaring: it raises there, after one product
+    base = parse("2^14000*P(r,1) + 1", ("r",))
+    calls = []
+    mul = CanonicalExpr.__mul__
+    monkeypatch.setattr(CanonicalExpr, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    with pytest.raises(CoefficientLimitError, match=PAST):
+        base**512
+    assert len(calls) == 1
 
 
 # eval_canonical values, as float.hex pairs, recorded from the recurrence

@@ -415,11 +415,10 @@ def _bit_limit():
     ],
 )
 def test_power_coefficient_past_the_limit_is_a_parse_error(text, position):
-    limit = _bit_limit()
     with pytest.raises(ParseError) as err:
         parse(text, CYLINDRICAL)
     assert err.value.position == position
-    message = f"a power's coefficient would pass {limit} bits"
+    message = f"a term's coefficient would pass {_digit_limit()} digits"
     assert str(err.value) == f"{message} (at position {position})"
 
 
@@ -427,7 +426,11 @@ def test_power_coefficient_limit_is_exact_and_renderable():
     limit = _bit_limit()
     assert render_canonical(parse(f"2^{limit}")) == str(2**limit)
     assert parse(f"(1 + 1i)^{2 * limit}") == C.const(CRat(0, 2)) ** limit
-    for text in (f"2^{limit + 1}", f"(1 + 1i)^{2 * limit + 1}", f"(1/2)^{limit + 1}"):
+    # (1 + 1i)(2i)^limit: each part is 2^limit, so the power is formed, not estimated
+    odd = parse(f"(1 + 1i)^{2 * limit + 1}")
+    assert odd == C.const(CRat(1, 1)) * C.const(CRat(0, 2)) ** limit
+    assert parse(render_canonical(odd)) == odd
+    for text in (f"2^{limit + 1}", f"(1 + 1i)^{2 * limit + 2}", f"(1/2)^{limit + 1}"):
         with pytest.raises(ParseError):
             parse(text)
 
@@ -489,8 +492,8 @@ def test_term_coefficient_past_the_limit_is_a_parse_error(text, position):
 
 @pytest.mark.parametrize("k", [64, 512])
 def test_power_of_a_sum_stops_at_the_first_product_past_the_limit(k, monkeypatch):
-    # the first square of 2^14000*P(r,1) + 1 passes 10^4300; ^512 used to
-    # form every square before its check, about two minutes of big-int work
+    # the first square of 2^14000*P(r,1) + 1 passes 10^4300, and the ring
+    # refuses it as it forms; the error names the power's '^' 
     products = []  # of two sums: the squares and products the power forms
     mul = CanonicalExpr.__mul__
 
@@ -502,7 +505,7 @@ def test_power_of_a_sum_stops_at_the_first_product_past_the_limit(k, monkeypatch
     with pytest.raises(ParseError) as err:
         parse(f"(2^14000*P(r,1) + 1)^{k}", CYLINDRICAL)
     message = f"a term's coefficient would pass {_digit_limit()} digits"
-    assert str(err.value) == f"{message} (at position 0)"
+    assert str(err.value) == f"{message} (at position 20)"
     assert sum(products) == 1
 
 
@@ -525,12 +528,27 @@ def test_term_coefficient_within_the_limit_parses_and_renders():
         (nines, CRat(int(nines))),
         (f"2^{half}*2^{limit - half}", CRat(2**limit)),
         (f"2^{limit}/2*2", CRat(2**limit)),
+        # the record's 3/3 is 1 when it meets the ring's 2^limit
+        (f"2^{limit}*3/3", CRat(2**limit)),
         (f"1.{'0' * (digits - 1)}*1.{'0' * (digits - 1)}", CRat(1)),
         (f"(2^{limit})*P(r,1)", CRat(2**limit)),
     ]:
         ce = parse(text, CYLINDRICAL)
         assert list(ce.terms.values()) == [value], text
         assert parse(render_canonical(ce), CYLINDRICAL) == ce
+
+
+def test_sum_past_the_limit_and_unprintable_tokens_are_parse_errors():
+    nines, digits = "9" * _digit_limit(), _digit_limit()
+    with pytest.raises(ParseError) as err:
+        parse(f"{nines} + {nines}")
+    message = f"a term's coefficient would pass {digits} digits"
+    assert str(err.value) == f"{message} (at position {digits + 3})"
+    # a number whose value could not be printed is shown as its text
+    tiny = "0." + "0" * (digits - 1) + "1"
+    with pytest.raises(ParseError) as err:
+        parse(f"sina({tiny})")
+    assert str(err.value) == f"expected 'ident', found {tiny!r} (at position 5)"
 
 
 # -- the power of a component symbol ---------------------------------------------
@@ -561,8 +579,8 @@ def test_component_powers_within_max_factors_are_unchanged():
     # a negative power is still refused by the inverse
     with pytest.raises(NonInvertibleDivisionError):
         parse(f"f1^-{MAX_FACTORS + 1}", CYLINDRICAL)
-    # a coefficient past the power bound is reported first, as before
-    with pytest.raises(ParseError, match="a power's coefficient"):
+    # the component bound is checked before any power is formed
+    with pytest.raises(ParseError, match="a power of component symbols"):
         parse("(2*f1)^100000000", CYLINDRICAL)
 
 
