@@ -49,6 +49,13 @@ class SpecError(ValueError):
     """Field spec document failed validation."""
 
 
+# the types json.load returns other than str, as a message names them
+_JSON_TYPES = {
+    dict: "an object", list: "an array", int: "a number", float: "a number",
+    bool: "a boolean", type(None): "null",
+}
+
+
 def _parse_lambda(raw):
     if raw is None or raw == FORMAL:
         return FORMAL
@@ -63,16 +70,22 @@ def load_field_spec(path: str):
     "components": {"f0": ..., ...}, "lambda": ...}.  Missing components
     default to "0".  Returns (alpha, QuaternionField, lambda)."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise SpecError("field spec nests too deeply") from None
     if not isinstance(doc, dict):
         raise SpecError("field spec must be a JSON object")
     for key in ("alpha", "frame"):
         if key not in doc:
             raise SpecError(f"field spec is missing the {key!r} key")
-    if isinstance(doc["alpha"], bool):
-        raise SpecError("'alpha' must be a number, not a boolean")
-    alpha = validate_alpha(doc["alpha"])
-    frame = frame_by_name(doc["frame"])
+    alpha, frame = doc["alpha"], doc["frame"]
+    if type(alpha) in (bool, type(None), list, dict):  # float() takes the rest
+        raise SpecError(f"'alpha' must be a number, not {_JSON_TYPES[type(alpha)]}")
+    if type(frame) is not str:
+        raise SpecError(f"'frame' must be a string, not {_JSON_TYPES[type(frame)]}")
+    alpha = validate_alpha(alpha)
+    frame = frame_by_name(frame)
     components = doc.get("components", {})
     if not isinstance(components, dict):
         raise SpecError("'components' must be an object with keys f0..f3")

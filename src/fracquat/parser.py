@@ -35,7 +35,7 @@ from itertools import islice
 
 from .canonical import MONOMIAL_ONE, CanonicalExpr, Monomial, _accumulate, _scale
 from .coefficients import DIGITS, LIMIT, _of
-from .expr import COMPONENT_NAMES, CoefficientLimitError, ParseError, VARIABLES
+from .expr import _VAR_INDEX, COMPONENT_NAMES, CoefficientLimitError, ParseError, VARIABLES
 
 MAX_TERMS = 1000  # terms in one sum
 MAX_FACTORS = 1000  # factors in one product
@@ -46,7 +46,6 @@ _SYMBOLS = frozenset("+-*/^(),")
 # other character that is not whitespace.  \s, \w and \d match what
 # str.isspace, str.isalnum (or "_") and str.isdecimal accept
 _TOKEN = re.compile(r"\d+(?:\.\d*)?i?|\w+|\S")
-_VAR_INDEX = {v: i for i, v in enumerate(VARIABLES)}
 # a record maps generators to exponents; its keys are ("d", (k, midx)),
 # ("P", v), ("sina", v), ("cosa", v), ("Ea", v, scale) and ("lam",)
 _NOT_UNITS = ("d", "cosa", "lam")  # generators that CanonicalExpr.inverse refuses

@@ -16,6 +16,7 @@ classical oracle.  alpha=1 is admitted although the fractal setting has
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from collections import namedtuple
 
@@ -81,57 +82,37 @@ _SERIES = {
 # a sum cannot settle within MAX_SERIES_TERMS
 _MAX_TERM = math.exp(709.0)
 
-# Gamma-ratio tables by (alpha, kind), each an immutable record (Gamma(1 +
-# p0*alpha), ratios, lgamma at the power past the last ratio) that growth
-# replaces whole, so a concurrent caller reads the old or the new record.
-# ratios[i] is Gamma(1 + p_i*alpha) / Gamma(1 + p_(i+1)*alpha) with p_i =
-# p0 + i*step.  At most _MAX_TABLES are kept (64 tables of 499 floats hold
-# about 1 MB); a new one past that clears them all
-_TABLES = {}
-_MAX_TABLES = 64
-_FIRST_RATIOS = 16
-
-
-def _grow(kind, alpha, table):
-    """The ratio table of (alpha, kind) at twice the length of table (None
-    for a fresh one, which gets _FIRST_RATIOS), up to MAX_SERIES_TERMS - 1.
-    Each new ratio is exp(lgamma(1 + p*alpha) - lgamma(1 + (p+step)*alpha)),
+# Gamma-ratio tables by (alpha, kind): (Gamma(1 + p0*alpha), ratios) with
+# ratios[i] = Gamma(1 + p_i*alpha) / Gamma(1 + p_(i+1)*alpha) and p_i = p0 +
+# i*step, one for each term past the first.  64 tables of 499 floats hold
+# about 1 MB; past that the least recently used is dropped
+@functools.lru_cache(maxsize=64)
+def _table(alpha, kind):
+    """Each ratio is exp(lgamma(1 + p*alpha) - lgamma(1 + (p+step)*alpha)),
     so a term formed from it is the double the per-term lgamma recurrence
     formed."""
     _, power, step, _ = _SERIES[kind]
-    if table is None:
-        table = (math.gamma(1.0 + power * alpha), (), math.lgamma(1.0 + power * alpha))
-    gamma0, ratios, lg = table
-    n = len(ratios)
-    power += n * step
-    lgamma, exp = math.lgamma, math.exp
-    new = []
-    for _ in range(min(max(2 * n, _FIRST_RATIOS), MAX_SERIES_TERMS - 1) - n):
-        power += step
-        lg_next = lgamma(1.0 + power * alpha)
-        new.append(exp(lg - lg_next))
-        lg = lg_next
-    table = (gamma0, ratios + tuple(new), lg)
-    if len(_TABLES) >= _MAX_TABLES and (alpha, kind) not in _TABLES:
-        _TABLES.clear()
-    _TABLES[alpha, kind] = table
-    return table
+    lg = [math.lgamma(1.0 + (power + i * step) * alpha) for i in range(MAX_SERIES_TERMS)]
+    return math.gamma(1.0 + power * alpha), tuple(math.exp(a - b) for a, b in zip(lg, lg[1:]))
 
 
 def _sum_series(kind, alpha, u, tol):
-    """Adaptive summation by term recurrence; hard cap MAX_SERIES_TERMS.
+    """Adaptive summation by term recurrence of at most MAX_SERIES_TERMS - 1
+    terms.
 
     Each term comes from the one before: t_next = t * (z * ratio), with z
     = u^step, negated when the signs alternate, and ratio = Gamma(1 +
     p*alpha) / Gamma(1 + (p+step)*alpha) read from the (alpha, kind)
-    table, so a term costs one multiply by a tabulated ratio; a table
-    entry costs one lgamma and one exp once, when a sum first needs it.
-    A real u is summed in float arithmetic, so its value is exactly real.
-    Stops once the terms are decreasing and the geometric tail bound
-    next/(1-rho), with rho the observed term ratio, falls below tol (the
-    Gamma denominators make the ratios eventually decreasing, so the bound
-    dominates the true tail).  An overflowed term or modulus ends the sum
-    with last term magnitude inf.  Returns (value, terms summed).
+    table, so a term costs one multiply by a tabulated ratio.  The first
+    call at an (alpha, kind) builds its whole table, at one lgamma and one
+    exp per ratio.  A real u is summed in float arithmetic, so its value
+    is exactly real.  Stops once the terms are decreasing and the
+    geometric tail bound next/(1-rho), with rho the observed term ratio,
+    falls below tol (the Gamma denominators make the ratios eventually
+    decreasing, so the bound dominates the true tail).  An overflowed term
+    or modulus ends the sum with last term magnitude inf.  Returns (value,
+    terms summed); a non-convergence error names the terms summed, 0 when
+    the first term's modulus overflows.
     """
     label, power, step, alternating = _SERIES[kind]
     if u.imag == 0:
@@ -141,39 +122,27 @@ def _sum_series(kind, alpha, u, tol):
     z = u * u if step == 2 else u
     if alternating:
         z = -z
-    table = _TABLES.get((alpha, kind)) or _grow(kind, alpha, None)
-    gamma0, ratios, _ = table
+    gamma0, ratios = _table(alpha, kind)
     term = u**power / gamma0
     total = 0.0
-    done = 0
+    summed = 0
     try:
         mag, prev_mag = abs(term), math.inf
-        while True:
-            for i, ratio in enumerate(ratios[done:], done):
-                total += term
-                term *= z * ratio
-                next_mag = abs(term)
-                if next_mag < mag and next_mag < prev_mag:
-                    if next_mag == 0.0:
-                        return complex(total), i + 1
-                    rho = next_mag / mag
-                    if next_mag / (1.0 - rho) < tol:
-                        return complex(total), i + 1
-                elif not next_mag <= _MAX_TERM:  # also true for nan, from inf * complex
-                    mag = math.inf
-                    break
-                prev_mag, mag = mag, next_mag
-            else:
-                done = len(ratios)
-                if done < MAX_SERIES_TERMS - 1:
-                    table = _grow(kind, alpha, table)
-                    ratios = table[1]
-                    continue
-            break
+        for summed, ratio in enumerate(ratios, 1):
+            total += term
+            term *= z * ratio
+            next_mag = abs(term)
+            if next_mag < mag and next_mag < prev_mag:
+                if next_mag / (1.0 - next_mag / mag) < tol:  # also true for a zero term
+                    return complex(total), summed
+            elif not next_mag <= _MAX_TERM:  # also true for nan, from inf * complex
+                mag = math.inf
+                break
+            prev_mag, mag = mag, next_mag
     except OverflowError:  # abs() of a complex term whose parts are finite, its modulus not
         mag = math.inf
     raise SeriesConvergenceError(
-        f"{label} did not converge to tol={tol} within {MAX_SERIES_TERMS} terms "
+        f"{label} did not converge to tol={tol}, terms summed: {summed} "
         f"(last term magnitude {mag:.3e})",
         mag,
     )

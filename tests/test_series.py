@@ -186,35 +186,36 @@ class TestKernelGolden:
         with pytest.raises(SeriesConvergenceError) as err:
             evaluate_series("Ea", 0.5, 20.0)
         assert str(err.value) == (
-            "ml_exp did not converge to tol=1e-12 within 500 terms "
+            "ml_exp did not converge to tol=1e-12, terms summed: 499 "
             "(last term magnitude 8.009e+157)"
         )
         # recorded from the recurrence kernel
         assert err.value.last_term_magnitude.hex() == "0x1.755406cadf122p+524"
 
-    @pytest.mark.parametrize(
-        "kind, alpha, u",
-        [
-            ("Ea", 0.3, 20.0),
-            ("Ea", 0.3, 20 + 1j),
-            # u^2 itself past the double range, for the step-2 series
-            ("sina", 0.5, 1e200),
-            ("sina", 0.5, 1e200j),
-            ("cosa", 0.5, 1e200),
-            ("cosa", 0.5, 1e200j),
-            # finite parts whose modulus abs() cannot hold: in the loop, and
-            # at the first term
-            ("cosa", 0.15392785036507609, -3.2481912923852962 + 3.1353549599831267j),
-            ("sina", 1, 1.5e308 + 1.5e308j),
-        ],
-    )
+    # (kind, alpha, u): the terms summed before the overflow
+    OVERFLOWS = {
+        ("Ea", 0.3, 20.0): 380,
+        ("Ea", 0.3, 20 + 1j): 380,
+        # u^2 itself past the double range, for the step-2 series
+        ("sina", 0.5, 1e200): 1,
+        ("sina", 0.5, 1e200j): 1,
+        ("cosa", 0.5, 1e200): 1,
+        ("cosa", 0.5, 1e200j): 1,
+        # finite parts whose modulus abs() cannot hold: in the loop, and at
+        # the first term, before any term is summed
+        ("cosa", 0.15392785036507609, -3.2481912923852962 + 3.1353549599831267j): 385,
+        ("sina", 1, 1.5e308 + 1.5e308j): 0,
+    }
+
+    @pytest.mark.parametrize("kind, alpha, u", OVERFLOWS)
     def test_overflow_branch(self, kind, alpha, u):
         # terms past the double range are taken as inf, so the sum cannot
         # settle; for a complex u, a bare recurrence would turn inf * z into nan
         with pytest.raises(SeriesConvergenceError) as err:
             evaluate_series(kind, alpha, u)
+        summed = self.OVERFLOWS[kind, alpha, u]
         assert str(err.value).endswith(
-            "did not converge to tol=1e-12 within 500 terms (last term magnitude inf)"
+            f"did not converge to tol=1e-12, terms summed: {summed} (last term magnitude inf)"
         )
         assert err.value.last_term_magnitude == math.inf
 
@@ -245,10 +246,12 @@ def reference_sum(kind, alpha, u, tol=1e-12):
     lg = math.lgamma(1.0 + power * alpha)
     term = u**power / math.gamma(1.0 + power * alpha)
     total = 0.0
+    summed = 0
     try:
         mag, prev_mag = abs(term), math.inf
         for i in range(MAX_SERIES_TERMS - 1):
             total += term
+            summed += 1
             power += step
             lg_next = math.lgamma(1.0 + power * alpha)
             term *= z * math.exp(lg - lg_next)
@@ -267,7 +270,7 @@ def reference_sum(kind, alpha, u, tol=1e-12):
     except OverflowError:  # abs() of a finite complex term past the double range
         mag = math.inf
     raise SeriesConvergenceError(
-        f"{label} did not converge to tol={tol} within {MAX_SERIES_TERMS} terms "
+        f"{label} did not converge to tol={tol}, terms summed: {summed} "
         f"(last term magnitude {mag:.3e})",
         mag,
     )
@@ -294,8 +297,8 @@ class TestRatioTables:
         st.floats(1e-300, 1.0),
     )
     def test_matches_the_per_term_recurrence(self, kind, alpha, u, tol):
-        # alphas past the table bound come up here too, so tables are dropped
-        # and rebuilt at lengths that differ from call to call
+        # more alphas come up here than the cache keeps, so tables are
+        # dropped and rebuilt
         assert outcome(evaluate_series, kind, alpha, u, tol) == outcome(
             reference_sum, kind, alpha, u, tol
         )
@@ -304,43 +307,46 @@ class TestRatioTables:
         assert {key: outcome(reference_sum, *key) for key in GOLDEN} == GOLDEN
 
     def test_call_order_does_not_matter(self):
-        # the large call grows a table far past what the small one needs,
-        # and the small call leaves one the large call has to grow
+        # whichever call builds a table, the others read the same one
         calls = [(kind, 0.6180339887, u) for kind in self.KINDS for u in (25 + 3j, 0.7 - 0.2j)]
         runs = []
         for order in (calls, calls[::-1]):
-            series_module._TABLES.clear()
+            series_module._table.cache_clear()
             runs.append({call: outcome(evaluate_series, *call) for call in order})
         assert runs[0] == runs[1] == {call: outcome(reference_sum, *call) for call in calls}
 
     def test_table_count_and_length_are_bounded(self):
-        tables = series_module._TABLES
-        for n in range(2 * series_module._MAX_TABLES + 5):
-            alpha = 0.3 + n / 1000
+        table = series_module._table
+        table.cache_clear()
+        alphas = [0.3 + n / 1000 for n in range(2 * 64 + 5)]
+        for alpha in alphas:
             for kind in self.KINDS:
-                outcome(evaluate_series, kind, alpha, 20.0)  # 500 terms: the whole table
-                assert len(tables) <= series_module._MAX_TABLES
-        assert all(len(ratios) <= MAX_SERIES_TERMS - 1 for _, ratios, _ in tables.values())
-        assert max(len(ratios) for _, ratios, _ in tables.values()) == MAX_SERIES_TERMS - 1
+                outcome(evaluate_series, kind, alpha, 20.0)
+                assert table.cache_info().currsize <= 64
+        # each (alpha, kind) was built once, whole, by its first call
+        assert table.cache_info().misses == 3 * len(alphas)
+        assert {len(table(alpha, kind)[1]) for alpha in alphas[-2:] for kind in self.KINDS} == {
+            MAX_SERIES_TERMS - 1
+        }
 
     def test_threads_at_a_fresh_alpha_agree_with_serial_calls(self):
         alpha = 0.4142135623
         calls = [(kind, alpha, u) for kind in self.KINDS for u in (0.3, 1.5j, 6 - 2j, 18.0, -25j)]
         serial = [outcome(evaluate_series, *call) for call in calls]
-        series_module._TABLES.clear()
+        series_module._table.cache_clear()
         barrier = threading.Barrier(8)
         results = [None] * 8
 
         def work(n):
             barrier.wait()
-            # each thread takes the calls in its own order, so growths interleave
+            # each thread takes the calls in its own order, so table builds interleave
             order = calls[n:] + calls[:n]
             got = {call: outcome(evaluate_series, *call) for call in order}
             results[n] = [got[call] for call in calls]
 
         threads = [threading.Thread(target=work, args=(n,)) for n in range(8)]
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads inside a sum or a growth
+        sys.setswitchinterval(1e-6)  # switch threads inside a sum or a table build
         try:
             for thread in threads:
                 thread.start()
@@ -353,7 +359,7 @@ class TestRatioTables:
         assert serial == [outcome(reference_sum, *call) for call in calls]
 
     def test_import_builds_no_table(self):
-        code = "import fracquat, fracquat.cli; print(len(fracquat.series._TABLES))"
+        code = "import fracquat, fracquat.cli; print(fracquat.series._table.cache_info().currsize)"
         env = {**os.environ, "PYTHONPATH": str(Path(series_module.__file__).parents[1])}
         done = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
