@@ -8,7 +8,9 @@ powers of Ea generators keyed by their scale (a lam-polynomial), a
 multiset of partial-derivative symbols on the abstract components f0..f3
 with sorted (commuting) multi-indices, and a power of the formal
 parameter lam.  Rendering groups the monomials that differ only in their
-lam power under one lam-polynomial coefficient.
+lam power under one lam-polynomial coefficient.  Sorting puts them next to
+each other, so render makes one pass over the sorted terms, and it formats
+each distinct factor group once per call.
 
 Two expressions are equal exactly when their maps coincide, which is what
 every identity check in the package reduces to.  So no map stores a zero
@@ -24,7 +26,6 @@ coefficient, and one product may form at most MAX_TERM_PAIRS term pairs.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import groupby
 from numbers import Rational
 
 from .coefficients import CRAT_ONE, CRAT_ZERO, DIGITS, CRat, as_crat, render_poly
@@ -62,6 +63,7 @@ class Monomial(namedtuple("Monomial", "dsyms powers trig ea lam", defaults=((),)
 
 
 MONOMIAL_ONE = Monomial()
+_new = tuple.__new__  # _new(Monomial, fields) skips the named tuple's Python-level __new__
 _ONE_MAP = {MONOMIAL_ONE: CRAT_ONE}
 MAX_TERM_PAIRS = 10**6  # term pairs one product may form
 
@@ -92,7 +94,7 @@ def _mul_monomials(a: Monomial, b: Monomial):
     dsyms = tuple(sorted(a.dsyms + b.dsyms)) if a.dsyms and b.dsyms else a.dsyms or b.dsyms
     powers, ea, lam = _add_exponents(a.powers, b.powers), _add_exponents(a.ea, b.ea), a.lam + b.lam
     if not a.trig or not b.trig:
-        return ((Monomial(dsyms, powers, a.trig or b.trig, ea, lam), 1),)
+        return ((_new(Monomial, (dsyms, powers, a.trig or b.trig, ea, lam)), 1),)
 
     trig = {v: [m, e] for v, m, e in a.trig}
     for v, m, e in b.trig:
@@ -119,7 +121,7 @@ def _mul_monomials(a: Monomial, b: Monomial):
     out = []
     for tmap, sign in expansions:
         trig = tuple(sorted((v, m, e) for v, (m, e) in tmap.items() if m or e))
-        out.append((Monomial(dsyms, powers, trig, ea, lam), sign))
+        out.append((_new(Monomial, (dsyms, powers, trig, ea, lam)), sign))
     return out
 
 
@@ -356,54 +358,73 @@ def dsym_name(k: int, midx) -> str:
     return f"d(f{k},{','.join(VARIABLES[v] for v in midx)})"
 
 
-def _render_monomial(mono: Monomial) -> str:
+def _powers_text(group: tuple) -> str:
+    return "*".join([f"P({VARIABLES[v]},{n})" for v, n in group])
+
+
+def _trig_text(group: tuple) -> str:
     pieces = []
-    for v, n in mono.powers:
-        pieces.append(f"P({VARIABLES[v]},{n})")
-    for v, m, e in mono.trig:
+    for v, m, e in group:
         if m:
             pieces.append(f"sina({VARIABLES[v]})" + (f"^{m}" if m != 1 else ""))
         if e:
             pieces.append(f"cosa({VARIABLES[v]})")
-    for v, s, p in mono.ea:
-        pieces.append(f"Ea({render_poly(s)}, {VARIABLES[v]})" + (f"^{p}" if p != 1 else ""))
-    for k, midx in mono.dsyms:
-        pieces.append(dsym_name(k, midx))
     return "*".join(pieces)
 
 
-def _lam_groups(ce: CanonicalExpr):
-    """(monomial, lam-polynomial) per lam-free part of the monomials, in
-    rendering order; the polynomial is (lam power, CRat) pairs."""
-    for _, group in groupby(sorted(ce.terms), key=lambda m: m[:4]):
-        group = list(group)
-        yield group[0], tuple((m.lam, ce.terms[m]) for m in group)
+def _ea_text(group: tuple) -> str:
+    return "*".join(
+        [f"Ea({render_poly(s)}, {VARIABLES[v]})" + (f"^{p}" if p != 1 else "") for v, s, p in group]
+    )
 
 
-def _split_sign(poly: tuple):
-    if len(poly) == 1:
-        p, c = poly[0]
-        if c.a < 0 or (c.a == 0 and c.b < 0):
-            return -1, ((p, -c),)
-    return 1, poly
+def _dsyms_text(group: tuple) -> str:
+    return "*".join([dsym_name(k, midx) for k, midx in group])
 
 
 def render_canonical(ce: CanonicalExpr) -> str:
     """Deterministic DSL rendering; parsing the output reproduces the same
-    canonical map."""
+    canonical map.  A lam group is a run of sorted terms that share their
+    first four fields, so each member past the first has lam > 0."""
     if ce.is_zero():
         return "0"
-    out = []
+    items, texts, out = sorted(ce.terms.items()), {}, []
+    get, memo = texts.get, texts.setdefault  # group tuple -> its text; no two kinds compare equal
+    i, n = 0, len(items)
     try:
-        for mono, poly in _lam_groups(ce):
-            sign, poly = _split_sign(poly)
-            body = _render_monomial(mono)
-            if not body:
-                body = render_poly(poly)
-            elif poly != ((0, CRAT_ONE),):
+        while i < n:
+            mono, c = items[i]
+            i += 1
+            dsyms, powers, trig, ea, lam = mono
+            pieces = []  # a text is never empty, so `or` tells a hit
+            if powers:
+                pieces.append(get(powers) or memo(powers, _powers_text(powers)))
+            if trig:
+                pieces.append(get(trig) or memo(trig, _trig_text(trig)))
+            if ea:
+                pieces.append(get(ea) or memo(ea, _ea_text(ea)))
+            if dsyms:
+                pieces.append(get(dsyms) or memo(dsyms, _dsyms_text(dsyms)))
+            body = "*".join(pieces)
+            if i < n and items[i][0].lam and items[i][0][:4] == mono[:4]:  # a lam group
+                poly = [(lam, c)]
+                while i < n and items[i][0][:4] == mono[:4]:
+                    poly.append((items[i][0].lam, items[i][1]))
+                    i += 1
                 coeff = render_poly(poly)
-                body = f"({coeff})*{body}" if len(poly) > 1 else f"{coeff}*{body}"
-            out += (" - " if sign < 0 else " + ", body)
+                out += (" + ", f"({coeff})*{body}" if body else coeff)
+                continue
+            a = c.a
+            sign = " - " if a < 0 or (a == 0 and c.b < 0) else " + "
+            if c.d == 1 and not c.b and not lam:  # an integer
+                if not body:
+                    body = str(abs(a))
+                elif a != 1 and a != -1:
+                    body = f"{abs(a)}*{body}"
+            else:
+                coeff = render_poly(((lam, -c if sign == " - " else c),))
+                body = f"{coeff}*{body}" if body else coeff
+            out += (sign, body)
     except ValueError:  # str() of an exponent past the int digit limit
         raise ExpressionError(f"an exponent passes the int digit limit ({DIGITS} digits)") from None
     out[0] = "-" if out[0] == " - " else ""

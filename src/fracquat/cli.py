@@ -49,9 +49,9 @@ class SpecError(ValueError):
     """Field spec document failed validation."""
 
 
-# the types json.load returns other than str, as a message names them
+# the types json.load returns, as a message names them
 _JSON_TYPES = {
-    dict: "an object", list: "an array", int: "a number", float: "a number",
+    dict: "an object", list: "an array", str: "a string", int: "a number", float: "a number",
     bool: "a boolean", type(None): "null",
 }
 
@@ -80,7 +80,7 @@ def load_field_spec(path: str):
         if key not in doc:
             raise SpecError(f"field spec is missing the {key!r} key")
     alpha, frame = doc["alpha"], doc["frame"]
-    if type(alpha) in (bool, type(None), list, dict):  # float() takes the rest
+    if type(alpha) is not int and type(alpha) is not float:
         raise SpecError(f"'alpha' must be a number, not {_JSON_TYPES[type(alpha)]}")
     if type(frame) is not str:
         raise SpecError(f"'frame' must be a string, not {_JSON_TYPES[type(frame)]}")

@@ -22,7 +22,8 @@ from numbers import Rational
 from .expr import CoefficientLimitError
 
 DIGITS = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-LIMIT = 10**DIGITS  # a coefficient part must stay below it
+LIMIT = 10**DIGITS  # a coefficient part must stay below it in absolute value
+_FLOOR = -LIMIT
 
 
 def _frac(x):
@@ -143,7 +144,7 @@ def _of(a: int, b: int, d: int) -> CRat:
     """(a + b i)/d from ints with d > 0, brought to the stored form, which is below LIMIT."""
     if d != 1 and (g := gcd(a, b, d)) != 1:
         a, b, d = a // g, b // g, d // g
-    if not (abs(a) < LIMIT > abs(b) and d < LIMIT):
+    if not (_FLOOR < a < LIMIT and _FLOOR < b < LIMIT and d < LIMIT):
         raise CoefficientLimitError(f"a coefficient passes the int digit limit ({DIGITS} digits)")
     self = _new(CRat)
     _set_a(self, a)

@@ -15,13 +15,18 @@ Gamma-normalized power shift give different answers for the derivative of
 * Gamma-normalized mode: the exact index shift J_n -> J_(n-1) on the
   basis J_n(v) = v^(n*alpha)/Gamma(1+n*alpha), linear only; products or
   quotients of generators are rejected.
+
+A derivation-mode derivative keeps the variable of the factor it acts on,
+so d_alpha edits that factor in place: the group stays sorted and only
+the tuple around it is rebuilt.  Only a bumped derivative multi-index,
+and a group of two or more derivative symbols, are sorted again.
 """
 
 from __future__ import annotations
 
 import enum
 
-from .canonical import CanonicalExpr, Monomial, as_canonical_scalar
+from .canonical import CanonicalExpr, Monomial, _new, as_canonical_scalar
 from .expr import ExpressionError, var_index
 
 
@@ -41,52 +46,44 @@ def _with_power(mono: Monomial, var: int, n: int) -> Monomial:
     return Monomial(mono.dsyms, powers, mono.trig, mono.ea, mono.lam)
 
 
-def _with_trig(mono: Monomial, var: int, m: int, e: int) -> Monomial:
-    trig = tuple(t for t in mono.trig if t[0] != var)
-    if m or e:
-        trig = tuple(sorted(trig + ((var, m, e),)))
-    return Monomial(mono.dsyms, mono.powers, trig, mono.ea, mono.lam)
-
-
-def _diff_monomial(mono: Monomial, var: int):
-    """Leibniz rule across the factor groups of one monomial, in the
-    variable with index var, as (monomial, int or CRat factor) pairs; a
-    factor may be zero (-(m+1) at m = -1)."""
-    for v, n in mono.powers:
-        if v == var:
-            yield _with_power(mono, var, n - 1), n
-
-    for v, m, e in mono.trig:
-        if v != var:
-            continue
-        if e == 0:
-            # (sin^m)' = m sin^(m-1) cos
-            yield _with_trig(mono, var, m - 1, 1), m
-        else:
-            # (sin^m cos)' = m sin^(m-1) cos^2 - sin^(m+1)
-            #              = m sin^(m-1) - (m+1) sin^(m+1)   after cos^2 -> 1-sin^2
-            if m:
-                yield _with_trig(mono, var, m - 1, 0), m
-            yield _with_trig(mono, var, m + 1, 0), -(m + 1)
-
-    for v, scale, p in mono.ea:
-        if v == var:
-            # D[Ea(s, v)^p] = p*s*Ea(s, v)^p, one term per lam power of s
-            for k, c in scale:
-                yield Monomial(mono.dsyms, mono.powers, mono.trig, mono.ea, mono.lam + k), p * c
-
-    for i, (k, midx) in enumerate(mono.dsyms):
-        bumped = (k, tuple(sorted(midx + (var,))))
-        dsyms = tuple(sorted(mono.dsyms[:i] + (bumped,) + mono.dsyms[i + 1 :]))
-        yield Monomial(dsyms, mono.powers, mono.trig, mono.ea, mono.lam), 1
-
-
 def d_alpha(e, var: str) -> CanonicalExpr:
     """Derivation-mode local fractional partial derivative."""
     var = var_index(var)
     acc = {}
     for mono, coeff in as_canonical_scalar(e).terms.items():
-        for m, f in _diff_monomial(mono, var):
+        dsyms, powers, trig, ea, lam = mono
+        out = []  # the Leibniz terms, as (monomial, int or CRat factor)
+        for j, (v, n) in enumerate(powers):
+            if v == var:
+                head, tail = powers[:j], powers[j + 1 :]
+                group = head + ((v, n - 1),) + tail if n != 1 else head + tail
+                out.append((_new(Monomial, (dsyms, group, trig, ea, lam)), n))
+        for j, (v, m, cos) in enumerate(trig):
+            if v != var:
+                continue
+            head, tail = trig[:j], trig[j + 1 :]
+            if not cos:  # (sin^m)' = m sin^(m-1) cos
+                group = head + ((v, m - 1, 1),) + tail
+                out.append((_new(Monomial, (dsyms, powers, group, ea, lam)), m))
+                continue
+            # (sin^m cos)' = m sin^(m-1) cos^2 - sin^(m+1)
+            #              = m sin^(m-1) - (m+1) sin^(m+1)   after cos^2 -> 1-sin^2
+            if m:
+                group = head + ((v, m - 1, 0),) + tail if m != 1 else head + tail
+                out.append((_new(Monomial, (dsyms, powers, group, ea, lam)), m))
+            if m != -1:  # at m = -1 the second term's factor is zero
+                group = head + ((v, m + 1, 0),) + tail
+                out.append((_new(Monomial, (dsyms, powers, group, ea, lam)), -(m + 1)))
+        for v, scale, p in ea:
+            if v == var:  # D[Ea(s, v)^p] = p*s*Ea(s, v)^p, one term per lam power of s
+                for k, c in scale:
+                    bumped = _new(Monomial, (dsyms, powers, trig, ea, lam + k)) if k else mono
+                    out.append((bumped, p * c))
+        for j, (k, midx) in enumerate(dsyms):
+            group = dsyms[:j] + ((k, tuple(sorted(midx + (var,)))),) + dsyms[j + 1 :]
+            group = tuple(sorted(group)) if len(group) > 1 else group
+            out.append((_new(Monomial, (group, powers, trig, ea, lam)), 1))
+        for m, f in out:
             c = coeff if f == 1 else coeff * f
             prev = acc.get(m)
             if prev is None:

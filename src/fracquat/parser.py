@@ -33,7 +33,7 @@ from __future__ import annotations
 import re
 from itertools import islice
 
-from .canonical import MONOMIAL_ONE, CanonicalExpr, Monomial, _accumulate, _scale
+from .canonical import MONOMIAL_ONE, CanonicalExpr, Monomial, _accumulate, _new, _scale
 from .coefficients import DIGITS, LIMIT, _of
 from .expr import _VAR_INDEX, COMPONENT_NAMES, CoefficientLimitError, ParseError, VARIABLES
 
@@ -122,18 +122,20 @@ def _terms(gens: dict, coeff) -> dict:
             lam = p
         else:
             trig.setdefault(key[1], [0, 0])[tag == "cosa"] = p
-    mono = Monomial(
-        tuple(sorted(dsyms)),
-        tuple(sorted(powers)),
-        tuple(sorted((v, m, c & 1) for v, (m, c) in trig.items() if m or c & 1)),
-        tuple(sorted(ea)),
+    sig = [(v, m, c & 1) for v, (m, c) in trig.items() if m or c & 1] if trig else ()
+    # only a group of two or more needs sorting
+    out = {_new(Monomial, (
+        tuple(sorted(dsyms) if len(dsyms) > 1 else dsyms),
+        tuple(sorted(powers) if len(powers) > 1 else powers),
+        tuple(sorted(sig) if len(sig) > 1 else sig),
+        tuple(sorted(ea) if len(ea) > 1 else ea),
         lam,
-    )
-    out = CanonicalExpr._of({mono: coeff})
+    )): coeff}
     for v, (_, c) in trig.items():
         if c > 1:  # cos^2j, which the ring rewrites to (1 - sin^2)^j
-            out = out * CanonicalExpr.trig(VARIABLES[v], "cos") ** (c & ~1)
-    return out.terms
+            cos = CanonicalExpr.trig(VARIABLES[v], "cos") ** (c & ~1)
+            out = (CanonicalExpr._of(out) * cos).terms
+    return out
 
 
 class _Parser:

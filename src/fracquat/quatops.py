@@ -155,17 +155,18 @@ def _terms(frame: Frame) -> dict:
 
 def _combine(rows, comps, partials: dict) -> CanonicalExpr:
     """Sum of coefficient * d(comps[k], vars) over the rows; partials holds
-    each (k, vars) derivative computed so far in this call."""
-
-    def partial(k, vs):
-        if (k, vs) not in partials:
-            d = d_alpha(partial(k, vs[:-1]), vs[-1]) if vs else as_canonical_scalar(comps[k])
-            partials[k, vs] = d
-        return partials[k, vs]
-
+    each (k, vars) derivative computed so far in this call.  A missing one
+    is formed from its prefixes, shortest first, in a loop: a nested
+    function that called itself would be a reference cycle, which keeps
+    every map in partials alive until the cyclic collector runs."""
     acc = {}
     for coeff, k, vs in rows:
-        _add_products(acc, coeff.terms, partial(k, vs).terms)
+        if (k, vs) not in partials:
+            for j in range(len(vs) + 1):
+                if (k, vs[:j]) not in partials:
+                    d = d_alpha(partials[k, vs[: j - 1]], vs[j - 1]) if j else comps[k]
+                    partials[k, vs[:j]] = as_canonical_scalar(d)
+        _add_products(acc, coeff.terms, partials[k, vs].terms)
     return CanonicalExpr._of(acc)
 
 

@@ -116,6 +116,10 @@ ROWS = {
     # field spec values that json.load gives but the spec does not take
     "alpha an array": (spec('{"alpha": [0.5], "frame": "cylindrical"}'), 2, "not an array"),
     "alpha null": (spec('{"alpha": null, "frame": "cylindrical"}', "apply"), 2, "not null"),
+    "alpha a string": (spec('{"alpha": "0.5", "frame": "cylindrical"}'), 2, "not a string"),
+    "alpha a padded string": (
+        spec('{"alpha": " 5e-1 ", "frame": "cylindrical"}', "apply"), 2, "not a string"
+    ),
     "frame an array": (spec('{"alpha": 0.5, "frame": ["x"]}'), 2, "not an array"),
     "frame an object": (spec('{"alpha": 0.5, "frame": {"a": 1}}', "apply"), 2, "not an object"),
     "spec nested too deeply": (spec("[" * 100000 + "]" * 100000), 2, "nests too deeply"),

@@ -3,6 +3,7 @@ transcriptions kept local to this file as the oracle), the factorization
 suite, and the Helmholtz component systems."""
 
 import copy
+import gc
 import pickle
 
 import pytest
@@ -292,6 +293,30 @@ class TestBitsadze:
         out = bitsadze(abstract_field(SPH))
         for component, text in zip(out.vector_components, BITSADZE_SPH):
             assert component == canon(text, SPH), text
+
+
+@pytest.mark.parametrize("frame", (CARTESIAN, CYL, SPH), ids=lambda frame: frame.name)
+def test_second_order_operators_leave_no_cycles(frame):
+    # what a call builds is freed by reference counting as soon as it is
+    # dropped, so the intermediate derivative maps do not wait for the
+    # cyclic collector
+    f = abstract_field(frame)
+    calls = {
+        "delta0": lambda: delta0(f.f0, frame),
+        "laplacian": lambda: laplacian(f),
+        "bitsadze": lambda: bitsadze(f),
+        "helmholtz_residual": lambda: helmholtz_residual(f),
+    }
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for name, call in calls.items():
+            call()
+            assert gc.collect() == 0, name
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class TestHelmholtz:
