@@ -1,4 +1,4 @@
-"""Cantor-type coordinate frames and quaternion-valued fields.
+"""Cantor-type coordinate frames, operator tables and quaternion-valued fields.
 
 A frame is fixed by its variables and its Lame coefficients h_i, the
 scale factors of the paper's operator D f = sum_i e_i h_i^-1 d_i f:
@@ -7,16 +7,61 @@ scale factors of the paper's operator D f = sum_i e_i h_i^-1 d_i f:
     cylindrical  (r, theta, z)      h = (1, r^alpha, 1)
     spherical    (r, theta, psi)    h = (1, r^alpha, r^alpha sina(theta))
 
-Everything frame-specific in grad, div and curl follows from h; the
-connection coefficients those formulas need are derived once per frame.
+Every operator is linear in the four components, so each has one form:
+what it does to the abstract field f0..f3, kept as rows (coefficient,
+component, derivative variables), one row per component symbol.  A table
+holds the rows of each output component, and one kernel, apply_table,
+applies any table to any field.  Each frame derives its grad, div, curl
+and D tables once, by applying their formulas in h to f0..f3 with d_alpha.
 """
 
 from __future__ import annotations
 
 from operator import add, sub
+from types import MappingProxyType
 
-from .canonical import CanonicalExpr, as_canonical_scalar
+from .canonical import CanonicalExpr, Monomial, _add_products, _new, as_canonical_scalar
 from .derivative import d_alpha
+from .expr import VARIABLES
+
+
+def rows_of(form) -> tuple:
+    """The rows of a form linear in the component symbols, in symbol order;
+    (c, k, vs) stands for c * d(fk, vs).  A monomial with no component
+    symbol, or with two, raises ValueError."""
+    coeffs = {}
+    for mono, c in as_canonical_scalar(form).terms.items():
+        if len(mono.dsyms) != 1:
+            raise ValueError(f"not linear in the components: {CanonicalExpr({mono: c})}")
+        coeffs.setdefault(mono.dsyms[0], {})[_new(Monomial, ((),) + mono[1:])] = c
+    return tuple(
+        (CanonicalExpr._of(terms), k, tuple(map(VARIABLES.__getitem__, midx)))
+        for (k, midx), terms in sorted(coeffs.items())
+    )
+
+
+def _negated(rows) -> tuple:
+    return tuple((-c, k, vs) for c, k, vs in rows)
+
+
+def apply_table(table, comps) -> tuple:
+    """Per output component of the table, the sum of c * d(comps[k], vs)
+    over its rows.  Each derivative is formed once per call from its
+    prefixes, shortest first, in a loop: a function that called itself
+    would be a reference cycle, which keeps partials alive until the cyclic
+    collector runs."""
+    partials, out = {}, []
+    for rows in table:
+        acc = {}
+        for coeff, k, vs in rows:
+            if (k, vs) not in partials:
+                for j in range(len(vs) + 1):
+                    if (k, vs[:j]) not in partials:
+                        d = d_alpha(partials[k, vs[: j - 1]], vs[j - 1]) if j else comps[k]
+                        partials[k, vs[:j]] = as_canonical_scalar(d)
+            _add_products(acc, coeff.terms, partials[k, vs].terms)
+        out.append(CanonicalExpr._of(acc))
+    return tuple(out)
 
 
 class _Record:
@@ -52,27 +97,39 @@ class _Record:
 
 
 class Frame(_Record):
-    """Variables and Lame coefficients h_1..h_3 (unit monomials).
+    """Variables and Lame coefficients h_1..h_3 (unit monomials), and the
+    read-only tables derived from them (H = h_1 h_2 h_3, (i, j, k) cyclic):
 
-    Derived once, as canonical expressions: inv_lame[i] = 1/h_i,
-    div_connection[i] = D_i(H/h_i)/H with H = h_1 h_2 h_3, and
-    curl_connection[j][k] = D_j h_k / (h_j h_k)."""
+        rows["grad"]   grad_i = D_i f0 / h_i
+        rows["div"]    div    = sum_i D_i(H/h_i f_i) / H
+        rows["curl"]   curl_i = (D_j(h_k f_k) - D_k(h_j f_j)) / (h_j h_k)
+        rows["left"]   D f    = (-div, grad + curl)
+        rows["right"]  f D    = (-div, grad - curl)
+    """
 
-    __slots__ = ("name", "variables", "lame", "inv_lame", "div_connection", "curl_connection")
+    __slots__ = ("name", "variables", "lame", "rows")
     _fields = __slots__[:3]
 
     def __init__(self, name: str, variables, lame):
         h = tuple(as_canonical_scalar(c) for c in lame)
         inv = tuple(c.inverse() for c in h)
-        div = tuple(
-            d_alpha(h[j] * h[k], v) * inv[0] * inv[1] * inv[2]
-            for v, j, k in zip(variables, (1, 2, 0), (2, 0, 1))
-        )
-        curl = tuple(
-            tuple(d_alpha(hk, v) * ij * ik for hk, ik in zip(h, inv))
-            for v, ij in zip(variables, inv)
-        )
-        super().__init__(name, tuple(variables), h, inv, div, curl)
+        f = tuple(CanonicalExpr.component(k) for k in range(4))
+        big_h = h[0] * h[1] * h[2]
+        grad = tuple(d_alpha(f[0], v) * ih for v, ih in zip(variables, inv))
+        div = sum(d_alpha(big_h * ih * fi, v) for v, ih, fi in zip(variables, inv, f[1:])) / big_h
+
+        def curl(i):
+            j, k = (i + 1) % 3, (i + 2) % 3
+            dj, dk = d_alpha(h[k] * f[k + 1], variables[j]), d_alpha(h[j] * f[j + 1], variables[k])
+            return (dj - dk) * inv[j] * inv[k]
+
+        forms = {"grad": grad, "div": (div,), "curl": tuple(map(curl, range(3)))}
+        rows = {op: tuple(map(rows_of, form)) for op, form in forms.items()}
+        # grad's rows hold f0 and curl's f1..f3: each concatenation is in symbol order
+        pairs, minus_div = tuple(zip(rows["grad"], rows["curl"])), _negated(rows["div"][0])
+        rows["left"] = (minus_div, *(g + c for g, c in pairs))
+        rows["right"] = (minus_div, *(g + _negated(c) for g, c in pairs))
+        super().__init__(name, tuple(variables), h, MappingProxyType(rows))
 
     def __str__(self):
         return self.name
@@ -157,10 +214,4 @@ def abstract_scalar_field(frame: Frame) -> QuaternionField:
 
 
 def abstract_vector_field(frame: Frame) -> QuaternionField:
-    return field(
-        frame,
-        0,
-        CanonicalExpr.component(1),
-        CanonicalExpr.component(2),
-        CanonicalExpr.component(3),
-    )
+    return field(frame, 0, *(CanonicalExpr.component(k) for k in (1, 2, 3)))

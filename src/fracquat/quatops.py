@@ -1,17 +1,14 @@
 """Quaternionic first- and second-order operators and the identity engine.
 
-The first-order operator (left action) is
-
-    D[f] = -div(fvec) + grad(f0) + curl(fvec),
-
-built from the Lame-coefficient grad, div and curl of `vectorops`; its
-right action flips the curl sign (the unique choice that makes the
+Each operator is a table that the kernel `frames.apply_table` applies.
+The first-order operator D[f] = -div(fvec) + grad(f0) + curl(fvec) (left
+action) has its table derived by each frame from its Lame coefficients;
+its right action flips the curl sign (the unique choice that makes the
 Bitsadze factorization close in the curvilinear frames; the Cartesian
 right action reduces to multiplying the units from the right).  The
-second-order operators are not compositions: each frame has a table of
-hand-expanded rows (coefficient, component, derivative variables), which
-one interpreter sums.  The rows are transcribed, never derived from the
-Lame coefficients, so verifying
+second-order operators are not compositions: each frame has hand-expanded
+DSL text, parsed once at import into its tables.  The text is transcribed,
+never derived from the Lame coefficients, so verifying
 
     D(D f)        = -(scalar Laplacian + vector Laplacian)
     D(D^r f)      = -(scalar Laplacian + Bitsadze vector part)
@@ -24,27 +21,22 @@ residuals required to normalize to zero.
 
 from __future__ import annotations
 
-from .canonical import CanonicalExpr, _add_products, as_canonical_scalar, render_canonical
-from .derivative import DerivativeMode, d_alpha
+from .canonical import CanonicalExpr, render_canonical
+from .derivative import DerivativeMode
 from .frames import (
+    FRAMES,
     Frame,
     QuaternionField,
     _Record,
     abstract_field,
     abstract_scalar_field,
     abstract_vector_field,
+    apply_table,
     frame_by_name,
+    rows_of,
 )
+from .parser import parse
 from .vectorops import curl_alpha, div_alpha, grad_alpha
-
-# coefficient monomials: R<n> = P(r,-n), S<n> = sina(theta)^-n, C = cosa(theta)
-_R1 = CanonicalExpr.fractal_power("r", -1)
-_R2 = CanonicalExpr.fractal_power("r", -2)
-_S1 = CanonicalExpr.trig("theta", "sin").inverse()
-_CS1 = CanonicalExpr.trig("theta", "cos") * _S1
-_R1S1, _R1CS1 = _R1 * _S1, _R1 * _CS1
-_R2S1, _R2CS1 = _R2 * _S1, _R2 * _CS1
-_R2S2, _R2CS2 = _R2S1 * _S1, _R2CS1 * _S1
 
 FORMAL = "formal"
 
@@ -57,143 +49,114 @@ def _lam(lam) -> CanonicalExpr:
 
 def mt_apply(f: QuaternionField, side: str = "left") -> QuaternionField:
     """First-order operator: -div + grad + curl (left) or -div + grad - curl
-    (right action)."""
+    (right action), from the frame's table for that side."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    g = grad_alpha(f.f0, f.frame)
-    c = curl_alpha(f)
-    if side == "right":
-        c = -c
-    return QuaternionField(
-        f.frame, -div_alpha(f), g.f1 + c.f1, g.f2 + c.f2, g.f3 + c.f3
-    )
+    return QuaternionField(f.frame, *apply_table(f.frame.rows[side], f.components))
 
 
-# Hand-expanded second-order operators, per frame.  A row is (coefficient,
-# component, derivative variables).  "delta0" rows act on one scalar and
-# carry no component; the vector Laplacian grad(div) - curl(curl) is delta0
-# of each component plus the coupling rows listed here; the Bitsadze rows
-# grad(div) + curl(curl) are complete.
-_HAND_ROWS = {
+# Hand-expanded second-order operators, per frame, as DSL text: "delta0"
+# acts on f0; component k of the vector Laplacian grad(div) - curl(curl)
+# is delta0 with fk for f0 plus the "laplacian" coupling text; the
+# Bitsadze texts grad(div) + curl(curl) are complete.
+_HAND_TEXT = {
     "cartesian": {
-        "delta0": ((1, "x x"), (1, "y y"), (1, "z z")),
-        "laplacian": ((), (), ()),
+        "delta0": "d(f0,x,x) + d(f0,y,y) + d(f0,z,z)",
+        "laplacian": ("0", "0", "0"),
         "bitsadze": (  # 2 d_i d_j f_j - delta0 f_i
-            ((1, 1, "x x"), (2, 2, "x y"), (2, 3, "x z"), (-1, 1, "y y"), (-1, 1, "z z")),
-            ((2, 1, "x y"), (1, 2, "y y"), (2, 3, "y z"), (-1, 2, "x x"), (-1, 2, "z z")),
-            ((2, 1, "x z"), (2, 2, "y z"), (1, 3, "z z"), (-1, 3, "x x"), (-1, 3, "y y")),
+            "d(f1,x,x) + 2*d(f2,x,y) + 2*d(f3,x,z) - d(f1,y,y) - d(f1,z,z)",
+            "2*d(f1,x,y) + d(f2,y,y) + 2*d(f3,y,z) - d(f2,x,x) - d(f2,z,z)",
+            "2*d(f1,x,z) + 2*d(f2,y,z) + d(f3,z,z) - d(f3,x,x) - d(f3,y,y)",
         ),
     },
     "cylindrical": {
-        "delta0": ((1, "r r"), (_R2, "theta theta"), (_R1, "r"), (1, "z z")),
+        "delta0": "d(f0,r,r) + P(r,-2)*d(f0,theta,theta) + P(r,-1)*d(f0,r) + d(f0,z,z)",
         "laplacian": (
-            ((-_R2, 1, ""), (-2 * _R2, 2, "theta")),
-            ((-_R2, 2, ""), (2 * _R2, 1, "theta")),
-            (),
+            "-P(r,-2)*f1 - 2*P(r,-2)*d(f2,theta)",
+            "-P(r,-2)*f2 + 2*P(r,-2)*d(f1,theta)",
+            "0",
         ),
         "bitsadze": (
-            ((1, 1, "r r"), (2 * _R1, 2, "r theta"), (_R1, 1, "r"), (-_R2, 1, ""),
-             (2, 3, "r z"), (-_R2, 1, "theta theta"), (-1, 1, "z z")),
-            ((2 * _R1, 1, "r theta"), (_R2, 2, "theta theta"), (2 * _R1, 3, "theta z"),
-             (-1, 2, "z z"), (-1, 2, "r r"), (-_R1, 2, "r"), (_R2, 2, "")),
-            ((2, 1, "r z"), (2 * _R1, 2, "theta z"), (2 * _R1, 1, "z"), (1, 3, "z z"),
-             (-1, 3, "r r"), (-_R2, 3, "theta theta"), (-_R1, 3, "r")),
+            "d(f1,r,r) + 2*P(r,-1)*d(f2,r,theta) + P(r,-1)*d(f1,r) - P(r,-2)*f1"
+            " + 2*d(f3,r,z) - P(r,-2)*d(f1,theta,theta) - d(f1,z,z)",
+            "2*P(r,-1)*d(f1,r,theta) + P(r,-2)*d(f2,theta,theta) + 2*P(r,-1)*d(f3,theta,z)"
+            " - d(f2,z,z) - d(f2,r,r) - P(r,-1)*d(f2,r) + P(r,-2)*f2",
+            "2*d(f1,r,z) + 2*P(r,-1)*d(f2,theta,z) + 2*P(r,-1)*d(f1,z) + d(f3,z,z)"
+            " - d(f3,r,r) - P(r,-2)*d(f3,theta,theta) - P(r,-1)*d(f3,r)",
         ),
     },
     "spherical": {
-        "delta0": ((1, "r r"), (2 * _R1, "r"), (_R2, "theta theta"), (_R2CS1, "theta"),
-                   (_R2S2, "psi psi")),
+        "delta0": "d(f0,r,r) + 2*P(r,-1)*d(f0,r) + P(r,-2)*d(f0,theta,theta)"
+        " + P(r,-2)*sina(theta)^-1*cosa(theta)*d(f0,theta)"
+        " + P(r,-2)*sina(theta)^-2*d(f0,psi,psi)",
         "laplacian": (
-            ((-2 * _R2, 1, ""), (-2 * _R2, 2, "theta"), (-2 * _R2CS1, 2, ""),
-             (-2 * _R2S1, 3, "psi")),
-            ((-_R2S2, 2, ""), (2 * _R2, 1, "theta"), (-2 * _R2CS2, 3, "psi")),
-            ((-_R2S2, 3, ""), (2 * _R2S1, 1, "psi"), (2 * _R2CS2, 2, "psi")),
+            "-2*P(r,-2)*f1 - 2*P(r,-2)*d(f2,theta) - 2*P(r,-2)*sina(theta)^-1*cosa(theta)*f2"
+            " - 2*P(r,-2)*sina(theta)^-1*d(f3,psi)",
+            "-P(r,-2)*sina(theta)^-2*f2 + 2*P(r,-2)*d(f1,theta)"
+            " - 2*P(r,-2)*sina(theta)^-2*cosa(theta)*d(f3,psi)",
+            "-P(r,-2)*sina(theta)^-2*f3 + 2*P(r,-2)*sina(theta)^-1*d(f1,psi)"
+            " + 2*P(r,-2)*sina(theta)^-2*cosa(theta)*d(f2,psi)",
         ),
         "bitsadze": (
-            ((1, 1, "r r"), (2 * _R1, 1, "r"), (-2 * _R2, 1, ""), (-_R2, 1, "theta theta"),
-             (-_R2CS1, 1, "theta"), (-_R2S2, 1, "psi psi"), (2 * _R1, 2, "r theta"),
-             (2 * _R1CS1, 2, "r"), (2 * _R1S1, 3, "r psi")),
-            ((-1, 2, "r r"), (-2 * _R1, 2, "r"), (-_R2S2, 2, ""), (_R2, 2, "theta theta"),
-             (_R2CS1, 2, "theta"), (-_R2S2, 2, "psi psi"), (2 * _R2, 1, "theta"),
-             (2 * _R1, 1, "r theta"), (2 * _R2S1, 3, "theta psi")),
-            ((-1, 3, "r r"), (-2 * _R1, 3, "r"), (_R2S2, 3, ""), (-_R2, 3, "theta theta"),
-             (-_R2CS1, 3, "theta"), (_R2S2, 3, "psi psi"), (2 * _R2S1, 1, "psi"),
-             (2 * _R1S1, 1, "r psi"), (2 * _R2S1, 2, "theta psi")),
+            "d(f1,r,r) + 2*P(r,-1)*d(f1,r) - 2*P(r,-2)*f1 - P(r,-2)*d(f1,theta,theta)"
+            " - P(r,-2)*sina(theta)^-1*cosa(theta)*d(f1,theta) + 2*P(r,-1)*d(f2,r,theta)"
+            " - P(r,-2)*sina(theta)^-2*d(f1,psi,psi) + 2*P(r,-1)*sina(theta)^-1*cosa(theta)*d(f2,r)"
+            " + 2*P(r,-1)*sina(theta)^-1*d(f3,r,psi)",
+            "-d(f2,r,r) - 2*P(r,-1)*d(f2,r) - P(r,-2)*sina(theta)^-2*f2 + P(r,-2)*d(f2,theta,theta)"
+            " + P(r,-2)*sina(theta)^-1*cosa(theta)*d(f2,theta)"
+            " - P(r,-2)*sina(theta)^-2*d(f2,psi,psi) + 2*P(r,-2)*d(f1,theta)"
+            " + 2*P(r,-1)*d(f1,r,theta) + 2*P(r,-2)*sina(theta)^-1*d(f3,theta,psi)",
+            "-d(f3,r,r) - 2*P(r,-1)*d(f3,r) + P(r,-2)*sina(theta)^-2*f3 - P(r,-2)*d(f3,theta,theta)"
+            " - P(r,-2)*sina(theta)^-1*cosa(theta)*d(f3,theta)"
+            " + P(r,-2)*sina(theta)^-2*d(f3,psi,psi) + 2*P(r,-2)*sina(theta)^-1*d(f1,psi)"
+            " + 2*P(r,-1)*sina(theta)^-1*d(f1,r,psi) + 2*P(r,-2)*sina(theta)^-1*d(f2,theta,psi)",
         ),
     },
 }
 
 
-def _rows(delta0, laplacian, bitsadze) -> dict:
-    """The hand rows in the interpreter's form: every coefficient a
-    CanonicalExpr, the derivative variables a tuple in the order the table
-    writes them (mixed partials commute, so each pair is written in one
-    order only), and the vector Laplacian rows with delta0 of their
-    component."""
+def _hand_tables(frame: Frame, delta0: str, laplacian: tuple, bitsadze: tuple) -> dict:
+    """One frame's hand text as tables, each with delta0 as its f0 component.
+    Component k of the vector Laplacian is delta0's rows moved to fk, then
+    its coupling rows (no symbol is in both)."""
 
-    def norm(rows):
-        return tuple((as_canonical_scalar(c), k, tuple(v.split())) for c, k, v in rows)
+    def rows(text):
+        return rows_of(parse(text, frame))
 
+    first = rows(delta0)
+    moved = [tuple((c, k, vs) for c, _, vs in first) + rows(t) for k, t in enumerate(laplacian, 1)]
     return {
-        "delta0": norm((c, 0, v) for c, v in delta0),
-        "laplacian": tuple(
-            norm([(c, k, v) for c, v in delta0] + list(rows)) for k, rows in enumerate(laplacian, 1)
-        ),
-        "bitsadze": tuple(norm(rows) for rows in bitsadze),
+        "delta0": (first,),
+        "laplacian": (first, *moved),
+        "bitsadze": (first, *map(rows, bitsadze)),
     }
 
 
-_TERMS = {name: _rows(**rows) for name, rows in _HAND_ROWS.items()}
+_TABLES = {name: _hand_tables(FRAMES[name], **texts) for name, texts in _HAND_TEXT.items()}
 
 
-def _terms(frame: Frame) -> dict:
+def _tables(frame: Frame) -> dict:
     try:
-        return _TERMS[frame.name]
+        return _TABLES[frame.name]
     except KeyError:
         raise ValueError(f"unknown frame {frame.name!r}") from None
 
 
-def _combine(rows, comps, partials: dict) -> CanonicalExpr:
-    """Sum of coefficient * d(comps[k], vars) over the rows; partials holds
-    each (k, vars) derivative computed so far in this call.  A missing one
-    is formed from its prefixes, shortest first, in a loop: a nested
-    function that called itself would be a reference cycle, which keeps
-    every map in partials alive until the cyclic collector runs."""
-    acc = {}
-    for coeff, k, vs in rows:
-        if (k, vs) not in partials:
-            for j in range(len(vs) + 1):
-                if (k, vs[:j]) not in partials:
-                    d = d_alpha(partials[k, vs[: j - 1]], vs[j - 1]) if j else comps[k]
-                    partials[k, vs[:j]] = as_canonical_scalar(d)
-        _add_products(acc, coeff.terms, partials[k, vs].terms)
-    return CanonicalExpr._of(acc)
-
-
 def delta0(f0, frame: Frame) -> CanonicalExpr:
-    """Scalar Laplacian, from the frame's hand rows."""
-    return _combine(_terms(frame)["delta0"], (as_canonical_scalar(f0),), {})
-
-
-def _second_order(f: QuaternionField, vector_rows: str) -> QuaternionField:
-    partials = {}
-    return QuaternionField(
-        f.frame,
-        delta0(f.f0, f.frame),
-        *(_combine(rows, f.components, partials) for rows in _terms(f.frame)[vector_rows]),
-    )
+    """Scalar Laplacian, from the frame's hand table."""
+    return apply_table(_tables(frame)["delta0"], (f0,))[0]
 
 
 def laplacian(f: QuaternionField) -> QuaternionField:
     """Quaternionic Laplacian: delta0 on f0 plus the vector Laplacian
     grad(div) - curl(curl) on the vector part."""
-    return _second_order(f, "laplacian")
+    return QuaternionField(f.frame, *apply_table(_tables(f.frame)["laplacian"], f.components))
 
 
 def bitsadze(f: QuaternionField) -> QuaternionField:
     """Bitsadze operator: delta0 on f0 plus grad(div) + curl(curl) on the
     vector part."""
-    return _second_order(f, "bitsadze")
+    return QuaternionField(f.frame, *apply_table(_tables(f.frame)["bitsadze"], f.components))
 
 
 def perturbed_mt(f: QuaternionField, lam=FORMAL, sign: int = 1) -> QuaternionField:
@@ -263,14 +226,12 @@ def _residual_curl_grad(frame: Frame) -> tuple:
 
 def _residual_div_curl(frame: Frame) -> tuple:
     f = abstract_vector_field(frame)
-    zero = CanonicalExpr.zero()
-    return (div_alpha(curl_alpha(f)), zero, zero, zero)
+    return (div_alpha(curl_alpha(f)),) + (CanonicalExpr.zero(),) * 3
 
 
 def _residual_div_grad_delta0(frame: Frame) -> tuple:
-    f = abstract_scalar_field(frame)
-    zero = CanonicalExpr.zero()
-    return (div_alpha(grad_alpha(f.f0, frame)) - delta0(f.f0, frame), zero, zero, zero)
+    f0 = abstract_scalar_field(frame).f0
+    return (div_alpha(grad_alpha(f0, frame)) - delta0(f0, frame),) + (CanonicalExpr.zero(),) * 3
 
 
 _IDENTITIES = {

@@ -2,6 +2,7 @@
 finite-difference oracle at alpha=1 where every generator is classical."""
 
 import math
+from operator import add, sub
 
 import hypothesis.strategies as st
 import pytest
@@ -12,6 +13,7 @@ from fracquat import (
     CYLINDRICAL,
     SPHERICAL,
     CanonicalExpr,
+    Frame,
     QuaternionField,
     bitsadze,
     canon,
@@ -23,41 +25,130 @@ from fracquat import (
     eval_canonical,
     grad_alpha,
     laplacian,
+    mt_apply,
     vector_field,
     zero_field,
 )
 from fracquat.coefficients import CRat
-from fracquat.frames import abstract_scalar_field, abstract_vector_field
-from fracquat.quatops import _terms
+from fracquat.frames import (
+    abstract_field,
+    abstract_scalar_field,
+    abstract_vector_field,
+    apply_table,
+    rows_of,
+)
+from fracquat.quatops import _HAND_TEXT, _tables
 
 from strategies import exprs
 
 FRAMES = (CARTESIAN, CYLINDRICAL, SPHERICAL)
 
 
+def _form(rows):
+    """The form a row tuple stands for, summed by ring operations alone."""
+    out = CanonicalExpr.zero()
+    for coeff, k, vs in rows:
+        out = out + coeff * CanonicalExpr.component(k, vs)
+    return out
+
+
+def _forms(frame, name):
+    return tuple(map(_form, frame.rows[name]))
+
+
 class TestLameTable:
     def test_spherical_connection_coefficients(self):
-        def c(text):
-            return canon(text, SPHERICAL)
+        # the undifferentiated rows carry the connection coefficients:
+        # D_i(H/h_i)/H = (2/r, cot(theta)/r, 0) in div, D_j h_k / (h_j h_k) in curl
+        def c(*texts):
+            return tuple(canon(t, SPHERICAL) for t in texts)
 
-        assert SPHERICAL.inv_lame == (1, c("P(r,-1)"), c("P(r,-1)*sina(theta)^-1"))
-        assert SPHERICAL.div_connection == (
-            c("2*P(r,-1)"), c("P(r,-1)*cosa(theta)*sina(theta)^-1"), 0
+        assert _forms(SPHERICAL, "grad") == c(
+            "d(f0,r)", "P(r,-1)*d(f0,theta)", "P(r,-1)*sina(theta)^-1*d(f0,psi)"
         )
-        r_sin = c("P(r,-1)*cosa(theta)*sina(theta)^-1")
-        assert SPHERICAL.curl_connection == (
-            (0, c("P(r,-1)"), c("P(r,-1)")),
-            (0, 0, r_sin),
-            (0, 0, 0),
+        assert _forms(SPHERICAL, "div") == c(
+            "d(f1,r) + 2*P(r,-1)*f1 + P(r,-1)*d(f2,theta)"
+            " + P(r,-1)*cosa(theta)*sina(theta)^-1*f2 + P(r,-1)*sina(theta)^-1*d(f3,psi)"
+        )
+        assert _forms(SPHERICAL, "curl") == c(
+            "P(r,-1)*d(f3,theta) + P(r,-1)*cosa(theta)*sina(theta)^-1*f3"
+            " - P(r,-1)*sina(theta)^-1*d(f2,psi)",
+            "P(r,-1)*sina(theta)^-1*d(f1,psi) - d(f3,r) - P(r,-1)*f3",
+            "d(f2,r) + P(r,-1)*f2 - P(r,-1)*d(f1,theta)",
         )
 
     def test_cartesian_has_no_factors(self):
-        assert CARTESIAN.inv_lame == (1, 1, 1)
-        assert CARTESIAN.div_connection == (0, 0, 0)
-        assert all(c == 0 for row in CARTESIAN.curl_connection for c in row)
-        frame = CARTESIAN
-        derived = frame.inv_lame + frame.div_connection + sum(frame.curl_connection, ())
-        assert all(isinstance(c, CanonicalExpr) for c in derived)
+        def c(*texts):
+            return tuple(canon(t, CARTESIAN) for t in texts)
+
+        assert _forms(CARTESIAN, "grad") == c("d(f0,x)", "d(f0,y)", "d(f0,z)")
+        assert _forms(CARTESIAN, "div") == c("d(f1,x) + d(f2,y) + d(f3,z)")
+        assert _forms(CARTESIAN, "curl") == c(
+            "d(f3,y) - d(f2,z)", "d(f1,z) - d(f3,x)", "d(f2,x) - d(f1,y)"
+        )
+        # every coefficient is +-1 and every row differentiates: no connection
+        rows = [row for table in CARTESIAN.rows.values() for r in table for row in r]
+        assert all(isinstance(c, CanonicalExpr) and c in (1, -1) and vs for c, _, vs in rows)
+
+
+@pytest.mark.parametrize("frame", FRAMES, ids=lambda f: f.name)
+def test_tables_round_trip_through_the_abstract_field(frame):
+    # applying a table to f0..f3 gives back the form it was built from: the
+    # README formulas for the derived tables, the DSL text for the hand ones
+    f = abstract_field(frame)
+    grad, div, curl = _reference_grad(f.f0, frame), _reference_div(f), _reference_curl(f)
+    text = _HAND_TEXT[frame.name]
+    d0 = canon(text["delta0"], frame)
+    built = {
+        "grad": grad,
+        "div": (div,),
+        "curl": curl,
+        "left": (-div, *map(add, grad, curl)),
+        "right": (-div, *map(sub, grad, curl)),
+        "delta0": (d0,),
+        "laplacian": (d0,) + tuple(
+            canon(text["delta0"].replace("f0", f"f{k}"), frame) + canon(t, frame)
+            for k, t in enumerate(text["laplacian"], 1)
+        ),
+        "bitsadze": (d0, *(canon(t, frame) for t in text["bitsadze"])),
+    }
+    tables = {**frame.rows, **_tables(frame)}
+    assert tables.keys() == built.keys()
+    for name, table in tables.items():
+        forms = apply_table(table, f.components)
+        assert forms == built[name], name
+        assert tuple(map(_form, table)) == forms, name
+        # one row per component symbol: the rows are those of the form
+        assert list(map(_by_symbol, map(rows_of, forms))) == list(map(_by_symbol, table)), name
+
+
+def _by_symbol(rows):
+    keyed = {(k, vs): c for c, k, vs in rows}
+    assert len(keyed) == len(rows)
+    return keyed
+
+
+def test_rows_of_refuses_a_form_that_is_not_linear():
+    for text in ("f1*d(f2,r)", "f1 + 1", "P(r,1)"):
+        with pytest.raises(ValueError, match="not linear"):
+            rows_of(canon(text, CYLINDRICAL))
+
+
+def test_user_frame_has_first_order_tables_but_no_hand_tables():
+    # a frame built from a Lame table gets grad, div, curl and D from it;
+    # the hand-transcribed operators exist only for the three named frames
+    frame = Frame("cylinder", CYLINDRICAL.variables, CYLINDRICAL.lame)
+    f, g = abstract_field(frame), abstract_field(CYLINDRICAL)
+    assert frame.rows == CYLINDRICAL.rows
+    assert grad_alpha(f.f0, frame).components == grad_alpha(g.f0, CYLINDRICAL).components
+    assert div_alpha(f) == div_alpha(g) == _reference_div(f)
+    assert curl_alpha(f).components == curl_alpha(g).components
+    for side in ("left", "right"):
+        assert mt_apply(f, side).components == mt_apply(g, side).components
+    for call in (lambda: delta0(f.f0, frame), lambda: laplacian(f), lambda: bitsadze(f)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == "unknown frame 'cylinder'"
 
 
 class TestGradient:
@@ -288,21 +379,26 @@ def _drawn_fields():
     )
 
 
+def _reference_grad(f0, frame):
+    # grad_i = D_i f0 / h_i
+    return tuple(d_alpha(f0, v) / h for v, h in zip(frame.variables, frame.lame))
+
+
 def _reference_div(f):
+    # div = sum_i D_i(H/h_i f_i) / H
     frame, out = f.frame, CanonicalExpr.zero()
-    for var, ih, conn, vi in zip(
-        frame.variables, frame.inv_lame, frame.div_connection, f.vector_components
-    ):
-        out = out + ih * d_alpha(vi, var) + conn * vi
-    return out
+    big_h = frame.lame[0] * frame.lame[1] * frame.lame[2]
+    for v, h, fi in zip(frame.variables, frame.lame, f.vector_components):
+        out = out + d_alpha(big_h / h * fi, v)
+    return out / big_h
 
 
 def _reference_curl(f):
-    frame, comps = f.frame, f.vector_components
+    # curl_i = (D_j(h_k f_k) - D_k(h_j f_j)) / (h_j h_k), (i, j, k) cyclic
+    v, h, comps = f.frame.variables, f.frame.lame, f.vector_components
 
     def part(j, k):
-        d = d_alpha(comps[k], frame.variables[j])
-        return frame.inv_lame[j] * d + frame.curl_connection[j][k] * comps[k]
+        return d_alpha(h[k] * comps[k], v[j]) / (h[j] * h[k])
 
     return tuple(part(j, k) - part(k, j) for j, k in ((1, 2), (2, 0), (0, 1)))
 
@@ -317,21 +413,16 @@ def _reference_rows(rows, comps):
     return out
 
 
-def _reference_second_order(f, name):
-    rows = _terms(f.frame)
-    return (_reference_rows(rows["delta0"], (f.f0,)),) + tuple(
-        _reference_rows(r, f.components) for r in rows[name]
-    )
+def _reference_table(table, comps):
+    return tuple(_reference_rows(rows, comps) for rows in table)
 
 
 def _snapshot(f):
-    """Every map an operator reads: the components, the frame's derived
-    coefficients and the hand rows' coefficients."""
-    frame = f.frame
-    coeffs = (*frame.inv_lame, *frame.div_connection, *sum(frame.curl_connection, ()))
-    rows = _terms(frame)
-    hand = [c for r in (rows["delta0"], *rows["laplacian"], *rows["bitsadze"]) for c, _, _ in r]
-    return [list(x.terms.items()) for x in (*f.components, *coeffs, *hand)]
+    """Every map an operator reads: the components and the coefficients of
+    the frame's derived tables and of its hand tables."""
+    tables = (*f.frame.rows.values(), *_tables(f.frame).values())
+    coeffs = [c for table in tables for rows in table for c, _, _ in rows]
+    return [list(x.terms.items()) for x in (*f.components, *coeffs)]
 
 
 def _assert_clean(x):
@@ -346,11 +437,17 @@ def test_operators_match_ring_references(drawn):
     comps = [parsed[i] * 1 if k % 2 else parsed[i] + 0 for k, i in enumerate(sources)]
     f = QuaternionField(frame, *comps)
     before = _snapshot(f)
+    grad, div, curl = _reference_grad(f.f0, frame), _reference_div(f), _reference_curl(f)
+    hand = _tables(frame)
     results = {
-        "div": ((div_alpha(f),), (_reference_div(f),)),
-        "curl": (curl_alpha(f).vector_components, _reference_curl(f)),
-        "laplacian": (laplacian(f).components, _reference_second_order(f, "laplacian")),
-        "bitsadze": (bitsadze(f).components, _reference_second_order(f, "bitsadze")),
+        "grad": (grad_alpha(f.f0, frame).vector_components, grad),
+        "div": ((div_alpha(f),), (div,)),
+        "curl": (curl_alpha(f).vector_components, curl),
+        "mt": (mt_apply(f, "left").components, (-div, *map(add, grad, curl))),
+        "mt-right": (mt_apply(f, "right").components, (-div, *map(sub, grad, curl))),
+        "delta0": ((delta0(f.f0, frame),), _reference_table(hand["delta0"], (f.f0,))),
+        "laplacian": (laplacian(f).components, _reference_table(hand["laplacian"], f.components)),
+        "bitsadze": (bitsadze(f).components, _reference_table(hand["bitsadze"], f.components)),
     }
     for name, (got, want) in results.items():
         assert got == want, name
