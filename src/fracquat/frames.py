@@ -12,7 +12,11 @@ what it does to the abstract field f0..f3, kept as rows (coefficient,
 component, derivative variables), one row per component symbol.  A table
 holds the rows of each output component, and one kernel, apply_table,
 applies any table to any field.  Each frame derives its grad, div, curl
-and D tables once, by applying their formulas in h to f0..f3 with d_alpha.
+and D forms once, by applying their formulas in h to f0..f3 with d_alpha,
+and reads each table off its form with rows_of: an identity report runs
+the outer operator through the kernel on the inner operator's stored form,
+so verify certifies these forms against the hand text (see quatops), and
+the tests certify that each table's rows reproduce its form.
 """
 
 from __future__ import annotations
@@ -38,10 +42,6 @@ def rows_of(form) -> tuple:
         (CanonicalExpr._of(terms), k, tuple(map(VARIABLES.__getitem__, midx)))
         for (k, midx), terms in sorted(coeffs.items())
     )
-
-
-def _negated(rows) -> tuple:
-    return tuple((-c, k, vs) for c, k, vs in rows)
 
 
 def apply_table(table, comps) -> tuple:
@@ -98,16 +98,17 @@ class _Record:
 
 class Frame(_Record):
     """Variables and Lame coefficients h_1..h_3 (unit monomials), and the
-    read-only tables derived from them (H = h_1 h_2 h_3, (i, j, k) cyclic):
+    read-only forms derived from them (H = h_1 h_2 h_3, (i, j, k) cyclic),
+    each one expression per output component, with their tables in rows:
 
-        rows["grad"]   grad_i = D_i f0 / h_i
-        rows["div"]    div    = sum_i D_i(H/h_i f_i) / H
-        rows["curl"]   curl_i = (D_j(h_k f_k) - D_k(h_j f_j)) / (h_j h_k)
-        rows["left"]   D f    = (-div, grad + curl)
-        rows["right"]  f D    = (-div, grad - curl)
+        forms["grad"]   grad_i = D_i f0 / h_i
+        forms["div"]    div    = sum_i D_i(H/h_i f_i) / H
+        forms["curl"]   curl_i = (D_j(h_k f_k) - D_k(h_j f_j)) / (h_j h_k)
+        forms["left"]   D f    = (-div, grad + curl)
+        forms["right"]  f D    = (-div, grad - curl)
     """
 
-    __slots__ = ("name", "variables", "lame", "rows")
+    __slots__ = ("name", "variables", "lame", "rows", "forms")
     _fields = __slots__[:3]
 
     def __init__(self, name: str, variables, lame):
@@ -124,12 +125,10 @@ class Frame(_Record):
             return (dj - dk) * inv[j] * inv[k]
 
         forms = {"grad": grad, "div": (div,), "curl": tuple(map(curl, range(3)))}
+        forms["left"] = (-div, *map(add, grad, forms["curl"]))
+        forms["right"] = (-div, *map(sub, grad, forms["curl"]))
         rows = {op: tuple(map(rows_of, form)) for op, form in forms.items()}
-        # grad's rows hold f0 and curl's f1..f3: each concatenation is in symbol order
-        pairs, minus_div = tuple(zip(rows["grad"], rows["curl"])), _negated(rows["div"][0])
-        rows["left"] = (minus_div, *(g + c for g, c in pairs))
-        rows["right"] = (minus_div, *(g + _negated(c) for g, c in pairs))
-        super().__init__(name, tuple(variables), h, MappingProxyType(rows))
+        super().__init__(name, tuple(variables), h, MappingProxyType(rows), MappingProxyType(forms))
 
     def __str__(self):
         return self.name
@@ -207,11 +206,3 @@ def vector_field(frame: Frame, f1, f2, f3) -> QuaternionField:
 def abstract_field(frame: Frame) -> QuaternionField:
     """f with all four components left as abstract symbols f0..f3."""
     return QuaternionField(frame, *(CanonicalExpr.component(k) for k in range(4)))
-
-
-def abstract_scalar_field(frame: Frame) -> QuaternionField:
-    return field(frame, f0=CanonicalExpr.component(0))
-
-
-def abstract_vector_field(frame: Frame) -> QuaternionField:
-    return field(frame, 0, *(CanonicalExpr.component(k) for k in (1, 2, 3)))

@@ -32,10 +32,11 @@ from fracquat import (
     series_shift_derivative,
     sin_alpha,
     sin_alpha_jseries,
+    vector_field,
     verify_identity,
 )
 from fracquat.derivative import jpoly_coefficients
-from fracquat.frames import abstract_field, abstract_scalar_field, abstract_vector_field
+from fracquat.frames import abstract_field
 
 CYL, SPH = CYLINDRICAL, SPHERICAL
 ALL_FRAMES = ("cartesian", "cylindrical", "spherical")
@@ -194,8 +195,8 @@ def test_criterion_6_alpha_one_classical_oracle():
     ok = True
     for frame in (CYL, SPH):
         fixtures = CLASSICAL[frame.name]
-        f0 = abstract_scalar_field(frame).f0
-        fvec = abstract_vector_field(frame)
+        f0 = abstract_field(frame).f0
+        fvec = vector_field(frame, *abstract_field(frame).vector_components)
         grad_out = grad_alpha(f0, frame)
         for component, text in zip(grad_out.vector_components, fixtures["grad"]):
             ok = ok and component == canon(text, frame)

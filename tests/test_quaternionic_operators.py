@@ -22,6 +22,7 @@ from fracquat import (
     curl_alpha,
     d_alpha,
     delta0,
+    div_alpha,
     dot,
     equal,
     grad_alpha,
@@ -395,15 +396,19 @@ class TestFrozenRecords:
                 delattr(record, name)
             with pytest.raises(AttributeError):
                 record.extra = 1
-        with pytest.raises(TypeError):  # a frame's tables are read-only too
+        with pytest.raises(TypeError):  # a frame's tables and forms are read-only too
             CYL.rows["grad"] = ()
+        with pytest.raises(TypeError):
+            CYL.forms["grad"] = ()
 
     def test_frame_equality_and_hash_go_by_name_variables_and_lame(self):
         rebuilt = Frame("cylindrical", list(CYL.variables), (1, canon("P(r,1)", CYL), 1))
         assert rebuilt is not CYL and rebuilt == CYL and hash(rebuilt) == hash(CYL)
         assert rebuilt.rows == CYL.rows and rebuilt.rows is not CYL.rows
+        assert rebuilt.forms == CYL.forms and rebuilt.forms is not CYL.forms
         renamed = Frame("cylinder", CYL.variables, CYL.lame)
         assert renamed != CYL and CYL != SPH and CYL != "cylindrical"
+        assert renamed.forms == CYL.forms  # equal forms, yet a different frame
         # fields in equal frames add; fields in different frames do not
         f = abstract_field(CYL)
         assert (f + abstract_field(rebuilt)) == f.scale(2)
@@ -424,6 +429,7 @@ class TestFrozenRecords:
                 assert repr(copied) == repr(record)
         frame = pickle.loads(pickle.dumps(SPH))
         assert frame.rows == SPH.rows and frame.rows is not SPH.rows
+        assert frame.forms == SPH.forms and frame.forms is not SPH.forms
         report = copy.deepcopy(verify_identity("curl_grad", "cylindrical"))
         assert report.passed and report.to_dict() == verify_identity("curl_grad", "cylindrical").to_dict()
 
@@ -450,9 +456,34 @@ class TestVerifyIdentity:
         # dropped) feeds grad/div/curl while the hand rows stay spherical, so
         # residuals that compare the two must not vanish
         bad = Frame("spherical", SPH.variables, (1, canon("P(r,1)", SPH), canon("P(r,1)", SPH)))
+        # the reports read the inner operator's form from the frame itself,
+        # so the bad frame's derived forms are not the spherical ones
+        assert bad.forms["left"] != SPH.forms["left"]
         for name in ("div_grad_delta0", "mt_squared"):
             assert not verify_identity(name, bad).passed, name
             assert verify_identity(name, SPH).passed, name
+
+    def test_reports_match_the_operators_composed_through_the_kernel(self):
+        # a report reads its inner operator from the frame's own stored form,
+        # so on every frame, one with a wrong Lame coefficient included, its
+        # residuals are those of applying both operators to f0..f3
+        bad = Frame("spherical", SPH.variables, (1, canon("P(r,1)", SPH), canon("P(r,1)", SPH)))
+        for frame in (*FRAMES, bad):
+            f = abstract_field(frame)
+            fvec = QuaternionField(frame, CanonicalExpr.zero(), *f.vector_components)
+            d0 = (div_alpha(grad_alpha(f.f0, frame)) - delta0(f.f0, frame), 0, 0, 0)
+            composed = {
+                "mt_squared": (mt_apply(mt_apply(f)) + laplacian(f)).components,
+                "bitsadze_factorization": (mt_apply(mt_apply(f, "right")) + bitsadze(f)).components,
+                "helmholtz_factorization": (
+                    -perturbed_mt(perturbed_mt(f, FORMAL, 1), FORMAL, -1) - helmholtz_residual(f)
+                ).components,
+                "curl_grad": curl_alpha(grad_alpha(f.f0, frame)).components,
+                "div_curl": (div_alpha(curl_alpha(fvec)), 0, 0, 0),
+                "div_grad_delta0": d0,
+            }
+            for name, residuals in composed.items():
+                assert verify_identity(name, frame).residuals == residuals, (name, frame)
 
     def test_unknown_identity(self):
         with pytest.raises(ValueError):

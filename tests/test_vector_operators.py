@@ -30,14 +30,8 @@ from fracquat import (
     zero_field,
 )
 from fracquat.coefficients import CRat
-from fracquat.frames import (
-    abstract_field,
-    abstract_scalar_field,
-    abstract_vector_field,
-    apply_table,
-    rows_of,
-)
-from fracquat.quatops import _HAND_TEXT, _tables
+from fracquat.frames import abstract_field, apply_table, rows_of
+from fracquat.quatops import _HAND_TEXT, _hand
 
 from strategies import exprs
 
@@ -94,7 +88,9 @@ class TestLameTable:
 @pytest.mark.parametrize("frame", FRAMES, ids=lambda f: f.name)
 def test_tables_round_trip_through_the_abstract_field(frame):
     # applying a table to f0..f3 gives back the form it was built from: the
-    # README formulas for the derived tables, the DSL text for the hand ones
+    # README formulas for the derived tables, the DSL text for the hand ones;
+    # that form is the one stored next to the table, which the reports read
+    # and which the table's rows are read off
     f = abstract_field(frame)
     grad, div, curl = _reference_grad(f.f0, frame), _reference_div(f), _reference_curl(f)
     text = _HAND_TEXT[frame.name]
@@ -112,11 +108,12 @@ def test_tables_round_trip_through_the_abstract_field(frame):
         ),
         "bitsadze": (d0, *(canon(t, frame) for t in text["bitsadze"])),
     }
-    tables = {**frame.rows, **_tables(frame)}
-    assert tables.keys() == built.keys()
+    tables = {**frame.rows, **_hand(frame, "rows")}
+    stored = {**frame.forms, **_hand(frame, "forms")}
+    assert tables.keys() == stored.keys() == built.keys()
     for name, table in tables.items():
         forms = apply_table(table, f.components)
-        assert forms == built[name], name
+        assert forms == built[name] == stored[name], name
         assert tuple(map(_form, table)) == forms, name
         # one row per component symbol: the rows are those of the form
         assert list(map(_by_symbol, map(rows_of, forms))) == list(map(_by_symbol, table)), name
@@ -140,6 +137,10 @@ def test_user_frame_has_first_order_tables_but_no_hand_tables():
     frame = Frame("cylinder", CYLINDRICAL.variables, CYLINDRICAL.lame)
     f, g = abstract_field(frame), abstract_field(CYLINDRICAL)
     assert frame.rows == CYLINDRICAL.rows
+    assert frame.forms == CYLINDRICAL.forms and frame.forms.keys() == frame.rows.keys()
+    for part in ("forms", "rows"):
+        with pytest.raises(ValueError, match="unknown frame 'cylinder'"):
+            _hand(frame, part)
     assert grad_alpha(f.f0, frame).components == grad_alpha(g.f0, CYLINDRICAL).components
     assert div_alpha(f) == div_alpha(g) == _reference_div(f)
     assert curl_alpha(f).components == curl_alpha(g).components
@@ -195,12 +196,12 @@ class TestCurl:
 
     @pytest.mark.parametrize("frame", FRAMES, ids=lambda f: f.name)
     def test_curl_grad_is_zero(self, frame):
-        f0 = abstract_scalar_field(frame).f0
+        f0 = abstract_field(frame).f0
         assert curl_alpha(grad_alpha(f0, frame)).is_zero()
 
     @pytest.mark.parametrize("frame", FRAMES, ids=lambda f: f.name)
     def test_div_curl_is_zero(self, frame):
-        f = abstract_vector_field(frame)
+        f = vector_field(frame, *abstract_field(frame).vector_components)
         assert div_alpha(curl_alpha(f)).is_zero()
 
 
@@ -359,7 +360,7 @@ class TestClassicalOracleSpherical:
 
 def test_div_grad_matches_delta0_form():
     for frame in FRAMES:
-        f0 = abstract_scalar_field(frame).f0
+        f0 = abstract_field(frame).f0
         assert equal(div_alpha(grad_alpha(f0, frame)), delta0(f0, frame))
 
 
@@ -420,7 +421,7 @@ def _reference_table(table, comps):
 def _snapshot(f):
     """Every map an operator reads: the components and the coefficients of
     the frame's derived tables and of its hand tables."""
-    tables = (*f.frame.rows.values(), *_tables(f.frame).values())
+    tables = (*f.frame.rows.values(), *_hand(f.frame, "rows").values())
     coeffs = [c for table in tables for rows in table for c, _, _ in rows]
     return [list(x.terms.items()) for x in (*f.components, *coeffs)]
 
@@ -438,7 +439,7 @@ def test_operators_match_ring_references(drawn):
     f = QuaternionField(frame, *comps)
     before = _snapshot(f)
     grad, div, curl = _reference_grad(f.f0, frame), _reference_div(f), _reference_curl(f)
-    hand = _tables(frame)
+    hand = _hand(frame, "rows")
     results = {
         "grad": (grad_alpha(f.f0, frame).vector_components, grad),
         "div": ((div_alpha(f),), (div,)),
