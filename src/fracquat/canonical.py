@@ -25,6 +25,7 @@ coefficient, and one product may form at most MAX_TERM_PAIRS term pairs.
 
 from __future__ import annotations
 
+from cmath import isfinite
 from collections import namedtuple
 from numbers import Rational
 
@@ -444,6 +445,16 @@ def _coeff_value(poly: tuple, lam) -> complex:
     return sum((c.to_complex() * lam**p for p, c in poly), 0j)
 
 
+def _not_finite(gen, point: dict, lam) -> EvaluationDomainError:
+    """The error for a power of gen, or for the coefficient if gen is None, with no finite value."""
+    if gen is None:
+        at = "" if lam is None else f" at lam = {lam}"
+        return EvaluationDomainError(f"a coefficient has no finite value{at}")
+    kind = _powers_text if len(gen) == 2 else _ea_text if type(gen[1]) is tuple else _trig_text
+    v = VARIABLES[gen[0]]
+    return EvaluationDomainError(f"{kind((gen,))} has no finite value at {v} = {point[v]}")
+
+
 def _fractal_arg(var: str, point: dict, alpha: float) -> float:
     if var not in point:
         raise UnboundSymbolError(f"no value bound for variable {var!r}")
@@ -467,7 +478,8 @@ def eval_canonical(
     fractal powers occur); bindings maps rendered component symbols such
     as "f1" or "d(f1,r)" to complex constants or callables of the point.
     Each distinct sina, cosa and Ea generator is summed, and each variable's
-    x^alpha formed, once per call.
+    x^alpha formed, once per call.  A factor or a total with no finite value
+    raises EvaluationDomainError.
     """
     ce = as_canonical_scalar(ce)
     alpha, tol = _series.validate_alpha(alpha), _series.validate_tol(tol)
@@ -494,30 +506,27 @@ def eval_canonical(
 
     total = 0j
     for mono, coeff in ce.terms.items():
-        value = _coeff_value(((mono.lam, coeff),), lam)
-        for i, n in mono.powers:
-            v = VARIABLES[i]
-            xa = arg(v)
-            if xa == 0 and n < 0:
-                raise EvaluationDomainError(f"{v} = 0 with negative fractal exponent {n}")
-            value *= xa**n
-        for i, m, e in mono.trig:
-            v = VARIABLES[i]
-            u = arg(v)
-            if m:
-                sv = series("sin_alpha", u, v)
-                if sv == 0 and m < 0:
-                    raise EvaluationDomainError(f"sina({v}) vanishes at {v} = {point[v]}")
-                value *= sv**m
-            if e:
-                value *= series("cos_alpha", u, v)
-        for i, s, p in mono.ea:
-            v = VARIABLES[i]
-            u = _coeff_value(s, lam) * arg(v)
-            ev = series("ml_exp", u, v, s)
-            if ev == 0 and p < 0:
-                raise EvaluationDomainError(f"Ea factor vanishes at {v} = {point[v]}")
-            value *= ev**p
+        gen = None  # the factor formed: the coefficient, then each generator power
+        try:
+            value = _coeff_value(((mono.lam, coeff),), lam)
+            for gen in mono.powers:
+                v = VARIABLES[gen[0]]
+                value *= arg(v) ** gen[1]
+            for gen in mono.trig:
+                i, m, e = gen
+                v = VARIABLES[i]
+                u = arg(v)
+                if m:
+                    value *= series("sin_alpha", u, v) ** m
+                if e:
+                    value *= series("cos_alpha", u, v)
+            for gen in mono.ea:
+                i, s, p = gen
+                v = VARIABLES[i]
+                u = _coeff_value(s, lam) * arg(v)
+                value *= series("ml_exp", u, v, s) ** p
+        except (OverflowError, ZeroDivisionError):  # 0 to a negative power included
+            raise _not_finite(gen, point, lam) from None
         for k, midx in mono.dsyms:
             name = dsym_name(k, midx)
             if name not in bindings:
@@ -525,4 +534,7 @@ def eval_canonical(
             bound = bindings[name]
             value *= complex(bound(point)) if callable(bound) else complex(bound)
         total += value
+    if not isfinite(total):
+        at = ", ".join(f"{v} = {x}" for v, x in point.items())
+        raise EvaluationDomainError(f"the value {total} is not finite at {at}")
     return total

@@ -4,9 +4,9 @@ Subcommands: apply (operators on a field spec), verify (identity suite),
 diff (symbolic derivative of a DSL expression), eval (numeric evaluation
 of a field spec at a point), series (fractal special functions).
 
-Exit codes: 0 success, 1 verification or convergence failure, 2 usage,
-parse or validation error.  Structured output is one JSON document per
-line; text output is plain ASCII rendering of canonical forms.
+Exit codes: 0 success, 1 verification or convergence failure or a closed
+stdout, 2 usage, parse or validation error.  Structured output is one JSON
+document per line; text output is plain ASCII rendering of canonical forms.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import os
 import sys
 
 from .canonical import eval_canonical, render_canonical
@@ -150,13 +151,13 @@ def cmd_verify(args) -> int:
     for report in verify_all(names, frames):
         all_pass = all_pass and report.passed
         if args.format == "structured":
-            print(json.dumps(report.to_dict()))
+            line = json.dumps(report.to_dict())
         else:
             status = "PASS" if report.passed else "FAIL"
             line = f"{status} {report.identity} {report.frame} (mode={report.mode.value})"
             if not report.passed:
                 line += " residuals: " + "; ".join(report.residual_strings())
-            print(line)
+        print(line, flush=True)  # each report as soon as it is computed, also into a pipe
     return 0 if all_pass else 1
 
 
@@ -306,7 +307,14 @@ def main(argv=None) -> int:
             extra = [arg for arg in extra if arg != "--"]
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not in the flush at shutdown
+        return code
+    except BrokenPipeError:  # the reader closed stdout: `fracquat verify | head -1`
+        # devnull takes what the flush at shutdown writes, so it prints nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output ended", file=sys.stderr)
+        return 1
     except SeriesConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

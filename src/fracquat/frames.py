@@ -1,4 +1,4 @@
-"""Cantor-type coordinate frames, operator tables and quaternion-valued fields.
+"""Cantor-type coordinate frames, operator forms and quaternion-valued fields.
 
 A frame is fixed by its variables and its Lame coefficients h_i, the
 scale factors of the paper's operator D f = sum_i e_i h_i^-1 d_i f:
@@ -7,16 +7,12 @@ scale factors of the paper's operator D f = sum_i e_i h_i^-1 d_i f:
     cylindrical  (r, theta, z)      h = (1, r^alpha, 1)
     spherical    (r, theta, psi)    h = (1, r^alpha, r^alpha sina(theta))
 
-Every operator is linear in the four components, so each has one form:
-what it does to the abstract field f0..f3, kept as rows (coefficient,
-component, derivative variables), one row per component symbol.  A table
-holds the rows of each output component, and one kernel, apply_table,
-applies any table to any field.  Each frame derives its grad, div, curl
-and D forms once, by applying their formulas in h to f0..f3 with d_alpha,
-and reads each table off its form with rows_of: an identity report runs
-the outer operator through the kernel on the inner operator's stored form,
-so verify certifies these forms against the hand text (see quatops), and
-the tests certify that each table's rows reproduce its form.
+Every operator is linear in the four components, so it is one form: what
+it does to the abstract field f0..f3, one expression per output component.
+The kernel apply_table applies a tuple of forms to any field.  Each frame
+derives its grad, div, curl and D forms once, from h; verify certifies
+these stored forms against the hand text (see quatops), and every
+operator applies them, so it applies what verify certified.
 """
 
 from __future__ import annotations
@@ -29,37 +25,27 @@ from .derivative import d_alpha
 from .expr import VARIABLES
 
 
-def rows_of(form) -> tuple:
-    """The rows of a form linear in the component symbols, in symbol order;
-    (c, k, vs) stands for c * d(fk, vs).  A monomial with no component
-    symbol, or with two, raises ValueError."""
-    coeffs = {}
-    for mono, c in as_canonical_scalar(form).terms.items():
-        if len(mono.dsyms) != 1:
-            raise ValueError(f"not linear in the components: {CanonicalExpr({mono: c})}")
-        coeffs.setdefault(mono.dsyms[0], {})[_new(Monomial, ((),) + mono[1:])] = c
-    return tuple(
-        (CanonicalExpr._of(terms), k, tuple(map(VARIABLES.__getitem__, midx)))
-        for (k, midx), terms in sorted(coeffs.items())
-    )
-
-
 def apply_table(table, comps) -> tuple:
-    """Per output component of the table, the sum of c * d(comps[k], vs)
-    over its rows.  Each derivative is formed once per call from its
-    prefixes, shortest first, in a loop: a function that called itself
-    would be a reference cycle, which keeps partials alive until the cyclic
-    collector runs."""
-    partials, out = {}, []
-    for rows in table:
+    """Per form of the table, the sum over its terms c * m * d(fk, vs) of
+    c * m times the vs-derivative of comps[k]; a term with no component
+    symbol, or with two, raises ValueError.  Each derivative is formed once
+    per call from its prefixes, shortest first, in a loop: a function that
+    called itself would be a reference cycle, which keeps partials alive
+    until the cyclic collector runs."""
+    partials = {(k, ()): as_canonical_scalar(c) for k, c in enumerate(comps)}
+    out = []
+    for form in table:
         acc = {}
-        for coeff, k, vs in rows:
-            if (k, vs) not in partials:
-                for j in range(len(vs) + 1):
-                    if (k, vs[:j]) not in partials:
-                        d = d_alpha(partials[k, vs[: j - 1]], vs[j - 1]) if j else comps[k]
-                        partials[k, vs[:j]] = as_canonical_scalar(d)
-            _add_products(acc, coeff.terms, partials[k, vs].terms)
+        for mono, c in form.terms.items():
+            if len(mono.dsyms) != 1:
+                raise ValueError(f"not linear in the components: {CanonicalExpr({mono: c})}")
+            k, midx = key = mono.dsyms[0]
+            if key not in partials:
+                for j in range(1, len(midx) + 1):
+                    if (k, midx[:j]) not in partials:
+                        d = partials[k, midx[: j - 1]]
+                        partials[k, midx[:j]] = d_alpha(d, VARIABLES[midx[j - 1]])
+            _add_products(acc, {_new(Monomial, ((),) + mono[1:]): c}, partials[key].terms)
         out.append(CanonicalExpr._of(acc))
     return tuple(out)
 
@@ -99,7 +85,7 @@ class _Record:
 class Frame(_Record):
     """Variables and Lame coefficients h_1..h_3 (unit monomials), and the
     read-only forms derived from them (H = h_1 h_2 h_3, (i, j, k) cyclic),
-    each one expression per output component, with their tables in rows:
+    each one expression per output component, which apply_table applies:
 
         forms["grad"]   grad_i = D_i f0 / h_i
         forms["div"]    div    = sum_i D_i(H/h_i f_i) / H
@@ -108,7 +94,7 @@ class Frame(_Record):
         forms["right"]  f D    = (-div, grad - curl)
     """
 
-    __slots__ = ("name", "variables", "lame", "rows", "forms")
+    __slots__ = ("name", "variables", "lame", "forms")
     _fields = __slots__[:3]
 
     def __init__(self, name: str, variables, lame):
@@ -127,8 +113,7 @@ class Frame(_Record):
         forms = {"grad": grad, "div": (div,), "curl": tuple(map(curl, range(3)))}
         forms["left"] = (-div, *map(add, grad, forms["curl"]))
         forms["right"] = (-div, *map(sub, grad, forms["curl"]))
-        rows = {op: tuple(map(rows_of, form)) for op, form in forms.items()}
-        super().__init__(name, tuple(variables), h, MappingProxyType(rows), MappingProxyType(forms))
+        super().__init__(name, tuple(variables), h, MappingProxyType(forms))
 
     def __str__(self):
         return self.name

@@ -1,26 +1,24 @@
 """Quaternionic first- and second-order operators and the identity engine.
 
-Each operator is a table that the kernel `frames.apply_table` applies,
-kept next to its form: what it does to f0..f3.  The first-order operator
+Each operator is one form, what it does to f0..f3, which the kernel
+`frames.apply_table` applies.  The first-order operator
 D[f] = -div(fvec) + grad(f0) + curl(fvec) (left action) has its form
-derived by each frame from its Lame coefficients; its right action flips
-the curl sign (the unique choice that makes the Bitsadze factorization
-close in the curvilinear frames; the Cartesian right action reduces to
-multiplying the units from the right).  The second-order operators are not
-compositions: each frame has hand-expanded DSL text, parsed once at import
-into its forms, with each table read off its form.  The text is
-transcribed, never derived from the Lame coefficients, so verifying
+derived by each frame from its Lame coefficients, and its right action
+flips the curl sign.  The tests check both sides against the quaternion
+product sum_i e_i h_i^-1 d_i f (test_matches_quaternionic_definition),
+and the bitsadze_factorization report checks the pair.  The second-order
+operators are hand-expanded DSL text per frame, parsed once at import
+into forms, never derived from the Lame coefficients, so verifying
 
     D(D f)        = -(scalar Laplacian + vector Laplacian)
     D(D^r f)      = -(scalar Laplacian + Bitsadze vector part)
     -(D-lam)(D+lam) f = Laplacian f + lam^2 f
     div(grad f0)  = delta0 f0
 
-checks the Lame-derived forms against the hand text, with all four
-residuals required to normalize to zero.  A report runs only the outer
-operator through the kernel, on the inner operator's stored form; the
-tests check that every table's rows reproduce its form, so the
-tables that `fracquat apply` runs are the ones verify proved.
+checks the Lame-derived forms against the hand text: all four residuals
+must normalize to zero.  A report runs the outer operator through the
+kernel on the inner operator's stored form, and `fracquat apply` runs
+the same forms, so it applies what verify proved.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from .frames import (
     abstract_field,
     apply_table,
     frame_by_name,
-    rows_of,
     vector_field,
 )
 from .parser import parse
@@ -54,10 +51,10 @@ def _lam(lam) -> CanonicalExpr:
 
 def mt_apply(f: QuaternionField, side: str = "left") -> QuaternionField:
     """First-order operator: -div + grad + curl (left) or -div + grad - curl
-    (right action), from the frame's table for that side."""
+    (right action), from the frame's form for that side."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return QuaternionField(f.frame, *apply_table(f.frame.rows[side], f.components))
+    return QuaternionField(f.frame, *apply_table(f.frame.forms[side], f.components))
 
 
 # Hand-expanded second-order operators, per frame, as DSL text: "delta0"
@@ -127,46 +124,45 @@ def _renamed(form: CanonicalExpr, k: int) -> CanonicalExpr:
     )
 
 
-def _hand_tables(frame: Frame, delta0: str, laplacian: tuple, bitsadze: tuple) -> dict:
-    """One frame's hand text as "forms" by operator, each with delta0 as
-    its f0 component, and the "rows" of each form.  Component k of the
-    vector Laplacian is delta0 with f0 renamed fk, plus its coupling."""
+def _hand_forms(frame: Frame, delta0: str, laplacian: tuple, bitsadze: tuple) -> dict:
+    """One frame's hand text as forms by operator, each with delta0 as its
+    f0 component.  Component k of the vector Laplacian is delta0 with f0
+    renamed fk, plus its coupling."""
     first = parse(delta0, frame)
     vector = (_renamed(first, k) + parse(t, frame) for k, t in enumerate(laplacian, 1))
-    forms = {
+    return {
         "delta0": (first,),
         "laplacian": (first, *vector),
         "bitsadze": (first, *(parse(t, frame) for t in bitsadze)),
     }
-    return {"forms": forms, "rows": {op: tuple(map(rows_of, form)) for op, form in forms.items()}}
 
 
-_HAND = {name: _hand_tables(FRAMES[name], **texts) for name, texts in _HAND_TEXT.items()}
+_HAND = {name: _hand_forms(FRAMES[name], **texts) for name, texts in _HAND_TEXT.items()}
 
 
-def _hand(frame: Frame, part: str) -> dict:
-    """The frame's hand "forms" or "rows", by operator."""
+def _hand(frame: Frame) -> dict:
+    """The frame's hand forms, by operator."""
     try:
-        return _HAND[frame.name][part]
+        return _HAND[frame.name]
     except KeyError:
         raise ValueError(f"unknown frame {frame.name!r}") from None
 
 
 def delta0(f0, frame: Frame) -> CanonicalExpr:
-    """Scalar Laplacian, from the frame's hand table."""
-    return apply_table(_hand(frame, "rows")["delta0"], (f0,))[0]
+    """Scalar Laplacian, from the frame's hand form."""
+    return apply_table(_hand(frame)["delta0"], (f0,))[0]
 
 
 def laplacian(f: QuaternionField) -> QuaternionField:
     """Quaternionic Laplacian: delta0 on f0 plus the vector Laplacian
     grad(div) - curl(curl) on the vector part."""
-    return QuaternionField(f.frame, *apply_table(_hand(f.frame, "rows")["laplacian"], f.components))
+    return QuaternionField(f.frame, *apply_table(_hand(f.frame)["laplacian"], f.components))
 
 
 def bitsadze(f: QuaternionField) -> QuaternionField:
     """Bitsadze operator: delta0 on f0 plus grad(div) + curl(curl) on the
     vector part."""
-    return QuaternionField(f.frame, *apply_table(_hand(f.frame, "rows")["bitsadze"], f.components))
+    return QuaternionField(f.frame, *apply_table(_hand(f.frame)["bitsadze"], f.components))
 
 
 def perturbed_mt(f: QuaternionField, lam=FORMAL, sign: int = 1) -> QuaternionField:
@@ -190,7 +186,7 @@ def helmholtz_component_system(frame, lam=FORMAL) -> tuple:
         frame = frame_by_name(frame)
     lam = _lam(lam)
     shift = abstract_field(frame).scale(lam * lam)
-    return tuple(map(add, _hand(frame, "forms")["laplacian"], shift.components))
+    return tuple(map(add, _hand(frame)["laplacian"], shift.components))
 
 
 class IdentityReport(_Record):
@@ -220,12 +216,12 @@ class IdentityReport(_Record):
 
 def _residual_mt_squared(frame: Frame) -> tuple:
     lhs = mt_apply(QuaternionField(frame, *frame.forms["left"]), "left")
-    return tuple(map(add, lhs.components, _hand(frame, "forms")["laplacian"]))
+    return tuple(map(add, lhs.components, _hand(frame)["laplacian"]))
 
 
 def _residual_bitsadze(frame: Frame) -> tuple:
     lhs = mt_apply(QuaternionField(frame, *frame.forms["right"]), "left")
-    return tuple(map(add, lhs.components, _hand(frame, "forms")["bitsadze"]))
+    return tuple(map(add, lhs.components, _hand(frame)["bitsadze"]))
 
 
 def _residual_helmholtz(frame: Frame) -> tuple:
@@ -244,7 +240,7 @@ def _residual_div_curl(frame: Frame) -> tuple:
 
 def _residual_div_grad_delta0(frame: Frame) -> tuple:
     div_grad = div_alpha(vector_field(frame, *frame.forms["grad"]))
-    return (div_grad - _hand(frame, "forms")["delta0"][0],) + (CanonicalExpr.zero(),) * 3
+    return (div_grad - _hand(frame)["delta0"][0],) + (CanonicalExpr.zero(),) * 3
 
 
 _IDENTITIES = {

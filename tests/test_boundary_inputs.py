@@ -25,9 +25,9 @@ def diff(text):
     return ["diff", text, "--var", "r", "--frame", "cylindrical"]
 
 
-def spec(text, command="eval"):
-    """argv that runs `eval` or `apply` on a field spec file holding text."""
-    options = {"eval": ["--at", "r=1,theta=0.5,z=1"], "apply": ["-o", "mt"]}[command]
+def spec(text, command="eval", at="r=1,theta=0.5,z=1"):
+    """argv that runs `eval` (at a point) or `apply` on a field spec file holding text."""
+    options = {"eval": ["--at", at], "apply": ["-o", "mt"]}[command]
 
     def build(tmp_path):
         path = tmp_path / "spec.json"
@@ -88,6 +88,32 @@ ROWS = {
         spec('{"alpha": 0.5, "frame": "cylindrical", "components": {"f0": "Ea(20, r)"}}'),
         1,
         "for Ea(20, r) at u = 20.0 in component f0",
+    ),
+    # a generator power or a coefficient with no finite value, and a value
+    # past the double range, end eval in one line that names it and the
+    # point, not in a traceback or an inf
+    "eval power past the double range": (
+        spec('{"alpha": 0.5, "frame": "spherical", "components": {"f0": "P(r,-3)"}}',
+             at="r=1e-320,theta=1,psi=1"),
+        2,
+        "P(r,-3) has no finite value at r = 1e-320",
+    ),
+    "eval sina power past the double range": (
+        spec('{"alpha": 1, "frame": "spherical", "components": {"f0": "sina(theta)^-1"}}',
+             at="r=1,theta=1e-320,psi=1"),
+        2,
+        "sina(theta)^-1 has no finite value at theta = 1e-320",
+    ),
+    "eval value past the double range": (
+        spec('{"alpha": 1, "frame": "cylindrical", "components": {"f0": "P(r,1)*P(theta,1)"}}',
+             at="r=1e200,theta=1e200"),
+        2,
+        "the value (inf+0j) is not finite at r = 1e+200, theta = 1e+200",
+    ),
+    "eval coefficient past the double range": (
+        spec('{"alpha": 1, "frame": "cylindrical", "components": {"f0": "2^2000*P(r,1)"}}'),
+        2,
+        "a coefficient has no finite value",
     ),
     "literal past the digit limit": (long_literal, 2, "(at position 0)"),
     # a power whose coefficient could not be rendered stops at its '^'

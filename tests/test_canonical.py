@@ -283,6 +283,22 @@ class TestEvalNumeric:
         with pytest.raises(EvaluationDomainError):
             eval_canonical(canon("P(r,-1)", CYL), 0.5, {"r": 0.0})
 
+    def test_out_of_the_double_range(self):
+        # a power that overflows, or that inverts a zero or a value that
+        # underflows to zero, is named with the point; so is a coefficient
+        # or a power of lam past the double range, and a total that is not
+        # finite
+        cases = (
+            ("Ea(1, z)^400", {"z": 2.0}, None, r"^Ea\(1, z\)\^400 has no .* at z = 2.0$"),
+            ("P(r,-1)", {"r": 0.0}, None, r"^P\(r,-1\) has no finite value at r = 0.0$"),
+            ("sina(theta)^-2", {"theta": 1e-300}, None, r"^sina\(theta\)\^-2 has .* = 1e-300$"),
+            ("lam^2*P(r,1)", {"r": 1.0}, 1e200, r"^a coefficient has .* at lam = 1e\+200$"),
+            ("P(r,1)*P(z,1) - P(r,1)*P(z,1)*lam", {"r": 1e200, "z": 1e200}, 1, r"\(nan"),
+        )
+        for text, point, lam, message in cases:
+            with pytest.raises(EvaluationDomainError, match=message):
+                eval_canonical(canon(text, CYL), 1.0, point, lam=lam)
+
     def test_ea_evaluation(self):
         import math
 
@@ -537,7 +553,7 @@ class TestEvalMemo:
             assert len(calls) == 3 and {a for _, a, _ in calls} == {alpha}
 
     def test_vanishing_sina_with_negative_exponent(self, calls):
-        with pytest.raises(EvaluationDomainError, match="vanishes"):
+        with pytest.raises(EvaluationDomainError, match="no finite value"):
             eval_canonical(canon("sina(r) + sina(r)^-1", CYL), 0.5, {"r": 0.0})
         assert [name for name, _, _ in calls] == ["sin_alpha"]
 

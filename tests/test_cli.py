@@ -478,6 +478,28 @@ def test_any_text_ends_in_an_exit_status_and_one_line(text, var, mode):
     assert len(err.getvalue().splitlines()) <= (0 if code == 0 else 1)
 
 
+def test_closed_stdout_ends_in_exit_1_and_one_line():
+    # `fracquat verify | head -1`: the reader takes one line and closes the
+    # pipe, so a later report meets a closed stdout.  That is exit 1 with one
+    # stderr line: not a usage error, and no traceback from the flush at
+    # shutdown.  A run that wrote every report before the close shows
+    # nothing, so it is tried again.
+    env = {**os.environ, "PYTHONPATH": str(Path(fracquat.__file__).parents[1])}
+    for _ in range(3):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fracquat", "verify"], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        assert proc.stdout.readline() == "PASS mt_squared cartesian (mode=derivation)\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        if (proc.wait(timeout=60), err) != (0, ""):
+            break
+    assert proc.returncode == 1, err
+    assert err == "error: stdout was closed before the output ended\n"
+
+
 def test_start_up_leaves_out_the_heavy_stdlib_modules():
     # -S keeps site from importing anything, so sys.modules holds only what
     # the interpreter and fracquat.cli load; this reads no clock

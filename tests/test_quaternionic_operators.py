@@ -396,15 +396,12 @@ class TestFrozenRecords:
                 delattr(record, name)
             with pytest.raises(AttributeError):
                 record.extra = 1
-        with pytest.raises(TypeError):  # a frame's tables and forms are read-only too
-            CYL.rows["grad"] = ()
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError):  # a frame's forms are read-only too
             CYL.forms["grad"] = ()
 
     def test_frame_equality_and_hash_go_by_name_variables_and_lame(self):
         rebuilt = Frame("cylindrical", list(CYL.variables), (1, canon("P(r,1)", CYL), 1))
         assert rebuilt is not CYL and rebuilt == CYL and hash(rebuilt) == hash(CYL)
-        assert rebuilt.rows == CYL.rows and rebuilt.rows is not CYL.rows
         assert rebuilt.forms == CYL.forms and rebuilt.forms is not CYL.forms
         renamed = Frame("cylinder", CYL.variables, CYL.lame)
         assert renamed != CYL and CYL != SPH and CYL != "cylindrical"
@@ -428,7 +425,6 @@ class TestFrozenRecords:
                 assert copied == record and hash(copied) == hash(record)
                 assert repr(copied) == repr(record)
         frame = pickle.loads(pickle.dumps(SPH))
-        assert frame.rows == SPH.rows and frame.rows is not SPH.rows
         assert frame.forms == SPH.forms and frame.forms is not SPH.forms
         report = copy.deepcopy(verify_identity("curl_grad", "cylindrical"))
         assert report.passed and report.to_dict() == verify_identity("curl_grad", "cylindrical").to_dict()
@@ -453,7 +449,7 @@ class TestVerifyIdentity:
 
     def test_wrong_lame_coefficient_fails(self):
         # negative control: a spherical frame with h_3 = r^alpha (sina(theta)
-        # dropped) feeds grad/div/curl while the hand rows stay spherical, so
+        # dropped) feeds grad/div/curl while the hand forms stay spherical, so
         # residuals that compare the two must not vanish
         bad = Frame("spherical", SPH.variables, (1, canon("P(r,1)", SPH), canon("P(r,1)", SPH)))
         # the reports read the inner operator's form from the frame itself,

@@ -30,7 +30,8 @@ from fracquat import (
     zero_field,
 )
 from fracquat.coefficients import CRat
-from fracquat.frames import abstract_field, apply_table, rows_of
+from fracquat.expr import VARIABLES
+from fracquat.frames import abstract_field, apply_table
 from fracquat.quatops import _HAND_TEXT, _hand
 
 from strategies import exprs
@@ -38,33 +39,21 @@ from strategies import exprs
 FRAMES = (CARTESIAN, CYLINDRICAL, SPHERICAL)
 
 
-def _form(rows):
-    """The form a row tuple stands for, summed by ring operations alone."""
-    out = CanonicalExpr.zero()
-    for coeff, k, vs in rows:
-        out = out + coeff * CanonicalExpr.component(k, vs)
-    return out
-
-
-def _forms(frame, name):
-    return tuple(map(_form, frame.rows[name]))
-
-
 class TestLameTable:
     def test_spherical_connection_coefficients(self):
-        # the undifferentiated rows carry the connection coefficients:
+        # the undifferentiated terms carry the connection coefficients:
         # D_i(H/h_i)/H = (2/r, cot(theta)/r, 0) in div, D_j h_k / (h_j h_k) in curl
         def c(*texts):
             return tuple(canon(t, SPHERICAL) for t in texts)
 
-        assert _forms(SPHERICAL, "grad") == c(
+        assert SPHERICAL.forms["grad"] == c(
             "d(f0,r)", "P(r,-1)*d(f0,theta)", "P(r,-1)*sina(theta)^-1*d(f0,psi)"
         )
-        assert _forms(SPHERICAL, "div") == c(
+        assert SPHERICAL.forms["div"] == c(
             "d(f1,r) + 2*P(r,-1)*f1 + P(r,-1)*d(f2,theta)"
             " + P(r,-1)*cosa(theta)*sina(theta)^-1*f2 + P(r,-1)*sina(theta)^-1*d(f3,psi)"
         )
-        assert _forms(SPHERICAL, "curl") == c(
+        assert SPHERICAL.forms["curl"] == c(
             "P(r,-1)*d(f3,theta) + P(r,-1)*cosa(theta)*sina(theta)^-1*f3"
             " - P(r,-1)*sina(theta)^-1*d(f2,psi)",
             "P(r,-1)*sina(theta)^-1*d(f1,psi) - d(f3,r) - P(r,-1)*f3",
@@ -75,22 +64,22 @@ class TestLameTable:
         def c(*texts):
             return tuple(canon(t, CARTESIAN) for t in texts)
 
-        assert _forms(CARTESIAN, "grad") == c("d(f0,x)", "d(f0,y)", "d(f0,z)")
-        assert _forms(CARTESIAN, "div") == c("d(f1,x) + d(f2,y) + d(f3,z)")
-        assert _forms(CARTESIAN, "curl") == c(
+        assert CARTESIAN.forms["grad"] == c("d(f0,x)", "d(f0,y)", "d(f0,z)")
+        assert CARTESIAN.forms["div"] == c("d(f1,x) + d(f2,y) + d(f3,z)")
+        assert CARTESIAN.forms["curl"] == c(
             "d(f3,y) - d(f2,z)", "d(f1,z) - d(f3,x)", "d(f2,x) - d(f1,y)"
         )
-        # every coefficient is +-1 and every row differentiates: no connection
-        rows = [row for table in CARTESIAN.rows.values() for r in table for row in r]
-        assert all(isinstance(c, CanonicalExpr) and c in (1, -1) and vs for c, _, vs in rows)
+        # every term is +-1 times a derivative of one component: no connection
+        terms = [t for form in CARTESIAN.forms.values() for x in form for t in x.terms.items()]
+        assert all(c in (1, -1) and m._replace(dsyms=()).is_one() for m, c in terms)
+        assert all(len(m.dsyms) == 1 and m.dsyms[0][1] for m, _ in terms)
 
 
 @pytest.mark.parametrize("frame", FRAMES, ids=lambda f: f.name)
 def test_tables_round_trip_through_the_abstract_field(frame):
-    # applying a table to f0..f3 gives back the form it was built from: the
-    # README formulas for the derived tables, the DSL text for the hand ones;
-    # that form is the one stored next to the table, which the reports read
-    # and which the table's rows are read off
+    # each stored form is the one built from the README formulas (derived
+    # forms) or the DSL text (hand forms), and the kernel applied to f0..f3
+    # gives it back, so the kernel puts each component where its symbol is
     f = abstract_field(frame)
     grad, div, curl = _reference_grad(f.f0, frame), _reference_div(f), _reference_curl(f)
     text = _HAND_TEXT[frame.name]
@@ -108,27 +97,18 @@ def test_tables_round_trip_through_the_abstract_field(frame):
         ),
         "bitsadze": (d0, *(canon(t, frame) for t in text["bitsadze"])),
     }
-    tables = {**frame.rows, **_hand(frame, "rows")}
-    stored = {**frame.forms, **_hand(frame, "forms")}
-    assert tables.keys() == stored.keys() == built.keys()
-    for name, table in tables.items():
-        forms = apply_table(table, f.components)
-        assert forms == built[name] == stored[name], name
-        assert tuple(map(_form, table)) == forms, name
-        # one row per component symbol: the rows are those of the form
-        assert list(map(_by_symbol, map(rows_of, forms))) == list(map(_by_symbol, table)), name
+    stored = {**frame.forms, **_hand(frame)}
+    assert stored.keys() == built.keys()
+    for name, forms in stored.items():
+        assert forms == built[name], name
+        assert apply_table(forms, f.components) == forms, name
 
 
-def _by_symbol(rows):
-    keyed = {(k, vs): c for c, k, vs in rows}
-    assert len(keyed) == len(rows)
-    return keyed
-
-
-def test_rows_of_refuses_a_form_that_is_not_linear():
+def test_kernel_refuses_a_form_that_is_not_linear():
+    f = abstract_field(CYLINDRICAL)
     for text in ("f1*d(f2,r)", "f1 + 1", "P(r,1)"):
         with pytest.raises(ValueError, match="not linear"):
-            rows_of(canon(text, CYLINDRICAL))
+            apply_table((canon(text, CYLINDRICAL),), f.components)
 
 
 def test_user_frame_has_first_order_tables_but_no_hand_tables():
@@ -136,11 +116,9 @@ def test_user_frame_has_first_order_tables_but_no_hand_tables():
     # the hand-transcribed operators exist only for the three named frames
     frame = Frame("cylinder", CYLINDRICAL.variables, CYLINDRICAL.lame)
     f, g = abstract_field(frame), abstract_field(CYLINDRICAL)
-    assert frame.rows == CYLINDRICAL.rows
-    assert frame.forms == CYLINDRICAL.forms and frame.forms.keys() == frame.rows.keys()
-    for part in ("forms", "rows"):
-        with pytest.raises(ValueError, match="unknown frame 'cylinder'"):
-            _hand(frame, part)
+    assert frame.forms == CYLINDRICAL.forms
+    with pytest.raises(ValueError, match="unknown frame 'cylinder'"):
+        _hand(frame)
     assert grad_alpha(f.f0, frame).components == grad_alpha(g.f0, CYLINDRICAL).components
     assert div_alpha(f) == div_alpha(g) == _reference_div(f)
     assert curl_alpha(f).components == curl_alpha(g).components
@@ -404,26 +382,24 @@ def _reference_curl(f):
     return tuple(part(j, k) - part(k, j) for j, k in ((1, 2), (2, 0), (0, 1)))
 
 
-def _reference_rows(rows, comps):
+def _reference_form(form, comps):
+    """The form with each d(fk, vs) replaced by comps[k] differentiated by
+    d_alpha in each of vs, summed by ring operations, without the kernel."""
     out = CanonicalExpr.zero()
-    for coeff, k, vs in rows:
+    for mono, c in form.terms.items():
+        ((k, midx),) = mono.dsyms
         d = comps[k]
-        for v in vs:
-            d = d_alpha(d, v)
-        out = out + coeff * d
+        for v in midx:
+            d = d_alpha(d, VARIABLES[v])
+        out = out + CanonicalExpr({mono._replace(dsyms=()): c}) * d
     return out
 
 
-def _reference_table(table, comps):
-    return tuple(_reference_rows(rows, comps) for rows in table)
-
-
 def _snapshot(f):
-    """Every map an operator reads: the components and the coefficients of
-    the frame's derived tables and of its hand tables."""
-    tables = (*f.frame.rows.values(), *_hand(f.frame, "rows").values())
-    coeffs = [c for table in tables for rows in table for c, _, _ in rows]
-    return [list(x.terms.items()) for x in (*f.components, *coeffs)]
+    """Every map an operator reads: the components and the frame's derived
+    and hand forms."""
+    forms = (*f.frame.forms.values(), *_hand(f.frame).values())
+    return [list(x.terms.items()) for x in (*f.components, *(x for form in forms for x in form))]
 
 
 def _assert_clean(x):
@@ -439,16 +415,19 @@ def test_operators_match_ring_references(drawn):
     f = QuaternionField(frame, *comps)
     before = _snapshot(f)
     grad, div, curl = _reference_grad(f.f0, frame), _reference_div(f), _reference_curl(f)
-    hand = _hand(frame, "rows")
+    hand = {
+        op: tuple(_reference_form(x, f.components) for x in forms)
+        for op, forms in _hand(frame).items()
+    }
     results = {
         "grad": (grad_alpha(f.f0, frame).vector_components, grad),
         "div": ((div_alpha(f),), (div,)),
         "curl": (curl_alpha(f).vector_components, curl),
         "mt": (mt_apply(f, "left").components, (-div, *map(add, grad, curl))),
         "mt-right": (mt_apply(f, "right").components, (-div, *map(sub, grad, curl))),
-        "delta0": ((delta0(f.f0, frame),), _reference_table(hand["delta0"], (f.f0,))),
-        "laplacian": (laplacian(f).components, _reference_table(hand["laplacian"], f.components)),
-        "bitsadze": (bitsadze(f).components, _reference_table(hand["bitsadze"], f.components)),
+        "delta0": ((delta0(f.f0, frame),), hand["delta0"]),
+        "laplacian": (laplacian(f).components, hand["laplacian"]),
+        "bitsadze": (bitsadze(f).components, hand["bitsadze"]),
     }
     for name, (got, want) in results.items():
         assert got == want, name
