@@ -19,7 +19,7 @@ import sys
 
 from .canonical import eval_canonical, render_canonical
 from .derivative import DerivativeMode, differentiate
-from .expr import COMPONENT_NAMES, ExpressionError
+from .expr import COMPONENT_NAMES, EvaluationDomainError, ExpressionError, UnboundSymbolError
 from .frames import FRAMES, QuaternionField, frame_by_name
 from .parser import parse
 from .quatops import (
@@ -107,6 +107,8 @@ def _parse_point(raw: str, frame) -> dict:
         name = name.strip()
         if name not in frame.variables:
             raise SpecError(f"variable {name!r} is not in frame {frame.name}")
+        if name in point:
+            raise SpecError(f"variable {name!r} is given twice in the point")
         point[name] = float(value)
         if not cmath.isfinite(point[name]):
             raise SpecError(f"point value {item.strip()!r} is not finite")
@@ -185,9 +187,9 @@ def cmd_eval(args) -> int:
     for key, c in zip(COMPONENT_NAMES, f.components):
         try:
             values[key] = eval_canonical(c, alpha, point, lam=lam_value, tol=args.tol)
-        except SeriesConvergenceError as exc:
-            message = f"{exc} in component {key}"
-            raise SeriesConvergenceError(message, exc.last_term_magnitude) from None
+        except (SeriesConvergenceError, EvaluationDomainError, UnboundSymbolError) as exc:
+            exc.args = (f"{exc} in component {key}",)
+            raise
     components = {key: {"re": v.real, "im": v.imag} for key, v in values.items()}
     doc = {"frame": f.frame.name, "alpha": alpha, "point": point, "components": components}
     _emit(args, doc, "\n".join(f"{key} = {v}" for key, v in values.items()))

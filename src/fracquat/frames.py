@@ -8,11 +8,15 @@ scale factors of the paper's operator D f = sum_i e_i h_i^-1 d_i f:
     spherical    (r, theta, psi)    h = (1, r^alpha, r^alpha sina(theta))
 
 Every operator is linear in the four components, so it is one form: what
-it does to the abstract field f0..f3, one expression per output component.
-The kernel apply_table applies a tuple of forms to any field.  Each frame
-derives its grad, div, curl and D forms once, from h; verify certifies
-these stored forms against the hand text (see quatops), and every
-operator applies them, so it applies what verify certified.
+it does to the abstract field f0..f3, four expressions, one per output
+component.  The kernel apply_table applies a form to any field; applied
+to another form, it gives the form of the composition.  A frame holds
+every operator's form in one read-only map: grad, div, curl and D derived
+once from h, and delta0, laplacian and bitsadze parsed from the
+hand-expanded text that sits beside the Lame coefficients below, never
+derived from h.  verify checks the derived forms against the hand ones
+(see quatops), and every operator applies these forms, so it applies
+what verify certified.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from types import MappingProxyType
 from .canonical import CanonicalExpr, Monomial, _add_products, _new, as_canonical_scalar
 from .derivative import d_alpha
 from .expr import VARIABLES
+from .parser import parse
 
 
 def apply_table(table, comps) -> tuple:
@@ -48,6 +53,13 @@ def apply_table(table, comps) -> tuple:
             _add_products(acc, {_new(Monomial, ((),) + mono[1:]): c}, partials[key].terms)
         out.append(CanonicalExpr._of(acc))
     return tuple(out)
+
+
+def _renamed(form: CanonicalExpr, k: int) -> CanonicalExpr:
+    """A form in f0 alone, with f0 renamed fk."""
+    return CanonicalExpr._of(
+        {_new(Monomial, (((k, m.dsyms[0][1]),),) + m[1:]): c for m, c in form.terms.items()}
+    )
 
 
 class _Record:
@@ -84,14 +96,18 @@ class _Record:
 
 class Frame(_Record):
     """Variables and Lame coefficients h_1..h_3 (unit monomials), and the
-    read-only forms derived from them (H = h_1 h_2 h_3, (i, j, k) cyclic),
-    each one expression per output component, which apply_table applies:
+    read-only map of the frame's operator forms, each four expressions
+    over f0..f3, one per output component, which apply_table applies.
+    Five are derived from h (H = h_1 h_2 h_3, (i, j, k) cyclic):
 
-        forms["grad"]   grad_i = D_i f0 / h_i
-        forms["div"]    div    = sum_i D_i(H/h_i f_i) / H
-        forms["curl"]   curl_i = (D_j(h_k f_k) - D_k(h_j f_j)) / (h_j h_k)
-        forms["left"]   D f    = (-div, grad + curl)
-        forms["right"]  f D    = (-div, grad - curl)
+        forms["grad"]   (0, grad_i = D_i f0 / h_i)
+        forms["div"]    (div = sum_i D_i(H/h_i f_i) / H, 0, 0, 0)
+        forms["curl"]   (0, curl_i = (D_j(h_k f_k) - D_k(h_j f_j)) / (h_j h_k))
+        forms["left"]   D f = grad - div + curl
+        forms["right"]  f D = grad - div - curl
+
+    A frame named in _HAND_TEXT also holds its hand-expanded "delta0"
+    (delta0 f0, 0, 0, 0), "laplacian" and "bitsadze", parsed from that text.
     """
 
     __slots__ = ("name", "variables", "lame", "forms")
@@ -101,8 +117,7 @@ class Frame(_Record):
         h = tuple(as_canonical_scalar(c) for c in lame)
         inv = tuple(c.inverse() for c in h)
         f = tuple(CanonicalExpr.component(k) for k in range(4))
-        big_h = h[0] * h[1] * h[2]
-        grad = tuple(d_alpha(f[0], v) * ih for v, ih in zip(variables, inv))
+        zero, big_h = CanonicalExpr.zero(), h[0] * h[1] * h[2]
         div = sum(d_alpha(big_h * ih * fi, v) for v, ih, fi in zip(variables, inv, f[1:])) / big_h
 
         def curl(i):
@@ -110,13 +125,85 @@ class Frame(_Record):
             dj, dk = d_alpha(h[k] * f[k + 1], variables[j]), d_alpha(h[j] * f[j + 1], variables[k])
             return (dj - dk) * inv[j] * inv[k]
 
-        forms = {"grad": grad, "div": (div,), "curl": tuple(map(curl, range(3)))}
-        forms["left"] = (-div, *map(add, grad, forms["curl"]))
-        forms["right"] = (-div, *map(sub, grad, forms["curl"]))
+        forms = {
+            "grad": (zero, *(d_alpha(f[0], v) * ih for v, ih in zip(variables, inv))),
+            "div": (div, zero, zero, zero),
+            "curl": (zero, *map(curl, range(3))),
+        }
+        grad_div = tuple(map(sub, forms["grad"], forms["div"]))
+        forms["left"] = tuple(map(add, grad_div, forms["curl"]))
+        forms["right"] = tuple(map(sub, grad_div, forms["curl"]))
+        if name in _HAND_TEXT:
+            text = _HAND_TEXT[name]
+            d0 = parse(text["delta0"], variables)
+            coupling = enumerate(text["laplacian"], 1)
+            forms["delta0"] = (d0, zero, zero, zero)
+            forms["laplacian"] = (d0, *(_renamed(d0, k) + parse(c, variables) for k, c in coupling))
+            forms["bitsadze"] = (d0, *(parse(c, variables) for c in text["bitsadze"]))
         super().__init__(name, tuple(variables), h, MappingProxyType(forms))
 
     def __str__(self):
         return self.name
+
+
+# Hand-expanded second-order operators, per frame, as DSL text: "delta0"
+# acts on f0; component k of the vector Laplacian grad(div) - curl(curl)
+# is delta0 with fk for f0 plus the "laplacian" coupling text; the
+# Bitsadze texts grad(div) + curl(curl) are complete.
+_HAND_TEXT = {
+    "cartesian": {
+        "delta0": "d(f0,x,x) + d(f0,y,y) + d(f0,z,z)",
+        "laplacian": ("0", "0", "0"),
+        "bitsadze": (  # 2 d_i d_j f_j - delta0 f_i
+            "d(f1,x,x) + 2*d(f2,x,y) + 2*d(f3,x,z) - d(f1,y,y) - d(f1,z,z)",
+            "2*d(f1,x,y) + d(f2,y,y) + 2*d(f3,y,z) - d(f2,x,x) - d(f2,z,z)",
+            "2*d(f1,x,z) + 2*d(f2,y,z) + d(f3,z,z) - d(f3,x,x) - d(f3,y,y)",
+        ),
+    },
+    "cylindrical": {
+        "delta0": "d(f0,r,r) + P(r,-2)*d(f0,theta,theta) + P(r,-1)*d(f0,r) + d(f0,z,z)",
+        "laplacian": (
+            "-P(r,-2)*f1 - 2*P(r,-2)*d(f2,theta)",
+            "-P(r,-2)*f2 + 2*P(r,-2)*d(f1,theta)",
+            "0",
+        ),
+        "bitsadze": (
+            "d(f1,r,r) + 2*P(r,-1)*d(f2,r,theta) + P(r,-1)*d(f1,r) - P(r,-2)*f1"
+            " + 2*d(f3,r,z) - P(r,-2)*d(f1,theta,theta) - d(f1,z,z)",
+            "2*P(r,-1)*d(f1,r,theta) + P(r,-2)*d(f2,theta,theta) + 2*P(r,-1)*d(f3,theta,z)"
+            " - d(f2,z,z) - d(f2,r,r) - P(r,-1)*d(f2,r) + P(r,-2)*f2",
+            "2*d(f1,r,z) + 2*P(r,-1)*d(f2,theta,z) + 2*P(r,-1)*d(f1,z) + d(f3,z,z)"
+            " - d(f3,r,r) - P(r,-2)*d(f3,theta,theta) - P(r,-1)*d(f3,r)",
+        ),
+    },
+    "spherical": {
+        "delta0": "d(f0,r,r) + 2*P(r,-1)*d(f0,r) + P(r,-2)*d(f0,theta,theta)"
+        " + P(r,-2)*sina(theta)^-1*cosa(theta)*d(f0,theta)"
+        " + P(r,-2)*sina(theta)^-2*d(f0,psi,psi)",
+        "laplacian": (
+            "-2*P(r,-2)*f1 - 2*P(r,-2)*d(f2,theta) - 2*P(r,-2)*sina(theta)^-1*cosa(theta)*f2"
+            " - 2*P(r,-2)*sina(theta)^-1*d(f3,psi)",
+            "-P(r,-2)*sina(theta)^-2*f2 + 2*P(r,-2)*d(f1,theta)"
+            " - 2*P(r,-2)*sina(theta)^-2*cosa(theta)*d(f3,psi)",
+            "-P(r,-2)*sina(theta)^-2*f3 + 2*P(r,-2)*sina(theta)^-1*d(f1,psi)"
+            " + 2*P(r,-2)*sina(theta)^-2*cosa(theta)*d(f2,psi)",
+        ),
+        "bitsadze": (
+            "d(f1,r,r) + 2*P(r,-1)*d(f1,r) - 2*P(r,-2)*f1 - P(r,-2)*d(f1,theta,theta)"
+            " - P(r,-2)*sina(theta)^-1*cosa(theta)*d(f1,theta) + 2*P(r,-1)*d(f2,r,theta)"
+            " - P(r,-2)*sina(theta)^-2*d(f1,psi,psi) + 2*P(r,-1)*sina(theta)^-1*cosa(theta)*d(f2,r)"
+            " + 2*P(r,-1)*sina(theta)^-1*d(f3,r,psi)",
+            "-d(f2,r,r) - 2*P(r,-1)*d(f2,r) - P(r,-2)*sina(theta)^-2*f2 + P(r,-2)*d(f2,theta,theta)"
+            " + P(r,-2)*sina(theta)^-1*cosa(theta)*d(f2,theta)"
+            " - P(r,-2)*sina(theta)^-2*d(f2,psi,psi) + 2*P(r,-2)*d(f1,theta)"
+            " + 2*P(r,-1)*d(f1,r,theta) + 2*P(r,-2)*sina(theta)^-1*d(f3,theta,psi)",
+            "-d(f3,r,r) - 2*P(r,-1)*d(f3,r) + P(r,-2)*sina(theta)^-2*f3 - P(r,-2)*d(f3,theta,theta)"
+            " - P(r,-2)*sina(theta)^-1*cosa(theta)*d(f3,theta)"
+            " + P(r,-2)*sina(theta)^-2*d(f3,psi,psi) + 2*P(r,-2)*sina(theta)^-1*d(f1,psi)"
+            " + 2*P(r,-1)*sina(theta)^-1*d(f1,r,psi) + 2*P(r,-2)*sina(theta)^-1*d(f2,theta,psi)",
+        ),
+    },
+}
 
 
 _R = CanonicalExpr.fractal_power("r", 1)

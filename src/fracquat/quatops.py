@@ -1,44 +1,34 @@
 """Quaternionic first- and second-order operators and the identity engine.
 
-Each operator is one form, what it does to f0..f3, which the kernel
-`frames.apply_table` applies.  The first-order operator
-D[f] = -div(fvec) + grad(f0) + curl(fvec) (left action) has its form
-derived by each frame from its Lame coefficients, and its right action
-flips the curl sign.  The tests check both sides against the quaternion
-product sum_i e_i h_i^-1 d_i f (test_matches_quaternionic_definition),
-and the bitsadze_factorization report checks the pair.  The second-order
-operators are hand-expanded DSL text per frame, parsed once at import
-into forms, never derived from the Lame coefficients, so verifying
+Each operator is one form, four expressions over f0..f3, read from the
+frame's form map and applied by the kernel `frames.apply_table`.  The
+first-order operator D[f] = -div(fvec) + grad(f0) + curl(fvec) (left
+action) has its form derived by each frame from its Lame coefficients,
+and its right action flips the curl sign.  The tests check both sides
+against the quaternion product sum_i e_i h_i^-1 d_i f
+(test_matches_quaternionic_definition), and the bitsadze_factorization
+report checks the pair.  The second-order operators are hand-expanded
+DSL text beside each frame's Lame coefficients, never derived from
+them, so verifying
 
     D(D f)        = -(scalar Laplacian + vector Laplacian)
     D(D^r f)      = -(scalar Laplacian + Bitsadze vector part)
-    -(D-lam)(D+lam) f = Laplacian f + lam^2 f
+    (D-lam)(D+lam) f = -(Laplacian f + lam^2 f)
     div(grad f0)  = delta0 f0
 
 checks the Lame-derived forms against the hand text: all four residuals
-must normalize to zero.  A report runs the outer operator through the
-kernel on the inner operator's stored form, and `fracquat apply` runs
-the same forms, so it applies what verify proved.
+must normalize to zero.  Each identity is one row over the form map, and
+`fracquat apply` runs the same forms, so it applies what verify proved.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from operator import add, sub
 
-from .canonical import CanonicalExpr, Monomial, _new, render_canonical
+from .canonical import CanonicalExpr, render_canonical
 from .derivative import DerivativeMode
-from .frames import (
-    FRAMES,
-    Frame,
-    QuaternionField,
-    _Record,
-    abstract_field,
-    apply_table,
-    frame_by_name,
-    vector_field,
-)
-from .parser import parse
-from .vectorops import curl_alpha, div_alpha
+from .frames import Frame, QuaternionField, _Record, apply_table, frame_by_name
 
 FORMAL = "formal"
 
@@ -49,6 +39,20 @@ def _lam(lam) -> CanonicalExpr:
     return CanonicalExpr.const(lam)
 
 
+def _shifted(form: tuple, s) -> tuple:
+    """The form of the operator plus s times the identity."""
+    return tuple(x + s * CanonicalExpr.component(k) for k, x in enumerate(form))
+
+
+def _form(frame: Frame, op: str) -> tuple:
+    """The frame's form of op; a frame whose name has no hand text holds
+    only the derived forms."""
+    try:
+        return frame.forms[op]
+    except KeyError:
+        raise ValueError(f"unknown frame {frame.name!r}") from None
+
+
 def mt_apply(f: QuaternionField, side: str = "left") -> QuaternionField:
     """First-order operator: -div + grad + curl (left) or -div + grad - curl
     (right action), from the frame's form for that side."""
@@ -57,112 +61,21 @@ def mt_apply(f: QuaternionField, side: str = "left") -> QuaternionField:
     return QuaternionField(f.frame, *apply_table(f.frame.forms[side], f.components))
 
 
-# Hand-expanded second-order operators, per frame, as DSL text: "delta0"
-# acts on f0; component k of the vector Laplacian grad(div) - curl(curl)
-# is delta0 with fk for f0 plus the "laplacian" coupling text; the
-# Bitsadze texts grad(div) + curl(curl) are complete.
-_HAND_TEXT = {
-    "cartesian": {
-        "delta0": "d(f0,x,x) + d(f0,y,y) + d(f0,z,z)",
-        "laplacian": ("0", "0", "0"),
-        "bitsadze": (  # 2 d_i d_j f_j - delta0 f_i
-            "d(f1,x,x) + 2*d(f2,x,y) + 2*d(f3,x,z) - d(f1,y,y) - d(f1,z,z)",
-            "2*d(f1,x,y) + d(f2,y,y) + 2*d(f3,y,z) - d(f2,x,x) - d(f2,z,z)",
-            "2*d(f1,x,z) + 2*d(f2,y,z) + d(f3,z,z) - d(f3,x,x) - d(f3,y,y)",
-        ),
-    },
-    "cylindrical": {
-        "delta0": "d(f0,r,r) + P(r,-2)*d(f0,theta,theta) + P(r,-1)*d(f0,r) + d(f0,z,z)",
-        "laplacian": (
-            "-P(r,-2)*f1 - 2*P(r,-2)*d(f2,theta)",
-            "-P(r,-2)*f2 + 2*P(r,-2)*d(f1,theta)",
-            "0",
-        ),
-        "bitsadze": (
-            "d(f1,r,r) + 2*P(r,-1)*d(f2,r,theta) + P(r,-1)*d(f1,r) - P(r,-2)*f1"
-            " + 2*d(f3,r,z) - P(r,-2)*d(f1,theta,theta) - d(f1,z,z)",
-            "2*P(r,-1)*d(f1,r,theta) + P(r,-2)*d(f2,theta,theta) + 2*P(r,-1)*d(f3,theta,z)"
-            " - d(f2,z,z) - d(f2,r,r) - P(r,-1)*d(f2,r) + P(r,-2)*f2",
-            "2*d(f1,r,z) + 2*P(r,-1)*d(f2,theta,z) + 2*P(r,-1)*d(f1,z) + d(f3,z,z)"
-            " - d(f3,r,r) - P(r,-2)*d(f3,theta,theta) - P(r,-1)*d(f3,r)",
-        ),
-    },
-    "spherical": {
-        "delta0": "d(f0,r,r) + 2*P(r,-1)*d(f0,r) + P(r,-2)*d(f0,theta,theta)"
-        " + P(r,-2)*sina(theta)^-1*cosa(theta)*d(f0,theta)"
-        " + P(r,-2)*sina(theta)^-2*d(f0,psi,psi)",
-        "laplacian": (
-            "-2*P(r,-2)*f1 - 2*P(r,-2)*d(f2,theta) - 2*P(r,-2)*sina(theta)^-1*cosa(theta)*f2"
-            " - 2*P(r,-2)*sina(theta)^-1*d(f3,psi)",
-            "-P(r,-2)*sina(theta)^-2*f2 + 2*P(r,-2)*d(f1,theta)"
-            " - 2*P(r,-2)*sina(theta)^-2*cosa(theta)*d(f3,psi)",
-            "-P(r,-2)*sina(theta)^-2*f3 + 2*P(r,-2)*sina(theta)^-1*d(f1,psi)"
-            " + 2*P(r,-2)*sina(theta)^-2*cosa(theta)*d(f2,psi)",
-        ),
-        "bitsadze": (
-            "d(f1,r,r) + 2*P(r,-1)*d(f1,r) - 2*P(r,-2)*f1 - P(r,-2)*d(f1,theta,theta)"
-            " - P(r,-2)*sina(theta)^-1*cosa(theta)*d(f1,theta) + 2*P(r,-1)*d(f2,r,theta)"
-            " - P(r,-2)*sina(theta)^-2*d(f1,psi,psi) + 2*P(r,-1)*sina(theta)^-1*cosa(theta)*d(f2,r)"
-            " + 2*P(r,-1)*sina(theta)^-1*d(f3,r,psi)",
-            "-d(f2,r,r) - 2*P(r,-1)*d(f2,r) - P(r,-2)*sina(theta)^-2*f2 + P(r,-2)*d(f2,theta,theta)"
-            " + P(r,-2)*sina(theta)^-1*cosa(theta)*d(f2,theta)"
-            " - P(r,-2)*sina(theta)^-2*d(f2,psi,psi) + 2*P(r,-2)*d(f1,theta)"
-            " + 2*P(r,-1)*d(f1,r,theta) + 2*P(r,-2)*sina(theta)^-1*d(f3,theta,psi)",
-            "-d(f3,r,r) - 2*P(r,-1)*d(f3,r) + P(r,-2)*sina(theta)^-2*f3 - P(r,-2)*d(f3,theta,theta)"
-            " - P(r,-2)*sina(theta)^-1*cosa(theta)*d(f3,theta)"
-            " + P(r,-2)*sina(theta)^-2*d(f3,psi,psi) + 2*P(r,-2)*sina(theta)^-1*d(f1,psi)"
-            " + 2*P(r,-1)*sina(theta)^-1*d(f1,r,psi) + 2*P(r,-2)*sina(theta)^-1*d(f2,theta,psi)",
-        ),
-    },
-}
-
-
-def _renamed(form: CanonicalExpr, k: int) -> CanonicalExpr:
-    """A form in f0 alone, with f0 renamed fk."""
-    return CanonicalExpr._of(
-        {_new(Monomial, (((k, m.dsyms[0][1]),),) + m[1:]): c for m, c in form.terms.items()}
-    )
-
-
-def _hand_forms(frame: Frame, delta0: str, laplacian: tuple, bitsadze: tuple) -> dict:
-    """One frame's hand text as forms by operator, each with delta0 as its
-    f0 component.  Component k of the vector Laplacian is delta0 with f0
-    renamed fk, plus its coupling."""
-    first = parse(delta0, frame)
-    vector = (_renamed(first, k) + parse(t, frame) for k, t in enumerate(laplacian, 1))
-    return {
-        "delta0": (first,),
-        "laplacian": (first, *vector),
-        "bitsadze": (first, *(parse(t, frame) for t in bitsadze)),
-    }
-
-
-_HAND = {name: _hand_forms(FRAMES[name], **texts) for name, texts in _HAND_TEXT.items()}
-
-
-def _hand(frame: Frame) -> dict:
-    """The frame's hand forms, by operator."""
-    try:
-        return _HAND[frame.name]
-    except KeyError:
-        raise ValueError(f"unknown frame {frame.name!r}") from None
-
-
 def delta0(f0, frame: Frame) -> CanonicalExpr:
     """Scalar Laplacian, from the frame's hand form."""
-    return apply_table(_hand(frame)["delta0"], (f0,))[0]
+    return apply_table(_form(frame, "delta0"), (f0,))[0]
 
 
 def laplacian(f: QuaternionField) -> QuaternionField:
     """Quaternionic Laplacian: delta0 on f0 plus the vector Laplacian
     grad(div) - curl(curl) on the vector part."""
-    return QuaternionField(f.frame, *apply_table(_hand(f.frame)["laplacian"], f.components))
+    return QuaternionField(f.frame, *apply_table(_form(f.frame, "laplacian"), f.components))
 
 
 def bitsadze(f: QuaternionField) -> QuaternionField:
     """Bitsadze operator: delta0 on f0 plus grad(div) + curl(curl) on the
     vector part."""
-    return QuaternionField(f.frame, *apply_table(_hand(f.frame)["bitsadze"], f.components))
+    return QuaternionField(f.frame, *apply_table(_form(f.frame, "bitsadze"), f.components))
 
 
 def perturbed_mt(f: QuaternionField, lam=FORMAL, sign: int = 1) -> QuaternionField:
@@ -185,8 +98,7 @@ def helmholtz_component_system(frame, lam=FORMAL) -> tuple:
     if isinstance(frame, str):
         frame = frame_by_name(frame)
     lam = _lam(lam)
-    shift = abstract_field(frame).scale(lam * lam)
-    return tuple(map(add, _hand(frame)["laplacian"], shift.components))
+    return _shifted(_form(frame, "laplacian"), lam * lam)
 
 
 class IdentityReport(_Record):
@@ -209,48 +121,36 @@ class IdentityReport(_Record):
         }
 
 
-# Each residual takes the inner operator and the reference side from the
-# stored forms (the frame's derived ones, the hand ones by frame name) and
-# runs only the outer operator through the kernel.
-
-
-def _residual_mt_squared(frame: Frame) -> tuple:
-    lhs = mt_apply(QuaternionField(frame, *frame.forms["left"]), "left")
-    return tuple(map(add, lhs.components, _hand(frame)["laplacian"]))
-
-
-def _residual_bitsadze(frame: Frame) -> tuple:
-    lhs = mt_apply(QuaternionField(frame, *frame.forms["right"]), "left")
-    return tuple(map(add, lhs.components, _hand(frame)["bitsadze"]))
-
-
-def _residual_helmholtz(frame: Frame) -> tuple:
-    shift = abstract_field(frame).scale(CanonicalExpr.lam())
-    lhs = -(perturbed_mt(QuaternionField(frame, *frame.forms["left"]) + shift, FORMAL, -1))
-    return tuple(map(sub, lhs.components, helmholtz_component_system(frame)))
-
-
-def _residual_curl_grad(frame: Frame) -> tuple:
-    return curl_alpha(vector_field(frame, *frame.forms["grad"])).components
-
-
-def _residual_div_curl(frame: Frame) -> tuple:
-    return (div_alpha(vector_field(frame, *frame.forms["curl"])),) + (CanonicalExpr.zero(),) * 3
-
-
-def _residual_div_grad_delta0(frame: Frame) -> tuple:
-    div_grad = div_alpha(vector_field(frame, *frame.forms["grad"]))
-    return (div_grad - _hand(frame)["delta0"][0],) + (CanonicalExpr.zero(),) * 3
-
+# Each identity is one row over a form map: outer and inner operator and
+# the reference their composition must cancel.  Its residual on f0..f3 is
+# outer(inner) + sign*reference, the kernel composing the forms; a shift s
+# reads outer - s, inner + s and reference + s^2 (s times the identity).
+_Row = namedtuple("_Row", "outer inner sign reference shift", defaults=(0, None, None))
 
 _IDENTITIES = {
-    "mt_squared": _residual_mt_squared,
-    "bitsadze_factorization": _residual_bitsadze,
-    "helmholtz_factorization": _residual_helmholtz,
-    "curl_grad": _residual_curl_grad,
-    "div_curl": _residual_div_curl,
-    "div_grad_delta0": _residual_div_grad_delta0,
+    "mt_squared": _Row("left", "left", 1, "laplacian"),
+    "bitsadze_factorization": _Row("left", "right", 1, "bitsadze"),
+    "helmholtz_factorization": _Row("left", "left", 1, "laplacian", CanonicalExpr.lam()),
+    "curl_grad": _Row("curl", "grad"),
+    "div_curl": _Row("div", "curl"),
+    "div_grad_delta0": _Row("div", "grad", -1, "delta0"),
 }
+
+
+def _residuals(name: str, forms) -> tuple:
+    """The four residuals of the identity's row over a form map."""
+    row = _IDENTITIES[name]
+    outer, inner = forms[row.outer], forms[row.inner]
+    reference = forms[row.reference] if row.reference else None
+    if row.shift is not None:
+        s = row.shift
+        outer, inner = _shifted(outer, -s), _shifted(inner, s)
+        reference = _shifted(reference, s * s)
+    composed = apply_table(outer, inner)
+    if reference is None:
+        return composed
+    return tuple(map(add if row.sign > 0 else sub, composed, reference))
+
 
 IDENTITY_NAMES = tuple(_IDENTITIES)
 
@@ -267,14 +167,15 @@ VERIFICATION_MATRIX = {
 
 
 def verify_identity(name: str, frame) -> IdentityReport:
-    """Residuals of left-minus-right for one identity after full
+    """The residuals of the identity's row over the frame's forms after full
     normalization; passes when every residual map is empty."""
     if name not in _IDENTITIES:
         raise ValueError(f"unknown identity {name!r}; expected one of {IDENTITY_NAMES}")
     if isinstance(frame, str):
         frame = frame_by_name(frame)
-    residuals = _IDENTITIES[name](frame)
-    return IdentityReport(name, frame.name, DerivativeMode.DERIVATION, tuple(residuals))
+    row = _IDENTITIES[name]
+    forms = {op: _form(frame, op) for op in (row.outer, row.inner, row.reference) if op}
+    return IdentityReport(name, frame.name, DerivativeMode.DERIVATION, _residuals(name, forms))
 
 
 def verify_all(names=None, frames=None):

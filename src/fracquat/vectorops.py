@@ -4,12 +4,12 @@ kernel call, `frames.apply_table`, on the form its frame derived (`frames.Frame`
 from __future__ import annotations
 
 from .canonical import CanonicalExpr
-from .frames import Frame, QuaternionField, apply_table, vector_field
+from .frames import Frame, QuaternionField, apply_table
 
 
 def grad_alpha(f0, frame: Frame) -> QuaternionField:
     """Gradient of a scalar, as a pure vector field."""
-    return vector_field(frame, *apply_table(frame.forms["grad"], (f0,)))
+    return QuaternionField(frame, *apply_table(frame.forms["grad"], (f0,)))
 
 
 def div_alpha(v: QuaternionField) -> CanonicalExpr:
@@ -19,4 +19,4 @@ def div_alpha(v: QuaternionField) -> CanonicalExpr:
 
 def curl_alpha(v: QuaternionField) -> QuaternionField:
     """Curl of the vector part, as a pure vector field."""
-    return vector_field(v.frame, *apply_table(v.frame.forms["curl"], v.components))
+    return QuaternionField(v.frame, *apply_table(v.frame.forms["curl"], v.components))

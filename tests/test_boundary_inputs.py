@@ -90,30 +90,44 @@ ROWS = {
         "for Ea(20, r) at u = 20.0 in component f0",
     ),
     # a generator power or a coefficient with no finite value, and a value
-    # past the double range, end eval in one line that names it and the
-    # point, not in a traceback or an inf
+    # past the double range, end eval in one line that names it, the point
+    # and the component, not in a traceback or an inf
     "eval power past the double range": (
         spec('{"alpha": 0.5, "frame": "spherical", "components": {"f0": "P(r,-3)"}}',
              at="r=1e-320,theta=1,psi=1"),
         2,
-        "P(r,-3) has no finite value at r = 1e-320",
+        "P(r,-3) has no finite value at r = 1e-320 in component f0",
+    ),
+    # the component named is the one that failed, here the only one
+    "eval component past the double range": (
+        spec('{"alpha": 0.5, "frame": "spherical",'
+             ' "components": {"f0": "P(r,1)", "f1": "P(r,-3)"}}', at="r=1e-320,theta=1,psi=1"),
+        2,
+        "P(r,-3) has no finite value at r = 1e-320 in component f1",
     ),
     "eval sina power past the double range": (
         spec('{"alpha": 1, "frame": "spherical", "components": {"f0": "sina(theta)^-1"}}',
              at="r=1,theta=1e-320,psi=1"),
         2,
-        "sina(theta)^-1 has no finite value at theta = 1e-320",
+        "sina(theta)^-1 has no finite value at theta = 1e-320 in component f0",
     ),
     "eval value past the double range": (
         spec('{"alpha": 1, "frame": "cylindrical", "components": {"f0": "P(r,1)*P(theta,1)"}}',
              at="r=1e200,theta=1e200"),
         2,
-        "the value (inf+0j) is not finite at r = 1e+200, theta = 1e+200",
+        "the value (inf+0j) is not finite at r = 1e+200, theta = 1e+200 in component f0",
     ),
     "eval coefficient past the double range": (
         spec('{"alpha": 1, "frame": "cylindrical", "components": {"f0": "2^2000*P(r,1)"}}'),
         2,
-        "a coefficient has no finite value",
+        "a coefficient has no finite value in component f0",
+    ),
+    # a variable given twice in the point is refused, not overwritten
+    "eval repeated point variable": (
+        spec('{"alpha": 1, "frame": "cylindrical", "components": {"f0": "P(r,1)"}}',
+             at="r=1,theta=1,z=1,r=2"),
+        2,
+        "variable 'r' is given twice in the point",
     ),
     "literal past the digit limit": (long_literal, 2, "(at position 0)"),
     # a power whose coefficient could not be rendered stops at its '^'

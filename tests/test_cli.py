@@ -141,6 +141,11 @@ class TestVerify:
         assert code == 0
         assert out == (DATA / "verify_structured.jsonl").read_text(encoding="utf-8")
 
+    def test_text_output_matches_recorded_file(self, capsys):
+        code, out, _ = run(capsys, ["verify"])
+        assert code == 0
+        assert out == (DATA / "verify.txt").read_text(encoding="utf-8")
+
     def test_unknown_identity_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "nonsense", "--frame", "cylindrical"])
@@ -472,6 +477,76 @@ def test_any_text_ends_in_an_exit_status_and_one_line(text, var, mode):
     with redirect_stdout(out), redirect_stderr(err):
         try:
             code = main(["diff", text, "--var", var, "--frame", "cylindrical", "--mode", mode])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert len(err.getvalue().splitlines()) <= (0 if code == 0 else 1)
+
+
+# one field spec per frame, each component with a generator that can leave
+# the double range, divide by zero or call for a value that is not bound
+_EVAL_SPECS = {
+    "cartesian": {"f0": "P(x,2)*P(y,-1)", "f1": "Ea(1,z)", "f2": "sina(x)^-2", "f3": "lam*P(z,-3)"},
+    "cylindrical": {
+        "f0": "P(r,1)*P(theta,1)", "f1": "P(r,-3)",
+        "f2": "cosa(theta)*Ea(-2,z)", "f3": "lam^2*P(z,2)",
+    },
+    "spherical": {
+        "f0": "P(r,-1)*sina(theta)^-1", "f1": "Ea(1i,psi)",
+        "f2": "cosa(theta)^3", "f3": "P(r,2)*Ea(2,r)",
+    },
+}
+_POINT_VALUES = st.one_of(
+    st.floats(min_value=0.01, max_value=10),  # ordinary
+    st.one_of(
+        st.floats(min_value=5e-324, max_value=2.2250738585072014e-308),  # subnormal
+        st.floats(min_value=1e300, max_value=1.7976931348623157e308),  # huge
+        st.floats(max_value=-5e-324, allow_infinity=False),  # negative
+        st.floats(),  # any, nan and the infinities among them
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def eval_specs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("eval")
+    paths = {}
+    for frame, components in _EVAL_SPECS.items():
+        doc = {"alpha": 0.5, "frame": frame, "components": components, "lambda": 2}
+        paths[frame] = write_spec(root, doc, f"{frame}.json")
+    return paths
+
+
+@st.composite
+def eval_points(draw):
+    """A frame and a point for it: a value for each of its variables, then
+    now and then a variable left out, and entries put in that repeat a
+    variable, name one of another frame or are not var=value."""
+    frame = draw(st.sampled_from(tuple(_EVAL_SPECS)))
+    variables = fracquat.FRAMES[frame].variables
+    entries = [f"{v}={draw(_POINT_VALUES)!r}" for v in variables]
+    if draw(st.booleans()):
+        del entries[draw(st.integers(0, 2))]
+    extra = st.one_of(
+        st.builds("{}={!r}".format, st.sampled_from(variables + ("x", "w")), _POINT_VALUES),
+        st.sampled_from(("", "r", "=1", "r=", "theta=1e400")),
+    )
+    for text in draw(st.lists(extra, max_size=2)):
+        entries.insert(draw(st.integers(0, len(entries))), text)
+    return frame, ",".join(entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(eval_points(), st.sampled_from((None, "0.3", "0.5", "1")))
+def test_any_point_ends_in_an_exit_status_and_one_line(eval_specs, drawn, alpha):
+    """The CLI contract for eval, as for diff above: exit 0, 1 or 2 and at
+    most one line on stderr, whatever the point."""
+    frame, point = drawn
+    argv = ["eval", eval_specs[frame], "--at", point] + (["--alpha", alpha] if alpha else [])
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2)

@@ -37,11 +37,12 @@ from fracquat import (
     verify_identity,
     zero_field,
 )
-from fracquat.frames import QuaternionField, abstract_field
-from fracquat.quatops import FORMAL, IdentityReport
+from fracquat.frames import QuaternionField, abstract_field, frame_by_name
+from fracquat.quatops import _IDENTITIES, FORMAL, IdentityReport, _residuals
 
 CYL, SPH = CYLINDRICAL, SPHERICAL
 FRAMES = (CARTESIAN, CYLINDRICAL, SPHERICAL)
+DERIVED = ("grad", "div", "curl", "left", "right")  # the forms every frame derives from h
 
 
 # -- the paper's operator from the frame vectors -------------------------------
@@ -405,7 +406,8 @@ class TestFrozenRecords:
         assert rebuilt.forms == CYL.forms and rebuilt.forms is not CYL.forms
         renamed = Frame("cylinder", CYL.variables, CYL.lame)
         assert renamed != CYL and CYL != SPH and CYL != "cylindrical"
-        assert renamed.forms == CYL.forms  # equal forms, yet a different frame
+        # equal derived forms, yet a different frame, with no hand forms
+        assert dict(renamed.forms) == {op: CYL.forms[op] for op in DERIVED}
         # fields in equal frames add; fields in different frames do not
         f = abstract_field(CYL)
         assert (f + abstract_field(rebuilt)) == f.scale(2)
@@ -472,7 +474,7 @@ class TestVerifyIdentity:
                 "mt_squared": (mt_apply(mt_apply(f)) + laplacian(f)).components,
                 "bitsadze_factorization": (mt_apply(mt_apply(f, "right")) + bitsadze(f)).components,
                 "helmholtz_factorization": (
-                    -perturbed_mt(perturbed_mt(f, FORMAL, 1), FORMAL, -1) - helmholtz_residual(f)
+                    perturbed_mt(perturbed_mt(f, FORMAL, 1), FORMAL, -1) + helmholtz_residual(f)
                 ).components,
                 "curl_grad": curl_alpha(grad_alpha(f.f0, frame)).components,
                 "div_curl": (div_alpha(curl_alpha(fvec)), 0, 0, 0),
@@ -488,6 +490,29 @@ class TestVerifyIdentity:
     def test_unknown_frame(self):
         with pytest.raises(ValueError):
             verify_identity("mt_squared", "toroidal")
+
+    @pytest.mark.parametrize(
+        "name,frame", [(n, f) for n, frames in VERIFICATION_MATRIX.items() for f in frames]
+    )
+    def test_a_form_that_lost_a_term_fails_the_row(self, name, frame):
+        # every identity is one row over the form map, read by one function,
+        # so no residual may be zero by construction: a map in which one
+        # component of the outer, inner or reference form has lost a term
+        # must fail the row
+        forms, row = frame_by_name(frame).forms, _IDENTITIES[name]
+        assert all(r.is_zero() for r in _residuals(name, forms))
+        checked = 0
+        for op in {row.outer, row.inner, row.reference} - {None}:
+            for k, x in enumerate(forms[op]):
+                if x.is_zero():
+                    continue
+                lost = min(x.terms)
+                cut = CanonicalExpr({m: c for m, c in x.terms.items() if m != lost})
+                mutant = {**forms, op: forms[op][:k] + (cut,) + forms[op][k + 1 :]}
+                residuals = _residuals(name, mutant)
+                assert not all(r.is_zero() for r in residuals), (op, k, lost)
+                checked += 1
+        assert checked >= 2
 
     def test_matrix_has_fourteen_entries(self):
         assert sum(len(frames) for frames in VERIFICATION_MATRIX.values()) == 14

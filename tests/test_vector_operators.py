@@ -27,16 +27,18 @@ from fracquat import (
     laplacian,
     mt_apply,
     vector_field,
+    verify_identity,
     zero_field,
 )
 from fracquat.coefficients import CRat
 from fracquat.expr import VARIABLES
-from fracquat.frames import abstract_field, apply_table
-from fracquat.quatops import _HAND_TEXT, _hand
+from fracquat.frames import _HAND_TEXT, abstract_field, apply_table
 
 from strategies import exprs
 
 FRAMES = (CARTESIAN, CYLINDRICAL, SPHERICAL)
+DERIVED = ("grad", "div", "curl", "left", "right")  # the forms every frame derives from h
+HAND = ("delta0", "laplacian", "bitsadze")  # the forms parsed from a named frame's hand text
 
 
 class TestLameTable:
@@ -47,13 +49,15 @@ class TestLameTable:
             return tuple(canon(t, SPHERICAL) for t in texts)
 
         assert SPHERICAL.forms["grad"] == c(
-            "d(f0,r)", "P(r,-1)*d(f0,theta)", "P(r,-1)*sina(theta)^-1*d(f0,psi)"
+            "0", "d(f0,r)", "P(r,-1)*d(f0,theta)", "P(r,-1)*sina(theta)^-1*d(f0,psi)"
         )
         assert SPHERICAL.forms["div"] == c(
             "d(f1,r) + 2*P(r,-1)*f1 + P(r,-1)*d(f2,theta)"
-            " + P(r,-1)*cosa(theta)*sina(theta)^-1*f2 + P(r,-1)*sina(theta)^-1*d(f3,psi)"
+            " + P(r,-1)*cosa(theta)*sina(theta)^-1*f2 + P(r,-1)*sina(theta)^-1*d(f3,psi)",
+            "0", "0", "0",
         )
         assert SPHERICAL.forms["curl"] == c(
+            "0",
             "P(r,-1)*d(f3,theta) + P(r,-1)*cosa(theta)*sina(theta)^-1*f3"
             " - P(r,-1)*sina(theta)^-1*d(f2,psi)",
             "P(r,-1)*sina(theta)^-1*d(f1,psi) - d(f3,r) - P(r,-1)*f3",
@@ -64,13 +68,13 @@ class TestLameTable:
         def c(*texts):
             return tuple(canon(t, CARTESIAN) for t in texts)
 
-        assert CARTESIAN.forms["grad"] == c("d(f0,x)", "d(f0,y)", "d(f0,z)")
-        assert CARTESIAN.forms["div"] == c("d(f1,x) + d(f2,y) + d(f3,z)")
+        assert CARTESIAN.forms["grad"] == c("0", "d(f0,x)", "d(f0,y)", "d(f0,z)")
+        assert CARTESIAN.forms["div"] == c("d(f1,x) + d(f2,y) + d(f3,z)", "0", "0", "0")
         assert CARTESIAN.forms["curl"] == c(
-            "d(f3,y) - d(f2,z)", "d(f1,z) - d(f3,x)", "d(f2,x) - d(f1,y)"
+            "0", "d(f3,y) - d(f2,z)", "d(f1,z) - d(f3,x)", "d(f2,x) - d(f1,y)"
         )
-        # every term is +-1 times a derivative of one component: no connection
-        terms = [t for form in CARTESIAN.forms.values() for x in form for t in x.terms.items()]
+        # every derived term is +-1 times a derivative of one component: no connection
+        terms = [t for op in DERIVED for x in CARTESIAN.forms[op] for t in x.terms.items()]
         assert all(c in (1, -1) and m._replace(dsyms=()).is_one() for m, c in terms)
         assert all(len(m.dsyms) == 1 and m.dsyms[0][1] for m, _ in terms)
 
@@ -80,26 +84,25 @@ def test_tables_round_trip_through_the_abstract_field(frame):
     # each stored form is the one built from the README formulas (derived
     # forms) or the DSL text (hand forms), and the kernel applied to f0..f3
     # gives it back, so the kernel puts each component where its symbol is
-    f = abstract_field(frame)
+    f, zero = abstract_field(frame), CanonicalExpr.zero()
     grad, div, curl = _reference_grad(f.f0, frame), _reference_div(f), _reference_curl(f)
     text = _HAND_TEXT[frame.name]
     d0 = canon(text["delta0"], frame)
     built = {
-        "grad": grad,
-        "div": (div,),
-        "curl": curl,
+        "grad": (zero, *grad),
+        "div": (div, zero, zero, zero),
+        "curl": (zero, *curl),
         "left": (-div, *map(add, grad, curl)),
         "right": (-div, *map(sub, grad, curl)),
-        "delta0": (d0,),
+        "delta0": (d0, zero, zero, zero),
         "laplacian": (d0,) + tuple(
             canon(text["delta0"].replace("f0", f"f{k}"), frame) + canon(t, frame)
             for k, t in enumerate(text["laplacian"], 1)
         ),
         "bitsadze": (d0, *(canon(t, frame) for t in text["bitsadze"])),
     }
-    stored = {**frame.forms, **_hand(frame)}
-    assert stored.keys() == built.keys()
-    for name, forms in stored.items():
+    assert frame.forms.keys() == built.keys() == {*DERIVED, *HAND}
+    for name, forms in frame.forms.items():
         assert forms == built[name], name
         assert apply_table(forms, f.components) == forms, name
 
@@ -116,15 +119,20 @@ def test_user_frame_has_first_order_tables_but_no_hand_tables():
     # the hand-transcribed operators exist only for the three named frames
     frame = Frame("cylinder", CYLINDRICAL.variables, CYLINDRICAL.lame)
     f, g = abstract_field(frame), abstract_field(CYLINDRICAL)
-    assert frame.forms == CYLINDRICAL.forms
-    with pytest.raises(ValueError, match="unknown frame 'cylinder'"):
-        _hand(frame)
+    assert dict(frame.forms) == {op: CYLINDRICAL.forms[op] for op in DERIVED}
     assert grad_alpha(f.f0, frame).components == grad_alpha(g.f0, CYLINDRICAL).components
     assert div_alpha(f) == div_alpha(g) == _reference_div(f)
     assert curl_alpha(f).components == curl_alpha(g).components
     for side in ("left", "right"):
         assert mt_apply(f, side).components == mt_apply(g, side).components
-    for call in (lambda: delta0(f.f0, frame), lambda: laplacian(f), lambda: bitsadze(f)):
+    assert verify_identity("curl_grad", frame).passed  # it reads derived forms only
+    calls = (
+        lambda: delta0(f.f0, frame),
+        lambda: laplacian(f),
+        lambda: bitsadze(f),
+        lambda: verify_identity("mt_squared", frame),
+    )
+    for call in calls:
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == "unknown frame 'cylinder'"
@@ -398,7 +406,7 @@ def _reference_form(form, comps):
 def _snapshot(f):
     """Every map an operator reads: the components and the frame's derived
     and hand forms."""
-    forms = (*f.frame.forms.values(), *_hand(f.frame).values())
+    forms = f.frame.forms.values()
     return [list(x.terms.items()) for x in (*f.components, *(x for form in forms for x in form))]
 
 
@@ -415,17 +423,14 @@ def test_operators_match_ring_references(drawn):
     f = QuaternionField(frame, *comps)
     before = _snapshot(f)
     grad, div, curl = _reference_grad(f.f0, frame), _reference_div(f), _reference_curl(f)
-    hand = {
-        op: tuple(_reference_form(x, f.components) for x in forms)
-        for op, forms in _hand(frame).items()
-    }
+    hand = {op: tuple(_reference_form(x, f.components) for x in frame.forms[op]) for op in HAND}
     results = {
         "grad": (grad_alpha(f.f0, frame).vector_components, grad),
         "div": ((div_alpha(f),), (div,)),
         "curl": (curl_alpha(f).vector_components, curl),
         "mt": (mt_apply(f, "left").components, (-div, *map(add, grad, curl))),
         "mt-right": (mt_apply(f, "right").components, (-div, *map(sub, grad, curl))),
-        "delta0": ((delta0(f.f0, frame),), hand["delta0"]),
+        "delta0": ((delta0(f.f0, frame),), hand["delta0"][:1]),
         "laplacian": (laplacian(f).components, hand["laplacian"]),
         "bitsadze": (bitsadze(f).components, hand["bitsadze"]),
     }
