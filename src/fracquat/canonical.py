@@ -1,7 +1,9 @@
 """Canonical normal form for DSL expressions.
 
 A canonical expression is a finite map from monomials to coefficients.
-Coefficients are exact complex rationals (CRat); a monomial carries, per
+Coefficients are exact Gaussian rationals in their stored form (see
+coefficients): an int where the value is an integer, else a CRat, so two
+equal values are always stored alike.  A monomial carries, per
 variable, a fractal exponent n (var^(n*alpha)), a trig signature
 sin^m * cos^e with e in {0,1} (cos^2 is rewritten to 1-sin^2), integer
 powers of Ea generators keyed by their scale (a lam-polynomial), a
@@ -18,9 +20,12 @@ coefficient: `_accumulate` and `_add_products` keep maps clean, and
 `CanonicalExpr._of` wraps a map unchecked, only for maps already reduced
 that way.
 
-The ring bounds its own work: CRat refuses a coefficient part of
-coefficients.LIMIT or more as it forms one, so render prints every
+The ring bounds its own work: a coefficient part of coefficients.LIMIT or
+more raises CoefficientLimitError as it forms, so render prints every
 coefficient, and one product may form at most MAX_TERM_PAIRS term pairs.
+`_of` bounds every CRat; the int sums and products, which the interpreter
+forms unchecked, are bounded where they form: in `_accumulate`,
+`_add_products` and `derivative.d_alpha`.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from cmath import isfinite
 from collections import namedtuple
 from numbers import Rational
 
-from .coefficients import CRAT_ONE, CRAT_ZERO, DIGITS, CRat, as_crat, render_poly
+from .coefficients import _FLOOR, DIGITS, LIMIT, CRat, as_crat, limit_error, quotient, render_poly
 from .expr import (
     EvaluationDomainError,
     ExpressionError,
@@ -65,12 +70,12 @@ class Monomial(namedtuple("Monomial", "dsyms powers trig ea lam", defaults=((),)
 
 MONOMIAL_ONE = Monomial()
 _new = tuple.__new__  # _new(Monomial, fields) skips the named tuple's Python-level __new__
-_ONE_MAP = {MONOMIAL_ONE: CRAT_ONE}
+_ONE_MAP = {MONOMIAL_ONE: 1}
 MAX_TERM_PAIRS = 10**6  # term pairs one product may form
 
 
 def _scale(ce) -> tuple:
-    """An Ea scale: the lam-polynomial ce as (lam power, CRat) pairs in
+    """An Ea scale: the lam-polynomial ce as (lam power, coefficient) pairs in
     ascending power; ce may hold no generator other than lam."""
     if not all(m.is_lam_power() for m in ce.terms):
         raise ExpressionError("Ea scale must normalize to a scalar coefficient")
@@ -127,19 +132,22 @@ def _mul_monomials(a: Monomial, b: Monomial):
 
 
 def _accumulate(acc: dict, items) -> dict:
-    """Add (monomial, CRat) pairs into the clean map acc in place: zero
-    coefficients are skipped and cancelled entries deleted."""
+    """Add (monomial, coefficient) pairs into the clean map acc in place:
+    zero coefficients are skipped and cancelled entries deleted.  An int
+    coefficient, given or summed, past the bound raises."""
     for mono, coeff in items:
         if coeff:
+            if type(coeff) is int and not _FLOOR < coeff < LIMIT:
+                raise limit_error()
             prev = acc.get(mono)
             if prev is None:
                 acc[mono] = coeff
+            elif coeff := prev + coeff:
+                if type(coeff) is int and not _FLOOR < coeff < LIMIT:
+                    raise limit_error()
+                acc[mono] = coeff
             else:
-                coeff = prev + coeff
-                if coeff:
-                    acc[mono] = coeff
-                else:
-                    del acc[mono]
+                del acc[mono]
     return acc
 
 
@@ -147,12 +155,14 @@ def _add_products(acc: dict, a: dict, b: dict) -> dict:
     """Add the product of the clean maps a and b into the map acc in place
     (acc must be clean and shared by no expression).  The budget charges
     one per term pair and, when both sides have more than one term, the
-    derivative symbols each pair merges."""
+    derivative symbols each pair merges.  An int product or sum past the
+    coefficient bound raises; _accumulate checks those of a constant
+    factor."""
     if len(a) == 1 and MONOMIAL_ONE in a:
         a, b = b, a
     if len(b) == 1 and MONOMIAL_ONE in b:  # constant factor: no pair to form
         c = b[MONOMIAL_ONE]
-        return _accumulate(acc, a.items() if c == CRAT_ONE else ((m, p * c) for m, p in a.items()))
+        return _accumulate(acc, a.items() if c == 1 else ((m, p * c) for m, p in a.items()))
     charge = len(a) * len(b)
     if len(a) > 1 and len(b) > 1:
         na, nb = sum(1 for m in a if m.dsyms), sum(1 for m in b if m.dsyms)
@@ -164,12 +174,16 @@ def _add_products(acc: dict, a: dict, b: dict) -> dict:
     for m1, p1 in a.items():
         for m2, p2 in b.items():
             coeff = p1 * p2
+            if type(coeff) is int and not _FLOOR < coeff < LIMIT:
+                raise limit_error()
             for mono, sign in _mul_monomials(m1, m2):
                 c = coeff if sign > 0 else -coeff
                 prev = acc.get(mono)
                 if prev is None:
                     acc[mono] = c
                 elif c := prev + c:
+                    if type(c) is int and not _FLOOR < c < LIMIT:
+                        raise limit_error()
                     acc[mono] = c
                 else:
                     del acc[mono]
@@ -203,7 +217,7 @@ class CanonicalExpr:
 
     @staticmethod
     def one() -> CanonicalExpr:
-        return CanonicalExpr({MONOMIAL_ONE: CRAT_ONE})
+        return CanonicalExpr({MONOMIAL_ONE: 1})
 
     @staticmethod
     def const(c) -> CanonicalExpr:
@@ -211,30 +225,30 @@ class CanonicalExpr:
 
     @staticmethod
     def lam() -> CanonicalExpr:
-        return CanonicalExpr({Monomial(lam=1): CRAT_ONE})
+        return CanonicalExpr({Monomial(lam=1): 1})
 
     @staticmethod
     def fractal_power(var: str, n: int) -> CanonicalExpr:
         if n == 0:
             return CanonicalExpr.one()
-        return CanonicalExpr({Monomial(powers=((var_index(var), n),)): CRAT_ONE})
+        return CanonicalExpr({Monomial(powers=((var_index(var), n),)): 1})
 
     @staticmethod
     def trig(var: str, kind: str) -> CanonicalExpr:
         v = var_index(var)
         sig = (v, 1, 0) if kind == "sin" else (v, 0, 1)
-        return CanonicalExpr({Monomial(trig=(sig,)): CRAT_ONE})
+        return CanonicalExpr({Monomial(trig=(sig,)): 1})
 
     @staticmethod
     def ea_power(var: str, scale: tuple, p: int = 1) -> CanonicalExpr:
         if not scale or p == 0:
             return CanonicalExpr.one()  # E_alpha(0) = 1
-        return CanonicalExpr({Monomial(ea=((var_index(var), scale, p),)): CRAT_ONE})
+        return CanonicalExpr({Monomial(ea=((var_index(var), scale, p),)): 1})
 
     @staticmethod
     def component(k: int, midx=()) -> CanonicalExpr:
         midx = tuple(sorted(map(var_index, midx)))
-        return CanonicalExpr({Monomial(dsyms=((k, midx),)): CRAT_ONE})
+        return CanonicalExpr({Monomial(dsyms=((k, midx),)): 1})
 
     # -- structure --------------------------------------------------------
 
@@ -245,8 +259,9 @@ class CanonicalExpr:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def constant_coefficient(self) -> CRat:
-        return self._terms.get(MONOMIAL_ONE, CRAT_ZERO)
+    def constant_coefficient(self):
+        """The coefficient of the monomial 1, an int or a CRat."""
+        return self._terms.get(MONOMIAL_ONE, 0)
 
     def __eq__(self, other):
         if isinstance(other, CanonicalExpr):
@@ -333,7 +348,7 @@ class CanonicalExpr:
             trig=tuple((v, -m, 0) for v, m, _ in mono.trig),
             ea=tuple((v, s, -p) for v, s, p in mono.ea),
         )
-        return CanonicalExpr({inv_mono: CRAT_ONE / coeff})
+        return CanonicalExpr({inv_mono: quotient(1, coeff)})
 
 
 def as_canonical_scalar(x) -> CanonicalExpr:
@@ -415,17 +430,18 @@ def render_canonical(ce: CanonicalExpr) -> str:
                 coeff = render_poly(poly)
                 out += (" + ", f"({coeff})*{body}" if body else coeff)
                 continue
-            a = c.a
-            sign = " - " if a < 0 or (a == 0 and c.b < 0) else " + "
-            if c.d == 1 and not c.b and not lam:  # an integer
+            negative = c < 0 if type(c) is int else c.a < 0 or (c.a == 0 and c.b < 0)
+            if negative:
+                c = -c
+            if type(c) is int and not lam:
                 if not body:
-                    body = str(abs(a))
-                elif a != 1 and a != -1:
-                    body = f"{abs(a)}*{body}"
+                    body = str(c)
+                elif c != 1:
+                    body = f"{c}*{body}"
             else:
-                coeff = render_poly(((lam, -c if sign == " - " else c),))
+                coeff = render_poly(((lam, c),))
                 body = f"{coeff}*{body}" if body else coeff
-            out += (sign, body)
+            out += (" - " if negative else " + ", body)
     except ValueError:  # str() of an exponent past the int digit limit
         raise ExpressionError(f"an exponent passes the int digit limit ({DIGITS} digits)") from None
     out[0] = "-" if out[0] == " - " else ""
@@ -436,13 +452,13 @@ def render_canonical(ce: CanonicalExpr) -> str:
 
 
 def _coeff_value(poly: tuple, lam) -> complex:
-    """Value of a lam-polynomial given as (lam power, CRat) pairs."""
+    """Value of a lam-polynomial given as (lam power, coefficient) pairs."""
     if len(poly) == 1 and not poly[0][0]:
-        return poly[0][1].to_complex()
+        return complex(poly[0][1])
     if lam is None:
         raise UnboundSymbolError("expression contains lam but no lam value was given")
     lam = complex(lam)
-    return sum((c.to_complex() * lam**p for p, c in poly), 0j)
+    return sum((complex(c) * lam**p for p, c in poly), 0j)
 
 
 def _not_finite(gen, point: dict, lam) -> EvaluationDomainError:

@@ -109,7 +109,10 @@ def _parse_point(raw: str, frame) -> dict:
             raise SpecError(f"variable {name!r} is not in frame {frame.name}")
         if name in point:
             raise SpecError(f"variable {name!r} is given twice in the point")
-        point[name] = float(value)
+        try:
+            point[name] = float(value)
+        except ValueError:
+            raise SpecError(f"point entry {item.strip()!r}: {name!r} needs a number") from None
         if not cmath.isfinite(point[name]):
             raise SpecError(f"point value {item.strip()!r} is not finite")
     return point
@@ -181,7 +184,7 @@ def cmd_eval(args) -> int:
     if args.lam is not None:
         lam_value = _parse_complex(args.lam)
     else:
-        lam_value = None if lam == FORMAL else lam.to_complex()
+        lam_value = None if lam == FORMAL else complex(lam)
     point = _parse_point(args.at, f.frame)
     values = {}
     for key, c in zip(COMPONENT_NAMES, f.components):

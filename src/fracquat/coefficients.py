@@ -2,15 +2,20 @@
 
 Coefficients of canonical expressions are Gaussian rationals (the formal
 parameter ``lam`` is a generator of the monomials), so every identity
-check reduces to exact integer arithmetic.  A CRat stores the value
-(a + b i)/d as three ints with one common denominator, d > 0 and
-gcd(a, b, d) == 1, so each value has exactly one stored form.  The gcd
-is taken only when d != 1: the identity checks meet integer coefficients
-almost only, and an integer product then costs four multiplications.
+check reduces to exact integer arithmetic.  Each value has exactly one
+stored form.  An integer value is a plain int, which the interpreter
+adds, multiplies, hashes and tests in C; the identity checks meet almost
+only those.  Every other value is a CRat, which stores (a + b i)/d as
+three ints with one common denominator, d > 0 and gcd(a, b, d) == 1, so a
+CRat is never integer-valued: b != 0 or d != 1.  complex(c) reads either.
 
-Every CRat is formed by `_of`, which bounds it: a part of LIMIT = 10^DIGITS
-(DIGITS, the int-to-str digit limit at import) or more in lowest terms raises
-CoefficientLimitError, so the ring never forms a coefficient str() refuses.
+Every part of a coefficient stays below LIMIT = 10^DIGITS (DIGITS, the
+int-to-str digit limit at import) in absolute value, so the ring never
+forms a coefficient str() refuses; one past it raises the error of
+`limit_error`.  `_of` forms every coefficient that a CRat operation or
+the parser builds and checks it.  The interpreter forms an int sum or
+product unchecked, so each ring site that forms one checks it against
+(_FLOOR, LIMIT): canonical._accumulate and _add_products, and d_alpha.
 """
 
 from __future__ import annotations
@@ -26,6 +31,11 @@ LIMIT = 10**DIGITS  # a coefficient part must stay below it in absolute value
 _FLOOR = -LIMIT
 
 
+def limit_error() -> CoefficientLimitError:
+    """The error of a coefficient part that reaches LIMIT."""
+    return CoefficientLimitError(f"a coefficient passes the int digit limit ({DIGITS} digits)")
+
+
 def _frac(x):
     from fractions import Fraction  # imported only where a Fraction is needed
     if isinstance(x, (Rational, str)):
@@ -37,7 +47,9 @@ def _frac(x):
 
 
 class CRat:
-    """Complex number (a + b i)/d with exact rational real and imaginary parts."""
+    """Complex number (a + b i)/d with exact rational real and imaginary
+    parts that is not an integer.  The constructor, like every operation,
+    gives an int where the value is one."""
 
     __slots__ = ("a", "b", "d")
 
@@ -58,11 +70,14 @@ class CRat:
     re = property(lambda self: _frac(self.a) / self.d)
     im = property(lambda self: _frac(self.b) / self.d)
 
-    # -- ring operations ------------------------------------------------
+    # -- ring operations: the other operand is an int, a CRat or a Rational --
 
     def __add__(self, other):
-        if type(other) is not CRat and (other := as_crat(other, exact=True)) is None:
-            return NotImplemented
+        if type(other) is int:
+            return _of(self.a + other * self.d, self.b, self.d)
+        if type(other) is not CRat:
+            other = as_crat(other, exact=True)
+            return NotImplemented if other is None else self + other
         d, f = self.d, other.d
         if d == f:
             return _of(self.a + other.a, self.b + other.b, d)
@@ -79,23 +94,19 @@ class CRat:
     def __mul__(self, other):
         if type(other) is int:  # the Leibniz factors of d_alpha
             return _of(self.a * other, self.b * other, self.d)
-        if type(other) is not CRat and (other := as_crat(other, exact=True)) is None:
-            return NotImplemented
+        if type(other) is not CRat:
+            other = as_crat(other, exact=True)
+            return NotImplemented if other is None else self * other
         a, b, c, e = self.a, self.b, other.a, other.b
         return _of(a * c - b * e, a * e + b * c, self.d * other.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = as_crat(other)
-        a, b, c, e = self.a, self.b, other.a, other.b
-        n = c * c + e * e
-        if n == 0:
-            raise ZeroDivisionError("division by zero CRat")
-        return _of((a * c + b * e) * other.d, (b * c - a * e) * other.d, self.d * n)
+        return quotient(self, as_crat(other))
 
     def __rtruediv__(self, other):
-        return as_crat(other) / self
+        return quotient(as_crat(other), self)
 
     def __neg__(self):
         return _of(-self.a, -self.b, self.d)
@@ -103,29 +114,30 @@ class CRat:
     # -- structure ------------------------------------------------------
 
     def __eq__(self, other):
-        if type(other) is not CRat and (other := as_crat(other, exact=True)) is None:
-            return NotImplemented
-        return self.a == other.a and self.b == other.b and self.d == other.d
+        if type(other) is CRat:
+            return self.a == other.a and self.b == other.b and self.d == other.d
+        if isinstance(other, int):  # a CRat is never integer-valued
+            return False
+        if isinstance(other, Rational):  # in lowest terms, like a real CRat
+            return not self.b and self.a == other.numerator and self.d == other.denominator
+        return NotImplemented
 
-    def __lt__(self, other):  # the (re, im) order, which sorts Ea scales
-        x, y = self.a * other.d, other.a * self.d
-        return x < y or (x == y and self.b * other.d < other.b * self.d)
+    # the (re, im) order, which sorts Ea scales; `int < CRat` reaches __gt__
+    def __lt__(self, other):
+        return _less(self, other)
+
+    def __gt__(self, other):
+        return _less(other, self)
 
     def __hash__(self):
         if self.b:
             return hash((self.a, self.b, self.d))
-        if self.d == 1:  # a real value hashes like the int or Fraction it equals
-            return hash(self.a)  # Fraction's is a/d modulo m, or +-inf if d has no inverse
+        # a real value hashes like the Fraction it equals: a/d modulo m, or
+        # +-inf if d has no inverse
         m, inf = sys.hash_info.modulus, sys.hash_info.inf
         return hash(self.a * pow(self.d, -1, m)) if self.d % m else inf if self.a > 0 else -inf
 
-    def __bool__(self):
-        return bool(self.a or self.b)
-
-    def is_zero(self) -> bool:
-        return not self
-
-    def to_complex(self) -> complex:
+    def __complex__(self):
         # int true division rounds correctly, as float(Fraction) does
         return complex(self.a / self.d, self.b / self.d)
 
@@ -140,12 +152,15 @@ _new = object.__new__
 _set_a, _set_b, _set_d = (getattr(CRat, name).__set__ for name in CRat.__slots__)
 
 
-def _of(a: int, b: int, d: int) -> CRat:
-    """(a + b i)/d from ints with d > 0, brought to the stored form, which is below LIMIT."""
+def _of(a: int, b: int, d: int):
+    """(a + b i)/d from ints with d > 0 in its stored form, an int or a
+    CRat, which is below LIMIT."""
     if d != 1 and (g := gcd(a, b, d)) != 1:
         a, b, d = a // g, b // g, d // g
     if not (_FLOOR < a < LIMIT and _FLOOR < b < LIMIT and d < LIMIT):
-        raise CoefficientLimitError(f"a coefficient passes the int digit limit ({DIGITS} digits)")
+        raise limit_error()
+    if not b and d == 1:
+        return a
     self = _new(CRat)
     _set_a(self, a)
     _set_b(self, b)
@@ -153,14 +168,34 @@ def _of(a: int, b: int, d: int) -> CRat:
     return self
 
 
-CRAT_ZERO = CRat(0)
-CRAT_ONE = CRat(1)
+def _parts(c) -> tuple:
+    """(a, b, d) of a stored coefficient."""
+    return (c, 0, 1) if type(c) is int else (c.a, c.b, c.d)
+
+
+def _less(x, y) -> bool:
+    """x < y in the (re, im) order of two stored coefficients."""
+    (a, b, d), (c, e, f) = _parts(x), _parts(y)
+    p, q = a * f, c * d
+    return p < q or (p == q and b * f < e * d)
+
+
+def quotient(x, y):
+    """x / y of two stored coefficients, also of two ints."""
+    (a, b, d), (c, e, f) = _parts(x), _parts(y)
+    n = c * c + e * e
+    if n == 0:
+        raise ZeroDivisionError("division by zero CRat")
+    return _of((a * c + b * e) * f, (b * c - a * e) * f, d * n)
 
 
 def as_crat(x, exact: bool = False):
-    """x as a CRat.  Floats and complex numbers convert through their
-    shortest decimal repr; with exact=True they, like every other type
-    but the rationals, give None (the ring operations' NotImplemented)."""
+    """x in its stored form: an int for an integer value, else a CRat.
+    Floats and complex numbers convert through their shortest decimal
+    repr; with exact=True they, like every other type but the rationals,
+    give None (the ring operations' NotImplemented)."""
+    if type(x) is int:
+        return _of(x, 0, 1)
     if isinstance(x, CRat):
         return x
     if isinstance(x, Rational):
@@ -186,9 +221,12 @@ def _render_imag(n: int, d: int) -> str:
     return f"{q}*1i" if "/" in q else f"{q}i"
 
 
-def render_crat(c: CRat) -> str:
-    """Render in the DSL number syntax; both-part values get parentheses.
-    Each part is reduced on its own: (1 + 2i)/2 renders as (1/2 + 1i)."""
+def render_crat(c) -> str:
+    """Render an int or a CRat in the DSL number syntax; both-part values
+    get parentheses.  Each part is reduced on its own: (1 + 2i)/2 renders
+    as (1/2 + 1i)."""
+    if type(c) is int:
+        return str(c)
     a, b, d = c.a, c.b, c.d
     if b == 0:
         return _render_frac(a, d)
@@ -199,7 +237,7 @@ def render_crat(c: CRat) -> str:
 
 
 def render_poly(terms) -> str:
-    """DSL rendering of a lam-polynomial given as (power, CRat) pairs in
+    """DSL rendering of a lam-polynomial given as (power, coefficient) pairs in
     ascending power, highest power first: e.g. ``lam^2 - 1``."""
     pieces = []
     for p, c in reversed(terms):
@@ -207,9 +245,9 @@ def render_poly(terms) -> str:
             body = render_crat(c)
         else:
             lam = "lam" if p == 1 else f"lam^{p}"
-            if c == CRAT_ONE:
+            if c == 1:
                 body = lam
-            elif c == -CRAT_ONE:
+            elif c == -1:
                 body = "-" + lam
             else:
                 body = f"{render_crat(c)}*{lam}"

@@ -27,6 +27,7 @@ from __future__ import annotations
 import enum
 
 from .canonical import CanonicalExpr, Monomial, _new, as_canonical_scalar
+from .coefficients import _FLOOR, LIMIT, limit_error
 from .expr import ExpressionError, var_index
 
 
@@ -47,7 +48,9 @@ def _with_power(mono: Monomial, var: int, n: int) -> Monomial:
 
 
 def d_alpha(e, var: str) -> CanonicalExpr:
-    """Derivation-mode local fractional partial derivative."""
+    """Derivation-mode local fractional partial derivative.  An int
+    Leibniz factor of an Ea scale, product or sum past the coefficient
+    bound raises."""
     var = var_index(var)
     acc = {}
     for mono, coeff in as_canonical_scalar(e).terms.items():
@@ -78,18 +81,25 @@ def d_alpha(e, var: str) -> CanonicalExpr:
             if v == var:  # D[Ea(s, v)^p] = p*s*Ea(s, v)^p, one term per lam power of s
                 for k, c in scale:
                     bumped = _new(Monomial, (dsyms, powers, trig, ea, lam + k)) if k else mono
-                    out.append((bumped, p * c))
+                    c *= p
+                    if type(c) is int and not _FLOOR < c < LIMIT:
+                        raise limit_error()
+                    out.append((bumped, c))
         for j, (k, midx) in enumerate(dsyms):
             group = dsyms[:j] + ((k, tuple(sorted(midx + (var,)))),) + dsyms[j + 1 :]
             group = tuple(sorted(group)) if len(group) > 1 else group
             out.append((_new(Monomial, (group, powers, trig, ea, lam)), 1))
         for m, f in out:
             c = coeff if f == 1 else coeff * f
+            if type(c) is int and not _FLOOR < c < LIMIT:
+                raise limit_error()
             prev = acc.get(m)
             if prev is None:
                 if c:
                     acc[m] = c
             elif c := prev + c:
+                if type(c) is int and not _FLOOR < c < LIMIT:
+                    raise limit_error()
                 acc[m] = c
             else:
                 del acc[m]

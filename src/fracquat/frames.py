@@ -14,13 +14,15 @@ to another form, it gives the form of the composition.  A frame holds
 every operator's form in one read-only map: grad, div, curl and D derived
 once from h, and delta0, laplacian and bitsadze parsed from the
 hand-expanded text that sits beside the Lame coefficients below, never
-derived from h.  verify checks the derived forms against the hand ones
+derived from h; each text is parsed once per process for each frame name
+and variables.  verify checks the derived forms against the hand ones
 (see quatops), and every operator applies these forms, so it applies
 what verify certified.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from operator import add, sub
 from types import MappingProxyType
 
@@ -107,13 +109,16 @@ class Frame(_Record):
         forms["right"]  f D = grad - div - curl
 
     A frame named in _HAND_TEXT also holds its hand-expanded "delta0"
-    (delta0 f0, 0, 0, 0), "laplacian" and "bitsadze", parsed from that text.
+    (delta0 f0, 0, 0, 0), "laplacian" and "bitsadze", parsed from that text
+    by _hand_forms, whose forms every frame of that name and variables
+    shares: a rebuilt or unpickled frame parses no text.
     """
 
     __slots__ = ("name", "variables", "lame", "forms")
     _fields = __slots__[:3]
 
     def __init__(self, name: str, variables, lame):
+        variables = tuple(variables)
         h = tuple(as_canonical_scalar(c) for c in lame)
         inv = tuple(c.inverse() for c in h)
         f = tuple(CanonicalExpr.component(k) for k in range(4))
@@ -134,13 +139,8 @@ class Frame(_Record):
         forms["left"] = tuple(map(add, grad_div, forms["curl"]))
         forms["right"] = tuple(map(sub, grad_div, forms["curl"]))
         if name in _HAND_TEXT:
-            text = _HAND_TEXT[name]
-            d0 = parse(text["delta0"], variables)
-            coupling = enumerate(text["laplacian"], 1)
-            forms["delta0"] = (d0, zero, zero, zero)
-            forms["laplacian"] = (d0, *(_renamed(d0, k) + parse(c, variables) for k, c in coupling))
-            forms["bitsadze"] = (d0, *(parse(c, variables) for c in text["bitsadze"]))
-        super().__init__(name, tuple(variables), h, MappingProxyType(forms))
+            forms["delta0"], forms["laplacian"], forms["bitsadze"] = _hand_forms(name, variables)
+        super().__init__(name, variables, h, MappingProxyType(forms))
 
     def __str__(self):
         return self.name
@@ -204,6 +204,20 @@ _HAND_TEXT = {
         ),
     },
 }
+
+
+@cache
+def _hand_forms(name: str, variables: tuple) -> tuple:
+    """The delta0, laplacian and bitsadze forms of the frame's hand text,
+    parsed against its variables."""
+    text, zero = _HAND_TEXT[name], CanonicalExpr.zero()
+    d0 = parse(text["delta0"], variables)
+    coupling = enumerate(text["laplacian"], 1)
+    return (
+        (d0, zero, zero, zero),
+        (d0, *(_renamed(d0, k) + parse(c, variables) for k, c in coupling)),
+        (d0, *(parse(c, variables) for c in text["bitsadze"])),
+    )
 
 
 _R = CanonicalExpr.fractal_power("r", 1)

@@ -34,7 +34,7 @@ import re
 from itertools import islice
 
 from .canonical import MONOMIAL_ONE, CanonicalExpr, Monomial, _accumulate, _new, _scale
-from .coefficients import DIGITS, LIMIT, _of
+from .coefficients import DIGITS, LIMIT, _of, _parts
 from .expr import _VAR_INDEX, COMPONENT_NAMES, CoefficientLimitError, ParseError, VARIABLES
 
 MAX_TERMS = 1000  # terms in one sum
@@ -96,10 +96,10 @@ def _shown(tok) -> str:
     if tok is None or not tok[0].isdecimal():
         return repr(tok)
     try:
-        c = _of(*_number(tok))
+        a, b, d = _parts(_of(*_number(tok)))
     except CoefficientLimitError:  # its value could not be printed
         return repr(tok)
-    return f"(Fraction({c.a + c.b}, {c.d}), {tok[-1] == 'i'})"
+    return f"(Fraction({a + b}, {d}), {tok[-1] == 'i'})"
 
 
 def _terms(gens: dict, coeff) -> dict:
@@ -233,8 +233,8 @@ class _Parser:
                     a, b, d = a * x - b * y, a * y + b * x, d * z
                     mark = at
                     if not (abs(a) < LIMIT > abs(b) and d < LIMIT):
-                        c = _of(a, b, d)  # in lowest terms it may be below the bound
-                        a, b, d = c.a, c.b, c.d
+                        # in lowest terms it may be below the bound
+                        a, b, d = _parts(_of(a, b, d))
             op = self.tokens[self.i]
             if op != "*" and op != "/":
                 if mark is not None:

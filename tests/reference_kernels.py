@@ -11,7 +11,7 @@ require the package's kernels to give the same map and the same text.
 from itertools import groupby
 
 from fracquat.canonical import CanonicalExpr, Monomial, as_canonical_scalar, dsym_name
-from fracquat.coefficients import CRAT_ONE, render_poly
+from fracquat.coefficients import render_poly
 from fracquat.expr import VARIABLES, var_index
 
 
@@ -33,7 +33,7 @@ def _render_monomial(mono: Monomial) -> str:
 
 def _lam_groups(ce: CanonicalExpr):
     """(monomial, lam-polynomial) per lam-free part of the monomials, in
-    rendering order; the polynomial is (lam power, CRat) pairs."""
+    rendering order; the polynomial is (lam power, int or CRat) pairs."""
     for _, group in groupby(sorted(ce.terms), key=lambda m: m[:4]):
         group = list(group)
         yield group[0], tuple((m.lam, ce.terms[m]) for m in group)
@@ -42,7 +42,7 @@ def _lam_groups(ce: CanonicalExpr):
 def _split_sign(poly: tuple):
     if len(poly) == 1:
         p, c = poly[0]
-        if c.a < 0 or (c.a == 0 and c.b < 0):
+        if c < 0 if type(c) is int else c.a < 0 or (c.a == 0 and c.b < 0):
             return -1, ((p, -c),)
     return 1, poly
 
@@ -56,7 +56,7 @@ def render_canonical(ce: CanonicalExpr) -> str:
         body = _render_monomial(mono)
         if not body:
             body = render_poly(poly)
-        elif poly != ((0, CRAT_ONE),):
+        elif poly != ((0, 1),):
             coeff = render_poly(poly)
             body = f"({coeff})*{body}" if len(poly) > 1 else f"{coeff}*{body}"
         out += (" - " if sign < 0 else " + ", body)

@@ -1,17 +1,30 @@
 """Shared hypothesis strategies: random grammar-generated DSL text.
 
 Every composite is wrapped in parentheses, so a drawn text can stand as
-an atom of a larger one."""
+an atom of a larger one.  is_stored states the coefficient stored-form
+rule that every map the ring forms keeps."""
+
+import math
 
 import hypothesis.strategies as st
 
 from fracquat.coefficients import CRat, render_crat
 
+
+def is_stored(c) -> bool:
+    """Whether c is a coefficient in its one stored form: an int for an
+    integer value, else a CRat (a + b i)/d with d > 0, gcd(a, b, d) == 1
+    and a nonzero b or d != 1."""
+    if type(c) is int:
+        return True
+    return type(c) is CRat and c.d > 0 and math.gcd(c.a, c.b, c.d) == 1 and (c.b or c.d != 1)
+
+
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 crats = st.builds(CRat, rationals, rationals)
 
 
-def _number(c: CRat) -> str:
+def _number(c) -> str:
     return f"({render_crat(c)})"
 
 

@@ -129,6 +129,13 @@ ROWS = {
         2,
         "variable 'r' is given twice in the point",
     ),
+    # a point value that is not a number names its entry and variable
+    "eval point value not a number": (
+        spec('{"alpha": 1, "frame": "cylindrical", "components": {"f0": "P(r,1)"}}',
+             at="r=x,theta=1,z=1"),
+        2,
+        "point entry 'r=x': 'r' needs a number",
+    ),
     "literal past the digit limit": (long_literal, 2, "(at position 0)"),
     # a power whose coefficient could not be rendered stops at its '^'
     "power of a number": (diff("2^100000000*P(r,1)"), 2, "digits (at position 1)"),

@@ -45,8 +45,9 @@ from fracquat.canonical import (
 )
 from fracquat.coefficients import CRat
 from fracquat.expr import var_index
+from fracquat.frames import apply_table
 
-from strategies import exprs
+from strategies import crats, exprs, is_stored, unit_atoms
 
 CYL = CYLINDRICAL
 R, THETA, Z = map(var_index, ("r", "theta", "z"))
@@ -355,9 +356,9 @@ def test_product_with_one_and_sum_with_zero_share_the_map():
 
 
 def assert_clean(x):
-    """x holds only nonzero CRat coefficients, so rebuilding it through the
-    cleaning constructor changes nothing."""
-    assert all(isinstance(c, CRat) and c for c in x.terms.values())
+    """x holds only nonzero coefficients in their stored form, so rebuilding
+    it through the cleaning constructor changes nothing."""
+    assert all(is_stored(c) and c for c in x.terms.values())
     assert x == CanonicalExpr(dict(x.terms))
 
 
@@ -382,6 +383,28 @@ def test_results_are_clean_maps(a, b, var):
                 assert list(group) == sorted(group)
     for mono in product.terms:
         assert_rehashes(mono)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    exprs(),
+    exprs(),
+    st.sampled_from(("r", "theta", "z")),
+    st.integers(-2, 3),
+    crats.filter(bool),
+    unit_atoms(("r", "theta", "z")),
+)
+def test_every_formed_coefficient_is_in_its_stored_form(a, b, var, k, c, unit):
+    # an int exactly where the value is an integer, else a CRat that is not
+    # one; unit inverses turn 1/2 into 2 and 2 into 1/2
+    ca, cb = canon(a, CYL), canon(b, CYL)
+    divisor = CanonicalExpr.const(c) * canon(unit, CYL)
+    formed = [ca, cb, ca + cb, ca - cb, -ca, ca * cb, d_alpha(ca, var), divisor.inverse()]
+    formed += [divisor**k, CanonicalExpr.const(c) ** k, ca ** abs(k)]
+    formed += apply_table(CYL.forms["laplacian"], (ca, cb, ca, cb))
+    for x in formed:
+        for coeff in x.terms.values():
+            assert is_stored(coeff) and coeff, coeff
 
 
 def _reference_product(a: Monomial, b: Monomial) -> list:
@@ -456,7 +479,7 @@ def test_add_products_adds_the_product_into_the_map(drawn):
         before = [list(x.terms.items()) for x in (acc, a, b)]
         out = _add_products(dict(acc.terms), a.terms, b.terms)
         assert out == (acc + a * b).terms
-        assert all(isinstance(c, CRat) and c for c in out.values())
+        assert all(is_stored(c) and c for c in out.values())
         assert [list(x.terms.items()) for x in (acc, a, b)] == before
 
 

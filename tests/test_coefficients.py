@@ -1,21 +1,29 @@
-"""CRat, the (a + b i)/d coefficient layout, against a (Fraction, Fraction)
-reference: ring operations, equality and hashing, order, pickling,
-rendering, and the float values eval_canonical builds from it."""
+"""Coefficients in their stored form, an int for an integer value and else
+a CRat (a + b i)/d, against a (Fraction, Fraction) reference: ring
+operations, equality and hashing, order, pickling, rendering, the
+coefficient bound at every site that forms one, and the float values
+eval_canonical builds from them."""
 
 import copy
 import math
 import pickle
 import sys
+import time
 from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from fracquat import canon, eval_canonical, frame_by_name, parse
-from fracquat.canonical import CanonicalExpr
-from fracquat.coefficients import DIGITS, LIMIT, CRat, _of, render_crat
+from fracquat import CYLINDRICAL, canon, d_alpha, eval_canonical, frame_by_name, parse
+from fracquat.canonical import MONOMIAL_ONE, CanonicalExpr, _accumulate, _add_products
+from fracquat.coefficients import (
+    DIGITS, LIMIT, CRat, _of, _parts, as_crat, quotient, render_crat,
+)
 from fracquat.expr import CoefficientLimitError
+from fracquat.frames import apply_table
+
+from strategies import is_stored
 
 BIG = 2**80
 parts = st.one_of(
@@ -35,12 +43,26 @@ def ref_div(x, y):
     return ((x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n)
 
 
+def value(c) -> tuple:
+    """The value of a stored coefficient as (Fraction, Fraction)."""
+    a, b, d = _parts(c)
+    return Fraction(a, d), Fraction(b, d)
+
+
 def assert_is(c, ref):
-    """c holds the value ref in the stored form: d > 0, gcd(a, b, d) == 1."""
-    assert isinstance(c, CRat)
-    assert c.d > 0 and math.gcd(c.a, c.b, c.d) == 1
-    assert (c.re, c.im) == ref
-    assert (Fraction(c.a, c.d), Fraction(c.b, c.d)) == ref
+    """c holds the value ref in its stored form: an int when ref is an
+    integer, else a CRat with d > 0, gcd(a, b, d) == 1."""
+    assert is_stored(c)
+    assert (type(c) is int) == (ref[1] == 0 and ref[0].denominator == 1)
+    assert value(c) == ref
+    if type(c) is CRat:
+        assert (c.re, c.im) == ref
+
+
+def divide(x, y):
+    """x / y of stored coefficients: the CRat operator where one is a CRat,
+    coefficients.quotient where both are ints (int / int is a float)."""
+    return x / y if CRat in (type(x), type(y)) else quotient(x, y)
 
 
 @settings(max_examples=100, deadline=None)
@@ -53,10 +75,10 @@ def test_ring_operations_match_the_reference(x, y):
     assert_is(cx * cy, ref_mul(x, y))
     assert_is(-cx, (-x[0], -x[1]))
     if any(y):
-        assert_is(cx / cy, ref_div(x, y))
+        assert_is(divide(cx, cy), ref_div(x, y))
     else:
         with pytest.raises(ZeroDivisionError):
-            cx / cy
+            divide(cx, cy)
 
 
 @settings(max_examples=100, deadline=None)
@@ -73,9 +95,9 @@ def test_int_operands_on_both_sides(x, n):
     ):
         assert_is(got, ref)
     if n:
-        assert_is(cx / n, ref_div(x, m))
+        assert_is(divide(cx, n), ref_div(x, m))
     if any(x):
-        assert_is(n / cx, ref_div(m, x))
+        assert_is(divide(n, cx), ref_div(m, x))
 
 
 @settings(max_examples=100, deadline=None)
@@ -106,7 +128,7 @@ def test_non_integer_reals_hash_like_fractions(n, d):
     # of the hash modulus (no inverse) or 1 above one (a hash of -1 is -2)
     value = Fraction(n, d)
     assert hash(CRat(value)) == hash(value)
-    assert hash(CRat(value.numerator) / value.denominator) == hash(value)
+    assert hash(quotient(value.numerator, value.denominator)) == hash(value)
 
 
 def test_hash_edge_denominators():
@@ -119,22 +141,30 @@ def test_hash_edge_denominators():
 def test_int_construction_matches_the_fraction_path(a, b):
     # CRat(int, int) takes a fast path that builds no Fraction
     fast, slow = CRat(a, b), CRat(Fraction(a), Fraction(b))
-    assert (fast.a, fast.b, fast.d) == (slow.a, slow.b, slow.d) == (a, b, 1)
-    assert type(CRat(True).a) is int and CRat(True) == 1
+    assert _parts(fast) == _parts(slow) == (a, b, 1)
+    assert type(fast) is type(slow) is (CRat if b else int)
+    assert type(CRat(True)) is int and CRat(True) == 1
 
 
 def test_integers_compare_and_hash_like_ints():
+    for c in (CRat(2), CRat(Fraction(6, 3)), CRat(0, 0), as_crat(Fraction(-4, 2)), CRat(True)):
+        assert type(c) is int
     assert CRat(2) == 2 and hash(CRat(2)) == hash(2)
-    assert CRat(0) == 0 and not CRat(0) and CRat(0, 0).d == 1
+    assert CRat(0) == 0 and not CRat(0) and CRat(0, 0) == 0
     assert CRat(2, 1) != 2 and CRat(Fraction(1, 2)) != 0
     assert {CRat(3): "x"}[3] == "x"
+    # a CRat is never integer-valued, so it equals no int
+    assert CRat(Fraction(1, 2)) * 2 == 1 and type(CRat(0, 1) * CRat(0, 1)) is int
+    assert type(quotient(1, CRat(Fraction(1, 3)))) is int and quotient(1, CRat(Fraction(-1, 3))) == -3
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(pairs, min_size=2, max_size=8))
 def test_sort_key_gives_the_reference_order(xs):
+    # ints and CRats mixed: `int < CRat` reaches CRat.__gt__
     crats = [CRat(*x) for x in xs]
-    assert [(c.re, c.im) for c in sorted(crats)] == sorted(xs)
+    assert [value(c) for c in sorted(crats)] == sorted(xs)
+    assert [value(c) for c in sorted(crats, reverse=True)] == sorted(xs, reverse=True)
 
 
 @settings(max_examples=100, deadline=None)
@@ -148,8 +178,8 @@ def test_pickle_and_deepcopy_keep_the_value(x):
 
 @settings(max_examples=100, deadline=None)
 @given(pairs)
-def test_to_complex_matches_the_fraction_floats(x):
-    got = CRat(*x).to_complex()
+def test_complex_matches_the_fraction_floats(x):
+    got = complex(CRat(*x))
     expected = complex(x[0]) + 1j * complex(x[1])
     assert (got.real.hex(), got.imag.hex()) == (expected.real.hex(), expected.imag.hex())
 
@@ -200,14 +230,18 @@ def past_the_bound(re, im):
 @settings(max_examples=100, deadline=None)
 @given(near_crats, near_crats, near)
 def test_every_operation_stays_below_the_bound_or_raises(x, y, n):
-    fx, fy = (x.re, x.im), (y.re, y.im)
+    # sums and products through the ring, whose sites bound the int ones
+    # that the interpreter forms as well as every CRat; the ring divides by
+    # forming an inverse, so a quotient is the coefficients' own
+    fx, fy = value(x), value(y)
+    cx, cy = CanonicalExpr.const(x), CanonicalExpr.const(y)
     cases = [
-        (lambda: x + y, (fx[0] + fy[0], fx[1] + fy[1])),
-        (lambda: x * y, ref_mul(fx, fy)),
-        (lambda: x * n, ref_mul(fx, (n, 0))),
+        (lambda: (cx + cy).constant_coefficient(), (fx[0] + fy[0], fx[1] + fy[1])),
+        (lambda: (cx * cy).constant_coefficient(), ref_mul(fx, fy)),
+        (lambda: (cx * n).constant_coefficient(), ref_mul(fx, (n, 0))),
     ]
     if y:
-        cases.append((lambda: x / y, ref_div(fx, fy)))
+        cases.append((lambda: divide(x, y), ref_div(fx, fy)))
     for form, ref in cases:
         try:
             c = form()
@@ -216,20 +250,99 @@ def test_every_operation_stays_below_the_bound_or_raises(x, y, n):
             assert str(exc) == f"a coefficient passes the int digit limit ({DIGITS} digits)"
         else:
             assert_is(c, ref)
-            assert max(abs(c.a), abs(c.b), c.d) < LIMIT
+            assert max(map(abs, _parts(c))) < LIMIT
 
 
 def test_the_bound_is_exact():
-    top = LIMIT - 1
-    assert (CRat(top) * 1).a == top and (CRat(-top) / 1).a == -top
+    top, C = LIMIT - 1, CanonicalExpr.const
+    assert (C(top) * 1).constant_coefficient() == top
+    assert (C(-top) / 1).constant_coefficient() == -top
     assert CRat(top, -top) == _of(top, -top, 1)
-    assert (CRat(1) / top).d == top and CRat(top) / 2 * 2 == top
-    past = (lambda: CRat(top) + 1, lambda: CRat(0, -top) - CRat(0, 1), lambda: CRat(1) / top / 2)
+    assert _parts(quotient(1, top)) == (1, 0, top) and (C(top) / 2 * 2).constant_coefficient() == top
+    past = (lambda: C(top) + 1, lambda: CRat(0, -top) - CRat(0, 1), lambda: C(1) / top / 2)
     for form in past:
         with pytest.raises(CoefficientLimitError, match=PAST):
             form()
+    for value in (Fraction(1, LIMIT), LIMIT, -LIMIT):
+        with pytest.raises(CoefficientLimitError, match=PAST):
+            CRat(value)
+        with pytest.raises(CoefficientLimitError, match=PAST):
+            as_crat(value)
     with pytest.raises(CoefficientLimitError, match=PAST):
-        CRat(Fraction(1, LIMIT))
+        C(LIMIT)
+
+
+# the sites that form an int coefficient, which the interpreter does not
+# bound: each raises as the first sum or product passes the bound, and
+# HALF, below it, passes it doubled
+HALF = LIMIT // 2 + 1
+ONE = MONOMIAL_ONE
+
+
+def cyl(text):
+    return canon(text, CYLINDRICAL)
+
+
+def test_add_products_bounds_its_int_products_and_sums():
+    h = CanonicalExpr.const(HALF)
+    # one pair product past the bound
+    with pytest.raises(CoefficientLimitError, match=PAST):
+        (h * cyl("P(r,1)")) * (h * cyl("P(z,1)") + 1)
+    # two pair products, each below it, that sum past it on P(r,1)*P(z,1)
+    a, b = h * cyl("P(r,1) + P(z,1)"), cyl("P(r,1) + P(z,1)")
+    with pytest.raises(CoefficientLimitError, match=PAST):
+        a * b
+    assert (a * cyl("P(r,1) - P(z,1)")).terms == (h * cyl("P(r,2) - P(z,2)")).terms
+    # the constant-factor path: a product, and a sum into a map already holding a term
+    with pytest.raises(CoefficientLimitError, match=PAST):
+        h * 2
+    with pytest.raises(CoefficientLimitError, match=PAST):
+        _add_products({ONE: HALF}, {ONE: HALF}, {ONE: 1})
+    assert _add_products({ONE: HALF}, {ONE: -HALF}, {ONE: 1}) == {}
+
+
+def test_accumulate_bounds_its_int_sums():
+    with pytest.raises(CoefficientLimitError, match=PAST):
+        CanonicalExpr.const(HALF) + HALF
+    with pytest.raises(CoefficientLimitError, match=PAST):
+        _accumulate({ONE: HALF}, [(ONE, HALF)])
+    with pytest.raises(CoefficientLimitError, match=PAST):
+        _accumulate({}, [(ONE, LIMIT)])
+    assert _accumulate({ONE: HALF}, [(ONE, -HALF)]) == {}
+
+
+def test_d_alpha_bounds_its_int_factors_products_and_sums():
+    # a Leibniz product: 2 * HALF from P(r,2)
+    with pytest.raises(CoefficientLimitError, match=PAST):
+        d_alpha(HALF * cyl("P(r,2)"), "r")
+    # a Leibniz factor: exponent times Ea scale, 2 * HALF, even where the
+    # coefficient 1/2 would bring the product back below the bound
+    ea = CanonicalExpr.ea_power("r", ((0, HALF),), 2)
+    for coeff in (1, Fraction(1, 2)):
+        with pytest.raises(CoefficientLimitError, match=PAST):
+            d_alpha(coeff * ea, "r")
+    # a sum: f1*f1 gives f1*d(f1,r) twice, HALF each
+    with pytest.raises(CoefficientLimitError, match=PAST):
+        d_alpha(HALF * cyl("f1*f1"), "r")
+    # below the bound each form is an int
+    out = d_alpha((HALF // 2) * cyl("f1*f1"), "r")
+    assert list(out.terms.values()) == [2 * (HALF // 2)]
+
+
+def test_apply_table_bounds_the_products_it_forms():
+    # the Laplacian's -2*P(r,-2)*d(f2,theta) on f2 = HALF*P(theta,1)
+    f2 = HALF * cyl("P(theta,1)")
+    with pytest.raises(CoefficientLimitError, match=PAST):
+        apply_table(CYLINDRICAL.forms["laplacian"], (0, 0, f2, 0))
+    assert apply_table(CYLINDRICAL.forms["laplacian"], (0, 0, f2 / 2, 0))[1] == -HALF * cyl("P(r,-2)")
+
+
+def test_a_power_of_an_integer_stops_at_the_bound_in_time():
+    # unbounded, the squares of 2 would reach 2^(10^8) and beyond
+    start = time.perf_counter()
+    with pytest.raises(CoefficientLimitError, match=PAST):
+        CanonicalExpr.const(2) ** 10**8
+    assert time.perf_counter() - start < 1
 
 
 def test_canonical_products_and_sums_past_the_bound_raise():

@@ -431,6 +431,18 @@ class TestFrozenRecords:
         report = copy.deepcopy(verify_identity("curl_grad", "cylindrical"))
         assert report.passed and report.to_dict() == verify_identity("curl_grad", "cylindrical").to_dict()
 
+    def test_rebuilt_and_unpickled_frames_share_the_hand_forms(self):
+        # the hand text is parsed once per frame name and variables
+        rebuilt = Frame("spherical", list(SPH.variables), SPH.lame)
+        for frame in (rebuilt, pickle.loads(pickle.dumps(SPH)), copy.deepcopy(SPH)):
+            for op in ("delta0", "laplacian", "bitsadze"):
+                assert frame.forms[op] is SPH.forms[op], op
+        # a frame with a wrong Lame coefficient shares them too, but derives its own
+        bad = Frame("spherical", SPH.variables, (1, canon("P(r,1)", SPH), canon("P(r,1)", SPH)))
+        assert bad.forms["laplacian"] is SPH.forms["laplacian"]
+        for op in DERIVED:
+            assert bad.forms[op] != SPH.forms[op], op
+
     def test_constructor_arity_and_repr(self):
         with pytest.raises(TypeError):
             QuaternionField(CYL, 1, 2)
