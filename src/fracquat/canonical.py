@@ -16,16 +16,16 @@ each distinct factor group once per call.
 
 Two expressions are equal exactly when their maps coincide, which is what
 every identity check in the package reduces to.  So no map stores a zero
-coefficient: `_accumulate` and `_add_products` keep maps clean, and
-`CanonicalExpr._of` wraps a map unchecked, only for maps already reduced
-that way.
+coefficient: `_accumulate`, the only code that adds into a map, keeps
+maps clean, and `CanonicalExpr._of` wraps a map unchecked, only for maps
+already reduced that way.
 
 The ring bounds its own work: a coefficient part of coefficients.LIMIT or
-more raises CoefficientLimitError as it forms, so render prints every
-coefficient, and one product may form at most MAX_TERM_PAIRS term pairs.
-`_of` bounds every CRat; the int sums and products, which the interpreter
-forms unchecked, are bounded where they form: in `_accumulate`,
-`_add_products` and `derivative.d_alpha`.
+more raises CoefficientLimitError before a map stores it, so render prints
+every coefficient, and one product may form at most MAX_TERM_PAIRS term
+pairs.  coefficients._of bounds every CRat.  Every coefficient the ring
+forms, a sum, a product or a d_alpha term, reaches its map through
+`_accumulate`, which bounds every int the map receives.
 """
 
 from __future__ import annotations
@@ -133,8 +133,9 @@ def _mul_monomials(a: Monomial, b: Monomial):
 
 def _accumulate(acc: dict, items) -> dict:
     """Add (monomial, coefficient) pairs into the clean map acc in place:
-    zero coefficients are skipped and cancelled entries deleted.  An int
-    coefficient, given or summed, past the bound raises."""
+    zero coefficients are skipped and cancelled entries deleted.  The only
+    code that adds into a map, so the only place an int, given or summed,
+    is bounded: one past the bound raises."""
     for mono, coeff in items:
         if coeff:
             if type(coeff) is int and not _FLOOR < coeff < LIMIT:
@@ -155,9 +156,8 @@ def _add_products(acc: dict, a: dict, b: dict) -> dict:
     """Add the product of the clean maps a and b into the map acc in place
     (acc must be clean and shared by no expression).  The budget charges
     one per term pair and, when both sides have more than one term, the
-    derivative symbols each pair merges.  An int product or sum past the
-    coefficient bound raises; _accumulate checks those of a constant
-    factor."""
+    derivative symbols each pair merges.  Each term of a hands _accumulate
+    its row of products, which bounds them."""
     if len(a) == 1 and MONOMIAL_ONE in a:
         a, b = b, a
     if len(b) == 1 and MONOMIAL_ONE in b:  # constant factor: no pair to form
@@ -172,21 +172,12 @@ def _add_products(acc: dict, a: dict, b: dict) -> dict:
             f"a product of {len(a)} by {len(b)} terms exceeds {MAX_TERM_PAIRS} term pairs"
         )
     for m1, p1 in a.items():
-        for m2, p2 in b.items():
-            coeff = p1 * p2
-            if type(coeff) is int and not _FLOOR < coeff < LIMIT:
-                raise limit_error()
-            for mono, sign in _mul_monomials(m1, m2):
-                c = coeff if sign > 0 else -coeff
-                prev = acc.get(mono)
-                if prev is None:
-                    acc[mono] = c
-                elif c := prev + c:
-                    if type(c) is int and not _FLOOR < c < LIMIT:
-                        raise limit_error()
-                    acc[mono] = c
-                else:
-                    del acc[mono]
+        row = [
+            (m, p1 * p2 if s > 0 else -p1 * p2)
+            for m2, p2 in b.items()
+            for m, s in _mul_monomials(m1, m2)
+        ]
+        _accumulate(acc, row)  # one row at a time, as a list: faster than a generator
     return acc
 
 

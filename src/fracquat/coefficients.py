@@ -12,10 +12,10 @@ CRat is never integer-valued: b != 0 or d != 1.  complex(c) reads either.
 Every part of a coefficient stays below LIMIT = 10^DIGITS (DIGITS, the
 int-to-str digit limit at import) in absolute value, so the ring never
 forms a coefficient str() refuses; one past it raises the error of
-`limit_error`.  `_of` forms every coefficient that a CRat operation or
-the parser builds and checks it.  The interpreter forms an int sum or
-product unchecked, so each ring site that forms one checks it against
-(_FLOOR, LIMIT): canonical._accumulate and _add_products, and d_alpha.
+`limit_error`.  `_of` forms every CRat that an operation or the parser
+builds and checks it.  The interpreter forms an int sum or product
+unchecked; canonical._accumulate, through which every coefficient
+reaches a map, bounds every int the map receives against (_FLOOR, LIMIT).
 """
 
 from __future__ import annotations

@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import enum
 
-from .canonical import CanonicalExpr, Monomial, _new, as_canonical_scalar
-from .coefficients import _FLOOR, LIMIT, limit_error
+from .canonical import CanonicalExpr, Monomial, _accumulate, _new, as_canonical_scalar
 from .expr import ExpressionError, var_index
 
 
@@ -48,62 +47,44 @@ def _with_power(mono: Monomial, var: int, n: int) -> Monomial:
 
 
 def d_alpha(e, var: str) -> CanonicalExpr:
-    """Derivation-mode local fractional partial derivative.  An int
-    Leibniz factor of an Ea scale, product or sum past the coefficient
-    bound raises."""
+    """Derivation-mode local fractional partial derivative.  Each Leibniz
+    term reaches the result through _accumulate, which bounds its
+    coefficient and every sum."""
     var = var_index(var)
-    acc = {}
+    out = []  # the Leibniz terms of every input term, as (monomial, coefficient)
     for mono, coeff in as_canonical_scalar(e).terms.items():
         dsyms, powers, trig, ea, lam = mono
-        out = []  # the Leibniz terms, as (monomial, int or CRat factor)
         for j, (v, n) in enumerate(powers):
             if v == var:
                 head, tail = powers[:j], powers[j + 1 :]
                 group = head + ((v, n - 1),) + tail if n != 1 else head + tail
-                out.append((_new(Monomial, (dsyms, group, trig, ea, lam)), n))
+                out.append((_new(Monomial, (dsyms, group, trig, ea, lam)), coeff * n))
         for j, (v, m, cos) in enumerate(trig):
             if v != var:
                 continue
             head, tail = trig[:j], trig[j + 1 :]
             if not cos:  # (sin^m)' = m sin^(m-1) cos
                 group = head + ((v, m - 1, 1),) + tail
-                out.append((_new(Monomial, (dsyms, powers, group, ea, lam)), m))
+                out.append((_new(Monomial, (dsyms, powers, group, ea, lam)), coeff * m))
                 continue
             # (sin^m cos)' = m sin^(m-1) cos^2 - sin^(m+1)
             #              = m sin^(m-1) - (m+1) sin^(m+1)   after cos^2 -> 1-sin^2
             if m:
                 group = head + ((v, m - 1, 0),) + tail if m != 1 else head + tail
-                out.append((_new(Monomial, (dsyms, powers, group, ea, lam)), m))
+                out.append((_new(Monomial, (dsyms, powers, group, ea, lam)), coeff * m))
             if m != -1:  # at m = -1 the second term's factor is zero
                 group = head + ((v, m + 1, 0),) + tail
-                out.append((_new(Monomial, (dsyms, powers, group, ea, lam)), -(m + 1)))
+                out.append((_new(Monomial, (dsyms, powers, group, ea, lam)), coeff * -(m + 1)))
         for v, scale, p in ea:
             if v == var:  # D[Ea(s, v)^p] = p*s*Ea(s, v)^p, one term per lam power of s
                 for k, c in scale:
                     bumped = _new(Monomial, (dsyms, powers, trig, ea, lam + k)) if k else mono
-                    c *= p
-                    if type(c) is int and not _FLOOR < c < LIMIT:
-                        raise limit_error()
-                    out.append((bumped, c))
+                    out.append((bumped, coeff * (c * p)))
         for j, (k, midx) in enumerate(dsyms):
             group = dsyms[:j] + ((k, tuple(sorted(midx + (var,)))),) + dsyms[j + 1 :]
             group = tuple(sorted(group)) if len(group) > 1 else group
-            out.append((_new(Monomial, (group, powers, trig, ea, lam)), 1))
-        for m, f in out:
-            c = coeff if f == 1 else coeff * f
-            if type(c) is int and not _FLOOR < c < LIMIT:
-                raise limit_error()
-            prev = acc.get(m)
-            if prev is None:
-                if c:
-                    acc[m] = c
-            elif c := prev + c:
-                if type(c) is int and not _FLOOR < c < LIMIT:
-                    raise limit_error()
-                acc[m] = c
-            else:
-                del acc[m]
-    return CanonicalExpr._of(acc)
+            out.append((_new(Monomial, (group, powers, trig, ea, lam)), coeff))
+    return CanonicalExpr._of(_accumulate({}, out))
 
 
 def nth_d_alpha(e, var: str, order: int) -> CanonicalExpr:

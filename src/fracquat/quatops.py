@@ -19,6 +19,10 @@ them, so verifying
 checks the Lame-derived forms against the hand text: all four residuals
 must normalize to zero.  Each identity is one row over the form map, and
 `fracquat apply` runs the same forms, so it applies what verify proved.
+The lam terms of the Helmholtz row cancel exactly in the ring, so its
+residual reduces to D(D f) + Laplacian f: it certifies nothing that
+mt_squared does not.  A Helmholtz check with content needs a solution h
+(ROADMAP item 4).
 """
 
 from __future__ import annotations

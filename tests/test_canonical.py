@@ -6,6 +6,7 @@ import math
 import pickle
 import random
 import sys
+from fractions import Fraction
 from functools import reduce
 from operator import mul
 
@@ -467,6 +468,55 @@ def test_mul_monomials_early_return_matches_the_reference(drawn):
             assert sorted(_mul_monomials(m1, m2)) == _reference_product(m1, m2)
 
 
+def _pairs(terms: dict) -> dict:
+    """A map with each coefficient as its (real, imaginary) Fraction pair."""
+    def pair(c):
+        return (Fraction(c), Fraction(0)) if type(c) is int else (c.re, c.im)
+
+    return {m: pair(c) for m, c in terms.items()}
+
+
+def _reference_add_products(acc: dict, a: dict, b: dict) -> dict:
+    """acc + a * b summed pair by pair in Fractions over _mul_monomials,
+    without the ring: zero coefficients dropped."""
+    out = _pairs(acc)
+    for m1, (x, y) in _pairs(a).items():
+        for m2, (u, w) in _pairs(b).items():
+            for mono, sign in _mul_monomials(m1, m2):
+                re, im = out.get(mono, (0, 0))
+                out[mono] = (re + sign * (x * u - y * w), im + sign * (x * w + y * u))
+    return {m: p for m, p in out.items() if any(p)}
+
+
+@pytest.mark.parametrize(
+    "acc, a, b, empty",
+    [
+        # a non-empty acc, one term of which the product cancels
+        ("f1 + (1/2)*P(r,1)*f2", "P(r,1) + 3i*f1", "(-1/2)*f2 + (2 - 1/3*1i)*lam", False),
+        # the product cancels every term of acc
+        (
+            "-(1/2)*P(r,2) + (-1/2 + 1/2*1i)*P(r,1)*f1 + (1 + 1i)*f1*f1",
+            "(1/2)*P(r,1) + f1",
+            "P(r,1) - (1 + 1i)*f1",
+            True,
+        ),
+        # cos^2 -> 1 - sin^2 on two variables at once, into a sin^2 term of acc
+        (
+            "cosa(theta) - sina(theta)^2",
+            "cosa(theta)*cosa(r) + (1/3)*f0",
+            "(2 + 1i)*cosa(theta)*cosa(r)",
+            False,
+        ),
+    ],
+)
+def test_add_products_matches_a_fraction_reference(acc, a, b, empty):
+    acc, a, b = (canon(text, SPHERICAL).terms for text in (acc, a, b))
+    out = _add_products(dict(acc), a, b)
+    assert _pairs(out) == _reference_add_products(acc, a, b)
+    assert all(is_stored(c) and c for c in out.values())
+    assert (out == {}) == empty
+
+
 @settings(max_examples=60, deadline=None)
 @given(FRAME_EXPRS)
 def test_add_products_adds_the_product_into_the_map(drawn):
@@ -479,6 +529,7 @@ def test_add_products_adds_the_product_into_the_map(drawn):
         before = [list(x.terms.items()) for x in (acc, a, b)]
         out = _add_products(dict(acc.terms), a.terms, b.terms)
         assert out == (acc + a * b).terms
+        assert _pairs(out) == _reference_add_products(acc.terms, a.terms, b.terms)
         assert all(is_stored(c) and c for c in out.values())
         assert [list(x.terms.items()) for x in (acc, a, b)] == before
 
