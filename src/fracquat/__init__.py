@@ -67,13 +67,15 @@ from .frames import (
     vector_field,
     zero_field,
 )
-from .vectorops import curl_alpha, div_alpha, grad_alpha
 from .quatops import (
     IDENTITY_NAMES,
     IdentityReport,
     VERIFICATION_MATRIX,
     bitsadze,
+    curl_alpha,
     delta0,
+    div_alpha,
+    grad_alpha,
     helmholtz_component_system,
     helmholtz_residual,
     laplacian,

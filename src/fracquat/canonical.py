@@ -351,8 +351,9 @@ def as_canonical_scalar(x) -> CanonicalExpr:
 
 
 def equal(a, b) -> bool:
-    """Exact equality of canonical forms."""
-    return (as_canonical_scalar(a) - as_canonical_scalar(b)).is_zero()
+    """Exact equality of canonical forms: the canonical map is unique, so
+    two expressions are equal exactly when their maps are."""
+    return as_canonical_scalar(a) == as_canonical_scalar(b)
 
 
 # -- rendering --------------------------------------------------------------

@@ -15,9 +15,10 @@ every operator's form in one read-only map: grad, div, curl and D derived
 once from h, and delta0, laplacian and bitsadze parsed from the
 hand-expanded text that sits beside the Lame coefficients below, never
 derived from h; each text is parsed once per process for each frame name
-and variables.  verify checks the derived forms against the hand ones
-(see quatops), and every operator applies these forms, so it applies
-what verify certified.
+and variables.  Every operator lives in quatops and is one kernel pass
+of one of these forms, or of one shifted there by a multiple of the
+identity (quatops._shifted); verify checks the derived forms against the
+hand ones, so every operator applies what verify certified.
 """
 
 from __future__ import annotations

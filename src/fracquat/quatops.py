@@ -1,10 +1,14 @@
-"""Quaternionic first- and second-order operators and the identity engine.
+"""Every operator of the calculus, and the identity engine.
 
-Each operator is one form, four expressions over f0..f3, read from the
-frame's form map and applied by the kernel `frames.apply_table`.  The
-first-order operator D[f] = -div(fvec) + grad(f0) + curl(fvec) (left
-action) has its form derived by each frame from its Lame coefficients,
-and its right action flips the curl sign.  The tests check both sides
+Each operator (grad, div, curl, D, delta0, the Laplacian, the Bitsadze
+operator) is one kernel pass, `frames.apply_table`, of one form, four
+expressions over f0..f3, read from the frame's form map.  A lam-shifted
+operator (D + lam, the Helmholtz operator Laplacian + lam^2) is one pass
+of a stored form shifted by `_shifted`, the only code that adds a
+multiple of the identity to an operator.  The first-order operator
+D[f] = -div(fvec) + grad(f0) + curl(fvec) (left action) has its form
+derived by each frame from its Lame coefficients, and its right action
+flips the curl sign.  The tests check both sides
 against the quaternion product sum_i e_i h_i^-1 d_i f
 (test_matches_quaternionic_definition), and the bitsadze_factorization
 report checks the pair.  The second-order operators are hand-expanded
@@ -57,6 +61,21 @@ def _form(frame: Frame, op: str) -> tuple:
         raise ValueError(f"unknown frame {frame.name!r}") from None
 
 
+def grad_alpha(f0, frame: Frame) -> QuaternionField:
+    """Gradient of a scalar, as a pure vector field."""
+    return QuaternionField(frame, *apply_table(frame.forms["grad"], (f0,)))
+
+
+def div_alpha(v: QuaternionField) -> CanonicalExpr:
+    """Divergence of the vector part."""
+    return apply_table(v.frame.forms["div"], v.components)[0]
+
+
+def curl_alpha(v: QuaternionField) -> QuaternionField:
+    """Curl of the vector part, as a pure vector field."""
+    return QuaternionField(v.frame, *apply_table(v.frame.forms["curl"], v.components))
+
+
 def mt_apply(f: QuaternionField, side: str = "left") -> QuaternionField:
     """First-order operator: -div + grad + curl (left) or -div + grad - curl
     (right action), from the frame's form for that side."""
@@ -83,22 +102,24 @@ def bitsadze(f: QuaternionField) -> QuaternionField:
 
 
 def perturbed_mt(f: QuaternionField, lam=FORMAL, sign: int = 1) -> QuaternionField:
-    """(D + sign*lam) f with lam acting as a commuting scalar."""
+    """(D + sign*lam) f with lam acting as a commuting scalar: the left
+    form shifted by sign*lam."""
     lam = _lam(lam)
-    shift = f.scale(lam if sign > 0 else -lam)
-    return mt_apply(f) + shift
+    form = _shifted(f.frame.forms["left"], lam if sign > 0 else -lam)
+    return QuaternionField(f.frame, *apply_table(form, f.components))
 
 
 def helmholtz_residual(f: QuaternionField, lam=FORMAL) -> QuaternionField:
-    """Laplacian f + lam^2 f, componentwise."""
-    lam = _lam(lam)
-    return laplacian(f) + f.scale(lam * lam)
+    """Laplacian f + lam^2 f, componentwise: the form of
+    helmholtz_component_system applied to f."""
+    form = helmholtz_component_system(f.frame, lam)
+    return QuaternionField(f.frame, *apply_table(form, f.components))
 
 
 def helmholtz_component_system(frame, lam=FORMAL) -> tuple:
     """The four scalar equations obtained by equating each component of the
     Helmholtz residual of the fully abstract field to zero: the stored
-    Laplacian form plus lam^2 f."""
+    Laplacian form shifted by lam^2."""
     if isinstance(frame, str):
         frame = frame_by_name(frame)
     lam = _lam(lam)
@@ -125,19 +146,23 @@ class IdentityReport(_Record):
         }
 
 
-# Each identity is one row over a form map: outer and inner operator and
-# the reference their composition must cancel.  Its residual on f0..f3 is
-# outer(inner) + sign*reference, the kernel composing the forms; a shift s
-# reads outer - s, inner + s and reference + s^2 (s times the identity).
-_Row = namedtuple("_Row", "outer inner sign reference shift", defaults=(0, None, None))
+# Each identity is one row over a form map: the frames "verify all" checks
+# it in, outer and inner operator and the reference their composition must
+# cancel.  Its residual on f0..f3 is outer(inner) + sign*reference, the
+# kernel composing the forms; a shift s reads outer - s, inner + s and
+# reference + s^2 (s times the identity).  The factorizations are checked
+# in every frame, the first-order identities where the curvilinear
+# formulas carry content.
+_Row = namedtuple("_Row", "frames outer inner sign reference shift", defaults=(0, None, None))
+_ALL, _CURVED = ("cartesian", "cylindrical", "spherical"), ("cylindrical", "spherical")
 
 _IDENTITIES = {
-    "mt_squared": _Row("left", "left", 1, "laplacian"),
-    "bitsadze_factorization": _Row("left", "right", 1, "bitsadze"),
-    "helmholtz_factorization": _Row("left", "left", 1, "laplacian", CanonicalExpr.lam()),
-    "curl_grad": _Row("curl", "grad"),
-    "div_curl": _Row("div", "curl"),
-    "div_grad_delta0": _Row("div", "grad", -1, "delta0"),
+    "mt_squared": _Row(_ALL, "left", "left", 1, "laplacian"),
+    "bitsadze_factorization": _Row(_CURVED, "left", "right", 1, "bitsadze"),
+    "helmholtz_factorization": _Row(_ALL, "left", "left", 1, "laplacian", CanonicalExpr.lam()),
+    "curl_grad": _Row(_CURVED, "curl", "grad"),
+    "div_curl": _Row(_CURVED, "div", "curl"),
+    "div_grad_delta0": _Row(_CURVED, "div", "grad", -1, "delta0"),
 }
 
 
@@ -157,17 +182,7 @@ def _residuals(name: str, forms) -> tuple:
 
 
 IDENTITY_NAMES = tuple(_IDENTITIES)
-
-# frames checked by "verify all": the factorizations in every frame, the
-# first-order identities where the curvilinear formulas carry content
-VERIFICATION_MATRIX = {
-    "mt_squared": ("cartesian", "cylindrical", "spherical"),
-    "bitsadze_factorization": ("cylindrical", "spherical"),
-    "helmholtz_factorization": ("cartesian", "cylindrical", "spherical"),
-    "curl_grad": ("cylindrical", "spherical"),
-    "div_curl": ("cylindrical", "spherical"),
-    "div_grad_delta0": ("cylindrical", "spherical"),
-}
+VERIFICATION_MATRIX = {name: row.frames for name, row in _IDENTITIES.items()}
 
 
 def verify_identity(name: str, frame) -> IdentityReport:

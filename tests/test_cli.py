@@ -151,6 +151,27 @@ class TestVerify:
             main(["verify", "nonsense", "--frame", "cylindrical"])
         assert exc.value.code == 2
 
+    def test_failing_identity_exits_one_with_its_residuals(self, capsys, monkeypatch):
+        # "spherical" resolves to a frame whose h_3 lacks sina(theta): its
+        # derived forms disagree with the spherical hand forms
+        sph = fracquat.SPHERICAL
+        r = canon("P(r,1)", sph)
+        bad = fracquat.Frame("spherical", sph.variables, (1, r, r))
+        monkeypatch.setattr("fracquat.quatops.frame_by_name", lambda name: bad)
+        code, out, _ = run(capsys, ["verify", "mt_squared", "--frame", "spherical"])
+        assert code == 1
+        prefix = "FAIL mt_squared spherical (mode=derivation) residuals: "
+        [line] = out.splitlines()
+        assert line.startswith(prefix)
+        residuals = line[len(prefix) :].split("; ")
+        assert residuals == fracquat.verify_identity("mt_squared", bad).residual_strings()
+        assert len(residuals) == 4 and residuals != ["0"] * 4
+        argv = ["verify", "mt_squared", "--frame", "spherical", "--format", "structured"]
+        code, out, _ = run(capsys, argv)
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["pass"] is False and doc["residuals"] == residuals
+
 
 class TestDiff:
     def test_derivation_mode(self, capsys):

@@ -5,6 +5,7 @@ suite, and the Helmholtz component systems."""
 import copy
 import gc
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -37,12 +38,18 @@ from fracquat import (
     verify_identity,
     zero_field,
 )
+from fracquat.cli import load_field_spec
+from fracquat.coefficients import CRat
 from fracquat.frames import QuaternionField, abstract_field, frame_by_name
 from fracquat.quatops import _IDENTITIES, FORMAL, IdentityReport, _residuals
+
+from test_canonical import MIXED_FIELD
 
 CYL, SPH = CYLINDRICAL, SPHERICAL
 FRAMES = (CARTESIAN, CYLINDRICAL, SPHERICAL)
 DERIVED = ("grad", "div", "curl", "left", "right")  # the forms every frame derives from h
+DATA = Path(__file__).parent / "data"
+RENDER_SPECS = sorted(path.name for path in (DATA / "render").glob("*.json"))
 
 
 # -- the paper's operator from the frame vectors -------------------------------
@@ -333,8 +340,6 @@ class TestHelmholtz:
         assert out.is_zero()
 
     def test_numeric_lambda_null_solution(self):
-        from fracquat.coefficients import CRat
-
         f = scalar_field(CYL, canon("Ea(2i, z)", CYL))
         out = helmholtz_residual(f, CRat(2))
         assert out.is_zero()
@@ -349,6 +354,7 @@ class TestHelmholtz:
         )
         for eq, text in zip(eqs, fixtures):
             assert eq == canon(text, CYL), text
+        assert helmholtz_component_system("cylindrical") == eqs
 
     def test_spherical_system_fixtures(self):
         eqs = helmholtz_component_system(SPH)
@@ -374,6 +380,20 @@ class TestHelmholtz:
         eqs = helmholtz_component_system(frame)
         expected = delta0(canon("f0", frame), frame) + canon("lam^2*f0", frame)
         assert equal(eqs[0], expected)
+
+    @pytest.mark.parametrize("lam", (FORMAL, CRat(2), 0), ids=str)
+    @pytest.mark.parametrize("spec", (*RENDER_SPECS, "mixed"))
+    def test_shifted_forms_match_the_field_formulas(self, spec, lam):
+        # D + lam, D - lam and Laplacian + lam^2 are one pass of a shifted
+        # form; the reference adds lam times the field to the plain operator
+        if spec == "mixed":
+            f = QuaternionField(CYL, *(canon(text, CYL) for text in MIXED_FIELD))
+        else:
+            f = load_field_spec(str(DATA / "render" / spec))[1]
+        s = CanonicalExpr.lam() if lam == FORMAL else CanonicalExpr.const(lam)
+        assert perturbed_mt(f, lam, +1) == mt_apply(f) + f.scale(s)
+        assert perturbed_mt(f, lam, -1) == mt_apply(f) - f.scale(s)
+        assert helmholtz_residual(f, lam) == laplacian(f) + f.scale(s * s)
 
     def test_perturbed_operator_factorization_by_hand(self):
         f = abstract_field(SPH)
@@ -411,8 +431,11 @@ class TestFrozenRecords:
         # fields in equal frames add; fields in different frames do not
         f = abstract_field(CYL)
         assert (f + abstract_field(rebuilt)) == f.scale(2)
+        assert (f - abstract_field(rebuilt)).is_zero()
         with pytest.raises(ValueError):
             f + abstract_field(SPH)
+        with pytest.raises(ValueError):
+            f - abstract_field(SPH)
 
     def test_field_equality_and_hash(self):
         f, g = abstract_field(CYL), abstract_field(CYL)
