@@ -28,6 +28,7 @@ from .canonical import (
     equal,
     eval_canonical,
     render_canonical,
+    substitute_lam,
 )
 from .derivative import (
     DerivativeMode,

@@ -24,8 +24,8 @@ The ring bounds its own work: a coefficient part of coefficients.LIMIT or
 more raises CoefficientLimitError before a map stores it, so render prints
 every coefficient, and one product may form at most MAX_TERM_PAIRS term
 pairs.  coefficients._of bounds every CRat.  Every coefficient the ring
-forms, a sum, a product or a d_alpha term, reaches its map through
-`_accumulate`, which bounds every int the map receives.
+forms, a sum, a product, a d_alpha term or a value put in for lam, reaches
+its map through `_accumulate`, which bounds every int the map receives.
 """
 
 from __future__ import annotations
@@ -356,6 +356,22 @@ def equal(a, b) -> bool:
     return as_canonical_scalar(a) == as_canonical_scalar(b)
 
 
+def substitute_lam(ce, c) -> CanonicalExpr:
+    """ce at lam = c, an exact constant: the ring homomorphism that rebuilds
+    each term in the ring, its coefficient times c**lam and each Ea factor
+    keyed by its evaluated scale.  So the ring bounds every coefficient (a
+    power of c is formed by squaring: lam^1000000000 at 2 stops at the bound
+    after a few squarings), and Ea factors whose scales become equal merge."""
+    c, acc = CanonicalExpr.const(c), {}
+    for mono, coeff in as_canonical_scalar(ce).terms.items():
+        term = CanonicalExpr._of({mono._replace(ea=(), lam=0): coeff}) * c**mono.lam
+        for v, scale, p in mono.ea:
+            s = sum((c**k * a for k, a in scale), CanonicalExpr.zero())
+            term = term * CanonicalExpr.ea_power(VARIABLES[v], _scale(s), p)
+        _accumulate(acc, term.terms.items())
+    return CanonicalExpr._of(acc)
+
+
 # -- rendering --------------------------------------------------------------
 
 
@@ -443,21 +459,10 @@ def render_canonical(ce: CanonicalExpr) -> str:
 # -- numeric evaluation ------------------------------------------------------
 
 
-def _coeff_value(poly: tuple, lam) -> complex:
-    """Value of a lam-polynomial given as (lam power, coefficient) pairs."""
-    if len(poly) == 1 and not poly[0][0]:
-        return complex(poly[0][1])
-    if lam is None:
-        raise UnboundSymbolError("expression contains lam but no lam value was given")
-    lam = complex(lam)
-    return sum((complex(c) * lam**p for p, c in poly), 0j)
-
-
-def _not_finite(gen, point: dict, lam) -> EvaluationDomainError:
+def _not_finite(gen, point: dict) -> EvaluationDomainError:
     """The error for a power of gen, or for the coefficient if gen is None, with no finite value."""
     if gen is None:
-        at = "" if lam is None else f" at lam = {lam}"
-        return EvaluationDomainError(f"a coefficient has no finite value{at}")
+        return EvaluationDomainError("a coefficient has no finite value")
     kind = _powers_text if len(gen) == 2 else _ea_text if type(gen[1]) is tuple else _trig_text
     v = VARIABLES[gen[0]]
     return EvaluationDomainError(f"{kind((gen,))} has no finite value at {v} = {point[v]}")
@@ -477,7 +482,6 @@ def eval_canonical(
     alpha: float,
     point: dict,
     bindings: dict | None = None,
-    lam=None,
     tol: float = 1e-12,
 ) -> complex:
     """Evaluate a canonical expression at a point.
@@ -485,9 +489,10 @@ def eval_canonical(
     point maps variables to nonnegative reals (positive where negative
     fractal powers occur); bindings maps rendered component symbols such
     as "f1" or "d(f1,r)" to complex constants or callables of the point.
-    Each distinct sina, cosa and Ea generator is summed, and each variable's
-    x^alpha formed, once per call.  A factor or a total with no finite value
-    raises EvaluationDomainError.
+    A lam, in a coefficient or an Ea scale, raises UnboundSymbolError
+    (substitute_lam puts in a value).  Each distinct sina, cosa and Ea
+    generator is summed, and each variable's x^alpha formed, once per call.
+    A factor or a total with no finite value raises EvaluationDomainError.
     """
     ce = as_canonical_scalar(ce)
     alpha, tol = _series.validate_alpha(alpha), _series.validate_tol(tol)
@@ -514,9 +519,11 @@ def eval_canonical(
 
     total = 0j
     for mono, coeff in ce.terms.items():
+        if mono.lam or mono.ea and any(s[-1][0] for _, s, _ in mono.ea):  # s[-1]: top lam power
+            raise UnboundSymbolError("expression contains lam but no lam value was given")
         gen = None  # the factor formed: the coefficient, then each generator power
         try:
-            value = _coeff_value(((mono.lam, coeff),), lam)
+            value = complex(coeff)
             for gen in mono.powers:
                 v = VARIABLES[gen[0]]
                 value *= arg(v) ** gen[1]
@@ -531,10 +538,10 @@ def eval_canonical(
             for gen in mono.ea:
                 i, s, p = gen
                 v = VARIABLES[i]
-                u = _coeff_value(s, lam) * arg(v)
+                u = complex(s[0][1]) * arg(v)
                 value *= series("ml_exp", u, v, s) ** p
         except (OverflowError, ZeroDivisionError):  # 0 to a negative power included
-            raise _not_finite(gen, point, lam) from None
+            raise _not_finite(gen, point) from None
         for k, midx in mono.dsyms:
             name = dsym_name(k, midx)
             if name not in bindings:

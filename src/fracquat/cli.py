@@ -17,7 +17,8 @@ import json
 import os
 import sys
 
-from .canonical import eval_canonical, render_canonical
+from .canonical import eval_canonical, render_canonical, substitute_lam
+from .coefficients import as_crat
 from .derivative import DerivativeMode, differentiate
 from .expr import COMPONENT_NAMES, EvaluationDomainError, ExpressionError, UnboundSymbolError
 from .frames import FRAMES, QuaternionField, frame_by_name
@@ -58,18 +59,28 @@ _JSON_TYPES = {
 
 
 def _parse_lambda(raw):
+    """The spec's "lambda" or --lam: "formal" or null, a JSON number read
+    exactly, or a constant in the DSL."""
     if raw is None or raw == FORMAL:
         return FORMAL
-    ce = parse(str(raw), ())
+    if type(raw) is int or type(raw) is float:
+        if not cmath.isfinite(raw):
+            raise SpecError(f"'lambda' must be finite, not {raw}")
+        return as_crat(raw)
+    if type(raw) is not str:
+        raise SpecError(f"'lambda' must be a string or a number, not {_JSON_TYPES[type(raw)]}")
+    ce = parse(raw, ())
     if not all(m.is_one() for m in ce.terms):
         raise SpecError(f"lambda must be a complex constant or 'formal', got {raw!r}")
     return ce.constant_coefficient()
 
 
-def load_field_spec(path: str):
+def load_field_spec(path: str, lam=None):
     """Read a field spec document: {"alpha": ..., "frame": ...,
     "components": {"f0": ..., ...}, "lambda": ...}.  Missing components
-    default to "0".  Returns (alpha, QuaternionField, lambda)."""
+    default to "0".  A numeric lambda, or lam where given (it overrides the
+    spec's, as --lam does), is put in for every lam in the components.
+    Returns (alpha, QuaternionField, lambda)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -94,7 +105,9 @@ def load_field_spec(path: str):
     if unknown:
         raise SpecError(f"unknown component keys {sorted(unknown)}; expected f0..f3")
     parsed = [parse(str(components.get(key, "0")), frame) for key in COMPONENT_NAMES]
-    lam = _parse_lambda(doc.get("lambda"))
+    lam = _parse_lambda(doc.get("lambda") if lam is None else lam)
+    if lam != FORMAL:
+        parsed = [substitute_lam(c, lam) for c in parsed]
     return alpha, QuaternionField(frame, *parsed), lam
 
 
@@ -178,18 +191,14 @@ def cmd_diff(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    alpha, f, lam = load_field_spec(args.spec)
+    alpha, f, _ = load_field_spec(args.spec, args.lam)
     if args.alpha is not None:
         alpha = validate_alpha(args.alpha)
-    if args.lam is not None:
-        lam_value = _parse_complex(args.lam)
-    else:
-        lam_value = None if lam == FORMAL else complex(lam)
     point = _parse_point(args.at, f.frame)
     values = {}
     for key, c in zip(COMPONENT_NAMES, f.components):
         try:
-            values[key] = eval_canonical(c, alpha, point, lam=lam_value, tol=args.tol)
+            values[key] = eval_canonical(c, alpha, point, tol=args.tol)
         except (SeriesConvergenceError, EvaluationDomainError, UnboundSymbolError) as exc:
             exc.args = (f"{exc} in component {key}",)
             raise
@@ -269,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help="path to a JSON field spec document")
     p.add_argument("--at", required=True, help="point, e.g. r=2,theta=0.7,z=1")
     p.add_argument("--alpha", type=float, default=None, help="override the field file alpha")
-    p.add_argument("--lam", default=None, help="numeric value for lam if present")
+    p.add_argument("--lam", default=None, help="lam's value as the spec's lambda, or formal")
     p.add_argument("--tol", type=float, default=1e-12, help="series tolerance")
     add_format(p)
     p.set_defaults(func=cmd_eval)

@@ -9,6 +9,7 @@ pass by being slow.  An argv may be a function of a scratch directory,
 for the inputs too long to write out and those that read a file.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -25,9 +26,9 @@ def diff(text):
     return ["diff", text, "--var", "r", "--frame", "cylindrical"]
 
 
-def spec(text, command="eval", at="r=1,theta=0.5,z=1"):
+def spec(text, command="eval", at="r=1,theta=0.5,z=1", operator="mt"):
     """argv that runs `eval` (at a point) or `apply` on a field spec file holding text."""
-    options = {"eval": ["--at", at], "apply": ["-o", "mt"]}[command]
+    options = {"eval": ["--at", at], "apply": ["-o", operator]}[command]
 
     def build(tmp_path):
         path = tmp_path / "spec.json"
@@ -43,6 +44,14 @@ def long_literal(tmp_path):
 
 
 INF = "(last term magnitude inf)"
+
+
+def lam_spec(f0, lam):
+    """A Cartesian field spec text with component f0 and the spec's lambda."""
+    return json.dumps({"alpha": 1, "frame": "cartesian", "components": {"f0": f0}, "lambda": lam})
+
+
+LAM_POWER = "lam^1000000000*P(x,1)"
 
 # (argv, exit code, stderr line end or, at exit 0, the exact stdout)
 ROWS = {
@@ -160,6 +169,26 @@ ROWS = {
     "power of a generator": (diff("P(r,1)^100000000"), 0, "100000000*P(r,99999999)\n"),
     # so is a power of lam past the double range, whose derivative in r is 0
     "power of lam": (diff("lam^" + BIG_EXPONENT), 0, "0\n"),
+    # a numeric lambda is put in for lam exactly, before any operator or eval
+    # runs; its power is formed by squaring, so at 2 it stops at the bound
+    "lambda power past the digit limit": (
+        spec(lam_spec(LAM_POWER, "2"), "apply"), 2, "int digit limit (4300 digits)"
+    ),
+    "lambda power past the digit limit in eval": (
+        spec(lam_spec(LAM_POWER, "2"), at="x=1,y=1,z=1"), 2, "int digit limit (4300 digits)"
+    ),
+    # while at 1i it cycles to 1, so f0 is P(x,1), and Laplacian f + lam^2 f is -f
+    "lambda power that cycles": (
+        spec(lam_spec(LAM_POWER, "1i"), "apply", operator="helmholtz"),
+        0,
+        "f0 = -P(x,1)\nf1 = 0\nf2 = 0\nf3 = 0\n",
+    ),
+    # Ea factors whose scales become equal merge, and the lam^3 terms cancel
+    "lambda merges Ea factors": (
+        spec(lam_spec("Ea(lam, x)*Ea(2, x)^-1 + lam^3*P(x,1) - 8*P(x,1)", "2"), at="x=1,y=1,z=1"),
+        0,
+        "f0 = (1+0j)\nf1 = 0j\nf2 = 0j\nf3 = 0j\n",
+    ),
     # field spec values that json.load gives but the spec does not take
     "alpha an array": (spec('{"alpha": [0.5], "frame": "cylindrical"}'), 2, "not an array"),
     "alpha null": (spec('{"alpha": null, "frame": "cylindrical"}', "apply"), 2, "not null"),

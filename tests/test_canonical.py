@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 
 from fracquat import (
+    CARTESIAN,
     CanonicalExpr,
+    CoefficientLimitError,
     CYLINDRICAL,
     FRAMES,
     EvaluationDomainError,
@@ -26,6 +28,7 @@ from fracquat import (
     SingularDivisionError,
     TermBudgetError,
     UnboundSymbolError,
+    VARIABLES,
     abstract_field,
     canon,
     d_alpha,
@@ -34,6 +37,7 @@ from fracquat import (
     helmholtz_residual,
     parse,
     render_canonical,
+    substitute_lam,
 )
 from fracquat import canonical, cos_alpha, ml_exp, series, sin_alpha
 from fracquat.canonical import (
@@ -267,8 +271,8 @@ class TestEvalNumeric:
         assert abs(value - (2.0 * 3.0 + 2.0)) < 1e-14
 
     def test_lam_binding(self):
-        ce = canon("lam^2*f0", CYL)
-        value = eval_canonical(ce, 1.0, {}, bindings={"f0": 1.0}, lam=2j)
+        ce = substitute_lam(canon("lam^2*f0", CYL), CRat(0, 2))
+        value = eval_canonical(ce, 1.0, {}, bindings={"f0": 1.0})
         assert abs(value - (-4.0)) < 1e-14
 
     def test_unbound_errors(self):
@@ -278,6 +282,8 @@ class TestEvalNumeric:
             eval_canonical(canon("f1", CYL), 0.5, {})
         with pytest.raises(UnboundSymbolError):
             eval_canonical(canon("lam", CYL), 0.5, {})
+        with pytest.raises(UnboundSymbolError):
+            eval_canonical(canon("Ea(1 + lam, z)", CYL), 0.5, {"z": 1.0})
 
     def test_domain_errors(self):
         with pytest.raises(EvaluationDomainError):
@@ -288,18 +294,23 @@ class TestEvalNumeric:
     def test_out_of_the_double_range(self):
         # a power that overflows, or that inverts a zero or a value that
         # underflows to zero, is named with the point; so is a coefficient
-        # or a power of lam past the double range, and a total that is not
-        # finite
+        # past the double range, also one that a value put in for lam takes
+        # there, and a total that is not finite
+        big = {"r": 1e200, "z": 1e200, "theta": 1e200}
         cases = (
             ("Ea(1, z)^400", {"z": 2.0}, None, r"^Ea\(1, z\)\^400 has no .* at z = 2.0$"),
             ("P(r,-1)", {"r": 0.0}, None, r"^P\(r,-1\) has no finite value at r = 0.0$"),
             ("sina(theta)^-2", {"theta": 1e-300}, None, r"^sina\(theta\)\^-2 has .* = 1e-300$"),
-            ("lam^2*P(r,1)", {"r": 1.0}, 1e200, r"^a coefficient has .* at lam = 1e\+200$"),
-            ("P(r,1)*P(z,1) - P(r,1)*P(z,1)*lam", {"r": 1e200, "z": 1e200}, 1, r"\(nan"),
+            ("lam^2*P(r,1)", {"r": 1.0}, 1e200, r"^a coefficient has no finite value$"),
+            ("P(r,1)*P(z,1) - P(r,1)*P(theta,1)", big, None, r"\(nan\+0j\)"),
         )
         for text, point, lam, message in cases:
+            ce = canon(text, CYL)
             with pytest.raises(EvaluationDomainError, match=message):
-                eval_canonical(canon(text, CYL), 1.0, point, lam=lam)
+                eval_canonical(ce if lam is None else substitute_lam(ce, CRat(lam)), 1.0, point)
+        # at lam = 1 the two terms that overflow cancel exactly, before any float is formed
+        ce = substitute_lam(canon("P(r,1)*P(z,1) - P(r,1)*P(z,1)*lam", CYL), 1)
+        assert ce.is_zero() and eval_canonical(ce, 1.0, big) == 0
 
     def test_ea_evaluation(self):
         import math
@@ -532,6 +543,89 @@ def test_add_products_adds_the_product_into_the_map(drawn):
         assert _pairs(out) == _reference_add_products(acc.terms, a.terms, b.terms)
         assert all(is_stored(c) and c for c in out.values())
         assert [list(x.terms.items()) for x in (acc, a, b)] == before
+
+
+class TestSubstituteLam:
+    def test_equal_ea_scales_merge(self):
+        ce = canon("Ea(lam, x)*Ea(2, x)^-1 + lam^3*P(x,1) - 8*P(x,1)", CARTESIAN)
+        assert substitute_lam(ce, 2) == 1
+        assert substitute_lam(canon("Ea(lam - 1, x)*f1", CARTESIAN), 1) == canon("f1", CARTESIAN)
+
+    def test_a_power_of_the_value_is_formed_by_squaring(self, monkeypatch):
+        # lam^1000000000 at 2 stops at the coefficient bound after about 14
+        # squarings; at 1i the power cycles to 1 in 30 squarings and a
+        # product per set bit of the exponent
+        ce, one = canon("lam^1000000000*P(x,1)", CARTESIAN), canon("P(x,1)", CARTESIAN)
+        calls = []
+        mul = CanonicalExpr.__mul__
+        monkeypatch.setattr(CanonicalExpr, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+        with pytest.raises(CoefficientLimitError):
+            substitute_lam(ce, 2)
+        assert len(calls) < 20
+        calls.clear()
+        assert substitute_lam(ce, CRat(0, 1)) == one
+        assert len(calls) < 2 * (10**9).bit_length()
+
+    def test_formal_parts_are_kept(self):
+        ce = canon("(1 + 2i)*P(r,1)*sina(theta)*Ea(3, z)*d(f1,r)*f2 - 1/2", CYL)
+        assert substitute_lam(ce, CRat(1, 2)) == ce
+        assert substitute_lam(canon("lam^2*f0 + lam", CYL), 0).is_zero()
+
+
+@settings(max_examples=40, deadline=None)
+@given(FRAME_EXPRS, crats)
+def test_substitute_lam_commutes_with_the_ring_d_alpha_and_apply_table(drawn, c):
+    frame, *texts = drawn
+    a, b, e = (canon(text, frame) for text in texts)
+
+    def at(x):
+        return substitute_lam(x, c)
+
+    try:
+        assert at(a + b) == at(a) + at(b)
+        assert at(a * b) == at(a) * at(b)
+        for var in frame.variables:
+            assert at(d_alpha(a, var)) == d_alpha(at(a), var)
+        comps = (a, b, e, a * b)
+        for name, form in frame.forms.items():  # the frame's forms hold no lam
+            expected = tuple(map(at, apply_table(form, comps)))
+            assert apply_table(form, tuple(map(at, comps))) == expected, name
+    except CoefficientLimitError:
+        pass  # a value of lam may take a coefficient past the bound
+
+
+def _coeff_value(poly: tuple, lam) -> complex:
+    """Value of a lam-polynomial given as (lam power, coefficient) pairs: the
+    float model of lam that eval_canonical had before substitute_lam."""
+    if len(poly) == 1 and not poly[0][0]:
+        return complex(poly[0][1])
+    if lam is None:
+        raise UnboundSymbolError("expression contains lam but no lam value was given")
+    lam = complex(lam)
+    return sum((complex(c) * lam**p for p, c in poly), 0j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(exprs(), crats, st.sampled_from((0.75, 1.0)))
+def test_eval_of_the_substituted_map_matches_a_float_lam(text, c, alpha):
+    # small arguments, so that no Ea series cancels: |u| stays below about 7
+    ce, point = canon(text, CYL), {"r": 0.2, "theta": 0.3, "z": 0.25}
+    bindings = {f"f{k}": complex(0.5, 0.25 * k) for k in range(4)}
+    try:
+        value = eval_canonical(substitute_lam(ce, c), alpha, point, bindings)
+    except CoefficientLimitError:
+        return
+    # the reference evaluates each term of the formal map with the
+    # lam-polynomials (the coefficient and each Ea scale) in floats
+    terms = []
+    for mono, coeff in ce.terms.items():
+        rest = CanonicalExpr({mono._replace(ea=(), lam=0): 1})
+        term = _coeff_value(((mono.lam, coeff),), c) * eval_canonical(rest, alpha, point, bindings)
+        for v, scale, p in mono.ea:
+            u = _coeff_value(scale, c) * point[VARIABLES[v]] ** alpha
+            term *= ml_exp(alpha, u) ** p
+        terms.append(term)
+    assert abs(value - sum(terms)) <= 1e-9 * sum(map(abs, terms))
 
 
 def test_render_past_the_int_digit_limit_is_an_expression_error():

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -14,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 
 import fracquat
-from fracquat import CYLINDRICAL, canon
-from fracquat.cli import main
+from fracquat import CYLINDRICAL, CRat, canon
+from fracquat.cli import load_field_spec, main
 from fracquat.parser import MAX_FACTORS
+from fracquat.quatops import FORMAL
 
 from strategies import exprs
 
@@ -77,6 +79,15 @@ class TestApply:
             "-(d(f1,r) + P(r,-1)*d(f2,theta) + P(r,-1)*f1 + d(f3,z))", CYLINDRICAL
         )
         assert scalar == expected
+
+    def test_numeric_lambda_is_put_in_before_the_operator(self, tmp_path, capsys):
+        # Ea(i lam, z) solves Laplacian f + lam^2 f = 0; at lam = 2 it reads as 0
+        doc = {"alpha": 0.5, "frame": "cartesian", "components": {"f0": "Ea(1i*lam, z)"},
+               "lambda": "2"}
+        code, out, _ = run(capsys, ["apply", write_spec(tmp_path, doc), "-o", "helmholtz"])
+        assert (code, out) == (0, "f0 = 0\nf1 = 0\nf2 = 0\nf3 = 0\n")
+        code, out, _ = run(capsys, ["apply", write_spec(tmp_path, doc), "-o", "mt"])
+        assert out.splitlines()[3] == "f3 = 2i*Ea(2i, z)"
 
     def test_bad_spec_missing_alpha(self, tmp_path, capsys):
         spec = write_spec(tmp_path, {"frame": "cylindrical"})
@@ -265,6 +276,29 @@ class TestEval:
         value = complex(out.strip().splitlines()[0].split("=", 1)[1].strip())
         assert abs(value - complex(math.cos(2), math.sin(2))) < 1e-10
 
+    def test_lam_option_reads_the_spec_grammar(self, tmp_path, capsys):
+        doc = {"alpha": 1.0, "frame": "cylindrical", "components": {"f0": "lam^2*Ea(lam, z)"}}
+        spec = write_spec(tmp_path, doc)
+        with_lambda = write_spec(tmp_path, dict(doc, **{"lambda": "1/2+2i"}), "lambda.json")
+        by_option = run(capsys, ["eval", spec, "--at", "z=1", "--lam", "1/2+2i"])
+        by_spec = run(capsys, ["eval", with_lambda, "--at", "z=1"])
+        assert by_option == by_spec and by_option[0] == 0
+        # --lam overrides the spec, also back to formal
+        code, _, err = run(capsys, ["eval", spec, "--at", "z=1", "--lam", "formal"])
+        assert (code, err) == (2, "error: expression contains lam but no lam value was given"
+                                  " in component f0\n")
+
+    @pytest.mark.parametrize("value, message", [
+        ("1e5", "unexpected trailing input 'e5' (at position 1)"),
+        ("1+2j", "unexpected trailing input 'j' (at position 3)"),
+        ("nan", "unknown identifier 'nan' (at position 0)"),
+        ("lam", "lambda must be a complex constant or 'formal', got 'lam'"),
+    ])
+    def test_lam_option_texts_the_dsl_refuses(self, tmp_path, capsys, value, message):
+        spec = write_spec(tmp_path, CYL_SPEC)
+        argv = ["eval", spec, "--at", "r=2", "--lam", value]
+        assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
     def test_bad_point_variable(self, tmp_path, capsys):
         spec = write_spec(tmp_path, CYL_SPEC)
         code, _, err = run(capsys, ["eval", spec, "--at", "x=2"])
@@ -387,6 +421,27 @@ class TestInputValidation:
         spec = write_spec(tmp_path, dict(CYL_SPEC, alpha=value))
         self.assert_usage_error(capsys, ["apply", spec, "-o", "mt"])
         self.assert_usage_error(capsys, ["eval", spec, "--at", "r=2"])
+
+    @pytest.mark.parametrize("value, expected", [
+        (None, FORMAL), ("formal", FORMAL), (2, 2), ("1/2+2i", CRat(Fraction(1, 2), 2)),
+        # a JSON number is read exactly, from its shortest repr
+        (0.1, CRat(Fraction(1, 10))), (1e-07, CRat(Fraction(1, 10**7))), (1e300, 10**300),
+    ])
+    def test_lambda_values(self, tmp_path, value, expected):
+        spec = write_spec(tmp_path, dict(CYL_SPEC, **{"lambda": value}))
+        assert load_field_spec(spec)[2] == expected
+
+    @pytest.mark.parametrize("value, message", [
+        (True, "'lambda' must be a string or a number, not a boolean"),
+        ([2], "'lambda' must be a string or a number, not an array"),
+        ({"re": 2}, "'lambda' must be a string or a number, not an object"),
+        (math.inf, "'lambda' must be finite, not inf"),
+        ("1e5", "unexpected trailing input 'e5' (at position 1)"),
+    ])
+    def test_lambda_of_another_type(self, tmp_path, capsys, value, message):
+        spec = write_spec(tmp_path, dict(CYL_SPEC, **{"lambda": value}))
+        for argv in (["apply", spec, "-o", "mt"], ["eval", spec, "--at", "r=2"]):
+            assert run(capsys, argv) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("value", ["1", "-inf"])
     def test_unrecognized_argument_is_one_line(self, capsys, value):

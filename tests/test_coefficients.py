@@ -15,7 +15,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from fracquat import CYLINDRICAL, canon, d_alpha, eval_canonical, frame_by_name, parse
+from fracquat import (
+    CYLINDRICAL, canon, d_alpha, eval_canonical, frame_by_name, parse, substitute_lam,
+)
 from fracquat.canonical import MONOMIAL_ONE, CanonicalExpr, _accumulate, _add_products
 from fracquat.coefficients import (
     DIGITS, LIMIT, CRat, _of, _parts, as_crat, quotient, render_crat,
@@ -389,5 +391,7 @@ EVAL_PINS = (
 @pytest.mark.parametrize("frame, text, alpha, point, lam, expected", EVAL_PINS)
 def test_eval_values_are_pinned(frame, text, alpha, point, lam, expected):
     ce = canon(text, frame_by_name(frame))
-    value = eval_canonical(ce, alpha, point, bindings={"f1": 0.25 + 1j}, lam=lam)
+    if lam is not None:
+        ce = substitute_lam(ce, as_crat(lam))
+    value = eval_canonical(ce, alpha, point, bindings={"f1": 0.25 + 1j})
     assert (value.real.hex(), value.imag.hex()) == expected
