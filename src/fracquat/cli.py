@@ -20,7 +20,7 @@ import sys
 from .canonical import eval_canonical, render_canonical, substitute_lam
 from .coefficients import as_crat
 from .derivative import DerivativeMode, differentiate
-from .expr import COMPONENT_NAMES, EvaluationDomainError, ExpressionError, UnboundSymbolError
+from .expr import COMPONENT_NAMES, ExpressionError
 from .frames import FRAMES, QuaternionField, frame_by_name
 from .parser import parse
 from .quatops import (
@@ -58,6 +58,15 @@ _JSON_TYPES = {
 }
 
 
+def _naming(where: str, compute):
+    """compute(), an expression or series error ending in " in " + where."""
+    try:
+        return compute()
+    except (ExpressionError, SeriesConvergenceError) as exc:
+        exc.args = (f"{exc} in {where}",)
+        raise
+
+
 def _parse_lambda(raw):
     """The spec's "lambda" or --lam: "formal" or null, a JSON number read
     exactly, or a constant in the DSL."""
@@ -79,7 +88,8 @@ def load_field_spec(path: str, lam=None):
     """Read a field spec document: {"alpha": ..., "frame": ...,
     "components": {"f0": ..., ...}, "lambda": ...}.  Missing components
     default to "0".  A numeric lambda, or lam where given (it overrides the
-    spec's, as --lam does), is put in for every lam in the components.
+    spec's, as --lam does), is put in for every lam in the components.  An
+    expression error names the component, 'lambda' or --lam that it is in.
     Returns (alpha, QuaternionField, lambda)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -104,11 +114,14 @@ def load_field_spec(path: str, lam=None):
     unknown = set(components) - set(COMPONENT_NAMES)
     if unknown:
         raise SpecError(f"unknown component keys {sorted(unknown)}; expected f0..f3")
-    parsed = [parse(str(components.get(key, "0")), frame) for key in COMPONENT_NAMES]
-    lam = _parse_lambda(doc.get("lambda") if lam is None else lam)
+    texts = {key: str(components.get(key, "0")) for key in COMPONENT_NAMES}
+    parsed = {key: _naming(f"component {key}", lambda: parse(texts[key], frame)) for key in texts}
+    raw, where = (doc.get("lambda"), "'lambda'") if lam is None else (lam, "--lam")
+    lam = _naming(where, lambda: _parse_lambda(raw))
     if lam != FORMAL:
-        parsed = [substitute_lam(c, lam) for c in parsed]
-    return alpha, QuaternionField(frame, *parsed), lam
+        parsed = {k: _naming(f"component {k}", lambda: substitute_lam(c, lam))
+                  for k, c in parsed.items()}
+    return alpha, QuaternionField(frame, *parsed.values()), lam
 
 
 def _parse_point(raw: str, frame) -> dict:
@@ -195,13 +208,8 @@ def cmd_eval(args) -> int:
     if args.alpha is not None:
         alpha = validate_alpha(args.alpha)
     point = _parse_point(args.at, f.frame)
-    values = {}
-    for key, c in zip(COMPONENT_NAMES, f.components):
-        try:
-            values[key] = eval_canonical(c, alpha, point, tol=args.tol)
-        except (SeriesConvergenceError, EvaluationDomainError, UnboundSymbolError) as exc:
-            exc.args = (f"{exc} in component {key}",)
-            raise
+    values = {k: _naming(f"component {k}", lambda: eval_canonical(c, alpha, point, tol=args.tol))
+              for k, c in zip(COMPONENT_NAMES, f.components)}
     components = {key: {"re": v.real, "im": v.imag} for key, v in values.items()}
     doc = {"frame": f.frame.name, "alpha": alpha, "point": point, "components": components}
     _emit(args, doc, "\n".join(f"{key} = {v}" for key, v in values.items()))

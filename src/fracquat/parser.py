@@ -18,20 +18,22 @@ imaginary literals, so the complex form a+bi parses through the ordinary
 sum grammar.  d(...) attaches partial-derivative indices to component
 symbols and exists so rendered canonical forms re-parse.
 
-The parser builds the canonical form as it reads.  A term is read into
-one record, the exponent of each generator and one coefficient, and its
-monomial is formed once, at the end of the term.  Only a factor in
-parentheses, a power of a number or of cosa, and a cos power past 1 take
-ring products.  A sum adds its terms into one map.  Sums and products
-are loops, so only nesting recurses; the input limits below keep both
-the work and the recursion bounded, and going past one raises ParseError,
-as does a coefficient past the bound that the ring keeps (coefficients.LIMIT).
+The lexer makes one token of each well-formed generator factor, and a
+parse call reads each distinct factor text once: a dict that lives as long
+as the call keeps its record entry.  A term is read into one record, the
+exponent of each generator and one coefficient, which also takes a
+constant in parentheses such as (1 + 2i); its monomial is formed once, at
+the end of the term.  Only another factor in parentheses, a power of a
+number or of cosa, and a cos power past 1 take ring products.  Sums and
+products are loops, so only nesting recurses; the input limits below keep
+both the work and the recursion bounded, and going past one raises
+ParseError, as does a coefficient past the bound that the ring keeps
+(coefficients.LIMIT).
 """
 
 from __future__ import annotations
 
 import re
-from itertools import islice
 
 from .canonical import MONOMIAL_ONE, CanonicalExpr, Monomial, _accumulate, _new, _scale
 from .coefficients import DIGITS, LIMIT, _of, _parts
@@ -42,10 +44,18 @@ MAX_FACTORS = 1000  # factors in one product
 MAX_DEPTH = 200  # nesting levels, counted across '(', 'Ea(' and 'd('
 
 _SYMBOLS = frozenset("+-*/^(),")
-# a token is a number with an optional imaginary suffix, a word, or any
+# a fine token is a number with an optional imaginary suffix, a word, or any
 # other character that is not whitespace.  \s, \w and \d match what
 # str.isspace, str.isalnum (or "_") and str.isdecimal accept
-_TOKEN = re.compile(r"\d+(?:\.\d*)?i?|\w+|\S")
+_FINE = re.compile(r"\d+(?:\.\d*)?i?|\w+|\S")
+# a token is a symbol (tried first, the commonest), a generator factor or a fine
+# token.  A factor starts and ends where fine tokens do, and holds only fine tokens
+# that pass the lexer's checks: known variables, numbers of at most 9 digits, ASCII words
+_VAR = "(?:" + "|".join(VARIABLES) + ")"
+_TOKEN = re.compile(
+    rf"[-+*/^(),]|(?:P\({_VAR},-?\d{{1,9}}|(?:sina|cosa)\({_VAR}|d\(f[0-3](?:,{_VAR})+"
+    rf"|Ea\((?:[-+*/^ A-Za-z_]|\d{{1,9}}(?!\d))*,\s*{_VAR})\)|" + _FINE.pattern
+)
 # a record maps generators to exponents; its keys are ("d", (k, midx)),
 # ("P", v), ("sina", v), ("cosa", v), ("Ea", v, scale) and ("lam",)
 _NOT_UNITS = ("d", "cosa", "lam")  # generators that CanonicalExpr.inverse refuses
@@ -74,25 +84,11 @@ def _lex_error(tok: str):
             return "number has too many digits"
     elif tok not in _SYMBOLS and not (tok[0].isalpha() or tok[0] == "_"):
         return f"unexpected character {tok[0]!r}"
-    return None
-
-
-def tokenize(text: str) -> list:
-    """The tokens of text as strings, then None for the end.  Each distinct
-    token is checked once; a text with a bad one is scanned again, so the
-    first in reading order is reported.  Tokens carry no position: only
-    an error needs one, and _Parser.error finds it again."""
-    tokens = _TOKEN.findall(text)
-    if any(map(_lex_error, set(tokens))):
-        for m in _TOKEN.finditer(text):
-            if message := _lex_error(m.group()):
-                raise ParseError(message, m.start())
-    tokens.append(None)
-    return tokens
 
 
 def _shown(tok) -> str:
-    """A token as error messages show it: a number as (Fraction, imaginary)."""
+    """A token as messages show it: a factor as its head, a number as (Fraction, imaginary)."""
+    tok = tok and _FINE.match(tok).group()
     if tok is None or not tok[0].isdecimal():
         return repr(tok)
     try:
@@ -140,18 +136,27 @@ def _terms(gens: dict, coeff) -> dict:
 
 class _Parser:
     def __init__(self, text, variables):
-        self.text = text
-        self.tokens = tokenize(text)
-        self.i = 0
+        """Tokens are strings, then None for the end.  Each distinct token is
+        checked once; a text with a bad one is scanned again for the first."""
+        self.text, self.tokens = text, _TOKEN.findall(text)
+        if any(map(_lex_error, set(self.tokens))):
+            for m in _TOKEN.finditer(text):
+                if message := _lex_error(m.group()):
+                    raise ParseError(message, m.start())
+        self.tokens.append(None)
         self.variables = tuple(variables)
-        self.depth = 0
+        self.i = self.depth = 0
         self.where = 0  # the token at which parse reports the ring's coefficient bound
+        self.memo = {}  # token -> record entry, for the factors this call has read
 
     def error(self, message: str, index: int) -> ParseError:
         """A ParseError at the token with this index (the end has the last);
-        the text is scanned only up to that token."""
-        m = next(islice(_TOKEN.finditer(self.text), index, None), None)
-        return ParseError(message, len(self.text) if m is None else m.start())
+        each token is the next text that is not whitespace."""
+        pos = 0
+        for tok in self.tokens[:index]:
+            pos = self.text.index(tok, pos) + len(tok)
+        tok = self.tokens[index]
+        return ParseError(message, len(self.text) if tok is None else self.text.index(tok, pos))
 
     def expect(self, symbol: str):
         tok = self.tokens[self.i]
@@ -160,8 +165,7 @@ class _Parser:
         self.i += 1
 
     def descend(self, index: int):
-        """Enter the nesting level that the token at index opens; the
-        caller leaves it with `self.depth -= 1`."""
+        """Enter the level that the token at index opens; `depth -= 1` leaves it."""
         self.depth += 1
         if self.depth > MAX_DEPTH:
             raise self.error(f"nesting is deeper than {MAX_DEPTH} levels", index)
@@ -170,12 +174,9 @@ class _Parser:
     # a nesting level costs three frames: parse_sum, parse_term, parse_atom
 
     def parse_sum(self) -> CanonicalExpr:
-        acc = {}
-        sign = 1
+        acc, sign, terms = {}, 1, 1
         if self.tokens[self.i] == "-":
-            self.i += 1
-            sign = -1
-        terms = 1
+            self.i, sign = self.i + 1, -1
         while True:
             _accumulate(acc, self.parse_term(sign).items())
             op = self.tokens[self.i]
@@ -189,13 +190,12 @@ class _Parser:
 
     def parse_term(self, sign: int) -> dict:
         """The clean map of sign times one product.  Atoms go into the record
-        (gens, (a + b i)/d).  A factor in parentheses, a power of a number or
-        of cosa, and a division or negative power that the ring refuses are
+        (gens, (a + b i)/d).  A sum in parentheses, a power of a number or of
+        cosa, and a division or negative power that the ring refuses are
         formed in the ring, which raises its own errors; the product read so
         far is multiplied by such a factor there, and the record starts afresh.
-        self.where follows the factor being read, or a power's '^'; at the
-        term's end, where the record meets the ring product, it names the
-        record's last number factor."""
+        self.where follows the factor being read, or a power's '^', and at the
+        term's end it names the record's last number factor."""
         gens, (a, b, d), ring, divide, factors, mark = {}, (sign, 0, 1), None, False, 1, None
         while True:
             at = self.i
@@ -206,10 +206,9 @@ class _Parser:
                 k = self.parse_integer()
             if type(atom) is not CanonicalExpr:
                 key, n, base = atom
-                unit = key[0] not in _NOT_UNITS if key else base[0] or base[1]
-                if k != 1 and (not key or key[0] == "cosa") or not unit and (
+                if k != 1 and (not key or key[0] == "cosa") or (
                     k < 0 or k > MAX_FACTORS or divide and k
-                ):
+                ) and not (key[0] not in _NOT_UNITS if key else base[0] or base[1]):  # not a unit
                     atom = CanonicalExpr._of(_terms({key: n} if key else {}, _of(*base)))
             if type(atom) is CanonicalExpr:
                 if k > MAX_FACTORS and len(atom.terms) == 1 and next(iter(atom.terms)).dsyms:
@@ -250,8 +249,7 @@ class _Parser:
     def parse_integer(self) -> int:
         sign = 1
         if self.tokens[self.i] == "-":
-            self.i += 1
-            sign = -1
+            self.i, sign = self.i + 1, -1
         tok = self.tokens[self.i]
         if tok is None or not tok[0].isdecimal():
             raise self.error(f"expected an integer, found {_shown(tok)}", self.i)
@@ -267,7 +265,7 @@ class _Parser:
         if name is None or not (name[0].isalpha() or name[0] == "_"):
             raise self.error(f"expected 'ident', found {_shown(name)}", self.i)
         if name not in _VAR_INDEX:
-            raise self.error(f"unknown variable {name!r}", self.i)
+            raise self.error(f"unknown variable {_shown(name)}", self.i)
         if name not in self.variables:
             raise self.error(
                 f"variable {name!r} is not in the active frame {self.variables}", self.i
@@ -276,89 +274,91 @@ class _Parser:
         return _VAR_INDEX[name]
 
     def parse_atom(self):
-        """The next atom: a parenthesised sum as its CanonicalExpr, anything
-        else as (record key or None, exponent, coefficient (a, b, d))."""
+        """The next atom: a sum in parentheses that is not a constant as its
+        CanonicalExpr, anything else as (record key or None, exponent,
+        coefficient (a, b, d)), taken from the memo below the deepest level."""
         i = self.i
         tok = self.tokens[i]
         self.i = i + 1
+        if tok in self.memo and self.depth < MAX_DEPTH:
+            return self.memo[tok]
         if tok == "(":
             self.descend(i)
             node = self.parse_sum()
             self.depth -= 1
             self.expect(")")
+            if node.terms.keys() <= {MONOMIAL_ONE}:  # a constant joins the record's coefficient
+                return None, 0, _parts(node.terms.get(MONOMIAL_ONE, 0))
             return node
         if tok is None or tok in _SYMBOLS:
             raise self.error(f"unexpected token {_shown(tok)}", i)
-        if tok[0].isdecimal():
-            return None, 0, _number(tok)
-        if tok == "lam":
-            return ("lam",), 1, _ONE
-        if tok in COMPONENT_NAMES or tok == "d":
-            k, midx = self.parse_component(i)
-            return ("d", (k, tuple(sorted(midx)))), 1, _ONE
-        if tok == "P":
+        if tok == "d":  # d(component, variables), the component f0..f3 or a d(...)
             self.expect("(")
-            var = self.parse_variable()
-            self.expect(",")
-            n = self.parse_integer()
-            self.expect(")")
-            return ("P", var), n, _ONE
-        if tok == "sina" or tok == "cosa":
-            self.expect("(")
-            var = self.parse_variable()
-            self.expect(")")
-            return (tok, var), 1, _ONE
-        if tok == "Ea":
-            self.expect("(")
+            inner = self.tokens[self.i]
+            if not inner or _FINE.match(inner).group() not in COMPONENT_NAMES + ("d",):
+                raise self.error("d(...) applies only to component symbols f0..f3", self.i)
             self.descend(i)
-            scale = self.parse_sum()
+            (_, (k, midx)), _, _ = self.parse_atom()
             self.depth -= 1
-            self.expect(",")
-            var = self.parse_variable()
+            variables = list(midx)
+            while self.tokens[self.i] == ",":
+                self.i += 1
+                variables.append(self.parse_variable())
             self.expect(")")
-            scale = _scale(scale)
-            return ("Ea", var, scale), 1 if scale else 0, _ONE  # E_alpha(0) = 1
-        raise self.error(f"unknown identifier {tok!r}", i)
+            if len(variables) == len(midx):
+                raise self.error("d(...) needs at least one differentiation variable", i)
+            return ("d", (k, tuple(sorted(variables)))), 1, _ONE
+        if tok == "P" or tok == "sina" or tok == "cosa" or tok == "Ea":
+            self.expect("(")
+            if tok == "Ea":
+                self.descend(i)
+                scale = self.parse_sum()
+                self.depth -= 1
+                self.expect(",")
+            key, n = (tok, self.parse_variable()), 1
+            if tok == "P":
+                self.expect(",")
+                n = self.parse_integer()
+            self.expect(")")
+            if tok == "Ea":
+                scale = _scale(scale)
+                key, n = ("Ea", key[1], scale), 1 if scale else 0  # E_alpha(0) = 1
+            return key, n, _ONE
+        if tok[-1] == ")":
+            entry = self.read_factor(tok, i)
+        elif tok[0].isdecimal():
+            entry = None, 0, _number(tok)
+        elif tok == "lam" or tok in COMPONENT_NAMES:
+            entry = ("lam",) if tok == "lam" else ("d", (int(tok[1]), ())), 1, _ONE
+        else:
+            raise self.error(f"unknown identifier {tok!r}", i)
+        self.memo[tok] = entry
+        return entry
 
-    def parse_component(self, index: int) -> tuple:
-        """The component symbol that the token at index (f0..f3 or d)
-        starts, as (k, differentiation variable indices)."""
-        if self.tokens[index] != "d":
-            return int(self.tokens[index][1]), ()
-        self.expect("(")
-        inner = self.i
-        if self.tokens[inner] not in COMPONENT_NAMES + ("d",):
-            raise self.error("d(...) applies only to component symbols f0..f3", inner)
-        self.i += 1
-        self.descend(index)
-        k, midx = self.parse_component(inner)
-        self.depth -= 1
-        variables = []
-        while self.tokens[self.i] == ",":
-            self.i += 1
-            variables.append(self.parse_variable())
-        self.expect(")")
-        if not variables:
-            raise self.error("d(...) needs at least one differentiation variable", index)
-        return k, midx + tuple(variables)
+    def read_factor(self, tok: str, index: int) -> tuple:
+        """The record entry of the factor token at index.  P, sina, cosa and
+        d(...) of the frame's variables are read off the text; Ea, and any
+        factor with an error, by parse_atom once the token is split into its
+        fine tokens."""
+        head, _, body = tok[:-1].partition("(")
+        args = body.split(",")
+        names = args[1:] if head == "d" else args[:1]
+        if head != "Ea" and self.depth < MAX_DEPTH and all(map(self.variables.__contains__, names)):
+            if head == "d":
+                return ("d", (int(args[0][1]), tuple(sorted(map(_VAR_INDEX.get, names))))), 1, _ONE
+            return (head, _VAR_INDEX[args[0]]), int(args[1]) if head == "P" else 1, _ONE
+        self.tokens[index : index + 1] = _FINE.findall(tok)
+        self.i = index
+        return self.parse_atom()
 
 
 def parse(text: str, frame=None) -> CanonicalExpr:
-    """The canonical form of DSL text, with identifiers resolved against
-    the frame's variables.
-
-    frame may be anything with a .variables attribute, an iterable of
-    variable names, or None to allow every known variable.
-    """
-    if frame is None:
-        variables = VARIABLES
-    elif hasattr(frame, "variables"):
-        variables = frame.variables
-    else:
-        variables = tuple(frame)
+    """The canonical form of DSL text, with identifiers resolved against the
+    variables of frame: anything with a .variables attribute, an iterable of
+    variable names, or None to allow every known variable."""
     if not text or not text.strip():
         raise ParseError("empty input", 0)
-    parser = _Parser(text, variables)
+    parser = _Parser(text, VARIABLES if frame is None else getattr(frame, "variables", frame))
     try:
         ce = parser.parse_sum()
     except CoefficientLimitError:  # a sum, product or power in the ring

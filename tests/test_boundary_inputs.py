@@ -172,10 +172,12 @@ ROWS = {
     # a numeric lambda is put in for lam exactly, before any operator or eval
     # runs; its power is formed by squaring, so at 2 it stops at the bound
     "lambda power past the digit limit": (
-        spec(lam_spec(LAM_POWER, "2"), "apply"), 2, "int digit limit (4300 digits)"
+        spec(lam_spec(LAM_POWER, "2"), "apply"), 2, "int digit limit (4300 digits) in component f0"
     ),
     "lambda power past the digit limit in eval": (
-        spec(lam_spec(LAM_POWER, "2"), at="x=1,y=1,z=1"), 2, "int digit limit (4300 digits)"
+        spec(lam_spec(LAM_POWER, "2"), at="x=1,y=1,z=1"),
+        2,
+        "int digit limit (4300 digits) in component f0",
     ),
     # while at 1i it cycles to 1, so f0 is P(x,1), and Laplacian f + lam^2 f is -f
     "lambda power that cycles": (
@@ -188,6 +190,22 @@ ROWS = {
         spec(lam_spec("Ea(lam, x)*Ea(2, x)^-1 + lam^3*P(x,1) - 8*P(x,1)", "2"), at="x=1,y=1,z=1"),
         0,
         "f0 = (1+0j)\nf1 = 0j\nf2 = 0j\nf3 = 0j\n",
+    ),
+    # an error in a spec's text names the component, 'lambda' or --lam it is in
+    "spec component parse error": (
+        spec('{"alpha": 0.5, "frame": "cylindrical", "components": {"f2": "P(r,1"}}', "apply"),
+        2,
+        "expected ')', found None (at position 5) in component f2",
+    ),
+    "spec lambda parse error": (
+        spec(lam_spec("P(x,1)", "1+2j"), "apply"),
+        2,
+        "trailing input 'j' (at position 3) in 'lambda'",
+    ),
+    "lam option parse error": (
+        lambda tmp_path: [*spec(lam_spec("P(x,1)", "2"), at="x=1,y=1,z=1")(tmp_path), "--lam=1 +"],
+        2,
+        "unexpected token None (at position 3) in --lam",
     ),
     # field spec values that json.load gives but the spec does not take
     "alpha an array": (spec('{"alpha": [0.5], "frame": "cylindrical"}'), 2, "not an array"),

@@ -23,6 +23,7 @@ from fracquat.quatops import FORMAL
 from strategies import exprs
 
 DATA = Path(__file__).parent / "data"
+DIGITS = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
 CYL_SPEC = {"alpha": 0.5, "frame": "cylindrical", "components": {"f0": "P(r,1)"}}
 ABSTRACT_SPEC = {
     "alpha": 0.5,
@@ -297,7 +298,8 @@ class TestEval:
     def test_lam_option_texts_the_dsl_refuses(self, tmp_path, capsys, value, message):
         spec = write_spec(tmp_path, CYL_SPEC)
         argv = ["eval", spec, "--at", "r=2", "--lam", value]
-        assert run(capsys, argv) == (2, "", f"error: {message}\n")
+        where = " in --lam" if "position" in message else ""  # a DSL error names --lam
+        assert run(capsys, argv) == (2, "", f"error: {message}{where}\n")
 
     def test_bad_point_variable(self, tmp_path, capsys):
         spec = write_spec(tmp_path, CYL_SPEC)
@@ -440,7 +442,34 @@ class TestInputValidation:
     ])
     def test_lambda_of_another_type(self, tmp_path, capsys, value, message):
         spec = write_spec(tmp_path, dict(CYL_SPEC, **{"lambda": value}))
+        where = " in 'lambda'" if "position" in message else ""  # a DSL error names 'lambda'
         for argv in (["apply", spec, "-o", "mt"], ["eval", spec, "--at", "r=2"]):
+            assert run(capsys, argv) == (2, "", f"error: {message}{where}\n")
+
+    @pytest.mark.parametrize("doc, lam, message", [
+        ({"f2": "P(r,1"}, None, "expected ')', found None (at position 5) in component f2"),
+        ({"f0": "1", "f3": "P(x,1)"}, None,
+         "variable 'x' is not in the active frame ('r', 'theta', 'z') (at position 2)"
+         " in component f3"),
+        ({"f1": "2^100000000*P(r,1)"}, None,
+         f"a term's coefficient would pass {DIGITS} digits (at position 1) in component f1"),
+        ({"f0": "P(r,1)", "lambda": "1 +"}, None,
+         "unexpected token None (at position 3) in 'lambda'"),
+        ({"f0": "P(r,1)", "lambda": "2"}, "1+2j",
+         "unexpected trailing input 'j' (at position 3) in --lam"),
+        # a value put in for lam past the bound names the component it is put in
+        ({"f0": "P(r,1)", "f1": "lam^1000000000", "lambda": "2"}, None,
+         f"a coefficient passes the int digit limit ({DIGITS} digits) in component f1"),
+    ])
+    def test_spec_errors_name_their_input(self, tmp_path, capsys, doc, lam, message):
+        components = {k: v for k, v in doc.items() if k != "lambda"}
+        extra = {"lambda": doc["lambda"]} if "lambda" in doc else {}
+        spec = write_spec(tmp_path, dict(CYL_SPEC, components=components, **extra))
+        option = [] if lam is None else ["--lam", lam]
+        argvs = [["eval", spec, "--at", "r=2,theta=1,z=1", *option]]
+        if lam is None:
+            argvs.append(["apply", spec, "-o", "laplacian"])
+        for argv in argvs:
             assert run(capsys, argv) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("value", ["1", "-inf"])

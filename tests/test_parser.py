@@ -1,5 +1,6 @@
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -7,14 +8,17 @@ import pytest
 from hypothesis import given, settings
 
 import fracquat
-from fracquat import CYLINDRICAL, CanonicalExpr, NonInvertibleDivisionError, ParseError, parse
+from fracquat import (
+    CARTESIAN, CYLINDRICAL, SPHERICAL, CanonicalExpr, NonInvertibleDivisionError, ParseError, parse,
+)
+from fracquat import parser
 from fracquat.canonical import render_canonical
 from fracquat.cli import _OPERATORS
 from fracquat.coefficients import CRat
 from fracquat.expr import COMPONENT_NAMES, ExpressionError
 from fracquat.frames import FRAMES, QuaternionField
 from fracquat.parser import MAX_DEPTH, MAX_FACTORS, MAX_TERMS
-from fracquat.quatops import FORMAL
+from fracquat.quatops import FORMAL, bitsadze
 
 from strategies import exprs
 
@@ -281,6 +285,40 @@ MALFORMED = [
     ("sin(r)", "unknown identifier 'sin'", 0),
     ("f1 $ 1.", "unexpected character '$'", 3),
     ("P(x,1) + 1.", "malformed number", 9),
+    # errors inside what the lexer reads as one factor token, or next to one,
+    # recorded from the parser that read every factor token by token
+    ('Ea(1, w)', "unknown variable 'w'", 6),
+    ('sina(x)', "variable 'x' is not in the active frame ('r', 'theta', 'z')", 5),
+    ('d(f1,x)', "variable 'x' is not in the active frame ('r', 'theta', 'z')", 5),
+    ('d(f4,r)', 'd(...) applies only to component symbols f0..f3', 2),
+    ('P(r,-x)', "expected an integer, found 'x'", 5),
+    ('cosa(w)', "unknown variable 'w'", 5),
+    ('Ea(1., r)', 'malformed number', 3),
+    ('Ea(, r)', "unexpected token ','", 3),
+    ('Ea(1 + $, r)', "unexpected character '$'", 7),
+    ('P(r2,1)', "unknown variable 'r2'", 2),
+    ('P(1,1)', "expected 'ident', found (Fraction(1, 1), False)", 2),
+    ('d(f1,r,w)', "unknown variable 'w'", 7),
+    ('Ea(P, r)', "expected '(', found ','", 4),
+    ('d(f1,2)', "expected 'ident', found (Fraction(2, 1), False)", 5),
+    ('P(r,2)P(z,1)', "unexpected trailing input 'P'", 6),
+    ('2 sina(r)', "unexpected trailing input 'sina'", 2),
+    ('Ea(1, P(r,1))', "unknown variable 'P'", 6),
+    ('f1^P(r,1)', "expected an integer, found 'P'", 3),
+    ('d(d(f1,w),r)', "unknown variable 'w'", 7),
+    ('d(sina(r),r)', 'd(...) applies only to component symbols f0..f3', 2),
+    ('P(r,1²)', "unexpected character '²'", 5),
+    ('Ea(1, ²)', "unexpected character '²'", 6),
+    ('P(r,1)*P(x,1)', "variable 'x' is not in the active frame ('r', 'theta', 'z')", 9),
+    ('Ea(1, r) + Ea(1, x)', "variable 'x' is not in the active frame ('r', 'theta', 'z')", 17),
+    ('d(f1,r) - d(f1,x)', "variable 'x' is not in the active frame ('r', 'theta', 'z')", 15),
+    (
+        "sina(r)*cosa(r) + sina(theta)/sina(x)",
+        "variable 'x' is not in the active frame ('r', 'theta', 'z')",
+        35,
+    ),
+    ('P(r,1) + P(r,1.5)', 'exponent is not an integer', 13),
+    ('P(r,1)*P(r,1 P(z,1)', "expected ')', found 'P'", 13),
 ]
 
 
@@ -289,6 +327,73 @@ def test_malformed_input_message_and_position(text, message, position):
     with pytest.raises(ParseError) as err:
         parse(text, CYLINDRICAL)
     assert (str(err.value), err.value.position) == (f"{message} (at position {position})", position)
+
+
+# -- the per-call memo of factor texts --------------------------------------------
+
+
+def test_a_repeated_factor_one_level_too_deep_is_refused_at_its_place():
+    # the second Ea(1, r) or d(f1,r) is taken from the memo; inside MAX_DEPTH
+    # parentheses it opens one level too many, as its first reading would
+    for factor in ("Ea(1, r)", "d(f1,r)"):
+        head = f"{factor} + "
+        parse(head + "(" * (MAX_DEPTH - 1) + factor + ")" * (MAX_DEPTH - 1), CYLINDRICAL)
+        with pytest.raises(ParseError) as err:
+            parse(head + "(" * MAX_DEPTH + factor + ")" * MAX_DEPTH, CYLINDRICAL)
+        message = f"nesting is deeper than {MAX_DEPTH} levels"
+        assert str(err.value) == f"{message} (at position {len(head) + MAX_DEPTH})"
+
+
+def test_nothing_read_in_one_call_carries_over_to_the_next():
+    assert parse("P(r,1)", CYLINDRICAL) == C.fractal_power("r", 1)
+    with pytest.raises(ParseError) as err:
+        parse("P(r,1)", CARTESIAN)
+    message = "variable 'r' is not in the active frame ('x', 'y', 'z')"
+    assert str(err.value) == f"{message} (at position 2)"
+
+
+@pytest.mark.parametrize("tail", ["*cosa(r)^4", "*cosa(r)" * 4])
+def test_a_coefficient_error_at_a_repeated_factor_names_its_place(tail):
+    # the term's last cosa(r) is taken from the memo, and the coefficient
+    # passes the limit as the ring rewrites cos^4 there
+    text = f"cosa(r) + 2^{_bit_limit()}{tail}"
+    with pytest.raises(ParseError) as err:
+        parse(text, CYLINDRICAL)
+    position = text.rindex("cosa(r)")
+    message = f"a term's coefficient would pass {_digit_limit()} digits"
+    assert str(err.value) == f"{message} (at position {position})"
+
+
+@pytest.fixture(scope="module")
+def probe():
+    """ROADMAP item 14's probe: (text, map) of each component of Bitsadze of
+    a spherical field of four 40-term components, 1183 terms in all."""
+    sums = [f"(P(r,1)+sina(theta)+Ea(2+lam,psi)+f{k}+cosa(theta)*P(r,-1))^3" for k in range(4)]
+    field = QuaternionField(SPHERICAL, *(parse(s, SPHERICAL) for s in sums))
+    return [(render_canonical(c), c) for c in bitsadze(field).components]
+
+
+def test_probe_output_parses_back(probe):
+    assert sum(len(c.terms) for _, c in probe) == 1183
+    for text, c in probe:
+        assert parse(text, SPHERICAL) == c
+
+
+def test_each_distinct_factor_text_is_read_once_per_call(probe, monkeypatch):
+    reads = Counter()
+    read_factor = parser._Parser.read_factor
+
+    def counted(self, tok, index):
+        reads[tok] += 1
+        return read_factor(self, tok, index)
+
+    monkeypatch.setattr(parser._Parser, "read_factor", counted)
+    for text, c in probe:
+        reads.clear()
+        assert parse(text, SPHERICAL) == c
+        tokens = parser._TOKEN.findall(text)
+        factors = [t for t in tokens if t[-1] == ")" and len(t) > 1]
+        assert reads == Counter(set(factors)) and len(factors) > 10 * len(reads)
 
 
 # -- the term reader against the ring ------------------------------------------
