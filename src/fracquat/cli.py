@@ -17,8 +17,7 @@ import json
 import os
 import sys
 
-from .canonical import eval_canonical, render_canonical, substitute_lam
-from .coefficients import as_crat
+from .canonical import CanonicalExpr, eval_canonical, render_canonical, substitute_lam
 from .derivative import DerivativeMode, differentiate
 from .expr import COMPONENT_NAMES, ExpressionError
 from .frames import FRAMES, QuaternionField, frame_by_name
@@ -67,18 +66,23 @@ def _naming(where: str, compute):
         raise
 
 
+def _spec_value(raw, name: str, frame) -> CanonicalExpr:
+    """A spec value: a finite JSON number, read exactly (the constructor's
+    as_crat takes a float's shortest repr), or DSL text in frame's variables."""
+    if type(raw) is float and not cmath.isfinite(raw):  # an int past 1e308 is finite
+        raise SpecError(f"{name!r} must be finite, not {raw}")
+    if type(raw) is int or type(raw) is float:
+        return CanonicalExpr.const(raw)
+    if type(raw) is not str:
+        raise SpecError(f"{name!r} must be a string or a number, not {_JSON_TYPES[type(raw)]}")
+    return parse(raw, frame)
+
+
 def _parse_lambda(raw):
-    """The spec's "lambda" or --lam: "formal" or null, a JSON number read
-    exactly, or a constant in the DSL."""
+    """The spec's "lambda" or --lam: "formal" or null, or a constant spec value."""
     if raw is None or raw == FORMAL:
         return FORMAL
-    if type(raw) is int or type(raw) is float:
-        if not cmath.isfinite(raw):
-            raise SpecError(f"'lambda' must be finite, not {raw}")
-        return as_crat(raw)
-    if type(raw) is not str:
-        raise SpecError(f"'lambda' must be a string or a number, not {_JSON_TYPES[type(raw)]}")
-    ce = parse(raw, ())
+    ce = _spec_value(raw, "lambda", ())
     if not all(m.is_one() for m in ce.terms):
         raise SpecError(f"lambda must be a complex constant or 'formal', got {raw!r}")
     return ce.constant_coefficient()
@@ -114,8 +118,8 @@ def load_field_spec(path: str, lam=None):
     unknown = set(components) - set(COMPONENT_NAMES)
     if unknown:
         raise SpecError(f"unknown component keys {sorted(unknown)}; expected f0..f3")
-    texts = {key: str(components.get(key, "0")) for key in COMPONENT_NAMES}
-    parsed = {key: _naming(f"component {key}", lambda: parse(texts[key], frame)) for key in texts}
+    parsed = {k: _naming(f"component {k}", lambda: _spec_value(components.get(k, "0"), k, frame))
+              for k in COMPONENT_NAMES}
     raw, where = (doc.get("lambda"), "'lambda'") if lam is None else (lam, "--lam")
     lam = _naming(where, lambda: _parse_lambda(raw))
     if lam != FORMAL:

@@ -21,14 +21,14 @@ symbols and exists so rendered canonical forms re-parse.
 The lexer makes one token of each well-formed generator factor, and a
 parse call reads each distinct factor text once: a dict that lives as long
 as the call keeps its record entry.  A term is read into one record, the
-exponent of each generator and one coefficient, which also takes a
-constant in parentheses such as (1 + 2i); its monomial is formed once, at
-the end of the term.  Only another factor in parentheses, a power of a
-number or of cosa, and a cos power past 1 take ring products.  Sums and
-products are loops, so only nesting recurses; the input limits below keep
-both the work and the recursion bounded, and going past one raises
-ParseError, as does a coefficient past the bound that the ring keeps
-(coefficients.LIMIT).
+exponent of each generator and one int or CRat coefficient, formed by the
+ring's * and quotient, which also takes a constant in parentheses such as
+(1 + 2i); its monomial is formed once, at the end of the term.  Only
+another factor in parentheses, a power of a number or of cosa, and a cos
+power past 1 take ring products.  Sums and products are loops, so only
+nesting recurses; the input limits below keep both the work and the
+recursion bounded, and going past one raises ParseError, as does a
+coefficient, or a literal's own value, past the ring's coefficients.LIMIT.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 import re
 
 from .canonical import MONOMIAL_ONE, CanonicalExpr, Monomial, _accumulate, _new, _scale
-from .coefficients import DIGITS, LIMIT, _of, _parts
+from .coefficients import DIGITS, _of, _parts, quotient
 from .expr import _VAR_INDEX, COMPONENT_NAMES, CoefficientLimitError, ParseError, VARIABLES
 
 MAX_TERMS = 1000  # terms in one sum
@@ -59,7 +59,6 @@ _TOKEN = re.compile(
 # a record maps generators to exponents; its keys are ("d", (k, midx)),
 # ("P", v), ("sina", v), ("cosa", v), ("Ea", v, scale) and ("lam",)
 _NOT_UNITS = ("d", "cosa", "lam")  # generators that CanonicalExpr.inverse refuses
-_ONE = (1, 0, 1)  # the coefficient (a, b, d) of an atom that is not a number
 
 
 def _number(tok: str) -> tuple:
@@ -190,15 +189,15 @@ class _Parser:
 
     def parse_term(self, sign: int) -> dict:
         """The clean map of sign times one product.  Atoms go into the record
-        (gens, (a + b i)/d).  A sum in parentheses, a power of a number or of
-        cosa, and a division or negative power that the ring refuses are
-        formed in the ring, which raises its own errors; the product read so
-        far is multiplied by such a factor there, and the record starts afresh.
-        self.where follows the factor being read, or a power's '^', and at the
-        term's end it names the record's last number factor."""
-        gens, (a, b, d), ring, divide, factors, mark = {}, (sign, 0, 1), None, False, 1, None
+        (gens, coeff), coeff bounded at each number.  A sum in parentheses, a
+        power of a number or of cosa, and a division or negative power that
+        the ring refuses are formed in the ring, which raises its own errors;
+        the product read so far is multiplied by such a factor there, and the
+        record starts afresh.  self.where follows the factor being read, or a
+        power's '^', and at the term's end names the last number factor."""
+        gens, coeff, ring, divide, factors, mark = {}, sign, None, False, 1, None
         while True:
-            at = self.i
+            at = self.where = self.i  # a literal past the bound is refused where it is read
             atom = self.parse_atom()
             k, caret, self.where = 1, self.i, at
             if self.tokens[caret] == "^":
@@ -208,8 +207,8 @@ class _Parser:
                 key, n, base = atom
                 if k != 1 and (not key or key[0] == "cosa") or (
                     k < 0 or k > MAX_FACTORS or divide and k
-                ) and not (key[0] not in _NOT_UNITS if key else base[0] or base[1]):  # not a unit
-                    atom = CanonicalExpr._of(_terms({key: n} if key else {}, _of(*base)))
+                ) and not (key[0] not in _NOT_UNITS if key else base):  # not a unit
+                    atom = CanonicalExpr._of(_terms({key: n} if key else {}, base))
             if type(atom) is CanonicalExpr:
                 if k > MAX_FACTORS and len(atom.terms) == 1 and next(iter(atom.terms)).dsyms:
                     raise self.error(f"a power of component symbols is past {MAX_FACTORS}", caret)
@@ -219,26 +218,21 @@ class _Parser:
                     self.where = at
                 if divide:
                     atom = atom.inverse()
-                product = CanonicalExpr._of(_terms(gens, _of(a, b, d)))
+                product = CanonicalExpr._of(_terms(gens, coeff))
                 ring = product * atom if ring is None else ring * product * atom
-                gens, (a, b, d), mark = {}, _ONE, None
-            else:
-                if key:
-                    gens[key] = gens.get(key, 0) + (-n * k if divide else n * k)
-                if base is not _ONE:  # a number, k == 1
-                    x, y, z = base
-                    if divide:
-                        x, y, z = x * z, -y * z, x * x + y * y
-                    a, b, d = a * x - b * y, a * y + b * x, d * z
-                    mark = at
-                    if not (abs(a) < LIMIT > abs(b) and d < LIMIT):
-                        # in lowest terms it may be below the bound
-                        a, b, d = _parts(_of(a, b, d))
+                gens, coeff, mark = {}, 1, None
+            elif key:
+                gens[key] = gens.get(key, 0) + (-n * k if divide else n * k)
+            else:  # a number, k == 1; _of bounds an int product, as it does every CRat
+                coeff = quotient(coeff, base) if divide else coeff * base
+                if type(coeff) is int:
+                    coeff = _of(coeff, 0, 1)
+                mark = at
             op = self.tokens[self.i]
             if op != "*" and op != "/":
                 if mark is not None:
                     self.where = mark
-                out = _terms(gens, _of(a, b, d))
+                out = _terms(gens, coeff)
                 return out if ring is None else (ring * CanonicalExpr._of(out)).terms
             if factors == MAX_FACTORS:
                 raise self.error(f"a product has more than {MAX_FACTORS} factors", self.i)
@@ -276,7 +270,7 @@ class _Parser:
     def parse_atom(self):
         """The next atom: a sum in parentheses that is not a constant as its
         CanonicalExpr, anything else as (record key or None, exponent,
-        coefficient (a, b, d)), taken from the memo below the deepest level."""
+        stored coefficient), taken from the memo below the deepest level."""
         i = self.i
         tok = self.tokens[i]
         self.i = i + 1
@@ -288,7 +282,7 @@ class _Parser:
             self.depth -= 1
             self.expect(")")
             if node.terms.keys() <= {MONOMIAL_ONE}:  # a constant joins the record's coefficient
-                return None, 0, _parts(node.terms.get(MONOMIAL_ONE, 0))
+                return None, 0, node.constant_coefficient()
             return node
         if tok is None or tok in _SYMBOLS:
             raise self.error(f"unexpected token {_shown(tok)}", i)
@@ -307,7 +301,7 @@ class _Parser:
             self.expect(")")
             if len(variables) == len(midx):
                 raise self.error("d(...) needs at least one differentiation variable", i)
-            return ("d", (k, tuple(sorted(variables)))), 1, _ONE
+            return ("d", (k, tuple(sorted(variables)))), 1, 1
         if tok == "P" or tok == "sina" or tok == "cosa" or tok == "Ea":
             self.expect("(")
             if tok == "Ea":
@@ -323,13 +317,13 @@ class _Parser:
             if tok == "Ea":
                 scale = _scale(scale)
                 key, n = ("Ea", key[1], scale), 1 if scale else 0  # E_alpha(0) = 1
-            return key, n, _ONE
+            return key, n, 1
         if tok[-1] == ")":
             entry = self.read_factor(tok, i)
         elif tok[0].isdecimal():
-            entry = None, 0, _number(tok)
+            entry = None, 0, _of(*_number(tok))
         elif tok == "lam" or tok in COMPONENT_NAMES:
-            entry = ("lam",) if tok == "lam" else ("d", (int(tok[1]), ())), 1, _ONE
+            entry = ("lam",) if tok == "lam" else ("d", (int(tok[1]), ())), 1, 1
         else:
             raise self.error(f"unknown identifier {tok!r}", i)
         self.memo[tok] = entry
@@ -345,8 +339,8 @@ class _Parser:
         names = args[1:] if head == "d" else args[:1]
         if head != "Ea" and self.depth < MAX_DEPTH and all(map(self.variables.__contains__, names)):
             if head == "d":
-                return ("d", (int(args[0][1]), tuple(sorted(map(_VAR_INDEX.get, names))))), 1, _ONE
-            return (head, _VAR_INDEX[args[0]]), int(args[1]) if head == "P" else 1, _ONE
+                return ("d", (int(args[0][1]), tuple(sorted(map(_VAR_INDEX.get, names))))), 1, 1
+            return (head, _VAR_INDEX[args[0]]), int(args[1]) if head == "P" else 1, 1
         self.tokens[index : index + 1] = _FINE.findall(tok)
         self.i = index
         return self.parse_atom()

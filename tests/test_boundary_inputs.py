@@ -52,6 +52,7 @@ def lam_spec(f0, lam):
 
 
 LAM_POWER = "lam^1000000000*P(x,1)"
+NOT_A_VALUE = "'f0' must be a string or a number, not "
 
 # (argv, exit code, stderr line end or, at exit 0, the exact stdout)
 ROWS = {
@@ -217,6 +218,22 @@ ROWS = {
     "frame an array": (spec('{"alpha": 0.5, "frame": ["x"]}'), 2, "not an array"),
     "frame an object": (spec('{"alpha": 0.5, "frame": {"a": 1}}', "apply"), 2, "not an object"),
     "spec nested too deeply": (spec("[" * 100000 + "]" * 100000), 2, "nests too deeply"),
+    # a component is read as 'lambda' is: a JSON number exactly, a string in the DSL
+    "component a number in exponent form": (
+        spec(lam_spec(1e-05, None), at="x=1,y=1,z=1"),
+        0,
+        "f0 = (1e-05+0j)\nf1 = 0j\nf2 = 0j\nf3 = 0j\n",
+    ),
+    "component null": (spec(lam_spec(None, None), "apply"), 2, NOT_A_VALUE + "null"),
+    "component a boolean": (spec(lam_spec(True, None)), 2, NOT_A_VALUE + "a boolean"),
+    "component an array": (spec(lam_spec([1], None), "apply"), 2, NOT_A_VALUE + "an array"),
+    "component Infinity": (spec(lam_spec(float("inf"), None)), 2, "'f0' must be finite, not inf"),
+    # an int past the double range is finite, and is put in for lam exactly
+    "lambda an int past the double range": (
+        spec(lam_spec("lam", int(BIG_EXPONENT)), at="x=1,y=1,z=1"),
+        2,
+        "a coefficient has no finite value in component f0",
+    ),
 }
 
 

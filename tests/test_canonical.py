@@ -105,6 +105,19 @@ class TestNormalize:
         assert canon("f1^0", CYL) == CanonicalExpr.one()
 
 
+    def test_numbers_on_the_left_and_foreign_operands(self):
+        ce = canon("2*P(r,1)", CYL)
+        assert 1 - ce == canon("1 - 2*P(r,1)", CYL)
+        assert 1 / ce == canon("1/2*P(r,-1)", CYL)
+        assert (ce == "x") is False
+        with pytest.raises(TypeError):
+            ce**1.5
+        with pytest.raises(TypeError):
+            as_canonical_scalar("x")
+        with pytest.raises(ValueError, match="unknown variable 'w'"):
+            var_index("w")
+
+
 class TestEqual:
     def test_doubling(self):
         assert equal(parse("f0 + f0", CYL), parse("2*f0", CYL))

@@ -102,6 +102,19 @@ def test_int_operands_on_both_sides(x, n):
         assert_is(divide(n, cx), ref_div(m, x))
 
 
+def test_fraction_and_foreign_operands():
+    x = CRat(Fraction(1, 2), 1)
+    assert x + Fraction(1, 3) == CRat(Fraction(5, 6), 1)
+    assert x * Fraction(2, 3) == CRat(Fraction(1, 3), Fraction(2, 3))
+    assert repr(x) == "CRat(1/2, 1)"
+    assert as_crat(0.5, exact=True) is None
+    for bad in (lambda: x + 0.5, lambda: as_crat("x"), lambda: CRat(None)):
+        with pytest.raises(TypeError):
+            bad()
+    with pytest.raises(AttributeError):
+        x.a = 3
+
+
 @settings(max_examples=100, deadline=None)
 @given(pairs, pairs)
 def test_equality_and_hash_agree(x, y):

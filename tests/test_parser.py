@@ -572,6 +572,7 @@ def _digit_limit():
 def _term_coefficient_cases():
     power, digits = f"2^{_bit_limit()}", _digit_limit()
     cos4 = "*cosa(r)" * 4
+    nines, zeros = "9" * (digits - 1), "0" * (digits - 1)
     return [
         # two powers, each within the power bound: at the second
         (f"{power}*{power}*P(r,1)", len(power) + 1),
@@ -584,6 +585,16 @@ def _term_coefficient_cases():
         # cos^4 is rewritten to (1 - sin^2)^2 at the end of the term, which
         # doubles the coefficient: at the term's last factor
         (f"{power}{cos4}", len(power) + 1 + 3 * len("cosa(r)*")),
+        # a constant in parentheses is named at its '(', not inside it
+        (f"2*({power})*P(r,1)", 2),
+        # an int product is bounded at the number that forms it, not at the term's end
+        (f"{nines}*{nines}*2", digits),
+        # a product that the ring forms at the term's end names its last number
+        (f"{power}*2*P(r,1)", len(power) + 1),
+        # a literal whose own value is past the bound is refused where it is
+        # read, also after a 0 or a factor that would cancel it
+        (f"0*1.{zeros}1", 2),
+        (f"10*0.{zeros}1", 3),
     ]
 
 

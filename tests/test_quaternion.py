@@ -107,6 +107,15 @@ class TestAlgebraLaws:
         rhs = qmul(p, qmul(q, r))
         assert all((a - b).is_zero() for a, b in zip(lhs.components, rhs.components))
 
+    def test_operators_with_scalars_and_other_types(self):
+        p = Q(1, 2, 3, 4)
+        assert -p == p - 2 * p == Q(-1, -2, -3, -4)
+        assert p * 2 == 2 * p == Q(2, 4, 6, 8)
+        assert p * I1 == qmul(p, I1)
+        assert (p == 1) is False
+        assert hash(p) == hash(Q(1, 2, 3, 4))
+        assert repr(ONE) == "ComplexQuaternion((1+0j), 0j, 0j, 0j)"
+
     def test_zero_divisors_exist(self):
         i = 1j
         p = Q(1, i, 0, 0)

@@ -431,6 +431,10 @@ class TestMlExp:
         for alpha in (0.2, 0.5, 1.0):
             assert ml_exp(alpha, 0) == 1
 
+    def test_unknown_series_kind(self):
+        with pytest.raises(ValueError, match="unknown series kind 'foo'"):
+            series_module.evaluate_series("foo", 0.5, 1)
+
     def test_classical_exponential(self):
         assert abs(ml_exp(1.0, 1.0) - math.e) <= 1e-12
         for u in (-3.0, -1.0, 0.5, 2.0, 5.0):
@@ -532,6 +536,15 @@ class TestJSeries:
         s = ml_exp_jseries(0.5, 60)
         x = 1.3
         assert abs(s.evaluate(x) - ml_exp(0.5, x**0.5, 1e-13)) < 1e-10
+
+    def test_evaluation_at_the_edges(self):
+        s = JSeries(1.0, (2, 3, 1j, 1))
+        assert s.evaluate(0) == 2 + 0j  # only J_0 is nonzero at 0
+        with pytest.raises(ValueError):
+            s.evaluate(-1.0)
+        # a term below the double range adds 0, and one above it is inf
+        assert JSeries(1.0, (0, 0, 1)).evaluate(1e-300) == 0
+        assert JSeries(1.0, (0, 0, 0, 1)).evaluate(1e300).real == math.inf
 
     def test_needs_at_least_one_coefficient(self):
         with pytest.raises(ValueError):
