@@ -103,10 +103,12 @@ class CRat:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return quotient(self, as_crat(other))
+        other = as_crat(other, exact=True)
+        return NotImplemented if other is None else quotient(self, other)
 
     def __rtruediv__(self, other):
-        return quotient(as_crat(other), self)
+        other = as_crat(other, exact=True)
+        return NotImplemented if other is None else quotient(other, self)
 
     def __neg__(self):
         return _of(-self.a, -self.b, self.d)

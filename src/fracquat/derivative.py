@@ -39,13 +39,6 @@ class DerivativeMode(str, enum.Enum):
     GAMMA = "gamma"
 
 
-def _with_power(mono: Monomial, var: int, n: int) -> Monomial:
-    powers = tuple(t for t in mono.powers if t[0] != var)
-    if n:
-        powers = tuple(sorted(powers + ((var, n),)))
-    return Monomial(mono.dsyms, powers, mono.trig, mono.ea, mono.lam)
-
-
 def d_alpha(e, var: str) -> CanonicalExpr:
     """Derivation-mode local fractional partial derivative.  Each Leibniz
     term reaches the result through _accumulate, which bounds its
@@ -135,7 +128,8 @@ def d_alpha_gamma(e, var: str) -> CanonicalExpr:
     normalized monomials of var, with J_0 -> 0."""
     coeffs, v = jpoly_coefficients(e, var), var_index(var)
     return CanonicalExpr._of(
-        {_with_power(m, v, n): c for n, ce in enumerate(coeffs[1:]) for m, c in ce.terms.items()}
+        {m._replace(powers=((v, n),) if n else ()): c
+         for n, ce in enumerate(coeffs[1:]) for m, c in ce.terms.items()}
     )
 
 

@@ -58,13 +58,6 @@ def apply_table(table, comps) -> tuple:
     return tuple(out)
 
 
-def _renamed(form: CanonicalExpr, k: int) -> CanonicalExpr:
-    """A form in f0 alone, with f0 renamed fk."""
-    return CanonicalExpr._of(
-        {_new(Monomial, (((k, m.dsyms[0][1]),),) + m[1:]): c for m, c in form.terms.items()}
-    )
-
-
 class _Record:
     """A frozen record: slots set once, in order; ==, hash, repr and pickle go by __reduce__."""
 
@@ -216,7 +209,8 @@ def _hand_forms(name: str, variables: tuple) -> tuple:
     coupling = enumerate(text["laplacian"], 1)
     return (
         (d0, zero, zero, zero),
-        (d0, *(_renamed(d0, k) + parse(c, variables) for k, c in coupling)),
+        (d0, *(apply_table((d0,), (CanonicalExpr.component(k),))[0] + parse(c, variables)
+               for k, c in coupling)),
         (d0, *(parse(c, variables) for c in text["bitsadze"])),
     )
 

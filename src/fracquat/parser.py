@@ -36,7 +36,7 @@ from __future__ import annotations
 import re
 
 from .canonical import MONOMIAL_ONE, CanonicalExpr, Monomial, _accumulate, _new, _scale
-from .coefficients import DIGITS, _of, _parts, quotient
+from .coefficients import DIGITS, _of, quotient
 from .expr import _VAR_INDEX, COMPONENT_NAMES, CoefficientLimitError, ParseError, VARIABLES
 
 MAX_TERMS = 1000  # terms in one sum
@@ -86,15 +86,8 @@ def _lex_error(tok: str):
 
 
 def _shown(tok) -> str:
-    """A token as messages show it: a factor as its head, a number as (Fraction, imaginary)."""
-    tok = tok and _FINE.match(tok).group()
-    if tok is None or not tok[0].isdecimal():
-        return repr(tok)
-    try:
-        a, b, d = _parts(_of(*_number(tok)))
-    except CoefficientLimitError:  # its value could not be printed
-        return repr(tok)
-    return f"(Fraction({a + b}, {d}), {tok[-1] == 'i'})"
+    """A token as messages show it: its first fine token as written (a factor's head), or None."""
+    return repr(tok and _FINE.match(tok).group())
 
 
 def _terms(gens: dict, coeff) -> dict:

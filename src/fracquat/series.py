@@ -201,13 +201,19 @@ class JSeries(namedtuple("JSeries", "alpha coeffs")):
         return JSeries(self.alpha, self.coeffs[1:] or (0j,))
 
     def evaluate(self, x: float) -> complex:
-        if x < 0:
-            raise ValueError("JSeries arguments live on the fractal half line x >= 0")
+        """sum_k coeffs[k] J_k(x).  A total with no finite double, as any sum with a term
+        past the double range is, raises SeriesConvergenceError (last term magnitude inf)."""
+        if not 0 <= x < math.inf:  # also true for nan
+            raise ValueError(f"JSeries arguments live on the fractal half line x >= 0, got {x}")
         if x == 0:
-            return self.coeffs[0] + 0j  # J_0(0) = 1, every other J_k(0) = 0
-        log_u = math.log(x**self.alpha)
-        terms = (c * _power_term(log_u, k, self.alpha) for k, c in enumerate(self.coeffs) if c)
-        return sum(terms, 0j)
+            total = self.coeffs[0] + 0j  # J_0(0) = 1, every other J_k(0) = 0
+        else:
+            log_u = math.log(x**self.alpha)
+            terms = (c * _power_term(log_u, k, self.alpha) for k, c in enumerate(self.coeffs) if c)
+            total = sum(terms, 0j)
+        if not cmath.isfinite(total):
+            raise SeriesConvergenceError(f"JSeries has no finite value at x = {x}", math.inf)
+        return total
 
 
 def series_shift_derivative(s: JSeries) -> JSeries:

@@ -106,9 +106,11 @@ def test_fraction_and_foreign_operands():
     x = CRat(Fraction(1, 2), 1)
     assert x + Fraction(1, 3) == CRat(Fraction(5, 6), 1)
     assert x * Fraction(2, 3) == CRat(Fraction(1, 3), Fraction(2, 3))
+    assert x / Fraction(1, 2) == CRat(1, 2)
     assert repr(x) == "CRat(1/2, 1)"
     assert as_crat(0.5, exact=True) is None
-    for bad in (lambda: x + 0.5, lambda: as_crat("x"), lambda: CRat(None)):
+    foreign = (lambda: x + 0.5, lambda: x * 0.5, lambda: x / 0.5, lambda: 0.5 / x, lambda: x / 1j)
+    for bad in (*foreign, lambda: as_crat("x"), lambda: CRat(None)):
         with pytest.raises(TypeError):
             bad()
     with pytest.raises(AttributeError):

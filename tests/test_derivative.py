@@ -142,6 +142,10 @@ class TestGammaMode:
     def test_constant_to_zero(self):
         assert d_alpha_gamma(canon("7", None), "x").is_zero()
 
+    def test_lam_coefficients_are_kept(self):
+        out = d_alpha_gamma(canon("lam*P(x,2) + (1+2i)*lam^2*P(x,1) + 5", None), "x")
+        assert out == canon("lam*P(x,1) + (1+2i)*lam^2", None)
+
     def test_sin_series_shift_matches_series_layer(self):
         for order in (5, 8):
             for build in (ml_exp_jseries, sin_alpha_jseries, cos_alpha_jseries):

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -240,7 +241,7 @@ MALFORMED = [
     ("foo(r)", "unknown identifier 'foo'", 0),
     ("P(w,1)", "unknown variable 'w'", 2),
     ("P(x,1)", "variable 'x' is not in the active frame ('r', 'theta', 'z')", 2),
-    ("P(2,1)", "expected 'ident', found (Fraction(2, 1), False)", 2),
+    ("P(2,1)", "expected 'ident', found '2'", 2),
     ("P(r,2.5)", "exponent is not an integer", 4),
     ("P(r,1i)", "exponent is not an integer", 4),
     ("P(r,)", "expected an integer, found ')'", 4),
@@ -250,7 +251,7 @@ MALFORMED = [
     ("f1^f2", "expected an integer, found 'f2'", 3),
     ("f1^", "expected an integer, found None", 3),
     ("f1^2.5i", "exponent is not an integer", 3),
-    ("sina(1)", "expected 'ident', found (Fraction(1, 1), False)", 5),
+    ("sina(1)", "expected 'ident', found '1'", 5),
     ("cosa(theta", "expected ')', found None", 10),
     ("Ea(1, )", "expected 'ident', found ')'", 6),
     ("Ea(1 z)", "expected ',', found 'z'", 5),
@@ -267,9 +268,9 @@ MALFORMED = [
     ("f1 ++ f2", "unexpected token '+'", 4),
     (")", "unexpected token ')'", 0),
     ("1)", "unexpected trailing input ')'", 1),
-    ("f1 3", "unexpected trailing input (Fraction(3, 1), False)", 3),
+    ("f1 3", "unexpected trailing input '3'", 3),
     ("f1 (2)", "unexpected trailing input '('", 3),
-    ("f1 2.5i", "unexpected trailing input (Fraction(5, 2), True)", 3),
+    ("f1 2.5i", "unexpected trailing input '2.5i'", 3),
     ("1²", "unexpected character '²'", 1),
     ("P(r,²)", "unexpected character '²'", 4),
     ("()", "unexpected token ')'", 1),
@@ -297,10 +298,10 @@ MALFORMED = [
     ('Ea(, r)', "unexpected token ','", 3),
     ('Ea(1 + $, r)', "unexpected character '$'", 7),
     ('P(r2,1)', "unknown variable 'r2'", 2),
-    ('P(1,1)', "expected 'ident', found (Fraction(1, 1), False)", 2),
+    ('P(1,1)', "expected 'ident', found '1'", 2),
     ('d(f1,r,w)', "unknown variable 'w'", 7),
     ('Ea(P, r)', "expected '(', found ','", 4),
-    ('d(f1,2)', "expected 'ident', found (Fraction(2, 1), False)", 5),
+    ('d(f1,2)', "expected 'ident', found '2'", 5),
     ('P(r,2)P(z,1)', "unexpected trailing input 'P'", 6),
     ('2 sina(r)', "unexpected trailing input 'sina'", 2),
     ('Ea(1, P(r,1))', "unknown variable 'P'", 6),
@@ -327,6 +328,17 @@ def test_malformed_input_message_and_position(text, message, position):
     with pytest.raises(ParseError) as err:
         parse(text, CYLINDRICAL)
     assert (str(err.value), err.value.position) == (f"{message} (at position {position})", position)
+
+
+@pytest.mark.parametrize("text, message, position", MALFORMED)
+def test_a_quoted_token_is_the_input_at_its_position(text, message, position):
+    with pytest.raises(ParseError) as err:
+        parse(text, CYLINDRICAL)
+    at, said = err.value.position, str(err.value).rpartition(" (at position")[0]
+    for shown in re.findall(r"\b(?:found|input|token|variable) (\S+)", said):
+        # None is the end of the input; anything else is the input as written
+        written = text[at : at + len(shown) - 2] if text[at:].strip() else None
+        assert shown == repr(written), said
 
 
 # -- the per-call memo of factor texts --------------------------------------------

@@ -540,11 +540,15 @@ class TestJSeries:
     def test_evaluation_at_the_edges(self):
         s = JSeries(1.0, (2, 3, 1j, 1))
         assert s.evaluate(0) == 2 + 0j  # only J_0 is nonzero at 0
-        with pytest.raises(ValueError):
-            s.evaluate(-1.0)
-        # a term below the double range adds 0, and one above it is inf
+        for x in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                s.evaluate(x)
+        # a term below the double range adds 0, and one above it raises
         assert JSeries(1.0, (0, 0, 1)).evaluate(1e-300) == 0
-        assert JSeries(1.0, (0, 0, 0, 1)).evaluate(1e300).real == math.inf
+        for c in (1, 1j):
+            with pytest.raises(SeriesConvergenceError, match=r"x = 1e\+300") as err:
+                JSeries(1.0, (0, 0, 0, c)).evaluate(1e300)
+            assert err.value.last_term_magnitude == math.inf
 
     def test_needs_at_least_one_coefficient(self):
         with pytest.raises(ValueError):
