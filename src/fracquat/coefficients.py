@@ -86,10 +86,12 @@ class CRat:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + -other
+        other = as_crat(other, exact=True)
+        return NotImplemented if other is None else self + -other
 
     def __rsub__(self, other):
-        return -self + other
+        other = as_crat(other, exact=True)
+        return NotImplemented if other is None else -self + other
 
     def __mul__(self, other):
         if type(other) is int:  # the Leibniz factors of d_alpha

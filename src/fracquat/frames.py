@@ -105,7 +105,8 @@ class Frame(_Record):
     A frame named in _HAND_TEXT also holds its hand-expanded "delta0"
     (delta0 f0, 0, 0, 0), "laplacian" and "bitsadze", parsed from that text
     by _hand_forms, whose forms every frame of that name and variables
-    shares: a rebuilt or unpickled frame parses no text.
+    shares: a rebuilt or unpickled frame parses no text.  Another frame
+    holds only the derived five; reading a hand form raises KeyError.
     """
 
     __slots__ = ("name", "variables", "lame", "forms")
@@ -252,11 +253,15 @@ class QuaternionField(_Record):
         return QuaternionField(self.frame, *(fn(c) for c in self.components))
 
     def __add__(self, other):
+        if not isinstance(other, QuaternionField):
+            return NotImplemented
         if other.frame != self.frame:
             raise ValueError("cannot add fields in different frames")
         return QuaternionField(self.frame, *map(add, self.components, other.components))
 
     def __sub__(self, other):
+        if not isinstance(other, QuaternionField):
+            return NotImplemented
         if other.frame != self.frame:
             raise ValueError("cannot subtract fields in different frames")
         return QuaternionField(self.frame, *map(sub, self.components, other.components))

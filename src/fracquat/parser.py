@@ -129,12 +129,11 @@ def _terms(gens: dict, coeff) -> dict:
 class _Parser:
     def __init__(self, text, variables):
         """Tokens are strings, then None for the end.  Each distinct token is
-        checked once; a text with a bad one is scanned again for the first."""
+        checked once; in a text with a bad one, the first is reported."""
         self.text, self.tokens = text, _TOKEN.findall(text)
         if any(map(_lex_error, set(self.tokens))):
-            for m in _TOKEN.finditer(text):
-                if message := _lex_error(m.group()):
-                    raise ParseError(message, m.start())
+            bad = next(i for i, tok in enumerate(self.tokens) if _lex_error(tok))
+            raise self.error(_lex_error(self.tokens[bad]), bad)
         self.tokens.append(None)
         self.variables = tuple(variables)
         self.i = self.depth = 0

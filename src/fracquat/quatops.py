@@ -25,8 +25,8 @@ must normalize to zero.  Each identity is one row over the form map, and
 `fracquat apply` runs the same forms, so it applies what verify proved.
 The lam terms of the Helmholtz row cancel exactly in the ring, so its
 residual reduces to D(D f) + Laplacian f: it certifies nothing that
-mt_squared does not.  A Helmholtz check with content needs a solution h
-(ROADMAP item 4).
+mt_squared does not; the acceptance tests check solutions h instead.
+Each operator reads frame.forms[op]: a missing form raises KeyError.
 """
 
 from __future__ import annotations
@@ -50,15 +50,6 @@ def _lam(lam) -> CanonicalExpr:
 def _shifted(form: tuple, s) -> tuple:
     """The form of the operator plus s times the identity."""
     return tuple(x + s * CanonicalExpr.component(k) for k, x in enumerate(form))
-
-
-def _form(frame: Frame, op: str) -> tuple:
-    """The frame's form of op; a frame whose name has no hand text holds
-    only the derived forms."""
-    try:
-        return frame.forms[op]
-    except KeyError:
-        raise ValueError(f"unknown frame {frame.name!r}") from None
 
 
 def grad_alpha(f0, frame: Frame) -> QuaternionField:
@@ -86,26 +77,27 @@ def mt_apply(f: QuaternionField, side: str = "left") -> QuaternionField:
 
 def delta0(f0, frame: Frame) -> CanonicalExpr:
     """Scalar Laplacian, from the frame's hand form."""
-    return apply_table(_form(frame, "delta0"), (f0,))[0]
+    return apply_table(frame.forms["delta0"], (f0,))[0]
 
 
 def laplacian(f: QuaternionField) -> QuaternionField:
     """Quaternionic Laplacian: delta0 on f0 plus the vector Laplacian
     grad(div) - curl(curl) on the vector part."""
-    return QuaternionField(f.frame, *apply_table(_form(f.frame, "laplacian"), f.components))
+    return QuaternionField(f.frame, *apply_table(f.frame.forms["laplacian"], f.components))
 
 
 def bitsadze(f: QuaternionField) -> QuaternionField:
     """Bitsadze operator: delta0 on f0 plus grad(div) + curl(curl) on the
     vector part."""
-    return QuaternionField(f.frame, *apply_table(_form(f.frame, "bitsadze"), f.components))
+    return QuaternionField(f.frame, *apply_table(f.frame.forms["bitsadze"], f.components))
 
 
 def perturbed_mt(f: QuaternionField, lam=FORMAL, sign: int = 1) -> QuaternionField:
     """(D + sign*lam) f with lam acting as a commuting scalar: the left
-    form shifted by sign*lam."""
-    lam = _lam(lam)
-    form = _shifted(f.frame.forms["left"], lam if sign > 0 else -lam)
+    form shifted by sign*lam, for sign 1 or -1."""
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be 1 or -1, got {sign!r}")
+    form = _shifted(f.frame.forms["left"], _lam(lam) if sign == 1 else -_lam(lam))
     return QuaternionField(f.frame, *apply_table(form, f.components))
 
 
@@ -123,7 +115,7 @@ def helmholtz_component_system(frame, lam=FORMAL) -> tuple:
     if isinstance(frame, str):
         frame = frame_by_name(frame)
     lam = _lam(lam)
-    return _shifted(_form(frame, "laplacian"), lam * lam)
+    return _shifted(frame.forms["laplacian"], lam * lam)
 
 
 class IdentityReport(_Record):
@@ -192,9 +184,8 @@ def verify_identity(name: str, frame) -> IdentityReport:
         raise ValueError(f"unknown identity {name!r}; expected one of {IDENTITY_NAMES}")
     if isinstance(frame, str):
         frame = frame_by_name(frame)
-    row = _IDENTITIES[name]
-    forms = {op: _form(frame, op) for op in (row.outer, row.inner, row.reference) if op}
-    return IdentityReport(name, frame.name, DerivativeMode.DERIVATION, _residuals(name, forms))
+    residuals = _residuals(name, frame.forms)
+    return IdentityReport(name, frame.name, DerivativeMode.DERIVATION, residuals)
 
 
 def verify_all(names=None, frames=None):

@@ -62,12 +62,10 @@ def gamma_one_plus(alpha: float, k: int) -> float:
 def _power_term(log_u: float, power: int, alpha: float) -> float:
     # u^power / Gamma(1+power*alpha) for a real u > 0 from log(u), in log
     # space to avoid intermediate overflow of u^power for moderate u
-    log_mag = power * log_u - math.lgamma(1.0 + power * alpha)
-    if log_mag < -745.0:  # below double underflow
-        return 0.0
-    if log_mag > 709.0:  # above double overflow
+    try:
+        return math.exp(power * log_u - math.lgamma(1.0 + power * alpha))
+    except OverflowError:
         return math.inf
-    return math.exp(log_mag)
 
 
 # kind: (label, first power, power step, alternating signs)

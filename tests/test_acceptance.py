@@ -9,6 +9,7 @@ import math
 import time
 
 from fracquat import (
+    CARTESIAN,
     CYLINDRICAL,
     SPHERICAL,
     canon,
@@ -28,6 +29,8 @@ from fracquat import (
     limit_definition_derivative_at_zero,
     ml_exp,
     ml_exp_jseries,
+    perturbed_mt,
+    render_canonical,
     scalar_field,
     series_shift_derivative,
     sin_alpha,
@@ -37,6 +40,7 @@ from fracquat import (
 )
 from fracquat.derivative import jpoly_coefficients
 from fracquat.frames import abstract_field
+from fracquat.quatops import FORMAL
 
 CYL, SPH = CYLINDRICAL, SPHERICAL
 ALL_FRAMES = ("cartesian", "cylindrical", "spherical")
@@ -263,3 +267,54 @@ def test_criterion_10_null_solution():
     out = helmholtz_residual(f)
     ok = out.f0.is_zero() and out.is_zero()
     check(10, "f0 = Ea(i*lam, z) solves the scalar Helmholtz equation symbolically", ok)
+
+
+def _bessel(n, terms=7):
+    """sum_{k<terms} (-1)^k (lam/2)^(2k+n) P(r,2k+n) / (k! (k+n)!) * Ea(n*1i, theta):
+    the truncated fractal Bessel series J_n(lam X_r) exp(i n X_theta), and its last term."""
+    angle = f"*Ea({n}i, theta)" if n else ""
+    series = [
+        (-1) ** k * canon(
+            f"1/{2 ** (2 * k + n) * math.factorial(k) * math.factorial(k + n)}"
+            f"*lam^{2 * k + n}*P(r,{2 * k + n}){angle}",
+            CYL,
+        )
+        for k in range(terms)
+    ]
+    return sum(series[1:], series[0]), series[-1]
+
+
+def test_criterion_11_helmholtz_examples():
+    # spherical: the outgoing wave e^{i lam r}/r solves Helmholtz, and its MT
+    # partner g = (D - lam) h is annihilated by D + lam
+    h = scalar_field(SPH, canon("P(r,-1)*Ea(1i*lam, r)", SPH))
+    ok = helmholtz_residual(h).is_zero()
+    g = perturbed_mt(h, FORMAL, -1)
+    ok = ok and [render_canonical(c) for c in g.components] == [
+        "-lam*P(r,-1)*Ea(1i*lam, r)",
+        "-P(r,-2)*Ea(1i*lam, r) + 1i*lam*P(r,-1)*Ea(1i*lam, r)",
+        "0",
+        "0",
+    ]
+    ok = ok and perturbed_mt(g, FORMAL, 1).is_zero()
+    # negative control: without the 1/r factor the residual is not zero
+    out = helmholtz_residual(scalar_field(SPH, canon("Ea(1i*lam, r)", SPH)))
+    ok = ok and out.f0 == canon("2i*lam*P(r,-1)*Ea(1i*lam, r)", SPH)
+    ok = ok and all(c.is_zero() for c in out.vector_components)
+    # cylindrical: a truncated Bessel series leaves exactly lam^2 times its
+    # last term, which exercises the r r, r and theta theta rows of Delta0
+    expected = (
+        "1/2123366400*lam^14*P(r,12)",
+        "1/29727129600*lam^15*P(r,13)*Ea(1i, theta)",
+        "1/475634073600*lam^16*P(r,14)*Ea(2i, theta)",
+    )
+    for n, text in enumerate(expected):
+        series, last = _bessel(n)
+        out = helmholtz_residual(scalar_field(CYL, series))
+        ok = ok and out.f0 == canon(text, CYL) == canon("lam^2", CYL) * last
+        ok = ok and all(c.is_zero() for c in out.vector_components)
+    # cartesian: a plane wave with unit wave vector (3/5, 4/5, 0)
+    wave = canon("Ea(3/5*1i*lam, x)*Ea(4/5*1i*lam, y)", CARTESIAN)
+    ok = ok and helmholtz_residual(scalar_field(CARTESIAN, wave)).is_zero()
+    check(11, "Helmholtz examples: spherical wave and MT partner, cylindrical Bessel "
+              "series, cartesian plane wave", ok)

@@ -107,11 +107,15 @@ def test_fraction_and_foreign_operands():
     assert x + Fraction(1, 3) == CRat(Fraction(5, 6), 1)
     assert x * Fraction(2, 3) == CRat(Fraction(1, 3), Fraction(2, 3))
     assert x / Fraction(1, 2) == CRat(1, 2)
+    assert x - Fraction(1, 2) == CRat(0, 1) and Fraction(1, 2) - x == CRat(0, -1)
     assert repr(x) == "CRat(1/2, 1)"
     assert as_crat(0.5, exact=True) is None
     foreign = (lambda: x + 0.5, lambda: x * 0.5, lambda: x / 0.5, lambda: 0.5 / x, lambda: x / 1j)
     for bad in (*foreign, lambda: as_crat("x"), lambda: CRat(None)):
         with pytest.raises(TypeError):
+            bad()
+    for bad in (lambda: x - 0.5, lambda: 0.5 - x, lambda: x - 1j):  # the message names -
+        with pytest.raises(TypeError, match="for -:"):
             bad()
     with pytest.raises(AttributeError):
         x.a = 3

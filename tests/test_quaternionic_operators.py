@@ -402,6 +402,12 @@ class TestHelmholtz:
         rhs = helmholtz_residual(f, FORMAL)
         assert (lhs - rhs).is_zero()
 
+    def test_perturbed_mt_takes_only_sign_one_or_minus_one(self):
+        f = abstract_field(CYL)
+        for sign in (0, 2, -2, 0.5):
+            with pytest.raises(ValueError, match=f"^sign must be 1 or -1, got {sign}$"):
+                perturbed_mt(f, 2, sign)
+
 
 class TestFrozenRecords:
     """Frame, QuaternionField and IdentityReport are frozen __slots__ records."""
@@ -436,6 +442,10 @@ class TestFrozenRecords:
             f + abstract_field(SPH)
         with pytest.raises(ValueError):
             f - abstract_field(SPH)
+        # a field and a non-field do not add: TypeError, not AttributeError
+        for bad in (lambda: f + 1, lambda: f - 0, lambda: 1 + f, lambda: 0 - f):
+            with pytest.raises(TypeError):
+                bad()
 
     def test_field_equality_and_hash(self):
         f, g = abstract_field(CYL), abstract_field(CYL)

@@ -549,6 +549,11 @@ class TestJSeries:
             with pytest.raises(SeriesConvergenceError, match=r"x = 1e\+300") as err:
                 JSeries(1.0, (0, 0, 0, c)).evaluate(1e300)
             assert err.value.last_term_magnitude == math.inf
+        # a term is finite up to the double maximum; x^2/2 at 1.9e154 is past it
+        assert JSeries(1.0, (0, 1)).evaluate(1e308) == pytest.approx(1e308, rel=1e-13)
+        with pytest.raises(SeriesConvergenceError) as err:
+            JSeries(1.0, (0, 0, 1)).evaluate(1.9e154)
+        assert err.value.last_term_magnitude == math.inf
 
     def test_needs_at_least_one_coefficient(self):
         with pytest.raises(ValueError):
