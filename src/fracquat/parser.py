@@ -18,22 +18,31 @@ imaginary literals, so the complex form a+bi parses through the ordinary
 sum grammar.  d(...) attaches partial-derivative indices to component
 symbols and exists so rendered canonical forms re-parse.
 
-The lexer makes one token of each well-formed generator factor, and a
-parse call reads each distinct factor text once: a dict that lives as long
-as the call keeps its record entry.  A term is read into one record, the
-exponent of each generator and one int or CRat coefficient, formed by the
-ring's * and quotient, which also takes a constant in parentheses such as
-(1 + 2i); its monomial is formed once, at the end of the term.  Only
-another factor in parentheses, a power of a number or of cosa, and a cos
-power past 1 take ring products.  Sums and products are loops, so only
-nesting recurses; the input limits below keep both the work and the
-recursion bounded, and going past one raises ParseError, as does a
-coefficient, or a literal's own value, past the ring's coefficients.LIMIT.
+The lexer makes one token of each well-formed generator factor and of
+each constant (a + b i) written as render writes one, and each distinct
+factor text is read once per process: a table per tuple of frame
+variables maps it to its record entry.  A table holds at most TABLE_SIZE
+entries and is cleared when full; it stores only tokens of at most
+_TABLE_TOKEN characters read without error, never a sum in parentheses,
+and nothing read near MAX_DEPTH, so every ParseError and its position are
+as a fresh reading gives them.
+
+A term is read into one record, the exponent of each generator and one
+int or CRat coefficient, formed by the ring's * and quotient, which also
+takes a constant in parentheses; its monomial is formed once, at the end
+of the term.  Only another factor in parentheses, a power of a number or
+of cosa, and a cos power past 1 take ring products.  Sums and products
+are loops, so only nesting recurses; the input limits below keep both
+the work and the recursion bounded, and going past one raises
+ParseError, as does a coefficient, or a literal's own value, past the
+ring's coefficients.LIMIT.
 """
 
 from __future__ import annotations
 
 import re
+from _thread import allocate_lock  # threading's own lock, without importing threading
+from functools import lru_cache
 
 from .canonical import MONOMIAL_ONE, CanonicalExpr, Monomial, _accumulate, _new, _scale
 from .coefficients import DIGITS, _of, quotient
@@ -42,19 +51,29 @@ from .expr import _VAR_INDEX, COMPONENT_NAMES, CoefficientLimitError, ParseError
 MAX_TERMS = 1000  # terms in one sum
 MAX_FACTORS = 1000  # factors in one product
 MAX_DEPTH = 200  # nesting levels, counted across '(', 'Ea(' and 'd('
+TABLE_SIZE = 4096  # entries in one factor table; a full table is cleared
+_TABLE_TOKEN = 64  # characters in the longest token a table stores
+# reading a token opens at most two levels (an Ea scale with a constant in
+# parentheses), so the factor tables serve and take entries only at depths
+# below this one, where a fresh reading of any token meets no depth limit
+_TABLE_DEPTH = MAX_DEPTH - 1
+_STORING = allocate_lock()  # a table's size test and its store are one step
 
 _SYMBOLS = frozenset("+-*/^(),")
 # a fine token is a number with an optional imaginary suffix, a word, or any
 # other character that is not whitespace.  \s, \w and \d match what
 # str.isspace, str.isalnum (or "_") and str.isdecimal accept
 _FINE = re.compile(r"\d+(?:\.\d*)?i?|\w+|\S")
-# a token is a symbol (tried first, the commonest), a generator factor or a fine
-# token.  A factor starts and ends where fine tokens do, and holds only fine tokens
-# that pass the lexer's checks: known variables, numbers of at most 9 digits, ASCII words
+# a token is a constant (a + b i) written as render writes one, such as (1 + 2i) or
+# (1/2 - 3/4*1i) (tried first, or its '(' would be a symbol), a symbol, a generator
+# factor or a fine token.  A factor starts and ends where fine tokens do, and holds only
+# fine tokens that pass the lexer's checks (known variables, numbers of at most 9 digits,
+# ASCII words) and, in an Ea scale, such constants
 _VAR = "(?:" + "|".join(VARIABLES) + ")"
+_GAUSSIAN = r"\(-?\d{1,9}(?:/\d{1,9})? [-+] \d{1,9}(?:i|/\d{1,9}\*1i)\)"
 _TOKEN = re.compile(
-    rf"[-+*/^(),]|(?:P\({_VAR},-?\d{{1,9}}|(?:sina|cosa)\({_VAR}|d\(f[0-3](?:,{_VAR})+"
-    rf"|Ea\((?:[-+*/^ A-Za-z_]|\d{{1,9}}(?!\d))*,\s*{_VAR})\)|" + _FINE.pattern
+    rf"{_GAUSSIAN}|[-+*/^(),]|(?:P\({_VAR},-?\d{{1,9}}|(?:sina|cosa)\({_VAR}|d\(f[0-3](?:,{_VAR})+"
+    rf"|Ea\((?:[-+*/^ A-Za-z_]|\d{{1,9}}(?!\d)|{_GAUSSIAN})*,\s*{_VAR})\)|" + _FINE.pattern
 )
 # a record maps generators to exponents; its keys are ("d", (k, midx)),
 # ("P", v), ("sina", v), ("cosa", v), ("Ea", v, scale) and ("lam",)
@@ -81,13 +100,20 @@ def _lex_error(tok: str):
             _number(tok)
         except ValueError:
             return "number has too many digits"
-    elif tok not in _SYMBOLS and not (tok[0].isalpha() or tok[0] == "_"):
+    elif tok not in _SYMBOLS and not (tok[0].isalpha() or tok[0] in "_("):
         return f"unexpected character {tok[0]!r}"
 
 
 def _shown(tok) -> str:
     """A token as messages show it: its first fine token as written (a factor's head), or None."""
     return repr(tok and _FINE.match(tok).group())
+
+
+@lru_cache(maxsize=64)
+def _table(variables: tuple) -> dict:
+    """The factor table of a frame's variables, kept for the process: token ->
+    record entry of each factor, number or constant read without error."""
+    return {}
 
 
 def _terms(gens: dict, coeff) -> dict:
@@ -136,9 +162,9 @@ class _Parser:
             raise self.error(_lex_error(self.tokens[bad]), bad)
         self.tokens.append(None)
         self.variables = tuple(variables)
+        self.table = _table(self.variables)
         self.i = self.depth = 0
         self.where = 0  # the token at which parse reports the ring's coefficient bound
-        self.memo = {}  # token -> record entry, for the factors this call has read
 
     def error(self, message: str, index: int) -> ParseError:
         """A ParseError at the token with this index (the end has the last);
@@ -262,12 +288,13 @@ class _Parser:
     def parse_atom(self):
         """The next atom: a sum in parentheses that is not a constant as its
         CanonicalExpr, anything else as (record key or None, exponent,
-        stored coefficient), taken from the memo below the deepest level."""
+        stored coefficient), taken from the frame's factor table once read."""
         i = self.i
         tok = self.tokens[i]
         self.i = i + 1
-        if tok in self.memo and self.depth < MAX_DEPTH:
-            return self.memo[tok]
+        entry = self.table.get(tok)  # one step, so a clear in another thread cannot raise here
+        if entry is not None and self.depth < _TABLE_DEPTH:
+            return entry
         if tok == "(":
             self.descend(i)
             node = self.parse_sum()
@@ -318,14 +345,18 @@ class _Parser:
             entry = ("lam",) if tok == "lam" else ("d", (int(tok[1]), ())), 1, 1
         else:
             raise self.error(f"unknown identifier {tok!r}", i)
-        self.memo[tok] = entry
+        if self.depth < _TABLE_DEPTH and len(tok) <= _TABLE_TOKEN:
+            with _STORING:
+                if len(self.table) >= TABLE_SIZE:
+                    self.table.clear()
+                self.table[tok] = entry
         return entry
 
     def read_factor(self, tok: str, index: int) -> tuple:
         """The record entry of the factor token at index.  P, sina, cosa and
-        d(...) of the frame's variables are read off the text; Ea, and any
-        factor with an error, by parse_atom once the token is split into its
-        fine tokens."""
+        d(...) of the frame's variables are read off the text; Ea, a constant
+        (a + b i), and any factor with an error, by parse_atom once the token
+        is split into its fine tokens."""
         head, _, body = tok[:-1].partition("(")
         args = body.split(",")
         names = args[1:] if head == "d" else args[:1]
@@ -340,10 +371,14 @@ class _Parser:
 
 def parse(text: str, frame=None) -> CanonicalExpr:
     """The canonical form of DSL text, with identifiers resolved against the
-    variables of frame: anything with a .variables attribute, an iterable of
-    variable names, or None to allow every known variable."""
+    variables of frame: a frame name, anything with a .variables attribute,
+    an iterable of variable names, or None to allow every known variable."""
     if not text or not text.strip():
         raise ParseError("empty input", 0)
+    if isinstance(frame, str):
+        from .frames import frame_by_name  # frames imports this module
+
+        frame = frame_by_name(frame)
     parser = _Parser(text, VARIABLES if frame is None else getattr(frame, "variables", frame))
     try:
         ce = parser.parse_sum()

@@ -1,8 +1,12 @@
 import math
+import os
+import random
 import re
 import sys
+import threading
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -24,6 +28,7 @@ from fracquat.quatops import FORMAL, bitsadze
 from strategies import exprs
 
 C = CanonicalExpr
+RENDER = Path(__file__).parent / "data" / "render"
 
 
 def test_fractal_monomial():
@@ -341,11 +346,11 @@ def test_a_quoted_token_is_the_input_at_its_position(text, message, position):
         assert shown == repr(written), said
 
 
-# -- the per-call memo of factor texts --------------------------------------------
+# -- the per-frame table of factor texts ------------------------------------------
 
 
 def test_a_repeated_factor_one_level_too_deep_is_refused_at_its_place():
-    # the second Ea(1, r) or d(f1,r) is taken from the memo; inside MAX_DEPTH
+    # the second Ea(1, r) or d(f1,r) is in the frame's table; inside MAX_DEPTH
     # parentheses it opens one level too many, as its first reading would
     for factor in ("Ea(1, r)", "d(f1,r)"):
         head = f"{factor} + "
@@ -356,7 +361,7 @@ def test_a_repeated_factor_one_level_too_deep_is_refused_at_its_place():
         assert str(err.value) == f"{message} (at position {len(head) + MAX_DEPTH})"
 
 
-def test_nothing_read_in_one_call_carries_over_to_the_next():
+def test_one_frames_table_does_not_serve_another():
     assert parse("P(r,1)", CYLINDRICAL) == C.fractal_power("r", 1)
     with pytest.raises(ParseError) as err:
         parse("P(r,1)", CARTESIAN)
@@ -366,7 +371,7 @@ def test_nothing_read_in_one_call_carries_over_to_the_next():
 
 @pytest.mark.parametrize("tail", ["*cosa(r)^4", "*cosa(r)" * 4])
 def test_a_coefficient_error_at_a_repeated_factor_names_its_place(tail):
-    # the term's last cosa(r) is taken from the memo, and the coefficient
+    # the term's last cosa(r) is in the frame's table, and the coefficient
     # passes the limit as the ring rewrites cos^4 there
     text = f"cosa(r) + 2^{_bit_limit()}{tail}"
     with pytest.raises(ParseError) as err:
@@ -391,7 +396,7 @@ def test_probe_output_parses_back(probe):
         assert parse(text, SPHERICAL) == c
 
 
-def test_each_distinct_factor_text_is_read_once_per_call(probe, monkeypatch):
+def test_a_cleared_table_reads_each_distinct_factor_text_once(probe, monkeypatch):
     reads = Counter()
     read_factor = parser._Parser.read_factor
 
@@ -401,11 +406,155 @@ def test_each_distinct_factor_text_is_read_once_per_call(probe, monkeypatch):
 
     monkeypatch.setattr(parser._Parser, "read_factor", counted)
     for text, c in probe:
+        parser._table(SPHERICAL.variables).clear()
         reads.clear()
         assert parse(text, SPHERICAL) == c
         tokens = parser._TOKEN.findall(text)
         factors = [t for t in tokens if t[-1] == ")" and len(t) > 1]
         assert reads == Counter(set(factors)) and len(factors) > 10 * len(reads)
+        # the table outlives the call: a second parse reads no factor
+        reads.clear()
+        assert parse(text, SPHERICAL) == c
+        assert not reads
+
+
+def _read(text, frame):
+    """The map parse gives, as its items in insertion order, or the error it raises."""
+    try:
+        return list(parse(text, frame).terms.items())
+    except ExpressionError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", tuple(FRAMES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_warm_table_reads_as_a_cleared_one(name, data):
+    frame = FRAMES[name]
+    text = data.draw(exprs(frame.variables))
+    table = parser._table(frame.variables)
+    table.clear()
+    cold = _read(text, frame)
+    assert _read(text, frame) == cold
+    if type(cold) is list:
+        # the rendered text holds Ea scales and constants as render writes them
+        rendered = render_canonical(C._of(dict(cold)))
+        table.clear()
+        again = _read(rendered, frame)
+        assert _read(rendered, frame) == again and dict(again) == dict(cold)
+
+
+def test_a_table_filled_past_its_size_is_cleared():
+    table = parser._table(CYLINDRICAL.variables)
+    table.clear()
+    sizes = []
+    for block in range(3):  # 3 * 1000 terms of 3 distinct factors each pass TABLE_SIZE
+        start = block * 1000
+        text = " + ".join(f"{k}*P(r,{k})*Ea({k}, z)" for k in range(start, start + 1000))
+        parse(text, CYLINDRICAL)
+        sizes.append(len(table))
+    assert max(sizes) <= parser.TABLE_SIZE and sizes != sorted(sizes)
+
+
+def test_threads_sharing_a_table_read_what_one_thread_reads(monkeypatch):
+    """More threads than cores parse the goldens of every frame while the
+    tables, shrunk to 16 entries, are cleared under them."""
+    texts = [
+        (frame, line.split(" = ", 1)[1])
+        for name, frame in FRAMES.items()
+        for op in _OPERATORS
+        for line in (RENDER / f"{name}-{op}.txt").read_text().splitlines()
+    ]
+    serial = [_read(text, frame) for frame, text in texts]
+    for frame in FRAMES.values():  # each frame's texts hold more distinct tokens than fit
+        assert len({t for f, text in texts if f is frame for t in parser._TOKEN.findall(text)}) > 64
+    monkeypatch.setattr(parser, "TABLE_SIZE", 16)
+    parser._table.cache_clear()  # full tables would serve every read and never be cleared
+    wrong = []
+
+    def work(seed):
+        order = list(range(len(texts))) * 4
+        random.Random(seed).shuffle(order)
+        try:
+            for i in order:
+                if _read(texts[i][1], texts[i][0]) != serial[i]:
+                    wrong.append(i)
+        except Exception as exc:  # a thread's error would otherwise only be printed
+            wrong.append(exc)
+
+    count = 2 * (os.cpu_count() or 1) + 1  # more threads than cores
+    threads = [threading.Thread(target=work, args=(n,)) for n in range(count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert all(len(parser._table(frame.variables)) <= 16 for frame in FRAMES.values())
+
+
+@pytest.mark.parametrize(
+    "factor, levels, offset", [("Ea((1/6 + 2i), z)", MAX_DEPTH - 1, 3), ("(1 + 2i)", MAX_DEPTH, 0)]
+)
+def test_a_stored_token_is_refused_where_its_reading_passes_the_depth(factor, levels, offset):
+    # Ea((1/6 + 2i), z) opens two levels and (1 + 2i) one; once the table holds
+    # the token, it is still refused at its '(' inside `levels` parentheses
+    head = f"{factor} + "
+    parse(head + "(" * (levels - 1) + factor + ")" * (levels - 1), CYLINDRICAL)
+    with pytest.raises(ParseError) as err:
+        parse(head + "(" * levels + factor + ")" * levels, CYLINDRICAL)
+    message = f"nesting is deeper than {MAX_DEPTH} levels"
+    assert str(err.value) == f"{message} (at position {len(head) + levels + offset})"
+
+
+def test_a_constant_written_as_render_writes_one_is_one_stored_token():
+    table = parser._table(CARTESIAN.variables)
+    for constant, value in [("(1 + 2i)", 1 + 2j), ("(-1/2 - 3/4*1i)", -0.5 - 0.75j)]:
+        assert parser._TOKEN.findall(constant) == [constant]
+        table.clear()
+        product = parse(f"{constant}*P(x,1)", CARTESIAN)
+        assert constant in table
+        assert product == C.fractal_power("x", 1) * parse(constant.replace(" ", ""), CARTESIAN)
+        assert complex(parse(constant, CARTESIAN).constant_coefficient()) == value
+    # written another way, it is read from its fine tokens
+    assert parser._TOKEN.findall("(1+2i)") == ["(", "1", "+", "2i", ")"]
+
+
+def test_a_long_token_is_read_but_not_stored():
+    scale = "+".join(["lam"] * 30)  # Ea(lam+lam+...+lam, z), one token past _TABLE_TOKEN
+    factor = f"Ea({scale}, z)"
+    assert len(parser._TOKEN.findall(factor)) == 1 and len(factor) > parser._TABLE_TOKEN
+    table = parser._table(CYLINDRICAL.variables)
+    table.clear()
+    assert parse(factor, CYLINDRICAL) == parse("Ea(30*lam, z)", CYLINDRICAL)
+    assert factor not in table and "Ea(30*lam, z)" in table
+
+
+def test_every_ea_in_the_cylindrical_goldens_is_one_token():
+    # a spec's complex "lambda" puts constants such as (1/6 + 2i) in Ea scales
+    for op in _OPERATORS:
+        for line in (RENDER / f"cylindrical-{op}.txt").read_text().splitlines():
+            rhs = line.split(" = ", 1)[1]
+            tokens = parser._TOKEN.findall(rhs)
+            assert sum(t.startswith("Ea(") for t in tokens) == rhs.count("Ea(") > 0
+            assert render_canonical(parse(rhs, CYLINDRICAL)) == rhs
+
+
+def test_a_frame_name_reads_as_its_frame():
+    # the name is not read as the one-letter variables 's', 'p', 'h', ...
+    for text in ("P(r,1)*sina(r)", "P(theta,1)"):
+        assert parse(text, "spherical") == parse(text, SPHERICAL)
+    with pytest.raises(ParseError) as err:
+        parse("P(x,1)", "spherical")
+    message = "variable 'x' is not in the active frame ('r', 'theta', 'psi')"
+    assert str(err.value) == f"{message} (at position 2)"
+    with pytest.raises(ValueError, match="unknown frame 'spherica'"):
+        parse("P(r,1)", "spherica")
 
 
 # -- the term reader against the ring ------------------------------------------
