@@ -257,7 +257,7 @@ class CanonicalExpr:
     def __eq__(self, other):
         if isinstance(other, CanonicalExpr):
             return self._terms == other._terms
-        if isinstance(other, (int, CRat)):
+        if isinstance(other, (CRat, Rational)):
             return self._terms == CanonicalExpr.const(other)._terms
         return NotImplemented
 

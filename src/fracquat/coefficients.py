@@ -128,10 +128,14 @@ class CRat:
 
     # the (re, im) order, which sorts Ea scales; `int < CRat` reaches __gt__
     def __lt__(self, other):
-        return _less(self, other)
+        if type(other) is not int and type(other) is not CRat:
+            other = as_crat(other, exact=True)
+        return NotImplemented if other is None else _less(self, other)
 
     def __gt__(self, other):
-        return _less(other, self)
+        if type(other) is not int and type(other) is not CRat:
+            other = as_crat(other, exact=True)
+        return NotImplemented if other is None else _less(other, self)
 
     def __hash__(self):
         if self.b:

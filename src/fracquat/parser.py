@@ -19,13 +19,13 @@ sum grammar.  d(...) attaches partial-derivative indices to component
 symbols and exists so rendered canonical forms re-parse.
 
 The lexer makes one token of each well-formed generator factor and of
-each constant (a + b i) written as render writes one, and each distinct
-factor text is read once per process: a table per tuple of frame
-variables maps it to its record entry.  A table holds at most TABLE_SIZE
-entries and is cleared when full; it stores only tokens of at most
-_TABLE_TOKEN characters read without error, never a sum in parentheses,
-and nothing read near MAX_DEPTH, so every ParseError and its position are
-as a fresh reading gives them.
+each constant (a + b i) written as render writes one.  Its first reading
+splits it into fine tokens for the productions; later ones are served by
+a table per tuple of frame variables, token -> record entry.  A table
+holds at most TABLE_SIZE entries and is cleared when full; it stores
+only tokens of at most _TABLE_TOKEN characters read without error, never
+a sum in parentheses, and nothing read near MAX_DEPTH, so every
+ParseError and its position are as a fresh reading gives them.
 
 A term is read into one record, the exponent of each generator and one
 int or CRat coefficient, formed by the ring's * and quotient, which also
@@ -337,8 +337,10 @@ class _Parser:
                 scale = _scale(scale)
                 key, n = ("Ea", key[1], scale), 1 if scale else 0  # E_alpha(0) = 1
             return key, n, 1
-        if tok[-1] == ")":
-            entry = self.read_factor(tok, i)
+        if tok[-1] == ")":  # a factor or a constant: the productions above read its fine tokens
+            self.tokens[i : i + 1] = _FINE.findall(tok)
+            self.i = i
+            entry = self.parse_atom()
         elif tok[0].isdecimal():
             entry = None, 0, _of(*_number(tok))
         elif tok == "lam" or tok in COMPONENT_NAMES:
@@ -351,22 +353,6 @@ class _Parser:
                     self.table.clear()
                 self.table[tok] = entry
         return entry
-
-    def read_factor(self, tok: str, index: int) -> tuple:
-        """The record entry of the factor token at index.  P, sina, cosa and
-        d(...) of the frame's variables are read off the text; Ea, a constant
-        (a + b i), and any factor with an error, by parse_atom once the token
-        is split into its fine tokens."""
-        head, _, body = tok[:-1].partition("(")
-        args = body.split(",")
-        names = args[1:] if head == "d" else args[:1]
-        if head != "Ea" and self.depth < MAX_DEPTH and all(map(self.variables.__contains__, names)):
-            if head == "d":
-                return ("d", (int(args[0][1]), tuple(sorted(map(_VAR_INDEX.get, names))))), 1, 1
-            return (head, _VAR_INDEX[args[0]]), int(args[1]) if head == "P" else 1, 1
-        self.tokens[index : index + 1] = _FINE.findall(tok)
-        self.i = index
-        return self.parse_atom()
 
 
 def parse(text: str, frame=None) -> CanonicalExpr:

@@ -128,6 +128,11 @@ class TestEqual:
     def test_pythagorean_rewrite(self):
         assert equal(parse("cosa(theta)^2", CYL), parse("1 - sina(theta)^2", CYL))
 
+    def test_a_constant_equals_the_rational_that_equal_takes(self):
+        half = CanonicalExpr.const(Fraction(1, 2))
+        assert half == Fraction(1, 2) and Fraction(1, 2) == half and equal(half, Fraction(1, 2))
+        assert half != Fraction(1, 3) and CanonicalExpr.const(2) == Fraction(4, 2)
+
 
 class TestDivision:
     def test_unit_monomial_division(self):

@@ -188,6 +188,16 @@ def test_sort_key_gives_the_reference_order(xs):
     assert [value(c) for c in sorted(crats, reverse=True)] == sorted(xs, reverse=True)
 
 
+def test_order_takes_the_rationals_the_ring_takes():
+    half, third = CRat(Fraction(1, 2)), Fraction(1, 3)
+    assert half > third and not half < third and third < half and not third > half
+    # the (re, im) order: a CRat with the same real part and a positive imaginary one is larger
+    assert CRat(Fraction(1, 2), 1) > Fraction(1, 2) and Fraction(1, 2) < CRat(Fraction(1, 2), 1)
+    for compare in (lambda: half < 0.5, lambda: half > 0.5, lambda: 0.5 < half):
+        with pytest.raises(TypeError):
+            compare()
+
+
 @settings(max_examples=100, deadline=None)
 @given(pairs)
 def test_pickle_and_deepcopy_keep_the_value(x):

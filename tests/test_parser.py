@@ -398,21 +398,26 @@ def test_probe_output_parses_back(probe):
 
 def test_a_cleared_table_reads_each_distinct_factor_text_once(probe, monkeypatch):
     reads = Counter()
-    read_factor = parser._Parser.read_factor
 
-    def counted(self, tok, index):
-        reads[tok] += 1
-        return read_factor(self, tok, index)
+    class Counted(dict):
+        """A table that counts its stores: each reading of a token that
+        the table does not hold ends in one."""
 
-    monkeypatch.setattr(parser._Parser, "read_factor", counted)
+        def __setitem__(self, tok, entry):
+            reads[tok] += 1
+            super().__setitem__(tok, entry)
+
+    table = Counted()
+    monkeypatch.setattr(parser, "_table", lambda variables: table)
     for text, c in probe:
-        parser._table(SPHERICAL.variables).clear()
+        table.clear()
         reads.clear()
         assert parse(text, SPHERICAL) == c
         tokens = parser._TOKEN.findall(text)
         factors = [t for t in tokens if t[-1] == ")" and len(t) > 1]
-        assert reads == Counter(set(factors)) and len(factors) > 10 * len(reads)
-        # the table outlives the call: a second parse reads no factor
+        read = Counter({t: n for t, n in reads.items() if t[-1] == ")"})
+        assert read == Counter(set(factors)) and len(factors) > 10 * len(read)
+        # the table outlives the call: a second parse reads no token
         reads.clear()
         assert parse(text, SPHERICAL) == c
         assert not reads
@@ -442,6 +447,14 @@ def test_a_warm_table_reads_as_a_cleared_one(name, data):
         table.clear()
         again = _read(rendered, frame)
         assert _read(rendered, frame) == again and dict(again) == dict(cold)
+    # the same text with a space after each '(' and ',' inside its factor tokens,
+    # so that the lexer splits them, such as P( r, 1) and ( 1 + 2i)
+    spaced = parser._TOKEN.sub(
+        lambda m: m[0].replace("(", "( ").replace(",", ", ") if m[0][-1] == ")" else m[0], text
+    )
+    table.clear()
+    read = _read(spaced, frame)
+    assert read == cold or type(cold) is tuple and read[0] is cold[0]
 
 
 def test_a_table_filled_past_its_size_is_cleared():
