@@ -14,6 +14,17 @@ lam power under one lam-polynomial coefficient.  Sorting puts them next to
 each other, so render makes one pass over the sorted terms, and it formats
 each distinct factor group once per call.
 
+A few small tables, kept for the process, hold what the ring and render
+form again and again from the same factors: the product of two powers
+or two Ea groups (the no-cos^2 path of _mul_monomials), the text of each
+P, sina/cosa, Ea and d(fk,...) factor, and the text of each one-term
+(lam power, coefficient) coefficient.  derivative.d_alpha keeps one for
+its bumped component symbols, and the parser its factor tables.  Each
+holds at most TABLE_SIZE entries and is cleared when full, by _store.
+The tables are shared by threads: a lookup is one dict.get, which a
+clear in another thread cannot make raise, and a store holds a lock
+while it tests the size.  A render that fails stores nothing.
+
 Two expressions are equal exactly when their maps coincide, which is what
 every identity check in the package reduces to.  So no map stores a zero
 coefficient: `_accumulate`, the only code that adds into a map, keeps
@@ -30,9 +41,11 @@ its map through `_accumulate`, which bounds every int the map receives.
 
 from __future__ import annotations
 
+from _thread import allocate_lock  # threading's own lock, without importing threading
 from cmath import isfinite
 from collections import namedtuple
 from numbers import Rational
+from operator import itemgetter
 
 from .coefficients import _FLOOR, DIGITS, LIMIT, CRat, as_crat, limit_error, quotient, render_poly
 from .expr import (
@@ -72,6 +85,18 @@ MONOMIAL_ONE = Monomial()
 _new = tuple.__new__  # _new(Monomial, fields) skips the named tuple's Python-level __new__
 _ONE_MAP = {MONOMIAL_ONE: 1}
 MAX_TERM_PAIRS = 10**6  # term pairs one product may form
+TABLE_SIZE = 4096  # entries in one per-process table; a full table is cleared
+_STORING = allocate_lock()  # a table's size test and its store are one step
+_PRODUCTS = {}  # (group, group) -> their product, for two nonempty powers or two nonempty ea groups
+
+
+def _store(table: dict, key, value):
+    """Store value under key in a per-process table, cleared first if full, and return it."""
+    with _STORING:
+        if len(table) >= TABLE_SIZE:
+            table.clear()
+        table[key] = value
+    return value
 
 
 def _scale(ce) -> tuple:
@@ -92,15 +117,26 @@ def _add_exponents(a: tuple, b: tuple) -> tuple:
     return tuple(sorted(g + (p,) for g, p in acc.items() if p))
 
 
+def _product(a: tuple, b: tuple) -> tuple:
+    """_add_exponents(a, b) of two nonempty groups, read from the product table."""
+    key = (a, b)  # a powers group never equals an ea group: their items differ in length
+    out = _PRODUCTS.get(key)
+    return _store(_PRODUCTS, key, _add_exponents(a, b)) if out is None else out
+
+
 def _mul_monomials(a: Monomial, b: Monomial):
     """Product of two monomials as [(monomial, +/-1 coefficient)] pairs;
     the Pythagorean rewrite of cos^2 may split the product in two.  When
     at most one side has a trig group, no cos^2 can form, so the product
-    is one monomial and takes the early return."""
+    is one monomial and takes the early return, its groups read from the
+    product table."""
     dsyms = tuple(sorted(a.dsyms + b.dsyms)) if a.dsyms and b.dsyms else a.dsyms or b.dsyms
-    powers, ea, lam = _add_exponents(a.powers, b.powers), _add_exponents(a.ea, b.ea), a.lam + b.lam
     if not a.trig or not b.trig:
-        return ((_new(Monomial, (dsyms, powers, a.trig or b.trig, ea, lam)), 1),)
+        p, q, e, f = a.powers, b.powers, a.ea, b.ea
+        powers = _product(p, q) if p and q else p or q
+        ea = _product(e, f) if e and f else e or f
+        return ((_new(Monomial, (dsyms, powers, a.trig or b.trig, ea, a.lam + b.lam)), 1),)
+    powers, ea, lam = _add_exponents(a.powers, b.powers), _add_exponents(a.ea, b.ea), a.lam + b.lam
 
     trig = {v: [m, e] for v, m, e in a.trig}
     for v, m, e in b.trig:
@@ -262,7 +298,10 @@ class CanonicalExpr:
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset((m, p) for m, p in self._terms.items()))
+        terms = self._terms
+        if terms.keys() <= {MONOMIAL_ONE}:  # a constant hashes like the value it equals
+            return hash(terms.get(MONOMIAL_ONE, 0))
+        return hash(frozenset((m, p) for m, p in terms.items()))
 
     def __repr__(self):
         return f"<CanonicalExpr {render_canonical(self)}>"
@@ -382,38 +421,60 @@ def dsym_name(k: int, midx) -> str:
     return f"d(f{k},{','.join(VARIABLES[v] for v in midx)})"
 
 
-def _powers_text(group: tuple) -> str:
-    return "*".join([f"P({VARIABLES[v]},{n})" for v, n in group])
+_TEXTS = {}  # a factor of a powers, trig, ea or dsyms group -> its text; no two kinds compare equal
+_COEFFS = {}  # (lam power, coefficient) -> (negative, text): c*lam^power prints as -text or +text
 
 
-def _trig_text(group: tuple) -> str:
-    pieces = []
-    for v, m, e in group:
-        if m:
-            pieces.append(f"sina({VARIABLES[v]})" + (f"^{m}" if m != 1 else ""))
-        if e:
-            pieces.append(f"cosa({VARIABLES[v]})")
-    return "*".join(pieces)
+def _power_text(factor: tuple) -> str:
+    v, n = factor
+    return f"P({VARIABLES[v]},{n})"
 
 
-def _ea_text(group: tuple) -> str:
-    return "*".join(
-        [f"Ea({render_poly(s)}, {VARIABLES[v]})" + (f"^{p}" if p != 1 else "") for v, s, p in group]
-    )
+def _trig_text(factor: tuple) -> str:
+    v, m, e = factor
+    sin = f"sina({VARIABLES[v]})" + (f"^{m}" if m != 1 else "") if m else ""
+    cos = f"cosa({VARIABLES[v]})" if e else ""
+    return f"{sin}*{cos}" if sin and cos else sin or cos
 
 
-def _dsyms_text(group: tuple) -> str:
-    return "*".join([dsym_name(k, midx) for k, midx in group])
+def _ea_text(factor: tuple) -> str:
+    v, s, p = factor
+    return f"Ea({render_poly(s)}, {VARIABLES[v]})" + (f"^{p}" if p != 1 else "")
+
+
+def _dsym_text(factor: tuple) -> str:
+    return dsym_name(*factor)
+
+
+def _signed_text(lam: int, c) -> tuple:
+    """(negative, text): c*lam^lam prints as -text or +text, its sign taken
+    from the real part, or from the imaginary part of an imaginary c."""
+    negative = c < 0 if type(c) is int else c.a < 0 or (c.a == 0 and c.b < 0)
+    return negative, render_poly(((lam, -c if negative else c),))
 
 
 def render_canonical(ce: CanonicalExpr) -> str:
     """Deterministic DSL rendering; parsing the output reproduces the same
     canonical map.  A lam group is a run of sorted terms that share their
-    first four fields, so each member past the first has lam > 0."""
+    first four fields, so each member past the first has lam > 0.  Each
+    factor's text and each one-term coefficient's text is read from its
+    table; the texts this call forms are stored when it returns."""
     if ce.is_zero():
         return "0"
-    items, texts, out = sorted(ce.terms.items()), {}, []
-    get, memo = texts.get, texts.setdefault  # group tuple -> its text; no two kinds compare equal
+    items, groups, fresh, out = sorted(ce.terms.items(), key=itemgetter(0)), {}, [], []
+    get, text = groups.get, _TEXTS.get  # group tuple -> its text; no two kinds compare equal
+
+    def group_text(group, form):
+        pieces = []
+        for factor in group:
+            piece = text(factor)
+            if piece is None:
+                piece = form(factor)
+                fresh.append((_TEXTS, factor, piece))
+            pieces.append(piece)
+        groups[group] = joined = "*".join(pieces)
+        return joined
+
     i, n = 0, len(items)
     try:
         while i < n:
@@ -422,13 +483,13 @@ def render_canonical(ce: CanonicalExpr) -> str:
             dsyms, powers, trig, ea, lam = mono
             pieces = []  # a text is never empty, so `or` tells a hit
             if powers:
-                pieces.append(get(powers) or memo(powers, _powers_text(powers)))
+                pieces.append(get(powers) or group_text(powers, _power_text))
             if trig:
-                pieces.append(get(trig) or memo(trig, _trig_text(trig)))
+                pieces.append(get(trig) or group_text(trig, _trig_text))
             if ea:
-                pieces.append(get(ea) or memo(ea, _ea_text(ea)))
+                pieces.append(get(ea) or group_text(ea, _ea_text))
             if dsyms:
-                pieces.append(get(dsyms) or memo(dsyms, _dsyms_text(dsyms)))
+                pieces.append(get(dsyms) or group_text(dsyms, _dsym_text))
             body = "*".join(pieces)
             if i < n and items[i][0].lam and items[i][0][:4] == mono[:4]:  # a lam group
                 poly = [(lam, c)]
@@ -438,20 +499,28 @@ def render_canonical(ce: CanonicalExpr) -> str:
                 coeff = render_poly(poly)
                 out += (" + ", f"({coeff})*{body}" if body else coeff)
                 continue
-            negative = c < 0 if type(c) is int else c.a < 0 or (c.a == 0 and c.b < 0)
-            if negative:
-                c = -c
             if type(c) is int and not lam:
+                negative = c < 0
+                if negative:
+                    c = -c
                 if not body:
                     body = str(c)
                 elif c != 1:
                     body = f"{c}*{body}"
             else:
-                coeff = render_poly(((lam, c),))
+                # a CRat is keyed by its parts, whose hash runs in C; its __hash__ runs in Python
+                key = (lam, c) if type(c) is int else (lam, c.a, c.b, c.d)
+                entry = _COEFFS.get(key)
+                if entry is None:
+                    entry = _signed_text(lam, c)
+                    fresh.append((_COEFFS, key, entry))
+                negative, coeff = entry
                 body = f"{coeff}*{body}" if body else coeff
             out += (" - " if negative else " + ", body)
     except ValueError:  # str() of an exponent past the int digit limit
         raise ExpressionError(f"an exponent passes the int digit limit ({DIGITS} digits)") from None
+    for table, key, piece in fresh:
+        _store(table, key, piece)
     out[0] = "-" if out[0] == " - " else ""
     return "".join(out)
 
@@ -463,9 +532,9 @@ def _not_finite(gen, point: dict) -> EvaluationDomainError:
     """The error for a power of gen, or for the coefficient if gen is None, with no finite value."""
     if gen is None:
         return EvaluationDomainError("a coefficient has no finite value")
-    kind = _powers_text if len(gen) == 2 else _ea_text if type(gen[1]) is tuple else _trig_text
+    kind = _power_text if len(gen) == 2 else _ea_text if type(gen[1]) is tuple else _trig_text
     v = VARIABLES[gen[0]]
-    return EvaluationDomainError(f"{kind((gen,))} has no finite value at {v} = {point[v]}")
+    return EvaluationDomainError(f"{kind(gen)} has no finite value at {v} = {point[v]}")
 
 
 def _fractal_arg(var: str, point: dict, alpha: float) -> float:

@@ -126,7 +126,8 @@ class CRat:
             return not self.b and self.a == other.numerator and self.d == other.denominator
         return NotImplemented
 
-    # the (re, im) order, which sorts Ea scales; `int < CRat` reaches __gt__
+    # the (re, im) order, which sorts Ea scales; `int < CRat` reaches __gt__.
+    # The order is total, so x <= y is not y < x
     def __lt__(self, other):
         if type(other) is not int and type(other) is not CRat:
             other = as_crat(other, exact=True)
@@ -136,6 +137,16 @@ class CRat:
         if type(other) is not int and type(other) is not CRat:
             other = as_crat(other, exact=True)
         return NotImplemented if other is None else _less(other, self)
+
+    def __le__(self, other):
+        if type(other) is not int and type(other) is not CRat:
+            other = as_crat(other, exact=True)
+        return NotImplemented if other is None else not _less(other, self)
+
+    def __ge__(self, other):
+        if type(other) is not int and type(other) is not CRat:
+            other = as_crat(other, exact=True)
+        return NotImplemented if other is None else not _less(self, other)
 
     def __hash__(self):
         if self.b:

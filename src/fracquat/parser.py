@@ -22,7 +22,8 @@ The lexer makes one token of each well-formed generator factor and of
 each constant (a + b i) written as render writes one.  Its first reading
 splits it into fine tokens for the productions; later ones are served by
 a table per tuple of frame variables, token -> record entry.  A table
-holds at most TABLE_SIZE entries and is cleared when full; it stores
+holds at most canonical.TABLE_SIZE entries and is cleared when full, by
+canonical._store, the rule of every per-process table; it stores
 only tokens of at most _TABLE_TOKEN characters read without error, never
 a sum in parentheses, and nothing read near MAX_DEPTH, so every
 ParseError and its position are as a fresh reading gives them.
@@ -41,23 +42,20 @@ ring's coefficients.LIMIT.
 from __future__ import annotations
 
 import re
-from _thread import allocate_lock  # threading's own lock, without importing threading
 from functools import lru_cache
 
-from .canonical import MONOMIAL_ONE, CanonicalExpr, Monomial, _accumulate, _new, _scale
+from .canonical import MONOMIAL_ONE, CanonicalExpr, Monomial, _accumulate, _new, _scale, _store
 from .coefficients import DIGITS, _of, quotient
 from .expr import _VAR_INDEX, COMPONENT_NAMES, CoefficientLimitError, ParseError, VARIABLES
 
 MAX_TERMS = 1000  # terms in one sum
 MAX_FACTORS = 1000  # factors in one product
 MAX_DEPTH = 200  # nesting levels, counted across '(', 'Ea(' and 'd('
-TABLE_SIZE = 4096  # entries in one factor table; a full table is cleared
 _TABLE_TOKEN = 64  # characters in the longest token a table stores
 # reading a token opens at most two levels (an Ea scale with a constant in
 # parentheses), so the factor tables serve and take entries only at depths
 # below this one, where a fresh reading of any token meets no depth limit
 _TABLE_DEPTH = MAX_DEPTH - 1
-_STORING = allocate_lock()  # a table's size test and its store are one step
 
 _SYMBOLS = frozenset("+-*/^(),")
 # a fine token is a number with an optional imaginary suffix, a word, or any
@@ -348,10 +346,7 @@ class _Parser:
         else:
             raise self.error(f"unknown identifier {tok!r}", i)
         if self.depth < _TABLE_DEPTH and len(tok) <= _TABLE_TOKEN:
-            with _STORING:
-                if len(self.table) >= TABLE_SIZE:
-                    self.table.clear()
-                self.table[tok] = entry
+            _store(self.table, tok, entry)
         return entry
 
 

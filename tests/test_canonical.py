@@ -133,6 +133,13 @@ class TestEqual:
         assert half == Fraction(1, 2) and Fraction(1, 2) == half and equal(half, Fraction(1, 2))
         assert half != Fraction(1, 3) and CanonicalExpr.const(2) == Fraction(4, 2)
 
+    def test_a_constant_hashes_like_the_value_it_equals(self):
+        for c in (2, Fraction(1, 2), 0, CRat(1, 2)):
+            assert c in {CanonicalExpr.const(c)} and CanonicalExpr.const(c) in {c}
+        assert 0 in {CanonicalExpr.zero()} and 1 in {CanonicalExpr.one()}
+        other = parse("2*P(r,1)", CYL)  # any other map keeps its hash
+        assert hash(other) == hash(frozenset(other.terms.items()))
+
 
 class TestDivision:
     def test_unit_monomial_division(self):

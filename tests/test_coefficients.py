@@ -198,6 +198,25 @@ def test_order_takes_the_rationals_the_ring_takes():
             compare()
 
 
+def test_le_and_ge_take_what_lt_and_gt_take():
+    half = CRat(Fraction(1, 2))
+    assert half <= 1 and half >= Fraction(1, 3) and half <= Fraction(1, 2) and half >= Fraction(1, 2)
+    assert not half <= Fraction(1, 3) and not half >= 1 and 1 >= half and Fraction(1, 3) <= half
+    assert CRat(Fraction(1, 2), 1) >= Fraction(1, 2) and not CRat(Fraction(1, 2), -1) >= Fraction(1, 2)
+    for compare in (lambda: half <= 0.5, lambda: half >= 0.5, lambda: 0.5 <= half):
+        with pytest.raises(TypeError):
+            compare()
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs, pairs)
+def test_le_and_ge_agree_with_lt_gt_and_eq(x, y):
+    cx, cy = CRat(*x), CRat(*y)
+    for other in (cy, y[0]):  # a stored coefficient, or a Fraction
+        assert (cx <= other) == (cx < other or cx == other)
+        assert (cx >= other) == (cx > other or cx == other)
+
+
 @settings(max_examples=100, deadline=None)
 @given(pairs)
 def test_pickle_and_deepcopy_keep_the_value(x):

@@ -16,7 +16,7 @@ import fracquat
 from fracquat import (
     CARTESIAN, CYLINDRICAL, SPHERICAL, CanonicalExpr, NonInvertibleDivisionError, ParseError, parse,
 )
-from fracquat import parser
+from fracquat import canonical, parser
 from fracquat.canonical import render_canonical
 from fracquat.cli import _OPERATORS
 from fracquat.coefficients import CRat
@@ -466,7 +466,7 @@ def test_a_table_filled_past_its_size_is_cleared():
         text = " + ".join(f"{k}*P(r,{k})*Ea({k}, z)" for k in range(start, start + 1000))
         parse(text, CYLINDRICAL)
         sizes.append(len(table))
-    assert max(sizes) <= parser.TABLE_SIZE and sizes != sorted(sizes)
+    assert max(sizes) <= canonical.TABLE_SIZE and sizes != sorted(sizes)
 
 
 def test_threads_sharing_a_table_read_what_one_thread_reads(monkeypatch):
@@ -481,7 +481,7 @@ def test_threads_sharing_a_table_read_what_one_thread_reads(monkeypatch):
     serial = [_read(text, frame) for frame, text in texts]
     for frame in FRAMES.values():  # each frame's texts hold more distinct tokens than fit
         assert len({t for f, text in texts if f is frame for t in parser._TOKEN.findall(text)}) > 64
-    monkeypatch.setattr(parser, "TABLE_SIZE", 16)
+    monkeypatch.setattr(canonical, "TABLE_SIZE", 16)
     parser._table.cache_clear()  # full tables would serve every read and never be cleared
     wrong = []
 
