@@ -38,21 +38,7 @@ from .derivative import (
     differentiate,
     nth_d_alpha,
 )
-from .series import (
-    GammaRangeError,
-    JSeries,
-    LimitReport,
-    SeriesConvergenceError,
-    cos_alpha,
-    cos_alpha_jseries,
-    gamma_one_plus,
-    limit_definition_derivative_at_zero,
-    ml_exp,
-    ml_exp_jseries,
-    series_shift_derivative,
-    sin_alpha,
-    sin_alpha_jseries,
-)
+from .series import SeriesConvergenceError, cos_alpha, ml_exp, sin_alpha
 from .quaternion import ComplexQuaternion, cross, dot, qmul, sc, vec
 from .frames import (
     CARTESIAN,

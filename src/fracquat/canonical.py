@@ -16,14 +16,15 @@ each distinct factor group once per call.
 
 A few small tables, kept for the process, hold what the ring and render
 form again and again from the same factors: the product of two powers
-or two Ea groups (the no-cos^2 path of _mul_monomials), the text of each
-P, sina/cosa, Ea and d(fk,...) factor, and the text of each one-term
-(lam power, coefficient) coefficient.  derivative.d_alpha keeps one for
-its bumped component symbols, and the parser its factor tables.  Each
-holds at most TABLE_SIZE entries and is cleared when full, by _store.
-The tables are shared by threads: a lookup is one dict.get, which a
-clear in another thread cannot make raise, and a store holds a lock
-while it tests the size.  A render that fails stores nothing.
+or two Ea groups (in _mul_monomials), the text of each P, sina/cosa, Ea
+and d(fk,...) factor, and the text of each one-term (lam power,
+coefficient) coefficient.  derivative.d_alpha keeps one for its bumped
+component symbols, and the parser its factor tables.  Each holds at
+most TABLE_SIZE entries and is cleared when full, by _store.  The tables
+are shared by threads: a lookup is one dict.get, which a clear in
+another thread cannot make raise, and a store holds a lock while it
+tests the size.  Each text is a pure function of its factor, so render
+stores it as soon as it forms it, also in a render that then fails.
 
 Two expressions are equal exactly when their maps coincide, which is what
 every identity check in the package reduces to.  So no map stores a zero
@@ -109,8 +110,6 @@ def _scale(ce) -> tuple:
 
 def _add_exponents(a: tuple, b: tuple) -> tuple:
     """Sorted product of two sorted (generator..., exponent) groups; zero exponents drop out."""
-    if not a or not b:
-        return a or b
     acc = {t[:-1]: t[-1] for t in a}
     for t in b:
         acc[t[:-1]] = acc.get(t[:-1], 0) + t[-1]
@@ -126,17 +125,17 @@ def _product(a: tuple, b: tuple) -> tuple:
 
 def _mul_monomials(a: Monomial, b: Monomial):
     """Product of two monomials as [(monomial, +/-1 coefficient)] pairs;
-    the Pythagorean rewrite of cos^2 may split the product in two.  When
-    at most one side has a trig group, no cos^2 can form, so the product
-    is one monomial and takes the early return, its groups read from the
-    product table."""
+    the Pythagorean rewrite of cos^2 may split the product in two.  The
+    powers and ea groups are read from the product table.  When at most
+    one side has a trig group, no cos^2 can form, so the product is one
+    monomial and takes the early return."""
     dsyms = tuple(sorted(a.dsyms + b.dsyms)) if a.dsyms and b.dsyms else a.dsyms or b.dsyms
+    p, q, e, f = a.powers, b.powers, a.ea, b.ea
+    powers = _product(p, q) if p and q else p or q
+    ea = _product(e, f) if e and f else e or f
+    lam = a.lam + b.lam
     if not a.trig or not b.trig:
-        p, q, e, f = a.powers, b.powers, a.ea, b.ea
-        powers = _product(p, q) if p and q else p or q
-        ea = _product(e, f) if e and f else e or f
-        return ((_new(Monomial, (dsyms, powers, a.trig or b.trig, ea, a.lam + b.lam)), 1),)
-    powers, ea, lam = _add_exponents(a.powers, b.powers), _add_exponents(a.ea, b.ea), a.lam + b.lam
+        return ((_new(Monomial, (dsyms, powers, a.trig or b.trig, ea, lam)), 1),)
 
     trig = {v: [m, e] for v, m, e in a.trig}
     for v, m, e in b.trig:
@@ -458,10 +457,10 @@ def render_canonical(ce: CanonicalExpr) -> str:
     canonical map.  A lam group is a run of sorted terms that share their
     first four fields, so each member past the first has lam > 0.  Each
     factor's text and each one-term coefficient's text is read from its
-    table; the texts this call forms are stored when it returns."""
+    table, and stored there when this call forms it."""
     if ce.is_zero():
         return "0"
-    items, groups, fresh, out = sorted(ce.terms.items(), key=itemgetter(0)), {}, [], []
+    items, groups, out = sorted(ce.terms.items(), key=itemgetter(0)), {}, []
     get, text = groups.get, _TEXTS.get  # group tuple -> its text; no two kinds compare equal
 
     def group_text(group, form):
@@ -469,8 +468,7 @@ def render_canonical(ce: CanonicalExpr) -> str:
         for factor in group:
             piece = text(factor)
             if piece is None:
-                piece = form(factor)
-                fresh.append((_TEXTS, factor, piece))
+                piece = _store(_TEXTS, factor, form(factor))
             pieces.append(piece)
         groups[group] = joined = "*".join(pieces)
         return joined
@@ -512,15 +510,12 @@ def render_canonical(ce: CanonicalExpr) -> str:
                 key = (lam, c) if type(c) is int else (lam, c.a, c.b, c.d)
                 entry = _COEFFS.get(key)
                 if entry is None:
-                    entry = _signed_text(lam, c)
-                    fresh.append((_COEFFS, key, entry))
+                    entry = _store(_COEFFS, key, _signed_text(lam, c))
                 negative, coeff = entry
                 body = f"{coeff}*{body}" if body else coeff
             out += (" - " if negative else " + ", body)
     except ValueError:  # str() of an exponent past the int digit limit
         raise ExpressionError(f"an exponent passes the int digit limit ({DIGITS} digits)") from None
-    for table, key, piece in fresh:
-        _store(table, key, piece)
     out[0] = "-" if out[0] == " - " else ""
     return "".join(out)
 

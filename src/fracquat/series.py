@@ -10,7 +10,9 @@ denominators:
 
 At alpha=1 these reduce to exp, sin and cos, which the tests use as the
 classical oracle.  alpha=1 is admitted although the fractal setting has
-0 < alpha < 1.
+0 < alpha < 1.  The module holds only this summation kernel; the
+truncated J-basis series and the limit-quotient derivative that the tests
+compare the symbolic derivative against live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -18,13 +20,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from collections import namedtuple
 
 MAX_SERIES_TERMS = 500
-
-
-class GammaRangeError(OverflowError):
-    """Gamma argument outside the double-precision floating range."""
 
 
 class SeriesConvergenceError(ArithmeticError):
@@ -46,26 +43,6 @@ def validate_tol(tol: float) -> float:
     if not 0.0 < tol < math.inf:  # also false for nan
         raise ValueError(f"tol must be positive and finite, got {tol}")
     return tol
-
-
-def gamma_one_plus(alpha: float, k: int) -> float:
-    """Gamma(1 + k*alpha) in double precision (Lanczos-backed libm gamma)."""
-    alpha = validate_alpha(alpha)
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    try:
-        return math.gamma(1.0 + k * alpha)
-    except OverflowError as exc:
-        raise GammaRangeError(f"Gamma(1 + {k}*{alpha}) overflows double precision") from exc
-
-
-def _power_term(log_u: float, power: int, alpha: float) -> float:
-    # u^power / Gamma(1+power*alpha) for a real u > 0 from log(u), in log
-    # space to avoid intermediate overflow of u^power for moderate u
-    try:
-        return math.exp(power * log_u - math.lgamma(1.0 + power * alpha))
-    except OverflowError:
-        return math.inf
 
 
 # kind: (label, first power, power step, alternating signs)
@@ -171,101 +148,3 @@ def sin_alpha(alpha: float, u: complex, tol: float = 1e-12) -> complex:
 
 def cos_alpha(alpha: float, u: complex, tol: float = 1e-12) -> complex:
     return evaluate_series("cosa", alpha, u, tol)[0]
-
-
-class JSeries(namedtuple("JSeries", "alpha coeffs")):
-    """Truncated series over the Gamma-normalized basis J_k(x) = x^(k*alpha)/Gamma(1+k*alpha).
-
-    coeffs[k] multiplies J_k; the truncation order is len(coeffs)-1.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, alpha: float, coeffs):
-        validate_alpha(alpha)
-        if len(coeffs) == 0:
-            raise ValueError("JSeries needs at least the k=0 coefficient")
-        return super().__new__(cls, alpha, tuple(complex(c) for c in coeffs))
-
-    @property
-    def truncation_order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def shift_derivative(self) -> JSeries:
-        """Index-shift derivative on the J-basis: J_k -> J_(k-1), J_0 -> 0."""
-        return JSeries(self.alpha, self.coeffs[1:] or (0j,))
-
-    def evaluate(self, x: float) -> complex:
-        """sum_k coeffs[k] J_k(x).  A total with no finite double, as any sum with a term
-        past the double range is, raises SeriesConvergenceError (last term magnitude inf)."""
-        if not 0 <= x < math.inf:  # also true for nan
-            raise ValueError(f"JSeries arguments live on the fractal half line x >= 0, got {x}")
-        if x == 0:
-            total = self.coeffs[0] + 0j  # J_0(0) = 1, every other J_k(0) = 0
-        else:
-            log_u = math.log(x**self.alpha)
-            terms = (c * _power_term(log_u, k, self.alpha) for k, c in enumerate(self.coeffs) if c)
-            total = sum(terms, 0j)
-        if not cmath.isfinite(total):
-            raise SeriesConvergenceError(f"JSeries has no finite value at x = {x}", math.inf)
-        return total
-
-
-def series_shift_derivative(s: JSeries) -> JSeries:
-    return s.shift_derivative()
-
-
-def ml_exp_jseries(alpha: float, order: int) -> JSeries:
-    return JSeries(alpha, (1,) * (order + 1))
-
-
-def sin_alpha_jseries(alpha: float, order: int) -> JSeries:
-    return JSeries(alpha, tuple((-1) ** (k // 2) if k % 2 else 0 for k in range(order + 1)))
-
-
-def cos_alpha_jseries(alpha: float, order: int) -> JSeries:
-    return JSeries(alpha, tuple(0 if k % 2 else (-1) ** (k // 2) for k in range(order + 1)))
-
-
-class LimitReport(namedtuple("LimitReport", "estimate quotients converged")):
-    """Result of the limit-quotient fractional derivative at x0 = 0."""
-
-    __slots__ = ()
-
-
-def limit_definition_derivative_at_zero(f, alpha: float, steps) -> LimitReport:
-    """Evaluate Gamma(1+alpha) * (f(h) - f(0)) / h^alpha along steps h -> 0.
-
-    Returns the quotient sequence plus an extrapolated limit; a sequence
-    that fails to settle is reported as a non-existent derivative
-    (converged=False) rather than raising.
-    """
-    alpha = validate_alpha(alpha)
-    steps = [float(h) for h in steps]
-    if len(steps) < 2:
-        raise ValueError("need at least two steps")
-    if any(h <= 0 for h in steps) or any(b >= a for a, b in zip(steps, steps[1:])):
-        raise ValueError("steps must be positive and strictly decreasing")
-    g = gamma_one_plus(alpha, 1)
-    f0 = complex(f(0.0))
-    quotients = tuple(g * (complex(f(h)) - f0) / h**alpha for h in steps)
-
-    diffs = [abs(b - a) for a, b in zip(quotients, quotients[1:])]
-    scale = max(1.0, abs(quotients[-1]))
-    converged = diffs[-1] <= 1e-6 * scale or (
-        len(diffs) >= 2 and diffs[-1] < diffs[0] and diffs[-1] <= 1e-3 * scale
-    )
-
-    estimate = quotients[-1]
-    if converged and len(quotients) >= 3:
-        # one Aitken step; geometric quotient sequences land on the limit
-        q0, q1, q2 = quotients[-3:]
-        denom = q2 - 2 * q1 + q0
-        if abs(denom) > 1e-14 * scale:
-            accel = q2 - (q2 - q1) ** 2 / denom
-            if abs(accel - q2) <= max(10 * diffs[-1], 1e-9 * scale):
-                estimate = accel
-    return LimitReport(estimate, quotients, converged)

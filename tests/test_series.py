@@ -2,15 +2,13 @@
 
 Oracles: fixed-order brute-force partial sums computed in this file, a
 40-digit mpmath sum of the defining series, the classical libm functions
-at alpha=1, mpmath's independent gamma, and the closed form
-E_(1/2)(1) = e*erfc(-1).
+at alpha=1, and the closed form E_(1/2)(1) = e*erfc(-1).  The J-basis
+series and the limit quotient of oracles.py are checked here too.
 """
 
 import cmath
-import copy
 import math
 import os
-import pickle
 import subprocess
 import sys
 import threading
@@ -23,23 +21,23 @@ from hypothesis import given, settings
 
 from fracquat import (
     CYLINDRICAL,
-    GammaRangeError,
-    JSeries,
     SeriesConvergenceError,
     canon,
     cos_alpha,
-    cos_alpha_jseries,
     eval_canonical,
-    gamma_one_plus,
-    limit_definition_derivative_at_zero,
     ml_exp,
-    ml_exp_jseries,
-    series_shift_derivative,
     sin_alpha,
-    sin_alpha_jseries,
 )
 import fracquat.series as series_module
 from fracquat.series import MAX_SERIES_TERMS, evaluate_series
+
+from oracles import (
+    cos_alpha_coeffs,
+    jseries_sum,
+    limit_quotient_at_zero,
+    ml_exp_coeffs,
+    sin_alpha_coeffs,
+)
 
 
 def brute_ml(alpha, u, terms=80):
@@ -397,35 +395,6 @@ def test_small_band_matches_mpmath(kind, alpha, u, tol):
     assert abs(value - ref) <= 10 * tol * max(1.0, abs(ref))
 
 
-class TestGamma:
-    def test_trivial_values(self):
-        assert gamma_one_plus(0.7, 0) == 1.0
-        assert gamma_one_plus(0.5, 2) == 1.0
-        assert abs(gamma_one_plus(0.5, 1) - 0.886226925452758) < 1e-12
-
-    def test_against_independent_gamma(self):
-        # mpmath implements gamma independently of libm
-        for alpha in (0.3, 0.5, 0.75, 1.0):
-            k = 0
-            while k * alpha <= 30:
-                ours = gamma_one_plus(alpha, k)
-                ref = float(mpmath.gamma(1 + k * alpha))
-                assert abs(ours - ref) <= 1e-10 * ref
-                k += 1
-
-    def test_range_error(self):
-        with pytest.raises(GammaRangeError):
-            gamma_one_plus(1.0, 200)
-
-    def test_argument_validation(self):
-        with pytest.raises(ValueError):
-            gamma_one_plus(0.5, -1)
-        with pytest.raises(ValueError):
-            gamma_one_plus(0.0, 1)
-        with pytest.raises(ValueError):
-            gamma_one_plus(1.5, 1)
-
-
 class TestMlExp:
     def test_zero_argument(self):
         for alpha in (0.2, 0.5, 1.0):
@@ -499,114 +468,43 @@ class TestTrig:
 
 
 class TestJSeries:
+    """The coefficient tuples of the oracle series: the shift maps each to the next."""
+
     def test_ml_shift_is_identity_one_shorter(self):
-        s = ml_exp_jseries(0.5, 6)
-        out = series_shift_derivative(s)
-        assert out.coeffs == (1,) * 6
-        assert out.truncation_order == 5
+        assert ml_exp_coeffs(6)[1:] == ml_exp_coeffs(5) == (1,) * 6
 
     def test_sin_shift_gives_cos(self):
-        s = sin_alpha_jseries(0.5, 7)
-        out = series_shift_derivative(s)
-        assert out.coeffs == cos_alpha_jseries(0.5, 6).coeffs
+        assert sin_alpha_coeffs(7)[1:] == cos_alpha_coeffs(6)
 
     def test_cos_shift_gives_minus_sin(self):
-        s = cos_alpha_jseries(0.5, 8)
-        out = series_shift_derivative(s)
-        minus_sin = tuple(-c for c in sin_alpha_jseries(0.5, 7).coeffs)
-        assert out.coeffs == minus_sin
-
-    def test_single_term_shift(self):
-        s = JSeries(0.5, (0, 0, 0, 1))  # J_3
-        assert series_shift_derivative(s).coeffs == (0, 0, 1)
-
-    def test_repeated_shift_reaches_zero(self):
-        s = JSeries(0.7, (2, -1, 3, 0.5, 1j))
-        for _ in range(s.truncation_order + 1):
-            s = series_shift_derivative(s)
-        assert s.is_zero()
-
-    def test_shift_relation_termwise(self):
-        # coefficient k of the shift equals coefficient k+1 of the input
-        s = JSeries(0.4, (3, 1, 4, 1, 5))
-        out = series_shift_derivative(s)
-        assert out.coeffs == s.coeffs[1:]
+        assert cos_alpha_coeffs(8)[1:] == tuple(-c for c in sin_alpha_coeffs(7))
 
     def test_numeric_evaluation_matches_ml_exp(self):
-        s = ml_exp_jseries(0.5, 60)
         x = 1.3
-        assert abs(s.evaluate(x) - ml_exp(0.5, x**0.5, 1e-13)) < 1e-10
-
-    def test_evaluation_at_the_edges(self):
-        s = JSeries(1.0, (2, 3, 1j, 1))
-        assert s.evaluate(0) == 2 + 0j  # only J_0 is nonzero at 0
-        for x in (-1.0, math.nan, math.inf):
-            with pytest.raises(ValueError):
-                s.evaluate(x)
-        # a term below the double range adds 0, and one above it raises
-        assert JSeries(1.0, (0, 0, 1)).evaluate(1e-300) == 0
-        for c in (1, 1j):
-            with pytest.raises(SeriesConvergenceError, match=r"x = 1e\+300") as err:
-                JSeries(1.0, (0, 0, 0, c)).evaluate(1e300)
-            assert err.value.last_term_magnitude == math.inf
-        # a term is finite up to the double maximum; x^2/2 at 1.9e154 is past it
-        assert JSeries(1.0, (0, 1)).evaluate(1e308) == pytest.approx(1e308, rel=1e-13)
-        with pytest.raises(SeriesConvergenceError) as err:
-            JSeries(1.0, (0, 0, 1)).evaluate(1.9e154)
-        assert err.value.last_term_magnitude == math.inf
-
-    def test_needs_at_least_one_coefficient(self):
-        with pytest.raises(ValueError):
-            JSeries(0.5, ())
-
-    def test_frozen_and_copyable(self):
-        s = JSeries(0.5, (1, 2.5, 1j))
-        assert s.coeffs == (1 + 0j, 2.5 + 0j, 1j) and s.alpha == 0.5
-        for copied in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
-            assert type(copied) is JSeries and copied == s and hash(copied) == hash(s)
-        with pytest.raises(AttributeError):
-            s.coeffs = (0,)
-        with pytest.raises(ValueError):
-            JSeries(0.0, (1,))
+        assert abs(jseries_sum(0.5, ml_exp_coeffs(60), x) - ml_exp(0.5, x**0.5, 1e-13)) < 1e-10
 
 
 class TestLimitDefinition:
     STEPS = [10.0**-k for k in range(3, 13)]
 
-    def test_report_fields_by_name(self):
-        report = limit_definition_derivative_at_zero(lambda x: x**0.5, 0.5, self.STEPS)
-        assert type(report).__name__ == "LimitReport"
-        assert (report.estimate, report.quotients, report.converged) == tuple(report)
-        assert pickle.loads(pickle.dumps(report)) == report
-        with pytest.raises(AttributeError):
-            report.converged = False
-
     def test_power_alpha_constant_quotient(self):
-        report = limit_definition_derivative_at_zero(lambda x: x**0.5, 0.5, self.STEPS)
-        assert report.converged
+        estimate, quotients, converged = limit_quotient_at_zero(lambda x: x**0.5, 0.5, self.STEPS)
+        assert converged
         g = math.gamma(1.5)
-        assert all(abs(q - g) < 1e-12 for q in report.quotients)
-        assert abs(report.estimate - g) <= 1e-10
+        assert all(abs(q - g) < 1e-12 for q in quotients)
+        assert abs(estimate - g) <= 1e-10
 
     def test_power_two_alpha_goes_to_zero(self):
-        report = limit_definition_derivative_at_zero(lambda x: x**1.0, 0.5, self.STEPS)
-        assert report.converged
-        assert abs(report.estimate) < 1e-4
+        estimate, _, converged = limit_quotient_at_zero(lambda x: x**1.0, 0.5, self.STEPS)
+        assert converged
+        assert abs(estimate) < 1e-4
 
     def test_ml_exp_composite(self):
         f = lambda x: ml_exp(0.5, x**0.5, 1e-14)
-        report = limit_definition_derivative_at_zero(f, 0.5, self.STEPS)
-        assert report.converged
-        assert abs(report.estimate - 1.0) < 1e-4
+        estimate, _, converged = limit_quotient_at_zero(f, 0.5, self.STEPS)
+        assert converged
+        assert abs(estimate - 1.0) < 1e-4
 
     def test_divergent_sequence_reported(self):
-        report = limit_definition_derivative_at_zero(lambda x: x**0.1, 0.5, self.STEPS)
-        assert not report.converged
-
-    def test_step_validation(self):
-        with pytest.raises(ValueError):
-            limit_definition_derivative_at_zero(lambda x: x, 0.5, [0.1])
-        with pytest.raises(ValueError):
-            limit_definition_derivative_at_zero(lambda x: x, 0.5, [0.1, 0.2])
-        with pytest.raises(ValueError):
-            limit_definition_derivative_at_zero(lambda x: x, 0.5, [0.1, -0.2])
+        _, _, converged = limit_quotient_at_zero(lambda x: x**0.1, 0.5, self.STEPS)
+        assert not converged
