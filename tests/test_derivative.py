@@ -20,7 +20,13 @@ from fracquat import (
 )
 from fracquat.derivative import DerivativeMode, jpoly_coefficients
 
-from oracles import cos_alpha_coeffs, ml_exp_coeffs, sin_alpha_coeffs
+from oracles import (
+    cos_alpha_coeffs,
+    jseries_sum,
+    limit_quotient_at_zero,
+    ml_exp_coeffs,
+    sin_alpha_coeffs,
+)
 from strategies import exprs
 
 CYL = CYLINDRICAL
@@ -156,6 +162,34 @@ class TestGammaMode:
                     got = complex(coeffs[k].constant_coefficient()) if k < len(coeffs) else 0j
                     assert got == c
 
+    def test_shift_relation_termwise(self):
+        # coefficient k of the shift equals coefficient k+1 of the input,
+        # for integer, rational and complex coefficients
+        series = ("3", "1", "-4", "1/2", "(2-5i)", "7")
+        ce = canon(" + ".join(f"({c})*P(x,{k})" for k, c in enumerate(series)), None)
+        coeffs = jpoly_coefficients(d_alpha_gamma(ce, "x"), "x")
+        assert coeffs == [canon(c, None) for c in series[1:]]
+
+    def test_repeated_shift_reaches_zero(self):
+        ce = canon("2 - P(x,1) + 3*P(x,2) + (1/2)*P(x,3) + 1i*P(x,4)", None)
+        for _ in range(4):
+            ce = d_alpha_gamma(ce, "x")
+            assert not ce.is_zero()
+        assert ce == canon("1i", None)
+        assert d_alpha_gamma(ce, "x").is_zero()
+
+    def test_value_at_zero_matches_limit_quotient(self):
+        # the shift's J_0 coefficient is the derivative at 0, which the
+        # limit quotient of the summed series approaches
+        series = (2, 3, -1, 4)
+        ce = canon(" + ".join(f"({c})*P(x,{k})" for k, c in enumerate(series)), None)
+        at_zero = complex(jpoly_coefficients(d_alpha_gamma(ce, "x"), "x")[0].constant_coefficient())
+        estimate, _, converged = limit_quotient_at_zero(
+            lambda x: jseries_sum(0.5, series, x), 0.5, [10.0**-k for k in range(3, 13)]
+        )
+        assert at_zero == 3 and converged
+        assert abs(estimate - at_zero) < 1e-4
+
     def test_mode_violation_on_products(self):
         with pytest.raises(ModeViolationError):
             d_alpha_gamma(canon("sina(x)*P(x,1)", None), "x")
@@ -182,6 +216,12 @@ class TestModeConflict:
 
     def test_derivation_value_is_exact(self):
         assert d_alpha(canon("P(x,1)^2", None), "x") == canon("2*P(x,1)", None)
+
+    def test_modes_differ_on_the_second_power(self):
+        # derivation mode reads P(x,2) as (x^alpha)^2, gamma mode as J_2
+        ce = canon("P(x,2)", None)
+        assert d_alpha(ce, "x") == canon("2*P(x,1)", None)
+        assert d_alpha_gamma(ce, "x") == canon("P(x,1)", None)
 
     def test_rules_disagree_at_alpha_half(self):
         alpha = 0.5

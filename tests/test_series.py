@@ -356,6 +356,22 @@ class TestRatioTables:
         assert results == [serial] * 8
         assert serial == [outcome(reference_sum, *call) for call in calls]
 
+    def test_ratios_against_independent_gamma(self):
+        # mpmath implements gamma independently of libm; the kernel's Gamma
+        # values live only in these tables
+        for alpha in (0.3, 0.5, 0.75, 1.0):
+            for kind in self.KINDS:
+                _, power, step, _ = series_module._SERIES[kind]
+                gamma0, ratios = series_module._table(alpha, kind)
+                assert abs(gamma0 - float(mpmath.gamma(1 + power * alpha))) <= 1e-15 * gamma0
+                for i, ratio in enumerate(ratios):
+                    p = power + i * step
+                    ref = float(mpmath.exp(
+                        mpmath.loggamma(1 + p * mpmath.mpf(alpha))
+                        - mpmath.loggamma(1 + (p + step) * mpmath.mpf(alpha))
+                    ))
+                    assert abs(ratio - ref) <= 1e-10 * ref
+
     def test_import_builds_no_table(self):
         code = "import fracquat, fracquat.cli; print(fracquat.series._table.cache_info().currsize)"
         env = {**os.environ, "PYTHONPATH": str(Path(series_module.__file__).parents[1])}
@@ -483,6 +499,14 @@ class TestJSeries:
         x = 1.3
         assert abs(jseries_sum(0.5, ml_exp_coeffs(60), x) - ml_exp(0.5, x**0.5, 1e-13)) < 1e-10
 
+    def test_numeric_evaluation_matches_sin_alpha(self):
+        x = 1.3
+        assert abs(jseries_sum(0.5, sin_alpha_coeffs(61), x) - sin_alpha(0.5, x**0.5, 1e-13)) < 1e-10
+
+    def test_numeric_evaluation_matches_cos_alpha(self):
+        x = 1.3
+        assert abs(jseries_sum(0.5, cos_alpha_coeffs(60), x) - cos_alpha(0.5, x**0.5, 1e-13)) < 1e-10
+
 
 class TestLimitDefinition:
     STEPS = [10.0**-k for k in range(3, 13)]
@@ -504,6 +528,27 @@ class TestLimitDefinition:
         estimate, _, converged = limit_quotient_at_zero(f, 0.5, self.STEPS)
         assert converged
         assert abs(estimate - 1.0) < 1e-4
+
+    def test_ml_exp_composite_at_other_orders(self):
+        for alpha in (0.3, 0.75):
+            f = lambda x: ml_exp(alpha, x**alpha, 1e-14)
+            estimate, _, converged = limit_quotient_at_zero(f, alpha, self.STEPS)
+            assert converged
+            assert abs(estimate - 1.0) < 1e-4
+
+    def test_sin_alpha_composite(self):
+        # D sin_alpha(x^alpha) = cos_alpha(x^alpha), which is 1 at 0
+        f = lambda x: sin_alpha(0.5, x**0.5, 1e-14)
+        estimate, _, converged = limit_quotient_at_zero(f, 0.5, self.STEPS)
+        assert converged
+        assert abs(estimate - 1.0) < 1e-4
+
+    def test_cos_alpha_composite(self):
+        # D cos_alpha(x^alpha) = -sin_alpha(x^alpha), which is 0 at 0
+        f = lambda x: cos_alpha(0.5, x**0.5, 1e-14)
+        estimate, _, converged = limit_quotient_at_zero(f, 0.5, self.STEPS)
+        assert converged
+        assert abs(estimate) < 1e-4
 
     def test_divergent_sequence_reported(self):
         _, _, converged = limit_quotient_at_zero(lambda x: x**0.1, 0.5, self.STEPS)
