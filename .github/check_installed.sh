@@ -77,6 +77,17 @@ cat "$tmp/err.txt"
 test "$status" -eq 2
 test "$(wc -l < "$tmp/err.txt")" -eq 1
 grep -q "unexpected trailing input '2\.5i' (at position 3)$" "$tmp/err.txt"
+# a series that cannot settle within the term budget is refused before
+# summing: exit 1 with one error line that names the budget
+set +e
+"${fracquat[@]}" series Ea --alpha 0.5 --u 20 2>"$tmp/err.txt"
+status=$?
+set -e
+cat "$tmp/err.txt"
+test "$status" -eq 1
+test "$(wc -l < "$tmp/err.txt")" -eq 1
+grep -q '^error: ml_exp did not converge to tol=1e-12 within the 499-term budget ' "$tmp/err.txt"
+if grep -q Traceback "$tmp/err.txt"; then exit 1; fi
 # a component given as a JSON number is read exactly, as lambda is
 echo '{"alpha": 1, "frame": "cartesian", "components": {"f0": 1e-05}}' > "$tmp/number.json"
 test "$("${fracquat[@]}" eval "$tmp/number.json" --at x=1,y=1,z=1 | head -1)" = "f0 = (1e-05+0j)"

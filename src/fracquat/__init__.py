@@ -9,6 +9,8 @@ canonical-form equalities.  A numeric layer evaluates the fractal
 exponential and trigonometric series.
 """
 
+from types import ModuleType as _ModuleType
+
 from .coefficients import CRat
 from .expr import (
     CoefficientLimitError,
@@ -76,4 +78,9 @@ canon = parse  # the canonical form of DSL text: the same function as parse
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names bound above, not the submodules that those imports
+# bind as attributes of the package too
+__all__ = [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

@@ -43,7 +43,7 @@ def long_literal(tmp_path):
     return diff("1" * (sys.get_int_max_str_digits() + 1))
 
 
-INF = "(last term magnitude inf)"
+INF = "(term 499 has magnitude inf)"
 
 
 def lam_spec(f0, lam):
@@ -65,32 +65,34 @@ ROWS = {
     "power of a component sum": (diff("(f1 + 1)^1000000"), 2, ""),
     # --var is held to the frame, like the variables of the expression
     "var outside the frame": (["diff", "P(x,1)", "--var", "theta", "--frame", "cartesian"], 2, ""),
-    # a sum at the term cap names the 499 terms it summed
+    # a sum that cannot settle within the term cap is refused before any
+    # term is summed, and names the budget and the magnitude of its last term
     "series at the cap": (
         ["series", "Ea", "--alpha", "0.5", "--u", "20"],
         1,
-        "terms summed: 499 (last term magnitude 8.009e+157)",
+        "within the 499-term budget (term 499 has magnitude 8.009e+157)",
     ),
     # an overflowed term is reported as inf for a complex argument too
     "overflowed term": (
-        ["series", "Ea", "--alpha", "0.3", "--u", "20+1i"], 1, "summed: 380 " + INF
+        ["series", "Ea", "--alpha", "0.3", "--u", "20+1i"], 1, "budget " + INF
     ),
-    # so is u^2 past the double range in sina and cosa, after one term
+    # so is u^2 past the double range in sina and cosa
     "u squared overflows": (
-        ["series", "sina", "--alpha", "0.5", "--u", "1e200"], 1, "summed: 1 " + INF
+        ["series", "sina", "--alpha", "0.5", "--u", "1e200"], 1, "budget " + INF
     ),
-    # and so is a term whose parts are finite but whose modulus is not, in
-    # the loop and at the first term, before any term is summed
+    # and so is a sum whose terms' parts stay finite while their modulus
+    # passes the double range, which the loop would meet at term 385, and
+    # a u whose modulus abs() cannot hold, which counts as inf
     "modulus overflows in the loop": (
         ["series", "cosa", "--alpha", "0.15392785036507609",
          "--u=-3.2481912923852962+3.1353549599831267i"],
         1,
-        "summed: 385 " + INF,
+        "budget " + INF,
     ),
     "modulus overflows at the first term": (
         ["series", "sina", "--alpha", "1", "--u=1.5e308+1.5e308i"],
         1,
-        "sin_alpha did not converge to tol=1e-12, terms summed: 0 " + INF,
+        "sin_alpha did not converge to tol=1e-12 within the 499-term budget " + INF,
     ),
     # a series that does not converge inside eval is exit 1, not a traceback,
     # and its line names the generator, its argument and the component

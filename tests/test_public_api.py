@@ -31,10 +31,13 @@ EXPORTS = {
     "bitsadze", "curl_alpha", "delta0", "div_alpha", "grad_alpha",
     "helmholtz_component_system", "helmholtz_residual", "laplacian", "mt_apply",
     "perturbed_mt", "verify_all", "verify_identity",
-    # the submodules that import fracquat loads
+}
+
+# the submodules that import fracquat loads: attributes, not exports
+SUBMODULES = (
     "canonical", "coefficients", "derivative", "expr", "frames", "parser",
     "quaternion", "quatops", "series",
-}
+)
 
 # the J-basis series, limit-quotient and Gamma helpers, now test oracles (oracles.py)
 REMOVED = (
@@ -46,6 +49,15 @@ REMOVED = (
 
 def test_exports_are_the_listed_set():
     assert set(fracquat.__all__) == EXPORTS
+
+
+def test_star_import_binds_no_submodule():
+    namespace = {}
+    exec("from fracquat import *", namespace)
+    assert [name for name in SUBMODULES if name in namespace] == []
+    # each stays reachable as an attribute and by its dotted name
+    assert all(hasattr(fracquat, name) for name in SUBMODULES)
+    assert fracquat.series.ml_exp is fracquat.ml_exp
 
 
 def test_removed_names_are_gone():

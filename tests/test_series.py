@@ -7,6 +7,7 @@ series and the limit quotient of oracles.py are checked here too.
 """
 
 import cmath
+import collections
 import math
 import os
 import subprocess
@@ -184,13 +185,14 @@ class TestKernelGolden:
         with pytest.raises(SeriesConvergenceError) as err:
             evaluate_series("Ea", 0.5, 20.0)
         assert str(err.value) == (
-            "ml_exp did not converge to tol=1e-12, terms summed: 499 "
-            "(last term magnitude 8.009e+157)"
+            "ml_exp did not converge to tol=1e-12 within the 499-term budget "
+            "(term 499 has magnitude 8.009e+157)"
         )
-        # recorded from the recurrence kernel
-        assert err.value.last_term_magnitude.hex() == "0x1.755406cadf122p+524"
+        # exp(499*log 20 - lgamma(1 + 499/2)), the closed form of term 499
+        assert err.value.last_term_magnitude.hex() == "0x1.755406cadf07cp+524"
 
-    # (kind, alpha, u): the terms summed before the overflow
+    # (kind, alpha, u): the terms the loop sums before the overflow, when
+    # it is reached
     OVERFLOWS = {
         ("Ea", 0.3, 20.0): 380,
         ("Ea", 0.3, 20 + 1j): 380,
@@ -207,13 +209,26 @@ class TestKernelGolden:
 
     @pytest.mark.parametrize("kind, alpha, u", OVERFLOWS)
     def test_overflow_branch(self, kind, alpha, u):
-        # terms past the double range are taken as inf, so the sum cannot
-        # settle; for a complex u, a bare recurrence would turn inf * z into nan
+        # term 499 is past e^709, so the sum is refused before any term is
+        # summed, with magnitude inf; an |u| that abs() cannot hold counts as inf
         with pytest.raises(SeriesConvergenceError) as err:
             evaluate_series(kind, alpha, u)
+        assert str(err.value).endswith(
+            "did not converge to tol=1e-12 within the 499-term budget (term 499 has magnitude inf)"
+        )
+        assert err.value.last_term_magnitude == math.inf
+
+    @pytest.mark.parametrize("kind, alpha, u", OVERFLOWS)
+    def test_overflow_branch_of_the_loop(self, kind, alpha, u):
+        # at tol=1e308, whose 2*tol is past the double range, nothing is
+        # refused, so the loop meets the overflow: terms past the range are
+        # taken as inf, so the sum cannot settle; for a complex u, a bare
+        # recurrence would turn inf * z into nan
+        with pytest.raises(SeriesConvergenceError) as err:
+            evaluate_series(kind, alpha, u, 1e308)
         summed = self.OVERFLOWS[kind, alpha, u]
         assert str(err.value).endswith(
-            f"did not converge to tol=1e-12, terms summed: {summed} (last term magnitude inf)"
+            f"did not converge to tol=1e+308, terms summed: {summed} (last term magnitude inf)"
         )
         assert err.value.last_term_magnitude == math.inf
 
@@ -225,14 +240,18 @@ class TestKernelGolden:
             function(0.5, u)
 
 
-def reference_sum(kind, alpha, u, tol=1e-12):
+SPECS = {
+    "Ea": ("ml_exp", 0, 1, False),
+    "sina": ("sin_alpha", 1, 2, True),
+    "cosa": ("cos_alpha", 0, 2, True),
+}
+
+
+def recurrence_sum(kind, alpha, u, tol=1e-12):
     """evaluate_series by the per-term recurrence that the ratio tables
-    replaced: each term pays its own lgamma and exp."""
-    label, power, step, alternating = {
-        "Ea": ("ml_exp", 0, 1, False),
-        "sina": ("sin_alpha", 1, 2, True),
-        "cosa": ("cos_alpha", 0, 2, True),
-    }[kind]
+    replaced, with no test before summing: each term pays its own lgamma
+    and exp, and a sum that cannot settle runs to the cap or the overflow."""
+    label, power, step, alternating = SPECS[kind]
     u = complex(u)
     if u == 0:
         return (1 + 0j if power == 0 else 0j), 1
@@ -274,6 +293,30 @@ def reference_sum(kind, alpha, u, tol=1e-12):
     )
 
 
+def reference_sum(kind, alpha, u, tol=1e-12):
+    """evaluate_series as specified: refused when the closed-form log
+    magnitudes p*log|u| - lgamma(1 + p*alpha) of terms 1 and 499 both
+    exceed log(2*tol) and -700, else the per-term recurrence."""
+    label, power, step, _ = SPECS[kind]
+    u = complex(u)
+    if u != 0:
+        try:
+            log_u = math.log(abs(u))
+        except OverflowError:
+            log_u = math.inf
+        n = MAX_SERIES_TERMS - 1
+        ends = [(power + k * step) * log_u - math.lgamma(1.0 + (power + k * step) * alpha)
+                for k in (1, n)]
+        if min(ends) > max(math.log(2.0 * tol), -700.0):
+            mag = math.exp(ends[1]) if ends[1] <= 709.0 else math.inf
+            raise SeriesConvergenceError(
+                f"{label} did not converge to tol={tol} within the {n}-term budget "
+                f"(term {n} has magnitude {mag:.3e})",
+                mag,
+            )
+    return recurrence_sum(kind, alpha, u, tol)
+
+
 def outcome(function, *args):
     """What a call gives, bit for bit: (value hex pair, terms) or the error."""
     try:
@@ -281,6 +324,19 @@ def outcome(function, *args):
     except SeriesConvergenceError as exc:
         return "SeriesConvergenceError", str(exc), exc.last_term_magnitude.hex()
     return value.real.hex(), value.imag.hex(), terms
+
+
+def refused_or_same(kind, alpha, u, tol=1e-12):
+    """Check the kernel against the recurrence with no test before summing:
+    a call refused before summing raises there too, and any other call
+    ends the same, bit for bit.  Returns "refused", "returned" or "raised"."""
+    got = outcome(evaluate_series, kind, alpha, u, tol)
+    plain = outcome(recurrence_sum, kind, alpha, u, tol)
+    if got[0] == "SeriesConvergenceError" and "-term budget" in got[1]:
+        assert plain[0] == "SeriesConvergenceError", (kind, alpha, u, tol, plain)
+        return "refused"
+    assert got == plain, (kind, alpha, u, tol)
+    return "raised" if got[0] == "SeriesConvergenceError" else "returned"
 
 
 class TestRatioTables:
@@ -300,6 +356,46 @@ class TestRatioTables:
         assert outcome(evaluate_series, kind, alpha, u, tol) == outcome(
             reference_sum, kind, alpha, u, tol
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(KINDS),
+        st.floats(0.0, 1.0, exclude_min=True),
+        st.builds(cmath.rect, st.floats(0.0, 200.0), st.floats(-math.pi, math.pi))
+        | st.floats(-200.0, 200.0).map(complex),
+        # a tol below e^-700 / 2 or past half the double range too
+        st.floats(1e-300, 1.0) | st.floats(0.0, 1e-300, exclude_min=True) | st.floats(1.0, 1e308),
+    )
+    def test_a_refusal_is_a_call_the_recurrence_cannot_finish(self, kind, alpha, u, tol):
+        refused_or_same(kind, alpha, u, tol)
+
+    def test_large_band_grid_refuses_only_what_the_recurrence_cannot_finish(self):
+        # the bench's large band: three kinds, alpha 0.5, 0.75 and 1, four
+        # directions and |u| in (2, 30]
+        ends = collections.Counter(
+            refused_or_same(kind, alpha, u)
+            for kind in self.KINDS
+            for alpha in (0.5, 0.75, 1.0)
+            for n in range(1, 29)
+            for u in (2.0 + n, -2.0 - n, (2.0 + n) * 1j, cmath.rect(2.0 + n, (n + 0.5) * math.pi / 14))
+        )
+        # every call here that the loop cannot finish is refused before summing
+        assert ends == {"returned": 788, "refused": 220}
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_small_u_skips_only_calls_that_are_not_refused(self, kind):
+        # at |u| <= small_u the kernel takes no log; there term 499 is below
+        # e^-700, and just above it the kernel still ends as the reference
+        _, power, step, _ = series_module._SERIES[kind]
+        p = power + (MAX_SERIES_TERMS - 1) * step
+        for alpha in (1e-3, 0.05, 0.3, 0.5, 0.75, 1.0):
+            small_u = series_module._table(alpha, kind)[4]
+            assert p * math.log(small_u) - math.lgamma(1.0 + p * alpha) < -700.0
+            for u in (small_u, small_u * (1 + 1e-8), -small_u * 1.01j):
+                for tol in (1e-300, 1e-12):
+                    assert outcome(evaluate_series, kind, alpha, u, tol) == outcome(
+                        reference_sum, kind, alpha, u, tol
+                    )
 
     def test_golden_values_are_the_per_term_recurrence(self):
         assert {key: outcome(reference_sum, *key) for key in GOLDEN} == GOLDEN
@@ -362,8 +458,12 @@ class TestRatioTables:
         for alpha in (0.3, 0.5, 0.75, 1.0):
             for kind in self.KINDS:
                 _, power, step, _ = series_module._SERIES[kind]
-                gamma0, ratios = series_module._table(alpha, kind)
+                gamma0, ratios, lg_first, lg_last, _ = series_module._table(alpha, kind)
                 assert abs(gamma0 - float(mpmath.gamma(1 + power * alpha))) <= 1e-15 * gamma0
+                # the lgammas of terms 1 and 499, which decide a refusal
+                for lg, p in ((lg_first, power + step), (lg_last, power + len(ratios) * step)):
+                    ref = float(mpmath.loggamma(1 + p * mpmath.mpf(alpha)))
+                    assert abs(lg - ref) <= 1e-14 * max(1.0, abs(ref))
                 for i, ratio in enumerate(ratios):
                     p = power + i * step
                     ref = float(mpmath.exp(
