@@ -77,6 +77,15 @@ cat "$tmp/err.txt"
 test "$status" -eq 2
 test "$(wc -l < "$tmp/err.txt")" -eq 1
 grep -q "unexpected trailing input '2\.5i' (at position 3)$" "$tmp/err.txt"
+# the installed package prints every recorded series value bit for bit;
+# each line names its call: kind(alpha=A, u=U) = value (n terms)
+while IFS= read -r line; do
+  call=${line%%) = *}
+  kind=${call%%(*}
+  alpha=${call#*alpha=}
+  alpha=${alpha%%, u=*}
+  "${fracquat[@]}" series "$kind" --alpha "$alpha" "--u=${call#*, u=}"
+done < tests/data/series.txt | diff - tests/data/series.txt
 # a series that cannot settle within the term budget is refused before
 # summing: exit 1 with one error line that names the budget
 set +e

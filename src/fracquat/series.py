@@ -13,7 +13,10 @@ classical oracle.  alpha=1 is admitted although the fractal setting has
 0 < alpha < 1.  A sum whose terms cannot fall below tol within the term
 budget is refused before any term is summed: the term magnitudes are
 log-concave in k, so the smallest lies at one end of the budget, and
-both ends are known in closed form from the Gamma table.  The module
+both ends are known in closed form from two lgammas.  The terms that
+are too large to end the sum, terms 1..b, are found in closed form too,
+by one bisect of log|u| in a threshold tuple, and all but the last are
+summed without the stopping test, to the same doubles.  The module
 holds only this summation kernel; the truncated J-basis series and the
 limit-quotient derivative that the tests compare the symbolic derivative
 against live in tests/oracles.py.
@@ -21,9 +24,12 @@ against live in tests/oracles.py.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
+import itertools
 import math
+from array import array
 
 MAX_SERIES_TERMS = 500
 _BUDGET = MAX_SERIES_TERMS - 1  # terms summed at most, and tested by the stopping rule
@@ -67,25 +73,67 @@ _MAX_TERM = math.exp(709.0)
 # relative, far inside the factor 2 between the refusal's floor and tol
 _LOG_REFUSAL_FLOOR = -700.0
 
-# Gamma-ratio tables by (alpha, kind): (Gamma(1 + p0*alpha), ratios,
-# lgamma(1 + p_1*alpha), lgamma(1 + p_499*alpha), small_u) with
-# ratios[i] = Gamma(1 + p_i*alpha) / Gamma(1 + p_(i+1)*alpha) and p_i =
-# p0 + i*step, one for each term past the first; terms 1 and 499 are the
-# first and last that the stopping rule tests, and at |u| <= small_u
-# term 499 is below e^-700.  64 tables of 502 floats hold about 1 MB;
-# past that the least recently used is dropped
+# the ends of a refusal by (alpha, kind): (lgamma(1 + p_1*alpha),
+# lgamma(1 + p_499*alpha), small_u), where terms 1 and 499 are the first
+# and last that the stopping rule tests, and at |u| <= small_u term 499
+# is below e^-700; two lgammas, so a refused call builds no table
+@functools.lru_cache(maxsize=64)
+def _ends(alpha, kind):
+    _, power, step, _ = _SERIES[kind]
+    lg_first = math.lgamma(1.0 + (power + step) * alpha)
+    lg_last = math.lgamma(1.0 + (power + _BUDGET * step) * alpha)
+    # 1e-9 below the |u| at which term 499 is e^-700: room for rounding
+    small_u = math.exp((lg_last + _LOG_REFUSAL_FLOOR) / (power + _BUDGET * step)) * (1 - 1e-9)
+    return lg_first, lg_last, small_u
+
+
+# a term summed without the stopping test is below e^700, so with its
+# 1e-12 tracking it stays far inside _MAX_TERM and the double range
+_LOG_SKIP_CEILING = 700.0
+
+# Gamma-ratio tables by (alpha, kind): (Gamma(1 + p0*alpha), ratios, lg,
+# log_u_max) with lg[i] = lgamma(1 + p_i*alpha), p_i = p0 + i*step, and
+# ratios[i] = exp(lg[i] - lg[i+1]), one for each term past the first.
+# 64 tables of 499 ratios and 500 packed lgammas hold about 1.3 MB; past
+# that the least recently used is dropped
 @functools.lru_cache(maxsize=64)
 def _table(alpha, kind):
     """Each ratio is exp(lgamma(1 + p*alpha) - lgamma(1 + (p+step)*alpha)),
     so a term formed from it is the double the per-term lgamma recurrence
-    formed.  The two lgammas and small_u kept beside the ratios decide a
-    refusal in _sum_series."""
+    formed.  The lgammas are kept for _thresholds.  At log|u| < log_u_max
+    every term k in 1..499 is below e^700 in closed form: log_u_max is the
+    least (700 + lg[k]) / p_k."""
     _, power, step, _ = _SERIES[kind]
-    lg = [math.lgamma(1.0 + (power + i * step) * alpha) for i in range(MAX_SERIES_TERMS)]
+    lg = array("d", (math.lgamma(1.0 + (power + i * step) * alpha) for i in range(MAX_SERIES_TERMS)))
     ratios = tuple(math.exp(a - b) for a, b in zip(lg, lg[1:]))
-    # 1e-9 below the |u| at which term 499 is e^-700: room for rounding
-    small_u = math.exp((lg[-1] + _LOG_REFUSAL_FLOOR) / (power + _BUDGET * step)) * (1 - 1e-9)
-    return math.gamma(1.0 + power * alpha), ratios, lg[1], lg[-1], small_u
+    log_u_max = min((_LOG_SKIP_CEILING + lg[i]) / (power + i * step) for i in range(1, MAX_SERIES_TERMS))
+    return math.gamma(1.0 + power * alpha), ratios, lg, log_u_max
+
+
+# terms are summed without the stopping test while their closed-form log
+# magnitude exceeds max(log tol, -700) by this margin; the summed terms
+# track their closed form to about 1e-12 in the log, far inside it
+_SKIP_MARGIN = 1e-6
+
+
+# threshold tuples by (alpha, kind, tol): 64 tuples of 499 floats hold
+# about 1 MB; past that the least recently used is dropped
+@functools.lru_cache(maxsize=64)
+def _thresholds(alpha, kind, tol):
+    """T with T[k-1] = (c + lgamma(1 + p_k*alpha)) / p_k for terms k =
+    1..499, c = max(log tol, -700) + _SKIP_MARGIN, from the table's own
+    lgammas: term k's closed-form log magnitude p_k*log|u| - lgamma(1 +
+    p_k*alpha) exceeds c exactly when log|u| > T[k-1].  With c < 0, T is
+    strictly increasing, since (c + lgamma(1 + p*alpha)) / p has the
+    derivative (p*g' - g - c) / p^2 > 0 for the convex g(p) = lgamma(1 +
+    p*alpha) with g(0) = 0; so the terms above c are terms 1..b with b =
+    bisect_left(T, log|u|).  None when c >= 0: no term is skipped."""
+    c = max(math.log(tol), _LOG_REFUSAL_FLOOR) + _SKIP_MARGIN
+    if c >= 0:
+        return None
+    _, power, step, _ = _SERIES[kind]
+    lg = _table(alpha, kind)[2]
+    return tuple((c + lg[i]) / (power + i * step) for i in range(1, MAX_SERIES_TERMS))
 
 
 def _sum_series(kind, alpha, u, tol):
@@ -96,36 +144,48 @@ def _sum_series(kind, alpha, u, tol):
     = u^step, negated when the signs alternate, and ratio = Gamma(1 +
     p*alpha) / Gamma(1 + (p+step)*alpha) read from the (alpha, kind)
     table, so a term costs one multiply by a tabulated ratio.  The first
-    call at an (alpha, kind) builds its whole table, at one lgamma and one
-    exp per ratio.  A real u is summed in float arithmetic, so its value
-    is exactly real.  Stops once the terms are decreasing and the
-    geometric tail bound next/(1-rho), with rho the observed term ratio,
-    falls below tol (the Gamma denominators make the ratios eventually
-    decreasing, so the bound dominates the true tail).  An overflowed term
-    or modulus ends the sum with last term magnitude inf.  Returns (value,
-    terms summed); a non-convergence error of the loop names the terms
-    summed, 0 when the first term's modulus overflows.
+    call at an (alpha, kind) that is not refused builds its whole table,
+    at one lgamma and one exp per ratio.  A real u is summed in float
+    arithmetic, so its value is exactly real.  Stops once the terms are
+    decreasing and the geometric tail bound next/(1-rho), with rho the
+    observed term ratio, falls below tol (the Gamma denominators make the
+    ratios eventually decreasing, so the bound dominates the true tail).
+    An overflowed term or modulus ends the sum with last term magnitude
+    inf.  Returns (value, terms summed); a non-convergence error of the
+    loop names the terms summed, 0 when the first term's modulus
+    overflows.
 
-    Before summing, the sum is refused when it cannot stop: term k has
-    magnitude exp(p_k*log|u| - lgamma(1 + p_k*alpha)), concave in k in the
-    log since lgamma is convex, so terms 1..MAX_SERIES_TERMS - 1 are all
-    at least the smaller of the two ends.  When both ends exceed 2*tol
-    (and e^-700), no term can pass the tail test, and the loop would
-    raise.  The refusal names the budget and the closed-form magnitude of
-    its last term, inf past e^709.  It costs one compare of |u| with the
-    table's small_u, and two logs above it.  Every other call runs the
-    loop, so a value that is returned is the loop's.
+    Every call takes log|u| once.  Before summing, the sum is refused
+    when it cannot stop: term k has magnitude exp(p_k*log|u| - lgamma(1 +
+    p_k*alpha)), concave in k in the log since lgamma is convex, so terms
+    1..MAX_SERIES_TERMS - 1 are all at least the smaller of the two ends.
+    When both ends exceed 2*tol (and e^-700), no term can pass the tail
+    test, and the loop would raise.  The refusal names the budget and the
+    closed-form magnitude of its last term, inf past e^709.  It costs one
+    compare of |u| with small_u, and two multiplies and a log above it,
+    and reads two lgammas, not the table.
+
+    A term above tol cannot pass the tail test, so the terms 1..b that
+    exceed max(tol, e^-700) by the _SKIP_MARGIN, found by one bisect of
+    log|u| in the _thresholds tuple, need no test: terms 1..b-1 are formed
+    and summed in a bare loop, the same float operations in the same
+    order, and the loop with the test takes over at term b with no term
+    before it on record, which is exact since term b cannot pass the test
+    either.  The skip is taken only at log|u| below the table's
+    log_u_max, where every term is below e^700, so no skipped term can
+    overflow, raise in abs() or turn nan.  So every call returns or
+    raises bit for bit as the loop with a test at every term.
     """
     label, power, step, alternating = _SERIES[kind]
     if u.imag == 0:
         u = u.real
-    gamma0, ratios, lg_first, lg_last, small_u = _table(alpha, kind)
     try:
         modulus = abs(u)
     except OverflowError:  # a complex u whose parts are finite, its modulus not
         modulus = math.inf
-    if modulus > small_u:  # else nothing is refused, and no log is taken
-        log_u = math.log(modulus)
+    log_u = math.log(modulus)
+    lg_first, lg_last, small_u = _ends(alpha, kind)
+    if modulus > small_u:  # else nothing is refused
         last = (power + _BUDGET * step) * log_u - lg_last
         floor = max(math.log(2.0 * tol), _LOG_REFUSAL_FLOOR)
         if last > floor and (power + step) * log_u - lg_first > floor:
@@ -135,6 +195,12 @@ def _sum_series(kind, alpha, u, tol):
                 f"(term {_BUDGET} has magnitude {mag:.3e})",
                 mag,
             )
+    gamma0, ratios, _, log_u_max = _table(alpha, kind)
+    summed = 0
+    if log_u < log_u_max:
+        thresholds = _thresholds(alpha, kind, tol)
+        if thresholds is not None:  # terms 1..b-1 are summed without the test
+            summed = max(bisect.bisect_left(thresholds, log_u) - 1, 0)
     # u * u rather than u**2: a product past the double range is inf,
     # where ** raises OverflowError
     z = u * u if step == 2 else u
@@ -142,10 +208,14 @@ def _sum_series(kind, alpha, u, tol):
         z = -z
     term = u**power / gamma0
     total = 0.0
-    summed = 0
+    rest = iter(ratios)
+    if summed:
+        for ratio in itertools.islice(rest, summed):
+            total += term
+            term *= z * ratio
     try:
         mag, prev_mag = abs(term), math.inf
-        for summed, ratio in enumerate(ratios, 1):
+        for summed, ratio in enumerate(rest, summed + 1):
             total += term
             term *= z * ratio
             next_mag = abs(term)

@@ -375,6 +375,15 @@ class TestSeries:
         value = out.split(" = ")[1].split(" (")[0]
         assert abs(float(value) - math.exp(-1)) < 1e-12
 
+    def test_printed_values_are_pinned(self, capsys):
+        # each line of the file names its call: kind(alpha=A, u=U) = value (n terms)
+        lines = (DATA / "series.txt").read_text().splitlines(keepends=True)
+        assert len(lines) >= 12
+        for line in lines:
+            kind, rest = line.split("(alpha=", 1)
+            alpha, u = rest.split(") = ", 1)[0].split(", u=")
+            assert run(capsys, ["series", kind, "--alpha", alpha, "--u", u]) == (0, line, "")
+
 
 class TestInputValidation:
     """Non-finite numbers and boolean alphas are usage errors (exit 2)

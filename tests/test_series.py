@@ -6,6 +6,7 @@ at alpha=1, and the closed form E_(1/2)(1) = e*erfc(-1).  The J-basis
 series and the limit quotient of oracles.py are checked here too.
 """
 
+import bisect
 import cmath
 import collections
 import math
@@ -247,10 +248,12 @@ SPECS = {
 }
 
 
-def recurrence_sum(kind, alpha, u, tol=1e-12):
+def recurrence_sum(kind, alpha, u, tol=1e-12, magnitudes=None):
     """evaluate_series by the per-term recurrence that the ratio tables
-    replaced, with no test before summing: each term pays its own lgamma
-    and exp, and a sum that cannot settle runs to the cap or the overflow."""
+    replaced, with no test before summing and the stopping test at every
+    term: each term pays its own lgamma and exp, and a sum that cannot
+    settle runs to the cap or the overflow.  Given a list as magnitudes,
+    it appends |t_k| of each term k >= 1 as the loop forms it."""
     label, power, step, alternating = SPECS[kind]
     u = complex(u)
     if u == 0:
@@ -274,6 +277,8 @@ def recurrence_sum(kind, alpha, u, tol=1e-12):
             term *= z * math.exp(lg - lg_next)
             lg = lg_next
             next_mag = abs(term)
+            if magnitudes is not None:
+                magnitudes.append(next_mag)
             if next_mag < mag and next_mag < prev_mag:
                 if next_mag == 0.0:
                     return complex(total), i + 1
@@ -326,6 +331,18 @@ def outcome(function, *args):
     return value.real.hex(), value.imag.hex(), terms
 
 
+def clear_caches():
+    for cache in (series_module._ends, series_module._table, series_module._thresholds):
+        cache.cache_clear()
+
+
+# |u| from 1e-300 to 1e6 in every direction
+MODULI = st.floats(-300.0, 6.0).map(lambda e: 10.0**e) | st.floats(0.0, 1e6, exclude_min=True)
+WIDE_ARGUMENTS = st.builds(lambda r, d: r * d, MODULI, st.sampled_from((1, -1, 1j, -1j))) | st.builds(
+    cmath.rect, MODULI, st.floats(-math.pi, math.pi)
+)
+
+
 def refused_or_same(kind, alpha, u, tol=1e-12):
     """Check the kernel against the recurrence with no test before summing:
     a call refused before summing raises there too, and any other call
@@ -369,6 +386,57 @@ class TestRatioTables:
     def test_a_refusal_is_a_call_the_recurrence_cannot_finish(self, kind, alpha, u, tol):
         refused_or_same(kind, alpha, u, tol)
 
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(KINDS), st.floats(1e-4, 1.0), WIDE_ARGUMENTS, st.floats(1e-320, 1e308))
+    def test_skipped_prefix_ends_as_the_per_term_recurrence(self, kind, alpha, u, tol):
+        # the terms before the bisect's b are summed with no test: however
+        # many, up to the e^-700 floor or the overflow cut, each call ends
+        # as with a test at every term
+        assert outcome(evaluate_series, kind, alpha, u, tol) == outcome(
+            reference_sum, kind, alpha, u, tol
+        )
+
+    ALPHAS = (1e-3, 0.05, 0.3, 0.5, 0.75, 1.0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_thresholds_increase_strictly(self, kind):
+        for alpha in self.ALPHAS:
+            for tol in (1e-300, 1e-12, 0.1):
+                thresholds = series_module._thresholds(alpha, kind, tol)
+                assert len(thresholds) == MAX_SERIES_TERMS - 1
+                assert all(a < b for a, b in zip(thresholds, thresholds[1:])), (alpha, tol)
+            # c = max(log tol, -700) + 1e-6 >= 0: nothing is skipped
+            for tol in (0.9999995, 1.0, 1e308):
+                assert series_module._thresholds(alpha, kind, tol) is None
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_skipped_terms_are_above_tol_and_below_overflow(self, kind):
+        # the terms 1..b that the kernel sums with no test, as the recurrence
+        # forms them: each is at least tol, so it cannot pass the tail test,
+        # and at most e^709, so it cannot end the sum as overflowed
+        skipped = 0
+        for alpha in self.ALPHAS:
+            log_u_max = series_module._table(alpha, kind)[3]
+            for tol in (1e-310, 1e-300, 1e-12, 0.1):
+                thresholds = series_module._thresholds(alpha, kind, tol)
+                # log|u| just past a threshold puts its term just above the
+                # margin; and log|u| just under log_u_max
+                logs = [t + 1e-15 * max(1.0, abs(t)) for t in thresholds[::37]]
+                logs.append(log_u_max - 1e-12 * max(1.0, abs(log_u_max)))
+                for level in logs:
+                    for direction in (1, -1, 1j, cmath.rect(1.0, 2.0)):
+                        u = complex(math.exp(level) * direction)
+                        log_u = math.log(abs(u))
+                        if log_u >= log_u_max:
+                            continue
+                        b = bisect.bisect_left(thresholds, log_u)
+                        magnitudes = []
+                        outcome(recurrence_sum, kind, alpha, u, tol, magnitudes)
+                        assert len(magnitudes) >= b
+                        assert all(tol <= m <= math.exp(709.0) for m in magnitudes[:b])
+                        skipped += b >= 2
+        assert skipped >= 300
+
     def test_large_band_grid_refuses_only_what_the_recurrence_cannot_finish(self):
         # the bench's large band: three kinds, alpha 0.5, 0.75 and 1, four
         # directions and |u| in (2, 30]
@@ -389,7 +457,7 @@ class TestRatioTables:
         _, power, step, _ = series_module._SERIES[kind]
         p = power + (MAX_SERIES_TERMS - 1) * step
         for alpha in (1e-3, 0.05, 0.3, 0.5, 0.75, 1.0):
-            small_u = series_module._table(alpha, kind)[4]
+            small_u = series_module._ends(alpha, kind)[2]
             assert p * math.log(small_u) - math.lgamma(1.0 + p * alpha) < -700.0
             for u in (small_u, small_u * (1 + 1e-8), -small_u * 1.01j):
                 for tol in (1e-300, 1e-12):
@@ -405,7 +473,7 @@ class TestRatioTables:
         calls = [(kind, 0.6180339887, u) for kind in self.KINDS for u in (25 + 3j, 0.7 - 0.2j)]
         runs = []
         for order in (calls, calls[::-1]):
-            series_module._table.cache_clear()
+            clear_caches()
             runs.append({call: outcome(evaluate_series, *call) for call in order})
         assert runs[0] == runs[1] == {call: outcome(reference_sum, *call) for call in calls}
 
@@ -415,7 +483,8 @@ class TestRatioTables:
         alphas = [0.3 + n / 1000 for n in range(2 * 64 + 5)]
         for alpha in alphas:
             for kind in self.KINDS:
-                outcome(evaluate_series, kind, alpha, 20.0)
+                # a call that sums: a refused one builds no table
+                outcome(evaluate_series, kind, alpha, 1.5)
                 assert table.cache_info().currsize <= 64
         # each (alpha, kind) was built once, whole, by its first call
         assert table.cache_info().misses == 3 * len(alphas)
@@ -423,11 +492,29 @@ class TestRatioTables:
             MAX_SERIES_TERMS - 1
         }
 
+    def test_threshold_count_and_length_are_bounded(self):
+        thresholds = series_module._thresholds
+        thresholds.cache_clear()
+        tols = [10.0**-n for n in range(1, 2 * 64 + 6)]
+        for tol in tols:
+            outcome(evaluate_series, "Ea", 0.5, 1.5, tol)
+            assert thresholds.cache_info().currsize <= 64
+        # each (alpha, kind, tol) was built once, by its first call
+        assert thresholds.cache_info().misses == len(tols)
+        assert {len(thresholds(0.5, "Ea", tol)) for tol in tols[-2:]} == {MAX_SERIES_TERMS - 1}
+
+    def test_a_refused_call_builds_no_table(self):
+        clear_caches()
+        with pytest.raises(SeriesConvergenceError, match="499-term budget"):
+            evaluate_series("Ea", 0.3, 20.0)
+        assert series_module._table.cache_info().currsize == 0
+        assert series_module._thresholds.cache_info().currsize == 0
+
     def test_threads_at_a_fresh_alpha_agree_with_serial_calls(self):
         alpha = 0.4142135623
         calls = [(kind, alpha, u) for kind in self.KINDS for u in (0.3, 1.5j, 6 - 2j, 18.0, -25j)]
         serial = [outcome(evaluate_series, *call) for call in calls]
-        series_module._table.cache_clear()
+        clear_caches()
         barrier = threading.Barrier(8)
         results = [None] * 8
 
@@ -458,11 +545,14 @@ class TestRatioTables:
         for alpha in (0.3, 0.5, 0.75, 1.0):
             for kind in self.KINDS:
                 _, power, step, _ = series_module._SERIES[kind]
-                gamma0, ratios, lg_first, lg_last, _ = series_module._table(alpha, kind)
+                gamma0, ratios, lgammas, _ = series_module._table(alpha, kind)
                 assert abs(gamma0 - float(mpmath.gamma(1 + power * alpha))) <= 1e-15 * gamma0
-                # the lgammas of terms 1 and 499, which decide a refusal
-                for lg, p in ((lg_first, power + step), (lg_last, power + len(ratios) * step)):
-                    ref = float(mpmath.loggamma(1 + p * mpmath.mpf(alpha)))
+                # every lgamma kept, which the thresholds are built from; those
+                # of terms 1 and 499 decide a refusal
+                assert len(lgammas) == MAX_SERIES_TERMS
+                assert series_module._ends(alpha, kind)[:2] == (lgammas[1], lgammas[-1])
+                for i, lg in enumerate(lgammas):
+                    ref = float(mpmath.loggamma(1 + (power + i * step) * mpmath.mpf(alpha)))
                     assert abs(lg - ref) <= 1e-14 * max(1.0, abs(ref))
                 for i, ratio in enumerate(ratios):
                     p = power + i * step
@@ -473,12 +563,15 @@ class TestRatioTables:
                     assert abs(ratio - ref) <= 1e-10 * ref
 
     def test_import_builds_no_table(self):
-        code = "import fracquat, fracquat.cli; print(fracquat.series._table.cache_info().currsize)"
+        code = (
+            "import fracquat, fracquat.cli; s = fracquat.series; "
+            "print([f.cache_info().currsize for f in (s._ends, s._table, s._thresholds)])"
+        )
         env = {**os.environ, "PYTHONPATH": str(Path(series_module.__file__).parents[1])}
         done = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
         )
-        assert (done.returncode, done.stdout, done.stderr) == (0, "0\n", "")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[0, 0, 0]\n", "")
 
 
 def mp_series(kind, alpha, u):
