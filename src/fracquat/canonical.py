@@ -15,16 +15,17 @@ each other, so render makes one pass over the sorted terms, and it formats
 each distinct factor group once per call.
 
 A few small tables, kept for the process, hold what the ring and render
-form again and again from the same factors: the product of two powers
-or two Ea groups (in _mul_monomials), the text of each P, sina/cosa, Ea
-and d(fk,...) factor, and the text of each one-term (lam power,
-coefficient) coefficient.  derivative.d_alpha keeps one for its bumped
-component symbols, and the parser its factor tables.  Each holds at
-most TABLE_SIZE entries and is cleared when full, by _store.  The tables
-are shared by threads: a lookup is one dict.get, which a clear in
-another thread cannot make raise, and a store holds a lock while it
-tests the size.  Each text is a pure function of its factor, so render
-stores it as soon as it forms it, also in a render that then fails.
+form again and again from the same factors.  The product of two powers
+or two Ea groups (in _mul_monomials) is an lru_cache of _add_exponents
+holding at most TABLE_SIZE entries.  Render keeps the text of each P,
+sina/cosa, Ea and d(fk,...) factor, and the text of each one-term (lam
+power, coefficient) coefficient, and the parser its factor tables, in
+dicts read inline: each holds at most TABLE_SIZE entries and is cleared
+when full, by _store.  The tables are shared by threads: a lookup is one
+dict.get, which a clear in another thread cannot make raise, and a store
+holds a lock while it tests the size.  Each text is a pure function of
+its factor, so render stores it as soon as it forms it, also in a render
+that then fails.
 
 Two expressions are equal exactly when their maps coincide, which is what
 every identity check in the package reduces to.  So no map stores a zero
@@ -45,6 +46,7 @@ from __future__ import annotations
 from _thread import allocate_lock  # threading's own lock, without importing threading
 from cmath import isfinite
 from collections import namedtuple
+from functools import lru_cache
 from numbers import Rational
 from operator import itemgetter
 
@@ -88,7 +90,6 @@ _ONE_MAP = {MONOMIAL_ONE: 1}
 MAX_TERM_PAIRS = 10**6  # term pairs one product may form
 TABLE_SIZE = 4096  # entries in one per-process table; a full table is cleared
 _STORING = allocate_lock()  # a table's size test and its store are one step
-_PRODUCTS = {}  # (group, group) -> their product, for two nonempty powers or two nonempty ea groups
 
 
 def _store(table: dict, key, value):
@@ -108,6 +109,9 @@ def _scale(ce) -> tuple:
     return tuple(sorted((m.lam, c) for m, c in ce.terms.items()))
 
 
+# a powers group never equals an ea group (their items differ in length),
+# so both share one cache
+@lru_cache(maxsize=TABLE_SIZE)
 def _add_exponents(a: tuple, b: tuple) -> tuple:
     """Sorted product of two sorted (generator..., exponent) groups; zero exponents drop out."""
     acc = {t[:-1]: t[-1] for t in a}
@@ -116,23 +120,17 @@ def _add_exponents(a: tuple, b: tuple) -> tuple:
     return tuple(sorted(g + (p,) for g, p in acc.items() if p))
 
 
-def _product(a: tuple, b: tuple) -> tuple:
-    """_add_exponents(a, b) of two nonempty groups, read from the product table."""
-    key = (a, b)  # a powers group never equals an ea group: their items differ in length
-    out = _PRODUCTS.get(key)
-    return _store(_PRODUCTS, key, _add_exponents(a, b)) if out is None else out
-
-
 def _mul_monomials(a: Monomial, b: Monomial):
     """Product of two monomials as [(monomial, +/-1 coefficient)] pairs;
     the Pythagorean rewrite of cos^2 may split the product in two.  The
-    powers and ea groups are read from the product table.  When at most
-    one side has a trig group, no cos^2 can form, so the product is one
-    monomial and takes the early return."""
+    powers and ea groups of two nonempty sides are read from the
+    _add_exponents cache.  When at most one side has a trig group, no
+    cos^2 can form, so the product is one monomial and takes the early
+    return."""
     dsyms = tuple(sorted(a.dsyms + b.dsyms)) if a.dsyms and b.dsyms else a.dsyms or b.dsyms
     p, q, e, f = a.powers, b.powers, a.ea, b.ea
-    powers = _product(p, q) if p and q else p or q
-    ea = _product(e, f) if e and f else e or f
+    powers = _add_exponents(p, q) if p and q else p or q
+    ea = _add_exponents(e, f) if e and f else e or f
     lam = a.lam + b.lam
     if not a.trig or not b.trig:
         return ((_new(Monomial, (dsyms, powers, a.trig or b.trig, ea, lam)), 1),)
@@ -563,14 +561,14 @@ def eval_canonical(
     bindings = bindings or {}
     memo = {}
 
-    def series(name, u, v, scale=None):  # pure in (alpha, u, tol); looked up late so wrappers apply
+    def series(name, u, gen):  # pure in (alpha, u, tol); looked up late so wrappers apply
         if (name, u) not in memo:
             try:
                 memo[name, u] = getattr(_series, name)(alpha, u, tol)
             except _series.SeriesConvergenceError as exc:
-                # name the generator: Ea(scale, v), or sina(v) / cosa(v) for sin_alpha / cos_alpha
-                gen = f"Ea({render_poly(scale)}, {v})" if scale else f"{name[:3]}a({v})"
-                where = f"{exc} for {gen} at u = {u.real if u.imag == 0 else u}"
+                # name the generator, a trig factor sina(v) or cosa(v) or an ea factor Ea(s, v)
+                text = _ea_text(gen) if name == "ml_exp" else _trig_text(gen)
+                where = f"{exc} for {text} at u = {u.real if u.imag == 0 else u}"
                 raise _series.SeriesConvergenceError(where, exc.last_term_magnitude) from None
         return memo[name, u]
 
@@ -593,17 +591,15 @@ def eval_canonical(
                 value *= arg(v) ** gen[1]
             for gen in mono.trig:
                 i, m, e = gen
-                v = VARIABLES[i]
-                u = arg(v)
+                u = arg(VARIABLES[i])
                 if m:
-                    value *= series("sin_alpha", u, v) ** m
+                    value *= series("sin_alpha", u, (i, 1, 0)) ** m
                 if e:
-                    value *= series("cos_alpha", u, v)
+                    value *= series("cos_alpha", u, (i, 0, 1))
             for gen in mono.ea:
                 i, s, p = gen
-                v = VARIABLES[i]
-                u = complex(s[0][1]) * arg(v)
-                value *= series("ml_exp", u, v, s) ** p
+                u = complex(s[0][1]) * arg(VARIABLES[i])
+                value *= series("ml_exp", u, (i, s, 1)) ** p
         except (OverflowError, ZeroDivisionError):  # 0 to a negative power included
             raise _not_finite(gen, point) from None
         for k, midx in mono.dsyms:

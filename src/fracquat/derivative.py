@@ -18,21 +18,18 @@ Gamma-normalized power shift give different answers for the derivative of
 
 A derivation-mode derivative keeps the variable of the factor it acts on,
 so d_alpha edits that factor in place: the group stays sorted and only
-the tuple around it is rebuilt.  A bumped component symbol is read from
-a table kept for the process, keyed by ((k, midx), var), and only a
-group of two or more derivative symbols is sorted again.  The table
-obeys canonical.TABLE_SIZE and is shared by threads, as canonical's
-tables are.
+the tuple around it is rebuilt.  A component symbol's multi-index gains
+the variable at its end, and is sorted again only when an index in it
+is later; only a group of two or more derivative symbols is sorted
+again.
 """
 
 from __future__ import annotations
 
 import enum
 
-from .canonical import CanonicalExpr, Monomial, _accumulate, _new, _store, as_canonical_scalar
+from .canonical import CanonicalExpr, Monomial, _accumulate, _new, as_canonical_scalar
 from .expr import ExpressionError, var_index
-
-_BUMPED = {}  # ((k, midx), var) -> (k, midx with var added, sorted)
 
 
 class ModeViolationError(ExpressionError):
@@ -78,12 +75,9 @@ def d_alpha(e, var: str) -> CanonicalExpr:
                 for k, c in scale:
                     bumped = _new(Monomial, (dsyms, powers, trig, ea, lam + k)) if k else mono
                     out.append((bumped, coeff * (c * p)))
-        for j, sym in enumerate(dsyms):
-            bumped = _BUMPED.get((sym, var))
-            if bumped is None:
-                k, midx = sym
-                bumped = _store(_BUMPED, (sym, var), (k, tuple(sorted(midx + (var,)))))
-            group = dsyms[:j] + (bumped,) + dsyms[j + 1 :]
+        for j, (k, midx) in enumerate(dsyms):
+            midx = midx + (var,) if not midx or midx[-1] <= var else tuple(sorted(midx + (var,)))
+            group = dsyms[:j] + ((k, midx),) + dsyms[j + 1 :]
             group = tuple(sorted(group)) if len(group) > 1 else group
             out.append((_new(Monomial, (group, powers, trig, ea, lam)), coeff))
     return CanonicalExpr._of(_accumulate({}, out))

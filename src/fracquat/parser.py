@@ -23,7 +23,7 @@ each constant (a + b i) written as render writes one.  Its first reading
 splits it into fine tokens for the productions; later ones are served by
 a table per tuple of frame variables, token -> record entry.  A table
 holds at most canonical.TABLE_SIZE entries and is cleared when full, by
-canonical._store, the rule of every per-process table; it stores
+canonical._store, the rule of every per-process dict table; it stores
 only tokens of at most _TABLE_TOKEN characters read without error, never
 a sum in parentheses, and nothing read near MAX_DEPTH, so every
 ParseError and its position are as a fresh reading gives them.

@@ -17,14 +17,14 @@ them, so verifying
 
     D(D f)        = -(scalar Laplacian + vector Laplacian)
     D(D^r f)      = -(scalar Laplacian + Bitsadze vector part)
-    (D-lam)(D+lam) f = -(Laplacian f + lam^2 f)
     div(grad f0)  = delta0 f0
 
-checks the Lame-derived forms against the hand text: all four residuals
+checks the Lame-derived forms against the hand text: every residual
 must normalize to zero.  Each identity is one row over the form map, and
 `fracquat apply` runs the same forms, so it applies what verify proved.
-The lam terms of the Helmholtz row cancel exactly in the ring, so its
-residual reduces to D(D f) + Laplacian f: it certifies nothing that
+The factorization (D-lam)(D+lam) f = -(Laplacian f + lam^2 f) has the
+row of mt_squared: its lam terms cancel exactly in the ring, so its
+residual is D(D f) + Laplacian f and it certifies nothing that
 mt_squared does not; the acceptance tests check solutions h instead.
 Each operator reads frame.forms[op]: a missing form raises KeyError.
 """
@@ -141,17 +141,17 @@ class IdentityReport(_Record):
 # Each identity is one row over a form map: the frames "verify all" checks
 # it in, outer and inner operator and the reference their composition must
 # cancel.  Its residual on f0..f3 is outer(inner) + sign*reference, the
-# kernel composing the forms; a shift s reads outer - s, inner + s and
-# reference + s^2 (s times the identity).  The factorizations are checked
-# in every frame, the first-order identities where the curvilinear
-# formulas carry content.
-_Row = namedtuple("_Row", "frames outer inner sign reference shift", defaults=(0, None, None))
+# kernel composing the forms.  The factorizations are checked in every
+# frame, the first-order identities where the curvilinear formulas carry
+# content.  The Helmholtz row is mt_squared's: the shifted composition
+# (D - lam)(D + lam) f + (Laplacian + lam^2) f equals it in the ring.
+_Row = namedtuple("_Row", "frames outer inner sign reference", defaults=(0, None))
 _ALL, _CURVED = ("cartesian", "cylindrical", "spherical"), ("cylindrical", "spherical")
 
 _IDENTITIES = {
     "mt_squared": _Row(_ALL, "left", "left", 1, "laplacian"),
     "bitsadze_factorization": _Row(_CURVED, "left", "right", 1, "bitsadze"),
-    "helmholtz_factorization": _Row(_ALL, "left", "left", 1, "laplacian", CanonicalExpr.lam()),
+    "helmholtz_factorization": _Row(_ALL, "left", "left", 1, "laplacian"),
     "curl_grad": _Row(_CURVED, "curl", "grad"),
     "div_curl": _Row(_CURVED, "div", "curl"),
     "div_grad_delta0": _Row(_CURVED, "div", "grad", -1, "delta0"),
@@ -161,16 +161,10 @@ _IDENTITIES = {
 def _residuals(name: str, forms) -> tuple:
     """The four residuals of the identity's row over a form map."""
     row = _IDENTITIES[name]
-    outer, inner = forms[row.outer], forms[row.inner]
-    reference = forms[row.reference] if row.reference else None
-    if row.shift is not None:
-        s = row.shift
-        outer, inner = _shifted(outer, -s), _shifted(inner, s)
-        reference = _shifted(reference, s * s)
-    composed = apply_table(outer, inner)
-    if reference is None:
+    composed = apply_table(forms[row.outer], forms[row.inner])
+    if row.reference is None:
         return composed
-    return tuple(map(add if row.sign > 0 else sub, composed, reference))
+    return tuple(map(add if row.sign > 0 else sub, composed, forms[row.reference]))
 
 
 IDENTITY_NAMES = tuple(_IDENTITIES)

@@ -1,4 +1,4 @@
-"""Numeric oracles for the fractal derivative.
+"""Numeric oracles for the fractal derivative and the special functions.
 
 The truncated J-basis series of local fractional Taylor expansions,
 sum_k c_k J_k(x) with J_k(x) = x^(k*alpha) / Gamma(1 + k*alpha), on
@@ -6,10 +6,13 @@ which the Gamma-normalized derivative is the index shift J_k -> J_(k-1),
 and the limit-quotient derivative at 0.  A series is its coefficient
 tuple, and its shift is coeffs[1:].  The tests compare gamma mode
 (`d_alpha_gamma`), the Gamma ratios of the mode conflict and `ml_exp`
-against these.
+against these.  `series_reference` gives E_alpha, sin_alpha and
+cos_alpha in mpmath, independently of the package's summation kernel.
 """
 
 import math
+
+import mpmath
 
 
 def ml_exp_coeffs(order: int) -> tuple:
@@ -61,3 +64,47 @@ def limit_quotient_at_zero(f, alpha: float, steps) -> tuple:
             if abs(accel - q2) <= max(10 * diffs[-1], 1e-9 * scale):
                 estimate = accel
     return estimate, quotients, converged
+
+
+# kind: (first power, power step, sign of each step)
+_SERIES = {"Ea": (0, 1, 1), "sina": (1, 2, -1), "cosa": (0, 2, -1)}
+
+
+def series_reference(kind: str, alpha: float, u: complex, digits: int = 30):
+    """E_alpha ("Ea"), sin_alpha ("sina") or cos_alpha ("cosa") at u, as an
+    mpmath number with an error below 10^-digits * max(1, |value|).
+
+    At alpha 1/2 from closed forms: E(z) = exp(z^2) erfc(-z), whose even
+    and odd parts at iu give cos_alpha(u) = exp(-u^2) and sin_alpha(u) =
+    exp(-u^2) erfi(u).  Elsewhere the defining series, by series_sum."""
+    if alpha != 0.5:
+        return series_sum(kind, alpha, u, digits)
+    with mpmath.workdps(digits + 20):
+        z = mpmath.mpc(complex(u))
+        if kind == "Ea":
+            return mpmath.exp(z * z) * mpmath.erfc(-z)
+        return mpmath.exp(-z * z) * (mpmath.erfi(z) if kind == "sina" else 1)
+
+
+def series_sum(kind: str, alpha: float, u: complex, digits: int = 30):
+    """The defining series sum_k s^k u^p_k / Gamma(1 + p_k*alpha) in
+    mpmath, summed at a working precision `digits` above its largest term
+    until the terms, past their peak, fall 5 digits below 10^-digits."""
+    first, step, sign = _SERIES[kind]
+    u = complex(u)
+    if u == 0:
+        return mpmath.mpf(1 - first)
+    log_u, ln10 = math.log(abs(u)), math.log(10)
+
+    def log_term(p):  # the natural log of |u|^p / Gamma(1 + p*alpha)
+        return p * log_u - math.lgamma(1 + p * alpha)
+
+    powers, p, peak = [], first, log_term(first)
+    while log_term(p + step) >= log_term(p) or log_term(p) > -(digits + 5) * ln10:
+        powers.append(p)
+        peak = max(peak, log_term(p))
+        p += step
+    powers.append(p)
+    with mpmath.workdps(digits + 10 + max(0, int(peak / ln10))):
+        z, a = mpmath.mpc(u), mpmath.mpf(alpha)
+        return mpmath.fsum(sign**k * z**p * mpmath.rgamma(1 + p * a) for k, p in enumerate(powers))

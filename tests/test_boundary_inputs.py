@@ -101,6 +101,21 @@ ROWS = {
         1,
         "for Ea(20, r) at u = 20.0 in component f0",
     ),
+    # a trig generator is named by its factor without the power: sina(r),
+    # not sina(r)^2
+    "eval sina does not converge": (
+        spec('{"alpha": 0.5, "frame": "cylindrical", "components": {"f2": "sina(r)^2*cosa(z)"}}',
+             at="r=400,theta=0.5,z=1"),
+        1,
+        "sin_alpha did not converge to tol=1e-12 within the 499-term budget"
+        " (term 499 has magnitude 9.821e+166) for sina(r) at u = 20.0 in component f2",
+    ),
+    "eval cosa does not converge": (
+        spec('{"alpha": 0.5, "frame": "cylindrical", "components": {"f1": "cosa(z)*Ea(2i, r)"}}',
+             at="r=1,theta=0.5,z=900"),
+        1,
+        "for cosa(z) at u = 30.0 in component f1",
+    ),
     # a generator power or a coefficient with no finite value, and a value
     # past the double range, end eval in one line that names it, the point
     # and the component, not in a traceback or an inf

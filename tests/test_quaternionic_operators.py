@@ -5,6 +5,7 @@ suite, and the Helmholtz component systems."""
 import copy
 import gc
 import pickle
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -40,8 +41,8 @@ from fracquat import (
 )
 from fracquat.cli import load_field_spec
 from fracquat.coefficients import CRat
-from fracquat.frames import QuaternionField, abstract_field, frame_by_name
-from fracquat.quatops import _IDENTITIES, FORMAL, IdentityReport, _residuals
+from fracquat.frames import QuaternionField, abstract_field, apply_table, frame_by_name
+from fracquat.quatops import _IDENTITIES, FORMAL, IdentityReport, _residuals, _shifted
 
 from test_canonical import MIXED_FIELD
 
@@ -527,6 +528,29 @@ class TestVerifyIdentity:
             }
             for name, residuals in composed.items():
                 assert verify_identity(name, frame).residuals == residuals, (name, frame)
+
+    @pytest.mark.parametrize("frame", FRAMES, ids=lambda f: f.name)
+    def test_the_helmholtz_row_is_the_lam_shifted_composition(self, frame):
+        # (D - lam)(D + lam) f + (Laplacian + lam^2) f reduces to D(D f) +
+        # Laplacian f in the ring, so the row reads no shift: on the frame's
+        # forms and on every map in which a left or laplacian component has
+        # dropped, negated or doubled its first or last term, the shifted
+        # composition gives the row's residuals
+        lam, forms = CanonicalExpr.lam(), frame.forms
+        mutants = [forms]
+        for op in ("left", "laplacian"):
+            for k, x in enumerate(forms[op]):
+                for term in {min(x.terms), max(x.terms)} if x.terms else ():
+                    for scale in (0, -1, 2):
+                        edited = CanonicalExpr({**x.terms, term: x.terms[term] * scale})
+                        mutants.append({**forms, op: forms[op][:k] + (edited,) + forms[op][k + 1 :]})
+        assert len(mutants) == 1 + 48  # 8 components, 2 terms, 3 edits
+        for mutant in mutants:
+            composed = apply_table(_shifted(mutant["left"], -lam), _shifted(mutant["left"], lam))
+            shifted = tuple(map(add, composed, _shifted(mutant["laplacian"], lam * lam)))
+            residuals = _residuals("helmholtz_factorization", mutant)
+            assert residuals == shifted
+            assert (mutant is forms) == all(r.is_zero() for r in residuals)
 
     def test_unknown_identity(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,10 @@
 """Numeric oracle tests for the fractal special functions.
 
-Oracles: fixed-order brute-force partial sums computed in this file, a
-40-digit mpmath sum of the defining series, the classical libm functions
-at alpha=1, and the closed form E_(1/2)(1) = e*erfc(-1).  The J-basis
-series and the limit quotient of oracles.py are checked here too.
+Oracles: fixed-order brute-force partial sums computed in this file, the
+mpmath reference of oracles.py (closed forms at alpha=1/2, the defining
+series elsewhere), the classical libm functions at alpha=1, and the
+closed form E_(1/2)(1) = e*erfc(-1).  The J-basis series, the limit
+quotient and the mpmath reference of oracles.py are checked here too.
 """
 
 import bisect
@@ -38,6 +39,8 @@ from oracles import (
     jseries_sum,
     limit_quotient_at_zero,
     ml_exp_coeffs,
+    series_reference,
+    series_sum,
     sin_alpha_coeffs,
 )
 
@@ -574,20 +577,6 @@ class TestRatioTables:
         assert (done.returncode, done.stdout, done.stderr) == (0, "[0, 0, 0]\n", "")
 
 
-def mp_series(kind, alpha, u):
-    """mpmath reference: the defining power series at 40 digits, with mpmath's gamma."""
-    first, step = {"Ea": (0, 1), "sina": (1, 2), "cosa": (0, 2)}[kind]
-    sign = 1 if kind == "Ea" else -1
-    with mpmath.workdps(40):
-        z, a = mpmath.mpc(u), mpmath.mpf(alpha)
-        # |u| <= 2 and alpha >= 1/2: the terms are below 1e-40 from power 150 on
-        total = mpmath.fsum(
-            sign**k * z ** (first + k * step) / mpmath.gamma(1 + (first + k * step) * a)
-            for k in range(150)
-        )
-        return complex(total)
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     st.sampled_from(("Ea", "sina", "cosa")),
@@ -600,8 +589,20 @@ def mp_series(kind, alpha, u):
 )
 def test_small_band_matches_mpmath(kind, alpha, u, tol):
     value, _ = evaluate_series(kind, alpha, u, tol)
-    ref = mp_series(kind, alpha, u)
+    ref = series_reference(kind, alpha, u)
     assert abs(value - ref) <= 10 * tol * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("kind", ("Ea", "sina", "cosa"))
+def test_the_mpmath_reference_agrees_with_closed_forms(kind):
+    # the series sum at alpha 1/2 against the closed forms there, and at
+    # alpha 1 against mpmath's exp, sin and cos, over both bench bands
+    classical = {"Ea": mpmath.exp, "sina": mpmath.sin, "cosa": mpmath.cos}[kind]
+    for u in (0, 1e-300, 0.7, -1.75, 1.3j, 0.78 + 1.04j, -6, 10j, 6 + 8j, -25):
+        with mpmath.workdps(40):
+            one = classical(mpmath.mpc(u))
+        for alpha, ref in ((0.5, series_reference(kind, 0.5, u)), (1.0, one)):
+            assert abs(series_sum(kind, alpha, u) - ref) <= 1e-28 * max(1, abs(ref)), (alpha, u)
 
 
 class TestMlExp:

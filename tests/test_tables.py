@@ -1,12 +1,13 @@
-"""The per-process tables of the ring, render and d_alpha: the product of
-two exponent groups, the text of each factor and of each one-term
-coefficient, and each bumped component symbol.  A table only saves work,
-so what it serves must be what a fresh computation gives, under threads
-and past its bound too."""
+"""The per-process tables of the ring and render: the product of two
+exponent groups (an lru_cache of canonical._add_exponents), and the text
+of each factor and of each one-term coefficient (dicts).  A table only
+saves work, so what it serves must be what a fresh computation gives,
+under threads and past its bound too."""
 
 import random
 import sys
 import threading
+from functools import lru_cache
 from pathlib import Path
 from unittest.mock import patch
 
@@ -14,7 +15,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from fracquat import FRAMES, canonical, d_alpha, derivative, parse, render_canonical
+from fracquat import FRAMES, canonical, d_alpha, parse, render_canonical
 from fracquat.canonical import CanonicalExpr, Monomial
 from fracquat.cli import _OPERATORS
 from fracquat.coefficients import CRat
@@ -22,7 +23,7 @@ from fracquat.expr import ExpressionError, var_index
 
 from strategies import exprs
 
-TABLES = (canonical._PRODUCTS, canonical._TEXTS, canonical._COEFFS, derivative._BUMPED)
+TABLES = (canonical._TEXTS, canonical._COEFFS)  # the dict tables
 RENDER = Path(__file__).parent / "data" / "render"
 R, Z = var_index("r"), var_index("z")
 
@@ -30,6 +31,15 @@ R, Z = var_index("r"), var_index("z")
 def _clear():
     for table in TABLES:
         table.clear()
+    canonical._add_exponents.cache_clear()
+
+
+def _products_of_size(monkeypatch, size):
+    """Bound the dict tables and the product cache at size entries."""
+    monkeypatch.setattr(canonical, "TABLE_SIZE", size)
+    products = lru_cache(maxsize=size)(canonical._add_exponents.__wrapped__)
+    monkeypatch.setattr(canonical, "_add_exponents", products)
+    return products
 
 
 def _outcome(fn, *args):
@@ -50,14 +60,15 @@ class _Unread(dict):
 
 def _unread(calls):
     """The outcomes of calls with no table serving anything."""
-    with patch.multiple(canonical, _PRODUCTS=_Unread(), _TEXTS=_Unread(), _COEFFS=_Unread()):
-        with patch.object(derivative, "_BUMPED", _Unread()):
-            return [_outcome(*call) for call in calls]
+    uncached = canonical._add_exponents.__wrapped__
+    with patch.multiple(canonical, _add_exponents=uncached, _TEXTS=_Unread(), _COEFFS=_Unread()):
+        return [_outcome(*call) for call in calls]
 
 
 def _calls(a, b, var):
-    """Calls of each kernel that reads a table: products (the no-cos^2 path
-    among them), d_alpha, and render of each result."""
+    """Products (the no-cos^2 path among them), d_alpha, and render of each
+    result: each kernel that reads a table, and d_alpha, whose output
+    render reads."""
     return [
         (CanonicalExpr.__mul__, a, b),
         (d_alpha, a, var),
@@ -110,7 +121,7 @@ def test_threads_on_cleared_tables_agree_with_serial_calls(monkeypatch):
     calls += [(CanonicalExpr.__mul__, a, b) for a, b in zip(maps[::7], maps[1::7])]
     _clear()
     serial = [_outcome(*call) for call in calls]
-    monkeypatch.setattr(canonical, "TABLE_SIZE", 16)
+    products = _products_of_size(monkeypatch, 16)
     _clear()
     barrier = threading.Barrier(8)
     results, errors = [None] * 8, []
@@ -138,12 +149,13 @@ def test_threads_on_cleared_tables_agree_with_serial_calls(monkeypatch):
     assert not any(t.is_alive() for t in threads) and errors == []
     assert all(result == serial for result in results)
     assert all(len(table) <= 16 for table in TABLES)
+    assert products.cache_info().currsize <= 16
 
 
 def test_filling_past_the_bound_leaves_every_table_at_or_under_it(monkeypatch):
-    monkeypatch.setattr(canonical, "TABLE_SIZE", 32)
+    products = _products_of_size(monkeypatch, 32)
     _clear()
-    sizes = {id(table): [] for table in TABLES}
+    sizes, cached = {id(table): [] for table in TABLES}, []
     for n in range(1, 40):
         # distinct groups, factors and coefficients each round
         a = CanonicalExpr({Monomial(powers=((Z, n), (R, 1)), lam=1): CRat(1, n)})
@@ -152,8 +164,10 @@ def test_filling_past_the_bound_leaves_every_table_at_or_under_it(monkeypatch):
         render_canonical(a * b + d_alpha(c, "z"))
         for table in TABLES:
             sizes[id(table)].append(len(table))
+        cached.append(products.cache_info().currsize)
     for history in sizes.values():
         assert 0 < max(history) <= 32 and history != sorted(history)  # cleared when full
+    assert max(cached) == 32 and cached[-1] == 32  # the least recently used is dropped
 
 
 def test_a_render_that_fails_raises_and_the_next_render_is_right():
