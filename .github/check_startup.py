@@ -16,6 +16,6 @@ heavy = [m for m in ("dataclasses", "inspect", "ast", "typing", "fractions", "de
 print("heavy start-up imports:", heavy)
 # the Gamma tables of the series are built by the first call
 series = sys.modules["fracquat.series"]
-tables = sum(f.cache_info().currsize for f in (series._ends, series._table, series._thresholds))
+tables = sum(f.cache_info().currsize for f in (series._ends, series._plan))
 print("series tables built at import:", tables)
 sys.exit(1 if heavy or tables else 0)

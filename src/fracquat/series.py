@@ -13,13 +13,14 @@ classical oracle.  alpha=1 is admitted although the fractal setting has
 0 < alpha < 1.  A sum whose terms cannot fall below tol within the term
 budget is refused before any term is summed: the term magnitudes are
 log-concave in k, so the smallest lies at one end of the budget, and
-both ends are known in closed form from two lgammas.  The terms that
-are too large to end the sum, terms 1..b, are found in closed form too,
-by one bisect of log|u| in a threshold tuple, and all but the last are
-summed without the stopping test, to the same doubles.  The module
-holds only this summation kernel; the truncated J-basis series and the
-limit-quotient derivative that the tests compare the symbolic derivative
-against live in tests/oracles.py.
+both ends are known in closed form from two lgammas.  A sum that is not
+refused reads one plan per (alpha, kind, tol): its Gamma ratios and a
+threshold tuple.  The terms that are too large to end the sum, terms
+1..b, are found in closed form by one bisect of log|u| in that tuple,
+and all but the last are summed without the stopping test, to the same
+doubles.  The module holds only this summation kernel; the truncated
+J-basis series and the limit-quotient derivative that the tests compare
+the symbolic derivative against live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import cmath
 import functools
 import itertools
 import math
-from array import array
 
 MAX_SERIES_TERMS = 500
 _BUDGET = MAX_SERIES_TERMS - 1  # terms summed at most, and tested by the stopping rule
@@ -76,7 +76,7 @@ _LOG_REFUSAL_FLOOR = -700.0
 # the ends of a refusal by (alpha, kind): (lgamma(1 + p_1*alpha),
 # lgamma(1 + p_499*alpha), small_u), where terms 1 and 499 are the first
 # and last that the stopping rule tests, and at |u| <= small_u term 499
-# is below e^-700; two lgammas, so a refused call builds no table
+# is below e^-700; two lgammas, so a refused call builds no plan
 @functools.lru_cache(maxsize=64)
 def _ends(alpha, kind):
     _, power, step, _ = _SERIES[kind]
@@ -91,49 +91,37 @@ def _ends(alpha, kind):
 # 1e-12 tracking it stays far inside _MAX_TERM and the double range
 _LOG_SKIP_CEILING = 700.0
 
-# Gamma-ratio tables by (alpha, kind): (Gamma(1 + p0*alpha), ratios, lg,
-# log_u_max) with lg[i] = lgamma(1 + p_i*alpha), p_i = p0 + i*step, and
-# ratios[i] = exp(lg[i] - lg[i+1]), one for each term past the first.
-# 64 tables of 499 ratios and 500 packed lgammas hold about 1.3 MB; past
-# that the least recently used is dropped
-@functools.lru_cache(maxsize=64)
-def _table(alpha, kind):
-    """Each ratio is exp(lgamma(1 + p*alpha) - lgamma(1 + (p+step)*alpha)),
-    so a term formed from it is the double the per-term lgamma recurrence
-    formed.  The lgammas are kept for _thresholds.  At log|u| < log_u_max
-    every term k in 1..499 is below e^700 in closed form: log_u_max is the
-    least (700 + lg[k]) / p_k."""
-    _, power, step, _ = _SERIES[kind]
-    lg = array("d", (math.lgamma(1.0 + (power + i * step) * alpha) for i in range(MAX_SERIES_TERMS)))
-    ratios = tuple(math.exp(a - b) for a, b in zip(lg, lg[1:]))
-    log_u_max = min((_LOG_SKIP_CEILING + lg[i]) / (power + i * step) for i in range(1, MAX_SERIES_TERMS))
-    return math.gamma(1.0 + power * alpha), ratios, lg, log_u_max
-
-
 # terms are summed without the stopping test while their closed-form log
 # magnitude exceeds max(log tol, -700) by this margin; the summed terms
 # track their closed form to about 1e-12 in the log, far inside it
 _SKIP_MARGIN = 1e-6
 
 
-# threshold tuples by (alpha, kind, tol): 64 tuples of 499 floats hold
-# about 1 MB; past that the least recently used is dropped
+# summing plans by (alpha, kind, tol): 64 plans of 499 ratios and 499
+# thresholds hold about 2 MB; past that the least recently used is dropped
 @functools.lru_cache(maxsize=64)
-def _thresholds(alpha, kind, tol):
-    """T with T[k-1] = (c + lgamma(1 + p_k*alpha)) / p_k for terms k =
-    1..499, c = max(log tol, -700) + _SKIP_MARGIN, from the table's own
-    lgammas: term k's closed-form log magnitude p_k*log|u| - lgamma(1 +
-    p_k*alpha) exceeds c exactly when log|u| > T[k-1].  With c < 0, T is
-    strictly increasing, since (c + lgamma(1 + p*alpha)) / p has the
-    derivative (p*g' - g - c) / p^2 > 0 for the convex g(p) = lgamma(1 +
-    p*alpha) with g(0) = 0; so the terms above c are terms 1..b with b =
-    bisect_left(T, log|u|).  None when c >= 0: no term is skipped."""
-    c = max(math.log(tol), _LOG_REFUSAL_FLOOR) + _SKIP_MARGIN
-    if c >= 0:
-        return None
+def _plan(alpha, kind, tol):
+    """(Gamma(1 + p_0*alpha), ratios, thresholds, log_u_max), all formed
+    from one list of lg_i = lgamma(1 + p_i*alpha), p_i = p_0 + i*step, i =
+    0..499, which is not kept.  ratios[i] = exp(lg_i - lg_(i+1)), so a term
+    formed from it is the double the per-term lgamma recurrence formed.  At
+    log|u| < log_u_max, the least (700 + lg_k) / p_k, every term k in
+    1..499 is below e^700 in closed form.  thresholds[k-1] = (c + lg_k) /
+    p_k, c = max(log tol, -700) + _SKIP_MARGIN: term k's closed-form log
+    magnitude p_k*log|u| - lg_k exceeds c exactly when log|u| >
+    thresholds[k-1].  With c < 0 they strictly increase, since (c +
+    lgamma(1 + p*alpha)) / p has the derivative (p*g' - g - c) / p^2 > 0 for
+    the convex g(p) = lgamma(1 + p*alpha) with g(0) = 0; so the terms above
+    c are terms 1..b with b = bisect_left(thresholds, log|u|).  None when c
+    >= 0: no term is skipped."""
     _, power, step, _ = _SERIES[kind]
-    lg = _table(alpha, kind)[2]
-    return tuple((c + lg[i]) / (power + i * step) for i in range(1, MAX_SERIES_TERMS))
+    powers = range(power, power + MAX_SERIES_TERMS * step, step)
+    lg = [math.lgamma(1.0 + p * alpha) for p in powers]
+    ratios = tuple(math.exp(a - b) for a, b in zip(lg, lg[1:]))
+    log_u_max = min((_LOG_SKIP_CEILING + g) / p for g, p in zip(lg[1:], powers[1:]))
+    c = max(math.log(tol), _LOG_REFUSAL_FLOOR) + _SKIP_MARGIN
+    thresholds = tuple((c + g) / p for g, p in zip(lg[1:], powers[1:])) if c < 0 else None
+    return math.gamma(1.0 + power * alpha), ratios, thresholds, log_u_max
 
 
 def _sum_series(kind, alpha, u, tol):
@@ -142,18 +130,18 @@ def _sum_series(kind, alpha, u, tol):
 
     Each term comes from the one before: t_next = t * (z * ratio), with z
     = u^step, negated when the signs alternate, and ratio = Gamma(1 +
-    p*alpha) / Gamma(1 + (p+step)*alpha) read from the (alpha, kind)
-    table, so a term costs one multiply by a tabulated ratio.  The first
-    call at an (alpha, kind) that is not refused builds its whole table,
-    at one lgamma and one exp per ratio.  A real u is summed in float
-    arithmetic, so its value is exactly real.  Stops once the terms are
-    decreasing and the geometric tail bound next/(1-rho), with rho the
-    observed term ratio, falls below tol (the Gamma denominators make the
-    ratios eventually decreasing, so the bound dominates the true tail).
-    An overflowed term or modulus ends the sum with last term magnitude
-    inf.  Returns (value, terms summed); a non-convergence error of the
-    loop names the terms summed, 0 when the first term's modulus
-    overflows.
+    p*alpha) / Gamma(1 + (p+step)*alpha) read from the (alpha, kind, tol)
+    plan, so a term costs one multiply by a tabulated ratio.  The first
+    call at an (alpha, kind, tol) that is not refused builds its whole
+    plan, at one lgamma, one exp and one threshold per ratio.  A real u
+    is summed in float arithmetic, so its value is exactly real.  Stops
+    once the terms are decreasing and the geometric tail bound
+    next/(1-rho), with rho the observed term ratio, falls below tol (the
+    Gamma denominators make the ratios eventually decreasing, so the
+    bound dominates the true tail).  An overflowed term or modulus ends
+    the sum with last term magnitude inf.  Returns (value, terms summed);
+    a non-convergence error of the loop names the terms summed, 0 when
+    the first term's modulus overflows.
 
     Every call takes log|u| once.  Before summing, the sum is refused
     when it cannot stop: term k has magnitude exp(p_k*log|u| - lgamma(1 +
@@ -163,15 +151,15 @@ def _sum_series(kind, alpha, u, tol):
     test, and the loop would raise.  The refusal names the budget and the
     closed-form magnitude of its last term, inf past e^709.  It costs one
     compare of |u| with small_u, and two multiplies and a log above it,
-    and reads two lgammas, not the table.
+    and reads two lgammas, not a plan.
 
     A term above tol cannot pass the tail test, so the terms 1..b that
     exceed max(tol, e^-700) by the _SKIP_MARGIN, found by one bisect of
-    log|u| in the _thresholds tuple, need no test: terms 1..b-1 are formed
-    and summed in a bare loop, the same float operations in the same
-    order, and the loop with the test takes over at term b with no term
-    before it on record, which is exact since term b cannot pass the test
-    either.  The skip is taken only at log|u| below the table's
+    log|u| in the plan's threshold tuple, need no test: terms 1..b-1 are
+    formed and summed in a bare loop, the same float operations in the
+    same order, and the loop with the test takes over at term b with no
+    term before it on record, which is exact since term b cannot pass the
+    test either.  The skip is taken only at log|u| below the plan's
     log_u_max, where every term is below e^700, so no skipped term can
     overflow, raise in abs() or turn nan.  So every call returns or
     raises bit for bit as the loop with a test at every term.
@@ -195,12 +183,10 @@ def _sum_series(kind, alpha, u, tol):
                 f"(term {_BUDGET} has magnitude {mag:.3e})",
                 mag,
             )
-    gamma0, ratios, _, log_u_max = _table(alpha, kind)
+    gamma0, ratios, thresholds, log_u_max = _plan(alpha, kind, tol)
     summed = 0
-    if log_u < log_u_max:
-        thresholds = _thresholds(alpha, kind, tol)
-        if thresholds is not None:  # terms 1..b-1 are summed without the test
-            summed = max(bisect.bisect_left(thresholds, log_u) - 1, 0)
+    if thresholds is not None and log_u < log_u_max:  # terms 1..b-1 are summed without the test
+        summed = max(bisect.bisect_left(thresholds, log_u) - 1, 0)
     # u * u rather than u**2: a product past the double range is inf,
     # where ** raises OverflowError
     z = u * u if step == 2 else u

@@ -335,7 +335,7 @@ def outcome(function, *args):
 
 
 def clear_caches():
-    for cache in (series_module._ends, series_module._table, series_module._thresholds):
+    for cache in (series_module._ends, series_module._plan):
         cache.cache_clear()
 
 
@@ -405,12 +405,12 @@ class TestRatioTables:
     def test_thresholds_increase_strictly(self, kind):
         for alpha in self.ALPHAS:
             for tol in (1e-300, 1e-12, 0.1):
-                thresholds = series_module._thresholds(alpha, kind, tol)
+                thresholds = series_module._plan(alpha, kind, tol)[2]
                 assert len(thresholds) == MAX_SERIES_TERMS - 1
                 assert all(a < b for a, b in zip(thresholds, thresholds[1:])), (alpha, tol)
             # c = max(log tol, -700) + 1e-6 >= 0: nothing is skipped
             for tol in (0.9999995, 1.0, 1e308):
-                assert series_module._thresholds(alpha, kind, tol) is None
+                assert series_module._plan(alpha, kind, tol)[2] is None
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_skipped_terms_are_above_tol_and_below_overflow(self, kind):
@@ -419,9 +419,8 @@ class TestRatioTables:
         # and at most e^709, so it cannot end the sum as overflowed
         skipped = 0
         for alpha in self.ALPHAS:
-            log_u_max = series_module._table(alpha, kind)[3]
             for tol in (1e-310, 1e-300, 1e-12, 0.1):
-                thresholds = series_module._thresholds(alpha, kind, tol)
+                _, _, thresholds, log_u_max = series_module._plan(alpha, kind, tol)
                 # log|u| just past a threshold puts its term just above the
                 # margin; and log|u| just under log_u_max
                 logs = [t + 1e-15 * max(1.0, abs(t)) for t in thresholds[::37]]
@@ -472,7 +471,7 @@ class TestRatioTables:
         assert {key: outcome(reference_sum, *key) for key in GOLDEN} == GOLDEN
 
     def test_call_order_does_not_matter(self):
-        # whichever call builds a table, the others read the same one
+        # whichever call builds a plan, the others read the same one
         calls = [(kind, 0.6180339887, u) for kind in self.KINDS for u in (25 + 3j, 0.7 - 0.2j)]
         runs = []
         for order in (calls, calls[::-1]):
@@ -480,38 +479,38 @@ class TestRatioTables:
             runs.append({call: outcome(evaluate_series, *call) for call in order})
         assert runs[0] == runs[1] == {call: outcome(reference_sum, *call) for call in calls}
 
-    def test_table_count_and_length_are_bounded(self):
-        table = series_module._table
-        table.cache_clear()
-        alphas = [0.3 + n / 1000 for n in range(2 * 64 + 5)]
-        for alpha in alphas:
-            for kind in self.KINDS:
-                # a call that sums: a refused one builds no table
-                outcome(evaluate_series, kind, alpha, 1.5)
-                assert table.cache_info().currsize <= 64
-        # each (alpha, kind) was built once, whole, by its first call
-        assert table.cache_info().misses == 3 * len(alphas)
-        assert {len(table(alpha, kind)[1]) for alpha in alphas[-2:] for kind in self.KINDS} == {
-            MAX_SERIES_TERMS - 1
-        }
+    def test_plan_count_and_length_are_bounded(self):
+        plan = series_module._plan
+        plan.cache_clear()
+        # at tol 1 nothing is skipped: its plans hold no thresholds
+        keys = [(0.3 + n / 1000, kind, tol) for n in range(24) for kind in self.KINDS for tol in (1e-12, 1.0)]
+        for alpha, kind, tol in keys:
+            # a call that sums: a refused one builds no plan
+            outcome(evaluate_series, kind, alpha, 1.5, tol)
+            assert plan.cache_info().currsize <= 64
+        # each (alpha, kind, tol) was built once, whole, by its first call
+        assert plan.cache_info().misses == len(keys)
+        for alpha, kind, tol in keys[-6:]:
+            _, ratios, thresholds, _ = plan(alpha, kind, tol)
+            assert len(ratios) == MAX_SERIES_TERMS - 1
+            if tol < 1:
+                assert len(thresholds) == MAX_SERIES_TERMS - 1
+            else:
+                assert thresholds is None
 
-    def test_threshold_count_and_length_are_bounded(self):
-        thresholds = series_module._thresholds
-        thresholds.cache_clear()
-        tols = [10.0**-n for n in range(1, 2 * 64 + 6)]
-        for tol in tols:
-            outcome(evaluate_series, "Ea", 0.5, 1.5, tol)
-            assert thresholds.cache_info().currsize <= 64
-        # each (alpha, kind, tol) was built once, by its first call
-        assert thresholds.cache_info().misses == len(tols)
-        assert {len(thresholds(0.5, "Ea", tol)) for tol in tols[-2:]} == {MAX_SERIES_TERMS - 1}
+    def test_a_warm_summing_call_reads_one_plan(self):
+        evaluate_series("Ea", 0.75, 1e-3)
+        ends, plan = series_module._ends.cache_info(), series_module._plan.cache_info()
+        evaluate_series("Ea", 0.75, 1e-3)
+        assert series_module._ends.cache_info().hits == ends.hits + 1
+        assert series_module._plan.cache_info().hits == plan.hits + 1
+        assert series_module._plan.cache_info().misses == plan.misses
 
     def test_a_refused_call_builds_no_table(self):
         clear_caches()
         with pytest.raises(SeriesConvergenceError, match="499-term budget"):
             evaluate_series("Ea", 0.3, 20.0)
-        assert series_module._table.cache_info().currsize == 0
-        assert series_module._thresholds.cache_info().currsize == 0
+        assert series_module._plan.cache_info().currsize == 0
 
     def test_threads_at_a_fresh_alpha_agree_with_serial_calls(self):
         alpha = 0.4142135623
@@ -544,19 +543,23 @@ class TestRatioTables:
 
     def test_ratios_against_independent_gamma(self):
         # mpmath implements gamma independently of libm; the kernel's Gamma
-        # values live only in these tables
+        # values live only in the plans and the refusal's ends
+        tol = 1e-12
+        c = math.log(tol) + series_module._SKIP_MARGIN
         for alpha in (0.3, 0.5, 0.75, 1.0):
             for kind in self.KINDS:
                 _, power, step, _ = series_module._SERIES[kind]
-                gamma0, ratios, lgammas, _ = series_module._table(alpha, kind)
+                gamma0, ratios, thresholds, _ = series_module._plan(alpha, kind, tol)
                 assert abs(gamma0 - float(mpmath.gamma(1 + power * alpha))) <= 1e-15 * gamma0
-                # every lgamma kept, which the thresholds are built from; those
-                # of terms 1 and 499 decide a refusal
-                assert len(lgammas) == MAX_SERIES_TERMS
-                assert series_module._ends(alpha, kind)[:2] == (lgammas[1], lgammas[-1])
-                for i, lg in enumerate(lgammas):
-                    ref = float(mpmath.loggamma(1 + (power + i * step) * mpmath.mpf(alpha)))
-                    assert abs(lg - ref) <= 1e-14 * max(1.0, abs(ref))
+                # the lgammas of terms 1 and 499 that decide a refusal are,
+                # bit for bit, those the skip's thresholds are built from
+                lg_first, lg_last, _ = series_module._ends(alpha, kind)
+                assert thresholds[0] == (c + lg_first) / (power + step)
+                assert thresholds[-1] == (c + lg_last) / (power + (MAX_SERIES_TERMS - 1) * step)
+                for k, threshold in enumerate(thresholds, 1):
+                    p = power + k * step
+                    ref = float((c + mpmath.loggamma(1 + p * mpmath.mpf(alpha))) / p)
+                    assert abs(threshold - ref) <= 1e-14 * max(1.0, abs(ref))
                 for i, ratio in enumerate(ratios):
                     p = power + i * step
                     ref = float(mpmath.exp(
@@ -568,13 +571,13 @@ class TestRatioTables:
     def test_import_builds_no_table(self):
         code = (
             "import fracquat, fracquat.cli; s = fracquat.series; "
-            "print([f.cache_info().currsize for f in (s._ends, s._table, s._thresholds)])"
+            "print([f.cache_info().currsize for f in (s._ends, s._plan)])"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(series_module.__file__).parents[1])}
         done = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
         )
-        assert (done.returncode, done.stdout, done.stderr) == (0, "[0, 0, 0]\n", "")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[0, 0]\n", "")
 
 
 @settings(max_examples=150, deadline=None)
