@@ -5,7 +5,7 @@
 Run from the repository root.  -S keeps site from importing anything, so
 sys.modules holds only what the interpreter and fracquat.cli load; this
 reads no clock.  Exits 1 when a heavy module is loaded at import or a
-Gamma table of the series is built before the first call.
+summing plan of the series is built before the first call.
 """
 
 import sys
@@ -14,8 +14,8 @@ import fracquat.cli
 
 heavy = [m for m in ("dataclasses", "inspect", "ast", "typing", "fractions", "decimal") if m in sys.modules]
 print("heavy start-up imports:", heavy)
-# the Gamma tables of the series are built by the first call
+# the summing plans of the series are built by the first call
 series = sys.modules["fracquat.series"]
-tables = sum(f.cache_info().currsize for f in (series._ends, series._plan))
-print("series tables built at import:", tables)
-sys.exit(1 if heavy or tables else 0)
+plans = series._plan.cache_info().currsize
+print("series plans built at import:", plans)
+sys.exit(1 if heavy or plans else 0)

@@ -13,14 +13,15 @@ classical oracle.  alpha=1 is admitted although the fractal setting has
 0 < alpha < 1.  A sum whose terms cannot fall below tol within the term
 budget is refused before any term is summed: the term magnitudes are
 log-concave in k, so the smallest lies at one end of the budget, and
-both ends are known in closed form from two lgammas.  A sum that is not
-refused reads one plan per (alpha, kind, tol): its Gamma ratios and a
-threshold tuple.  The terms that are too large to end the sum, terms
-1..b, are found in closed form by one bisect of log|u| in that tuple,
-and all but the last are summed without the stopping test, to the same
-doubles.  The module holds only this summation kernel; the truncated
-J-basis series and the limit-quotient derivative that the tests compare
-the symbolic derivative against live in tests/oracles.py.
+both ends are known in closed form from two lgammas.  Every call reads
+one plan per (alpha, kind, tol): those two lgammas and the refusal's
+floor, its Gamma ratios and a threshold tuple.  The terms that are too
+large to end the sum, terms 1..b, are found in closed form by one bisect
+of log|u| in that tuple, and all but the last are summed without the
+stopping test, to the same doubles.  The module holds only this
+summation kernel; the truncated J-basis series and the limit-quotient
+derivative that the tests compare the symbolic derivative against live
+in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -73,20 +74,6 @@ _MAX_TERM = math.exp(709.0)
 # relative, far inside the factor 2 between the refusal's floor and tol
 _LOG_REFUSAL_FLOOR = -700.0
 
-# the ends of a refusal by (alpha, kind): (lgamma(1 + p_1*alpha),
-# lgamma(1 + p_499*alpha), small_u), where terms 1 and 499 are the first
-# and last that the stopping rule tests, and at |u| <= small_u term 499
-# is below e^-700; two lgammas, so a refused call builds no plan
-@functools.lru_cache(maxsize=64)
-def _ends(alpha, kind):
-    _, power, step, _ = _SERIES[kind]
-    lg_first = math.lgamma(1.0 + (power + step) * alpha)
-    lg_last = math.lgamma(1.0 + (power + _BUDGET * step) * alpha)
-    # 1e-9 below the |u| at which term 499 is e^-700: room for rounding
-    small_u = math.exp((lg_last + _LOG_REFUSAL_FLOOR) / (power + _BUDGET * step)) * (1 - 1e-9)
-    return lg_first, lg_last, small_u
-
-
 # a term summed without the stopping test is below e^700, so with its
 # 1e-12 tracking it stays far inside _MAX_TERM and the double range
 _LOG_SKIP_CEILING = 700.0
@@ -101,9 +88,12 @@ _SKIP_MARGIN = 1e-6
 # thresholds hold about 2 MB; past that the least recently used is dropped
 @functools.lru_cache(maxsize=64)
 def _plan(alpha, kind, tol):
-    """(Gamma(1 + p_0*alpha), ratios, thresholds, log_u_max), all formed
-    from one list of lg_i = lgamma(1 + p_i*alpha), p_i = p_0 + i*step, i =
-    0..499, which is not kept.  ratios[i] = exp(lg_i - lg_(i+1)), so a term
+    """(Gamma(1 + p_0*alpha), ratios, thresholds, log_u_max, lg_1, lg_499,
+    floor), all formed from one list of lg_i = lgamma(1 + p_i*alpha), p_i
+    = p_0 + i*step, i = 0..499, which is not kept.  Terms 1 and 499 are
+    the first and last that the stopping rule tests: a refusal compares
+    their closed-form log magnitudes p_k*log|u| - lg_k with floor =
+    max(log(2*tol), -700).  ratios[i] = exp(lg_i - lg_(i+1)), so a term
     formed from it is the double the per-term lgamma recurrence formed.  At
     log|u| < log_u_max, the least (700 + lg_k) / p_k, every term k in
     1..499 is below e^700 in closed form.  thresholds[k-1] = (c + lg_k) /
@@ -112,16 +102,17 @@ def _plan(alpha, kind, tol):
     thresholds[k-1].  With c < 0 they strictly increase, since (c +
     lgamma(1 + p*alpha)) / p has the derivative (p*g' - g - c) / p^2 > 0 for
     the convex g(p) = lgamma(1 + p*alpha) with g(0) = 0; so the terms above
-    c are terms 1..b with b = bisect_left(thresholds, log|u|).  None when c
-    >= 0: no term is skipped."""
+    c are terms 1..b with b = bisect_left(thresholds, log|u|).  Empty when
+    c >= 0: no term is skipped."""
     _, power, step, _ = _SERIES[kind]
     powers = range(power, power + MAX_SERIES_TERMS * step, step)
     lg = [math.lgamma(1.0 + p * alpha) for p in powers]
     ratios = tuple(math.exp(a - b) for a, b in zip(lg, lg[1:]))
     log_u_max = min((_LOG_SKIP_CEILING + g) / p for g, p in zip(lg[1:], powers[1:]))
+    floor = max(math.log(2.0 * tol), _LOG_REFUSAL_FLOOR)
     c = max(math.log(tol), _LOG_REFUSAL_FLOOR) + _SKIP_MARGIN
-    thresholds = tuple((c + g) / p for g, p in zip(lg[1:], powers[1:])) if c < 0 else None
-    return math.gamma(1.0 + power * alpha), ratios, thresholds, log_u_max
+    thresholds = tuple((c + g) / p for g, p in zip(lg[1:], powers[1:])) if c < 0 else ()
+    return math.gamma(1.0 + power * alpha), ratios, thresholds, log_u_max, lg[1], lg[-1], floor
 
 
 def _sum_series(kind, alpha, u, tol):
@@ -132,8 +123,8 @@ def _sum_series(kind, alpha, u, tol):
     = u^step, negated when the signs alternate, and ratio = Gamma(1 +
     p*alpha) / Gamma(1 + (p+step)*alpha) read from the (alpha, kind, tol)
     plan, so a term costs one multiply by a tabulated ratio.  The first
-    call at an (alpha, kind, tol) that is not refused builds its whole
-    plan, at one lgamma, one exp and one threshold per ratio.  A real u
+    call at an (alpha, kind, tol), refused or not, builds its whole plan,
+    at one lgamma, one exp and one threshold per ratio.  A real u
     is summed in float arithmetic, so its value is exactly real.  Stops
     once the terms are decreasing and the geometric tail bound
     next/(1-rho), with rho the observed term ratio, falls below tol (the
@@ -149,9 +140,8 @@ def _sum_series(kind, alpha, u, tol):
     1..MAX_SERIES_TERMS - 1 are all at least the smaller of the two ends.
     When both ends exceed 2*tol (and e^-700), no term can pass the tail
     test, and the loop would raise.  The refusal names the budget and the
-    closed-form magnitude of its last term, inf past e^709.  It costs one
-    compare of |u| with small_u, and two multiplies and a log above it,
-    and reads two lgammas, not a plan.
+    closed-form magnitude of its last term, inf past e^709.  It costs two
+    multiplies, and reads both ends' lgammas and its floor from the plan.
 
     A term above tol cannot pass the tail test, so the terms 1..b that
     exceed max(tol, e^-700) by the _SKIP_MARGIN, found by one bisect of
@@ -172,20 +162,17 @@ def _sum_series(kind, alpha, u, tol):
     except OverflowError:  # a complex u whose parts are finite, its modulus not
         modulus = math.inf
     log_u = math.log(modulus)
-    lg_first, lg_last, small_u = _ends(alpha, kind)
-    if modulus > small_u:  # else nothing is refused
-        last = (power + _BUDGET * step) * log_u - lg_last
-        floor = max(math.log(2.0 * tol), _LOG_REFUSAL_FLOOR)
-        if last > floor and (power + step) * log_u - lg_first > floor:
-            mag = math.exp(last) if last <= 709.0 else math.inf
-            raise SeriesConvergenceError(
-                f"{label} did not converge to tol={tol} within the {_BUDGET}-term budget "
-                f"(term {_BUDGET} has magnitude {mag:.3e})",
-                mag,
-            )
-    gamma0, ratios, thresholds, log_u_max = _plan(alpha, kind, tol)
+    gamma0, ratios, thresholds, log_u_max, lg_first, lg_last, floor = _plan(alpha, kind, tol)
+    last = (power + _BUDGET * step) * log_u - lg_last
+    if last > floor and (power + step) * log_u - lg_first > floor:
+        mag = math.exp(last) if last <= 709.0 else math.inf
+        raise SeriesConvergenceError(
+            f"{label} did not converge to tol={tol} within the {_BUDGET}-term budget "
+            f"(term {_BUDGET} has magnitude {mag:.3e})",
+            mag,
+        )
     summed = 0
-    if thresholds is not None and log_u < log_u_max:  # terms 1..b-1 are summed without the test
+    if log_u < log_u_max:  # terms 1..b-1 are summed without the test
         summed = max(bisect.bisect_left(thresholds, log_u) - 1, 0)
     # u * u rather than u**2: a product past the double range is inf,
     # where ** raises OverflowError

@@ -5,6 +5,8 @@ suite, and the Helmholtz component systems."""
 import copy
 import gc
 import pickle
+import runpy
+import sys
 from operator import add
 from pathlib import Path
 
@@ -585,6 +587,21 @@ class TestVerifyIdentity:
 
     def test_matrix_has_fourteen_entries(self):
         assert sum(len(frames) for frames in VERIFICATION_MATRIX.values()) == 14
+
+    def test_the_bench_verify_workload_runs_this_matrix(self, monkeypatch):
+        # bench/workloads.py keeps its own copy of the matrix, so a report
+        # count change must edit both; it is read, not written, and leaves
+        # no bytecode under bench/
+        bench = Path(__file__).parents[1] / "bench"
+        monkeypatch.syspath_prepend(str(bench))  # for its `import oracle`
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        loaded = set(sys.modules)
+        try:
+            workloads = runpy.run_path(str(bench / "workloads.py"))
+        finally:
+            for name in set(sys.modules) - loaded:
+                del sys.modules[name]
+        assert workloads["VERIFY_MATRIX"] == tuple(VERIFICATION_MATRIX.items())
 
     def test_verify_all(self):
         reports = list(verify_all())

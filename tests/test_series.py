@@ -335,8 +335,7 @@ def outcome(function, *args):
 
 
 def clear_caches():
-    for cache in (series_module._ends, series_module._plan):
-        cache.cache_clear()
+    series_module._plan.cache_clear()
 
 
 # |u| from 1e-300 to 1e6 in every direction
@@ -410,7 +409,7 @@ class TestRatioTables:
                 assert all(a < b for a, b in zip(thresholds, thresholds[1:])), (alpha, tol)
             # c = max(log tol, -700) + 1e-6 >= 0: nothing is skipped
             for tol in (0.9999995, 1.0, 1e308):
-                assert series_module._plan(alpha, kind, tol)[2] is None
+                assert series_module._plan(alpha, kind, tol)[2] == ()
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_skipped_terms_are_above_tol_and_below_overflow(self, kind):
@@ -420,7 +419,7 @@ class TestRatioTables:
         skipped = 0
         for alpha in self.ALPHAS:
             for tol in (1e-310, 1e-300, 1e-12, 0.1):
-                _, _, thresholds, log_u_max = series_module._plan(alpha, kind, tol)
+                _, _, thresholds, log_u_max, *_ = series_module._plan(alpha, kind, tol)
                 # log|u| just past a threshold puts its term just above the
                 # margin; and log|u| just under log_u_max
                 logs = [t + 1e-15 * max(1.0, abs(t)) for t in thresholds[::37]]
@@ -453,15 +452,15 @@ class TestRatioTables:
         assert ends == {"returned": 788, "refused": 220}
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_small_u_skips_only_calls_that_are_not_refused(self, kind):
-        # at |u| <= small_u the kernel takes no log; there term 499 is below
-        # e^-700, and just above it the kernel still ends as the reference
+    def test_calls_where_term_499_meets_the_refusal_floor(self, kind):
+        # at the |u| where term 499 is e^-700, the refusal's floor, and just
+        # around it, the kernel ends as the reference
         _, power, step, _ = series_module._SERIES[kind]
         p = power + (MAX_SERIES_TERMS - 1) * step
         for alpha in (1e-3, 0.05, 0.3, 0.5, 0.75, 1.0):
-            small_u = series_module._ends(alpha, kind)[2]
-            assert p * math.log(small_u) - math.lgamma(1.0 + p * alpha) < -700.0
-            for u in (small_u, small_u * (1 + 1e-8), -small_u * 1.01j):
+            edge = math.exp((math.lgamma(1.0 + p * alpha) - 700.0) / p)
+            assert abs(p * math.log(edge) - math.lgamma(1.0 + p * alpha) + 700.0) < 1e-9
+            for u in (edge, edge * (1 - 1e-8), edge * (1 + 1e-8), -edge * 1.01j):
                 for tol in (1e-300, 1e-12):
                     assert outcome(evaluate_series, kind, alpha, u, tol) == outcome(
                         reference_sum, kind, alpha, u, tol
@@ -485,32 +484,34 @@ class TestRatioTables:
         # at tol 1 nothing is skipped: its plans hold no thresholds
         keys = [(0.3 + n / 1000, kind, tol) for n in range(24) for kind in self.KINDS for tol in (1e-12, 1.0)]
         for alpha, kind, tol in keys:
-            # a call that sums: a refused one builds no plan
             outcome(evaluate_series, kind, alpha, 1.5, tol)
             assert plan.cache_info().currsize <= 64
         # each (alpha, kind, tol) was built once, whole, by its first call
         assert plan.cache_info().misses == len(keys)
         for alpha, kind, tol in keys[-6:]:
-            _, ratios, thresholds, _ = plan(alpha, kind, tol)
+            _, ratios, thresholds, *_ = plan(alpha, kind, tol)
             assert len(ratios) == MAX_SERIES_TERMS - 1
-            if tol < 1:
-                assert len(thresholds) == MAX_SERIES_TERMS - 1
-            else:
-                assert thresholds is None
+            assert len(thresholds) == (MAX_SERIES_TERMS - 1 if tol < 1 else 0)
 
     def test_a_warm_summing_call_reads_one_plan(self):
+        # the plan is the kernel's one cache, and a warm call looks it up once
+        caches = [name for name, f in vars(series_module).items() if hasattr(f, "cache_info")]
+        assert caches == ["_plan"]
         evaluate_series("Ea", 0.75, 1e-3)
-        ends, plan = series_module._ends.cache_info(), series_module._plan.cache_info()
+        plan = series_module._plan.cache_info()
         evaluate_series("Ea", 0.75, 1e-3)
-        assert series_module._ends.cache_info().hits == ends.hits + 1
         assert series_module._plan.cache_info().hits == plan.hits + 1
         assert series_module._plan.cache_info().misses == plan.misses
 
-    def test_a_refused_call_builds_no_table(self):
+    def test_a_refused_call_reads_one_plan(self):
+        # the refusal's inputs live in the plan: a refused call at a fresh
+        # key builds it, and a second one reads it
         clear_caches()
-        with pytest.raises(SeriesConvergenceError, match="499-term budget"):
-            evaluate_series("Ea", 0.3, 20.0)
-        assert series_module._plan.cache_info().currsize == 0
+        for hits in (0, 1):
+            with pytest.raises(SeriesConvergenceError, match="499-term budget"):
+                evaluate_series("Ea", 0.3, 20.0)
+            info = series_module._plan.cache_info()
+            assert (info.currsize, info.hits, info.misses) == (1, hits, 1)
 
     def test_threads_at_a_fresh_alpha_agree_with_serial_calls(self):
         alpha = 0.4142135623
@@ -543,19 +544,24 @@ class TestRatioTables:
 
     def test_ratios_against_independent_gamma(self):
         # mpmath implements gamma independently of libm; the kernel's Gamma
-        # values live only in the plans and the refusal's ends
+        # values live only in the plans
         tol = 1e-12
         c = math.log(tol) + series_module._SKIP_MARGIN
         for alpha in (0.3, 0.5, 0.75, 1.0):
             for kind in self.KINDS:
                 _, power, step, _ = series_module._SERIES[kind]
-                gamma0, ratios, thresholds, _ = series_module._plan(alpha, kind, tol)
+                gamma0, ratios, thresholds, _, lg_first, lg_last, floor = series_module._plan(
+                    alpha, kind, tol
+                )
                 assert abs(gamma0 - float(mpmath.gamma(1 + power * alpha))) <= 1e-15 * gamma0
                 # the lgammas of terms 1 and 499 that decide a refusal are,
                 # bit for bit, those the skip's thresholds are built from
-                lg_first, lg_last, _ = series_module._ends(alpha, kind)
+                last = power + (MAX_SERIES_TERMS - 1) * step
+                assert lg_first == math.lgamma(1.0 + (power + step) * alpha)
+                assert lg_last == math.lgamma(1.0 + last * alpha)
                 assert thresholds[0] == (c + lg_first) / (power + step)
-                assert thresholds[-1] == (c + lg_last) / (power + (MAX_SERIES_TERMS - 1) * step)
+                assert thresholds[-1] == (c + lg_last) / last
+                assert floor == math.log(2.0 * tol)
                 for k, threshold in enumerate(thresholds, 1):
                     p = power + k * step
                     ref = float((c + mpmath.loggamma(1 + p * mpmath.mpf(alpha))) / p)
@@ -571,13 +577,13 @@ class TestRatioTables:
     def test_import_builds_no_table(self):
         code = (
             "import fracquat, fracquat.cli; s = fracquat.series; "
-            "print([f.cache_info().currsize for f in (s._ends, s._plan)])"
+            "print([s._plan.cache_info().currsize])"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(series_module.__file__).parents[1])}
         done = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
         )
-        assert (done.returncode, done.stdout, done.stderr) == (0, "[0, 0]\n", "")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[0]\n", "")
 
 
 @settings(max_examples=150, deadline=None)
