@@ -14,14 +14,14 @@ classical oracle.  alpha=1 is admitted although the fractal setting has
 budget is refused before any term is summed: the term magnitudes are
 log-concave in k, so the smallest lies at one end of the budget, and
 both ends are known in closed form from two lgammas.  Every call reads
-one plan per (alpha, kind, tol): those two lgammas and the refusal's
-floor, its Gamma ratios and a threshold tuple.  The terms that are too
-large to end the sum, terms 1..b, are found in closed form by one bisect
-of log|u| in that tuple, and all but the last are summed without the
-stopping test, to the same doubles.  The module holds only this
-summation kernel; the truncated J-basis series and the limit-quotient
-derivative that the tests compare the symbolic derivative against live
-in tests/oracles.py.
+one plan per (alpha, kind, tol): those two lgammas, the floor that both
+shortcuts use, the Gamma ratios and a threshold tuple.  The terms above
+that floor, terms 1..b, are too large to end the sum; they are found in
+closed form by one bisect of log|u| in that tuple, and all but the last
+are summed without the stopping test, to the same doubles.  The module
+holds only this summation kernel; the truncated J-basis series and the
+limit-quotient derivative that the tests compare the symbolic derivative
+against live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -69,50 +69,37 @@ _SERIES = {
 # a sum cannot settle within MAX_SERIES_TERMS
 _MAX_TERM = math.exp(709.0)
 
-# a refusal is decided on terms above e^-700 only: those are normal
-# doubles, so the summed terms track their closed form to about 1e-12
-# relative, far inside the factor 2 between the refusal's floor and tol
+# a refusal, and the skip, are decided on terms above e^-700 only: those
+# are normal doubles, so the summed terms track their closed form to about
+# 1e-12 relative, far inside the factor 2 between the floor and tol
 _LOG_REFUSAL_FLOOR = -700.0
-
-# a term summed without the stopping test is below e^700, so with its
-# 1e-12 tracking it stays far inside _MAX_TERM and the double range
-_LOG_SKIP_CEILING = 700.0
-
-# terms are summed without the stopping test while their closed-form log
-# magnitude exceeds max(log tol, -700) by this margin; the summed terms
-# track their closed form to about 1e-12 in the log, far inside it
-_SKIP_MARGIN = 1e-6
 
 
 # summing plans by (alpha, kind, tol): 64 plans of 499 ratios and 499
 # thresholds hold about 2 MB; past that the least recently used is dropped
 @functools.lru_cache(maxsize=64)
 def _plan(alpha, kind, tol):
-    """(Gamma(1 + p_0*alpha), ratios, thresholds, log_u_max, lg_1, lg_499,
-    floor), all formed from one list of lg_i = lgamma(1 + p_i*alpha), p_i
-    = p_0 + i*step, i = 0..499, which is not kept.  Terms 1 and 499 are
-    the first and last that the stopping rule tests: a refusal compares
-    their closed-form log magnitudes p_k*log|u| - lg_k with floor =
-    max(log(2*tol), -700).  ratios[i] = exp(lg_i - lg_(i+1)), so a term
-    formed from it is the double the per-term lgamma recurrence formed.  At
-    log|u| < log_u_max, the least (700 + lg_k) / p_k, every term k in
-    1..499 is below e^700 in closed form.  thresholds[k-1] = (c + lg_k) /
-    p_k, c = max(log tol, -700) + _SKIP_MARGIN: term k's closed-form log
-    magnitude p_k*log|u| - lg_k exceeds c exactly when log|u| >
-    thresholds[k-1].  With c < 0 they strictly increase, since (c +
-    lgamma(1 + p*alpha)) / p has the derivative (p*g' - g - c) / p^2 > 0 for
-    the convex g(p) = lgamma(1 + p*alpha) with g(0) = 0; so the terms above
-    c are terms 1..b with b = bisect_left(thresholds, log|u|).  Empty when
-    c >= 0: no term is skipped."""
+    """(Gamma(1 + p_0*alpha), ratios, thresholds, lg_1, lg_499, floor), all
+    formed from one list of lg_i = lgamma(1 + p_i*alpha), p_i = p_0 +
+    i*step, i = 0..499, which is not kept.  floor = max(log(2*tol), -700).
+    Terms 1 and 499 are the first and last that the stopping rule tests: a
+    refusal compares their closed-form log magnitudes p_k*log|u| - lg_k
+    with floor.  ratios[i] = exp(lg_i - lg_(i+1)), so a term formed from it
+    is the double the per-term lgamma recurrence formed.  thresholds[k-1] =
+    (floor + lg_k) / p_k: term k's closed-form log magnitude exceeds floor
+    exactly when log|u| > thresholds[k-1].  With floor < 0 they strictly
+    increase, since (floor + lgamma(1 + p*alpha)) / p has the derivative
+    (p*g' - g - floor) / p^2 > 0 for the convex g(p) = lgamma(1 + p*alpha)
+    with g(0) = 0; so the terms above floor are terms 1..b with b =
+    bisect_left(thresholds, log|u|).  Empty when floor >= 0, i.e. tol >=
+    1/2: no term is skipped."""
     _, power, step, _ = _SERIES[kind]
     powers = range(power, power + MAX_SERIES_TERMS * step, step)
     lg = [math.lgamma(1.0 + p * alpha) for p in powers]
     ratios = tuple(math.exp(a - b) for a, b in zip(lg, lg[1:]))
-    log_u_max = min((_LOG_SKIP_CEILING + g) / p for g, p in zip(lg[1:], powers[1:]))
     floor = max(math.log(2.0 * tol), _LOG_REFUSAL_FLOOR)
-    c = max(math.log(tol), _LOG_REFUSAL_FLOOR) + _SKIP_MARGIN
-    thresholds = tuple((c + g) / p for g, p in zip(lg[1:], powers[1:])) if c < 0 else ()
-    return math.gamma(1.0 + power * alpha), ratios, thresholds, log_u_max, lg[1], lg[-1], floor
+    thresholds = tuple((floor + g) / p for g, p in zip(lg[1:], powers[1:])) if floor < 0 else ()
+    return math.gamma(1.0 + power * alpha), ratios, thresholds, lg[1], lg[-1], floor
 
 
 def _sum_series(kind, alpha, u, tol):
@@ -143,16 +130,18 @@ def _sum_series(kind, alpha, u, tol):
     closed-form magnitude of its last term, inf past e^709.  It costs two
     multiplies, and reads both ends' lgammas and its floor from the plan.
 
-    A term above tol cannot pass the tail test, so the terms 1..b that
-    exceed max(tol, e^-700) by the _SKIP_MARGIN, found by one bisect of
-    log|u| in the plan's threshold tuple, need no test: terms 1..b-1 are
-    formed and summed in a bare loop, the same float operations in the
-    same order, and the loop with the test takes over at term b with no
-    term before it on record, which is exact since term b cannot pass the
-    test either.  The skip is taken only at log|u| below the plan's
-    log_u_max, where every term is below e^700, so no skipped term can
-    overflow, raise in abs() or turn nan.  So every call returns or
-    raises bit for bit as the loop with a test at every term.
+    The skip reads the same floor.  A term above it is at least twice tol
+    in closed form, so, formed to about 1e-12, it cannot pass the tail
+    test.  The terms 1..b above it, found by one bisect of log|u| in the
+    plan's threshold tuple, need no test: terms 1..b-1 are formed and
+    summed in a bare loop, the same float operations in the same order,
+    and the loop with the test takes over at term b with no term before it
+    on record, which is exact since term b cannot pass the test either.  A
+    call that skips has term 1 above the floor, so past the refusal its
+    term 499 is at most the floor; that bounds log|u| by lg_499 / p_499,
+    and then every term 1..499 is below e^370 in closed form, so no
+    skipped term can overflow, raise in abs() or turn nan.  So every call
+    returns or raises bit for bit as the loop with a test at every term.
     """
     label, power, step, alternating = _SERIES[kind]
     if u.imag == 0:
@@ -162,7 +151,7 @@ def _sum_series(kind, alpha, u, tol):
     except OverflowError:  # a complex u whose parts are finite, its modulus not
         modulus = math.inf
     log_u = math.log(modulus)
-    gamma0, ratios, thresholds, log_u_max, lg_first, lg_last, floor = _plan(alpha, kind, tol)
+    gamma0, ratios, thresholds, lg_first, lg_last, floor = _plan(alpha, kind, tol)
     last = (power + _BUDGET * step) * log_u - lg_last
     if last > floor and (power + step) * log_u - lg_first > floor:
         mag = math.exp(last) if last <= 709.0 else math.inf
@@ -171,9 +160,8 @@ def _sum_series(kind, alpha, u, tol):
             f"(term {_BUDGET} has magnitude {mag:.3e})",
             mag,
         )
-    summed = 0
-    if log_u < log_u_max:  # terms 1..b-1 are summed without the test
-        summed = max(bisect.bisect_left(thresholds, log_u) - 1, 0)
+    # terms 1..b-1 are summed without the test
+    summed = max(bisect.bisect_left(thresholds, log_u) - 1, 0)
     # u * u rather than u**2: a product past the double range is inf,
     # where ** raises OverflowError
     z = u * u if step == 2 else u

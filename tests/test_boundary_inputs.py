@@ -59,6 +59,16 @@ ROWS = {
     "long sum": (lambda _: diff(" + ".join(["f1"] * 1001)), 2, ""),
     "deep nest": (lambda _: diff("(" * 201 + "f1" + ")" * 201), 2, ""),
     "unknown option": (["series", "Ea", "--alpha", "0.5", "--u", "1", "--bogus", "1"], 2, ""),
+    # a series argument must parse to a finite complex number
+    "series u inf": (
+        ["series", "Ea", "--alpha", "0.5", "--u=inf"], 2, "complex number 'inf' is not finite"
+    ),
+    "series u nan part": (
+        ["series", "Ea", "--alpha", "0.5", "--u=1+nani"], 2, "complex number '1+nani' is not finite"
+    ),
+    "series u not a number": (
+        ["series", "Ea", "--alpha", "0.5", "--u=abc"], 2, "cannot parse complex number 'abc'"
+    ),
     # a power of a sum stops at the product budget
     "power of a sum": (diff("(P(r,1) + 1)^1000000"), 2, ""),
     # so does one whose terms hold component symbols, which each pair merges
@@ -235,6 +245,12 @@ ROWS = {
     "frame an array": (spec('{"alpha": 0.5, "frame": ["x"]}'), 2, "not an array"),
     "frame an object": (spec('{"alpha": 0.5, "frame": {"a": 1}}', "apply"), 2, "not an object"),
     "spec nested too deeply": (spec("[" * 100000 + "]" * 100000), 2, "nests too deeply"),
+    "spec an array": (spec("[1]"), 2, "field spec must be a JSON object"),
+    "components an array": (
+        spec('{"alpha": 1, "frame": "cartesian", "components": ["f0"]}', "apply"),
+        2,
+        "'components' must be an object with keys f0..f3",
+    ),
     # a component is read as 'lambda' is: a JSON number exactly, a string in the DSL
     "component a number in exponent form": (
         spec(lam_spec(1e-05, None), at="x=1,y=1,z=1"),

@@ -403,40 +403,62 @@ class TestRatioTables:
     @pytest.mark.parametrize("kind", KINDS)
     def test_thresholds_increase_strictly(self, kind):
         for alpha in self.ALPHAS:
-            for tol in (1e-300, 1e-12, 0.1):
+            for tol in (1e-300, 1e-12, 0.1, 0.49):
                 thresholds = series_module._plan(alpha, kind, tol)[2]
                 assert len(thresholds) == MAX_SERIES_TERMS - 1
                 assert all(a < b for a, b in zip(thresholds, thresholds[1:])), (alpha, tol)
-            # c = max(log tol, -700) + 1e-6 >= 0: nothing is skipped
-            for tol in (0.9999995, 1.0, 1e308):
+            # floor = max(log(2*tol), -700) >= 0: nothing is skipped
+            for tol in (0.5, 0.7, 0.9999995, 1.0, 1e308):
                 assert series_module._plan(alpha, kind, tol)[2] == ()
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_skipped_terms_are_above_tol_and_below_overflow(self, kind):
         # the terms 1..b that the kernel sums with no test, as the recurrence
-        # forms them: each is at least tol, so it cannot pass the tail test,
-        # and at most e^709, so it cannot end the sum as overflowed
+        # forms them: each is at least 2*tol (and e^-700), the plan's floor,
+        # so it cannot pass the tail test, and at most e^709, so it cannot
+        # end the sum as overflowed
         skipped = 0
         for alpha in self.ALPHAS:
-            for tol in (1e-310, 1e-300, 1e-12, 0.1):
-                _, _, thresholds, log_u_max, *_ = series_module._plan(alpha, kind, tol)
+            for tol in (1e-310, 1e-300, 1e-12, 0.1, 0.49):
+                _, _, thresholds, _, _, floor = series_module._plan(alpha, kind, tol)
                 # log|u| just past a threshold puts its term just above the
-                # margin; and log|u| just under log_u_max
+                # floor; thresholds[-1] is the largest log|u| that is not refused
                 logs = [t + 1e-15 * max(1.0, abs(t)) for t in thresholds[::37]]
-                logs.append(log_u_max - 1e-12 * max(1.0, abs(log_u_max)))
+                logs.append(thresholds[-1] - 1e-12 * max(1.0, abs(thresholds[-1])))
                 for level in logs:
                     for direction in (1, -1, 1j, cmath.rect(1.0, 2.0)):
                         u = complex(math.exp(level) * direction)
-                        log_u = math.log(abs(u))
-                        if log_u >= log_u_max:
-                            continue
-                        b = bisect.bisect_left(thresholds, log_u)
+                        b = bisect.bisect_left(thresholds, math.log(abs(u)))
                         magnitudes = []
                         outcome(recurrence_sum, kind, alpha, u, tol, magnitudes)
                         assert len(magnitudes) >= b
-                        assert all(tol <= m <= math.exp(709.0) for m in magnitudes[:b])
+                        # at least max(2*tol, e^-700): the recurrence forms
+                        # its terms to about 1e-12 relative
+                        assert all(floor - 1e-9 <= math.log(m) <= 709.0 for m in magnitudes[:b])
                         skipped += b >= 2
         assert skipped >= 300
+
+    def test_no_term_passes_e700_unless_the_call_is_refused(self):
+        # the skip has no overflow guard: past the refusal, with a floor
+        # below 0 (tol < 1/2), every closed-form term 1..499 is below e^700.
+        # Terms grow with |u|, so the largest log|u| that the refusal admits,
+        # read from the plan's own lg_first, lg_last and floor, is the worst
+        worst = -math.inf
+        for kind in self.KINDS:
+            _, power, step, _ = series_module._SERIES[kind]
+            powers = range(power + step, power + MAX_SERIES_TERMS * step, step)
+            for alpha in (1e-10, 1e-6, 1e-3, 0.01, 0.05, 0.1, 0.3, 0.5, 0.75, 0.9, 1.0):
+                for tol in (1e-320, 1e-300, 1e-100, 1e-12, 1e-3, 0.1, 0.3, 0.4999999):
+                    *_, lg_first, lg_last, floor = series_module._plan(alpha, kind, tol)
+                    log_u = max((floor + lg_first) / powers[0], (floor + lg_last) / powers[-1])
+                    # and that log|u| is the refusal's edge
+                    with pytest.raises(SeriesConvergenceError, match="-term budget"):
+                        evaluate_series(kind, alpha, math.exp(log_u) * (1 + 1e-9), tol)
+                    peak = max(p * log_u - math.lgamma(1.0 + p * alpha) for p in powers)
+                    assert peak < 700.0, (kind, alpha, tol, peak)
+                    worst = max(worst, peak)
+        # the bound is far from tight: the worst term is near e^365
+        assert 300.0 < worst < 400.0
 
     def test_large_band_grid_refuses_only_what_the_recurrence_cannot_finish(self):
         # the bench's large band: three kinds, alpha 0.5, 0.75 and 1, four
@@ -546,11 +568,10 @@ class TestRatioTables:
         # mpmath implements gamma independently of libm; the kernel's Gamma
         # values live only in the plans
         tol = 1e-12
-        c = math.log(tol) + series_module._SKIP_MARGIN
         for alpha in (0.3, 0.5, 0.75, 1.0):
             for kind in self.KINDS:
                 _, power, step, _ = series_module._SERIES[kind]
-                gamma0, ratios, thresholds, _, lg_first, lg_last, floor = series_module._plan(
+                gamma0, ratios, thresholds, lg_first, lg_last, floor = series_module._plan(
                     alpha, kind, tol
                 )
                 assert abs(gamma0 - float(mpmath.gamma(1 + power * alpha))) <= 1e-15 * gamma0
@@ -559,12 +580,13 @@ class TestRatioTables:
                 last = power + (MAX_SERIES_TERMS - 1) * step
                 assert lg_first == math.lgamma(1.0 + (power + step) * alpha)
                 assert lg_last == math.lgamma(1.0 + last * alpha)
-                assert thresholds[0] == (c + lg_first) / (power + step)
-                assert thresholds[-1] == (c + lg_last) / last
+                # and the skip's thresholds sit on the refusal's floor
                 assert floor == math.log(2.0 * tol)
+                assert thresholds[0] == (floor + lg_first) / (power + step)
+                assert thresholds[-1] == (floor + lg_last) / last
                 for k, threshold in enumerate(thresholds, 1):
                     p = power + k * step
-                    ref = float((c + mpmath.loggamma(1 + p * mpmath.mpf(alpha))) / p)
+                    ref = float((floor + mpmath.loggamma(1 + p * mpmath.mpf(alpha))) / p)
                     assert abs(threshold - ref) <= 1e-14 * max(1.0, abs(ref))
                 for i, ratio in enumerate(ratios):
                     p = power + i * step
