@@ -42,12 +42,17 @@ class DerivativeMode(str, enum.Enum):
 
 
 def d_alpha(e, var: str) -> CanonicalExpr:
-    """Derivation-mode local fractional partial derivative.  Each Leibniz
-    term reaches the result through _accumulate, which bounds its
-    coefficient and every sum."""
-    var = var_index(var)
+    """Derivation-mode local fractional partial derivative: _d_terms on
+    the expression's map, along the variable's index."""
+    return CanonicalExpr._of(_d_terms(as_canonical_scalar(e).terms, var_index(var)))
+
+
+def _d_terms(terms: dict, var: int) -> dict:
+    """The derivative of the clean map terms along the variable of index
+    var, a new clean map.  Each Leibniz term reaches it through
+    _accumulate, which bounds its coefficient and every sum."""
     out = []  # the Leibniz terms of every input term, as (monomial, coefficient)
-    for mono, coeff in as_canonical_scalar(e).terms.items():
+    for mono, coeff in terms.items():
         dsyms, powers, trig, ea, lam = mono
         for j, (v, n) in enumerate(powers):
             if v == var:
@@ -80,7 +85,7 @@ def d_alpha(e, var: str) -> CanonicalExpr:
             group = dsyms[:j] + ((k, midx),) + dsyms[j + 1 :]
             group = tuple(sorted(group)) if len(group) > 1 else group
             out.append((_new(Monomial, (group, powers, trig, ea, lam)), coeff))
-    return CanonicalExpr._of(_accumulate({}, out))
+    return _accumulate({}, out)
 
 
 def nth_d_alpha(e, var: str, order: int) -> CanonicalExpr:

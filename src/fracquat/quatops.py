@@ -32,7 +32,6 @@ Each operator reads frame.forms[op]: a missing form raises KeyError.
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import add, sub
 
 from .canonical import CanonicalExpr, render_canonical
 from .derivative import DerivativeMode
@@ -159,12 +158,14 @@ _IDENTITIES = {
 
 
 def _residuals(name: str, forms) -> tuple:
-    """The four residuals of the identity's row over a form map."""
+    """The four residuals of the identity's row over a form map: outer(inner)
+    composed into maps seeded with sign * reference, one accumulation each;
+    the reference enters once, and the composition must cancel it."""
     row = _IDENTITIES[name]
-    composed = apply_table(forms[row.outer], forms[row.inner])
-    if row.reference is None:
-        return composed
-    return tuple(map(add if row.sign > 0 else sub, composed, forms[row.reference]))
+    seeds = row.reference and [
+        {m: p if row.sign > 0 else -p for m, p in r.terms.items()} for r in forms[row.reference]
+    ]
+    return apply_table(forms[row.outer], forms[row.inner], seeds)
 
 
 IDENTITY_NAMES = tuple(_IDENTITIES)

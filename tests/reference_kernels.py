@@ -1,11 +1,13 @@
-"""Reference implementations of the render and derivative kernels.
+"""Reference implementations of the render, derivative and frame kernels.
 
-These are the straightforward forms that `canonical.render_canonical` and
-`derivative.d_alpha` replaced: rendering groups the sorted monomials by
-their lam-free part with `groupby` and formats every factor of every
-term, and the derivative yields the Leibniz terms of each monomial from
-a generator, rebuilding and re-sorting each group it changes.  The tests
-require the package's kernels to give the same map and the same text.
+These are the straightforward forms that `canonical.render_canonical`,
+`derivative.d_alpha` and `frames.apply_table` replaced: rendering groups
+the sorted monomials by their lam-free part with `groupby` and formats
+every factor of every term, the derivative yields the Leibniz terms of
+each monomial from a generator, rebuilding and re-sorting each group it
+changes, and a form is applied as the plain composition in the ring.
+The tests require the package's kernels to give the same map and the
+same text.
 """
 
 from itertools import groupby
@@ -118,3 +120,20 @@ def d_alpha(e, var: str) -> CanonicalExpr:
             else:
                 del acc[m]
     return CanonicalExpr._of(acc)
+
+
+def apply_table(table, comps) -> tuple:
+    """Per form, the sum with + in form order, over its terms c * m *
+    d(fk, vs), of the one-term expression c * m times the reference
+    d_alpha of comps[k] taken along vs."""
+    out = []
+    for form in table:
+        total = CanonicalExpr.zero()
+        for mono, c in form.terms.items():
+            ((k, midx),) = mono.dsyms
+            partial = as_canonical_scalar(comps[k])
+            for v in midx:
+                partial = d_alpha(partial, VARIABLES[v])
+            total = total + CanonicalExpr({mono._replace(dsyms=()): c}) * partial
+        out.append(total)
+    return tuple(out)

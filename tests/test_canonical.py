@@ -270,6 +270,20 @@ class TestPower:
         one_term = canon("f1^50*d(f2,r)", CYL)
         assert len((one_term * b).terms) == 2 and len((a * one_term).terms) == 2
 
+    @pytest.mark.parametrize("coefficient", ["P(r,-1)", "cosa(theta)"])
+    def test_apply_table_charges_a_product_with_a_monomial(self, monkeypatch, coefficient):
+        # a form term c*m*fk multiplies the 7 terms of fk by the monomial m:
+        # 7 term pairs, read against the budget at call time
+        f0 = canon(" + ".join(f"P(r,{n})" for n in range(1, 8)), CYL)
+        monkeypatch.setattr(canonical, "MAX_TERM_PAIRS", 5)
+        with pytest.raises(TermBudgetError, match="a product of 1 by 7 terms exceeds 5 term pairs"):
+            apply_table((canon(f"{coefficient}*f0", CYL),), (f0,))
+
+    def test_apply_table_scales_by_a_constant_without_a_charge(self, monkeypatch):
+        f0 = canon(" + ".join(f"P(r,{n})" for n in range(1, 8)), CYL)
+        monkeypatch.setattr(canonical, "MAX_TERM_PAIRS", 5)
+        assert apply_table((canon("2*f0", CYL),), (f0,)) == (2 * f0,)
+
     def test_negative_power_is_the_repeated_inverse(self):
         sin = canon("sina(theta)", CYL)
         for n in range(1, 8):

@@ -1,6 +1,6 @@
-"""The render and derivative kernels against their reference forms, and
-the command line's rendered output against texts recorded before the
-kernels were rewritten."""
+"""The render, derivative and frame kernels against their reference
+forms, and the command line's rendered output against texts recorded
+before the kernels were rewritten."""
 
 import json
 from pathlib import Path
@@ -10,8 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 
 import reference_kernels as ref
-from fracquat import FRAMES, canon, d_alpha, render_canonical
+from fracquat import FRAMES, CanonicalExpr, canon, d_alpha, render_canonical
 from fracquat.cli import main
+from fracquat.frames import apply_table
+from fracquat.quatops import _shifted
 
 from strategies import exprs
 
@@ -50,6 +52,43 @@ def test_kernels_match_reference(case):
         assert out.terms == expected.terms
         assert_sorted_groups(out)
         assert render_canonical(out) == ref.render_canonical(expected)
+
+
+# a form with an Ea, a lam, a both-trig and constant coefficients, over
+# the frame's first two variables (r and theta in the curved frames)
+HAND_FORM = (
+    "Ea(1/2 - 1i*lam, {0})*d(f1,{0}) + lam*d(f2,{1}) + sina({1})^-1*cosa({1})*d(f0,{1})"
+    " + 3*f3 - (2/3)*d(f0,{0},{1})"
+)
+
+
+def frame_fields(name):
+    return st.tuples(st.just(name), st.tuples(*[exprs(FRAMES[name].variables, max_leaves=6)] * 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(tuple(FRAMES)).flatmap(frame_fields))
+# one field per path of the kernel, each run through every form: a
+# coefficient of 1 (the Cartesian first-order forms), a constant other
+# than 1 (the Bitsadze text's 2 and -1), a product built inline (P(r,-1),
+# P(r,-2) and the Ea coefficient on powers, Ea groups and lam), and a
+# product of two trig sides whose cos^2 splits (sina^-1*cosa on cosa)
+@example(("cartesian", ("P(x,2)*sina(y)", "f1*d(f2,x)", "0", "Ea(2, z)")))
+@example(("cylindrical", ("(2/3 - 1i)*P(z,1)", "lam*f0", "-3", "P(theta,-1)*f3")))
+@example(("cylindrical", ("P(r,2)*Ea(1 + lam, r)", "P(r,1)*d(f3,theta)", "Ea(-1, r)", "lam*f0")))
+@example(("spherical", ("cosa(theta)*P(r,1)", "sina(theta)*cosa(theta)", "cosa(theta)", "f2")))
+def test_apply_table_matches_reference(case):
+    name, texts = case
+    frame = FRAMES[name]
+    comps = tuple(canon(text, frame) for text in texts)
+    forms = {
+        **frame.forms,
+        "left + lam": _shifted(frame.forms["left"], CanonicalExpr.lam()),
+        "hand": (canon(HAND_FORM.format(*frame.variables), frame),),
+    }
+    for op, form in forms.items():
+        out, expected = apply_table(form, comps), ref.apply_table(form, comps)
+        assert [c.terms for c in out] == [c.terms for c in expected], op
 
 
 def run(capsys, argv):

@@ -8,8 +8,10 @@ Lame table, so its first-order forms are wrong and its hand forms are
 not.  A mutant survives when every row that VERIFICATION_MATRIX lists
 for its frame has zero residuals.  The survivors are pinned as one set:
 the test fails when a mutant outside the set survives, and also when one
-inside it is killed, so the set can only shrink, and visibly.  Run with
--s to print the counts.
+inside it is killed, so the set can only shrink, and visibly.  A second
+layer judges every mutant with test_operator_oracle's check, which does
+not rest on frames.py's text, and pins the mutants it misses the same
+way.  Run with -s to print the counts.
 """
 
 import re
@@ -17,7 +19,7 @@ import re
 import pytest
 
 from fracquat import quatops
-from fracquat.frames import FRAMES, _HAND_TEXT, Frame, _hand_forms
+from fracquat.frames import FRAMES, _HAND_TEXT, Frame, _hand_forms, apply_table
 from fracquat.parser import parse
 
 HAND_FORMS = ("delta0", "laplacian", "bitsadze")
@@ -114,10 +116,62 @@ LAME_MUTANTS = (
 )
 
 
+def lame_frame(name, lame):
+    variables = FRAMES[name].variables
+    return Frame(name, variables, tuple(parse(text, variables) for text in lame))
+
+
 @pytest.mark.parametrize("name, lame", LAME_MUTANTS)
 def test_lame_mutants_fail_a_row(name, lame):
-    variables = FRAMES[name].variables
-    mutant = Frame(name, variables, tuple(parse(text, variables) for text in lame))
-    rows = failed_rows(name, mutant.forms)
+    rows = failed_rows(name, lame_frame(name, lame).forms)
     print(f"\nLame mutant {name} {lame}: fails {sorted(rows)}")
     assert rows
+
+
+# The oracle layer: a hand-text mutant is applied through the operator
+# its form feeds (delta0 is the Laplacian's scalar part and sits in each
+# of its vector components), a Lame mutant through mt and mt-right, on
+# the frame's seeded fields; it is killed when some output component is
+# off the bench oracle's value.  The set it misses is empty.
+ORACLE_OPERATOR = {"delta0": "laplacian", "laplacian": "laplacian", "bitsadze": "bitsadze"}
+ORACLE_SURVIVORS = set()
+
+
+def test_mutants_fail_the_oracle_or_are_pinned_oracle_survivors(monkeypatch):
+    # imported here, as test_operator_oracle imports this module
+    from test_operator_oracle import CASES, field, load_bench, mismatches, operator_reference
+
+    bench, references = load_bench(), {}
+    fields = [(name, field(name, texts).components, texts, context)
+              for name, texts, context in CASES]
+
+    def killed(name, operator, form):
+        for n, (case_name, comps, texts, context) in enumerate(fields):
+            if case_name != name:
+                continue
+            if (n, operator) not in references:
+                references[n, operator] = operator_reference(bench, operator, name, texts, context)
+            if mismatches(bench, apply_table(form, comps), references[n, operator], name, context):
+                return True
+        return False
+
+    own = {"mt": "left", "mt-right": "right", "laplacian": "laplacian", "bitsadze": "bitsadze"}
+    for name, frame in FRAMES.items():  # the check passes the frames' own forms
+        for operator, op in own.items():
+            assert not killed(name, operator, frame.forms[op]), (name, operator)
+    survivors, count = set(), 0
+    for name, op, k, label, texts in hand_text_mutants():
+        monkeypatch.setitem(_HAND_TEXT, name, texts)
+        forms = dict(zip(HAND_FORMS, _hand_forms.__wrapped__(name, FRAMES[name].variables)))
+        count += 1
+        if not killed(name, ORACLE_OPERATOR[op], forms[ORACLE_OPERATOR[op]]):
+            survivors.add((name, op, k, label))
+    for name, lame in LAME_MUTANTS:
+        forms = lame_frame(name, lame).forms
+        for side, operator in (("left", "mt"), ("right", "mt-right")):
+            count += 1
+            if not killed(name, operator, forms[side]):
+                survivors.add((name, lame, operator))
+    print(f"\nmutants judged by the oracle: {count}, missed: {len(survivors)}")
+    assert count == 267 + 2 * len(LAME_MUTANTS)
+    assert survivors == ORACLE_SURVIVORS

@@ -17,6 +17,7 @@ import importlib.util
 import random
 import runpy
 import sys
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -37,8 +38,8 @@ OPERATORS = {
 FIELDS_PER_FRAME = 2
 
 
-@pytest.fixture(scope="module")
-def bench():
+@cache
+def load_bench():
     """(the bench's oracle module, its SYMBOLIC_RTOL), loaded by path."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sys, "dont_write_bytecode", True)
@@ -47,6 +48,11 @@ def bench():
         spec.loader.exec_module(oracle)
         patch.setitem(sys.modules, "oracle", oracle)  # for bench/workloads.py's `import oracle`
         return oracle, runpy.run_path(str(BENCH / "workloads.py"))["SYMBOLIC_RTOL"]
+
+
+@pytest.fixture(scope="module")
+def bench():
+    return load_bench()
 
 
 def factor(rng, v):
