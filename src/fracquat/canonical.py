@@ -16,7 +16,7 @@ each distinct factor group once per call.
 
 A few small tables, kept for the process, hold what the ring and render
 form again and again from the same factors.  The product of two powers
-or two Ea groups (in _mul_monomials) is an lru_cache of _add_exponents
+or two Ea groups (in the ring's products) is an lru_cache of _add_exponents
 holding at most TABLE_SIZE entries.  Render keeps the text of each P,
 sina/cosa, Ea and d(fk,...) factor, and the text of each one-term (lam
 power, coefficient) coefficient, and the parser its factor tables, in
@@ -185,25 +185,50 @@ def _accumulate(acc: dict, items) -> dict:
     return acc
 
 
+def _refuse(na: int, nb: int):
+    raise TermBudgetError(f"a product of {na} by {nb} terms exceeds {MAX_TERM_PAIRS} term pairs")
+
+
+def _add_term_products(acc: dict, m1: Monomial, p1, b: dict) -> dict:
+    """Add p1 * m1 times the clean map b into acc, as _add_products does: a
+    constant scales b; another monomial is charged len(b) term pairs and
+    builds its row here, with _mul_monomials only where both sides carry
+    trig factors, as cos^2 may split."""
+    dsyms, powers, trig, ea, lam = m1
+    if not (dsyms or powers or trig or ea or lam):  # a constant: no pair to form
+        return _accumulate(acc, b.items() if p1 == 1 else ((m, p * p1) for m, p in b.items()))
+    if len(b) > MAX_TERM_PAIRS:
+        _refuse(1, len(b))
+    row = []
+    for m2, p2 in b.items():
+        d, q, t, e, n = m2
+        if trig and t:
+            row += [(m, p1 * p2 if s > 0 else -p1 * p2) for m, s in _mul_monomials(m1, m2)]
+            continue
+        d = tuple(sorted(dsyms + d)) if dsyms and d else dsyms or d
+        q = _add_exponents(powers, q) if powers and q else powers or q
+        e = _add_exponents(ea, e) if ea and e else ea or e
+        row.append((_new(Monomial, (d, q, trig or t, e, lam + n)), p1 * p2))
+    return _accumulate(acc, row)
+
+
 def _add_products(acc: dict, a: dict, b: dict) -> dict:
     """Add the product of the clean maps a and b into the map acc in place
     (acc must be clean and shared by no expression).  The budget charges
     one per term pair and, when both sides have more than one term, the
-    derivative symbols each pair merges.  Each term of a hands _accumulate
-    its row of products, which bounds them."""
-    if len(a) == 1 and MONOMIAL_ONE in a:
+    derivative symbols each pair merges.  A one-term a or constant b goes
+    to _add_term_products; else each row of products goes to _accumulate."""
+    if len(b) == 1 and MONOMIAL_ONE in b:
         a, b = b, a
-    if len(b) == 1 and MONOMIAL_ONE in b:  # constant factor: no pair to form
-        c = b[MONOMIAL_ONE]
-        return _accumulate(acc, a.items() if c == 1 else ((m, p * c) for m, p in a.items()))
+    if len(a) == 1:
+        ((m1, p1),) = a.items()
+        return _add_term_products(acc, m1, p1, b)
     charge = len(a) * len(b)
     if len(a) > 1 and len(b) > 1:
         na, nb = sum(1 for m in a if m.dsyms), sum(1 for m in b if m.dsyms)
         charge += nb * sum(len(m.dsyms) for m in a) + na * sum(len(m.dsyms) for m in b)
     if charge > MAX_TERM_PAIRS:
-        raise TermBudgetError(
-            f"a product of {len(a)} by {len(b)} terms exceeds {MAX_TERM_PAIRS} term pairs"
-        )
+        _refuse(len(a), len(b))
     for m1, p1 in a.items():
         row = [
             (m, p1 * p2 if s > 0 else -p1 * p2)

@@ -42,15 +42,13 @@ class DerivativeMode(str, enum.Enum):
 
 
 def d_alpha(e, var: str) -> CanonicalExpr:
-    """Derivation-mode local fractional partial derivative: _d_terms on
-    the expression's map, along the variable's index."""
+    """Derivation-mode local fractional partial derivative (see _d_terms)."""
     return CanonicalExpr._of(_d_terms(as_canonical_scalar(e).terms, var_index(var)))
 
 
 def _d_terms(terms: dict, var: int) -> dict:
-    """The derivative of the clean map terms along the variable of index
-    var, a new clean map.  Each Leibniz term reaches it through
-    _accumulate, which bounds its coefficient and every sum."""
+    """d_alpha on a clean map, along the variable of index var, into a new
+    clean map; _accumulate bounds each Leibniz term's coefficient and every sum."""
     out = []  # the Leibniz terms of every input term, as (monomial, coefficient)
     for mono, coeff in terms.items():
         dsyms, powers, trig, ea, lam = mono

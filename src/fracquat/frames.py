@@ -27,27 +27,21 @@ from functools import cache
 from operator import add, sub
 from types import MappingProxyType
 
-from . import canonical
-from .canonical import CanonicalExpr, Monomial, TermBudgetError, _accumulate, _add_exponents
-from .canonical import _mul_monomials, _new, as_canonical_scalar
+from .canonical import CanonicalExpr, Monomial, _add_term_products, _new, as_canonical_scalar
 from .derivative import _d_terms, d_alpha
 from .parser import parse
 
 
 def apply_table(table, comps, seeds=None) -> tuple:
     """Per form of the table, the sum over its terms c * m * d(fk, vs) of
-    c * m times the vs-derivative of comps[k], added into a new map or, for
-    the n-th form, into the clean map seeds[n]; a term with no component
-    symbol, or with two, raises ValueError.  The partials are maps, each
-    formed once per call by _d_terms from its prefixes, shortest first, in
-    a loop (a function calling itself would be a reference cycle, keeping
-    partials alive until the cyclic collector runs).  A constant c * m
-    scales its partial; another is charged one term pair per partial term
-    and builds each product monomial here, save where both sides carry
-    trig factors: there _mul_monomials forms it, as cos^2 may split."""
+    c * m times the vs-derivative of comps[k], into a new map or the clean
+    map seeds[n] for the n-th form; a term with no component symbol, or
+    with two, raises ValueError.  Each partial map is formed once per call
+    by _d_terms from its prefixes in a loop: recursion would be a reference
+    cycle, keeping partials alive until the cyclic collector runs."""
     partials = {(k, ()): as_canonical_scalar(c).terms for k, c in enumerate(comps)}
     out = []
-    for form, acc in zip(table, seeds or [{} for _ in table]):
+    for form, acc in zip(table, seeds or [{} for _ in table], strict=True):
         for mono, c in form.terms.items():
             if len(mono.dsyms) != 1:
                 raise ValueError(f"not linear in the components: {CanonicalExpr({mono: c})}")
@@ -56,22 +50,7 @@ def apply_table(table, comps, seeds=None) -> tuple:
                 for j in range(1, len(midx) + 1):
                     if (k, midx[:j]) not in partials:
                         partials[k, midx[:j]] = _d_terms(partials[k, midx[: j - 1]], midx[j - 1])
-            d, (_, powers, trig, ea, lam) = partials[key], mono
-            if not (powers or trig or ea or lam):
-                _accumulate(acc, d.items() if c == 1 else ((m, p * c) for m, p in d.items()))
-                continue
-            if len(d) > (cap := canonical.MAX_TERM_PAIRS):
-                raise TermBudgetError(f"a product of 1 by {len(d)} terms exceeds {cap} term pairs")
-            factor, row = _new(Monomial, ((), powers, trig, ea, lam)), []
-            for m, p in d.items():
-                dsyms, q, t, e, n = m
-                if trig and t:
-                    row += [(x, c * p if s > 0 else -c * p) for x, s in _mul_monomials(factor, m)]
-                    continue
-                q = _add_exponents(powers, q) if powers and q else powers or q
-                e = _add_exponents(ea, e) if ea and e else ea or e
-                row.append((_new(Monomial, (dsyms, q, trig or t, e, lam + n)), c * p))
-            _accumulate(acc, row)
+            _add_term_products(acc, _new(Monomial, ((),) + mono[1:]), c, partials[key])
         out.append(CanonicalExpr._of(acc))
     return tuple(out)
 

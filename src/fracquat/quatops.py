@@ -159,8 +159,7 @@ _IDENTITIES = {
 
 def _residuals(name: str, forms) -> tuple:
     """The four residuals of the identity's row over a form map: outer(inner)
-    composed into maps seeded with sign * reference, one accumulation each;
-    the reference enters once, and the composition must cancel it."""
+    added into maps seeded with sign * reference, which it must cancel."""
     row = _IDENTITIES[name]
     seeds = row.reference and [
         {m: p if row.sign > 0 else -p for m, p in r.terms.items()} for r in forms[row.reference]

@@ -18,14 +18,14 @@ start with test_.
 
 import argparse
 import hashlib
-import io
 import json
 import os
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
+
+from compare_series import extract
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS, BLOCKS = (1, 2, 3, 4), 4
@@ -89,12 +89,7 @@ def main(argv=None):
             print(json.dumps([label, out]))
         return 0
     with tempfile.TemporaryDirectory() as tmp:
-        archive = subprocess.run(
-            ["git", "-C", str(ROOT), "archive", "--format=tar", args.rev, "src"],
-            capture_output=True, check=True,
-        ).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tmp)
+        extract(args.rev, "src", tmp)
         old, new = run(Path(tmp) / "src"), run(ROOT / "src")
         want, got = old.communicate()[0].splitlines(), new.communicate()[0].splitlines()
     if old.returncode or new.returncode:

@@ -41,13 +41,19 @@ def load(path, name):
     return module
 
 
-def load_revision(rev, tmp):
+def extract(rev, path, tmp):
+    """Write path (a file or directory of the repository) as it is at the
+    git revision rev under the directory tmp."""
     archive = subprocess.run(
-        ["git", "-C", str(ROOT), "archive", "--format=tar", rev, SERIES],
+        ["git", "-C", str(ROOT), "archive", "--format=tar", rev, path],
         capture_output=True, check=True,
     ).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(tmp)
+
+
+def load_revision(rev, tmp):
+    extract(rev, SERIES, tmp)
     return load(Path(tmp) / SERIES, "series_at_revision")
 
 

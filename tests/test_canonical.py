@@ -557,6 +557,14 @@ def _reference_add_products(acc: dict, a: dict, b: dict) -> dict:
             "(2 + 1i)*cosa(theta)*cosa(r)",
             False,
         ),
+        # a one-term a, its row built in place: symbols on both sides merge,
+        # powers and Ea groups add (P(r,1)*P(r,-1) drops out), cos^2 splits
+        (
+            "f1*f2",
+            "(1/2)*cosa(theta)*P(r,1)*Ea(2, r)*f1",
+            "cosa(theta)*f2 + Ea(2, r)*d(f1,r) + lam*sina(theta)*f0 + 3*P(r,-1) - 2i",
+            False,
+        ),
     ],
 )
 def test_add_products_matches_a_fraction_reference(acc, a, b, empty):
