@@ -120,47 +120,27 @@ def _add_exponents(a: tuple, b: tuple) -> tuple:
     return tuple(sorted(g + (p,) for g, p in acc.items() if p))
 
 
-def _mul_monomials(a: Monomial, b: Monomial):
-    """Product of two monomials as [(monomial, +/-1 coefficient)] pairs;
-    the Pythagorean rewrite of cos^2 may split the product in two.  The
-    powers and ea groups of two nonempty sides are read from the
-    _add_exponents cache.  When at most one side has a trig group, no
-    cos^2 can form, so the product is one monomial and takes the early
-    return."""
-    dsyms = tuple(sorted(a.dsyms + b.dsyms)) if a.dsyms and b.dsyms else a.dsyms or b.dsyms
-    p, q, e, f = a.powers, b.powers, a.ea, b.ea
-    powers = _add_exponents(p, q) if p and q else p or q
-    ea = _add_exponents(e, f) if e and f else e or f
-    lam = a.lam + b.lam
-    if not a.trig or not b.trig:
-        return ((_new(Monomial, (dsyms, powers, a.trig or b.trig, ea, lam)), 1),)
-
-    trig = {v: [m, e] for v, m, e in a.trig}
-    for v, m, e in b.trig:
+def _mul_trig(s: tuple, t: tuple) -> list:
+    """Product of two nonempty trig groups as [(trig group, +/-1 sign)].
+    The groups are built variable by variable in sorted order, so they
+    come out sorted, and cos^2 is rewritten to 1 - sin^2: each variable
+    whose cos factors meet doubles the list."""
+    trig = {v: (m, e) for v, m, e in s}
+    for v, m, e in t:
         if v in trig:
-            trig[v][0] += m
-            trig[v][1] += e
-        else:
-            trig[v] = [m, e]
-
-    # cos^2 -> 1 - sin^2, variable by variable
-    expansions = [({}, 1)]
-    for v, (m, e) in trig.items():
-        if e <= 1:
-            for tmap, _ in expansions:
-                tmap[v] = (m, e)
-            continue
-        assert e == 2
-        new = []
-        for tmap, sign in expansions:
-            new.append(({**tmap, v: (m, 0)}, sign))
-            new.append(({**tmap, v: (m + 2, 0)}, -sign))
-        expansions = new
-
-    out = []
-    for tmap, sign in expansions:
-        trig = tuple(sorted((v, m, e) for v, (m, e) in tmap.items() if m or e))
-        out.append((_new(Monomial, (dsyms, powers, trig, ea, lam)), sign))
+            m0, e0 = trig[v]
+            m, e = m0 + m, e0 + e
+        trig[v] = (m, e)
+    out = [((), 1)]
+    for v, (m, e) in sorted(trig.items()):
+        if e == 2:  # sin^m cos^2 -> sin^m - sin^(m+2); a zero power drops out
+            out = [
+                (g + ((v, k, 0),) if k else g, sign if k == m else -sign)
+                for g, sign in out
+                for k in (m, m + 2)
+            ]
+        elif m or e:
+            out = [(g + ((v, m, e),), sign) for g, sign in out]
     return out
 
 
@@ -190,10 +170,13 @@ def _refuse(na: int, nb: int):
 
 
 def _add_term_products(acc: dict, m1: Monomial, p1, b: dict) -> dict:
-    """Add p1 * m1 times the clean map b into acc, as _add_products does: a
-    constant scales b; another monomial is charged len(b) term pairs and
-    builds its row here, with _mul_monomials only where both sides carry
-    trig factors, as cos^2 may split."""
+    """Add p1 * m1 times the clean map b into acc in place, as one row: the
+    only code that multiplies two monomials.  A constant scales b and is
+    charged nothing; another monomial is charged len(b) term pairs.  Each
+    pair merges the dsyms, adds the powers and Ea groups (read from the
+    _add_exponents cache when both sides are nonempty) and the lam powers;
+    only where both sides carry trig factors does _mul_trig form the trig
+    group, and a cos^2 may split the pair in two."""
     dsyms, powers, trig, ea, lam = m1
     if not (dsyms or powers or trig or ea or lam):  # a constant: no pair to form
         return _accumulate(acc, b.items() if p1 == 1 else ((m, p * p1) for m, p in b.items()))
@@ -202,40 +185,38 @@ def _add_term_products(acc: dict, m1: Monomial, p1, b: dict) -> dict:
     row = []
     for m2, p2 in b.items():
         d, q, t, e, n = m2
-        if trig and t:
-            row += [(m, p1 * p2 if s > 0 else -p1 * p2) for m, s in _mul_monomials(m1, m2)]
-            continue
         d = tuple(sorted(dsyms + d)) if dsyms and d else dsyms or d
         q = _add_exponents(powers, q) if powers and q else powers or q
         e = _add_exponents(ea, e) if ea and e else ea or e
-        row.append((_new(Monomial, (d, q, trig or t, e, lam + n)), p1 * p2))
-    return _accumulate(acc, row)
+        if trig and t:
+            p = p1 * p2
+            row += [
+                (_new(Monomial, (d, q, g, e, lam + n)), p if s > 0 else -p)
+                for g, s in _mul_trig(trig, t)
+            ]
+        else:
+            row.append((_new(Monomial, (d, q, trig or t, e, lam + n)), p1 * p2))
+    return _accumulate(acc, row)  # one row at a time, as a list: faster than a generator
 
 
-def _add_products(acc: dict, a: dict, b: dict) -> dict:
-    """Add the product of the clean maps a and b into the map acc in place
-    (acc must be clean and shared by no expression).  The budget charges
-    one per term pair and, when both sides have more than one term, the
-    derivative symbols each pair merges.  A one-term a or constant b goes
-    to _add_term_products; else each row of products goes to _accumulate."""
+def _products(a: dict, b: dict) -> dict:
+    """The product of the clean maps a and b as a new clean map, one row
+    per term of a through _add_term_products.  A constant b swaps sides, so
+    that it scales a.  A multi-term a is charged here, once: one per term
+    pair and, when b also has more than one term, the derivative symbols
+    each pair merges."""
     if len(b) == 1 and MONOMIAL_ONE in b:
         a, b = b, a
-    if len(a) == 1:
-        ((m1, p1),) = a.items()
-        return _add_term_products(acc, m1, p1, b)
-    charge = len(a) * len(b)
-    if len(a) > 1 and len(b) > 1:
-        na, nb = sum(1 for m in a if m.dsyms), sum(1 for m in b if m.dsyms)
-        charge += nb * sum(len(m.dsyms) for m in a) + na * sum(len(m.dsyms) for m in b)
-    if charge > MAX_TERM_PAIRS:
-        _refuse(len(a), len(b))
+    if len(a) > 1:
+        charge = len(a) * len(b)
+        if len(b) > 1:
+            na, nb = sum(1 for m in a if m.dsyms), sum(1 for m in b if m.dsyms)
+            charge += nb * sum(len(m.dsyms) for m in a) + na * sum(len(m.dsyms) for m in b)
+        if charge > MAX_TERM_PAIRS:
+            _refuse(len(a), len(b))
+    acc = {}
     for m1, p1 in a.items():
-        row = [
-            (m, p1 * p2 if s > 0 else -p1 * p2)
-            for m2, p2 in b.items()
-            for m, s in _mul_monomials(m1, m2)
-        ]
-        _accumulate(acc, row)  # one row at a time, as a list: faster than a generator
+        _add_term_products(acc, m1, p1, b)
     return acc
 
 
@@ -354,7 +335,7 @@ class CanonicalExpr:
         a, b = self._terms, as_canonical_scalar(other)._terms
         if _ONE_MAP in (a, b):  # a product with 1 shares the other operand's map
             return CanonicalExpr._of(b if a == _ONE_MAP else a)
-        return CanonicalExpr._of(_add_products({}, a, b))
+        return CanonicalExpr._of(_products(a, b))
 
     __rmul__ = __mul__
 

@@ -43,8 +43,8 @@ from fracquat import canonical, cos_alpha, ml_exp, series, sin_alpha
 from fracquat.canonical import (
     MONOMIAL_ONE,
     Monomial,
-    _add_products,
-    _mul_monomials,
+    _accumulate,
+    _products,
     as_canonical_scalar,
     dsym_name,
 )
@@ -208,23 +208,23 @@ class TestPower:
     def test_power_of_a_sum_stops_at_the_term_budget(self, monkeypatch):
         # (P(r,1) + 1)^(2^k) has 2^k + 1 terms: with a budget of 100 term
         # pairs, squaring up to the 16th power forms 4 + 9 + 25 + 81 pairs,
-        # and the next square (17 * 17 = 289 pairs) is refused before it
-        # forms any
+        # one row of len(b) pairs per term of a, and the next square
+        # (17 * 17 = 289 pairs) is refused before it forms any
         monkeypatch.setattr(canonical, "MAX_TERM_PAIRS", 100)
         n, products, pairs = 1000000, [], []
-        product, mul_monomials = CanonicalExpr.__mul__, canonical._mul_monomials
+        product, add_row = CanonicalExpr.__mul__, canonical._add_term_products
 
         def counted(a, b):  # fail fast, not after n products
             products.append(1)
             assert len(products) <= 2 * n.bit_length(), "the power is multiplied out"
             return product(a, b)
 
-        def counted_pair(a, b):
-            pairs.append(1)
-            return mul_monomials(a, b)
+        def counted_row(acc, m1, p1, b):
+            pairs.extend([1] * len(b))
+            return add_row(acc, m1, p1, b)
 
         monkeypatch.setattr(CanonicalExpr, "__mul__", counted)
-        monkeypatch.setattr(canonical, "_mul_monomials", counted_pair)
+        monkeypatch.setattr(canonical, "_add_term_products", counted_row)
         with pytest.raises(TermBudgetError, match="17 by 17 terms exceeds 100 term pairs"):
             canon(f"(P(r,1) + 1)^{n}", CYL)
         assert len(pairs) == 4 + 9 + 25 + 81
@@ -273,16 +273,24 @@ class TestPower:
     @pytest.mark.parametrize("coefficient", ["P(r,-1)", "cosa(theta)"])
     def test_apply_table_charges_a_product_with_a_monomial(self, monkeypatch, coefficient):
         # a form term c*m*fk multiplies the 7 terms of fk by the monomial m:
-        # 7 term pairs, read against the budget at call time
+        # 7 term pairs, read against the budget at call time.  `*` charges
+        # them in either order: 7 by 1 for a multi-term left side, 1 by 7
+        # for the one row of a one-term left side
         f0 = canon(" + ".join(f"P(r,{n})" for n in range(1, 8)), CYL)
+        m = canon(coefficient, CYL)
         monkeypatch.setattr(canonical, "MAX_TERM_PAIRS", 5)
         with pytest.raises(TermBudgetError, match="a product of 1 by 7 terms exceeds 5 term pairs"):
             apply_table((canon(f"{coefficient}*f0", CYL),), (f0,))
+        with pytest.raises(TermBudgetError, match="^a product of 7 by 1 terms exceeds 5 term pairs$"):
+            f0 * m
+        with pytest.raises(TermBudgetError, match="^a product of 1 by 7 terms exceeds 5 term pairs$"):
+            m * f0
 
     def test_apply_table_scales_by_a_constant_without_a_charge(self, monkeypatch):
         f0 = canon(" + ".join(f"P(r,{n})" for n in range(1, 8)), CYL)
         monkeypatch.setattr(canonical, "MAX_TERM_PAIRS", 5)
         assert apply_table((canon("2*f0", CYL),), (f0,)) == (2 * f0,)
+        assert len((CanonicalExpr.const(2) * f0).terms) == len((f0 * 2).terms) == 7
 
     def test_negative_power_is_the_repeated_inverse(self):
         sin = canon("sina(theta)", CYL)
@@ -505,7 +513,7 @@ FRAME_EXPRS = st.sampled_from(tuple(FRAMES.values())).flatmap(
 )
 def test_mul_monomials_matches_the_reference(a, b):
     (m1,), (m2,) = canon(a, CYL).terms, canon(b, CYL).terms
-    assert sorted(_mul_monomials(m1, m2)) == _reference_product(m1, m2)
+    assert sorted(_products({m1: 1}, {m2: 1}).items()) == _reference_product(m1, m2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -515,7 +523,7 @@ def test_mul_monomials_early_return_matches_the_reference(drawn):
     monos = [m for text in texts for m in canon(text, frame).terms]
     for m1 in monos:
         for m2 in monos:
-            assert sorted(_mul_monomials(m1, m2)) == _reference_product(m1, m2)
+            assert sorted(_products({m1: 1}, {m2: 1}).items()) == _reference_product(m1, m2)
 
 
 def _pairs(terms: dict) -> dict:
@@ -527,12 +535,12 @@ def _pairs(terms: dict) -> dict:
 
 
 def _reference_add_products(acc: dict, a: dict, b: dict) -> dict:
-    """acc + a * b summed pair by pair in Fractions over _mul_monomials,
+    """acc + a * b summed pair by pair in Fractions over _reference_product,
     without the ring: zero coefficients dropped."""
     out = _pairs(acc)
     for m1, (x, y) in _pairs(a).items():
         for m2, (u, w) in _pairs(b).items():
-            for mono, sign in _mul_monomials(m1, m2):
+            for mono, sign in _reference_product(m1, m2):
                 re, im = out.get(mono, (0, 0))
                 out[mono] = (re + sign * (x * u - y * w), im + sign * (x * w + y * u))
     return {m: p for m, p in out.items() if any(p)}
@@ -565,11 +573,20 @@ def _reference_add_products(acc: dict, a: dict, b: dict) -> dict:
             "cosa(theta)*f2 + Ea(2, r)*d(f1,r) + lam*sina(theta)*f0 + 3*P(r,-1) - 2i",
             False,
         ),
+        # a multi-term a: its constant row scales b, its trig rows meet
+        # trig factors of b (sin*cos and sin^2 do not split; cos^2 does,
+        # and its -sin^2 part cancels a term of acc)
+        (
+            "f2 + sina(theta)^2*P(r,1)*f2",
+            "(1/2 + 1i) + cosa(theta)*P(r,1) + sina(theta)*f1",
+            "cosa(theta)*f2 - 3*sina(theta)*cosa(psi)",
+            False,
+        ),
     ],
 )
 def test_add_products_matches_a_fraction_reference(acc, a, b, empty):
     acc, a, b = (canon(text, SPHERICAL).terms for text in (acc, a, b))
-    out = _add_products(dict(acc), a, b)
+    out = _accumulate(dict(acc), _products(a, b).items())
     assert _pairs(out) == _reference_add_products(acc, a, b)
     assert all(is_stored(c) and c for c in out.values())
     assert (out == {}) == empty
@@ -585,7 +602,7 @@ def test_add_products_adds_the_product_into_the_map(drawn):
     for acc, a, b in cases:
         a, b = as_canonical_scalar(a), as_canonical_scalar(b)
         before = [list(x.terms.items()) for x in (acc, a, b)]
-        out = _add_products(dict(acc.terms), a.terms, b.terms)
+        out = _accumulate(dict(acc.terms), _products(a.terms, b.terms).items())
         assert out == (acc + a * b).terms
         assert _pairs(out) == _reference_add_products(acc.terms, a.terms, b.terms)
         assert all(is_stored(c) and c for c in out.values())
@@ -696,16 +713,16 @@ def test_monomial_hash_agrees_across_constructions():
     ea = Monomial(ea=((Z, ((0, CRat(2)),), 1),), lam=1)
     built = Monomial(powers=((R, 1),), trig=((THETA, 1, 0),))
     replaced = sin._replace(powers=((R, 1),))
-    (product, sign), = _mul_monomials(Monomial(powers=((R, 1),)), sin)
+    (product, sign), = _products({Monomial(powers=((R, 1),)): 1}, {sin: 1}).items()
     assert built == replaced == product and sign == 1
     assert hash(built) == hash(replaced) == hash(product)
     # cos^2 splits into 1 - sin^2; both parts are ordinary dict keys
-    (one, s1), (sin2, s2) = _mul_monomials(cos, cos)
+    (one, s1), (sin2, s2) = _products({cos: 1}, {cos: 1}).items()
     assert (s1, s2) == (1, -1)
     assert hash(one) == hash(MONOMIAL_ONE) and one == MONOMIAL_ONE
     assert {Monomial(trig=((THETA, 2, 0),)): 1}[sin2] == 1
     # Ea scales are separately built but equal polynomials; lam powers add
-    (ea2, _), = _mul_monomials(ea, ea)
+    (ea2, _), = _products({ea: 1}, {ea: 1}).items()
     assert ea2 == Monomial(ea=((Z, ((0, CRat(2)),), 2),), lam=2)
     assert hash(ea2) == hash(Monomial(ea=((Z, ((0, CRat(2)),), 2),), lam=2))
     for mono in (built, replaced, product, one, sin2, ea2):

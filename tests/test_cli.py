@@ -668,26 +668,23 @@ def test_any_point_ends_in_an_exit_status_and_one_line(eval_specs, drawn, alpha)
 
 
 def test_closed_stdout_ends_in_exit_1_and_one_line():
-    # `fracquat verify | head -1`: the reader takes one line and closes the
-    # pipe, so a later report meets a closed stdout.  That is exit 1 with one
-    # stderr line: not a usage error, and no traceback from the flush at
-    # shutdown.  A run that wrote every report before the close shows
-    # nothing, so it is tried again: on a 2-vCPU x86-64 VM about two runs in
-    # three finish first, so three tries missed the close one time in three.
+    # `fracquat verify | head -1`: the reader closes the pipe, so a report
+    # meets a closed stdout.  That is exit 1 with one stderr line: not a
+    # usage error, and no traceback from the flush at shutdown.  The pipe's
+    # read end is closed before the child starts, so its first write fails
+    # on every run, however fast the host.
     env = {**os.environ, "PYTHONPATH": str(Path(fracquat.__file__).parents[1])}
-    for _ in range(20):
-        proc = subprocess.Popen(
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
             [sys.executable, "-m", "fracquat", "verify"], env=env,
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
         )
-        assert proc.stdout.readline() == "PASS mt_squared cartesian (mode=derivation)\n"
-        proc.stdout.close()
-        err = proc.stderr.read()
-        proc.stderr.close()
-        if (proc.wait(timeout=60), err) != (0, ""):
-            break
-    assert proc.returncode == 1, err
-    assert err == "error: stdout was closed before the output ended\n"
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1, done.stderr
+    assert done.stderr == "error: stdout was closed before the output ended\n"
 
 
 def test_start_up_leaves_out_the_heavy_stdlib_modules():

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from fracquat import (
     CYLINDRICAL, canon, d_alpha, eval_canonical, frame_by_name, parse, substitute_lam,
 )
-from fracquat.canonical import MONOMIAL_ONE, CanonicalExpr, _accumulate, _add_products
+from fracquat.canonical import MONOMIAL_ONE, CanonicalExpr, _accumulate, _add_term_products
 from fracquat.coefficients import (
     DIGITS, LIMIT, CRat, _of, _parts, as_crat, quotient, render_crat,
 )
@@ -347,8 +347,8 @@ def test_add_products_bounds_its_int_products_and_sums():
     with pytest.raises(CoefficientLimitError, match=PAST):
         h * 2
     with pytest.raises(CoefficientLimitError, match=PAST):
-        _add_products({ONE: HALF}, {ONE: HALF}, {ONE: 1})
-    assert _add_products({ONE: HALF}, {ONE: -HALF}, {ONE: 1}) == {}
+        _add_term_products({ONE: HALF}, ONE, HALF, {ONE: 1})
+    assert _add_term_products({ONE: HALF}, ONE, -HALF, {ONE: 1}) == {}
 
 
 def test_accumulate_bounds_its_int_sums():

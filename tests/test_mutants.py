@@ -22,6 +22,8 @@ from fracquat import quatops
 from fracquat.frames import FRAMES, _HAND_TEXT, Frame, _hand_forms, apply_table
 from fracquat.parser import parse
 
+from test_operator_oracle import CASES, field, load_bench, mismatches, operator_reference
+
 HAND_FORMS = ("delta0", "laplacian", "bitsadze")
 
 
@@ -138,9 +140,6 @@ ORACLE_SURVIVORS = set()
 
 
 def test_mutants_fail_the_oracle_or_are_pinned_oracle_survivors(monkeypatch):
-    # imported here, as test_operator_oracle imports this module
-    from test_operator_oracle import CASES, field, load_bench, mismatches, operator_reference
-
     bench, references = load_bench(), {}
     fields = [(name, field(name, texts).components, texts, context)
               for name, texts, context in CASES]

@@ -8,9 +8,9 @@ match it within the bench's SYMBOLIC_RTOL.  The fields are seeded: each
 term is a coefficient times a factor in each variable, so every second
 partial of every component is generically nonzero, and one factor in
 six is a component symbol, which the oracle reads as the exponential of
-a linear form.  The oracle also kills each mutant of the hand text
-that passes every verify row.  bench/ is read, not written: its files
-are loaded by path with bytecode writing off.
+a linear form.  test_mutants judges every mutant of the frames' tables
+with the same check.  bench/ is read, not written: its files are loaded
+by path with bytecode writing off.
 """
 
 import importlib.util
@@ -23,9 +23,7 @@ from pathlib import Path
 import pytest
 
 import fracquat as fq
-from fracquat.frames import FRAMES, _HAND_TEXT, _hand_forms, apply_table
-
-from test_mutants import HAND_FORMS, SURVIVORS, hand_text_mutants
+from fracquat.frames import FRAMES
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 OPERATORS = {
@@ -142,25 +140,3 @@ def test_apply_matches_the_oracle(bench, operator, name, texts, context):
     outputs = OPERATORS[operator](field(name, texts)).components
     expected = operator_reference(bench, operator, name, texts, context)
     assert not mismatches(bench, outputs, expected, name, context)
-
-
-def test_every_verify_survivor_fails_the_oracle(bench, monkeypatch):
-    # the hand-text mutants that pass every verify row (all Cartesian
-    # Bitsadze terms, pinned in test_mutants) each give some seeded
-    # field a wrong `apply -o bitsadze`
-    cartesian = [(texts, context) for name, texts, context in CASES if name == "cartesian"]
-    references = [operator_reference(bench, "bitsadze", "cartesian", *case) for case in cartesian]
-    variables = FRAMES["cartesian"].variables
-    killed = set()
-    for name, op, k, label, mutated in hand_text_mutants():
-        key = (name, op, k, label)
-        if key not in SURVIVORS:
-            continue
-        monkeypatch.setitem(_HAND_TEXT, name, mutated)
-        form = dict(zip(HAND_FORMS, _hand_forms.__wrapped__(name, variables)))["bitsadze"]
-        for (texts, context), expected in zip(cartesian, references):
-            outputs = apply_table(form, field(name, texts).components)
-            if mismatches(bench, outputs, expected, name, context):
-                killed.add(key)
-                break
-    assert killed == SURVIVORS

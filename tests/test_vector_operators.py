@@ -14,6 +14,7 @@ from fracquat import (
     SPHERICAL,
     CanonicalExpr,
     Frame,
+    NonInvertibleDivisionError,
     QuaternionField,
     bitsadze,
     canon,
@@ -33,7 +34,7 @@ from fracquat import (
 from fracquat.expr import VARIABLES
 from fracquat.frames import _HAND_TEXT, abstract_field, apply_table
 
-from strategies import exprs, is_stored
+from strategies import exprs, is_stored, nonzero_numbers, unit_atoms
 
 FRAMES = (CARTESIAN, CYLINDRICAL, SPHERICAL)
 DERIVED = ("grad", "div", "curl", "left", "right")  # the forms every frame derives from h
@@ -111,6 +112,34 @@ def test_kernel_refuses_a_form_that_is_not_linear():
     for text in ("f1*d(f2,r)", "f1 + 1", "P(r,1)"):
         with pytest.raises(ValueError, match="not linear"):
             apply_table((canon(text, CYLINDRICAL),), f.components)
+
+
+# a drawn Lame coefficient: a nonzero constant times up to three P, sina
+# and Ea factors, so a unit monomial that the ring can divide by
+LAME_FACTORS = st.one_of(
+    unit_atoms(SPHERICAL.variables),
+    st.builds("Ea({}, {})".format, nonzero_numbers, st.sampled_from(SPHERICAL.variables)),
+)
+LAME_COEFFICIENTS = st.builds(
+    lambda c, factors: "*".join((c, *factors)), nonzero_numbers, st.lists(LAME_FACTORS, max_size=3)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(*[LAME_COEFFICIENTS] * 3))
+def test_drawn_lame_tables_pass_the_first_order_identities(lame):
+    # grad, div and curl derived from any unit-monomial table satisfy
+    # curl grad = 0 and div curl = 0 exactly: the h_i cancel in the ring
+    frame = Frame("drawn", SPHERICAL.variables, tuple(canon(text, SPHERICAL) for text in lame))
+    assert verify_identity("curl_grad", frame).passed, lame
+    assert verify_identity("div_curl", frame).passed, lame
+
+
+def test_a_lame_table_with_a_cosine_cannot_be_built():
+    # a frame divides by each h_i, and the ring inverts no cosa factor
+    lame = (1, canon("P(r,1)", SPHERICAL), canon("P(r,1)*cosa(theta)", SPHERICAL))
+    with pytest.raises(NonInvertibleDivisionError, match="^cannot divide by cosa factors$"):
+        Frame("drawn", SPHERICAL.variables, lame)
 
 
 def test_user_frame_has_first_order_tables_but_no_hand_tables():
