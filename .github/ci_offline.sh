@@ -5,7 +5,8 @@
 #   bash .github/ci_offline.sh                       # the package under src/
 #   FRACQUAT=fracquat bash .github/ci_offline.sh     # and the installed console script
 #
-# Run from the repository root; needs pytest, hypothesis and mpmath.
+# Run from the repository root, in a git checkout; needs pytest,
+# hypothesis and mpmath.
 # FRACQUAT is the command that check_installed.sh runs; when it is unset,
 # that step runs `python3 -m fracquat` on src/.  Stops at the first step
 # that fails, with its exit code.
@@ -37,6 +38,13 @@ step "Mutation gate"
 # -s prints how many planted hand-text faults pass every verify row; the
 # test fails when that set of survivors grows or shrinks
 PYTHONPATH=src python3 -m pytest -q -s tests/test_mutants.py
+
+step "Kernel outputs against HEAD"
+# runs the diff, apply and verify ops on a `git archive` of HEAD and on
+# the tree, each in its own process and so with its own string-hash seed;
+# any difference in a rendered text or a map's insertion order fails it,
+# so at HEAD it shows that neither depends on hashing
+python3 tests/compare_kernels.py HEAD
 
 step "Start-up imports"
 # -S keeps site from importing anything, so sys.modules holds only what

@@ -3,7 +3,8 @@
 A canonical expression is a finite map from monomials to coefficients.
 Coefficients are exact Gaussian rationals in their stored form (see
 coefficients): an int where the value is an integer, else a CRat, so two
-equal values are always stored alike.  A monomial carries, per
+equal values are always stored alike.  A monomial is a plain 5-tuple
+(dsyms, powers, trig, ea, lam), built by Monomial; it carries, per
 variable, a fractal exponent n (var^(n*alpha)), a trig signature
 sin^m * cos^e with e in {0,1} (cos^2 is rewritten to 1-sin^2), integer
 powers of Ea generators keyed by their scale (a lam-polynomial), a
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 from _thread import allocate_lock  # threading's own lock, without importing threading
 from cmath import isfinite
-from collections import namedtuple
 from functools import lru_cache
 from numbers import Rational
 from operator import itemgetter
@@ -64,28 +64,21 @@ from .expr import (
 from . import series as _series
 
 
-class Monomial(namedtuple("Monomial", "dsyms powers trig ea lam", defaults=((),) * 4 + (0,))):
-    """A product of generators.  Every variable is stored as its index in
-    expr.VARIABLES and every group is kept sorted, so the field order is the
-    rendering order: plain tuple order sorts the terms of a rendered sum,
-    with lam last so that monomials differing only in their lam power sort
-    together.  Equality, hashing and pickling are the tuple's.  The fields:
-    dsyms ((k, midx), ...), a multiset, midx a sorted tuple of indices;
-    powers ((var, n), ...), n != 0; trig ((var, m, e), ...), e in {0,1},
-    (m,e) != (0,0); ea ((var, scale, p), ...), p != 0, scale as _scale;
-    lam, the power of lam, >= 0."""
-
-    __slots__ = ()
-
-    def is_lam_power(self) -> bool:
-        return not (self.powers or self.trig or self.ea or self.dsyms)
-
-    def is_one(self) -> bool:
-        return self.is_lam_power() and not self.lam
+def Monomial(dsyms=(), powers=(), trig=(), ea=(), lam=0) -> tuple:
+    """A product of generators: the plain tuple (dsyms, powers, trig, ea,
+    lam), which the cyclic collector untracks once its items are all
+    untracked.  Every variable is stored as its index in expr.VARIABLES and
+    every group is kept sorted, so the field order is the rendering order:
+    plain tuple order sorts the terms of a rendered sum, with lam last so
+    that monomials differing only in their lam power sort together.  The
+    fields: dsyms ((k, midx), ...), a multiset, midx a sorted tuple of
+    indices; powers ((var, n), ...), n != 0; trig ((var, m, e), ...), e in
+    {0,1}, (m,e) != (0,0); ea ((var, scale, p), ...), p != 0, scale as
+    _scale; lam, the power of lam, >= 0."""
+    return (dsyms, powers, trig, ea, lam)
 
 
 MONOMIAL_ONE = Monomial()
-_new = tuple.__new__  # _new(Monomial, fields) skips the named tuple's Python-level __new__
 _ONE_MAP = {MONOMIAL_ONE: 1}
 MAX_TERM_PAIRS = 10**6  # term pairs one product may form
 TABLE_SIZE = 4096  # entries in one per-process table; a full table is cleared
@@ -104,9 +97,9 @@ def _store(table: dict, key, value):
 def _scale(ce) -> tuple:
     """An Ea scale: the lam-polynomial ce as (lam power, coefficient) pairs in
     ascending power; ce may hold no generator other than lam."""
-    if not all(m.is_lam_power() for m in ce.terms):
+    if any(any(m[:4]) for m in ce.terms):
         raise ExpressionError("Ea scale must normalize to a scalar coefficient")
-    return tuple(sorted((m.lam, c) for m, c in ce.terms.items()))
+    return tuple(sorted((lam, c) for (*_, lam), c in ce.terms.items()))
 
 
 # a powers group never equals an ea group (their items differ in length),
@@ -169,7 +162,7 @@ def _refuse(na: int, nb: int):
     raise TermBudgetError(f"a product of {na} by {nb} terms exceeds {MAX_TERM_PAIRS} term pairs")
 
 
-def _add_term_products(acc: dict, m1: Monomial, p1, b: dict) -> dict:
+def _add_term_products(acc: dict, m1: tuple, p1, b: dict) -> dict:
     """Add p1 * m1 times the clean map b into acc in place, as one row: the
     only code that multiplies two monomials.  A constant scales b and is
     charged nothing; another monomial is charged len(b) term pairs.  Each
@@ -191,11 +184,11 @@ def _add_term_products(acc: dict, m1: Monomial, p1, b: dict) -> dict:
         if trig and t:
             p = p1 * p2
             row += [
-                (_new(Monomial, (d, q, g, e, lam + n)), p if s > 0 else -p)
+                ((d, q, g, e, lam + n), p if s > 0 else -p)
                 for g, s in _mul_trig(trig, t)
             ]
         else:
-            row.append((_new(Monomial, (d, q, trig or t, e, lam + n)), p1 * p2))
+            row.append(((d, q, trig or t, e, lam + n), p1 * p2))
     return _accumulate(acc, row)  # one row at a time, as a list: faster than a generator
 
 
@@ -210,8 +203,8 @@ def _products(a: dict, b: dict) -> dict:
     if len(a) > 1:
         charge = len(a) * len(b)
         if len(b) > 1:
-            na, nb = sum(1 for m in a if m.dsyms), sum(1 for m in b if m.dsyms)
-            charge += nb * sum(len(m.dsyms) for m in a) + na * sum(len(m.dsyms) for m in b)
+            na, nb = sum(1 for d, *_ in a if d), sum(1 for d, *_ in b if d)
+            charge += nb * sum(len(d) for d, *_ in a) + na * sum(len(d) for d, *_ in b)
         if charge > MAX_TERM_PAIRS:
             _refuse(len(a), len(b))
     acc = {}
@@ -369,17 +362,17 @@ class CanonicalExpr:
             raise NonInvertibleDivisionError(
                 f"divisor is not a single monomial: {render_canonical(self)}"
             )
-        mono, coeff = next(iter(self._terms.items()))
-        if mono.dsyms:
+        (dsyms, powers, trig, ea, lam), coeff = next(iter(self._terms.items()))
+        if dsyms:
             raise NonInvertibleDivisionError("cannot divide by abstract component symbols")
-        if any(e for _, _, e in mono.trig):
+        if any(e for _, _, e in trig):
             raise NonInvertibleDivisionError("cannot divide by cosa factors")
-        if mono.lam:
+        if lam:
             raise NonInvertibleDivisionError("cannot divide by lam factors")
         inv_mono = Monomial(
-            powers=tuple((v, -n) for v, n in mono.powers),
-            trig=tuple((v, -m, 0) for v, m, _ in mono.trig),
-            ea=tuple((v, s, -p) for v, s, p in mono.ea),
+            powers=tuple((v, -n) for v, n in powers),
+            trig=tuple((v, -m, 0) for v, m, _ in trig),
+            ea=tuple((v, s, -p) for v, s, p in ea),
         )
         return CanonicalExpr({inv_mono: quotient(1, coeff)})
 
@@ -405,9 +398,9 @@ def substitute_lam(ce, c) -> CanonicalExpr:
     power of c is formed by squaring: lam^1000000000 at 2 stops at the bound
     after a few squarings), and Ea factors whose scales become equal merge."""
     c, acc = CanonicalExpr.const(c), {}
-    for mono, coeff in as_canonical_scalar(ce).terms.items():
-        term = CanonicalExpr._of({mono._replace(ea=(), lam=0): coeff}) * c**mono.lam
-        for v, scale, p in mono.ea:
+    for (dsyms, powers, trig, ea, lam), coeff in as_canonical_scalar(ce).terms.items():
+        term = CanonicalExpr._of({(dsyms, powers, trig, (), 0): coeff}) * c**lam
+        for v, scale, p in ea:
             s = sum((c**k * a for k, a in scale), CanonicalExpr.zero())
             term = term * CanonicalExpr.ea_power(VARIABLES[v], _scale(s), p)
         _accumulate(acc, term.terms.items())
@@ -493,10 +486,10 @@ def render_canonical(ce: CanonicalExpr) -> str:
             if dsyms:
                 pieces.append(get(dsyms) or group_text(dsyms, _dsym_text))
             body = "*".join(pieces)
-            if i < n and items[i][0].lam and items[i][0][:4] == mono[:4]:  # a lam group
+            if i < n and items[i][0][4] and items[i][0][:4] == mono[:4]:  # a lam group
                 poly = [(lam, c)]
                 while i < n and items[i][0][:4] == mono[:4]:
-                    poly.append((items[i][0].lam, items[i][1]))
+                    poly.append((items[i][0][4], items[i][1]))
                     i += 1
                 coeff = render_poly(poly)
                 out += (" + ", f"({coeff})*{body}" if body else coeff)
@@ -586,29 +579,29 @@ def eval_canonical(
         return args[v]
 
     total = 0j
-    for mono, coeff in ce.terms.items():
-        if mono.lam or mono.ea and any(s[-1][0] for _, s, _ in mono.ea):  # s[-1]: top lam power
+    for (dsyms, powers, trig, ea, lam), coeff in ce.terms.items():
+        if lam or ea and any(s[-1][0] for _, s, _ in ea):  # s[-1]: top lam power
             raise UnboundSymbolError("expression contains lam but no lam value was given")
         gen = None  # the factor formed: the coefficient, then each generator power
         try:
             value = complex(coeff)
-            for gen in mono.powers:
+            for gen in powers:
                 v = VARIABLES[gen[0]]
                 value *= arg(v) ** gen[1]
-            for gen in mono.trig:
+            for gen in trig:
                 i, m, e = gen
                 u = arg(VARIABLES[i])
                 if m:
                     value *= series("sin_alpha", u, (i, 1, 0)) ** m
                 if e:
                     value *= series("cos_alpha", u, (i, 0, 1))
-            for gen in mono.ea:
+            for gen in ea:
                 i, s, p = gen
                 u = complex(s[0][1]) * arg(VARIABLES[i])
                 value *= series("ml_exp", u, (i, s, 1)) ** p
         except (OverflowError, ZeroDivisionError):  # 0 to a negative power included
             raise _not_finite(gen, point) from None
-        for k, midx in mono.dsyms:
+        for k, midx in dsyms:
             name = dsym_name(k, midx)
             if name not in bindings:
                 raise UnboundSymbolError(f"no binding for component symbol {name}")

@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from .canonical import CanonicalExpr, eval_canonical, render_canonical, substitute_lam
+from .canonical import MONOMIAL_ONE, CanonicalExpr, eval_canonical, render_canonical, substitute_lam
 from .derivative import DerivativeMode, differentiate
 from .expr import COMPONENT_NAMES, ExpressionError
 from .frames import FRAMES, QuaternionField, frame_by_name
@@ -83,7 +83,7 @@ def _parse_lambda(raw):
     if raw is None or raw == FORMAL:
         return FORMAL
     ce = _spec_value(raw, "lambda", ())
-    if not all(m.is_one() for m in ce.terms):
+    if not ce.terms.keys() <= {MONOMIAL_ONE}:
         raise SpecError(f"lambda must be a complex constant or 'formal', got {raw!r}")
     return ce.constant_coefficient()
 

@@ -18,7 +18,7 @@ Gamma-normalized power shift give different answers for the derivative of
 
 A derivation-mode derivative keeps the variable of the factor it acts on,
 so d_alpha edits that factor in place: the group stays sorted and only
-the tuple around it is rebuilt.  A component symbol's multi-index gains
+the monomial's plain tuple around it is rebuilt.  A component symbol's multi-index gains
 the variable at its end, and is sorted again only when an index in it
 is later; only a group of two or more derivative symbols is sorted
 again.
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 
-from .canonical import CanonicalExpr, Monomial, _accumulate, _new, as_canonical_scalar
+from .canonical import CanonicalExpr, Monomial, _accumulate, as_canonical_scalar
 from .expr import ExpressionError, var_index
 
 
@@ -56,33 +56,33 @@ def _d_terms(terms: dict, var: int) -> dict:
             if v == var:
                 head, tail = powers[:j], powers[j + 1 :]
                 group = head + ((v, n - 1),) + tail if n != 1 else head + tail
-                out.append((_new(Monomial, (dsyms, group, trig, ea, lam)), coeff * n))
+                out.append(((dsyms, group, trig, ea, lam), coeff * n))
         for j, (v, m, cos) in enumerate(trig):
             if v != var:
                 continue
             head, tail = trig[:j], trig[j + 1 :]
             if not cos:  # (sin^m)' = m sin^(m-1) cos
                 group = head + ((v, m - 1, 1),) + tail
-                out.append((_new(Monomial, (dsyms, powers, group, ea, lam)), coeff * m))
+                out.append(((dsyms, powers, group, ea, lam), coeff * m))
                 continue
             # (sin^m cos)' = m sin^(m-1) cos^2 - sin^(m+1)
             #              = m sin^(m-1) - (m+1) sin^(m+1)   after cos^2 -> 1-sin^2
             if m:
                 group = head + ((v, m - 1, 0),) + tail if m != 1 else head + tail
-                out.append((_new(Monomial, (dsyms, powers, group, ea, lam)), coeff * m))
+                out.append(((dsyms, powers, group, ea, lam), coeff * m))
             if m != -1:  # at m = -1 the second term's factor is zero
                 group = head + ((v, m + 1, 0),) + tail
-                out.append((_new(Monomial, (dsyms, powers, group, ea, lam)), coeff * -(m + 1)))
+                out.append(((dsyms, powers, group, ea, lam), coeff * -(m + 1)))
         for v, scale, p in ea:
             if v == var:  # D[Ea(s, v)^p] = p*s*Ea(s, v)^p, one term per lam power of s
                 for k, c in scale:
-                    bumped = _new(Monomial, (dsyms, powers, trig, ea, lam + k)) if k else mono
+                    bumped = (dsyms, powers, trig, ea, lam + k) if k else mono
                     out.append((bumped, coeff * (c * p)))
         for j, (k, midx) in enumerate(dsyms):
             midx = midx + (var,) if not midx or midx[-1] <= var else tuple(sorted(midx + (var,)))
             group = dsyms[:j] + ((k, midx),) + dsyms[j + 1 :]
             group = tuple(sorted(group)) if len(group) > 1 else group
-            out.append((_new(Monomial, (group, powers, trig, ea, lam)), coeff))
+            out.append(((group, powers, trig, ea, lam), coeff))
     return _accumulate({}, out)
 
 
@@ -108,21 +108,22 @@ def jpoly_coefficients(e, var: str) -> list:
     ce = as_canonical_scalar(e)
     coeffs = {}
     for mono, coeff in ce.terms.items():
-        if mono.trig or mono.ea or mono.dsyms:
+        dsyms, powers, trig, ea, lam = mono
+        if trig or ea or dsyms:
             raise ModeViolationError(
                 "gamma mode handles only linear combinations over the J-basis; "
                 f"got generator product {CanonicalExpr({mono: 1})}"
             )
         n = 0
-        if mono.powers:
-            if len(mono.powers) > 1 or mono.powers[0][0] != v:
+        if powers:
+            if len(powers) > 1 or powers[0][0] != v:
                 raise ModeViolationError(
                     f"gamma mode input must be a polynomial in {var!r} alone"
                 )
-            n = mono.powers[0][1]
+            n = powers[0][1]
             if n < 0:
                 raise ModeViolationError("gamma mode input has a negative power (a quotient)")
-        coeffs.setdefault(n, {})[Monomial(lam=mono.lam)] = coeff
+        coeffs.setdefault(n, {})[Monomial(lam=lam)] = coeff
     out = [CanonicalExpr.zero() for _ in range(max(coeffs, default=0) + 1)]
     for n, c in coeffs.items():
         out[n] = CanonicalExpr._of(c)
@@ -134,8 +135,8 @@ def d_alpha_gamma(e, var: str) -> CanonicalExpr:
     normalized monomials of var, with J_0 -> 0."""
     coeffs, v = jpoly_coefficients(e, var), var_index(var)
     return CanonicalExpr._of(
-        {m._replace(powers=((v, n),) if n else ()): c
-         for n, ce in enumerate(coeffs[1:]) for m, c in ce.terms.items()}
+        {Monomial(powers=((v, n),) if n else (), lam=lam): c
+         for n, ce in enumerate(coeffs[1:]) for (*_, lam), c in ce.terms.items()}
     )
 
 

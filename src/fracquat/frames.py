@@ -27,7 +27,7 @@ from functools import cache
 from operator import add, sub
 from types import MappingProxyType
 
-from .canonical import CanonicalExpr, Monomial, _add_term_products, _new, as_canonical_scalar
+from .canonical import CanonicalExpr, _add_term_products, as_canonical_scalar
 from .derivative import _d_terms, d_alpha
 from .parser import parse
 
@@ -43,14 +43,15 @@ def apply_table(table, comps, seeds=None) -> tuple:
     out = []
     for form, acc in zip(table, seeds or [{} for _ in table], strict=True):
         for mono, c in form.terms.items():
-            if len(mono.dsyms) != 1:
+            dsyms, powers, trig, ea, lam = mono
+            if len(dsyms) != 1:
                 raise ValueError(f"not linear in the components: {CanonicalExpr({mono: c})}")
-            k, midx = key = mono.dsyms[0]
+            k, midx = key = dsyms[0]
             if key not in partials:
                 for j in range(1, len(midx) + 1):
                     if (k, midx[:j]) not in partials:
                         partials[k, midx[:j]] = _d_terms(partials[k, midx[: j - 1]], midx[j - 1])
-            _add_term_products(acc, _new(Monomial, ((),) + mono[1:]), c, partials[key])
+            _add_term_products(acc, ((), powers, trig, ea, lam), c, partials[key])
         out.append(CanonicalExpr._of(acc))
     return tuple(out)
 

@@ -30,13 +30,13 @@ ParseError and its position are as a fresh reading gives them.
 
 A term is read into one record, the exponent of each generator and one
 int or CRat coefficient, formed by the ring's * and quotient, which also
-takes a constant in parentheses; its monomial is formed once, at the end
-of the term.  Only another factor in parentheses, a power of a number or
-of cosa, and a cos power past 1 take ring products.  Sums and products
-are loops, so only nesting recurses; the input limits below keep both
-the work and the recursion bounded, and going past one raises
-ParseError, as does a coefficient, or a literal's own value, past the
-ring's coefficients.LIMIT.
+takes a constant in parentheses; its monomial, a plain tuple, is formed
+once, at the end of the term.  Only another factor in parentheses, a
+power of a number or of cosa, and a cos power past 1 take ring
+products.  Sums and products are loops, so only nesting recurses; the
+input limits below keep both the work and the recursion bounded, and
+going past one raises ParseError, as does a coefficient, or a literal's
+own value, past the ring's coefficients.LIMIT.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
-from .canonical import MONOMIAL_ONE, CanonicalExpr, Monomial, _accumulate, _new, _scale, _store
+from .canonical import MONOMIAL_ONE, CanonicalExpr, _accumulate, _scale, _store
 from .coefficients import DIGITS, _of, quotient
 from .expr import _VAR_INDEX, COMPONENT_NAMES, CoefficientLimitError, ParseError, VARIABLES
 
@@ -136,13 +136,13 @@ def _terms(gens: dict, coeff) -> dict:
             trig.setdefault(key[1], [0, 0])[tag == "cosa"] = p
     sig = [(v, m, c & 1) for v, (m, c) in trig.items() if m or c & 1] if trig else ()
     # only a group of two or more needs sorting
-    out = {_new(Monomial, (
+    out = {(
         tuple(sorted(dsyms) if len(dsyms) > 1 else dsyms),
         tuple(sorted(powers) if len(powers) > 1 else powers),
         tuple(sorted(sig) if len(sig) > 1 else sig),
         tuple(sorted(ea) if len(ea) > 1 else ea),
         lam,
-    )): coeff}
+    ): coeff}
     for v, (_, c) in trig.items():
         if c > 1:  # cos^2j, which the ring rewrites to (1 - sin^2)^j
             cos = CanonicalExpr.trig(VARIABLES[v], "cos") ** (c & ~1)
@@ -226,7 +226,7 @@ class _Parser:
                 ) and not (key[0] not in _NOT_UNITS if key else base):  # not a unit
                     atom = CanonicalExpr._of(_terms({key: n} if key else {}, base))
             if type(atom) is CanonicalExpr:
-                if k > MAX_FACTORS and len(atom.terms) == 1 and next(iter(atom.terms)).dsyms:
+                if k > MAX_FACTORS and len(atom.terms) == 1 and next(iter(atom.terms))[0]:  # dsyms
                     raise self.error(f"a power of component symbols is past {MAX_FACTORS}", caret)
                 if k != 1:
                     self.where = caret

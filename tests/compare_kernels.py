@@ -9,11 +9,11 @@ Each process runs the same ops: the `symbolic` workload's requests
 bench/worker.py runs them) and every report of the verification matrix.
 Per `diff` or `apply` op it records the error type and text if the op
 raises, else the rendered text and a digest of the map's items in
-insertion order of each output; per report, its to_dict().  Any
-difference is a mismatch.  Prints the op and mismatch counts, and exits
-1 on any mismatch.  bench/ is read, not written: it is put on sys.path
-with bytecode writing off.  Not collected by pytest: its name does not
-start with test_.
+insertion order of each output, each monomial taken as a plain tuple;
+per report, its to_dict().  Any difference is a mismatch.  Prints the op
+and mismatch counts, and exits 1 on any mismatch.  bench/ is read, not
+written: it is put on sys.path with bytecode writing off.  Not collected
+by pytest: its name does not start with test_.
 """
 
 import argparse
@@ -47,7 +47,9 @@ def outputs():
     }
 
     def seen(ce):
-        order = hashlib.sha256(repr(list(ce.terms.items())).encode()).hexdigest()
+        # each key as a plain tuple, so that a tuple subclass digests like its fields
+        items = [(tuple(m), p) for m, p in ce.terms.items()]
+        order = hashlib.sha256(repr(items).encode()).hexdigest()
         return [fq.render_canonical(ce), order]
 
     for seed in SEEDS:

@@ -17,18 +17,19 @@ from fracquat.coefficients import render_poly
 from fracquat.expr import VARIABLES, var_index
 
 
-def _render_monomial(mono: Monomial) -> str:
+def _render_monomial(mono: tuple) -> str:
+    dsyms, powers, trig, ea, _ = mono
     pieces = []
-    for v, n in mono.powers:
+    for v, n in powers:
         pieces.append(f"P({VARIABLES[v]},{n})")
-    for v, m, e in mono.trig:
+    for v, m, e in trig:
         if m:
             pieces.append(f"sina({VARIABLES[v]})" + (f"^{m}" if m != 1 else ""))
         if e:
             pieces.append(f"cosa({VARIABLES[v]})")
-    for v, s, p in mono.ea:
+    for v, s, p in ea:
         pieces.append(f"Ea({render_poly(s)}, {VARIABLES[v]})" + (f"^{p}" if p != 1 else ""))
-    for k, midx in mono.dsyms:
+    for k, midx in dsyms:
         pieces.append(dsym_name(k, midx))
     return "*".join(pieces)
 
@@ -38,7 +39,7 @@ def _lam_groups(ce: CanonicalExpr):
     rendering order; the polynomial is (lam power, int or CRat) pairs."""
     for _, group in groupby(sorted(ce.terms), key=lambda m: m[:4]):
         group = list(group)
-        yield group[0], tuple((m.lam, ce.terms[m]) for m in group)
+        yield group[0], tuple((m[4], ce.terms[m]) for m in group)  # m[4]: the lam power
 
 
 def _split_sign(poly: tuple):
@@ -66,27 +67,30 @@ def render_canonical(ce: CanonicalExpr) -> str:
     return "".join(out)
 
 
-def _with_power(mono: Monomial, var: int, n: int) -> Monomial:
-    powers = tuple(t for t in mono.powers if t[0] != var)
+def _with_power(mono: tuple, var: int, n: int) -> tuple:
+    dsyms, powers, trig, ea, lam = mono
+    powers = tuple(t for t in powers if t[0] != var)
     if n:
         powers = tuple(sorted(powers + ((var, n),)))
-    return Monomial(mono.dsyms, powers, mono.trig, mono.ea, mono.lam)
+    return Monomial(dsyms, powers, trig, ea, lam)
 
 
-def _with_trig(mono: Monomial, var: int, m: int, e: int) -> Monomial:
-    trig = tuple(t for t in mono.trig if t[0] != var)
+def _with_trig(mono: tuple, var: int, m: int, e: int) -> tuple:
+    dsyms, powers, trig, ea, lam = mono
+    trig = tuple(t for t in trig if t[0] != var)
     if m or e:
         trig = tuple(sorted(trig + ((var, m, e),)))
-    return Monomial(mono.dsyms, mono.powers, trig, mono.ea, mono.lam)
+    return Monomial(dsyms, powers, trig, ea, lam)
 
 
-def _diff_monomial(mono: Monomial, var: int):
+def _diff_monomial(mono: tuple, var: int):
     """Leibniz rule across the factor groups of one monomial, as
     (monomial, int or CRat factor) pairs; a factor may be zero."""
-    for v, n in mono.powers:
+    dsyms, powers, trig, ea, lam = mono
+    for v, n in powers:
         if v == var:
             yield _with_power(mono, var, n - 1), n
-    for v, m, e in mono.trig:
+    for v, m, e in trig:
         if v != var:
             continue
         if e == 0:
@@ -95,14 +99,14 @@ def _diff_monomial(mono: Monomial, var: int):
             if m:
                 yield _with_trig(mono, var, m - 1, 0), m
             yield _with_trig(mono, var, m + 1, 0), -(m + 1)
-    for v, scale, p in mono.ea:
+    for v, scale, p in ea:
         if v == var:
             for k, c in scale:
-                yield Monomial(mono.dsyms, mono.powers, mono.trig, mono.ea, mono.lam + k), p * c
-    for i, (k, midx) in enumerate(mono.dsyms):
+                yield Monomial(dsyms, powers, trig, ea, lam + k), p * c
+    for i, (k, midx) in enumerate(dsyms):
         bumped = (k, tuple(sorted(midx + (var,))))
-        dsyms = tuple(sorted(mono.dsyms[:i] + (bumped,) + mono.dsyms[i + 1 :]))
-        yield Monomial(dsyms, mono.powers, mono.trig, mono.ea, mono.lam), 1
+        group = tuple(sorted(dsyms[:i] + (bumped,) + dsyms[i + 1 :]))
+        yield Monomial(group, powers, trig, ea, lam), 1
 
 
 def d_alpha(e, var: str) -> CanonicalExpr:
@@ -129,11 +133,11 @@ def apply_table(table, comps) -> tuple:
     out = []
     for form in table:
         total = CanonicalExpr.zero()
-        for mono, c in form.terms.items():
-            ((k, midx),) = mono.dsyms
+        for (dsyms, *rest), c in form.terms.items():
+            ((k, midx),) = dsyms
             partial = as_canonical_scalar(comps[k])
             for v in midx:
                 partial = d_alpha(partial, VARIABLES[v])
-            total = total + CanonicalExpr({mono._replace(dsyms=()): c}) * partial
+            total = total + CanonicalExpr({Monomial((), *rest): c}) * partial
         out.append(total)
     return tuple(out)

@@ -863,8 +863,8 @@ def test_component_power_past_max_factors_is_a_parse_error(text, position):
 
 
 def test_component_powers_within_max_factors_are_unchanged():
-    (mono,) = parse(f"f1^{MAX_FACTORS}", CYLINDRICAL).terms
-    assert mono.dsyms == ((1, ()),) * MAX_FACTORS
+    ((dsyms, *_),) = parse(f"f1^{MAX_FACTORS}", CYLINDRICAL).terms
+    assert dsyms == ((1, ()),) * MAX_FACTORS
     assert parse("(2*f1)^3", CYLINDRICAL) == 8 * C.component(1) ** 3
     # a negative power is still refused by the inverse
     with pytest.raises(NonInvertibleDivisionError):

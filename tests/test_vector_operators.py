@@ -14,6 +14,7 @@ from fracquat import (
     SPHERICAL,
     CanonicalExpr,
     Frame,
+    Monomial,
     NonInvertibleDivisionError,
     QuaternionField,
     bitsadze,
@@ -75,8 +76,8 @@ class TestLameTable:
         )
         # every derived term is +-1 times a derivative of one component: no connection
         terms = [t for op in DERIVED for x in CARTESIAN.forms[op] for t in x.terms.items()]
-        assert all(c in (1, -1) and m._replace(dsyms=()).is_one() for m, c in terms)
-        assert all(len(m.dsyms) == 1 and m.dsyms[0][1] for m, _ in terms)
+        assert all(c in (1, -1) and not any(rest) for (_, *rest), c in terms)
+        assert all(len(dsyms) == 1 and dsyms[0][1] for (dsyms, *_), _ in terms)
 
 
 @pytest.mark.parametrize("frame", FRAMES, ids=lambda f: f.name)
@@ -423,12 +424,12 @@ def _reference_form(form, comps):
     """The form with each d(fk, vs) replaced by comps[k] differentiated by
     d_alpha in each of vs, summed by ring operations, without the kernel."""
     out = CanonicalExpr.zero()
-    for mono, c in form.terms.items():
-        ((k, midx),) = mono.dsyms
+    for (dsyms, *rest), c in form.terms.items():
+        ((k, midx),) = dsyms
         d = comps[k]
         for v in midx:
             d = d_alpha(d, VARIABLES[v])
-        out = out + CanonicalExpr({mono._replace(dsyms=()): c}) * d
+        out = out + CanonicalExpr({Monomial((), *rest): c}) * d
     return out
 
 
