@@ -10,18 +10,17 @@ denominators:
 
 At alpha=1 these reduce to exp, sin and cos, which the tests use as the
 classical oracle.  alpha=1 is admitted although the fractal setting has
-0 < alpha < 1.  A sum whose terms cannot fall below tol within the term
-budget is refused before any term is summed: the term magnitudes are
-log-concave in k, so the smallest lies at one end of the budget, and
-both ends are known in closed form from two lgammas.  Every call reads
-one plan per (alpha, kind, tol): those two lgammas, the floor that both
-shortcuts use, the Gamma ratios and a threshold tuple.  The terms above
-that floor, terms 1..b, are too large to end the sum; they are found in
-closed form by one bisect of log|u| in that tuple, and all but the last
-are summed without the stopping test, to the same doubles.  The module
-holds only this summation kernel; the truncated J-basis series and the
-limit-quotient derivative that the tests compare the symbolic derivative
-against live in tests/oracles.py.
+0 < alpha < 1.  tol lies in (0, 1/2), so the floor log(2*tol) is below
+zero, and the terms above it in closed form are terms 1..b for one b,
+found by one bisect of log|u| in a threshold tuple.  A sum whose term
+budget ends above that floor cannot fall below tol, and is refused
+before any term is summed.  Every call reads one plan per (alpha, kind,
+tol): the lgamma of the last term, the floor, the Gamma ratios and the
+threshold tuple.  Terms 1..b are too large to end the sum; all but the
+last are summed without the stopping test, to the same doubles.  The
+module holds only this summation kernel; the truncated J-basis series
+and the limit-quotient derivative that the tests compare the symbolic
+derivative against live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -52,8 +51,8 @@ def validate_alpha(alpha: float) -> float:
 
 
 def validate_tol(tol: float) -> float:
-    if not 0.0 < tol < math.inf:  # also false for nan
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if not 0.0 < tol < 0.5:  # also false for nan
+        raise ValueError(f"tol must lie in (0, 0.5), got {tol}")
     return tol
 
 
@@ -63,11 +62,6 @@ _SERIES = {
     "sina": ("sin_alpha", 1, 2, True),
     "cosa": ("cos_alpha", 0, 2, True),
 }
-
-# a term above e^709 counts as overflowed: |u|^k / Gamma(1+k*alpha) is
-# unimodal in k and can pass e^709 only before a peak at k > 709, so such
-# a sum cannot settle within MAX_SERIES_TERMS
-_MAX_TERM = math.exp(709.0)
 
 # a refusal, and the skip, are decided on terms above e^-700 only: those
 # are normal doubles, so the summed terms track their closed form to about
@@ -79,27 +73,26 @@ _LOG_REFUSAL_FLOOR = -700.0
 # thresholds hold about 2 MB; past that the least recently used is dropped
 @functools.lru_cache(maxsize=64)
 def _plan(alpha, kind, tol):
-    """(Gamma(1 + p_0*alpha), ratios, thresholds, lg_1, lg_499, floor), all
+    """(Gamma(1 + p_0*alpha), ratios, thresholds, lg_499, floor), all
     formed from one list of lg_i = lgamma(1 + p_i*alpha), p_i = p_0 +
-    i*step, i = 0..499, which is not kept.  floor = max(log(2*tol), -700).
-    Terms 1 and 499 are the first and last that the stopping rule tests: a
-    refusal compares their closed-form log magnitudes p_k*log|u| - lg_k
-    with floor.  ratios[i] = exp(lg_i - lg_(i+1)), so a term formed from it
-    is the double the per-term lgamma recurrence formed.  thresholds[k-1] =
-    (floor + lg_k) / p_k: term k's closed-form log magnitude exceeds floor
-    exactly when log|u| > thresholds[k-1].  With floor < 0 they strictly
-    increase, since (floor + lgamma(1 + p*alpha)) / p has the derivative
-    (p*g' - g - floor) / p^2 > 0 for the convex g(p) = lgamma(1 + p*alpha)
-    with g(0) = 0; so the terms above floor are terms 1..b with b =
-    bisect_left(thresholds, log|u|).  Empty when floor >= 0, i.e. tol >=
-    1/2: no term is skipped."""
+    i*step, i = 0..499, which is not kept.  floor = max(log(2*tol), -700),
+    below 0 since tol < 1/2.  Term 499 is the last that the stopping rule
+    tests: a refusal compares its closed-form log magnitude p_499*log|u| -
+    lg_499 with floor.  ratios[i] = exp(lg_i - lg_(i+1)), so a term formed
+    from it is the double the per-term lgamma recurrence formed.
+    thresholds[k-1] = (floor + lg_k) / p_k: term k's closed-form log
+    magnitude exceeds floor exactly when log|u| > thresholds[k-1].  They
+    strictly increase, since (floor + lgamma(1 + p*alpha)) / p has the
+    derivative (p*g' - g - floor) / p^2 > 0 for the convex g(p) =
+    lgamma(1 + p*alpha) with g(0) = 0 and floor < 0; so the terms above
+    floor are terms 1..b with b = bisect_left(thresholds, log|u|)."""
     _, power, step, _ = _SERIES[kind]
     powers = range(power, power + MAX_SERIES_TERMS * step, step)
     lg = [math.lgamma(1.0 + p * alpha) for p in powers]
     ratios = tuple(math.exp(a - b) for a, b in zip(lg, lg[1:]))
     floor = max(math.log(2.0 * tol), _LOG_REFUSAL_FLOOR)
-    thresholds = tuple((floor + g) / p for g, p in zip(lg[1:], powers[1:])) if floor < 0 else ()
-    return math.gamma(1.0 + power * alpha), ratios, thresholds, lg[1], lg[-1], floor
+    thresholds = tuple((floor + g) / p for g, p in zip(lg[1:], powers[1:]))
+    return math.gamma(1.0 + power * alpha), ratios, thresholds, lg[-1], floor
 
 
 def _sum_series(kind, alpha, u, tol):
@@ -116,31 +109,28 @@ def _sum_series(kind, alpha, u, tol):
     once the terms are decreasing and the geometric tail bound
     next/(1-rho), with rho the observed term ratio, falls below tol (the
     Gamma denominators make the ratios eventually decreasing, so the
-    bound dominates the true tail).  An overflowed term or modulus ends
-    the sum with last term magnitude inf.  Returns (value, terms summed);
-    a non-convergence error of the loop names the terms summed, 0 when
-    the first term's modulus overflows.
+    bound dominates the true tail).  Returns (value, terms summed); a
+    non-convergence error of the loop names the 499 terms summed.
 
-    Every call takes log|u| once.  Before summing, the sum is refused
-    when it cannot stop: term k has magnitude exp(p_k*log|u| - lgamma(1 +
-    p_k*alpha)), concave in k in the log since lgamma is convex, so terms
-    1..MAX_SERIES_TERMS - 1 are all at least the smaller of the two ends.
-    When both ends exceed 2*tol (and e^-700), no term can pass the tail
-    test, and the loop would raise.  The refusal names the budget and the
-    closed-form magnitude of its last term, inf past e^709.  It costs two
-    multiplies, and reads both ends' lgammas and its floor from the plan.
+    Every call takes log|u| once.  Term k has the closed-form log
+    magnitude p_k*log|u| - lgamma(1 + p_k*alpha), above the plan's floor
+    exactly when log|u| passes its threshold; the thresholds increase, so
+    the terms above the floor are terms 1..b.  A term above the floor is
+    at least twice tol (and e^-700) in closed form, so, formed to about
+    1e-12, it cannot pass the tail test.  When term 499 is above the
+    floor, every term is, and the loop would raise: the sum is refused
+    before summing, with the budget and the closed-form magnitude of term
+    499, inf past e^709.  That costs one multiply, and reads term 499's
+    lgamma and the floor from the plan; an |u| that abs() cannot hold
+    counts as inf.  Past the refusal, term 499 is at most the floor; that
+    bounds log|u| by lg_499 / p_499, and then every term 1..499 is below
+    e^370 in closed form, so no term the loop forms can overflow, raise
+    in abs() or turn nan.
 
-    The skip reads the same floor.  A term above it is at least twice tol
-    in closed form, so, formed to about 1e-12, it cannot pass the tail
-    test.  The terms 1..b above it, found by one bisect of log|u| in the
-    plan's threshold tuple, need no test: terms 1..b-1 are formed and
-    summed in a bare loop, the same float operations in the same order,
-    and the loop with the test takes over at term b with no term before it
-    on record, which is exact since term b cannot pass the test either.  A
-    call that skips has term 1 above the floor, so past the refusal its
-    term 499 is at most the floor; that bounds log|u| by lg_499 / p_499,
-    and then every term 1..499 is below e^370 in closed form, so no
-    skipped term can overflow, raise in abs() or turn nan.  So every call
+    Terms 1..b need no test: terms 1..b-1 are formed and summed in a bare
+    loop, the same float operations in the same order, and the loop with
+    the test takes over at term b with no term before it on record, which
+    is exact since term b cannot pass the test either.  So every call
     returns or raises bit for bit as the loop with a test at every term.
     """
     label, power, step, alternating = _SERIES[kind]
@@ -151,9 +141,9 @@ def _sum_series(kind, alpha, u, tol):
     except OverflowError:  # a complex u whose parts are finite, its modulus not
         modulus = math.inf
     log_u = math.log(modulus)
-    gamma0, ratios, thresholds, lg_first, lg_last, floor = _plan(alpha, kind, tol)
+    gamma0, ratios, thresholds, lg_last, floor = _plan(alpha, kind, tol)
     last = (power + _BUDGET * step) * log_u - lg_last
-    if last > floor and (power + step) * log_u - lg_first > floor:
+    if last > floor:
         mag = math.exp(last) if last <= 709.0 else math.inf
         raise SeriesConvergenceError(
             f"{label} did not converge to tol={tol} within the {_BUDGET}-term budget "
@@ -162,8 +152,6 @@ def _sum_series(kind, alpha, u, tol):
         )
     # terms 1..b-1 are summed without the test
     summed = max(bisect.bisect_left(thresholds, log_u) - 1, 0)
-    # u * u rather than u**2: a product past the double range is inf,
-    # where ** raises OverflowError
     z = u * u if step == 2 else u
     if alternating:
         z = -z
@@ -174,21 +162,15 @@ def _sum_series(kind, alpha, u, tol):
         for ratio in itertools.islice(rest, summed):
             total += term
             term *= z * ratio
-    try:
-        mag, prev_mag = abs(term), math.inf
-        for summed, ratio in enumerate(rest, summed + 1):
-            total += term
-            term *= z * ratio
-            next_mag = abs(term)
-            if next_mag < mag and next_mag < prev_mag:
-                if next_mag / (1.0 - next_mag / mag) < tol:  # also true for a zero term
-                    return complex(total), summed
-            elif not next_mag <= _MAX_TERM:  # also true for nan, from inf * complex
-                mag = math.inf
-                break
-            prev_mag, mag = mag, next_mag
-    except OverflowError:  # abs() of a complex term whose parts are finite, its modulus not
-        mag = math.inf
+    mag, prev_mag = abs(term), math.inf
+    for summed, ratio in enumerate(rest, summed + 1):
+        total += term
+        term *= z * ratio
+        next_mag = abs(term)
+        if next_mag < mag and next_mag < prev_mag:
+            if next_mag / (1.0 - next_mag / mag) < tol:  # also true for a zero term
+                return complex(total), summed
+        prev_mag, mag = mag, next_mag
     raise SeriesConvergenceError(
         f"{label} did not converge to tol={tol}, terms summed: {summed} "
         f"(last term magnitude {mag:.3e})",

@@ -412,9 +412,15 @@ class TestInputValidation:
         series = ["series", "Ea", "--alpha", "0.5", "--u", "1", f"--tol={value}"]
         self.assert_usage_error(capsys, series)
 
+    def test_tol_from_one_half(self, tmp_path, capsys):
+        argv = ["series", "Ea", "--alpha", "0.5", "--u", "1", "--tol", "0.5"]
+        assert run(capsys, argv) == (2, "", "error: tol must lie in (0, 0.5), got 0.5\n")
+        argv = ["eval", write_spec(tmp_path, CYL_SPEC), "--at", "r=2", "--tol=1e308"]
+        assert run(capsys, argv) == (2, "", "error: tol must lie in (0, 0.5), got 1e+308\n")
+
     def test_separate_negative_values(self, tmp_path, capsys):
         argv = ["series", "Ea", "--alpha", "0.5", "--u", "1", "--tol", "-inf"]
-        assert run(capsys, argv) == (2, "", "error: tol must be positive and finite, got -inf\n")
+        assert run(capsys, argv) == (2, "", "error: tol must lie in (0, 0.5), got -inf\n")
         self.assert_usage_error(capsys, ["series", "Ea", "--alpha", "-0.5", "--u", "1"])
         spec = write_spec(tmp_path, CYL_SPEC)
         self.assert_usage_error(capsys, ["eval", spec, "--at", "r=2", "--lam", "-inf"])
@@ -423,7 +429,7 @@ class TestInputValidation:
     def test_abbreviated_number_option(self, capsys, option):
         # an abbreviation takes a negative value as its full name does
         argv = ["series", "Ea", "--alpha", "0.5", "--u", "1", option, "-inf"]
-        assert run(capsys, argv) == (2, "", "error: tol must be positive and finite, got -inf\n")
+        assert run(capsys, argv) == (2, "", "error: tol must lie in (0, 0.5), got -inf\n")
         argv = ["series", "Ea", "--al", "-0.5", "--u", "1"]
         assert run(capsys, argv) == (2, "", "error: alpha must lie in (0, 1], got -0.5\n")
 

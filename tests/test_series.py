@@ -195,21 +195,19 @@ class TestKernelGolden:
         # exp(499*log 20 - lgamma(1 + 499/2)), the closed form of term 499
         assert err.value.last_term_magnitude.hex() == "0x1.755406cadf07cp+524"
 
-    # (kind, alpha, u): the terms the loop sums before the overflow, when
-    # it is reached
-    OVERFLOWS = {
-        ("Ea", 0.3, 20.0): 380,
-        ("Ea", 0.3, 20 + 1j): 380,
+    # (kind, alpha, u) whose terms pass the double range within the budget
+    OVERFLOWS = [
+        ("Ea", 0.3, 20.0),
+        ("Ea", 0.3, 20 + 1j),
         # u^2 itself past the double range, for the step-2 series
-        ("sina", 0.5, 1e200): 1,
-        ("sina", 0.5, 1e200j): 1,
-        ("cosa", 0.5, 1e200): 1,
-        ("cosa", 0.5, 1e200j): 1,
-        # finite parts whose modulus abs() cannot hold: in the loop, and at
-        # the first term, before any term is summed
-        ("cosa", 0.15392785036507609, -3.2481912923852962 + 3.1353549599831267j): 385,
-        ("sina", 1, 1.5e308 + 1.5e308j): 0,
-    }
+        ("sina", 0.5, 1e200),
+        ("sina", 0.5, 1e200j),
+        ("cosa", 0.5, 1e200),
+        ("cosa", 0.5, 1e200j),
+        # finite parts, with a term and with a modulus past the double range
+        ("cosa", 0.15392785036507609, -3.2481912923852962 + 3.1353549599831267j),
+        ("sina", 1, 1.5e308 + 1.5e308j),
+    ]
 
     @pytest.mark.parametrize("kind, alpha, u", OVERFLOWS)
     def test_overflow_branch(self, kind, alpha, u):
@@ -219,20 +217,6 @@ class TestKernelGolden:
             evaluate_series(kind, alpha, u)
         assert str(err.value).endswith(
             "did not converge to tol=1e-12 within the 499-term budget (term 499 has magnitude inf)"
-        )
-        assert err.value.last_term_magnitude == math.inf
-
-    @pytest.mark.parametrize("kind, alpha, u", OVERFLOWS)
-    def test_overflow_branch_of_the_loop(self, kind, alpha, u):
-        # at tol=1e308, whose 2*tol is past the double range, nothing is
-        # refused, so the loop meets the overflow: terms past the range are
-        # taken as inf, so the sum cannot settle; for a complex u, a bare
-        # recurrence would turn inf * z into nan
-        with pytest.raises(SeriesConvergenceError) as err:
-            evaluate_series(kind, alpha, u, 1e308)
-        summed = self.OVERFLOWS[kind, alpha, u]
-        assert str(err.value).endswith(
-            f"did not converge to tol=1e+308, terms summed: {summed} (last term magnitude inf)"
         )
         assert err.value.last_term_magnitude == math.inf
 
@@ -304,7 +288,9 @@ def recurrence_sum(kind, alpha, u, tol=1e-12, magnitudes=None):
 def reference_sum(kind, alpha, u, tol=1e-12):
     """evaluate_series as specified: refused when the closed-form log
     magnitudes p*log|u| - lgamma(1 + p*alpha) of terms 1 and 499 both
-    exceed log(2*tol) and -700, else the per-term recurrence."""
+    exceed log(2*tol) and -700, else the per-term recurrence.  The kernel
+    tests term 499 only, which puts term 1 above that floor too when tol
+    < 1/2, so the two agree."""
     label, power, step, _ = SPECS[kind]
     u = complex(u)
     if u != 0:
@@ -367,7 +353,7 @@ class TestRatioTables:
         st.floats(0.0, 1.0, exclude_min=True),
         st.builds(cmath.rect, st.floats(0.0, 40.0), st.floats(-math.pi, math.pi))
         | st.floats(-40.0, 40.0).map(complex),
-        st.floats(1e-300, 1.0),
+        st.floats(1e-300, 0.5, exclude_max=True),
     )
     def test_matches_the_per_term_recurrence(self, kind, alpha, u, tol):
         # more alphas come up here than the cache keeps, so tables are
@@ -382,18 +368,21 @@ class TestRatioTables:
         st.floats(0.0, 1.0, exclude_min=True),
         st.builds(cmath.rect, st.floats(0.0, 200.0), st.floats(-math.pi, math.pi))
         | st.floats(-200.0, 200.0).map(complex),
-        # a tol below e^-700 / 2 or past half the double range too
-        st.floats(1e-300, 1.0) | st.floats(0.0, 1e-300, exclude_min=True) | st.floats(1.0, 1e308),
+        # a tol below e^-700 / 2 too
+        st.floats(1e-300, 0.5, exclude_max=True) | st.floats(0.0, 1e-300, exclude_min=True),
     )
     def test_a_refusal_is_a_call_the_recurrence_cannot_finish(self, kind, alpha, u, tol):
         refused_or_same(kind, alpha, u, tol)
 
     @settings(max_examples=400, deadline=None)
-    @given(st.sampled_from(KINDS), st.floats(1e-4, 1.0), WIDE_ARGUMENTS, st.floats(1e-320, 1e308))
+    @given(
+        st.sampled_from(KINDS), st.floats(1e-4, 1.0), WIDE_ARGUMENTS,
+        st.floats(1e-320, 0.5, exclude_max=True),
+    )
     def test_skipped_prefix_ends_as_the_per_term_recurrence(self, kind, alpha, u, tol):
         # the terms before the bisect's b are summed with no test: however
-        # many, up to the e^-700 floor or the overflow cut, each call ends
-        # as with a test at every term
+        # many, up to the e^-700 floor, each call ends as with a test at
+        # every term
         assert outcome(evaluate_series, kind, alpha, u, tol) == outcome(
             reference_sum, kind, alpha, u, tol
         )
@@ -403,13 +392,11 @@ class TestRatioTables:
     @pytest.mark.parametrize("kind", KINDS)
     def test_thresholds_increase_strictly(self, kind):
         for alpha in self.ALPHAS:
-            for tol in (1e-300, 1e-12, 0.1, 0.49):
+            # up to the largest tol below 1/2, whose floor is about -1.1e-16
+            for tol in (1e-320, 1e-300, 1e-12, 0.1, 0.49, math.nextafter(0.5, 0.0)):
                 thresholds = series_module._plan(alpha, kind, tol)[2]
                 assert len(thresholds) == MAX_SERIES_TERMS - 1
                 assert all(a < b for a, b in zip(thresholds, thresholds[1:])), (alpha, tol)
-            # floor = max(log(2*tol), -700) >= 0: nothing is skipped
-            for tol in (0.5, 0.7, 0.9999995, 1.0, 1e308):
-                assert series_module._plan(alpha, kind, tol)[2] == ()
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_skipped_terms_are_above_tol_and_below_overflow(self, kind):
@@ -420,7 +407,7 @@ class TestRatioTables:
         skipped = 0
         for alpha in self.ALPHAS:
             for tol in (1e-310, 1e-300, 1e-12, 0.1, 0.49):
-                _, _, thresholds, _, _, floor = series_module._plan(alpha, kind, tol)
+                _, _, thresholds, _, floor = series_module._plan(alpha, kind, tol)
                 # log|u| just past a threshold puts its term just above the
                 # floor; thresholds[-1] is the largest log|u| that is not refused
                 logs = [t + 1e-15 * max(1.0, abs(t)) for t in thresholds[::37]]
@@ -439,17 +426,19 @@ class TestRatioTables:
         assert skipped >= 300
 
     def test_no_term_passes_e700_unless_the_call_is_refused(self):
-        # the skip has no overflow guard: past the refusal, with a floor
-        # below 0 (tol < 1/2), every closed-form term 1..499 is below e^700.
-        # Terms grow with |u|, so the largest log|u| that the refusal admits,
-        # read from the plan's own lg_first, lg_last and floor, is the worst
+        # neither the skip nor the loop has an overflow guard: past the
+        # refusal, with a floor below 0 (tol < 1/2), every closed-form term
+        # 1..499 is below e^700.  Terms grow with |u|, so the largest log|u|
+        # that the refusal admits, read from the plan's own lg_last and
+        # floor, with term 1's lgamma beside it, is the worst
         worst = -math.inf
         for kind in self.KINDS:
             _, power, step, _ = series_module._SERIES[kind]
             powers = range(power + step, power + MAX_SERIES_TERMS * step, step)
             for alpha in (1e-10, 1e-6, 1e-3, 0.01, 0.05, 0.1, 0.3, 0.5, 0.75, 0.9, 1.0):
                 for tol in (1e-320, 1e-300, 1e-100, 1e-12, 1e-3, 0.1, 0.3, 0.4999999):
-                    *_, lg_first, lg_last, floor = series_module._plan(alpha, kind, tol)
+                    *_, lg_last, floor = series_module._plan(alpha, kind, tol)
+                    lg_first = math.lgamma(1.0 + powers[0] * alpha)
                     log_u = max((floor + lg_first) / powers[0], (floor + lg_last) / powers[-1])
                     # and that log|u| is the refusal's edge
                     with pytest.raises(SeriesConvergenceError, match="-term budget"):
@@ -503,8 +492,7 @@ class TestRatioTables:
     def test_plan_count_and_length_are_bounded(self):
         plan = series_module._plan
         plan.cache_clear()
-        # at tol 1 nothing is skipped: its plans hold no thresholds
-        keys = [(0.3 + n / 1000, kind, tol) for n in range(24) for kind in self.KINDS for tol in (1e-12, 1.0)]
+        keys = [(0.3 + n / 1000, kind, tol) for n in range(24) for kind in self.KINDS for tol in (1e-12, 0.25)]
         for alpha, kind, tol in keys:
             outcome(evaluate_series, kind, alpha, 1.5, tol)
             assert plan.cache_info().currsize <= 64
@@ -513,7 +501,7 @@ class TestRatioTables:
         for alpha, kind, tol in keys[-6:]:
             _, ratios, thresholds, *_ = plan(alpha, kind, tol)
             assert len(ratios) == MAX_SERIES_TERMS - 1
-            assert len(thresholds) == (MAX_SERIES_TERMS - 1 if tol < 1 else 0)
+            assert len(thresholds) == MAX_SERIES_TERMS - 1
 
     def test_a_warm_summing_call_reads_one_plan(self):
         # the plan is the kernel's one cache, and a warm call looks it up once
@@ -571,18 +559,15 @@ class TestRatioTables:
         for alpha in (0.3, 0.5, 0.75, 1.0):
             for kind in self.KINDS:
                 _, power, step, _ = series_module._SERIES[kind]
-                gamma0, ratios, thresholds, lg_first, lg_last, floor = series_module._plan(
-                    alpha, kind, tol
-                )
+                gamma0, ratios, thresholds, lg_last, floor = series_module._plan(alpha, kind, tol)
                 assert abs(gamma0 - float(mpmath.gamma(1 + power * alpha))) <= 1e-15 * gamma0
-                # the lgammas of terms 1 and 499 that decide a refusal are,
-                # bit for bit, those the skip's thresholds are built from
-                last = power + (MAX_SERIES_TERMS - 1) * step
-                assert lg_first == math.lgamma(1.0 + (power + step) * alpha)
+                # the lgamma of term 499 that decides a refusal is, bit for
+                # bit, the one the skip's last threshold is built from
+                first, last = power + step, power + (MAX_SERIES_TERMS - 1) * step
                 assert lg_last == math.lgamma(1.0 + last * alpha)
                 # and the skip's thresholds sit on the refusal's floor
                 assert floor == math.log(2.0 * tol)
-                assert thresholds[0] == (floor + lg_first) / (power + step)
+                assert thresholds[0] == (floor + math.lgamma(1.0 + first * alpha)) / first
                 assert thresholds[-1] == (floor + lg_last) / last
                 for k, threshold in enumerate(thresholds, 1):
                     p = power + k * step
@@ -684,6 +669,19 @@ class TestMlExp:
     def test_eval_rejects_non_finite_tol(self, tol):
         # a field without series generators rejects it too
         with pytest.raises(ValueError, match="tol"):
+            eval_canonical(canon("P(r,1)", CYLINDRICAL), 0.5, {"r": 2.0}, tol=tol)
+
+    @pytest.mark.parametrize("tol", [0.5, 1, 1e308])
+    @pytest.mark.parametrize("function", [ml_exp, sin_alpha, cos_alpha])
+    def test_tol_must_lie_below_one_half(self, function, tol):
+        # from 1/2 on, the refusal floor log(2*tol) is not below 0, and the
+        # contract's 10*tol*max(1, |ref|) allows an error of 5*max(1, |ref|)
+        with pytest.raises(ValueError, match=r"^tol must lie in \(0, 0\.5\), got "):
+            function(0.5, 1.0, tol)
+
+    @pytest.mark.parametrize("tol", [0.5, 1, 1e308])
+    def test_eval_rejects_tol_from_one_half(self, tol):
+        with pytest.raises(ValueError, match=r"^tol must lie in \(0, 0\.5\), got "):
             eval_canonical(canon("P(r,1)", CYLINDRICAL), 0.5, {"r": 2.0}, tol=tol)
 
 
