@@ -30,8 +30,9 @@ PYTHONPATH=src python3 -m pytest -q -s tests/test_acceptance.py
 step "Known wrong series values"
 # -s prints the list of series calls that return a value outside
 # 10*tol*max(1, |ref|) of the mpmath oracle, and the list of calls that
-# raise although the true value is a finite double; the test fails when
-# a list grows or a listed call changes
+# raise although the true value is a finite double, at tol 1e-12 and at
+# the double's epsilon; the test fails when a list grows or a listed call
+# changes
 PYTHONPATH=src python3 -m pytest -q -s tests/test_series_contract.py
 
 step "Mutation gate"

@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", required=True, help="point, e.g. r=2,theta=0.7,z=1")
     p.add_argument("--alpha", type=float, default=None, help="override the field file alpha")
     p.add_argument("--lam", default=None, help="lam's value as the spec's lambda, or formal")
-    p.add_argument("--tol", type=float, default=1e-12, help="series tolerance, in (0, 0.5)")
+    p.add_argument("--tol", type=float, default=1e-12, help="series tolerance, in [2**-52, 0.5)")
     add_format(p)
     p.set_defaults(func=cmd_eval)
 
@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("function", choices=("Ea", "sina", "cosa"))
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--u", required=True, help="complex argument, e.g. 1 or 0.5+2i")
-    p.add_argument("--tol", type=float, default=1e-12, help="series tolerance, in (0, 0.5)")
+    p.add_argument("--tol", type=float, default=1e-12, help="series tolerance, in [2**-52, 0.5)")
     add_format(p)
     p.set_defaults(func=cmd_series)
 

@@ -10,11 +10,11 @@ denominators:
 
 At alpha=1 these reduce to exp, sin and cos, which the tests use as the
 classical oracle.  alpha=1 is admitted although the fractal setting has
-0 < alpha < 1.  tol lies in (0, 1/2), so the floor log(2*tol) is below
-zero, and the terms above it in closed form are terms 1..b for one b,
-found by one bisect of log|u| in a threshold tuple.  A sum whose term
-budget ends above that floor cannot fall below tol, and is refused
-before any term is summed.  Every call reads one plan per (alpha, kind,
+0 < alpha < 1.  tol lies in [eps, 1/2), eps the double's epsilon, so the
+floor log(2*tol) lies in [-35.4, 0), and the terms above it in closed
+form are terms 1..b for one b, found by one bisect of log|u| in a
+threshold tuple.  A sum whose term budget ends above that floor cannot
+fall below tol, and is refused before any term is summed.  Every call reads one plan per (alpha, kind,
 tol): the lgamma of the last term, the floor, the Gamma ratios and the
 threshold tuple.  Terms 1..b are too large to end the sum; all but the
 last are summed without the stopping test, to the same doubles.  The
@@ -33,6 +33,8 @@ import math
 
 MAX_SERIES_TERMS = 500
 _BUDGET = MAX_SERIES_TERMS - 1  # terms summed at most, and tested by the stopping rule
+# the least tol, the double's epsilon: a sum's own rounding is of that size
+_MIN_TOL = math.ulp(1.0)
 
 
 class SeriesConvergenceError(ArithmeticError):
@@ -51,8 +53,9 @@ def validate_alpha(alpha: float) -> float:
 
 
 def validate_tol(tol: float) -> float:
-    if not 0.0 < tol < 0.5:  # also false for nan
-        raise ValueError(f"tol must lie in (0, 0.5), got {tol}")
+    tol = float(tol)
+    if not _MIN_TOL <= tol < 0.5:  # also false for nan
+        raise ValueError(f"tol must lie in [{_MIN_TOL}, 0.5), got {tol}")
     return tol
 
 
@@ -63,11 +66,6 @@ _SERIES = {
     "cosa": ("cos_alpha", 0, 2, True),
 }
 
-# a refusal, and the skip, are decided on terms above e^-700 only: those
-# are normal doubles, so the summed terms track their closed form to about
-# 1e-12 relative, far inside the factor 2 between the floor and tol
-_LOG_REFUSAL_FLOOR = -700.0
-
 
 # summing plans by (alpha, kind, tol): 64 plans of 499 ratios and 499
 # thresholds hold about 2 MB; past that the least recently used is dropped
@@ -75,11 +73,12 @@ _LOG_REFUSAL_FLOOR = -700.0
 def _plan(alpha, kind, tol):
     """(Gamma(1 + p_0*alpha), ratios, thresholds, lg_499, floor), all
     formed from one list of lg_i = lgamma(1 + p_i*alpha), p_i = p_0 +
-    i*step, i = 0..499, which is not kept.  floor = max(log(2*tol), -700),
-    below 0 since tol < 1/2.  Term 499 is the last that the stopping rule
-    tests: a refusal compares its closed-form log magnitude p_499*log|u| -
-    lg_499 with floor.  ratios[i] = exp(lg_i - lg_(i+1)), so a term formed
-    from it is the double the per-term lgamma recurrence formed.
+    i*step, i = 0..499, which is not kept.  floor = log(2*tol), in
+    [-35.4, 0) since eps <= tol < 1/2.  Term 499 is the last that the
+    stopping rule tests: a refusal compares its closed-form log magnitude
+    p_499*log|u| - lg_499 with floor.  ratios[i] = exp(lg_i - lg_(i+1)),
+    so a term formed from it is the double the per-term lgamma recurrence
+    formed.
     thresholds[k-1] = (floor + lg_k) / p_k: term k's closed-form log
     magnitude exceeds floor exactly when log|u| > thresholds[k-1].  They
     strictly increase, since (floor + lgamma(1 + p*alpha)) / p has the
@@ -90,7 +89,7 @@ def _plan(alpha, kind, tol):
     powers = range(power, power + MAX_SERIES_TERMS * step, step)
     lg = [math.lgamma(1.0 + p * alpha) for p in powers]
     ratios = tuple(math.exp(a - b) for a, b in zip(lg, lg[1:]))
-    floor = max(math.log(2.0 * tol), _LOG_REFUSAL_FLOOR)
+    floor = math.log(2.0 * tol)
     thresholds = tuple((floor + g) / p for g, p in zip(lg[1:], powers[1:]))
     return math.gamma(1.0 + power * alpha), ratios, thresholds, lg[-1], floor
 
@@ -116,8 +115,8 @@ def _sum_series(kind, alpha, u, tol):
     magnitude p_k*log|u| - lgamma(1 + p_k*alpha), above the plan's floor
     exactly when log|u| passes its threshold; the thresholds increase, so
     the terms above the floor are terms 1..b.  A term above the floor is
-    at least twice tol (and e^-700) in closed form, so, formed to about
-    1e-12, it cannot pass the tail test.  When term 499 is above the
+    at least twice tol in closed form, a normal double, so, formed to
+    about 1e-12, it cannot pass the tail test.  When term 499 is above the
     floor, every term is, and the loop would raise: the sum is refused
     before summing, with the budget and the closed-form magnitude of term
     499, inf past e^709.  That costs one multiply, and reads term 499's

@@ -13,8 +13,8 @@ call, refusal and mismatch counts, and exits 1 on any mismatch.
 The mix: the three kinds; alpha 0.5, 0.75 or 1, or uniform in (0.01, 1);
 |u| log-uniform in (e^-6, e^4.5), or in (1e-300, 1e308); u real, imaginary
 (either sign) or in a uniform direction; tol 1e-12, or log-uniform in
-(1e-320, 0.5), the range evaluate_series accepts.  Not collected by
-pytest: its name does not start with test_.
+[eps, 0.5), eps the double's epsilon, the range evaluate_series accepts.
+Not collected by pytest: its name does not start with test_.
 """
 
 import argparse
@@ -32,6 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SERIES = "src/fracquat/series.py"
 CALLS = 200_000
+LOG10_EPS = math.log10(sys.float_info.epsilon)
 
 
 def load(path, name):
@@ -76,7 +77,7 @@ def calls(rng, n):
         else:
             modulus = 10.0 ** rng.uniform(-300.0, 308.0)
         direction = rng.choice((1, -1, 1j, -1j, cmath.rect(1.0, rng.uniform(-math.pi, math.pi))))
-        tol = 1e-12 if rng.random() < 0.5 else 10.0 ** rng.uniform(-320.0, math.log10(0.5))
+        tol = 1e-12 if rng.random() < 0.5 else 10.0 ** rng.uniform(LOG10_EPS, math.log10(0.5))
         yield kind, alpha, complex(modulus * direction), tol
 
 

@@ -38,6 +38,10 @@ def write_spec(tmp_path, doc, name="spec.json"):
     return str(path)
 
 
+# how the error line for a tol outside [eps, 1/2) starts, eps the double's epsilon
+TOL_RANGE = "error: tol must lie in [2.220446049250313e-16, 0.5), got "
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -414,13 +418,23 @@ class TestInputValidation:
 
     def test_tol_from_one_half(self, tmp_path, capsys):
         argv = ["series", "Ea", "--alpha", "0.5", "--u", "1", "--tol", "0.5"]
-        assert run(capsys, argv) == (2, "", "error: tol must lie in (0, 0.5), got 0.5\n")
+        assert run(capsys, argv) == (2, "", f"{TOL_RANGE}0.5\n")
         argv = ["eval", write_spec(tmp_path, CYL_SPEC), "--at", "r=2", "--tol=1e308"]
-        assert run(capsys, argv) == (2, "", "error: tol must lie in (0, 0.5), got 1e+308\n")
+        assert run(capsys, argv) == (2, "", f"{TOL_RANGE}1e+308\n")
+
+    def test_tol_below_epsilon(self, tmp_path, capsys):
+        argv = ["series", "Ea", "--alpha", "0.5", "--u", "1", "--tol", "1e-17"]
+        assert run(capsys, argv) == (2, "", f"{TOL_RANGE}1e-17\n")
+        argv = ["eval", write_spec(tmp_path, CYL_SPEC), "--at", "r=2", "--tol=1e-300"]
+        assert run(capsys, argv) == (2, "", f"{TOL_RANGE}1e-300\n")
+        # the least tol is accepted
+        argv = ["series", "Ea", "--alpha", "0.5", "--u", "1", "--tol", "2.220446049250313e-16"]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "") and out.startswith("Ea(alpha=0.5, u=1) = 5.00898008076228")
 
     def test_separate_negative_values(self, tmp_path, capsys):
         argv = ["series", "Ea", "--alpha", "0.5", "--u", "1", "--tol", "-inf"]
-        assert run(capsys, argv) == (2, "", "error: tol must lie in (0, 0.5), got -inf\n")
+        assert run(capsys, argv) == (2, "", f"{TOL_RANGE}-inf\n")
         self.assert_usage_error(capsys, ["series", "Ea", "--alpha", "-0.5", "--u", "1"])
         spec = write_spec(tmp_path, CYL_SPEC)
         self.assert_usage_error(capsys, ["eval", spec, "--at", "r=2", "--lam", "-inf"])
@@ -429,7 +443,7 @@ class TestInputValidation:
     def test_abbreviated_number_option(self, capsys, option):
         # an abbreviation takes a negative value as its full name does
         argv = ["series", "Ea", "--alpha", "0.5", "--u", "1", option, "-inf"]
-        assert run(capsys, argv) == (2, "", "error: tol must lie in (0, 0.5), got -inf\n")
+        assert run(capsys, argv) == (2, "", f"{TOL_RANGE}-inf\n")
         argv = ["series", "Ea", "--al", "-0.5", "--u", "1"]
         assert run(capsys, argv) == (2, "", "error: alpha must lie in (0, 1], got -0.5\n")
 

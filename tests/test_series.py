@@ -15,6 +15,8 @@ import os
 import subprocess
 import sys
 import threading
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -43,6 +45,9 @@ from oracles import (
     series_sum,
     sin_alpha_coeffs,
 )
+
+
+EPS = sys.float_info.epsilon  # the least tol a series call accepts
 
 
 def brute_ml(alpha, u, terms=80):
@@ -288,7 +293,7 @@ def recurrence_sum(kind, alpha, u, tol=1e-12, magnitudes=None):
 def reference_sum(kind, alpha, u, tol=1e-12):
     """evaluate_series as specified: refused when the closed-form log
     magnitudes p*log|u| - lgamma(1 + p*alpha) of terms 1 and 499 both
-    exceed log(2*tol) and -700, else the per-term recurrence.  The kernel
+    exceed log(2*tol), else the per-term recurrence.  The kernel
     tests term 499 only, which puts term 1 above that floor too when tol
     < 1/2, so the two agree."""
     label, power, step, _ = SPECS[kind]
@@ -301,7 +306,7 @@ def reference_sum(kind, alpha, u, tol=1e-12):
         n = MAX_SERIES_TERMS - 1
         ends = [(power + k * step) * log_u - math.lgamma(1.0 + (power + k * step) * alpha)
                 for k in (1, n)]
-        if min(ends) > max(math.log(2.0 * tol), -700.0):
+        if min(ends) > math.log(2.0 * tol):
             mag = math.exp(ends[1]) if ends[1] <= 709.0 else math.inf
             raise SeriesConvergenceError(
                 f"{label} did not converge to tol={tol} within the {n}-term budget "
@@ -353,7 +358,7 @@ class TestRatioTables:
         st.floats(0.0, 1.0, exclude_min=True),
         st.builds(cmath.rect, st.floats(0.0, 40.0), st.floats(-math.pi, math.pi))
         | st.floats(-40.0, 40.0).map(complex),
-        st.floats(1e-300, 0.5, exclude_max=True),
+        st.floats(EPS, 0.5, exclude_max=True),
     )
     def test_matches_the_per_term_recurrence(self, kind, alpha, u, tol):
         # more alphas come up here than the cache keeps, so tables are
@@ -368,8 +373,8 @@ class TestRatioTables:
         st.floats(0.0, 1.0, exclude_min=True),
         st.builds(cmath.rect, st.floats(0.0, 200.0), st.floats(-math.pi, math.pi))
         | st.floats(-200.0, 200.0).map(complex),
-        # a tol below e^-700 / 2 too
-        st.floats(1e-300, 0.5, exclude_max=True) | st.floats(0.0, 1e-300, exclude_min=True),
+        # tolerances down to the double's epsilon too
+        st.floats(EPS, 0.5, exclude_max=True) | st.floats(EPS, 1e-12),
     )
     def test_a_refusal_is_a_call_the_recurrence_cannot_finish(self, kind, alpha, u, tol):
         refused_or_same(kind, alpha, u, tol)
@@ -377,12 +382,11 @@ class TestRatioTables:
     @settings(max_examples=400, deadline=None)
     @given(
         st.sampled_from(KINDS), st.floats(1e-4, 1.0), WIDE_ARGUMENTS,
-        st.floats(1e-320, 0.5, exclude_max=True),
+        st.floats(EPS, 0.5, exclude_max=True),
     )
     def test_skipped_prefix_ends_as_the_per_term_recurrence(self, kind, alpha, u, tol):
         # the terms before the bisect's b are summed with no test: however
-        # many, up to the e^-700 floor, each call ends as with a test at
-        # every term
+        # many, each call ends as with a test at every term
         assert outcome(evaluate_series, kind, alpha, u, tol) == outcome(
             reference_sum, kind, alpha, u, tol
         )
@@ -392,8 +396,9 @@ class TestRatioTables:
     @pytest.mark.parametrize("kind", KINDS)
     def test_thresholds_increase_strictly(self, kind):
         for alpha in self.ALPHAS:
-            # up to the largest tol below 1/2, whose floor is about -1.1e-16
-            for tol in (1e-320, 1e-300, 1e-12, 0.1, 0.49, math.nextafter(0.5, 0.0)):
+            # from the least tol, whose floor is about -35.4, up to the
+            # largest tol below 1/2, whose floor is about -1.1e-16
+            for tol in (EPS, 1e-12, 0.1, 0.49, math.nextafter(0.5, 0.0)):
                 thresholds = series_module._plan(alpha, kind, tol)[2]
                 assert len(thresholds) == MAX_SERIES_TERMS - 1
                 assert all(a < b for a, b in zip(thresholds, thresholds[1:])), (alpha, tol)
@@ -401,12 +406,12 @@ class TestRatioTables:
     @pytest.mark.parametrize("kind", KINDS)
     def test_skipped_terms_are_above_tol_and_below_overflow(self, kind):
         # the terms 1..b that the kernel sums with no test, as the recurrence
-        # forms them: each is at least 2*tol (and e^-700), the plan's floor,
+        # forms them: each is at least 2*tol, the plan's floor,
         # so it cannot pass the tail test, and at most e^709, so it cannot
         # end the sum as overflowed
         skipped = 0
         for alpha in self.ALPHAS:
-            for tol in (1e-310, 1e-300, 1e-12, 0.1, 0.49):
+            for tol in (EPS, 1e-12, 0.1, 0.49):
                 _, _, thresholds, _, floor = series_module._plan(alpha, kind, tol)
                 # log|u| just past a threshold puts its term just above the
                 # floor; thresholds[-1] is the largest log|u| that is not refused
@@ -419,8 +424,8 @@ class TestRatioTables:
                         magnitudes = []
                         outcome(recurrence_sum, kind, alpha, u, tol, magnitudes)
                         assert len(magnitudes) >= b
-                        # at least max(2*tol, e^-700): the recurrence forms
-                        # its terms to about 1e-12 relative
+                        # at least 2*tol: the recurrence forms its terms to
+                        # about 1e-12 relative
                         assert all(floor - 1e-9 <= math.log(m) <= 709.0 for m in magnitudes[:b])
                         skipped += b >= 2
         assert skipped >= 300
@@ -436,7 +441,7 @@ class TestRatioTables:
             _, power, step, _ = series_module._SERIES[kind]
             powers = range(power + step, power + MAX_SERIES_TERMS * step, step)
             for alpha in (1e-10, 1e-6, 1e-3, 0.01, 0.05, 0.1, 0.3, 0.5, 0.75, 0.9, 1.0):
-                for tol in (1e-320, 1e-300, 1e-100, 1e-12, 1e-3, 0.1, 0.3, 0.4999999):
+                for tol in (EPS, 1e-12, 1e-3, 0.1, 0.3, 0.4999999):
                     *_, lg_last, floor = series_module._plan(alpha, kind, tol)
                     lg_first = math.lgamma(1.0 + powers[0] * alpha)
                     log_u = max((floor + lg_first) / powers[0], (floor + lg_last) / powers[-1])
@@ -464,15 +469,17 @@ class TestRatioTables:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_calls_where_term_499_meets_the_refusal_floor(self, kind):
-        # at the |u| where term 499 is e^-700, the refusal's floor, and just
-        # around it, the kernel ends as the reference
+        # at the |u| where term 499 is 2*tol in closed form, the refusal's
+        # floor, and just around it, the kernel ends as the reference
         _, power, step, _ = series_module._SERIES[kind]
         p = power + (MAX_SERIES_TERMS - 1) * step
         for alpha in (1e-3, 0.05, 0.3, 0.5, 0.75, 1.0):
-            edge = math.exp((math.lgamma(1.0 + p * alpha) - 700.0) / p)
-            assert abs(p * math.log(edge) - math.lgamma(1.0 + p * alpha) + 700.0) < 1e-9
-            for u in (edge, edge * (1 - 1e-8), edge * (1 + 1e-8), -edge * 1.01j):
-                for tol in (1e-300, 1e-12):
+            lg = math.lgamma(1.0 + p * alpha)
+            for tol in (EPS, 1e-12):
+                floor = math.log(2.0 * tol)
+                edge = math.exp((floor + lg) / p)
+                assert abs(p * math.log(edge) - lg - floor) < 1e-9
+                for u in (edge, edge * (1 - 1e-8), edge * (1 + 1e-8), -edge * 1.01j):
                     assert outcome(evaluate_series, kind, alpha, u, tol) == outcome(
                         reference_sum, kind, alpha, u, tol
                     )
@@ -621,6 +628,10 @@ def test_the_mpmath_reference_agrees_with_closed_forms(kind):
             assert abs(series_sum(kind, alpha, u) - ref) <= 1e-28 * max(1, abs(ref)), (alpha, u)
 
 
+# the range error names both ends of [eps, 1/2)
+TOL_RANGE = r"^tol must lie in \[2\.220446049250313e-16, 0\.5\), got "
+
+
 class TestMlExp:
     def test_zero_argument(self):
         for alpha in (0.2, 0.5, 1.0):
@@ -676,13 +687,38 @@ class TestMlExp:
     def test_tol_must_lie_below_one_half(self, function, tol):
         # from 1/2 on, the refusal floor log(2*tol) is not below 0, and the
         # contract's 10*tol*max(1, |ref|) allows an error of 5*max(1, |ref|)
-        with pytest.raises(ValueError, match=r"^tol must lie in \(0, 0\.5\), got "):
+        with pytest.raises(ValueError, match=TOL_RANGE):
             function(0.5, 1.0, tol)
 
     @pytest.mark.parametrize("tol", [0.5, 1, 1e308])
     def test_eval_rejects_tol_from_one_half(self, tol):
-        with pytest.raises(ValueError, match=r"^tol must lie in \(0, 0\.5\), got "):
+        with pytest.raises(ValueError, match=TOL_RANGE):
             eval_canonical(canon("P(r,1)", CYLINDRICAL), 0.5, {"r": 2.0}, tol=tol)
+
+    @pytest.mark.parametrize("tol", [EPS / 2, 1e-300, 5e-324])
+    @pytest.mark.parametrize("function", [ml_exp, sin_alpha, cos_alpha])
+    def test_tol_must_be_at_least_epsilon(self, function, tol):
+        # below the double's epsilon no double sum holds the contract: at
+        # tol = 1e-300, ml_exp(1, 1) was e with an error of 3.0e-16
+        with pytest.raises(ValueError, match=TOL_RANGE):
+            function(0.5, 1.0, tol)
+        assert abs(function(0.5, 1.0, EPS) - function(0.5, 1.0)) <= 1e-11
+
+    @pytest.mark.parametrize("tol", [EPS / 2, 1e-300, 5e-324])
+    def test_eval_rejects_tol_below_epsilon(self, tol):
+        ce = canon("cosa(r)", CYLINDRICAL)
+        with pytest.raises(ValueError, match=TOL_RANGE):
+            eval_canonical(ce, 0.5, {"r": 2.0}, tol=tol)
+        assert eval_canonical(ce, 0.5, {"r": 2.0}, tol=EPS) == cos_alpha(0.5, 2.0**0.5, EPS)
+
+    @pytest.mark.parametrize("tol", [Decimal("1e-9"), Fraction(1, 10**9)])
+    def test_tol_is_read_as_a_float(self, tol):
+        # as alpha is: a Decimal tol used to fail inside the plan with TypeError
+        assert ml_exp(0.5, 1.0, tol) == ml_exp(0.5, 1.0, 1e-9)
+
+    def test_a_tol_that_is_not_a_number(self):
+        with pytest.raises(ValueError):
+            ml_exp(0.5, 1.0, "x")
 
 
 class TestTrig:
